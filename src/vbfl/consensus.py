@@ -10,9 +10,8 @@ literal nonce mode exists for fidelity checks.
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,17 +31,6 @@ from .rewards import StakeLedger
 
 class NoEligibleBlock(Exception):
     """Every candidate block was ruled out (empty input or all blacklisted)."""
-
-
-@dataclass
-class MinerState:
-    """One miner's working state for the current round."""
-
-    miner: DeviceId
-    received_vtx: list[ValidatorTransaction] = field(default_factory=list)
-    candidate: Block | None = None
-    received_blocks: list[tuple[Block, float]] = field(default_factory=list)
-    wait_deadline: float = math.inf
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ at desk scale and the protocol is agnostic to the model anyway.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,8 +30,13 @@ def mlp_arch(input_dim: int, hidden: int, num_classes: int) -> str:
     return f"mlp:{input_dim}-{hidden}-{num_classes}"
 
 
+@functools.lru_cache
 def parse_arch(arch_id: str) -> tuple[str, tuple[int, ...]]:
-    """Split an architecture id into (kind, layer dims). Raises ValueError."""
+    """Split an architecture id into (kind, layer dims). Raises ValueError.
+
+    Cached: every SGD step parses its architecture id several times. A
+    failed parse raises each time, since exceptions are not cached.
+    """
     try:
         kind, spec = arch_id.split(":")
         dims = tuple(int(d) for d in spec.split("-"))
@@ -120,6 +126,22 @@ class DataShard:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         self.access_count += 1
         return self._x, self._y
+
+    def view(self, shard_of: bytes) -> "DataShard":
+        """Another device's shard over these same read-only arrays.
+
+        No data is copied; the new shard counts its own accesses.
+        """
+        out = DataShard.__new__(DataShard)
+        out._x, out._y = self._x, self._y
+        out.shard_of = shard_of
+        out.access_count = 0
+        return out
+
+    @property
+    def buffer_id(self) -> int:
+        """Identity of the arrays read; equal for a shard and its views."""
+        return id(self._x)
 
     def __len__(self) -> int:
         return self._x.shape[0]

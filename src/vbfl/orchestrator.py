@@ -27,6 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import consensus as consensus_mod
+from . import protocol as protocol_mod
 from . import rewards as rewards_mod
 from .datasets import Task, load_idx_task, make_blobs_task
 from .errors import ConfigError, InvariantViolation
@@ -389,7 +390,8 @@ def shard_dataset(
 
     Uneven division hands the remainder one example each to the lowest
     device ids. ``label_skew`` deals label-sorted contiguous chunks instead
-    of a random split.
+    of a random split. A shared test set is one read-only buffer that every
+    device's test shard views.
     """
     ids = sorted(device_ids)
     n = len(ids)
@@ -404,6 +406,8 @@ def shard_dataset(
     if validator_test == "shard":
         test_order = rng.permutation(task.test_x.shape[0])
         tbase, trem = divmod(task.test_x.shape[0], n)
+    else:
+        shared_test = DataShard(task.test_x, task.test_y)
     start = 0
     tstart = 0
     for k, dev in enumerate(ids):
@@ -417,7 +421,7 @@ def shard_dataset(
             tstart += tsize
             test = DataShard(task.test_x[trows], task.test_y[trows], shard_of=dev)
         else:
-            test = DataShard(task.test_x, task.test_y, shard_of=dev)
+            test = shared_test.view(dev)
         out[dev] = (train, test)
     return out
 
@@ -688,7 +692,11 @@ class Simulation:
         # associated validator.
         worker_txs: list[WorkerTransaction] = []
         worker_updates: dict[DeviceId, tuple[ModelParams, ModelParams]] = {}
-        inbox_v: dict[DeviceId, list[tuple[WorkerTransaction, float]]] = {v: [] for v in validators}
+        # Messages carry the signing bytes their sender encoded once; every
+        # receiver verifies the signature over the bytes it received.
+        inbox_v: dict[DeviceId, list[tuple[WorkerTransaction, bytes, float]]] = {
+            v: [] for v in validators
+        }
         for w in workers:
             st = self.state[w]
             clean = local_train(
@@ -708,11 +716,12 @@ class Simulation:
                 train_size=len(st.train),
                 signature=b"",
             )
-            tx = sign_worker_tx(tx, self.signer)
+            payload = protocol_mod.worker_tx_signing_bytes(tx)
+            tx = sign_worker_tx(tx, self.signer, payload)
             worker_txs.append(tx)
             worker_updates[w] = (clean, sent)
             arrival = cfg.network.link_delay(w, w2v[w], net_rng)
-            inbox_v[w2v[w]].append((tx, arrival))
+            inbox_v[w2v[w]].append((tx, payload, arrival))
 
         # Validators: verify, dedupe per worker, broadcast to the other
         # validators.
@@ -720,29 +729,36 @@ class Simulation:
             v: {} for v in validators
         }
 
-        def deliver_tx(v: DeviceId, tx: WorkerTransaction, at: float):
+        def deliver_tx(v: DeviceId, tx: WorkerTransaction, payload: bytes, at: float):
             if tx.worker in received[v]:
                 return  # duplicate from this worker this round
-            if not verify_worker_tx(tx, self.signer):
+            if not verify_worker_tx(tx, self.signer, payload):
                 return
             received[v][tx.worker] = (tx, at)
 
         for v in validators:
-            for tx, at in sorted(inbox_v[v], key=lambda p: p[0].worker):
-                deliver_tx(v, tx, at)
+            for tx, payload, at in sorted(inbox_v[v], key=lambda p: p[0].worker):
+                deliver_tx(v, tx, payload, at)
         # Each validator relays the transactions it received directly from
         # its associated workers to every other validator.
         for v in validators:
-            for tx, at in sorted(inbox_v[v], key=lambda p: p[0].worker):
+            for tx, payload, at in sorted(inbox_v[v], key=lambda p: p[0].worker):
                 if received[v].get(tx.worker, (None, 0.0))[0] is not tx:
                     continue  # dropped at receipt
                 for other in validators:
                     if other != v:
-                        deliver_tx(other, tx, at + cfg.network.link_delay(v, other, net_rng))
+                        deliver_tx(
+                            other, tx, payload, at + cfg.network.link_delay(v, other, net_rng)
+                        )
 
         # Validators: reference accuracy, then one vote per verified update.
+        # Validators sharing a test buffer see the same accuracy for the
+        # same update, so each (update, buffer) pair is evaluated once.
         vad_records: list[VadRecord] = []
-        inbox_m: dict[DeviceId, list[tuple[ValidatorTransaction, float]]] = {m: [] for m in miners}
+        accuracy: dict[tuple[int, int], float] = {}
+        inbox_m: dict[DeviceId, list[tuple[ValidatorTransaction, bytes, float]]] = {
+            m: [] for m in miners
+        }
         txs_by_validator: dict[DeviceId, tuple[WorkerTransaction, ...]] = {}
         for v in validators:
             st = self.state[v]
@@ -758,7 +774,12 @@ class Simulation:
             ready = max((at for _, at in received[v].values()), default=0.0)
             txs_by_validator[v] = tuple(tx for _, (tx, _) in sorted(received[v].items()))
             for w, (tx, _) in sorted(received[v].items()):
-                vali_reward, vote, vad = validate_by_voting(tx.update, vstate, cfg.unit_reward)
+                pair = (id(tx.update), st.test.buffer_id)
+                if pair not in accuracy:
+                    accuracy[pair] = evaluate(tx.update, st.test)
+                vali_reward, vote, vad = validate_by_voting(
+                    tx.update, vstate, cfg.unit_reward, accuracy[pair]
+                )
                 if self._behaves(v, BEHAVIOR_VALIDATOR_FLIP):
                     vote = malicious_flip(vote)
                 vad_records.append(
@@ -780,37 +801,40 @@ class Simulation:
                     vali_reward=vali_reward,
                     signature=b"",
                 )
-                vtx = sign_validator_tx(vtx, self.signer)
+                payload = protocol_mod.validator_tx_signing_bytes(vtx)
+                vtx = sign_validator_tx(vtx, self.signer, payload)
                 arrival = ready + cfg.network.link_delay(v, v2m[v], net_rng)
-                inbox_m[v2m[v]].append((vtx, arrival))
+                inbox_m[v2m[v]].append((vtx, payload, arrival))
 
         # Miners: verify, dedupe per (validator, worker), broadcast among
         # miners, aggregate, build candidates.
         received_vtx: dict[DeviceId, dict[tuple[DeviceId, DeviceId], tuple[ValidatorTransaction, float]]]
         received_vtx = {m: {} for m in miners}
 
-        def deliver_vtx(m: DeviceId, vtx: ValidatorTransaction, at: float):
+        def deliver_vtx(m: DeviceId, vtx: ValidatorTransaction, payload: bytes, at: float):
             key = (vtx.validator, vtx.inner.worker)
             if key in received_vtx[m]:
                 return
-            if not verify_validator_tx(vtx, self.signer):
+            if not verify_validator_tx(vtx, self.signer, payload):
                 return
             received_vtx[m][key] = (vtx, at)
 
         for m in miners:
-            for vtx, at in sorted(inbox_m[m], key=lambda p: (p[0].validator, p[0].inner.worker)):
-                deliver_vtx(m, vtx, at)
+            for vtx, payload, at in sorted(inbox_m[m], key=lambda p: (p[0].validator, p[0].inner.worker)):
+                deliver_vtx(m, vtx, payload, at)
         # Each miner relays what its associated validators sent it directly.
         for m in miners:
-            for vtx, at in sorted(inbox_m[m], key=lambda p: (p[0].validator, p[0].inner.worker)):
+            for vtx, payload, at in sorted(inbox_m[m], key=lambda p: (p[0].validator, p[0].inner.worker)):
                 key = (vtx.validator, vtx.inner.worker)
                 if received_vtx[m].get(key, (None, 0.0))[0] is not vtx:
                     continue  # dropped at receipt
                 for other in miners:
                     if other != m:
-                        deliver_vtx(other, vtx, at + cfg.network.link_delay(m, other, net_rng))
+                        deliver_vtx(
+                            other, vtx, payload, at + cfg.network.link_delay(m, other, net_rng)
+                        )
 
-        miner_states: dict[DeviceId, consensus_mod.MinerState] = {}
+        candidates: dict[DeviceId, Block] = {}
         vtxs_by_miner: dict[DeviceId, tuple[ValidatorTransaction, ...]] = {}
         ready_at: dict[DeviceId, float] = {}
         for m in miners:
@@ -826,7 +850,7 @@ class Simulation:
                     + vtx.verify_reward
                     + vtx.vali_reward
                 )
-            candidate = consensus_mod.build_candidate(
+            candidates[m] = consensus_mod.build_candidate(
                 miner=m,
                 tallies=tallies,
                 miner_reward=rewards_mod.miner_reward(len(vtxs), cfg.unit_reward),
@@ -835,13 +859,7 @@ class Simulation:
                 round=j,
                 signer=self.signer,
             )
-            miner_states[m] = consensus_mod.MinerState(
-                miner=m,
-                received_vtx=vtxs,
-                candidate=candidate,
-                wait_deadline=ready_at[m] + cfg.network.propagated_block_wait,
-            )
-            self._seen_block_hashes_add(candidate)
+            self._seen_block_hashes_add(candidates[m])
 
         # Legitimate-block selection.
         choice: dict[DeviceId, Block] = {}
@@ -854,7 +872,7 @@ class Simulation:
                 times = {}
                 for m in miners:
                     _, attempts = consensus_mod.mine_nonce(
-                        miner_states[m].candidate.content_hash, cfg.pow_difficulty
+                        candidates[m].content_hash, cfg.pow_difficulty
                     )
                     times[m] = attempts / self._hash_rate_for(m)
                 winner = min(miners, key=lambda m: (times[m], m))
@@ -864,21 +882,21 @@ class Simulation:
                 )
             # Losers stop mining and adopt the winner's block on receipt.
             for m in miners:
-                choice[m] = miner_states[winner].candidate
+                choice[m] = candidates[winner]
         else:
             for m in miners:
                 propagated = [
                     (
-                        miner_states[other].candidate,
+                        candidates[other],
                         ready_at[other] + cfg.network.link_delay(other, m, net_rng),
                     )
                     for other in miners
                     if other != m
                 ]
                 collected = consensus_mod.collect_blocks(
-                    miner_states[m].candidate,
+                    candidates[m],
                     propagated,
-                    miner_states[m].wait_deadline,
+                    ready_at[m] + cfg.network.propagated_block_wait,
                     blacklist=self.state[m].ledger.blacklist,
                 )
                 try:
@@ -890,7 +908,7 @@ class Simulation:
         forked = len({b.content_hash for b in choice.values()}) > 1
 
         # Every device adopts its partition's block, settles rewards and
-        # recomputes the global model.
+        # recomputes the global model, averaged once per distinct block.
         def miner_of(d: DeviceId) -> DeviceId:
             role = roles[d]
             if role is Role.MINER:
@@ -904,6 +922,7 @@ class Simulation:
         events: list[tuple[DeviceId, str]] = []
         qualified: tuple[DeviceId, ...] = ()
         legit_ref: Block | None = None
+        averaged: dict[bytes, ModelParams] = {}
         for d in self._active_ids(blacklist):
             st = self.state[d]
             block = choice.get(miner_of(d))
@@ -933,7 +952,11 @@ class Simulation:
             st.ledger = new_ledger
             good = [t for t in block.tallies if t.positives >= t.negatives]
             if good:
-                st.g = fedavg([(t.update, float(t.tx.train_size)) for t in good])
+                if block.content_hash not in averaged:
+                    averaged[block.content_hash] = fedavg(
+                        [(t.update, float(t.tx.train_size)) for t in good]
+                    )
+                st.g = averaged[block.content_hash]
             if d == ref:
                 qualified = tuple(t.worker for t in good)
 

@@ -13,7 +13,7 @@ import hashlib
 import hmac as _hmac
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
 
@@ -136,6 +136,9 @@ class Block:
     model_hash: bytes = ZERO_HASH
     content_hash: bytes = b""
     signature: bytes = b""
+    # Memo of compute_content_hash. Not an init field, so replace() and
+    # decoding build a block without it.
+    _body_hash: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Tallies and validator rewards are keyed collections; normalize
@@ -280,16 +283,22 @@ def _read_vote(r: _Reader) -> Vote:
     return Vote(r.u8())
 
 
+# Encoders with several fields after a parameter vector join their parts
+# once: a chain of ``+`` would copy the vector once per following field.
+
+
 def worker_tx_signing_bytes(tx: WorkerTransaction) -> bytes:
     """Everything but the signature; signing covers exactly these bytes."""
-    return (
-        _u8(_TAG_WORKER_TX)
-        + _u64(tx.round)
-        + _blob(tx.worker)
-        + encode_model_params(tx.update)
-        + _u64(tx.expected_reward)
-        + _u64(tx.epochs)
-        + _u64(tx.train_size)
+    return b"".join(
+        (
+            _u8(_TAG_WORKER_TX),
+            _u64(tx.round),
+            _blob(tx.worker),
+            encode_model_params(tx.update),
+            _u64(tx.expected_reward),
+            _u64(tx.epochs),
+            _u64(tx.train_size),
+        )
     )
 
 
@@ -311,14 +320,16 @@ def _read_worker_tx(r: _Reader) -> WorkerTransaction:
 
 
 def validator_tx_signing_bytes(vtx: ValidatorTransaction) -> bytes:
-    return (
-        _u8(_TAG_VALIDATOR_TX)
-        + _u64(vtx.round)
-        + _blob(vtx.validator)
-        + encode_worker_tx(vtx.inner)
-        + encode_vote(vtx.vote)
-        + _u64(vtx.verify_reward)
-        + _u64(vtx.vali_reward)
+    return b"".join(
+        (
+            _u8(_TAG_VALIDATOR_TX),
+            _u64(vtx.round),
+            _blob(vtx.validator),
+            encode_worker_tx(vtx.inner),
+            encode_vote(vtx.vote),
+            _u64(vtx.verify_reward),
+            _u64(vtx.vali_reward),
+        )
     )
 
 
@@ -340,12 +351,16 @@ def _read_validator_tx(r: _Reader) -> ValidatorTransaction:
 
 
 def encode_tally(t: VoteTally) -> bytes:
-    out = _u8(_TAG_TALLY) + encode_worker_tx(t.tx) + _u64(t.positives) + _u64(t.negatives)
     voters = sorted(t.voters)
-    out += _u32(len(voters))
-    for v in voters:
-        out += _blob(v)
-    return out
+    parts = [
+        _u8(_TAG_TALLY),
+        encode_worker_tx(t.tx),
+        _u64(t.positives),
+        _u64(t.negatives),
+        _u32(len(voters)),
+    ]
+    parts.extend(_blob(v) for v in voters)
+    return b"".join(parts)
 
 
 def _read_tally(r: _Reader) -> VoteTally:
@@ -359,16 +374,20 @@ def _read_tally(r: _Reader) -> VoteTally:
 
 def block_body_bytes(block: Block) -> bytes:
     """Everything but content_hash and signature; the hash covers this."""
-    out = _u8(_TAG_BLOCK) + _u64(block.round) + _blob(block.miner) + _blob(block.prev_hash)
-    out += _u32(len(block.tallies))
-    for t in block.tallies:  # already worker-sorted by construction
-        out += encode_tally(t)
-    out += _u64(block.miner_reward)
-    out += _u32(len(block.validator_rewards))
+    parts = [
+        _u8(_TAG_BLOCK),
+        _u64(block.round),
+        _blob(block.miner),
+        _blob(block.prev_hash),
+        _u32(len(block.tallies)),
+    ]
+    parts.extend(encode_tally(t) for t in block.tallies)  # worker-sorted by construction
+    parts.append(_u64(block.miner_reward))
+    parts.append(_u32(len(block.validator_rewards)))
     for device, reward in block.validator_rewards:
-        out += _blob(device) + _u64(reward)
-    out += _blob(block.model_hash)
-    return out
+        parts += (_blob(device), _u64(reward))
+    parts.append(_blob(block.model_hash))
+    return b"".join(parts)
 
 
 def encode_block(block: Block) -> bytes:
@@ -490,24 +509,54 @@ class HmacSigner(Signer):
         return _hmac.compare_digest(self.sign(payload, device), signature)
 
 
-def sign_worker_tx(tx: WorkerTransaction, signer: Signer) -> WorkerTransaction:
-    return replace(tx, signature=signer.sign(worker_tx_signing_bytes(tx), tx.worker))
+# The sign/verify functions take the signing bytes when the caller already
+# holds them: a sender encodes once and the message carries those bytes, so
+# each receiver checks the signature over what it received. Left out, they
+# are encoded from the transaction.
 
 
-def verify_worker_tx(tx: WorkerTransaction, signer: Signer) -> bool:
-    return signer.verify(worker_tx_signing_bytes(tx), tx.signature, tx.worker)
+def sign_worker_tx(
+    tx: WorkerTransaction, signer: Signer, signing_bytes: bytes | None = None
+) -> WorkerTransaction:
+    if signing_bytes is None:
+        signing_bytes = worker_tx_signing_bytes(tx)
+    return replace(tx, signature=signer.sign(signing_bytes, tx.worker))
 
 
-def sign_validator_tx(vtx: ValidatorTransaction, signer: Signer) -> ValidatorTransaction:
-    return replace(vtx, signature=signer.sign(validator_tx_signing_bytes(vtx), vtx.validator))
+def verify_worker_tx(
+    tx: WorkerTransaction, signer: Signer, signing_bytes: bytes | None = None
+) -> bool:
+    if signing_bytes is None:
+        signing_bytes = worker_tx_signing_bytes(tx)
+    return signer.verify(signing_bytes, tx.signature, tx.worker)
 
 
-def verify_validator_tx(vtx: ValidatorTransaction, signer: Signer) -> bool:
-    return signer.verify(validator_tx_signing_bytes(vtx), vtx.signature, vtx.validator)
+def sign_validator_tx(
+    vtx: ValidatorTransaction, signer: Signer, signing_bytes: bytes | None = None
+) -> ValidatorTransaction:
+    if signing_bytes is None:
+        signing_bytes = validator_tx_signing_bytes(vtx)
+    return replace(vtx, signature=signer.sign(signing_bytes, vtx.validator))
+
+
+def verify_validator_tx(
+    vtx: ValidatorTransaction, signer: Signer, signing_bytes: bytes | None = None
+) -> bool:
+    if signing_bytes is None:
+        signing_bytes = validator_tx_signing_bytes(vtx)
+    return signer.verify(signing_bytes, vtx.signature, vtx.validator)
 
 
 def compute_content_hash(block: Block) -> bytes:
-    return payload_hash(block_body_bytes(block))
+    """SHA-256 of the block body, computed once per block object.
+
+    A frozen block's body cannot change, so the digest is kept on the
+    object. A tampered (replaced) or reloaded block is a new object and is
+    hashed afresh.
+    """
+    if block._body_hash is None:
+        object.__setattr__(block, "_body_hash", payload_hash(block_body_bytes(block)))
+    return block._body_hash
 
 
 def seal_block(block: Block, signer: Signer) -> Block:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbfl.consensus import (
-    MinerState,
     NoEligibleBlock,
     PowParams,
     aggregate_votes,
@@ -312,8 +311,3 @@ class TestCollectBlocks:
         others = [(mk_block(9), 0.0), (mk_block(10), 0.0)]
         got = collect_blocks(own, others, math.inf, blacklist=frozenset([dev(9)]))
         assert [b.miner for b in got] == [dev(8), dev(10)]
-
-    def test_miner_state_defaults(self):
-        state = MinerState(miner=dev(8))
-        assert state.candidate is None
-        assert state.wait_deadline == math.inf

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,6 +129,14 @@ class TestSharding:
         shards = shard_dataset(task, self.ids(8), substream(0, "shard"))
         for _, test in shards.values():
             assert len(test) == task.test_x.shape[0]
+        # One read-only buffer, one shard object and access count per device.
+        tests = [test for _, test in shards.values()]
+        assert len({t.buffer_id for t in tests}) == 1
+        assert len({id(t) for t in tests}) == len(tests)
+        x, _ = tests[0].arrays()
+        assert not x.flags.writeable
+        assert np.array_equal(x, task.test_x)
+        assert [t.access_count for t in tests] == [1] + [0] * (len(tests) - 1)
 
     def test_disjoint_test_shards_option(self):
         task = self.task()
@@ -227,6 +236,28 @@ class TestRound:
             np.array_equal(sim.state[d].g.values, want.values) for d in sim.state
         )
         assert g_before[ref] != want
+
+    def test_round_evaluates_each_update_once(self, monkeypatch):
+        import vbfl.orchestrator as orchestrator
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(orchestrator, "evaluate", counted("evaluate", orchestrator.evaluate))
+        monkeypatch.setattr(orchestrator, "fedavg", counted("fedavg", orchestrator.fedavg))
+        sim = Simulation(tiny_cfg(rounds=1))
+        m = sim.run_round()
+        # One evaluation per distinct update on the shared test set, plus
+        # the global accuracy; one average for the block all replicas adopt.
+        assert calls["evaluate"] == len({id(tx.update) for tx in m.worker_txs}) + 1
+        assert calls["fedavg"] == 1
+        assert len(m.vad_records) == 12 * 5
 
     def test_voted_down_updates_excluded(self):
         cfg = tiny_cfg(rounds=1, malicious=(17, 18, 19), vh=0.12)

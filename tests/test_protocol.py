@@ -1,4 +1,6 @@
+import base64
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -30,8 +32,11 @@ from vbfl.protocol import (
     compute_content_hash,
     make_genesis,
     seal_block,
+    sign_validator_tx,
     sign_worker_tx,
+    validator_tx_signing_bytes,
     verify_block,
+    verify_validator_tx,
     verify_worker_tx,
     worker_tx_signing_bytes,
 )
@@ -117,6 +122,21 @@ class TestSigning:
         assert verify_worker_tx(tx, signer)
         tampered = dataclasses.replace(tx, expected_reward=10**6)
         assert not verify_worker_tx(tampered, signer)
+
+    def test_hmac_rejects_validator_tx_tampered_after_signing(self):
+        signer = make_signer(HmacSigner)
+        payload = validator_tx_signing_bytes(vtx())
+        signed = sign_validator_tx(vtx(), signer, payload)
+        assert signed == sign_validator_tx(vtx(), signer)
+        assert verify_validator_tx(signed, signer, payload)
+        for tampered in (
+            dataclasses.replace(signed, vote=Vote.NEGATIVE),
+            dataclasses.replace(signed, inner=dataclasses.replace(signed.inner, epochs=50)),
+        ):
+            assert not verify_validator_tx(tampered, signer)
+            assert not verify_validator_tx(
+                tampered, signer, validator_tx_signing_bytes(tampered)
+            )
 
     def test_hmac_rejects_wrong_key(self):
         signer = make_signer(HmacSigner)
@@ -274,8 +294,10 @@ class TestBlocks:
     def test_tampered_content_fails_verification(self):
         signer = make_signer()
         sealed = seal_block(block(), signer)
+        assert verify_block(sealed, signer)  # memoizes the body hash
         bad = dataclasses.replace(sealed, miner_reward=999)
         assert not verify_block(bad, signer)
+        assert verify_block(sealed, signer)
 
     def test_duplicate_tally_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -355,6 +377,19 @@ class TestJsonl:
         restored = chain_from_jsonl(chain_to_jsonl(chain))
         assert restored == chain
         assert restored.verify_links()
+
+    def test_flipped_tally_byte_fails_after_reload(self):
+        chain = self.build_chain()
+        assert chain.verify_links()
+        lines = chain_to_jsonl(chain).splitlines()
+        d = json.loads(lines[1])
+        raw = bytearray(base64.b64decode(d["tallies"][0]["update_b64"]))
+        raw[7] ^= 0x01  # lowest mantissa bit of the first big-endian double
+        d["tallies"][0]["update_b64"] = base64.b64encode(bytes(raw)).decode()
+        lines[1] = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        restored = chain_from_jsonl("\n".join(lines) + "\n")
+        assert not restored.verify_links()
+        assert chain.verify_links()
 
     def test_dump_stable(self):
         chain = self.build_chain()

@@ -105,6 +105,15 @@ class TestVoteRule:
         reward, _, _ = validate_by_voting(global_model, state, unit_reward=3)
         assert reward == 3
 
+    def test_measured_accuracy_gives_the_same_vote(self, vstate, global_model):
+        state = self.mk_state(vstate, 0.9, 0.08)
+        measured = evaluate(global_model, state.test)
+        reads = state.test.access_count
+        assert validate_by_voting(global_model, state, 1, measured) == validate_by_voting(
+            global_model, state
+        )
+        assert state.test.access_count == reads + 1  # only the unmeasured call read
+
     def test_requires_reference(self, vstate, global_model):
         with pytest.raises(RuntimeError):
             validate_by_voting(global_model, vstate)
