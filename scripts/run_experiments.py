@@ -44,7 +44,7 @@ def main() -> int:
 
     t0 = time.time()
     cal_preset = get_preset("CALIBRATE_VH")
-    cal_cfg = apply_overrides(cal_preset, seed=args.calibration_seed)
+    cal_cfg = apply_overrides(cal_preset.config, seed=args.calibration_seed)
     cal_dir = args.out / "calibrate_vh" if args.out else None
     cal = run_simulation(cal_cfg, out_dir=cal_dir, preset=cal_preset.name)
     suggestion = suggest_threshold(cal.driver.vad_records)
@@ -62,7 +62,7 @@ def main() -> int:
         preset = get_preset(name)
         for seed in args.seeds:
             cfg = apply_overrides(
-                preset,
+                preset.config,
                 rounds=args.rounds,
                 seed=seed,
                 vh=vh if preset.requires_vh else None,

@@ -120,41 +120,19 @@ def _cmd_run(args) -> int:
                 f"CALIBRATE_VH first and pass --vh or --vh-file (or put "
                 f"{CALIBRATION_FILE} in the working directory)"
             )
-        config = apply_overrides(
-            preset,
-            rounds=args.rounds,
-            seed=args.seed,
-            vh=vh,
-            consensus=args.consensus,
-            pow_difficulty=args.pow_difficulty,
-            malicious=args.malicious,
-            validation_scheme=args.validation_scheme,
-        )
-        mode = preset.mode
-        name = preset.name
+        base, mode, name = preset.config, preset.mode, preset.name
     else:
-        config = _load_config_file(args.config)
-        overrides = {}
-        if args.rounds is not None:
-            overrides["rounds"] = args.rounds
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if vh is not None:
-            overrides["vh"] = vh
-        if args.consensus is not None:
-            overrides["consensus"] = args.consensus
-        if args.pow_difficulty is not None:
-            overrides["pow_difficulty"] = args.pow_difficulty
-        if args.malicious is not None:
-            overrides["malicious"] = tuple(
-                range(config.n_devices - args.malicious, config.n_devices)
-            )
-        if args.validation_scheme is not None:
-            overrides["validation_scheme"] = args.validation_scheme
-        if overrides:
-            config = SimConfig.from_dict({**config.to_dict(), **overrides})
-        mode = "vbfl"
-        name = args.config.stem
+        base, mode, name = _load_config_file(args.config), "vbfl", args.config.stem
+    config = apply_overrides(
+        base,
+        rounds=args.rounds,
+        seed=args.seed,
+        vh=vh,
+        consensus=args.consensus,
+        pow_difficulty=args.pow_difficulty,
+        malicious=args.malicious,
+        validation_scheme=args.validation_scheme,
+    )
     out_dir = args.out or _default_out_dir(name, config.master_seed)
     progress = None if args.quiet else lambda m: print(_round_line(m))
     runner = run_vanilla_fl if mode == "vanilla" else run_simulation

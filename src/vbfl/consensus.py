@@ -3,15 +3,13 @@
 Stake-based selection picks the candidate whose miner holds the most
 accumulated rewards; the mining race is the work-based baseline. The race
 is simulated by drawing each miner's time-to-solution (an exponential with
-mean ``16**difficulty / hash_rate``, the expected attempt count for a
-leading-zero-nibble target) rather than literally grinding nonces; a
-literal nonce mode exists for fidelity checks.
+mean ``16**difficulty``, the expected attempt count for a leading-zero-nibble
+target at one attempt per unit of time) rather than literally grinding
+nonces. Every miner hashes at the same rate.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +21,6 @@ from .protocol import (
     ValidatorTransaction,
     Vote,
     VoteTally,
-    payload_hash,
     seal_block,
 )
 from .rewards import StakeLedger
@@ -31,20 +28,6 @@ from .rewards import StakeLedger
 
 class NoEligibleBlock(Exception):
     """Every candidate block was ruled out (empty input or all blacklisted)."""
-
-
-@dataclass(frozen=True)
-class PowParams:
-    """Race parameters: difficulty in leading zero nibbles, rates in attempts/s."""
-
-    difficulty: int
-    hash_rate: dict[DeviceId, float]
-
-    def __post_init__(self):
-        if self.difficulty < 0 or self.difficulty > 64:
-            raise ValueError("difficulty must be within the hash's nibble count")
-        if any(rate <= 0 for rate in self.hash_rate.values()):
-            raise ValueError("hash rates must be positive")
 
 
 def aggregate_votes(vtxs: Sequence[ValidatorTransaction]) -> tuple[VoteTally, ...]:
@@ -112,41 +95,29 @@ def pos_select(blocks: Sequence[Block], ledger: StakeLedger) -> Block:
 
 
 def pow_race(
-    params: PowParams,
+    difficulty: int,
     miners: Sequence[DeviceId],
     rng: np.random.Generator,
 ) -> tuple[DeviceId, dict[DeviceId, float]]:
     """Simulated mining race; returns the winner and every miner's time.
 
-    Times are drawn in ascending miner-id order so the draw is independent
-    of caller ordering. Difficulty 0 is a free target: everyone solves at
-    time zero and the lowest id wins.
+    ``difficulty`` counts leading zero nibbles. Times are drawn in
+    ascending miner-id order so the draw is independent of caller
+    ordering. Difficulty 0 is a free target: everyone solves at time zero
+    and the lowest id wins.
     """
+    if difficulty < 0 or difficulty > 64:
+        raise ValueError("difficulty must be within the hash's nibble count")
     if len(miners) == 0:
         raise ValueError("the race needs at least one miner")
     ordered = sorted(miners)
-    if params.difficulty == 0:
+    if difficulty == 0:
         times = {m: 0.0 for m in ordered}
     else:
-        scale = 16.0 ** params.difficulty
-        times = {m: float(rng.exponential(scale / params.hash_rate[m])) for m in ordered}
+        scale = 16.0 ** difficulty
+        times = {m: float(rng.exponential(scale)) for m in ordered}
     winner = min(ordered, key=lambda m: (times[m], m))
     return winner, times
-
-
-def mine_nonce(body_hash: bytes, difficulty: int) -> tuple[int, int]:
-    """Literal nonce grinding: smallest nonce whose hash has the target prefix.
-
-    Returns (nonce, attempts). Exponentially slow in difficulty; only for
-    fidelity checks, never for timed runs.
-    """
-    target = "0" * difficulty
-    nonce = 0
-    while True:
-        digest = payload_hash(body_hash + struct.pack(">Q", nonce)).hex()
-        if digest.startswith(target):
-            return nonce, nonce + 1
-        nonce += 1
 
 
 def collect_blocks(

@@ -1,12 +1,20 @@
 """Round-by-round protocol driver, role rotation and the plain-FL baseline.
 
-One communication round runs: role assignment, worker/validator/miner
-association, local training (with noise injection for malicious workers),
-worker-transaction delivery, validator broadcast and voting (with vote
-flipping for malicious validators), validator-transaction delivery, vote
-aggregation and candidate blocks per miner, block propagation, legitimate-
-block selection (stake rank or mining race), chain append, reward/flag
-bookkeeping and the new global model.
+One communication round of :class:`Simulation` runs these phases in order,
+each handing the next its data explicitly:
+
+1. roles and association: role assignment among non-blacklisted devices,
+   worker->validator and validator->miner links;
+2. train: local training (noise injection for malicious workers), signed
+   worker transactions, gossip among validators;
+3. validate: a reference model per validator, one vote per verified update
+   (vote flipping for malicious validators), signed validator transactions,
+   gossip among miners;
+4. mine: vote aggregation and one candidate block per miner;
+5. select: the legitimate block by stake rank or mining race;
+6. settle: chain append, reward/flag bookkeeping and the new global model
+   on every device;
+7. metrics: the round's observables and the invariant checks.
 
 Everything is driven by named substreams of the master seed, so runs are
 bit-reproducible and changing one noise source never shifts another.
@@ -19,7 +27,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -152,14 +160,11 @@ class SimConfig:
     malicious_behaviors: tuple[str, ...] = (BEHAVIOR_WORKER_NOISE,)
     noise_variance: float = 1.0
     vh: float = 1.0
-    vh_overrides: tuple[tuple[int, float], ...] = ()
     kick_r: int = 6
     unit_reward: int = 1
     train: TrainSpec = TrainSpec()
     consensus: str = "pos"
     pow_difficulty: int = 1
-    pow_mode: str = "race"
-    hash_rates: tuple[tuple[int, float], ...] = ()
     rounds: int = 30
     master_seed: int = 0
     network: NetworkConfig = NetworkConfig()
@@ -193,8 +198,6 @@ class SimConfig:
             fail("malicious_behaviors", f"must be a subset of {sorted(known)}")
         if not self.noise_variance > 0:
             fail("noise_variance", "must be > 0")
-        if any(i < 0 or i >= self.n_devices for i, _ in self.vh_overrides):
-            fail("vh_overrides", "device numbers must lie in [0, n_devices)")
         if self.kick_r < 1:
             fail("kick_r", "must be >= 1")
         if self.unit_reward < 1:
@@ -203,12 +206,6 @@ class SimConfig:
             fail("consensus", "must be 'pos' or 'pow'")
         if self.pow_difficulty < 0:
             fail("pow_difficulty", "must be >= 0")
-        if self.pow_mode not in ("race", "nonce"):
-            fail("pow_mode", "must be 'race' or 'nonce'")
-        if any(rate <= 0 for _, rate in self.hash_rates):
-            fail("hash_rates", "rates must be positive")
-        if any(i < 0 or i >= self.n_devices for i, _ in self.hash_rates):
-            fail("hash_rates", "device numbers must lie in [0, n_devices)")
         if self.rounds < 0:
             fail("rounds", "must be >= 0")
         if self.network.delay < 0 or self.network.jitter < 0:
@@ -225,6 +222,10 @@ class SimConfig:
             info = self.dataset.informative_dims
             if info is not None and not 1 <= info <= self.dataset.dim:
                 fail("dataset.informative_dims", "must lie in [1, dim]")
+            classes = self.dataset.classes
+            _check_rows(
+                self, classes * self.dataset.train_per_class, classes * self.dataset.test_per_class
+            )
         elif not self.dataset.idx_dir:
             fail("dataset.idx_dir", "required when dataset.kind is 'idx'")
         if self.arch not in ("softmax", "mlp"):
@@ -249,111 +250,66 @@ class SimConfig:
             fail("signature_scheme", "must be 'stub' or 'hmac'")
 
     def to_dict(self) -> dict:
-        wait = self.network.propagated_block_wait
-        return {
-            "n_devices": self.n_devices,
-            "n_workers": self.n_workers,
-            "n_validators": self.n_validators,
-            "n_miners": self.n_miners,
-            "malicious": list(self.malicious),
-            "malicious_behaviors": list(self.malicious_behaviors),
-            "noise_variance": self.noise_variance,
-            "vh": self.vh,
-            "vh_overrides": [list(p) for p in self.vh_overrides],
-            "kick_r": self.kick_r,
-            "unit_reward": self.unit_reward,
-            "train": {
-                "epochs": self.train.epochs,
-                "learning_rate": self.train.learning_rate,
-                "batch_size": self.train.batch_size,
-            },
-            "consensus": self.consensus,
-            "pow_difficulty": self.pow_difficulty,
-            "pow_mode": self.pow_mode,
-            "hash_rates": [list(p) for p in self.hash_rates],
-            "rounds": self.rounds,
-            "master_seed": self.master_seed,
-            "network": {
-                "delay": self.network.delay,
-                "jitter": self.network.jitter,
-                "propagated_block_wait": "unlimited" if math.isinf(wait) else wait,
-            },
-            "dataset": {
-                "kind": self.dataset.kind,
-                "dim": self.dataset.dim,
-                "classes": self.dataset.classes,
-                "train_per_class": self.dataset.train_per_class,
-                "test_per_class": self.dataset.test_per_class,
-                "spread": self.dataset.spread,
-                "feature_scale": self.dataset.feature_scale,
-                "informative_dims": self.dataset.informative_dims,
-                "seed": self.dataset.seed,
-                "idx_dir": self.dataset.idx_dir,
-            },
-            "arch": self.arch,
-            "mlp_hidden": self.mlp_hidden,
-            "role_policy": self.role_policy,
-            "role_sequence": list(self.role_sequence),
-            "validation_scheme": self.validation_scheme,
-            "validator_test": self.validator_test,
-            "sharding": self.sharding,
-            "signature_scheme": self.signature_scheme,
-        }
+        return _to_dict(self)
 
     @staticmethod
     def from_dict(data: Mapping) -> "SimConfig":
-        data = dict(data)
-        base = SimConfig()
-        kwargs = {}
-
-        def pop_section(key: str, builder):
-            if key in data:
-                kwargs[key] = builder(data.pop(key))
-
-        def build_train(d: Mapping) -> TrainSpec:
-            extra = set(d) - {"epochs", "learning_rate", "batch_size"}
-            if extra:
-                raise ConfigError(f"train.{sorted(extra)[0]}: unknown key")
-            try:
-                return TrainSpec(**d)
-            except ValueError as exc:
-                raise ConfigError(f"train: {exc}") from None
-
-        def build_network(d: Mapping) -> NetworkConfig:
-            d = dict(d)
-            wait = d.pop("propagated_block_wait", math.inf)
-            if wait == "unlimited" or wait is None:
-                wait = math.inf
-            extra = set(d) - {"delay", "jitter"}
-            if extra:
-                raise ConfigError(f"network.{sorted(extra)[0]}: unknown key")
-            return NetworkConfig(propagated_block_wait=float(wait), **d)
-
-        def build_dataset(d: Mapping) -> DatasetConfig:
-            extra = set(d) - {f.strip() for f in (
-                "kind", "dim", "classes", "train_per_class", "test_per_class",
-                "spread", "feature_scale", "informative_dims", "seed", "idx_dir",
-            )}
-            if extra:
-                raise ConfigError(f"dataset.{sorted(extra)[0]}: unknown key")
-            return DatasetConfig(**d)
-
-        pop_section("train", build_train)
-        pop_section("network", build_network)
-        pop_section("dataset", build_dataset)
-        for key in ("malicious", "malicious_behaviors", "role_sequence"):
-            if key in data:
-                kwargs[key] = tuple(data.pop(key))
-        for key in ("vh_overrides", "hash_rates"):
-            if key in data:
-                kwargs[key] = tuple(tuple(p) for p in data.pop(key))
-        for key in list(data):
-            if not hasattr(base, key):
-                raise ConfigError(f"{key}: unknown key")
-            kwargs[key] = data.pop(key)
-        cfg = replace(base, **kwargs)
+        cfg = _from_dict(SimConfig, data)
         cfg.validate()
         return cfg
+
+
+def _check_rows(config: SimConfig, train_rows: int, test_rows: int) -> None:
+    """Every device needs a training row, and a test row of its own under
+    ``validator_test="shard"``."""
+    n = config.n_devices
+    if train_rows < n:
+        raise ConfigError(f"dataset: {train_rows} training rows for {n} devices")
+    if config.validator_test == "shard" and test_rows < n:
+        raise ConfigError(
+            f"dataset: {test_rows} test rows for {n} devices under validator_test='shard'"
+        )
+
+
+# The (de)serialisers walk the dataclass fields, so a new knob needs no
+# serialiser change. JSON form: nested sections as objects, tuples as lists,
+# an unlimited propagated_block_wait as "unlimited".
+
+
+def _to_dict(obj) -> dict:
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif f.name == "propagated_block_wait" and math.isinf(value):
+            value = "unlimited"
+        out[f.name] = value
+    return out
+
+
+def _from_dict(cls, data: Mapping, section: str = ""):
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(data) - set(defaults))
+    if unknown:
+        prefix = section + "." if section else ""
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown key")
+    kwargs = {}
+    for key, value in data.items():
+        default = defaults[key]
+        if is_dataclass(default):
+            value = _from_dict(type(default), value, key)
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        elif key == "propagated_block_wait":
+            value = math.inf if value in ("unlimited", None) else float(value)
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # TrainSpec checks its own values
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 # --- devices and sharding ---------------------------------------------------
@@ -401,29 +357,24 @@ def shard_dataset(
         order = rng.permutation(task.train_size)
     else:
         order = np.argsort(task.train_y, kind="stable")
-    base, rem = divmod(task.train_size, n)
-    out: dict[DeviceId, tuple[DataShard, DataShard]] = {}
+
+    def split(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> list[DataShard]:
+        return [DataShard(x[r], y[r], shard_of=d) for d, r in zip(ids, _chunks(rows, n))]
+
+    train = split(task.train_x, task.train_y, order)
     if validator_test == "shard":
-        test_order = rng.permutation(task.test_x.shape[0])
-        tbase, trem = divmod(task.test_x.shape[0], n)
+        test = split(task.test_x, task.test_y, rng.permutation(task.test_x.shape[0]))
     else:
         shared_test = DataShard(task.test_x, task.test_y)
-    start = 0
-    tstart = 0
-    for k, dev in enumerate(ids):
-        size = base + (1 if k < rem else 0)
-        rows = order[start : start + size]
-        start += size
-        train = DataShard(task.train_x[rows], task.train_y[rows], shard_of=dev)
-        if validator_test == "shard":
-            tsize = tbase + (1 if k < trem else 0)
-            trows = test_order[tstart : tstart + tsize]
-            tstart += tsize
-            test = DataShard(task.test_x[trows], task.test_y[trows], shard_of=dev)
-        else:
-            test = shared_test.view(dev)
-        out[dev] = (train, test)
-    return out
+        test = [shared_test.view(d) for d in ids]
+    return dict(zip(ids, zip(train, test)))
+
+
+def _chunks(order: np.ndarray, n: int) -> list[np.ndarray]:
+    """n contiguous slices of order; the remainder adds one row each to the first."""
+    base, rem = divmod(len(order), n)
+    bounds = np.cumsum([0] + [base + (k < rem) for k in range(n)])
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def assign_roles(
@@ -521,10 +472,31 @@ class DeviceState:
     device: Device
     train: DataShard
     test: DataShard
-    malicious: bool
     chain: Blockchain
     ledger: StakeLedger
     g: ModelParams
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Who does what in one round, fixed before any message moves."""
+
+    round: int
+    roles: dict[DeviceId, Role]
+    workers: list[DeviceId]
+    validators: list[DeviceId]
+    miners: list[DeviceId]
+    w2v: dict[DeviceId, DeviceId]
+    v2m: dict[DeviceId, DeviceId]
+
+    def miner_of(self, d: DeviceId) -> DeviceId:
+        """The miner whose block d's partition adopts."""
+        role = self.roles[d]
+        if role is Role.MINER:
+            return d
+        if role is Role.VALIDATOR:
+            return self.v2m[d]
+        return self.v2m[self.w2v[d]]
 
 
 def _build_task(config: SimConfig) -> Task:
@@ -546,16 +518,10 @@ def _build_task(config: SimConfig) -> Task:
             name="idx",
         )
     seed = ds.seed if ds.seed is not None else derive_seed(config.master_seed, "shard", "task")
-    return make_blobs_task(
-        dim=ds.dim,
-        classes=ds.classes,
-        train_per_class=ds.train_per_class,
-        test_per_class=ds.test_per_class,
-        spread=ds.spread,
-        feature_scale=ds.feature_scale,
-        seed=seed,
-        informative_dims=ds.informative_dims,
-    )
+    params = {f.name: getattr(ds, f.name) for f in fields(ds)}
+    for key in ("kind", "seed", "idx_dir"):
+        del params[key]
+    return make_blobs_task(seed=seed, **params)
 
 
 def _make_signer(config: SimConfig, devices: Sequence[Device]) -> Signer:
@@ -565,50 +531,91 @@ def _make_signer(config: SimConfig, devices: Sequence[Device]) -> Signer:
     return signer
 
 
-class Simulation:
-    """Mutable state of one run plus the round step."""
+class _World:
+    """What both drivers build from a config: devices, data shards and g0.
+
+    ``full_test`` is the whole test set, read for the global accuracy. Under
+    ``validator_test="full"`` it views the one buffer every device's test
+    shard views, so the test set is held once.
+    """
 
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
         self.devices = make_devices(config.n_devices)
-        self.by_id = {d.id: d for d in self.devices}
-        self.signer = _make_signer(config, self.devices)
-        self.task = _build_task(config)
+        task = _build_task(config)
+        _check_rows(config, task.train_size, task.test_x.shape[0])
         if config.arch == "mlp":
-            self.arch_id = mlp_arch(self.task.dim, config.mlp_hidden, self.task.num_classes)
+            arch_id = mlp_arch(task.dim, config.mlp_hidden, task.num_classes)
         else:
-            self.arch_id = softmax_arch(self.task.dim, self.task.num_classes)
-        shards = shard_dataset(
-            self.task,
+            arch_id = softmax_arch(task.dim, task.num_classes)
+        self.shards = shard_dataset(
+            task,
             [d.id for d in self.devices],
             substream(config.master_seed, "shard"),
             sharding=config.sharding,
             validator_test=config.validator_test,
         )
-        g0 = init_global_model(self.arch_id, derive_seed(config.master_seed, "init"))
-        self.genesis = make_genesis(g0)
-        malicious_ids = {self.devices[i].id for i in config.malicious}
-        self.malicious_ids = frozenset(malicious_ids)
-        self._vh_by_id = {
-            self.devices[i].id: vh for i, vh in config.vh_overrides
-        }
-        self._rates_by_id = {self.devices[i].id: rate for i, rate in config.hash_rates}
-        self.state: dict[DeviceId, DeviceState] = {}
-        for dev in self.devices:
-            train, test = shards[dev.id]
-            self.state[dev.id] = DeviceState(
-                device=dev,
-                train=train,
-                test=test,
-                malicious=dev.id in malicious_ids,
-                chain=Blockchain((self.genesis,)),
-                ledger=StakeLedger(unit_reward=config.unit_reward, kick_r=config.kick_r),
-                g=g0,
-            )
-        self.full_test = DataShard(self.task.test_x, self.task.test_y, shard_of=b"")
+        self.g0 = init_global_model(arch_id, derive_seed(config.master_seed, "init"))
+        self.malicious_ids = frozenset(self.devices[i].id for i in config.malicious)
+        if config.validator_test == "full":
+            self.full_test = self.shards[self.devices[0].id][1].view(b"")
+        else:
+            self.full_test = DataShard(task.test_x, task.test_y, shard_of=b"")
         self.round_no = 0
         self.metrics: list[RoundMetrics] = []
+
+    def _behaves(self, device: DeviceId, behavior: str) -> bool:
+        return (
+            device in self.malicious_ids
+            and behavior in self.config.malicious_behaviors
+        )
+
+    def _local_update(
+        self, device: DeviceId, g: ModelParams, train: DataShard, round_no: int
+    ) -> tuple[ModelParams, ModelParams]:
+        """A device's trained update, and the one it sends: noise-distorted
+        when the device is a malicious worker."""
+        cfg = self.config
+        batches = substream(cfg.master_seed, "batches", device, round_no)
+        clean = local_train(g, train, cfg.train, batches)
+        if not self._behaves(device, BEHAVIOR_WORKER_NOISE):
+            return clean, clean
+        noise = substream(cfg.master_seed, "noise", device, round_no)
+        return clean, inject_gaussian_noise(clean, cfg.noise_variance, noise)
+
+    def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
+        for _ in range(self.config.rounds):
+            m = self.run_round()
+            if progress:
+                progress(m)
+        return self.metrics
+
+
+# A gossip message: the message, the signing bytes its sender encoded once
+# (every receiver verifies the signature over the bytes it received), and
+# its arrival time.
+_Message = tuple[object, bytes, float]
+
+
+class Simulation(_World):
+    """Mutable state of one run plus the round step."""
+
+    def __init__(self, config: SimConfig):
+        super().__init__(config)
+        self.signer = _make_signer(config, self.devices)
+        self.genesis = make_genesis(self.g0)
+        self.state: dict[DeviceId, DeviceState] = {
+            dev.id: DeviceState(
+                device=dev,
+                train=self.shards[dev.id][0],
+                test=self.shards[dev.id][1],
+                chain=Blockchain((self.genesis,)),
+                ledger=StakeLedger(unit_reward=config.unit_reward, kick_r=config.kick_r),
+                g=self.g0,
+            )
+            for dev in self.devices
+        }
         self._seen_block_hashes = {self.genesis.content_hash}
 
     # -- helpers ------------------------------------------------------------
@@ -621,15 +628,8 @@ class Simulation:
         """
         out: frozenset[DeviceId] = frozenset()
         while True:
-            views = [
-                st.ledger.blacklist for d, st in self.state.items() if d not in out
-            ]
-            if not views:
-                return out
-            agreed = views[0]
-            for v in views[1:]:
-                agreed = agreed & v
-            agreed = frozenset(agreed)
+            views = [st.ledger.blacklist for d, st in self.state.items() if d not in out]
+            agreed = frozenset.intersection(*map(frozenset, views)) if views else out
             if agreed == out:
                 return out
             out = agreed
@@ -637,78 +637,141 @@ class Simulation:
     def _active_ids(self, blacklist: frozenset[DeviceId]) -> list[DeviceId]:
         return [d.id for d in self.devices if d.id not in blacklist]
 
-    def _reference_id(self, blacklist: frozenset[DeviceId]) -> DeviceId:
-        return self._active_ids(blacklist)[0]
+    def _gossip(
+        self,
+        inbox: dict[DeviceId, list[_Message]],
+        key: Callable[[object], object],
+        verify: Callable[[object, Signer, bytes], bool],
+        peers: Sequence[DeviceId],
+        net_rng: np.random.Generator,
+    ) -> dict[DeviceId, list[tuple[object, float]]]:
+        """One hop of signed messages among peers: deliver, dedupe, relay.
 
-    def _threshold_for(self, device: DeviceId) -> float:
-        return self._vh_by_id.get(device, self.config.vh)
+        Every peer first takes its direct messages in key order, storing the
+        first copy per key that verifies. Then every peer relays each copy it
+        stored to every other peer, each relay drawing a link delay from
+        net_rng. Returns each peer's stored (message, arrival) in key order.
+        """
+        stored: dict[DeviceId, dict] = {p: {} for p in peers}
 
-    def _hash_rate_for(self, device: DeviceId) -> float:
-        return self._rates_by_id.get(device, 1.0)
+        def deliver(p: DeviceId, msg, payload: bytes, at: float):
+            k = key(msg)
+            if k not in stored[p] and verify(msg, self.signer, payload):
+                stored[p][k] = (msg, at)
 
-    def _behaves(self, device: DeviceId, behavior: str) -> bool:
-        return (
-            device in self.malicious_ids
-            and behavior in self.config.malicious_behaviors
-        )
+        direct = {p: sorted(inbox[p], key=lambda item: key(item[0])) for p in peers}
+        for p in peers:
+            for msg, payload, at in direct[p]:
+                deliver(p, msg, payload, at)
+        link_delay = self.config.network.link_delay
+        for p in peers:
+            for msg, payload, at in direct[p]:
+                if stored[p].get(key(msg), (None,))[0] is not msg:
+                    continue  # dropped at receipt
+                for other in peers:
+                    if other != p:
+                        deliver(other, msg, payload, at + link_delay(p, other, net_rng))
+        return {p: [stored[p][k] for k in sorted(stored[p])] for p in peers}
 
     # -- the round ------------------------------------------------------------
 
     def run_round(self) -> RoundMetrics:
         cfg = self.config
-        j = self.round_no + 1
-        self.round_no = j
+        j = self.round_no = self.round_no + 1
         blacklist = self._unanimous_blacklist()
         actives = self._active_ids(blacklist)
         ref = actives[0] if actives else sorted(self.state)[0]
-
-        def skip(reason: str) -> RoundMetrics:
-            logger.warning("round %d skipped: %s", j, reason)
-            metrics = RoundMetrics(
-                round=j,
-                consensus=cfg.consensus.upper(),
-                global_accuracy=evaluate(self.state[ref].g, self.full_test),
-                skipped=True,
-                skip_reason=reason,
-                stakes={d: self.state[ref].ledger.stake_of(d) for d in self.state},
-            )
-            self.metrics.append(metrics)
-            return metrics
-
         if not actives:
-            return skip("all devices blacklisted")
+            return self._skip(j, ref, "all devices blacklisted")
+        plan = self._plan(j, blacklist)
+        if plan is None:
+            return self._skip(j, ref, "no validators or miners available")
+        net_rng = substream(cfg.master_seed, "net", j)
+
+        worker_txs, worker_updates, inbox_v = self._train(plan, net_rng)
+        received = self._gossip(
+            inbox_v, lambda tx: tx.worker, verify_worker_tx, plan.validators, net_rng
+        )
+        vad_records, inbox_m = self._validate(plan, received, net_rng)
+        received_vtx = self._gossip(
+            inbox_m, lambda vtx: (vtx.validator, vtx.inner.worker), verify_validator_tx,
+            plan.miners, net_rng,
+        )
+        candidates, ready_at = self._mine(plan, received_vtx)
+        choice = self._select(plan, candidates, ready_at, net_rng)
+        if not choice:
+            return self._skip(j, ref, "no eligible legitimate block")
+
+        prev_ref_ledger = self.state[ref].ledger
+        events, qualified, legit_ref = self._settle(plan, choice, actives, ref)
+        ref_ledger = self.state[ref].ledger
+        metrics = RoundMetrics(
+            round=j,
+            consensus=cfg.consensus.upper(),
+            global_accuracy=evaluate(self.state[ref].g, self.full_test),
+            winner=legit_ref.miner if legit_ref else None,
+            winner_malicious=bool(legit_ref and legit_ref.miner in self.malicious_ids),
+            forked=len({b.content_hash for b in choice.values()}) > 1,
+            stakes={d: ref_ledger.stake_of(d) for d in self.state},
+            vad_records=tuple(vad_records),
+            events=tuple(events),
+            reward_breakdown={
+                d: {
+                    src: ref_ledger.earned_as(d, src) - prev_ref_ledger.earned_as(d, src)
+                    for src in rewards_mod.ROLE_SOURCES
+                }
+                for d in self.state
+            },
+            qualified_workers=qualified,
+            roles=plan.roles,
+            worker_txs=tuple(worker_txs),
+            txs_by_validator={v: tuple(tx for tx, _ in received[v]) for v in plan.validators},
+            vtxs_by_miner={m: tuple(vtx for vtx, _ in received_vtx[m]) for m in plan.miners},
+            worker_updates=worker_updates,
+            legitimate_block=legit_ref,
+        )
+        self.metrics.append(metrics)
+        self._check_round_invariants(metrics, prev_ref_ledger, actives)
+        return metrics
+
+    def _skip(self, j: int, ref: DeviceId, reason: str) -> RoundMetrics:
+        logger.warning("round %d skipped: %s", j, reason)
+        metrics = RoundMetrics(
+            round=j,
+            consensus=self.config.consensus.upper(),
+            global_accuracy=evaluate(self.state[ref].g, self.full_test),
+            skipped=True,
+            skip_reason=reason,
+            stakes={d: self.state[ref].ledger.stake_of(d) for d in self.state},
+        )
+        self.metrics.append(metrics)
+        return metrics
+
+    def _plan(self, j: int, blacklist: frozenset[DeviceId]) -> _Plan | None:
+        """Roles and association; None when no validator or miner is left."""
+        cfg = self.config
         roles = assign_roles(
             j, list(self.state), cfg, substream(cfg.master_seed, "roles", j), excluded=blacklist
         )
-        workers = sorted(d for d, r in roles.items() if r is Role.WORKER)
-        validators = sorted(d for d, r in roles.items() if r is Role.VALIDATOR)
-        miners = sorted(d for d, r in roles.items() if r is Role.MINER)
+        workers, validators, miners = (
+            sorted(d for d, r in roles.items() if r is role) for role in Role
+        )
         if not validators or not miners:
-            return skip("no validators or miners available")
+            return None
         w2v, v2m = associate(workers, validators, miners, substream(cfg.master_seed, "assoc", j))
-        net_rng = substream(cfg.master_seed, "net", j)
+        return _Plan(j, roles, workers, validators, miners, w2v, v2m)
 
-        # Workers: train, distort if malicious, sign, deliver to the
-        # associated validator.
+    def _train(self, plan: _Plan, net_rng: np.random.Generator):
+        """Workers train, distort if malicious, sign and send to their validator."""
+        cfg = self.config
         worker_txs: list[WorkerTransaction] = []
         worker_updates: dict[DeviceId, tuple[ModelParams, ModelParams]] = {}
-        # Messages carry the signing bytes their sender encoded once; every
-        # receiver verifies the signature over the bytes it received.
-        inbox_v: dict[DeviceId, list[tuple[WorkerTransaction, bytes, float]]] = {
-            v: [] for v in validators
-        }
-        for w in workers:
+        inbox: dict[DeviceId, list[_Message]] = {v: [] for v in plan.validators}
+        for w in plan.workers:
             st = self.state[w]
-            clean = local_train(
-                st.g, st.train, cfg.train, substream(cfg.master_seed, "batches", w, j)
-            )
-            sent = clean
-            if self._behaves(w, BEHAVIOR_WORKER_NOISE):
-                sent = inject_gaussian_noise(
-                    clean, cfg.noise_variance, substream(cfg.master_seed, "noise", w, j)
-                )
+            clean, sent = self._local_update(w, st.g, st.train, plan.round)
             tx = WorkerTransaction(
-                round=j,
+                round=plan.round,
                 worker=w,
                 update=sent,
                 expected_reward=cfg.train.epochs * len(st.train) * cfg.unit_reward,
@@ -720,60 +783,26 @@ class Simulation:
             tx = sign_worker_tx(tx, self.signer, payload)
             worker_txs.append(tx)
             worker_updates[w] = (clean, sent)
-            arrival = cfg.network.link_delay(w, w2v[w], net_rng)
-            inbox_v[w2v[w]].append((tx, payload, arrival))
+            v = plan.w2v[w]
+            inbox[v].append((tx, payload, cfg.network.link_delay(w, v, net_rng)))
+        return worker_txs, worker_updates, inbox
 
-        # Validators: verify, dedupe per worker, broadcast to the other
-        # validators.
-        received: dict[DeviceId, dict[DeviceId, tuple[WorkerTransaction, float]]] = {
-            v: {} for v in validators
-        }
+    def _validate(self, plan: _Plan, received, net_rng: np.random.Generator):
+        """Each validator votes on every update it stored and sends the
+        votes to its miner.
 
-        def deliver_tx(v: DeviceId, tx: WorkerTransaction, payload: bytes, at: float):
-            if tx.worker in received[v]:
-                return  # duplicate from this worker this round
-            if not verify_worker_tx(tx, self.signer, payload):
-                return
-            received[v][tx.worker] = (tx, at)
-
-        for v in validators:
-            for tx, payload, at in sorted(inbox_v[v], key=lambda p: p[0].worker):
-                deliver_tx(v, tx, payload, at)
-        # Each validator relays the transactions it received directly from
-        # its associated workers to every other validator.
-        for v in validators:
-            for tx, payload, at in sorted(inbox_v[v], key=lambda p: p[0].worker):
-                if received[v].get(tx.worker, (None, 0.0))[0] is not tx:
-                    continue  # dropped at receipt
-                for other in validators:
-                    if other != v:
-                        deliver_tx(
-                            other, tx, payload, at + cfg.network.link_delay(v, other, net_rng)
-                        )
-
-        # Validators: reference accuracy, then one vote per verified update.
-        # Validators sharing a test buffer see the same accuracy for the
-        # same update, so each (update, buffer) pair is evaluated once.
+        Validators sharing a test buffer see the same accuracy for the same
+        update, so each (update, buffer) pair is evaluated once.
+        """
+        cfg = self.config
         vad_records: list[VadRecord] = []
         accuracy: dict[tuple[int, int], float] = {}
-        inbox_m: dict[DeviceId, list[tuple[ValidatorTransaction, bytes, float]]] = {
-            m: [] for m in miners
-        }
-        txs_by_validator: dict[DeviceId, tuple[WorkerTransaction, ...]] = {}
-        for v in validators:
+        inbox: dict[DeviceId, list[_Message]] = {m: [] for m in plan.miners}
+        for v in plan.validators:
             st = self.state[v]
-            vstate = ValidatorState(
-                validator=v, threshold=self._threshold_for(v), train=st.train, test=st.test
-            )
-            if cfg.validation_scheme == SCHEME_LEGACY:
-                vstate = reference_from_global(st.g, vstate)
-            else:
-                vstate = pretrain_one_epoch(
-                    st.g, vstate, cfg.train, substream(cfg.master_seed, "batches", v, j)
-                )
-            ready = max((at for _, at in received[v].values()), default=0.0)
-            txs_by_validator[v] = tuple(tx for _, (tx, _) in sorted(received[v].items()))
-            for w, (tx, _) in sorted(received[v].items()):
+            vstate = self._reference(v, plan.round)
+            ready = max((at for _, at in received[v]), default=0.0)
+            for tx, _ in received[v]:
                 pair = (id(tx.update), st.test.buffer_id)
                 if pair not in accuracy:
                     accuracy[pair] = evaluate(tx.update, st.test)
@@ -784,16 +813,16 @@ class Simulation:
                     vote = malicious_flip(vote)
                 vad_records.append(
                     VadRecord(
-                        round=j,
+                        round=plan.round,
                         validator=v,
-                        worker=w,
+                        worker=tx.worker,
                         vad=vad,
                         vote=vote,
-                        worker_malicious=w in self.malicious_ids,
+                        worker_malicious=tx.worker in self.malicious_ids,
                     )
                 )
                 vtx = ValidatorTransaction(
-                    round=j,
+                    round=plan.round,
                     validator=v,
                     inner=tx,
                     vote=vote,
@@ -803,45 +832,28 @@ class Simulation:
                 )
                 payload = protocol_mod.validator_tx_signing_bytes(vtx)
                 vtx = sign_validator_tx(vtx, self.signer, payload)
-                arrival = ready + cfg.network.link_delay(v, v2m[v], net_rng)
-                inbox_m[v2m[v]].append((vtx, payload, arrival))
+                m = plan.v2m[v]
+                inbox[m].append((vtx, payload, ready + cfg.network.link_delay(v, m, net_rng)))
+        return vad_records, inbox
 
-        # Miners: verify, dedupe per (validator, worker), broadcast among
-        # miners, aggregate, build candidates.
-        received_vtx: dict[DeviceId, dict[tuple[DeviceId, DeviceId], tuple[ValidatorTransaction, float]]]
-        received_vtx = {m: {} for m in miners}
+    def _reference(self, v: DeviceId, j: int) -> ValidatorState:
+        """The validator's reference model for its votes this round."""
+        cfg = self.config
+        st = self.state[v]
+        vstate = ValidatorState(validator=v, threshold=cfg.vh, train=st.train, test=st.test)
+        if cfg.validation_scheme == SCHEME_LEGACY:
+            return reference_from_global(st.g, vstate)
+        return pretrain_one_epoch(
+            st.g, vstate, cfg.train, substream(cfg.master_seed, "batches", v, j)
+        )
 
-        def deliver_vtx(m: DeviceId, vtx: ValidatorTransaction, payload: bytes, at: float):
-            key = (vtx.validator, vtx.inner.worker)
-            if key in received_vtx[m]:
-                return
-            if not verify_validator_tx(vtx, self.signer, payload):
-                return
-            received_vtx[m][key] = (vtx, at)
-
-        for m in miners:
-            for vtx, payload, at in sorted(inbox_m[m], key=lambda p: (p[0].validator, p[0].inner.worker)):
-                deliver_vtx(m, vtx, payload, at)
-        # Each miner relays what its associated validators sent it directly.
-        for m in miners:
-            for vtx, payload, at in sorted(inbox_m[m], key=lambda p: (p[0].validator, p[0].inner.worker)):
-                key = (vtx.validator, vtx.inner.worker)
-                if received_vtx[m].get(key, (None, 0.0))[0] is not vtx:
-                    continue  # dropped at receipt
-                for other in miners:
-                    if other != m:
-                        deliver_vtx(
-                            other, vtx, payload, at + cfg.network.link_delay(m, other, net_rng)
-                        )
-
+    def _mine(self, plan: _Plan, received_vtx):
+        """Every miner aggregates the votes it stored into a candidate block."""
         candidates: dict[DeviceId, Block] = {}
-        vtxs_by_miner: dict[DeviceId, tuple[ValidatorTransaction, ...]] = {}
         ready_at: dict[DeviceId, float] = {}
-        for m in miners:
-            entries = sorted(received_vtx[m].items())
-            vtxs = [vtx for _, (vtx, _) in entries]
-            vtxs_by_miner[m] = tuple(vtxs)
-            ready_at[m] = max((at for _, (_, at) in entries), default=0.0)
+        for m in plan.miners:
+            vtxs = [vtx for vtx, _ in received_vtx[m]]
+            ready_at[m] = max((at for _, at in received_vtx[m]), default=0.0)
             tallies = consensus_mod.aggregate_votes(vtxs)
             validator_rewards: dict[DeviceId, int] = {}
             for vtx in vtxs:
@@ -853,143 +865,115 @@ class Simulation:
             candidates[m] = consensus_mod.build_candidate(
                 miner=m,
                 tallies=tallies,
-                miner_reward=rewards_mod.miner_reward(len(vtxs), cfg.unit_reward),
+                miner_reward=rewards_mod.miner_reward(len(vtxs), self.config.unit_reward),
                 validator_rewards=validator_rewards,
                 prev_hash=self.state[m].chain.tip_hash,
-                round=j,
+                round=plan.round,
                 signer=self.signer,
             )
             self._seen_block_hashes_add(candidates[m])
+        return candidates, ready_at
 
-        # Legitimate-block selection.
-        choice: dict[DeviceId, Block] = {}
+    def _select(
+        self,
+        plan: _Plan,
+        candidates: dict[DeviceId, Block],
+        ready_at: dict[DeviceId, float],
+        net_rng: np.random.Generator,
+    ) -> dict[DeviceId, Block]:
+        """The legitimate block each miner adopts; a miner may adopt none."""
+        cfg = self.config
         if cfg.consensus == "pow":
-            params = consensus_mod.PowParams(
-                difficulty=cfg.pow_difficulty,
-                hash_rate={m: self._hash_rate_for(m) for m in miners},
+            winner, _ = consensus_mod.pow_race(
+                cfg.pow_difficulty,
+                plan.miners,
+                substream(cfg.master_seed, "pow", cfg.pow_difficulty, plan.round),
             )
-            if cfg.pow_mode == "nonce":
-                times = {}
-                for m in miners:
-                    _, attempts = consensus_mod.mine_nonce(
-                        candidates[m].content_hash, cfg.pow_difficulty
-                    )
-                    times[m] = attempts / self._hash_rate_for(m)
-                winner = min(miners, key=lambda m: (times[m], m))
-            else:
-                winner, _ = consensus_mod.pow_race(
-                    params, miners, substream(cfg.master_seed, "pow", cfg.pow_difficulty, j)
-                )
             # Losers stop mining and adopt the winner's block on receipt.
-            for m in miners:
-                choice[m] = candidates[winner]
-        else:
-            for m in miners:
-                propagated = [
-                    (
-                        candidates[other],
-                        ready_at[other] + cfg.network.link_delay(other, m, net_rng),
-                    )
-                    for other in miners
-                    if other != m
-                ]
-                collected = consensus_mod.collect_blocks(
-                    candidates[m],
-                    propagated,
-                    ready_at[m] + cfg.network.propagated_block_wait,
-                    blacklist=self.state[m].ledger.blacklist,
-                )
-                try:
-                    choice[m] = consensus_mod.pos_select(collected, self.state[m].ledger)
-                except consensus_mod.NoEligibleBlock:
-                    pass
-        if not choice:
-            return skip("no eligible legitimate block")
-        forked = len({b.content_hash for b in choice.values()}) > 1
+            return {m: candidates[winner] for m in plan.miners}
+        choice: dict[DeviceId, Block] = {}
+        for m in plan.miners:
+            propagated = [
+                (candidates[other], ready_at[other] + cfg.network.link_delay(other, m, net_rng))
+                for other in plan.miners
+                if other != m
+            ]
+            collected = consensus_mod.collect_blocks(
+                candidates[m],
+                propagated,
+                ready_at[m] + cfg.network.propagated_block_wait,
+                blacklist=self.state[m].ledger.blacklist,
+            )
+            try:
+                choice[m] = consensus_mod.pos_select(collected, self.state[m].ledger)
+            except consensus_mod.NoEligibleBlock:
+                pass
+        return choice
 
-        # Every device adopts its partition's block, settles rewards and
-        # recomputes the global model, averaged once per distinct block.
-        def miner_of(d: DeviceId) -> DeviceId:
-            role = roles[d]
-            if role is Role.MINER:
-                return d
-            if role is Role.VALIDATOR:
-                return v2m[d]
-            return v2m[w2v[d]]
+    def _settle(
+        self,
+        plan: _Plan,
+        choice: dict[DeviceId, Block],
+        actives: Sequence[DeviceId],
+        ref: DeviceId,
+    ) -> tuple[list[tuple[DeviceId, str]], tuple[DeviceId, ...], Block | None]:
+        """Every active device adopts its partition's block, settles rewards
+        and recomputes the global model, averaged once per distinct block.
 
-        served_as_worker = {d: (roles.get(d) is Role.WORKER) for d in self.state}
-        prev_ref_ledger = self.state[ref].ledger
+        Returns the reference device's events, qualified workers and block.
+        """
+        served_as_worker = {d: (plan.roles.get(d) is Role.WORKER) for d in self.state}
         events: list[tuple[DeviceId, str]] = []
         qualified: tuple[DeviceId, ...] = ()
         legit_ref: Block | None = None
         averaged: dict[bytes, ModelParams] = {}
-        for d in self._active_ids(blacklist):
+        for d in actives:
             st = self.state[d]
-            block = choice.get(miner_of(d))
+            block = choice.get(plan.miner_of(d))
             if block is None:
                 continue
             try:
                 st.chain = append_block(st.chain, block, self.signer, st.ledger.blacklist)
             except BlockRejected as exc:
-                logger.warning("round %d: device %s rejected block: %s", j, d.hex()[:8], exc)
+                logger.warning(
+                    "round %d: device %s rejected block: %s", plan.round, d.hex()[:8], exc
+                )
                 continue
             new_ledger, flagged, newly_blacklisted = apply_block(
                 st.ledger, block, served_as_worker
             )
+            good = [t for t in block.tallies if t.positives >= t.negatives]
             if d == ref:
-                for dev in sorted(flagged):
-                    events.append((dev, EVENT_FLAGGED))
-                for dev in sorted(self.state):
-                    if (
-                        served_as_worker.get(dev)
-                        and dev not in flagged
-                        and prev_ref_ledger.streak_of(dev) > 0
-                    ):
-                        events.append((dev, EVENT_STREAK_RESET))
-                for dev in sorted(newly_blacklisted):
-                    events.append((dev, EVENT_BLACKLISTED))
+                events = self._ledger_events(
+                    st.ledger, flagged, newly_blacklisted, served_as_worker
+                )
+                qualified = tuple(t.worker for t in good)
                 legit_ref = block
             st.ledger = new_ledger
-            good = [t for t in block.tallies if t.positives >= t.negatives]
             if good:
                 if block.content_hash not in averaged:
                     averaged[block.content_hash] = fedavg(
                         [(t.update, float(t.tx.train_size)) for t in good]
                     )
                 st.g = averaged[block.content_hash]
-            if d == ref:
-                qualified = tuple(t.worker for t in good)
+        return events, qualified, legit_ref
 
-        ref_state = self.state[ref]
-        breakdown = {
-            d: {
-                src: ref_state.ledger.earned_as(d, src) - prev_ref_ledger.earned_as(d, src)
-                for src in rewards_mod.ROLE_SOURCES
-            }
-            for d in self.state
-        }
-        metrics = RoundMetrics(
-            round=j,
-            consensus=cfg.consensus.upper(),
-            global_accuracy=evaluate(ref_state.g, self.full_test),
-            winner=legit_ref.miner if legit_ref else None,
-            winner_malicious=bool(legit_ref and legit_ref.miner in self.malicious_ids),
-            forked=forked,
-            stakes={d: ref_state.ledger.stake_of(d) for d in self.state},
-            vad_records=tuple(vad_records),
-            events=tuple(events),
-            reward_breakdown=breakdown,
-            qualified_workers=qualified,
-            roles=roles,
-            worker_txs=tuple(worker_txs),
-            txs_by_validator=txs_by_validator,
-            vtxs_by_miner=vtxs_by_miner,
-            worker_updates=worker_updates,
-            legitimate_block=legit_ref,
-        )
-        self.metrics.append(metrics)
-        self._check_round_invariants(metrics, prev_ref_ledger, blacklist)
-        return metrics
+    def _ledger_events(
+        self,
+        prev: StakeLedger,
+        flagged: frozenset[DeviceId],
+        newly_blacklisted: frozenset[DeviceId],
+        served_as_worker: Mapping[DeviceId, bool],
+    ) -> list[tuple[DeviceId, str]]:
+        """Flags, streak resets and blacklistings of one block on a ledger."""
+        events = [(dev, EVENT_FLAGGED) for dev in sorted(flagged)]
+        events += [
+            (dev, EVENT_STREAK_RESET)
+            for dev in sorted(self.state)
+            if served_as_worker.get(dev) and dev not in flagged and prev.streak_of(dev) > 0
+        ]
+        events += [(dev, EVENT_BLACKLISTED) for dev in sorted(newly_blacklisted)]
+        return events
 
     def _seen_block_hashes_add(self, block: Block):
         if block.content_hash in self._seen_block_hashes:
@@ -1000,11 +984,9 @@ class Simulation:
         self,
         metrics: RoundMetrics,
         prev_ref_ledger: StakeLedger,
-        blacklist_at_start: frozenset[DeviceId],
+        actives: Sequence[DeviceId],
     ):
-        if metrics.skipped:
-            return
-        ref_state = self.state[self._reference_id(blacklist_at_start)]
+        ref_state = self.state[actives[0]]
         # Stake never decreases, and this round's total increase matches the
         # block's qualified rewards exactly.
         increase = 0
@@ -1024,30 +1006,25 @@ class Simulation:
         if not self.config.network.is_benign:
             return
         # Benign network: every active device must agree bit for bit.
-        actives = self._active_ids(blacklist_at_start)
-        first = self.state[actives[0]]
+        def ledger(st: DeviceState):
+            return st.ledger.stake, st.ledger.flag_streak, st.ledger.blacklist
+
         for d in actives[1:]:
             st = self.state[d]
-            if st.chain.tip_hash != first.chain.tip_hash:
-                raise InvariantViolation(f"round {metrics.round}: chain divergence at {d.hex()[:8]}")
-            if (
-                st.ledger.stake != first.ledger.stake
-                or st.ledger.flag_streak != first.ledger.flag_streak
-                or st.ledger.blacklist != first.ledger.blacklist
+            for what, agrees in (
+                ("chain", st.chain.tip_hash == ref_state.chain.tip_hash),
+                ("ledger", ledger(st) == ledger(ref_state)),
+                ("model", np.array_equal(st.g.values, ref_state.g.values)),
             ):
-                raise InvariantViolation(f"round {metrics.round}: ledger divergence at {d.hex()[:8]}")
-            if not np.array_equal(st.g.values, first.g.values):
-                raise InvariantViolation(f"round {metrics.round}: model divergence at {d.hex()[:8]}")
+                if not agrees:
+                    raise InvariantViolation(
+                        f"round {metrics.round}: {what} divergence at {d.hex()[:8]}"
+                    )
         if metrics.forked:
-            raise InvariantViolation(
-                f"round {metrics.round}: fork under a benign network"
-            )
+            raise InvariantViolation(f"round {metrics.round}: fork under a benign network")
 
     def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
-        for _ in range(self.config.rounds):
-            m = self.run_round()
-            if progress:
-                progress(m)
+        super().run(progress)
         for st in self.state.values():
             if not st.chain.verify_links():
                 raise InvariantViolation(
@@ -1060,51 +1037,22 @@ class Simulation:
         return [rec for m in self.metrics for rec in m.vad_records]
 
 
-class VanillaRun:
+class VanillaRun(_World):
     """Plain federated learning: everyone trains, everything averages in."""
 
     def __init__(self, config: SimConfig):
-        config.validate()
-        self.config = config
-        self.devices = make_devices(config.n_devices)
-        self.task = _build_task(config)
-        if config.arch == "mlp":
-            self.arch_id = mlp_arch(self.task.dim, config.mlp_hidden, self.task.num_classes)
-        else:
-            self.arch_id = softmax_arch(self.task.dim, self.task.num_classes)
-        shards = shard_dataset(
-            self.task,
-            [d.id for d in self.devices],
-            substream(config.master_seed, "shard"),
-            sharding=config.sharding,
-            validator_test=config.validator_test,
-        )
-        self.train_shards = {d.id: shards[d.id][0] for d in self.devices}
-        self.g = init_global_model(self.arch_id, derive_seed(config.master_seed, "init"))
-        self.malicious_ids = frozenset(self.devices[i].id for i in config.malicious)
-        self.full_test = DataShard(self.task.test_x, self.task.test_y, shard_of=b"")
-        self.round_no = 0
-        self.metrics: list[RoundMetrics] = []
+        super().__init__(config)
+        self.g = self.g0
 
     def run_round(self) -> RoundMetrics:
-        cfg = self.config
-        j = self.round_no + 1
-        self.round_no = j
+        j = self.round_no = self.round_no + 1
         updates = []
         worker_updates = {}
         for dev in self.devices:
-            d = dev.id
-            shard = self.train_shards[d]
-            clean = local_train(
-                self.g, shard, cfg.train, substream(cfg.master_seed, "batches", d, j)
-            )
-            sent = clean
-            if d in self.malicious_ids and BEHAVIOR_WORKER_NOISE in cfg.malicious_behaviors:
-                sent = inject_gaussian_noise(
-                    clean, cfg.noise_variance, substream(cfg.master_seed, "noise", d, j)
-                )
-            updates.append((sent, float(len(shard))))
-            worker_updates[d] = (clean, sent)
+            train = self.shards[dev.id][0]
+            clean, sent = self._local_update(dev.id, self.g, train, j)
+            updates.append((sent, float(len(train))))
+            worker_updates[dev.id] = (clean, sent)
         self.g = fedavg(updates)
         metrics = RoundMetrics(
             round=j,
@@ -1115,13 +1063,6 @@ class VanillaRun:
         )
         self.metrics.append(metrics)
         return metrics
-
-    def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
-        for _ in range(self.config.rounds):
-            m = self.run_round()
-            if progress:
-                progress(m)
-        return self.metrics
 
     @property
     def vad_records(self) -> list[VadRecord]:
@@ -1143,45 +1084,41 @@ class RunResult:
         return self.metrics[-1].global_accuracy if self.metrics else float("nan")
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_rounds_csv(metrics: Sequence[RoundMetrics], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUNDS_CSV_FIELDS)
-        for m in metrics:
-            writer.writerow(
-                (
-                    m.round,
-                    m.consensus,
-                    m.winner.hex() if m.winner else "",
-                    int(m.winner_malicious),
-                    int(m.forked),
-                    _fmt_float(m.global_accuracy),
-                )
-            )
+    _write_csv(path, ROUNDS_CSV_FIELDS, (
+        (
+            m.round,
+            m.consensus,
+            m.winner.hex() if m.winner else "",
+            int(m.winner_malicious),
+            int(m.forked),
+            repr(float(m.global_accuracy)),
+        )
+        for m in metrics
+    ))
 
 
 def write_stake_csv(
     metrics: Sequence[RoundMetrics], malicious_ids: frozenset[DeviceId], path
 ) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STAKE_CSV_FIELDS)
-        for m in metrics:
-            for d in sorted(m.stakes):
-                writer.writerow((m.round, d.hex(), m.stakes[d], int(d in malicious_ids)))
+    _write_csv(path, STAKE_CSV_FIELDS, (
+        (m.round, d.hex(), m.stakes[d], int(d in malicious_ids))
+        for m in metrics
+        for d in sorted(m.stakes)
+    ))
 
 
 def write_events_csv(metrics: Sequence[RoundMetrics], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_CSV_FIELDS)
-        for m in metrics:
-            for device, event in m.events:
-                writer.writerow((m.round, device.hex(), event))
+    _write_csv(path, EVENTS_CSV_FIELDS, (
+        (m.round, device.hex(), event) for m in metrics for device, event in m.events
+    ))
 
 
 def code_fingerprint() -> str:
@@ -1224,12 +1161,24 @@ def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path
     write_events_csv(result.metrics, out_dir / "events.csv")
     write_vad_csv(result.driver.vad_records, out_dir / "vad.csv")
     if not is_vanilla:
-        ref = result.driver._reference_id(result.driver._unanimous_blacklist())
+        ref = result.driver._active_ids(result.driver._unanimous_blacklist())[0]
         (out_dir / "chain.jsonl").write_text(
             chain_to_jsonl(result.driver.state[ref].chain)
         )
     write_manifest(result.config, "vanilla" if is_vanilla else "vbfl", out_dir, preset)
     return out_dir
+
+
+def _run(
+    driver: Simulation | VanillaRun,
+    out_dir,
+    preset: str | None,
+    progress: Callable[[RoundMetrics], None] | None,
+) -> RunResult:
+    result = RunResult(driver.config, driver.run(progress), driver, None)
+    if out_dir is not None:
+        result.out_dir = write_outputs(result, out_dir, preset)
+    return result
 
 
 def run_simulation(
@@ -1239,12 +1188,7 @@ def run_simulation(
     progress: Callable[[RoundMetrics], None] | None = None,
 ) -> RunResult:
     """Run the full protocol for config.rounds rounds and emit metric files."""
-    sim = Simulation(config)
-    metrics = sim.run(progress)
-    result = RunResult(config=config, metrics=metrics, driver=sim, out_dir=None)
-    if out_dir is not None:
-        result.out_dir = write_outputs(result, out_dir, preset)
-    return result
+    return _run(Simulation(config), out_dir, preset, progress)
 
 
 def run_vanilla_fl(
@@ -1254,9 +1198,4 @@ def run_vanilla_fl(
     progress: Callable[[RoundMetrics], None] | None = None,
 ) -> RunResult:
     """Run the no-validation baseline with every device training each round."""
-    run = VanillaRun(config)
-    metrics = run.run(progress)
-    result = RunResult(config=config, metrics=metrics, driver=run, out_dir=None)
-    if out_dir is not None:
-        result.out_dir = write_outputs(result, out_dir, preset)
-    return result
+    return _run(VanillaRun(config), out_dir, preset, progress)

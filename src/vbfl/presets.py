@@ -121,7 +121,7 @@ def get_preset(name: str) -> Preset:
 
 
 def apply_overrides(
-    preset: Preset,
+    config: SimConfig,
     rounds: int | None = None,
     seed: int | None = None,
     vh: float | None = None,
@@ -130,21 +130,17 @@ def apply_overrides(
     malicious: int | None = None,
     validation_scheme: str | None = None,
 ) -> SimConfig:
-    """Preset config plus command-line overrides, validated."""
-    cfg = preset.config
-    if rounds is not None:
-        cfg = replace(cfg, rounds=rounds)
-    if seed is not None:
-        cfg = replace(cfg, master_seed=seed)
-    if vh is not None:
-        cfg = replace(cfg, vh=vh)
-    if consensus is not None:
-        cfg = replace(cfg, consensus=consensus)
-    if pow_difficulty is not None:
-        cfg = replace(cfg, pow_difficulty=pow_difficulty)
+    """A preset's or a config file's config plus command-line overrides, validated."""
+    changes = {
+        "rounds": rounds,
+        "master_seed": seed,
+        "vh": vh,
+        "consensus": consensus,
+        "pow_difficulty": pow_difficulty,
+        "validation_scheme": validation_scheme,
+    }
+    cfg = replace(config, **{k: v for k, v in changes.items() if v is not None})
     if malicious is not None:
         cfg = replace(cfg, malicious=_malicious_tail(cfg, malicious))
-    if validation_scheme is not None:
-        cfg = replace(cfg, validation_scheme=validation_scheme)
     cfg.validate()
     return cfg

@@ -32,7 +32,7 @@ def run(preset_name: str, seed: int, rounds: int | None = None, vh: float | None
     key = (preset_name, seed, rounds, vh)
     if key not in _cache:
         preset = get_preset(preset_name)
-        config = apply_overrides(preset, rounds=rounds, seed=seed, vh=vh)
+        config = apply_overrides(preset.config, rounds=rounds, seed=seed, vh=vh)
         runner = run_vanilla_fl if preset.mode == "vanilla" else run_simulation
         t0 = time.perf_counter()
         result = runner(config)
@@ -304,7 +304,7 @@ def test_criterion_9_determinism(tmp_path):
     checked = []
     for preset_name, rounds in budget_presets:
         preset = get_preset(preset_name)
-        config = apply_overrides(preset, rounds=rounds, seed=13)
+        config = apply_overrides(preset.config, rounds=rounds, seed=13)
         runner = run_vanilla_fl if preset.mode == "vanilla" else run_simulation
         out_a = runner(config, out_dir=tmp_path / f"{preset_name}-a", preset=preset_name).out_dir
         out_b = runner(config, out_dir=tmp_path / f"{preset_name}-b", preset=preset_name).out_dir

@@ -146,6 +146,24 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["malicious"] == [18, 19]
 
+    def test_malicious_override_range_checked_on_config_file(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        assert run_cli("run", "--config", cfg, "--malicious", 21, "--quiet") == 1
+        assert capsys.readouterr().err.startswith("error: malicious: count")
+
+    def test_too_few_test_rows_for_shards_named(self, tmp_path, capsys):
+        # 2 classes x 5 test rows cannot give each of 20 devices a test shard.
+        dataset = {**TINY_CONFIG["dataset"], "classes": 2, "test_per_class": 5}
+        cfg = write_tiny_config(tmp_path, validator_test="shard", dataset=dataset)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
+        assert capsys.readouterr().err.startswith("error: dataset")
+
+    def test_too_few_train_rows_named(self, tmp_path, capsys):
+        dataset = {**TINY_CONFIG["dataset"], "classes": 2, "train_per_class": 5}
+        cfg = write_tiny_config(tmp_path, dataset=dataset)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
+        assert capsys.readouterr().err.startswith("error: dataset")
+
 
 class TestCompare:
     def make_runs(self, tmp_path, seeds=(1, 2)):

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from vbfl.consensus import (
     NoEligibleBlock,
-    PowParams,
     aggregate_votes,
     build_candidate,
     collect_blocks,
-    mine_nonce,
     pos_select,
     pow_race,
 )
@@ -24,7 +22,6 @@ from vbfl.protocol import (
     Vote,
     WorkerTransaction,
     ZERO_HASH,
-    payload_hash,
     verify_block,
 )
 from vbfl.rewards import StakeLedger
@@ -214,29 +211,22 @@ class TestPosSelect:
 
 
 class TestPowRace:
-    def params(self, difficulty, miners, rate=1.0):
-        return PowParams(difficulty=difficulty, hash_rate={m: rate for m in miners})
-
     def test_difficulty_zero_instant(self):
         miners = [dev(9), dev(8), dev(10)]
-        winner, times = pow_race(self.params(0, miners), miners, np.random.default_rng(0))
+        winner, times = pow_race(0, miners, np.random.default_rng(0))
         assert winner == dev(8)
         assert all(t == 0.0 for t in times.values())
 
     def test_deterministic_winner_fixture(self):
         miners = [dev(8), dev(9), dev(10)]
-        winner_a, times_a = pow_race(
-            self.params(1, miners), miners, np.random.default_rng(RACE_FIXTURE_SEED)
-        )
-        winner_b, times_b = pow_race(
-            self.params(1, miners), miners, np.random.default_rng(RACE_FIXTURE_SEED)
-        )
+        winner_a, times_a = pow_race(1, miners, np.random.default_rng(RACE_FIXTURE_SEED))
+        winner_b, times_b = pow_race(1, miners, np.random.default_rng(RACE_FIXTURE_SEED))
         assert winner_a == winner_b and times_a == times_b
 
     def test_caller_order_irrelevant(self):
         miners = [dev(8), dev(9), dev(10)]
-        a = pow_race(self.params(1, miners), miners, np.random.default_rng(5))
-        b = pow_race(self.params(1, miners), list(reversed(miners)), np.random.default_rng(5))
+        a = pow_race(1, miners, np.random.default_rng(5))
+        b = pow_race(1, list(reversed(miners)), np.random.default_rng(5))
         assert a == b
 
     def test_mean_time_scales_sixteenfold(self):
@@ -245,7 +235,7 @@ class TestPowRace:
         for difficulty in (1, 2):
             rng = np.random.default_rng(99)
             for _ in range(1500):
-                _, times = pow_race(self.params(difficulty, miners), miners, rng)
+                _, times = pow_race(difficulty, miners, rng)
                 draws[difficulty].append(times[dev(8)])
         ratio = np.mean(draws[2]) / np.mean(draws[1])
         assert abs(ratio - 16.0) <= 1.6
@@ -258,39 +248,16 @@ class TestPowRace:
         counts = {m: 0 for m in miners}
         n = 1500
         for _ in range(n):
-            winner, _ = pow_race(self.params(1, miners), miners, rng)
+            winner, _ = pow_race(1, miners, rng)
             counts[winner] += 1
         expected = n / 3
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 13.816, counts
 
-    def test_hash_rate_biases_winner(self):
-        miners = [dev(8), dev(9)]
-        params = PowParams(difficulty=1, hash_rate={dev(8): 9.0, dev(9): 1.0})
-        rng = np.random.default_rng(11)
-        wins = sum(pow_race(params, miners, rng)[0] == dev(8) for _ in range(1000))
-        assert wins > 820  # expect ~900
-
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            PowParams(difficulty=-1, hash_rate={})
-        with pytest.raises(ValueError):
-            PowParams(difficulty=1, hash_rate={dev(8): 0.0})
-
-
-class TestNonceMining:
-    def test_difficulty_zero_first_try(self):
-        nonce, attempts = mine_nonce(payload_hash(b"x"), 0)
-        assert (nonce, attempts) == (0, 1)
-
-    def test_difficulty_one_meets_target(self):
-        body = payload_hash(b"block body")
-        nonce, attempts = mine_nonce(body, 1)
-        import struct
-
-        digest = payload_hash(body + struct.pack(">Q", nonce)).hex()
-        assert digest.startswith("0")
-        assert attempts == nonce + 1
+        for difficulty in (-1, 65):
+            with pytest.raises(ValueError):
+                pow_race(difficulty, [dev(8)], np.random.default_rng(0))
 
 
 class TestCollectBlocks:

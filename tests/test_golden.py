@@ -22,7 +22,13 @@ from pathlib import Path
 import pytest
 
 from vbfl.learning import TrainSpec
-from vbfl.orchestrator import DatasetConfig, NetworkConfig, SimConfig
+from vbfl.orchestrator import (
+    BEHAVIOR_VALIDATOR_FLIP,
+    BEHAVIOR_WORKER_NOISE,
+    DatasetConfig,
+    NetworkConfig,
+    SimConfig,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -71,9 +77,24 @@ CASES = {
         _tiny(rounds=8, network=NetworkConfig(delay=1.0, jitter=0.5, propagated_block_wait=0.2)),
     ),
     "vanilla": ("vanilla", _tiny()),
+    "legacy_flip_skew": (
+        "vbfl",
+        _tiny(
+            validation_scheme="legacy",
+            malicious_behaviors=(BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP),
+            sharding="label_skew",
+        ),
+    ),
 }
 
 GOLDEN = {
+    "legacy_flip_skew": {
+        "chain.jsonl": "56770d28057892e7636f2419370eb98681c2bf744cf73189ce6b39d5719abf3b",
+        "events.csv": "76d8e6bb8366736b73a701b27781ff14020e7d7b246a567c292931ea59db41bd",
+        "rounds.csv": "cf43fef9b713ed92494a442151a1850af3fdc815f6d901b164219007e545d271",
+        "stake.csv": "893ed24519b919267cbe2b6c2096f8df2625d9ca0fcb4a61f7bc5e6922720fc1",
+        "vad.csv": "d4ade09bda624165444c7595b94ec4fdeb14ac94dd3a01561dbbd42fffbe49a2",
+    },
     "network": {
         "chain.jsonl": "dbb0e3dcee9f1d43123b5b4ab0c8944807b31a51a27d668b532decff8364fc56",
         "events.csv": "1ed7b5ae8ac8edffcb238a8a391b0d24bed0f6651e3ede58fb5991c9e1fcf0d4",

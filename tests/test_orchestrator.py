@@ -15,6 +15,7 @@ from vbfl.orchestrator import (
     DatasetConfig,
     NetworkConfig,
     Role,
+    RunResult,
     SimConfig,
     Simulation,
     VanillaRun,
@@ -24,6 +25,7 @@ from vbfl.orchestrator import (
     run_simulation,
     run_vanilla_fl,
     shard_dataset,
+    write_outputs,
 )
 from vbfl.rng import substream
 
@@ -46,6 +48,48 @@ def tiny_cfg(**kw):
     return SimConfig(**base)
 
 
+NON_DEFAULT = {
+    "n_devices": 10,
+    "n_workers": 5,
+    "n_validators": 3,
+    "n_miners": 2,
+    "malicious": (8, 9),
+    "malicious_behaviors": (BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP),
+    "noise_variance": 2.5,
+    "vh": 0.25,
+    "kick_r": 3,
+    "unit_reward": 2,
+    "train.epochs": 3,
+    "train.learning_rate": 0.2,
+    "train.batch_size": 7,
+    "consensus": "pow",
+    "pow_difficulty": 2,
+    "rounds": 4,
+    "master_seed": 9,
+    "network.delay": 0.5,
+    "network.jitter": 0.25,
+    "network.propagated_block_wait": 1.5,
+    "dataset.kind": "idx",
+    "dataset.dim": 16,
+    "dataset.classes": 3,
+    "dataset.train_per_class": 50,
+    "dataset.test_per_class": 20,
+    "dataset.spread": 1.5,
+    "dataset.feature_scale": 2.0,
+    "dataset.informative_dims": 4,
+    "dataset.seed": 5,
+    "dataset.idx_dir": "data/mnist",
+    "arch": "softmax",
+    "mlp_hidden": 8,
+    "role_policy": "fixed",
+    "role_sequence": ("wwwwwvvvmm", "vvvmmwwwww"),
+    "validation_scheme": "legacy",
+    "validator_test": "shard",
+    "sharding": "label_skew",
+    "signature_scheme": "hmac",
+}
+
+
 class TestConfig:
     def test_role_counts_must_sum(self):
         with pytest.raises(ConfigError, match="role_counts"):
@@ -56,13 +100,52 @@ class TestConfig:
             SimConfig.from_dict({"wibble": 3})
 
     def test_nested_unknown_key_named(self):
-        with pytest.raises(ConfigError, match="dataset.blaster"):
-            SimConfig.from_dict({"dataset": {"blaster": 1}})
+        for section in ("dataset", "train", "network"):
+            with pytest.raises(ConfigError, match=f"{section}.blaster"):
+                SimConfig.from_dict({section: {"blaster": 1}})
+
+    def test_removed_knob_is_unknown(self):
+        with pytest.raises(ConfigError, match="hash_rates"):
+            SimConfig.from_dict({"hash_rates": []})
+
+    def test_bad_train_spec_named(self):
+        with pytest.raises(ConfigError, match="^train: epochs"):
+            SimConfig.from_dict({"train": {"epochs": 0}})
 
     def test_round_trip(self):
         cfg = tiny_cfg(consensus="pow", pow_difficulty=2, malicious=(17, 18, 19))
         again = SimConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    def test_round_trip_every_field(self):
+        # One valid non-default value per settable value, found by walking
+        # the dataclass fields, so a new knob cannot bypass the serialiser.
+        def leaves(cls, prefix=""):
+            for f in dataclasses.fields(cls):
+                if dataclasses.is_dataclass(f.default):
+                    yield from leaves(type(f.default), f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        assert set(leaves(SimConfig)) == set(NON_DEFAULT)
+        sections = {}
+        for key, value in NON_DEFAULT.items():
+            section, _, name = key.rpartition(".")
+            sections.setdefault(section, {})[name] = value
+        top = sections.pop("")
+        defaults = SimConfig()
+        nested = {
+            name: dataclasses.replace(getattr(defaults, name), **values)
+            for name, values in sections.items()
+        }
+        cfg = SimConfig(**top, **nested)
+        for key in NON_DEFAULT:
+            got, default = cfg, defaults
+            for part in key.split("."):
+                got, default = getattr(got, part), getattr(default, part)
+            assert got != default, key
+        cfg.validate()
+        assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unlimited_wait_round_trips(self):
         cfg = tiny_cfg()
@@ -137,6 +220,17 @@ class TestSharding:
         assert not x.flags.writeable
         assert np.array_equal(x, task.test_x)
         assert [t.access_count for t in tests] == [1] + [0] * (len(tests) - 1)
+        # Both drivers read the global accuracy from that same buffer.
+        sim = Simulation(tiny_cfg(rounds=1))
+        assert {st.test.buffer_id for st in sim.state.values()} == {sim.full_test.buffer_id}
+        run = VanillaRun(tiny_cfg(rounds=1))
+        assert {test.buffer_id for _, test in run.shards.values()} == {run.full_test.buffer_id}
+        # Disjoint test shards leave one full copy for the global accuracy.
+        sharded = Simulation(tiny_cfg(rounds=1, validator_test="shard"))
+        assert sharded.full_test.buffer_id not in {
+            st.test.buffer_id for st in sharded.state.values()
+        }
+        assert len(sharded.full_test) == 4 * 30
 
     def test_disjoint_test_shards_option(self):
         task = self.task()
@@ -371,11 +465,6 @@ class TestRound:
             assert m.consensus == "POW"
             assert m.winner is not None
 
-    def test_pow_nonce_mode_matches_race_interface(self):
-        cfg = tiny_cfg(rounds=1, consensus="pow", pow_difficulty=1, pow_mode="nonce")
-        m = Simulation(cfg).run_round()
-        assert m.winner is not None
-
     def test_forked_round_under_zero_wait(self):
         cfg = tiny_cfg(
             rounds=2,
@@ -438,6 +527,45 @@ class TestRound:
         m = sim.run_round()
         with pytest.raises(InvariantViolation):
             sim._seen_block_hashes_add(m.legitimate_block)
+
+    def test_forged_worker_tx_neither_stored_nor_relayed(self, monkeypatch, tmp_path):
+        # The first worker signed this round sends a corrupted signature. Its
+        # associated validator rejects it on receipt, so it must not be
+        # relayed: exactly one validator ever verifies it.
+        import vbfl.orchestrator as orchestrator
+
+        forged = []
+        sign, verify = orchestrator.sign_worker_tx, orchestrator.verify_worker_tx
+
+        def corrupting_sign(tx, signer, *args):
+            tx = sign(tx, signer, *args)
+            if not forged:
+                forged.append(tx.worker)
+                tx = dataclasses.replace(tx, signature=bytes(b ^ 1 for b in tx.signature))
+            return tx
+
+        verified = Counter()
+
+        def counting_verify(tx, signer, *args):
+            verified[tx.worker] += 1
+            return verify(tx, signer, *args)
+
+        monkeypatch.setattr(orchestrator, "sign_worker_tx", corrupting_sign)
+        monkeypatch.setattr(orchestrator, "verify_worker_tx", counting_verify)
+        sim = Simulation(tiny_cfg(rounds=1, signature_scheme="hmac"))
+        m = sim.run_round()
+        (bad,) = forged
+        validators = {d for d, r in m.roles.items() if r is Role.VALIDATOR}
+        assert verified[bad] == 1
+        assert all(bad not in {tx.worker for tx in txs} for txs in m.txs_by_validator.values())
+        assert bad not in {t.worker for t in m.legitimate_block.tallies}
+        out = write_outputs(RunResult(sim.config, sim.metrics, sim, None), tmp_path)
+        vad_rows = (out / "vad.csv").read_text().splitlines()[1:]
+        assert vad_rows and not any(bad.hex() in row for row in vad_rows)
+        others = {tx.worker for tx in m.worker_txs} - {bad}
+        assert len(others) == 11
+        for w in others:
+            assert {r.validator for r in m.vad_records if r.worker == w} == validators
 
     def test_round_skipped_when_no_validators_remain(self):
         cfg = tiny_cfg(

@@ -67,7 +67,7 @@ def test_default_network_is_benign():
 
 def test_overrides():
     cfg = apply_overrides(
-        get_preset("VFL_0_20"), rounds=7, seed=3, malicious=2,
+        get_preset("VFL_0_20").config, rounds=7, seed=3, malicious=2,
         validation_scheme="legacy",
     )
     assert cfg.rounds == 7
@@ -78,4 +78,4 @@ def test_overrides():
 
 def test_bad_malicious_count():
     with pytest.raises(ConfigError):
-        apply_overrides(get_preset("VFL_0_20"), malicious=21)
+        apply_overrides(get_preset("VFL_0_20").config, malicious=21)
