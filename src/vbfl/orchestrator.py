@@ -442,7 +442,12 @@ def associate(
 
 @dataclass
 class RoundMetrics:
-    """Everything observable about one round; CSVs take subsets of this."""
+    """What one round produced, as seen by the lowest-id active replica.
+
+    The CSVs take subsets of this. The round's block is the record of its
+    traffic: every tallied worker transaction with its votes, and the duty
+    rewards. The messages themselves live only in the round's inboxes.
+    """
 
     round: int
     consensus: str
@@ -458,10 +463,6 @@ class RoundMetrics:
     reward_breakdown: dict[DeviceId, dict[str, int]] = field(default_factory=dict)
     qualified_workers: tuple[DeviceId, ...] = ()
     roles: dict[DeviceId, Role] = field(default_factory=dict)
-    worker_txs: tuple[WorkerTransaction, ...] = ()
-    txs_by_validator: dict[DeviceId, tuple[WorkerTransaction, ...]] = field(default_factory=dict)
-    vtxs_by_miner: dict[DeviceId, tuple[ValidatorTransaction, ...]] = field(default_factory=dict)
-    worker_updates: dict[DeviceId, tuple[ModelParams, ModelParams]] = field(default_factory=dict)
     legitimate_block: Block | None = None
 
 
@@ -573,16 +574,16 @@ class _World:
 
     def _local_update(
         self, device: DeviceId, g: ModelParams, train: DataShard, round_no: int
-    ) -> tuple[ModelParams, ModelParams]:
-        """A device's trained update, and the one it sends: noise-distorted
-        when the device is a malicious worker."""
+    ) -> ModelParams:
+        """The update a device sends: its trained model, noise-distorted when
+        the device is a malicious worker."""
         cfg = self.config
         batches = substream(cfg.master_seed, "batches", device, round_no)
-        clean = local_train(g, train, cfg.train, batches)
+        update = local_train(g, train, cfg.train, batches)
         if not self._behaves(device, BEHAVIOR_WORKER_NOISE):
-            return clean, clean
+            return update
         noise = substream(cfg.master_seed, "noise", device, round_no)
-        return clean, inject_gaussian_noise(clean, cfg.noise_variance, noise)
+        return inject_gaussian_noise(update, cfg.noise_variance, noise)
 
     def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
         for _ in range(self.config.rounds):
@@ -688,7 +689,7 @@ class Simulation(_World):
             return self._skip(j, ref, "no validators or miners available")
         net_rng = substream(cfg.master_seed, "net", j)
 
-        worker_txs, worker_updates, inbox_v = self._train(plan, net_rng)
+        inbox_v = self._train(plan, net_rng)
         received = self._gossip(
             inbox_v, lambda tx: tx.worker, verify_worker_tx, plan.validators, net_rng
         )
@@ -724,10 +725,6 @@ class Simulation(_World):
             },
             qualified_workers=qualified,
             roles=plan.roles,
-            worker_txs=tuple(worker_txs),
-            txs_by_validator={v: tuple(tx for tx, _ in received[v]) for v in plan.validators},
-            vtxs_by_miner={m: tuple(vtx for vtx, _ in received_vtx[m]) for m in plan.miners},
-            worker_updates=worker_updates,
             legitimate_block=legit_ref,
         )
         self.metrics.append(metrics)
@@ -762,18 +759,17 @@ class Simulation(_World):
         return _Plan(j, roles, workers, validators, miners, w2v, v2m)
 
     def _train(self, plan: _Plan, net_rng: np.random.Generator):
-        """Workers train, distort if malicious, sign and send to their validator."""
+        """Workers train, distort if malicious, sign and send to their
+        validator; returns the validators' inbox."""
         cfg = self.config
-        worker_txs: list[WorkerTransaction] = []
-        worker_updates: dict[DeviceId, tuple[ModelParams, ModelParams]] = {}
         inbox: dict[DeviceId, list[_Message]] = {v: [] for v in plan.validators}
         for w in plan.workers:
             st = self.state[w]
-            clean, sent = self._local_update(w, st.g, st.train, plan.round)
+            update = self._local_update(w, st.g, st.train, plan.round)
             tx = WorkerTransaction(
                 round=plan.round,
                 worker=w,
-                update=sent,
+                update=update,
                 expected_reward=cfg.train.epochs * len(st.train) * cfg.unit_reward,
                 epochs=cfg.train.epochs,
                 train_size=len(st.train),
@@ -781,11 +777,9 @@ class Simulation(_World):
             )
             payload = protocol_mod.worker_tx_signing_bytes(tx)
             tx = sign_worker_tx(tx, self.signer, payload)
-            worker_txs.append(tx)
-            worker_updates[w] = (clean, sent)
             v = plan.w2v[w]
             inbox[v].append((tx, payload, cfg.network.link_delay(w, v, net_rng)))
-        return worker_txs, worker_updates, inbox
+        return inbox
 
     def _validate(self, plan: _Plan, received, net_rng: np.random.Generator):
         """Each validator votes on every update it stored and sends the
@@ -806,9 +800,7 @@ class Simulation(_World):
                 pair = (id(tx.update), st.test.buffer_id)
                 if pair not in accuracy:
                     accuracy[pair] = evaluate(tx.update, st.test)
-                vali_reward, vote, vad = validate_by_voting(
-                    tx.update, vstate, cfg.unit_reward, accuracy[pair]
-                )
+                vote, vad = validate_by_voting(tx.update, vstate, accuracy[pair])
                 if self._behaves(v, BEHAVIOR_VALIDATOR_FLIP):
                     vote = malicious_flip(vote)
                 vad_records.append(
@@ -827,7 +819,7 @@ class Simulation(_World):
                     inner=tx,
                     vote=vote,
                     verify_reward=cfg.unit_reward,
-                    vali_reward=vali_reward,
+                    vali_reward=cfg.unit_reward,
                     signature=b"",
                 )
                 payload = protocol_mod.validator_tx_signing_bytes(vtx)
@@ -997,7 +989,7 @@ class Simulation(_World):
             increase += delta
         if metrics.legitimate_block is not None:
             due = rewards_mod.block_reward_total(
-                metrics.legitimate_block, self.config.unit_reward
+                metrics.legitimate_block, self.config.unit_reward, prev_ref_ledger.blacklist
             )
             if due != increase:
                 raise InvariantViolation(
@@ -1047,18 +1039,15 @@ class VanillaRun(_World):
     def run_round(self) -> RoundMetrics:
         j = self.round_no = self.round_no + 1
         updates = []
-        worker_updates = {}
         for dev in self.devices:
             train = self.shards[dev.id][0]
-            clean, sent = self._local_update(dev.id, self.g, train, j)
-            updates.append((sent, float(len(train))))
-            worker_updates[dev.id] = (clean, sent)
+            update = self._local_update(dev.id, self.g, train, j)
+            updates.append((update, float(len(train))))
         self.g = fedavg(updates)
         metrics = RoundMetrics(
             round=j,
             consensus="VFL",
             global_accuracy=evaluate(self.g, self.full_test),
-            worker_updates=worker_updates,
             roles={d.id: Role.WORKER for d in self.devices},
         )
         self.metrics.append(metrics)

@@ -154,9 +154,6 @@ class Block:
         if len(set(workers)) != len(workers):
             raise ValueError("tallies must be keyed by distinct workers")
 
-    def reward_of(self, validator: DeviceId) -> int:
-        return dict(self.validator_rewards).get(validator, 0)
-
 
 @dataclass(frozen=True)
 class Blockchain:
@@ -509,41 +506,32 @@ class HmacSigner(Signer):
         return _hmac.compare_digest(self.sign(payload, device), signature)
 
 
-# The sign/verify functions take the signing bytes when the caller already
-# holds them: a sender encodes once and the message carries those bytes, so
-# each receiver checks the signature over what it received. Left out, they
-# are encoded from the transaction.
+# The sign/verify functions take the signing bytes as an argument: a sender
+# encodes a transaction once and the message carries those bytes, so each
+# receiver checks the signature over what it received.
 
 
 def sign_worker_tx(
-    tx: WorkerTransaction, signer: Signer, signing_bytes: bytes | None = None
+    tx: WorkerTransaction, signer: Signer, signing_bytes: bytes
 ) -> WorkerTransaction:
-    if signing_bytes is None:
-        signing_bytes = worker_tx_signing_bytes(tx)
     return replace(tx, signature=signer.sign(signing_bytes, tx.worker))
 
 
 def verify_worker_tx(
-    tx: WorkerTransaction, signer: Signer, signing_bytes: bytes | None = None
+    tx: WorkerTransaction, signer: Signer, signing_bytes: bytes
 ) -> bool:
-    if signing_bytes is None:
-        signing_bytes = worker_tx_signing_bytes(tx)
     return signer.verify(signing_bytes, tx.signature, tx.worker)
 
 
 def sign_validator_tx(
-    vtx: ValidatorTransaction, signer: Signer, signing_bytes: bytes | None = None
+    vtx: ValidatorTransaction, signer: Signer, signing_bytes: bytes
 ) -> ValidatorTransaction:
-    if signing_bytes is None:
-        signing_bytes = validator_tx_signing_bytes(vtx)
     return replace(vtx, signature=signer.sign(signing_bytes, vtx.validator))
 
 
 def verify_validator_tx(
-    vtx: ValidatorTransaction, signer: Signer, signing_bytes: bytes | None = None
+    vtx: ValidatorTransaction, signer: Signer, signing_bytes: bytes
 ) -> bool:
-    if signing_bytes is None:
-        signing_bytes = validator_tx_signing_bytes(vtx)
     return signer.verify(signing_bytes, vtx.signature, vtx.validator)
 
 

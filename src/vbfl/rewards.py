@@ -149,16 +149,23 @@ def apply_block(
     return new, frozenset(flagged), frozenset(newly_blacklisted)
 
 
-def block_reward_total(block: Block, unit: int) -> int:
-    """Sum of all qualified rewards a block grants; the conservation oracle."""
+def block_reward_total(
+    block: Block, unit: int, blacklist: frozenset[DeviceId] = frozenset()
+) -> int:
+    """Sum of all qualified rewards a block grants; the conservation oracle.
+
+    ``blacklist`` is the crediting ledger's blacklist before the block: like
+    :meth:`StakeLedger._credit`, the oracle pays its members nothing.
+    """
     total = 0
     for tally in block.tallies:
         due = worker_reward(
             tally.tx.epochs, tally.tx.train_size, tally.positives, tally.negatives, unit
         )
-        if due > 0 and tally.tx.expected_reward == tally.tx.epochs * tally.tx.train_size * unit:
+        honest = tally.tx.expected_reward == tally.tx.epochs * tally.tx.train_size * unit
+        if due > 0 and honest and tally.worker not in blacklist:
             total += due
-    total += sum(r for _, r in block.validator_rewards)
-    if block.miner != GENESIS_MINER:
+    total += sum(r for v, r in block.validator_rewards if v not in blacklist)
+    if block.miner != GENESIS_MINER and block.miner not in blacklist:
         total += block.miner_reward
     return total

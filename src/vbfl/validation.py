@@ -78,25 +78,20 @@ def reference_from_global(
 
 
 def validate_by_voting(
-    update: ModelParams,
-    state: ValidatorState,
-    unit_reward: int = 1,
-    accuracy: float | None = None,
-) -> tuple[int, Vote, float]:
-    """Vote on one update; returns (vali_reward, vote, vad).
+    update: ModelParams, state: ValidatorState, accuracy: float
+) -> tuple[Vote, float]:
+    """Vote on one update; returns (vote, vad).
 
+    ``accuracy`` is ``evaluate(update, state.test)``, measured by the caller
+    so that validators sharing a test set evaluate each update once.
     Negative iff vad exceeds the validator's threshold. With a threshold of
-    1.0 every vote is Positive, since vad can never exceed 1. ``accuracy``
-    is ``evaluate(update, state.test)`` when the caller has already
-    measured it on the same test data; otherwise it is measured here.
+    1.0 every vote is Positive, since vad can never exceed 1.
     """
     if state.pretrain_acc is None:
         raise RuntimeError("reference accuracy was not computed this round")
-    if accuracy is None:
-        accuracy = evaluate(update, state.test)
     vad = state.pretrain_acc - accuracy
     vote = Vote.NEGATIVE if vad > state.threshold else Vote.POSITIVE
-    return unit_reward, vote, vad
+    return vote, vad
 
 
 def malicious_flip(vote: Vote) -> Vote:

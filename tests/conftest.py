@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from vbfl.datasets import make_blobs_task
 from vbfl.learning import DataShard, TrainSpec
-from vbfl.orchestrator import DatasetConfig, SimConfig
+from vbfl.orchestrator import DatasetConfig, SimConfig, Simulation
+from vbfl.protocol import DeviceId, ValidatorTransaction, WorkerTransaction
 
 
 TINY_DATASET = DatasetConfig(
@@ -60,3 +63,38 @@ def two_class_shards(two_class_task):
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+@dataclass
+class RoundMessages:
+    """One round's gossip, as the simulator's two hops moved it."""
+
+    # hop-1 inbox: every signed worker transaction sent, in worker order
+    worker_txs: tuple[WorkerTransaction, ...]
+    # hop 1: the worker transactions each validator stored
+    by_validator: dict[DeviceId, tuple[WorkerTransaction, ...]]
+    # hop 2: the validator transactions each miner stored
+    by_miner: dict[DeviceId, tuple[ValidatorTransaction, ...]] = field(default_factory=dict)
+
+
+def record_messages(sim: Simulation) -> dict[int, RoundMessages]:
+    """Wrap sim._gossip; the returned dict fills with each round's messages.
+
+    A round calls _gossip twice, worker->validator first and
+    validator->miner second; a round skipped before gossip has no entry.
+    """
+    rounds: dict[int, RoundMessages] = {}
+    gossip = sim._gossip
+
+    def recording(inbox, key, verify, peers, net_rng):
+        stored = gossip(inbox, key, verify, peers, net_rng)
+        kept = {p: tuple(msg for msg, _ in stored[p]) for p in peers}
+        if sim.round_no in rounds:
+            rounds[sim.round_no].by_miner = kept
+        else:
+            sent = sorted((msg for p in peers for msg, _, _ in inbox[p]), key=lambda tx: tx.worker)
+            rounds[sim.round_no] = RoundMessages(tuple(sent), kept)
+        return stored
+
+    sim._gossip = recording
+    return rounds

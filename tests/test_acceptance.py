@@ -12,10 +12,11 @@ import time
 
 import numpy as np
 import pytest
+from conftest import record_messages
 
 from vbfl.consensus import aggregate_votes
 from vbfl.learning import ModelParams, softmax_arch
-from vbfl.orchestrator import run_simulation, run_vanilla_fl
+from vbfl.orchestrator import RunResult, Simulation, run_simulation, run_vanilla_fl
 from vbfl.presets import apply_overrides, get_preset
 from vbfl.protocol import Vote, VoteTally, WorkerTransaction, ZERO_HASH, Block
 from vbfl.rewards import StakeLedger, apply_block, miner_reward, validator_reward, worker_reward
@@ -26,6 +27,7 @@ CALIBRATION_SEED = 7
 RUN_TIME_BUDGET_S = 120.0
 
 _cache: dict = {}
+_messages: dict = {}
 
 
 def run(preset_name: str, seed: int, rounds: int | None = None, vh: float | None = None):
@@ -33,11 +35,21 @@ def run(preset_name: str, seed: int, rounds: int | None = None, vh: float | None
     if key not in _cache:
         preset = get_preset(preset_name)
         config = apply_overrides(preset.config, rounds=rounds, seed=seed, vh=vh)
-        runner = run_vanilla_fl if preset.mode == "vanilla" else run_simulation
         t0 = time.perf_counter()
-        result = runner(config)
+        if preset.mode == "vanilla":
+            result = run_vanilla_fl(config)
+        else:
+            sim = Simulation(config)
+            _messages[key] = record_messages(sim)
+            result = RunResult(config, sim.run(), sim, None)
         _cache[key] = (result, time.perf_counter() - t0)
     return _cache[key]
+
+
+def messages(preset_name: str, seed: int, rounds: int | None = None, vh: float | None = None):
+    """Each round's gossip of the cached protocol run, by round number."""
+    run(preset_name, seed, rounds, vh)
+    return _messages[(preset_name, seed, rounds, vh)]
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +152,8 @@ def test_criterion_5_stake_plateau(calibrated_vh):
     report("criterion 5 (stake plateau)", "; ".join(details))
 
 
-def _oracle_round_rewards(metrics, unit: int) -> dict[bytes, dict[str, int]]:
-    """Recompute every device's round rewards from the raw transactions."""
+def _oracle_round_rewards(metrics, msgs, unit: int) -> dict[bytes, dict[str, int]]:
+    """Recompute every device's round rewards from the round's raw messages."""
     out: dict[bytes, dict[str, int]] = {}
 
     def credit(device, source, amount):
@@ -151,12 +163,12 @@ def _oracle_round_rewards(metrics, unit: int) -> dict[bytes, dict[str, int]]:
     if metrics.skipped or metrics.legitimate_block is None:
         return out
     winner = metrics.legitimate_block.miner
-    winner_vtxs = metrics.vtxs_by_miner[winner]
+    winner_vtxs = msgs.by_miner[winner]
     # Workers: recount votes over the winner's raw validator transactions.
     votes: dict[bytes, list[Vote]] = {}
     for vtx in winner_vtxs:
         votes.setdefault(vtx.inner.worker, []).append(vtx.vote)
-    for tx in metrics.worker_txs:
+    for tx in msgs.worker_txs:
         tallied = votes.get(tx.worker, [])
         if not tallied:
             continue  # zero-vote workers stay unrewarded
@@ -167,7 +179,7 @@ def _oracle_round_rewards(metrics, unit: int) -> dict[bytes, dict[str, int]]:
         if due and honest:
             credit(tx.worker, "worker", due)
     # Validators: one unit per verified transaction plus one per vote cast.
-    for validator, txs in metrics.txs_by_validator.items():
+    for validator, txs in msgs.by_validator.items():
         n_votes = sum(1 for vtx in winner_vtxs if vtx.validator == validator)
         credit(validator, "validator", validator_reward(len(txs), n_votes, unit))
     # The winning miner: one unit per verified validator transaction.
@@ -179,8 +191,9 @@ def test_criterion_6_reward_oracle(calibrated_vh):
     rounds_checked = 0
     for seed in SEEDS:
         result, _ = run("VBFL_POS_3_20_VHCAL", seed, vh=calibrated_vh)
+        log = messages("VBFL_POS_3_20_VHCAL", seed, vh=calibrated_vh)
         for m in result.metrics:
-            want = _oracle_round_rewards(m, result.config.unit_reward)
+            want = _oracle_round_rewards(m, log.get(m.round), result.config.unit_reward)
             for device, by_source in m.reward_breakdown.items():
                 expected = want.get(device, {"worker": 0, "validator": 0, "miner": 0})
                 assert by_source == expected, (
@@ -195,10 +208,11 @@ def test_criterion_7_vote_aggregation_oracle(calibrated_vh):
     rounds_checked = 0
     for seed in SEEDS:
         result, _ = run("VBFL_POS_3_20_VHCAL", seed, vh=calibrated_vh)
+        log = messages("VBFL_POS_3_20_VHCAL", seed, vh=calibrated_vh)
         for m in result.metrics:
             if m.skipped or m.legitimate_block is None:
                 continue
-            for miner, vtxs in m.vtxs_by_miner.items():
+            for miner, vtxs in log[m.round].by_miner.items():
                 # Brute-force recount, first vote per (validator, worker).
                 seen = {}
                 for vtx in vtxs:

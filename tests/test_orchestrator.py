@@ -5,10 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import record_messages
 
 from vbfl.datasets import make_blobs_task
-from vbfl.errors import ConfigError
-from vbfl.learning import TrainSpec, fedavg
+from vbfl.errors import ConfigError, InvariantViolation
+from vbfl.learning import ModelParams, TrainSpec, fedavg
 from vbfl.orchestrator import (
     BEHAVIOR_VALIDATOR_FLIP,
     BEHAVIOR_WORKER_NOISE,
@@ -27,6 +28,7 @@ from vbfl.orchestrator import (
     shard_dataset,
     write_outputs,
 )
+from vbfl.presets import apply_overrides, get_preset
 from vbfl.rng import substream
 
 
@@ -318,12 +320,14 @@ class TestRound:
         # every tally is all-Positive, and the new global model is exactly
         # the size-weighted average of the 12 worker updates.
         sim = Simulation(tiny_cfg(rounds=1, vh=1.0))
+        log = record_messages(sim)
         g_before = {d: st.g for d, st in sim.state.items()}
         m = sim.run_round()
-        assert len(m.worker_txs) == 12
+        worker_txs = log[1].worker_txs
+        assert len(worker_txs) == 12
         assert all(t.negatives == 0 for t in m.legitimate_block.tallies)
         assert m.qualified_workers == tuple(t.worker for t in m.legitimate_block.tallies)
-        want = fedavg([(tx.update, float(tx.train_size)) for tx in m.worker_txs])
+        want = fedavg([(tx.update, float(tx.train_size)) for tx in worker_txs])
         ref = sorted(sim.state)[0]
         assert np.array_equal(sim.state[ref].g.values, want.values)
         assert all(
@@ -346,26 +350,29 @@ class TestRound:
         monkeypatch.setattr(orchestrator, "evaluate", counted("evaluate", orchestrator.evaluate))
         monkeypatch.setattr(orchestrator, "fedavg", counted("fedavg", orchestrator.fedavg))
         sim = Simulation(tiny_cfg(rounds=1))
+        log = record_messages(sim)
         m = sim.run_round()
         # One evaluation per distinct update on the shared test set, plus
         # the global accuracy; one average for the block all replicas adopt.
-        assert calls["evaluate"] == len({id(tx.update) for tx in m.worker_txs}) + 1
+        assert calls["evaluate"] == len({id(tx.update) for tx in log[1].worker_txs}) + 1
         assert calls["fedavg"] == 1
         assert len(m.vad_records) == 12 * 5
 
     def test_voted_down_updates_excluded(self):
         cfg = tiny_cfg(rounds=1, malicious=(17, 18, 19), vh=0.12)
         sim = Simulation(cfg)
+        log = record_messages(sim)
         m = sim.run_round()
+        worker_txs = log[1].worker_txs
         mal_workers = [
-            tx.worker for tx in m.worker_txs if tx.worker in sim.malicious_ids
+            tx.worker for tx in worker_txs if tx.worker in sim.malicious_ids
         ]
         if not mal_workers:
             pytest.skip("no malicious device drew the worker role this round")
         assert not set(mal_workers) & set(m.qualified_workers)
         good = [
             (tx.update, float(tx.train_size))
-            for tx in m.worker_txs
+            for tx in worker_txs
             if tx.worker in m.qualified_workers
         ]
         ref = sorted(sim.state)[0]
@@ -414,11 +421,24 @@ class TestRound:
         mn = noisy.run_round()
         assert mc.roles == mn.roles
 
-    def test_malicious_update_differs_everywhere(self):
+    def test_malicious_update_differs_everywhere(self, monkeypatch):
+        import vbfl.orchestrator as orchestrator
+
+        noise = orchestrator.inject_gaussian_noise
+        distorted = []
+
+        def recording(clean, *args):
+            sent = noise(clean, *args)
+            distorted.append((clean, sent))
+            return sent
+
+        monkeypatch.setattr(orchestrator, "inject_gaussian_noise", recording)
         cfg = tiny_cfg(rounds=1, malicious=tuple(range(20)), vh=1.0)
         sim = Simulation(cfg)
-        m = sim.run_round()
-        for d, (clean, sent) in m.worker_updates.items():
+        log = record_messages(sim)
+        sim.run_round()
+        assert [sent for _, sent in distorted] == [tx.update for tx in log[1].worker_txs]
+        for clean, sent in distorted:
             frac = np.mean(clean.values != sent.values)
             assert frac >= 0.99
 
@@ -521,8 +541,6 @@ class TestRound:
                 assert not tally.voters & banned
 
     def test_duplicate_block_hash_guard(self):
-        from vbfl.errors import InvariantViolation
-
         sim = Simulation(tiny_cfg(rounds=1))
         m = sim.run_round()
         with pytest.raises(InvariantViolation):
@@ -553,16 +571,17 @@ class TestRound:
         monkeypatch.setattr(orchestrator, "sign_worker_tx", corrupting_sign)
         monkeypatch.setattr(orchestrator, "verify_worker_tx", counting_verify)
         sim = Simulation(tiny_cfg(rounds=1, signature_scheme="hmac"))
+        log = record_messages(sim)
         m = sim.run_round()
         (bad,) = forged
         validators = {d for d, r in m.roles.items() if r is Role.VALIDATOR}
         assert verified[bad] == 1
-        assert all(bad not in {tx.worker for tx in txs} for txs in m.txs_by_validator.values())
+        assert all(bad not in {tx.worker for tx in txs} for txs in log[1].by_validator.values())
         assert bad not in {t.worker for t in m.legitimate_block.tallies}
         out = write_outputs(RunResult(sim.config, sim.metrics, sim, None), tmp_path)
         vad_rows = (out / "vad.csv").read_text().splitlines()[1:]
         assert vad_rows and not any(bad.hex() in row for row in vad_rows)
-        others = {tx.worker for tx in m.worker_txs} - {bad}
+        others = {tx.worker for tx in log[1].worker_txs} - {bad}
         assert len(others) == 11
         for w in others:
             assert {r.validator for r in m.vad_records if r.worker == w} == validators
@@ -581,12 +600,67 @@ class TestRound:
         assert m.skipped
         assert sim.state[ref].g == before
 
+    def test_forking_network_conserves_stake(self):
+        # On this forking network the block of round 32 pays a device the
+        # reference ledger had already blacklisted; the ledger credits it
+        # nothing, and so must the conservation oracle.
+        base = get_preset("VBFL_POS_3_20_VHCAL").config
+        cfg = dataclasses.replace(
+            apply_overrides(base, rounds=32, seed=1, vh=0.03195),
+            network=NetworkConfig(delay=1.0, jitter=0.5, propagated_block_wait=0.2),
+        )
+        assert len(Simulation(cfg).run()) == 32
+
+
+def _reachable_params(root) -> list[ModelParams]:
+    """Every parameter vector reachable from root through dataclass fields
+    and containers."""
+    seen: set[int] = set()
+    found: list[ModelParams] = []
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, ModelParams):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif dataclasses.is_dataclass(obj):
+            stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return found
+
+
+@pytest.mark.parametrize("runner", [Simulation, VanillaRun])
+def test_metrics_hold_no_message_copies(runner):
+    # The round's block is its record: no update may stay reachable from
+    # the metrics except through legitimate_block.
+    metrics = runner(tiny_cfg(rounds=2)).run()
+    assert len(metrics) == 2
+    for m in metrics:
+        for f in dataclasses.fields(m):
+            if f.name != "legitimate_block":
+                assert not _reachable_params(getattr(m, f.name)), f.name
+
 
 class TestVanilla:
-    def test_everyone_works_every_round(self):
+    def test_everyone_works_every_round(self, monkeypatch):
+        import vbfl.orchestrator as orchestrator
+
+        averaged = []
+        average = orchestrator.fedavg
+
+        def recording(updates):
+            averaged.append(len(updates))
+            return average(updates)
+
+        monkeypatch.setattr(orchestrator, "fedavg", recording)
         run = VanillaRun(tiny_cfg(rounds=1))
         m = run.run_round()
-        assert len(m.worker_updates) == 20
+        assert averaged == [20]
         assert m.consensus == "VFL"
         assert m.winner is None
 

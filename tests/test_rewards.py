@@ -192,10 +192,13 @@ class TestApplyBlock:
         max_size=8,
     ),
     st.integers(0, 100),
+    st.frozensets(st.sampled_from([1, 2, 3, 9, 40])),
 )
-def test_stake_monotone_and_conserved(votes, miner_rwd):
+def test_stake_monotone_and_conserved(votes, miner_rwd, blacklisted):
     # Brute-force conservation oracle: total stake increase equals the
-    # block's qualified reward total, and no stake ever decreases.
+    # block's qualified reward total, and no stake ever decreases. Devices
+    # the ledger has already blacklisted (workers, the validator, the miner)
+    # are paid nothing.
     seen = set()
     tallies = []
     for worker, pos, neg in votes:
@@ -204,9 +207,10 @@ def test_stake_monotone_and_conserved(votes, miner_rwd):
         seen.add(worker)
         tallies.append(tally(worker, pos, neg))
     block = make_block(tallies, miner_rwd=miner_rwd, validator_rwds={dev(40): 7})
-    start = StakeLedger(unit_reward=1, kick_r=6, stake={dev(1): 3})
+    blacklist = frozenset(map(dev, blacklisted))
+    start = StakeLedger(unit_reward=1, kick_r=6, stake={dev(1): 3}, blacklist=blacklist)
     after, _, _ = apply_block(start, block, {dev(w): True for w in seen})
     for d in set(start.stake) | set(after.stake):
         assert after.stake_of(d) >= start.stake_of(d)
     increase = sum(after.stake.values()) - sum(start.stake.values())
-    assert increase == block_reward_total(block, 1)
+    assert increase == block_reward_total(block, 1, blacklist)

@@ -75,7 +75,7 @@ class TestVoteRule:
         # even a model with zero accuracy against a perfect reference.
         state = self.mk_state(vstate, 1.0, 1.0)
         noisy = inject_gaussian_noise(global_model, 25.0, rng(1))
-        reward, vote, vad = validate_by_voting(noisy, state)
+        vote, vad = validate_by_voting(noisy, state, evaluate(noisy, state.test))
         assert vote is Vote.POSITIVE
         assert vad <= 1.0
 
@@ -86,7 +86,7 @@ class TestVoteRule:
         assert good_acc > 0.9
         state = dataclasses.replace(vstate, pretrain_acc=good_acc, threshold=0.08)
         garbage = inject_gaussian_noise(trained, 100.0, rng(2))
-        _, vote, vad = validate_by_voting(garbage, state)
+        vote, vad = validate_by_voting(garbage, state, evaluate(garbage, test))
         assert vad > 0.08
         assert vote is Vote.NEGATIVE
 
@@ -96,36 +96,31 @@ class TestVoteRule:
         state = dataclasses.replace(
             vstate, pretrain_acc=evaluate(trained, test) + 0.02, threshold=0.08
         )
-        _, vote, vad = validate_by_voting(trained, state)
+        vote, vad = validate_by_voting(trained, state, evaluate(trained, test))
         assert vad == pytest.approx(0.02)
         assert vote is Vote.POSITIVE
 
-    def test_vali_reward_is_one_unit(self, vstate, global_model):
-        state = self.mk_state(vstate, 0.5, 1.0)
-        reward, _, _ = validate_by_voting(global_model, state, unit_reward=3)
-        assert reward == 3
-
     def test_measured_accuracy_gives_the_same_vote(self, vstate, global_model):
+        # The vote comes from the accuracy passed in; the test set is not read.
         state = self.mk_state(vstate, 0.9, 0.08)
-        measured = evaluate(global_model, state.test)
         reads = state.test.access_count
-        assert validate_by_voting(global_model, state, 1, measured) == validate_by_voting(
-            global_model, state
-        )
-        assert state.test.access_count == reads + 1  # only the unmeasured call read
+        assert validate_by_voting(global_model, state, 0.5) == (Vote.NEGATIVE, 0.9 - 0.5)
+        assert validate_by_voting(global_model, state, 0.85) == (Vote.POSITIVE, 0.9 - 0.85)
+        assert state.test.access_count == reads
 
     def test_requires_reference(self, vstate, global_model):
         with pytest.raises(RuntimeError):
-            validate_by_voting(global_model, vstate)
+            validate_by_voting(global_model, vstate, 0.5)
 
     def test_monotone_in_threshold(self, vstate, global_model):
         # Raising the threshold can only turn Negative votes Positive.
         state0 = self.mk_state(vstate, 0.9, 0.0)
         update = inject_gaussian_noise(global_model, 4.0, rng(5))
+        accuracy = evaluate(update, state0.test)
         votes = []
         for vh in np.linspace(-1.0, 1.0, 21):
             state = dataclasses.replace(state0, threshold=float(vh))
-            votes.append(validate_by_voting(update, state)[1])
+            votes.append(validate_by_voting(update, state, accuracy)[0])
         seen_positive = False
         for vote in votes:
             if vote is Vote.POSITIVE:
@@ -136,7 +131,7 @@ class TestVoteRule:
     def test_vad_bounds(self, vstate, global_model):
         for acc in (0.0, 0.37, 1.0):
             state = self.mk_state(vstate, acc, 0.05)
-            _, _, vad = validate_by_voting(global_model, state)
+            _, vad = validate_by_voting(global_model, state, evaluate(global_model, state.test))
             assert -1.0 <= vad <= 1.0
 
 
