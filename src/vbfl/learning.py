@@ -5,6 +5,15 @@ either plain softmax regression (``"softmax:<in>-<classes>"``) or a
 one-hidden-layer ReLU network (``"mlp:<in>-<hidden>-<classes>"``). Training
 is plain minibatch SGD on softmax cross-entropy; nothing fancier is needed
 at desk scale and the protocol is agnostic to the model anyway.
+
+``local_train_many`` trains many devices at once; ``local_train`` is its
+one-device case. Devices whose shards have the same row count (and the same
+architecture) step together: each draws its own permutation per epoch from
+its own generator, one gather builds the stacked minibatch, and every layer
+is one ``np.matmul`` over the stack. The bytes do not change: each slice of
+a stacked matmul is the same 2-D gemm on the same operand layout, and every
+other operation is elementwise or reduces along the same axis in the same
+order as for one device.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ def mlp_arch(input_dim: int, hidden: int, num_classes: int) -> str:
 def parse_arch(arch_id: str) -> tuple[str, tuple[int, ...]]:
     """Split an architecture id into (kind, layer dims). Raises ValueError.
 
-    Cached: every SGD step parses its architecture id several times. A
+    Cached: training, evaluation and every ModelParams parse an id. A
     failed parse raises each time, since exceptions are not cached.
     """
     try:
@@ -50,12 +59,7 @@ def parse_arch(arch_id: str) -> tuple[str, tuple[int, ...]]:
 
 
 def param_count(arch_id: str) -> int:
-    kind, dims = parse_arch(arch_id)
-    if kind == "softmax":
-        d, k = dims
-        return d * k + k
-    d, h, k = dims
-    return d * h + h + h * k + k
+    return _layout(arch_id)[-1][1]
 
 
 def arch_classes(arch_id: str) -> int:
@@ -176,77 +180,58 @@ def init_global_model(arch_id: str, seed: int) -> ModelParams:
 
 
 def _unpack(vec: np.ndarray, arch_id: str) -> list[np.ndarray]:
-    kind, dims = parse_arch(arch_id)
-    if kind == "softmax":
-        d, k = dims
-        return [vec[: d * k].reshape(d, k), vec[d * k :]]
-    d, h, k = dims
-    o1 = d * h
-    o2 = o1 + h
-    o3 = o2 + h * k
-    return [
-        vec[:o1].reshape(d, h),
-        vec[o1:o2],
-        vec[o2:o3].reshape(h, k),
-        vec[o3:],
-    ]
+    """Weight matrices and (1, cols) bias rows of a parameter vector, as views.
+
+    A stack of vectors, shape (W, P), gives stacks of W matrices and rows.
+    """
+    lead = vec.shape[:-1]
+    return [vec[..., lo:hi].reshape(lead + shape) for lo, hi, shape in _layout(arch_id)]
 
 
-def _logits(vec: np.ndarray, arch_id: str, x: np.ndarray) -> np.ndarray:
-    kind, _ = parse_arch(arch_id)
-    if kind == "softmax":
-        w, b = _unpack(vec, arch_id)
-        return x @ w + b
-    w1, b1, w2, b2 = _unpack(vec, arch_id)
-    hidden = np.maximum(x @ w1 + b1, 0.0)
-    return hidden @ w2 + b2
+@functools.lru_cache
+def _layout(arch_id: str) -> tuple[tuple[int, int, tuple[int, int]], ...]:
+    """(start, end, shape) of every weight matrix and bias row in the vector."""
+    dims, out, at = parse_arch(arch_id)[1], [], 0
+    for rows, cols in zip(dims[:-1], dims[1:]):
+        for shape in ((rows, cols), (1, cols)):
+            out.append((at, at + shape[0] * cols, shape))
+            at += shape[0] * cols
+    return tuple(out)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _mean_cross_entropy(z: np.ndarray, y: np.ndarray) -> float:
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(log_norm - shifted[np.arange(z.shape[0]), y]))
+def _forward(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+    """The input of every layer, then the logits: [x, z] or [x, hidden, z]."""
+    acts = [x]
+    for k in range(0, len(params), 2):
+        if k:
+            acts.append(np.maximum(z, 0.0))
+        z = acts[-1] @ params[k] + params[k + 1]
+    return acts + [z]
 
 
 def _loss_and_grad(vec: np.ndarray, arch_id: str, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and its gradient as a flat vector."""
-    kind, _ = parse_arch(arch_id)
-    n = x.shape[0]
-    if kind == "softmax":
-        w, b = _unpack(vec, arch_id)
-        z = x @ w + b
-        loss = _mean_cross_entropy(z, y)
-        dz = _softmax(z)
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-        grad = np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
-        return loss, grad
-    w1, b1, w2, b2 = _unpack(vec, arch_id)
-    z1 = x @ w1 + b1
-    hidden = np.maximum(z1, 0.0)
-    z2 = hidden @ w2 + b2
-    loss = _mean_cross_entropy(z2, y)
-    p = _softmax(z2)
-    dz2 = p
-    dz2[np.arange(n), y] -= 1.0
-    dz2 /= n
-    dhidden = dz2 @ w2.T
-    dhidden[z1 <= 0.0] = 0.0
-    grad = np.concatenate(
-        [
-            (x.T @ dhidden).ravel(),
-            dhidden.sum(axis=0),
-            (hidden.T @ dz2).ravel(),
-            dz2.sum(axis=0),
-        ]
-    )
-    return loss, grad
+    """Per-model mean cross-entropy and flat gradient of a stack of models.
+
+    ``vec`` is (W, P), ``x`` (W, B, d) and ``y`` (W, B). Each matmul is one
+    np.matmul over the stack; slice w is the 2-D gemm model w alone needs.
+    """
+    params = _unpack(vec, arch_id)
+    *inputs, z = _forward(params, x)
+    labels = (np.arange(len(y))[:, None], np.arange(y.shape[1]), y)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    norm = e.sum(axis=-1, keepdims=True)
+    loss = (np.log(norm[..., 0]) - shifted[labels]).sum(axis=1) / y.shape[1]
+    delta = e / norm
+    delta[labels] -= 1.0
+    delta /= y.shape[1]
+    grads = []
+    for k in reversed(range(len(inputs))):
+        grads[:0] = [np.swapaxes(inputs[k], 1, 2) @ delta, delta.sum(axis=1)]
+        if k:
+            delta = delta @ np.swapaxes(params[2 * k], 1, 2)
+            delta[inputs[k] <= 0.0] = 0.0
+    return loss, np.concatenate([g.reshape(len(y), -1) for g in grads], axis=1)
 
 
 def local_train(
@@ -260,28 +245,53 @@ def local_train(
     The input parameters are never modified. Deterministic given
     (start, shard, spec, rng state). Raises TrainingDiverged on NaN/Inf loss.
     """
-    x, y = shard.arrays()
-    if shard.dim != arch_input_dim(start.arch_id):
-        raise ValueError("shard feature dimension does not match the model")
-    if int(y.max()) >= arch_classes(start.arch_id):
-        raise ValueError("shard labels exceed the model's class count")
-    if spec.batch_size > len(shard):
-        raise ValueError("batch_size exceeds shard size")
-    vec = start.values.copy()
-    n = len(shard)
-    lr = spec.learning_rate
-    for _ in range(spec.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, spec.batch_size):
-            idx = order[lo : lo + spec.batch_size]
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, grad = _loss_and_grad(vec, start.arch_id, x[idx], y[idx])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss diverged to {loss!r}")
-            vec -= lr * grad
-    if not np.all(np.isfinite(vec)):
-        raise TrainingDiverged("parameters diverged to NaN/Inf")
-    return ModelParams(vec, start.arch_id)
+    return local_train_many([start], [shard], spec, [rng])[0]
+
+
+def local_train_many(
+    starts: Sequence[ModelParams],
+    shards: Sequence[DataShard],
+    spec: TrainSpec,
+    rngs: Sequence[np.random.Generator],
+) -> list[ModelParams]:
+    """``local_train`` of every (start, shard, rng) triple, stepped together.
+
+    Element i is bit-identical to ``local_train(starts[i], shards[i], spec,
+    rngs[i])``. Each rng must be its own generator: it draws its device's
+    permutations, once per epoch, as a single call would.
+    """
+    if not len(starts) == len(shards) == len(rngs) == len({id(r) for r in rngs}):
+        raise ValueError("need one start, one shard and a distinct rng per device")
+    groups: dict[tuple[int, str], list[int]] = {}
+    data = [shard.arrays() for shard in shards]
+    for i, (start, shard, (_, y)) in enumerate(zip(starts, shards, data)):
+        if shard.dim != arch_input_dim(start.arch_id):
+            raise ValueError("shard feature dimension does not match the model")
+        if int(y.max()) >= arch_classes(start.arch_id):
+            raise ValueError("shard labels exceed the model's class count")
+        if spec.batch_size > len(shard):
+            raise ValueError("batch_size exceeds shard size")
+        groups.setdefault((len(shard), start.arch_id), []).append(i)
+    out: list[ModelParams] = [None] * len(starts)
+    for (n, arch_id), members in groups.items():
+        vec = np.stack([starts[i].values for i in members])
+        x, y = (np.stack(a) for a in zip(*(data[i] for i in members)))
+        rows = np.arange(len(members))[:, None]
+        for _ in range(spec.epochs):
+            order = np.stack([rngs[i].permutation(n) for i in members])
+            for lo in range(0, n, spec.batch_size):
+                idx = order[:, lo : lo + spec.batch_size]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss, grad = _loss_and_grad(vec, arch_id, x[rows, idx], y[rows, idx])
+                bad = loss[~np.isfinite(loss)]
+                if bad.size:
+                    raise TrainingDiverged(f"loss diverged to {float(bad[0])!r}")
+                vec -= spec.learning_rate * grad
+        if not np.all(np.isfinite(vec)):
+            raise TrainingDiverged("parameters diverged to NaN/Inf")
+        for i, v in zip(members, vec):
+            out[i] = ModelParams(v, arch_id)
+    return out
 
 
 def evaluate(params: ModelParams, test: DataShard) -> float:
@@ -293,7 +303,7 @@ def evaluate(params: ModelParams, test: DataShard) -> float:
     x, y = test.arrays()
     if test.dim != arch_input_dim(params.arch_id):
         raise ValueError("test feature dimension does not match the model")
-    preds = np.argmax(_logits(params.values, params.arch_id, x), axis=1)
+    preds = np.argmax(_forward(_unpack(params.values, params.arch_id), x)[-1], axis=1)
     return float(np.mean(preds == y))
 
 

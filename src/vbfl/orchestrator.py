@@ -47,7 +47,8 @@ from .learning import (
     fedavg,
     init_global_model,
     inject_gaussian_noise,
-    local_train,
+    local_train,  # unused here, but perfbench/tracer.py wraps this module's name
+    local_train_many,
     mlp_arch,
     softmax_arch,
 )
@@ -572,18 +573,24 @@ class _World:
             and behavior in self.config.malicious_behaviors
         )
 
-    def _local_update(
-        self, device: DeviceId, g: ModelParams, train: DataShard, round_no: int
-    ) -> ModelParams:
-        """The update a device sends: its trained model, noise-distorted when
-        the device is a malicious worker."""
+    def _local_updates(
+        self, jobs: Sequence[tuple[DeviceId, ModelParams, DataShard]], round_no: int
+    ) -> list[ModelParams]:
+        """The update each (device, start, shard) sends: its trained model,
+        noise-distorted when the device is a malicious worker. All train in
+        one ``local_train_many`` call."""
         cfg = self.config
-        batches = substream(cfg.master_seed, "batches", device, round_no)
-        update = local_train(g, train, cfg.train, batches)
-        if not self._behaves(device, BEHAVIOR_WORKER_NOISE):
-            return update
-        noise = substream(cfg.master_seed, "noise", device, round_no)
-        return inject_gaussian_noise(update, cfg.noise_variance, noise)
+        updates = local_train_many(
+            [g for _, g, _ in jobs],
+            [train for _, _, train in jobs],
+            cfg.train,
+            [substream(cfg.master_seed, "batches", d, round_no) for d, _, _ in jobs],
+        )
+        for k, (d, _, _) in enumerate(jobs):
+            if self._behaves(d, BEHAVIOR_WORKER_NOISE):
+                noise = substream(cfg.master_seed, "noise", d, round_no)
+                updates[k] = inject_gaussian_noise(updates[k], cfg.noise_variance, noise)
+        return updates
 
     def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
         for _ in range(self.config.rounds):
@@ -763,16 +770,15 @@ class Simulation(_World):
         validator; returns the validators' inbox."""
         cfg = self.config
         inbox: dict[DeviceId, list[_Message]] = {v: [] for v in plan.validators}
-        for w in plan.workers:
-            st = self.state[w]
-            update = self._local_update(w, st.g, st.train, plan.round)
+        jobs = [(w, self.state[w].g, self.state[w].train) for w in plan.workers]
+        for (w, _, train), update in zip(jobs, self._local_updates(jobs, plan.round)):
             tx = WorkerTransaction(
                 round=plan.round,
                 worker=w,
                 update=update,
-                expected_reward=cfg.train.epochs * len(st.train) * cfg.unit_reward,
+                expected_reward=cfg.train.epochs * len(train) * cfg.unit_reward,
                 epochs=cfg.train.epochs,
-                train_size=len(st.train),
+                train_size=len(train),
                 signature=b"",
             )
             payload = protocol_mod.worker_tx_signing_bytes(tx)
@@ -1038,12 +1044,9 @@ class VanillaRun(_World):
 
     def run_round(self) -> RoundMetrics:
         j = self.round_no = self.round_no + 1
-        updates = []
-        for dev in self.devices:
-            train = self.shards[dev.id][0]
-            update = self._local_update(dev.id, self.g, train, j)
-            updates.append((update, float(len(train))))
-        self.g = fedavg(updates)
+        jobs = [(d.id, self.g, self.shards[d.id][0]) for d in self.devices]
+        updates = self._local_updates(jobs, j)
+        self.g = fedavg([(u, float(len(train))) for u, (_, _, train) in zip(updates, jobs)])
         metrics = RoundMetrics(
             round=j,
             consensus="VFL",

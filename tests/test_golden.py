@@ -2,13 +2,13 @@
 
 Each config runs in a fresh interpreter with a fixed ``PYTHONHASHSEED`` and
 one BLAS thread, so the digests also pin determinism across processes, not
-only within one. A change that moves any digest changes behaviour: it must
-say so and derive the digests again, with the reason.
+only within one; one case is re-run with another hash seed and one with two
+BLAS threads. A change that moves any digest changes behaviour: it must say
+so and derive the digests again, with the reason.
 
-The forking-network case pins bytes only. Its eight rounds stop well short
-of the ``InvariantViolation`` that this network raises in longer runs
-(round 32 of the 20-device preset at seed 1; ROADMAP item 5), which stays
-open.
+Every case but ``pos_ragged`` gives each device a 12-row shard;
+``pos_ragged`` mixes 12- and 13-row shards, so its workers train in two
+groups of equal shard length.
 """
 
 from __future__ import annotations
@@ -70,6 +70,17 @@ def _tiny(**kw) -> SimConfig:
 
 CASES = {
     "pos_stub": ("vbfl", _tiny(arch="mlp", mlp_hidden=6)),
+    # 244 rows over 20 devices: shards of 13 and of 12 rows train in two groups.
+    "pos_ragged": (
+        "vbfl",
+        _tiny(
+            arch="mlp", mlp_hidden=6,
+            dataset=DatasetConfig(
+                dim=8, classes=4, train_per_class=61, test_per_class=30,
+                spread=0.5, feature_scale=1.0,
+            ),
+        ),
+    ),
     "pos_hmac_shard": ("vbfl", _tiny(signature_scheme="hmac", validator_test="shard")),
     "pow_race": ("vbfl", _tiny(consensus="pow", pow_difficulty=2)),
     "network": (
@@ -109,6 +120,13 @@ GOLDEN = {
         "stake.csv": "51c9f6e428d0e4db40f4209c3b0336f6f4c5800627fe976a12787af7b82df25e",
         "vad.csv": "c5b5daf3d6f568aa2df0afeb1562ca9ae8ed69e8441803951140eda3324b98c2",
     },
+    "pos_ragged": {
+        "chain.jsonl": "07f06b5b536507eb200fb5d66543d939d6b3cb59799147f9ede54ae881b40ae3",
+        "events.csv": "c6015bddff28a144727b53e6c271b11b76ee64055c14d9ac0f5c1bad5cf13621",
+        "rounds.csv": "5ec49359f3de4233398d6242f12c32a14ffc17f1a94ac254ce89d6c8ba4efb4c",
+        "stake.csv": "05b021706cd3c3150ef71e20e225ddb98b6996c5b0bc6d87f8544c2e479706c9",
+        "vad.csv": "ec2fb5e4fad0118e20782d12bfda06a02a0f245544f911ce0dc1c96dcade570d",
+    },
     "pos_stub": {
         "chain.jsonl": "c18d0afc6354ef851cfab0dbbbd63276d9bbdc6c9ecb44079b4e921b3dc9dd20",
         "events.csv": "1d320a8b7f42e00135bfeffbcd81232d9451f2c7356fbe50216c228c56947eec",
@@ -132,8 +150,10 @@ GOLDEN = {
 }
 
 
-def _digests(mode: str, cfg: SimConfig, hash_seed: str = "0") -> dict[str, str]:
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1")
+def _digests(
+    mode: str, cfg: SimConfig, hash_seed: str = "0", blas_threads: str = "1"
+) -> dict[str, str]:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _RUN, json.dumps(cfg.to_dict()), mode],
@@ -152,3 +172,8 @@ def test_golden_digests(name):
 def test_digests_independent_of_hash_seed():
     mode, cfg = CASES["pos_stub"]
     assert _digests(mode, cfg, hash_seed="7") == GOLDEN["pos_stub"]
+
+
+def test_digests_independent_of_blas_threads():
+    mode, cfg = CASES["pos_stub"]
+    assert _digests(mode, cfg, blas_threads="2") == GOLDEN["pos_stub"]

@@ -13,6 +13,7 @@ from vbfl.learning import (
     init_global_model,
     inject_gaussian_noise,
     local_train,
+    local_train_many,
     mlp_arch,
     param_count,
     parse_arch,
@@ -158,6 +159,116 @@ class TestLocalTrain:
         local_train(start, train, TrainSpec(1, 0.1, 10), rng(0))
         assert other.access_count == before
         assert train.access_count > 0
+
+
+def reference_grad(vec, arch_id, x, y):
+    """Per-device 2-D gradient, layer by layer: the arithmetic that stacked
+    training must reproduce bit for bit."""
+    kind, dims = parse_arch(arch_id)
+    n = len(y)
+
+    def output_delta(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        dz = e / e.sum(axis=1, keepdims=True)
+        dz[np.arange(n), y] -= 1.0
+        return dz / n
+
+    if kind == "softmax":
+        d, k = dims
+        dz = output_delta(x @ vec[: d * k].reshape(d, k) + vec[d * k :])
+        return np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
+    d, h, k = dims
+    o1, o2, o3 = d * h, d * h + h, d * h + h + h * k
+    w2 = vec[o2:o3].reshape(h, k)
+    z1 = x @ vec[:o1].reshape(d, h) + vec[o1:o2]
+    hidden = np.maximum(z1, 0.0)
+    dz2 = output_delta(hidden @ w2 + vec[o3:])
+    dhidden = dz2 @ w2.T
+    dhidden[z1 <= 0.0] = 0.0
+    return np.concatenate(
+        [(x.T @ dhidden).ravel(), dhidden.sum(axis=0), (hidden.T @ dz2).ravel(), dz2.sum(axis=0)]
+    )
+
+
+class TestLocalTrainMany:
+    SPEC = TrainSpec(3, 0.1, 5)  # 5 divides neither shard length
+
+    @staticmethod
+    def devices(archs, sizes=(12, 13, 12, 13)):
+        """Distinct start vectors and 12- and 13-row shards, one per device."""
+        data = rng(9)
+        starts = [init_global_model(arch, seed) for seed, arch in enumerate(archs)]
+        shards = [
+            DataShard(data.standard_normal((n, 4)), data.integers(0, 3, n), shard_of=bytes([i]))
+            for i, n in enumerate(sizes)
+        ]
+        return starts, shards
+
+    @pytest.mark.parametrize(
+        "archs",
+        [
+            [softmax_arch(4, 3)] * 4,
+            [mlp_arch(4, 5, 3)] * 4,
+            [softmax_arch(4, 3), mlp_arch(4, 5, 3)] * 2,
+        ],
+        ids=["softmax", "mlp", "mixed"],
+    )
+    def test_matches_one_call_per_device(self, archs):
+        starts, shards = self.devices(archs)
+        rngs = [rng(100 + i) for i in range(len(starts))]
+        got = local_train_many(starts, shards, self.SPEC, rngs)
+        assert [s.access_count for s in shards] == [1] * len(shards)
+        for i, (start, shard) in enumerate(zip(starts, shards)):
+            alone = rng(100 + i)
+            want = local_train(start, shard, self.SPEC, alone)
+            assert got[i].arch_id == want.arch_id
+            assert np.array_equal(got[i].values, want.values)
+            assert rngs[i].bit_generator.state == alone.bit_generator.state
+
+    @pytest.mark.parametrize("arch", [softmax_arch(4, 3), mlp_arch(4, 5, 3)])
+    def test_matches_plain_2d_sgd(self, arch):
+        starts, shards = self.devices([arch] * 4)
+        got = local_train_many(starts, shards, self.SPEC, [rng(i) for i in range(4)])
+        for i, (start, shard) in enumerate(zip(starts, shards)):
+            x, y = shard.arrays()
+            vec, order_rng = start.values.copy(), rng(i)
+            for _ in range(self.SPEC.epochs):
+                order = order_rng.permutation(len(y))
+                for lo in range(0, len(y), self.SPEC.batch_size):
+                    idx = order[lo : lo + self.SPEC.batch_size]
+                    vec -= self.SPEC.learning_rate * reference_grad(vec, arch, x[idx], y[idx])
+            assert np.array_equal(got[i].values, vec)
+
+    def test_empty(self):
+        assert local_train_many([], [], self.SPEC, []) == []
+
+    def test_one_diverging_member_raises(self):
+        arch = softmax_arch(2, 2)
+        starts = [init_global_model(arch, seed) for seed in range(3)]
+        shards = [
+            DataShard([[0.1, 0.2], [0.3, -0.1]], [0, 1]),
+            DataShard([[1e160, 0.0], [-1e160, 1.0]], [0, 1]),
+            DataShard([[0.5, 0.5], [-0.2, 0.4]], [1, 0]),
+        ]
+        with pytest.raises(TrainingDiverged):
+            local_train_many(starts, shards, TrainSpec(5, 10.0, 2), [rng(i) for i in range(3)])
+
+    @pytest.mark.parametrize("bad", ["feature_dim", "label_range", "batch_over_rows"])
+    def test_one_bad_member_rejected(self, bad):
+        starts, shards = self.devices([softmax_arch(4, 3)] * 3, sizes=(12, 13, 12))
+        shards[1] = {
+            "feature_dim": DataShard(np.zeros((13, 5)), np.zeros(13, dtype=int)),
+            "label_range": DataShard(np.zeros((13, 4)), np.full(13, 3)),
+            "batch_over_rows": DataShard(np.zeros((4, 4)), np.zeros(4, dtype=int)),
+        }[bad]
+        with pytest.raises(ValueError):
+            local_train_many(starts, shards, self.SPEC, [rng(i) for i in range(3)])
+
+    def test_shared_rng_rejected(self):
+        starts, shards = self.devices([softmax_arch(4, 3)] * 2, sizes=(12, 12))
+        shared = rng(0)
+        with pytest.raises(ValueError):
+            local_train_many(starts, shards, self.SPEC, [shared, shared])
 
 
 class TestEvaluate:

@@ -358,6 +358,34 @@ class TestRound:
         assert calls["fedavg"] == 1
         assert len(m.vad_records) == 12 * 5
 
+    def test_round_trains_its_workers_in_one_call(self, monkeypatch):
+        import vbfl.orchestrator as orchestrator
+
+        trained, pretrained = [], []
+        train_many = orchestrator.local_train_many
+        pretrain = orchestrator.pretrain_one_epoch
+
+        def training(starts, shards, spec, rngs):
+            trained.append([shard.shard_of for shard in shards])
+            return train_many(starts, shards, spec, rngs)
+
+        def pretraining(g, state, spec, rng):
+            pretrained.append(state.validator)
+            return pretrain(g, state, spec, rng)
+
+        monkeypatch.setattr(orchestrator, "local_train_many", training)
+        monkeypatch.setattr(orchestrator, "pretrain_one_epoch", pretraining)
+        sim = Simulation(tiny_cfg(rounds=1))
+        log = record_messages(sim)
+        m = sim.run_round()
+        # One stacked call holding exactly the round's workers, in worker
+        # order; validator reference training stays one call per validator.
+        assert trained == [[tx.worker for tx in log[1].worker_txs]]
+        assert sorted(trained[0]) == sorted(d for d, r in m.roles.items() if r == Role.WORKER)
+        validators = [d for d, r in m.roles.items() if r == Role.VALIDATOR]
+        assert sorted(pretrained) == sorted(validators)
+        assert len(pretrained) == len(validators)
+
     def test_voted_down_updates_excluded(self):
         cfg = tiny_cfg(rounds=1, malicious=(17, 18, 19), vh=0.12)
         sim = Simulation(cfg)
@@ -663,6 +691,21 @@ class TestVanilla:
         assert averaged == [20]
         assert m.consensus == "VFL"
         assert m.winner is None
+
+    def test_everyone_trains_in_one_call(self, monkeypatch):
+        import vbfl.orchestrator as orchestrator
+
+        trained = []
+        train_many = orchestrator.local_train_many
+
+        def training(starts, shards, spec, rngs):
+            trained.append([shard.shard_of for shard in shards])
+            return train_many(starts, shards, spec, rngs)
+
+        monkeypatch.setattr(orchestrator, "local_train_many", training)
+        run = VanillaRun(tiny_cfg(rounds=1))
+        run.run_round()
+        assert trained == [[d.id for d in run.devices]]
 
     def test_deterministic(self):
         a = run_vanilla_fl(tiny_cfg(rounds=2))
