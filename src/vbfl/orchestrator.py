@@ -12,8 +12,8 @@ each handing the next its data explicitly:
    gossip among miners;
 4. mine: vote aggregation and one candidate block per miner;
 5. select: the legitimate block by stake rank or mining race;
-6. settle: chain append, reward/flag bookkeeping and the new global model
-   on every device;
+6. settle: chain append, reward/flag bookkeeping and the new global model,
+   once per distinct (replica, block) pair, shared by its devices;
 7. metrics: the round's observables and the invariant checks.
 
 Everything is driven by named substreams of the master seed, so runs are
@@ -462,21 +462,59 @@ class RoundMetrics:
     vad_records: tuple[VadRecord, ...] = ()
     events: tuple[tuple[DeviceId, str], ...] = ()
     reward_breakdown: dict[DeviceId, dict[str, int]] = field(default_factory=dict)
-    qualified_workers: tuple[DeviceId, ...] = ()
     roles: dict[DeviceId, Role] = field(default_factory=dict)
     legitimate_block: Block | None = None
 
 
-@dataclass
-class DeviceState:
-    """One device's private world: data, chain replica, ledger replica, model."""
+@dataclass(frozen=True)
+class Replica:
+    """A chain with the ledger and global model it means (see :func:`replay`).
+    Devices on the same tip share one; nothing edits it in place."""
 
-    device: Device
-    train: DataShard
-    test: DataShard
     chain: Blockchain
     ledger: StakeLedger
     g: ModelParams
+
+
+@dataclass
+class DeviceState:
+    """One device's data and the shared replica of the chain tip it is on."""
+
+    train: DataShard
+    test: DataShard
+    replica: Replica
+
+
+def extend(
+    replica: Replica, block: Block, workers: Sequence[DeviceId], signer: Signer
+) -> tuple[Replica, list[tuple[DeviceId, str]]]:
+    """The replica after a block of the round with these sorted workers, and
+    its flags, streak resets and blacklistings; the model averages the
+    qualified tallies, if any. Raises BlockRejected if the block may not append."""
+    chain = append_block(replica.chain, block, signer, replica.ledger.blacklist)
+    ledger, flagged, newly_blacklisted = apply_block(replica.ledger, block, workers)
+    good = [t for t in block.tallies if t.positives >= t.negatives]
+    g = fedavg([(t.update, float(t.tx.train_size)) for t in good]) if good else replica.g
+    events = [(dev, EVENT_FLAGGED) for dev in sorted(flagged)]
+    events += [
+        (dev, EVENT_STREAK_RESET) for dev in workers
+        if dev not in flagged and replica.ledger.streak_of(dev) > 0
+    ]
+    events += [(dev, EVENT_BLACKLISTED) for dev in sorted(newly_blacklisted)]
+    return Replica(chain, ledger, g), events
+
+
+def replay(
+    genesis: Replica,
+    blocks: Sequence[Block],
+    workers_by_round: Mapping[int, Sequence[DeviceId]],
+    signer: Signer,
+) -> Replica:
+    """genesis extended by each block in turn, with its round's sorted workers."""
+    replica = genesis
+    for block in blocks:
+        replica, _ = extend(replica, block, workers_by_round[block.round], signer)
+    return replica
 
 
 @dataclass(frozen=True)
@@ -612,19 +650,12 @@ class Simulation(_World):
     def __init__(self, config: SimConfig):
         super().__init__(config)
         self.signer = _make_signer(config, self.devices)
-        self.genesis = make_genesis(self.g0)
+        ledger = StakeLedger(unit_reward=config.unit_reward, kick_r=config.kick_r)
+        self.genesis = Replica(Blockchain((make_genesis(self.g0),)), ledger, self.g0)
         self.state: dict[DeviceId, DeviceState] = {
-            dev.id: DeviceState(
-                device=dev,
-                train=self.shards[dev.id][0],
-                test=self.shards[dev.id][1],
-                chain=Blockchain((self.genesis,)),
-                ledger=StakeLedger(unit_reward=config.unit_reward, kick_r=config.kick_r),
-                g=self.g0,
-            )
-            for dev in self.devices
+            dev.id: DeviceState(*self.shards[dev.id], self.genesis) for dev in self.devices
         }
-        self._seen_block_hashes = {self.genesis.content_hash}
+        self._seen_block_hashes = {self.genesis.chain.tip_hash}
 
     # -- helpers ------------------------------------------------------------
 
@@ -636,7 +667,7 @@ class Simulation(_World):
         """
         out: frozenset[DeviceId] = frozenset()
         while True:
-            views = [st.ledger.blacklist for d, st in self.state.items() if d not in out]
+            views = [st.replica.ledger.blacklist for d, st in self.state.items() if d not in out]
             agreed = frozenset.intersection(*map(frozenset, views)) if views else out
             if agreed == out:
                 return out
@@ -710,13 +741,13 @@ class Simulation(_World):
         if not choice:
             return self._skip(j, ref, "no eligible legitimate block")
 
-        prev_ref_ledger = self.state[ref].ledger
-        events, qualified, legit_ref = self._settle(plan, choice, actives, ref)
-        ref_ledger = self.state[ref].ledger
+        prev_ref_ledger = self.state[ref].replica.ledger
+        events, legit_ref = self._settle(plan, choice, actives, ref)
+        ref_ledger = self.state[ref].replica.ledger
         metrics = RoundMetrics(
             round=j,
             consensus=cfg.consensus.upper(),
-            global_accuracy=evaluate(self.state[ref].g, self.full_test),
+            global_accuracy=evaluate(self.state[ref].replica.g, self.full_test),
             winner=legit_ref.miner if legit_ref else None,
             winner_malicious=bool(legit_ref and legit_ref.miner in self.malicious_ids),
             forked=len({b.content_hash for b in choice.values()}) > 1,
@@ -730,7 +761,6 @@ class Simulation(_World):
                 }
                 for d in self.state
             },
-            qualified_workers=qualified,
             roles=plan.roles,
             legitimate_block=legit_ref,
         )
@@ -743,10 +773,10 @@ class Simulation(_World):
         metrics = RoundMetrics(
             round=j,
             consensus=self.config.consensus.upper(),
-            global_accuracy=evaluate(self.state[ref].g, self.full_test),
+            global_accuracy=evaluate(self.state[ref].replica.g, self.full_test),
             skipped=True,
             skip_reason=reason,
-            stakes={d: self.state[ref].ledger.stake_of(d) for d in self.state},
+            stakes={d: self.state[ref].replica.ledger.stake_of(d) for d in self.state},
         )
         self.metrics.append(metrics)
         return metrics
@@ -770,7 +800,7 @@ class Simulation(_World):
         validator; returns the validators' inbox."""
         cfg = self.config
         inbox: dict[DeviceId, list[_Message]] = {v: [] for v in plan.validators}
-        jobs = [(w, self.state[w].g, self.state[w].train) for w in plan.workers]
+        jobs = [(w, self.state[w].replica.g, self.state[w].train) for w in plan.workers]
         for (w, _, train), update in zip(jobs, self._local_updates(jobs, plan.round)):
             tx = WorkerTransaction(
                 round=plan.round,
@@ -840,9 +870,9 @@ class Simulation(_World):
         st = self.state[v]
         vstate = ValidatorState(validator=v, threshold=cfg.vh, train=st.train, test=st.test)
         if cfg.validation_scheme == SCHEME_LEGACY:
-            return reference_from_global(st.g, vstate)
+            return reference_from_global(st.replica.g, vstate)
         return pretrain_one_epoch(
-            st.g, vstate, cfg.train, substream(cfg.master_seed, "batches", v, j)
+            st.replica.g, vstate, cfg.train, substream(cfg.master_seed, "batches", v, j)
         )
 
     def _mine(self, plan: _Plan, received_vtx):
@@ -865,7 +895,7 @@ class Simulation(_World):
                 tallies=tallies,
                 miner_reward=rewards_mod.miner_reward(len(vtxs), self.config.unit_reward),
                 validator_rewards=validator_rewards,
-                prev_hash=self.state[m].chain.tip_hash,
+                prev_hash=self.state[m].replica.chain.tip_hash,
                 round=plan.round,
                 signer=self.signer,
             )
@@ -900,10 +930,10 @@ class Simulation(_World):
                 candidates[m],
                 propagated,
                 ready_at[m] + cfg.network.propagated_block_wait,
-                blacklist=self.state[m].ledger.blacklist,
+                blacklist=self.state[m].replica.ledger.blacklist,
             )
             try:
-                choice[m] = consensus_mod.pos_select(collected, self.state[m].ledger)
+                choice[m] = consensus_mod.pos_select(collected, self.state[m].replica.ledger)
             except consensus_mod.NoEligibleBlock:
                 pass
         return choice
@@ -914,64 +944,35 @@ class Simulation(_World):
         choice: dict[DeviceId, Block],
         actives: Sequence[DeviceId],
         ref: DeviceId,
-    ) -> tuple[list[tuple[DeviceId, str]], tuple[DeviceId, ...], Block | None]:
-        """Every active device adopts its partition's block, settles rewards
-        and recomputes the global model, averaged once per distinct block.
-
-        Returns the reference device's events, qualified workers and block.
+    ) -> tuple[list[tuple[DeviceId, str]], Block | None]:
+        """Every active device adopts its partition's block. Each distinct
+        (replica, block) pair is settled once, a rejection included, and its
+        devices move to the result. Returns the reference device's events and block.
         """
-        served_as_worker = {d: (plan.roles.get(d) is Role.WORKER) for d in self.state}
+        # Keys are looked up only for replicas that predate the loop: ids cannot clash.
+        settled: dict[tuple[int, bytes], tuple[Replica, list] | BlockRejected] = {}
         events: list[tuple[DeviceId, str]] = []
-        qualified: tuple[DeviceId, ...] = ()
         legit_ref: Block | None = None
-        averaged: dict[bytes, ModelParams] = {}
         for d in actives:
             st = self.state[d]
             block = choice.get(plan.miner_of(d))
             if block is None:
                 continue
-            try:
-                st.chain = append_block(st.chain, block, self.signer, st.ledger.blacklist)
-            except BlockRejected as exc:
+            key = (id(st.replica), block.content_hash)
+            if key not in settled:
+                try:
+                    settled[key] = extend(st.replica, block, plan.workers, self.signer)
+                except BlockRejected as exc:
+                    settled[key] = exc
+            if isinstance(settled[key], BlockRejected):
                 logger.warning(
-                    "round %d: device %s rejected block: %s", plan.round, d.hex()[:8], exc
+                    "round %d: device %s rejected block: %s", plan.round, d.hex()[:8], settled[key]
                 )
                 continue
-            new_ledger, flagged, newly_blacklisted = apply_block(
-                st.ledger, block, served_as_worker
-            )
-            good = [t for t in block.tallies if t.positives >= t.negatives]
+            st.replica, block_events = settled[key]
             if d == ref:
-                events = self._ledger_events(
-                    st.ledger, flagged, newly_blacklisted, served_as_worker
-                )
-                qualified = tuple(t.worker for t in good)
-                legit_ref = block
-            st.ledger = new_ledger
-            if good:
-                if block.content_hash not in averaged:
-                    averaged[block.content_hash] = fedavg(
-                        [(t.update, float(t.tx.train_size)) for t in good]
-                    )
-                st.g = averaged[block.content_hash]
-        return events, qualified, legit_ref
-
-    def _ledger_events(
-        self,
-        prev: StakeLedger,
-        flagged: frozenset[DeviceId],
-        newly_blacklisted: frozenset[DeviceId],
-        served_as_worker: Mapping[DeviceId, bool],
-    ) -> list[tuple[DeviceId, str]]:
-        """Flags, streak resets and blacklistings of one block on a ledger."""
-        events = [(dev, EVENT_FLAGGED) for dev in sorted(flagged)]
-        events += [
-            (dev, EVENT_STREAK_RESET)
-            for dev in sorted(self.state)
-            if served_as_worker.get(dev) and dev not in flagged and prev.streak_of(dev) > 0
-        ]
-        events += [(dev, EVENT_BLACKLISTED) for dev in sorted(newly_blacklisted)]
-        return events
+                events, legit_ref = block_events, block
+        return events, legit_ref
 
     def _seen_block_hashes_add(self, block: Block):
         if block.content_hash in self._seen_block_hashes:
@@ -984,12 +985,12 @@ class Simulation(_World):
         prev_ref_ledger: StakeLedger,
         actives: Sequence[DeviceId],
     ):
-        ref_state = self.state[actives[0]]
+        ref_ledger = self.state[actives[0]].replica.ledger
         # Stake never decreases, and this round's total increase matches the
         # block's qualified rewards exactly.
         increase = 0
         for d in self.state:
-            delta = ref_state.ledger.stake_of(d) - prev_ref_ledger.stake_of(d)
+            delta = ref_ledger.stake_of(d) - prev_ref_ledger.stake_of(d)
             if delta < 0:
                 raise InvariantViolation(f"stake of {d.hex()[:8]} decreased")
             increase += delta
@@ -1003,31 +1004,28 @@ class Simulation(_World):
                 )
         if not self.config.network.is_benign:
             return
-        # Benign network: every active device must agree bit for bit.
-        def ledger(st: DeviceState):
-            return st.ledger.stake, st.ledger.flag_streak, st.ledger.blacklist
-
-        for d in actives[1:]:
-            st = self.state[d]
-            for what, agrees in (
-                ("chain", st.chain.tip_hash == ref_state.chain.tip_hash),
-                ("ledger", ledger(st) == ledger(ref_state)),
-                ("model", np.array_equal(st.g.values, ref_state.g.values)),
-            ):
-                if not agrees:
-                    raise InvariantViolation(
-                        f"round {metrics.round}: {what} divergence at {d.hex()[:8]}"
-                    )
+        # Benign network: every active device is on one tip, so on one replica.
+        replicas = len({id(self.state[d].replica) for d in actives})
+        if replicas != 1:
+            raise InvariantViolation(f"round {metrics.round}: {replicas} replicas among actives")
         if metrics.forked:
             raise InvariantViolation(f"round {metrics.round}: fork under a benign network")
 
     def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
+        """All rounds; then each distinct replica must equal its chain's replay."""
         super().run(progress)
-        for st in self.state.values():
-            if not st.chain.verify_links():
-                raise InvariantViolation(
-                    f"final chain of {st.device.id.hex()[:8]} fails hash-link verification"
-                )
+        workers = {
+            m.round: sorted(d for d, r in m.roles.items() if r is Role.WORKER)
+            for m in self.metrics
+        }
+        for replica in {id(st.replica): st.replica for st in self.state.values()}.values():
+            blocks = replica.chain.blocks[1:]
+            try:
+                same = replay(self.genesis, blocks, workers, self.signer) == replica
+            except BlockRejected:
+                same = False
+            if not same:
+                raise InvariantViolation(f"replica {replica.chain.tip_hash.hex()[:8]} != replay")
         return self.metrics
 
     @property
@@ -1155,7 +1153,7 @@ def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path
     if not is_vanilla:
         ref = result.driver._active_ids(result.driver._unanimous_blacklist())[0]
         (out_dir / "chain.jsonl").write_text(
-            chain_to_jsonl(result.driver.state[ref].chain)
+            chain_to_jsonl(result.driver.state[ref].replica.chain)
         )
     write_manifest(result.config, "vanilla" if is_vanilla else "vbfl", out_dir, preset)
     return out_dir

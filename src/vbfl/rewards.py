@@ -8,7 +8,7 @@ callers check where a device's stake came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Sequence
 
 from .protocol import Block, DeviceId, GENESIS_MINER
 
@@ -102,7 +102,7 @@ class StakeLedger:
 def apply_block(
     ledger: StakeLedger,
     block: Block,
-    served_as_worker: Mapping[DeviceId, bool],
+    workers: Sequence[DeviceId],
 ) -> tuple[StakeLedger, frozenset[DeviceId], frozenset[DeviceId]]:
     """Process one legitimate block: credit rewards, update flags, blacklist.
 
@@ -110,7 +110,8 @@ def apply_block(
     each tally's transaction; a self-reported expected reward that disagrees
     is treated as dishonest reporting (reward denied, worker flagged), as is
     a tally where Negative votes outnumber Positive ones. Returns the new
-    ledger plus the flagged and newly blacklisted device sets.
+    ledger plus the flagged and newly blacklisted device sets. Of the round's
+    sorted ``workers``, those not flagged have their streak reset.
     """
     new = ledger.clone()
     unit = new.unit_reward
@@ -140,8 +141,8 @@ def apply_block(
         new.flag_streak[device] = streak
         if streak >= new.kick_r and device not in new.blacklist:
             newly_blacklisted.add(device)
-    for device, served in served_as_worker.items():
-        if served and device not in flagged:
+    for device in workers:
+        if device not in flagged:
             new.flag_streak[device] = 0
     if newly_blacklisted:
         new.blacklist = new.blacklist | newly_blacklisted

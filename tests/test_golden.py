@@ -8,7 +8,9 @@ so and derive the digests again, with the reason.
 
 Every case but ``pos_ragged`` gives each device a 12-row shard;
 ``pos_ragged`` mixes 12- and 13-row shards, so its workers train in two
-groups of equal shard length.
+groups of equal shard length. The ``network`` case ends with its devices on
+several replicas after rejected appends, so its digests also guard the key
+under which a round settles each (replica, block) pair once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+import vbfl.orchestrator as orchestrator
+from vbfl.errors import InvariantViolation
 from vbfl.learning import TrainSpec
 from vbfl.orchestrator import (
     BEHAVIOR_VALIDATOR_FLIP,
@@ -28,7 +32,9 @@ from vbfl.orchestrator import (
     DatasetConfig,
     NetworkConfig,
     SimConfig,
+    Simulation,
 )
+from vbfl.protocol import BlockRejected
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -177,3 +183,36 @@ def test_digests_independent_of_hash_seed():
 def test_digests_independent_of_blas_threads():
     mode, cfg = CASES["pos_stub"]
     assert _digests(mode, cfg, blas_threads="2") == GOLDEN["pos_stub"]
+
+
+def test_network_case_splits_replicas(monkeypatch):
+    # The network case's digests guard the settle memo's (replica, block)
+    # key only if its devices end on several replicas and some appends fail.
+    rejected = []
+    append = orchestrator.append_block
+
+    def counting(*args):
+        try:
+            return append(*args)
+        except BlockRejected:
+            rejected.append(args[1])
+            raise
+
+    monkeypatch.setattr(orchestrator, "append_block", counting)
+    sim = Simulation(CASES["network"][1])
+    sim.run()
+    assert len({id(st.replica) for st in sim.state.values()}) >= 2
+    assert rejected
+
+
+def test_replica_edited_in_place_fails_replay():
+    sim = Simulation(CASES["network"][1])
+    ref = sorted(sim.state)[0]
+
+    def tamper(metrics):
+        if metrics.round == 3:
+            ledger = sim.state[ref].replica.ledger
+            ledger.stake[ref] = ledger.stake_of(ref) + 1
+
+    with pytest.raises(InvariantViolation, match="!= replay"):
+        sim.run(tamper)

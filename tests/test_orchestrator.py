@@ -50,6 +50,27 @@ def tiny_cfg(**kw):
     return SimConfig(**base)
 
 
+def count_calls(monkeypatch, module, *names) -> Counter:
+    """Wrap the module's named functions; the Counter fills with their calls."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def qualified_workers(m) -> tuple:
+    """The workers whose updates the round's block averages in."""
+    return tuple(t.worker for t in m.legitimate_block.tallies if t.positives >= t.negatives)
+
+
 NON_DEFAULT = {
     "n_devices": 10,
     "n_workers": 5,
@@ -321,34 +342,24 @@ class TestRound:
         # the size-weighted average of the 12 worker updates.
         sim = Simulation(tiny_cfg(rounds=1, vh=1.0))
         log = record_messages(sim)
-        g_before = {d: st.g for d, st in sim.state.items()}
+        g_before = {d: st.replica.g for d, st in sim.state.items()}
         m = sim.run_round()
         worker_txs = log[1].worker_txs
         assert len(worker_txs) == 12
         assert all(t.negatives == 0 for t in m.legitimate_block.tallies)
-        assert m.qualified_workers == tuple(t.worker for t in m.legitimate_block.tallies)
+        assert qualified_workers(m) == tuple(t.worker for t in m.legitimate_block.tallies)
         want = fedavg([(tx.update, float(tx.train_size)) for tx in worker_txs])
         ref = sorted(sim.state)[0]
-        assert np.array_equal(sim.state[ref].g.values, want.values)
+        assert np.array_equal(sim.state[ref].replica.g.values, want.values)
         assert all(
-            np.array_equal(sim.state[d].g.values, want.values) for d in sim.state
+            np.array_equal(sim.state[d].replica.g.values, want.values) for d in sim.state
         )
         assert g_before[ref] != want
 
     def test_round_evaluates_each_update_once(self, monkeypatch):
         import vbfl.orchestrator as orchestrator
 
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(orchestrator, "evaluate", counted("evaluate", orchestrator.evaluate))
-        monkeypatch.setattr(orchestrator, "fedavg", counted("fedavg", orchestrator.fedavg))
+        calls = count_calls(monkeypatch, orchestrator, "evaluate", "fedavg")
         sim = Simulation(tiny_cfg(rounds=1))
         log = record_messages(sim)
         m = sim.run_round()
@@ -357,6 +368,24 @@ class TestRound:
         assert calls["evaluate"] == len({id(tx.update) for tx in log[1].worker_txs}) + 1
         assert calls["fedavg"] == 1
         assert len(m.vad_records) == 12 * 5
+
+    def test_round_settles_its_block_once(self, monkeypatch):
+        import vbfl.orchestrator as orchestrator
+
+        calls = count_calls(monkeypatch, orchestrator, "append_block", "apply_block", "fedavg")
+        sim = Simulation(tiny_cfg(rounds=1))
+        sim.run_round()
+        # All 20 devices adopt the block from one shared replica, so the
+        # transition runs once, not once per device.
+        assert calls == {"append_block": 1, "apply_block": 1, "fedavg": 1}
+        assert len({id(st.replica) for st in sim.state.values()}) == 1
+
+    def test_benign_round_requires_one_shared_replica(self):
+        sim = Simulation(tiny_cfg(rounds=1))
+        st = sim.state[sorted(sim.state)[-1]]
+        st.replica = dataclasses.replace(st.replica)  # equal, but not shared
+        with pytest.raises(InvariantViolation, match="2 replicas"):
+            sim.run_round()
 
     def test_round_trains_its_workers_in_one_call(self, monkeypatch):
         import vbfl.orchestrator as orchestrator
@@ -397,23 +426,23 @@ class TestRound:
         ]
         if not mal_workers:
             pytest.skip("no malicious device drew the worker role this round")
-        assert not set(mal_workers) & set(m.qualified_workers)
+        assert not set(mal_workers) & set(qualified_workers(m))
         good = [
             (tx.update, float(tx.train_size))
             for tx in worker_txs
-            if tx.worker in m.qualified_workers
+            if tx.worker in qualified_workers(m)
         ]
         ref = sorted(sim.state)[0]
-        assert np.array_equal(sim.state[ref].g.values, fedavg(good).values)
+        assert np.array_equal(sim.state[ref].replica.g.values, fedavg(good).values)
 
     def test_all_voted_down_keeps_previous_global(self):
         # A threshold below -1 rejects every update (vad is always > -1).
         sim = Simulation(tiny_cfg(rounds=1, vh=-1.5))
         ref = sorted(sim.state)[0]
-        before = sim.state[ref].g
+        before = sim.state[ref].replica.g
         m = sim.run_round()
-        assert m.qualified_workers == ()
-        assert sim.state[ref].g == before
+        assert qualified_workers(m) == ()
+        assert sim.state[ref].replica.g == before
         assert len(m.events) >= 12  # every worker flagged
 
     def test_round_metrics_fields(self):
@@ -495,16 +524,16 @@ class TestRound:
         result = run_simulation(tiny_cfg(rounds=0))
         assert result.metrics == []
         for st in result.driver.state.values():
-            assert len(st.chain) == 1
+            assert len(st.replica.chain) == 1
 
     def test_chains_identical_and_verified(self):
         sim = Simulation(tiny_cfg(rounds=3))
         sim.run()
-        tips = {st.chain.tip_hash for st in sim.state.values()}
+        tips = {st.replica.chain.tip_hash for st in sim.state.values()}
         assert len(tips) == 1
         for st in sim.state.values():
-            assert st.chain.verify_links()
-            assert len(st.chain) == 4
+            assert st.replica.chain.verify_links()
+            assert len(st.replica.chain) == 4
 
     def test_pow_round_runs(self):
         cfg = tiny_cfg(rounds=2, consensus="pow", pow_difficulty=1)
@@ -537,7 +566,7 @@ class TestRound:
         assert workers_again, "no flagged device drew the worker role again"
         assert resets == workers_again
         ref = sorted(sim.state)[0]
-        assert all(sim.state[ref].ledger.streak_of(d) == 0 for d in resets)
+        assert all(sim.state[ref].replica.ledger.streak_of(d) == 0 for d in resets)
 
     def test_legacy_validation_scheme_runs(self):
         cfg = tiny_cfg(rounds=2, validation_scheme="legacy", malicious=(19,), vh=0.12)
@@ -621,12 +650,12 @@ class TestRound:
         sim = Simulation(cfg)
         doomed = frozenset(sorted(sim.state)[:2])
         for st in sim.state.values():
-            st.ledger.blacklist = st.ledger.blacklist | doomed
+            st.replica.ledger.blacklist = st.replica.ledger.blacklist | doomed
         ref = sorted(sim.state)[2]
-        before = sim.state[ref].g
+        before = sim.state[ref].replica.g
         m = sim.run_round()
         assert m.skipped
-        assert sim.state[ref].g == before
+        assert sim.state[ref].replica.g == before
 
     def test_forking_network_conserves_stake(self):
         # On this forking network the block of round 32 pays a device the

@@ -107,8 +107,7 @@ class TestApplyBlock:
             [tally(1, 2, 1), tally(2, 0, 3)],
             validator_rwds={dev(5): 4, dev(6): 4, dev(7): 4},
         )
-        served = {dev(1): True, dev(2): True}
-        ledger, flagged, blacklisted = apply_block(self.ledger(), block, served)
+        ledger, flagged, blacklisted = apply_block(self.ledger(), block, [dev(1), dev(2)])
         assert ledger.stake_of(dev(1)) == 750
         assert ledger.stake_of(dev(2)) == 0
         assert flagged == frozenset([dev(2)])
@@ -120,7 +119,7 @@ class TestApplyBlock:
     def test_reward_recomputed_not_trusted(self):
         # An inflated self-report is denied and treated as a flag.
         block = make_block([tally(3, 3, 0, expected=10**6)])
-        ledger, flagged, _ = apply_block(self.ledger(), block, {dev(3): True})
+        ledger, flagged, _ = apply_block(self.ledger(), block, [dev(3)])
         assert ledger.stake_of(dev(3)) == 0
         assert flagged == frozenset([dev(3)])
 
@@ -128,7 +127,7 @@ class TestApplyBlock:
         ledger = self.ledger()
         for round_no in range(1, 7):
             block = make_block([tally(4, 0, 3)], round=round_no, miner_rwd=0)
-            ledger, flagged, blacklisted = apply_block(ledger, block, {dev(4): True})
+            ledger, flagged, blacklisted = apply_block(ledger, block, [dev(4)])
             assert dev(4) in flagged
             if round_no < 6:
                 assert not blacklisted, f"blacklisted too early at round {round_no}"
@@ -139,13 +138,13 @@ class TestApplyBlock:
     def test_non_worker_round_leaves_streak_unchanged(self):
         ledger = self.ledger(flag_streak={dev(4): 3})
         block = make_block([tally(1, 2, 0)], miner_rwd=0)
-        ledger, _, _ = apply_block(ledger, block, {dev(1): True, dev(4): False})
+        ledger, _, _ = apply_block(ledger, block, [dev(1)])
         assert ledger.streak_of(dev(4)) == 3
 
     def test_positive_worker_round_resets_streak(self):
         ledger = self.ledger(flag_streak={dev(4): 5})
         block = make_block([tally(4, 3, 0)], miner_rwd=0)
-        ledger, flagged, blacklisted = apply_block(ledger, block, {dev(4): True})
+        ledger, flagged, blacklisted = apply_block(ledger, block, [dev(4)])
         assert not flagged and not blacklisted
         assert ledger.streak_of(dev(4)) == 0
 
@@ -154,21 +153,21 @@ class TestApplyBlock:
         # earns nothing and, being unflagged, clears its streak.
         ledger = self.ledger(flag_streak={dev(4): 2})
         block = make_block([tally(1, 2, 0)], miner_rwd=0)
-        ledger, _, _ = apply_block(ledger, block, {dev(1): True, dev(4): True})
+        ledger, _, _ = apply_block(ledger, block, [dev(1), dev(4)])
         assert ledger.stake_of(dev(4)) == 0
         assert ledger.streak_of(dev(4)) == 0
 
     def test_blacklisted_stake_frozen(self):
         ledger = self.ledger(stake={dev(4): 100}, blacklist=frozenset([dev(4)]))
         block = make_block([tally(4, 3, 0)], miner_rwd=0)
-        ledger, _, _ = apply_block(ledger, block, {dev(4): True})
+        ledger, _, _ = apply_block(ledger, block, [dev(4)])
         assert ledger.stake_of(dev(4)) == 100
 
     def test_earnings_decomposition(self):
         block = make_block(
             [tally(1, 2, 1)], miner=9, miner_rwd=60, validator_rwds={dev(5): 24}
         )
-        ledger, _, _ = apply_block(self.ledger(), block, {dev(1): True})
+        ledger, _, _ = apply_block(self.ledger(), block, [dev(1)])
         assert ledger.earned_as(dev(1), "worker") == 750
         assert ledger.earned_as(dev(5), "validator") == 24
         assert ledger.earned_as(dev(9), "miner") == 60
@@ -177,7 +176,7 @@ class TestApplyBlock:
     def test_input_ledger_unmodified(self):
         before = self.ledger(stake={dev(1): 5})
         block = make_block([tally(1, 1, 0)], miner_rwd=0)
-        apply_block(before, block, {dev(1): True})
+        apply_block(before, block, [dev(1)])
         assert before.stake_of(dev(1)) == 5
 
 
@@ -209,7 +208,7 @@ def test_stake_monotone_and_conserved(votes, miner_rwd, blacklisted):
     block = make_block(tallies, miner_rwd=miner_rwd, validator_rwds={dev(40): 7})
     blacklist = frozenset(map(dev, blacklisted))
     start = StakeLedger(unit_reward=1, kick_r=6, stake={dev(1): 3}, blacklist=blacklist)
-    after, _, _ = apply_block(start, block, {dev(w): True for w in seen})
+    after, _, _ = apply_block(start, block, sorted(map(dev, seen)))
     for d in set(start.stake) | set(after.stake):
         assert after.stake_of(d) >= start.stake_of(d)
     increase = sum(after.stake.values()) - sum(start.stake.values())
