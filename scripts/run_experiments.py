@@ -19,7 +19,7 @@ import json
 import time
 from pathlib import Path
 
-from vbfl.orchestrator import run_simulation, run_vanilla_fl
+from vbfl.orchestrator import run_simulation
 from vbfl.presets import apply_overrides, get_preset
 from vbfl.validation import suggest_threshold
 
@@ -34,13 +34,13 @@ SETUPS = (
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=100)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 5])
     parser.add_argument("--calibration-seed", type=int, default=7)
     parser.add_argument("--out", type=Path, default=None, help="also write metric files here")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     t0 = time.time()
     cal_preset = get_preset("CALIBRATE_VH")
@@ -68,8 +68,7 @@ def main() -> int:
                 vh=vh if preset.requires_vh else None,
             )
             out_dir = args.out / f"{name.lower()}-seed{seed}" if args.out else None
-            runner = run_vanilla_fl if preset.mode == "vanilla" else run_simulation
-            result = runner(cfg, out_dir=out_dir, preset=name)
+            result = run_simulation(cfg, out_dir=out_dir, preset=name)
             mal_winner_rounds = sum(m.winner_malicious for m in result.metrics)
             results.setdefault(name, []).append(
                 (result.metrics[-1].global_accuracy, mal_winner_rounds)

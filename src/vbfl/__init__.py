@@ -17,7 +17,6 @@ from .orchestrator import (
     SimConfig,
     Simulation,
     run_simulation,
-    run_vanilla_fl,
 )
 from .presets import PRESETS, get_preset
 
@@ -37,7 +36,6 @@ __all__ = [
     "SimConfig",
     "Simulation",
     "run_simulation",
-    "run_vanilla_fl",
     "PRESETS",
     "get_preset",
     "__version__",

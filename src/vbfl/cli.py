@@ -15,7 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation
-from .orchestrator import RoundMetrics, SimConfig, run_simulation, run_vanilla_fl
+from .orchestrator import ROUNDS_CSV_FIELDS, RoundMetrics, SimConfig, run_simulation
 from .presets import PRESETS, apply_overrides, get_preset
 from .validation import suggest_threshold
 
@@ -120,9 +120,9 @@ def _cmd_run(args) -> int:
                 f"CALIBRATE_VH first and pass --vh or --vh-file (or put "
                 f"{CALIBRATION_FILE} in the working directory)"
             )
-        base, mode, name = preset.config, preset.mode, preset.name
+        base, name = preset.config, preset.name
     else:
-        base, mode, name = _load_config_file(args.config), "vbfl", args.config.stem
+        base, name = _load_config_file(args.config), args.config.stem
     config = apply_overrides(
         base,
         rounds=args.rounds,
@@ -135,8 +135,7 @@ def _cmd_run(args) -> int:
     )
     out_dir = args.out or _default_out_dir(name, config.master_seed)
     progress = None if args.quiet else lambda m: print(_round_line(m))
-    runner = run_vanilla_fl if mode == "vanilla" else run_simulation
-    result = runner(config, out_dir=out_dir, preset=name, progress=progress)
+    result = run_simulation(config, out_dir=out_dir, preset=name, progress=progress)
     if args.preset == "CALIBRATE_VH":
         suggestion = suggest_threshold(result.driver.vad_records)
         path = Path(out_dir) / CALIBRATION_FILE
@@ -154,14 +153,13 @@ def _read_run(path: Path) -> dict:
     manifest = json.loads(manifest_path.read_text())
     with rounds_path.open() as fh:
         rows = list(csv.DictReader(fh))
-    expected = {"round", "consensus", "winner", "winner_malicious", "forked", "global_accuracy"}
-    if rows and set(rows[0]) != expected:
+    if rows and tuple(rows[0]) != ROUNDS_CSV_FIELDS:
         raise ConfigError(f"compare: {path}/rounds.csv has an incompatible schema")
     if not rows:
         raise ConfigError(f"compare: {path}/rounds.csv is empty")
     return {
         "path": path,
-        "label": manifest.get("preset") or manifest.get("mode", "run"),
+        "label": manifest.get("preset") or manifest["config"]["consensus"],
         "seed": manifest["config"]["master_seed"],
         "final_accuracy": float(rows[-1]["global_accuracy"]),
         "malicious_winner_rounds": sum(int(r["winner_malicious"]) for r in rows),

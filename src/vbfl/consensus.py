@@ -71,7 +71,7 @@ def build_candidate(
         round=round,
         miner=miner,
         prev_hash=prev_hash,
-        tallies=tuple(sorted(tallies, key=lambda t: t.worker)),
+        tallies=tallies,
         miner_reward=miner_reward,
         validator_rewards=validator_rewards,
     )

@@ -1,5 +1,10 @@
 """Round-by-round protocol driver, role rotation and the plain-FL baseline.
 
+A config names its driver: ``consensus="vfl"`` runs plain FL
+(:class:`VanillaRun`), ``"pos"`` and ``"pow"`` the protocol
+(:class:`Simulation`). :func:`run_simulation` is the one entry point that
+maps a config to its driver.
+
 One communication round of :class:`Simulation` runs these phases in order,
 each handing the next its data explicitly:
 
@@ -203,8 +208,8 @@ class SimConfig:
             fail("kick_r", "must be >= 1")
         if self.unit_reward < 1:
             fail("unit_reward", "must be >= 1")
-        if self.consensus not in ("pos", "pow"):
-            fail("consensus", "must be 'pos' or 'pow'")
+        if self.consensus not in ("pos", "pow", "vfl"):
+            fail("consensus", "must be 'pos', 'pow' or 'vfl'")
         if self.pow_difficulty < 0:
             fail("pow_difficulty", "must be >= 0")
         if self.rounds < 0:
@@ -637,6 +642,10 @@ class _World:
                 progress(m)
         return self.metrics
 
+    @property
+    def vad_records(self) -> list[VadRecord]:
+        return [rec for m in self.metrics for rec in m.vad_records]
+
 
 # A gossip message: the message, the signing bytes its sender encoded once
 # (every receiver verifies the signature over the bytes it received), and
@@ -648,6 +657,8 @@ class Simulation(_World):
     """Mutable state of one run plus the round step."""
 
     def __init__(self, config: SimConfig):
+        if config.consensus == "vfl":
+            raise ConfigError("consensus: 'vfl' names plain FL, not the protocol")
         super().__init__(config)
         self.signer = _make_signer(config, self.devices)
         ledger = StakeLedger(unit_reward=config.unit_reward, kick_r=config.kick_r)
@@ -1028,15 +1039,13 @@ class Simulation(_World):
                 raise InvariantViolation(f"replica {replica.chain.tip_hash.hex()[:8]} != replay")
         return self.metrics
 
-    @property
-    def vad_records(self) -> list[VadRecord]:
-        return [rec for m in self.metrics for rec in m.vad_records]
-
 
 class VanillaRun(_World):
     """Plain federated learning: everyone trains, everything averages in."""
 
     def __init__(self, config: SimConfig):
+        if config.consensus != "vfl":
+            raise ConfigError(f"consensus: {config.consensus!r} names the protocol, not plain FL")
         super().__init__(config)
         self.g = self.g0
 
@@ -1047,16 +1056,12 @@ class VanillaRun(_World):
         self.g = fedavg([(u, float(len(train))) for u, (_, _, train) in zip(updates, jobs)])
         metrics = RoundMetrics(
             round=j,
-            consensus="VFL",
+            consensus=self.config.consensus.upper(),
             global_accuracy=evaluate(self.g, self.full_test),
             roles={d.id: Role.WORKER for d in self.devices},
         )
         self.metrics.append(metrics)
         return metrics
-
-    @property
-    def vad_records(self) -> list[VadRecord]:
-        return []
 
 
 # --- output files -------------------------------------------------------------
@@ -1120,15 +1125,9 @@ def code_fingerprint() -> str:
     return h.hexdigest()
 
 
-def write_manifest(
-    config: SimConfig,
-    mode: str,
-    out_dir: Path,
-    preset: str | None = None,
-) -> None:
+def write_manifest(config: SimConfig, out_dir: Path, preset: str | None = None) -> None:
     devices = make_devices(config.n_devices)
     manifest = {
-        "mode": mode,
         "preset": preset,
         "config": config.to_dict(),
         "hash_algo": HASH_NAME,
@@ -1145,30 +1144,17 @@ def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path
     """Emit rounds/stake/vad/events CSVs, the chain dump and the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    is_vanilla = isinstance(result.driver, VanillaRun)
     write_rounds_csv(result.metrics, out_dir / "rounds.csv")
     write_stake_csv(result.metrics, frozenset(result.driver.malicious_ids), out_dir / "stake.csv")
     write_events_csv(result.metrics, out_dir / "events.csv")
     write_vad_csv(result.driver.vad_records, out_dir / "vad.csv")
-    if not is_vanilla:
+    if isinstance(result.driver, Simulation):
         ref = result.driver._active_ids(result.driver._unanimous_blacklist())[0]
         (out_dir / "chain.jsonl").write_text(
             chain_to_jsonl(result.driver.state[ref].replica.chain)
         )
-    write_manifest(result.config, "vanilla" if is_vanilla else "vbfl", out_dir, preset)
+    write_manifest(result.config, out_dir, preset)
     return out_dir
-
-
-def _run(
-    driver: Simulation | VanillaRun,
-    out_dir,
-    preset: str | None,
-    progress: Callable[[RoundMetrics], None] | None,
-) -> RunResult:
-    result = RunResult(driver.config, driver.run(progress), driver, None)
-    if out_dir is not None:
-        result.out_dir = write_outputs(result, out_dir, preset)
-    return result
 
 
 def run_simulation(
@@ -1177,15 +1163,9 @@ def run_simulation(
     preset: str | None = None,
     progress: Callable[[RoundMetrics], None] | None = None,
 ) -> RunResult:
-    """Run the full protocol for config.rounds rounds and emit metric files."""
-    return _run(Simulation(config), out_dir, preset, progress)
-
-
-def run_vanilla_fl(
-    config: SimConfig,
-    out_dir=None,
-    preset: str | None = None,
-    progress: Callable[[RoundMetrics], None] | None = None,
-) -> RunResult:
-    """Run the no-validation baseline with every device training each round."""
-    return _run(VanillaRun(config), out_dir, preset, progress)
+    """Run the driver the config names for config.rounds rounds; emit metric files."""
+    driver = (VanillaRun if config.consensus == "vfl" else Simulation)(config)
+    result = RunResult(config, driver.run(progress), driver, None)
+    if out_dir is not None:
+        result.out_dir = write_outputs(result, out_dir, preset)
+    return result

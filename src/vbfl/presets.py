@@ -1,7 +1,9 @@
 """Named experiment presets mirroring the five benchmark setups.
 
 All presets share one desk-scale task (synthetic blobs) and the standard
-20-device split of 12 workers, 5 validators and 3 miners. Malicious devices
+20-device split of 12 workers, 5 validators and 3 miners. A preset is only
+a named config: the ``VFL_*`` presets run plain FL because their config
+says ``consensus="vfl"``, and a run's manifest config reproduces the run. Malicious devices
 are always the highest-numbered ones, so cold-start stake ties (broken by
 lowest id) never hand round 1 to a malicious miner by accident.
 
@@ -35,7 +37,6 @@ _BASE = SimConfig(rounds=100)
 @dataclass(frozen=True)
 class Preset:
     name: str
-    mode: str  # "vanilla" | "vbfl"
     requires_vh: bool
     config: SimConfig
     description: str
@@ -47,35 +48,30 @@ def _make_presets() -> dict[str, Preset]:
     presets = [
         Preset(
             "VFL_0_20",
-            "vanilla",
             False,
-            replace(base, malicious=()),
+            replace(base, malicious=(), consensus="vfl"),
             "plain FL, 20 legitimate devices",
         ),
         Preset(
             "VFL_3_20",
-            "vanilla",
             False,
-            noisy3,
+            replace(noisy3, consensus="vfl"),
             "plain FL, 3 of 20 devices send noise-distorted updates",
         ),
         Preset(
             "VBFL_POS_0_20_VH1",
-            "vbfl",
             False,
             replace(base, malicious=(), vh=VH_ALL_POSITIVE, consensus="pos"),
             "full protocol, stake consensus, no malicious devices, threshold 1.0",
         ),
         Preset(
             "VBFL_POS_3_20_VHCAL",
-            "vbfl",
             True,
             replace(noisy3, consensus="pos"),
             "full protocol, stake consensus, 3/20 noisy workers, calibrated threshold",
         ),
         Preset(
             "VBFL_POS_3_20_VHCAL_MV",
-            "vbfl",
             True,
             replace(
                 noisy3,
@@ -86,21 +82,18 @@ def _make_presets() -> dict[str, Preset]:
         ),
         Preset(
             "VBFL_POW_3_20_VHCAL_D1",
-            "vbfl",
             True,
             replace(noisy3, consensus="pow", pow_difficulty=1),
             "mining-race consensus at difficulty 1, 3/20 noisy workers",
         ),
         Preset(
             "VBFL_POW_3_20_VHCAL_D2",
-            "vbfl",
             True,
             replace(noisy3, consensus="pow", pow_difficulty=2),
             "mining-race consensus at difficulty 2, 3/20 noisy workers",
         ),
         Preset(
             "CALIBRATE_VH",
-            "vbfl",
             False,
             replace(noisy3, consensus="pos", vh=VH_ALL_POSITIVE, rounds=30),
             "threshold-calibration run: all-Positive votes, logs every vad",

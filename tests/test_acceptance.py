@@ -16,7 +16,7 @@ from conftest import record_messages
 
 from vbfl.consensus import aggregate_votes
 from vbfl.learning import ModelParams, softmax_arch
-from vbfl.orchestrator import RunResult, Simulation, run_simulation, run_vanilla_fl
+from vbfl.orchestrator import RunResult, Simulation, run_simulation
 from vbfl.presets import apply_overrides, get_preset
 from vbfl.protocol import Vote, VoteTally, WorkerTransaction, ZERO_HASH, Block
 from vbfl.rewards import StakeLedger, apply_block, miner_reward, validator_reward, worker_reward
@@ -36,8 +36,8 @@ def run(preset_name: str, seed: int, rounds: int | None = None, vh: float | None
         preset = get_preset(preset_name)
         config = apply_overrides(preset.config, rounds=rounds, seed=seed, vh=vh)
         t0 = time.perf_counter()
-        if preset.mode == "vanilla":
-            result = run_vanilla_fl(config)
+        if config.consensus == "vfl":
+            result = run_simulation(config)
         else:
             sim = Simulation(config)
             _messages[key] = record_messages(sim)
@@ -319,9 +319,10 @@ def test_criterion_9_determinism(tmp_path):
     for preset_name, rounds in budget_presets:
         preset = get_preset(preset_name)
         config = apply_overrides(preset.config, rounds=rounds, seed=13)
-        runner = run_vanilla_fl if preset.mode == "vanilla" else run_simulation
-        out_a = runner(config, out_dir=tmp_path / f"{preset_name}-a", preset=preset_name).out_dir
-        out_b = runner(config, out_dir=tmp_path / f"{preset_name}-b", preset=preset_name).out_dir
+        out_a, out_b = (
+            run_simulation(config, out_dir=tmp_path / f"{preset_name}-{k}", preset=preset_name).out_dir
+            for k in "ab"
+        )
         names = [p.name for p in sorted(out_a.iterdir())]
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), (

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vbfl import cli
 from vbfl.errors import InvariantViolation
 
@@ -163,6 +165,25 @@ class TestRun:
         cfg = write_tiny_config(tmp_path, dataset=dataset)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
         assert capsys.readouterr().err.startswith("error: dataset")
+
+    @pytest.mark.parametrize("preset", ["VFL_3_20", "VBFL_POS_0_20_VH1"])
+    def test_manifest_config_reproduces_run(self, tmp_path, preset):
+        # The manifest's config alone names the run, plain FL included.
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli(
+            "run", "--preset", preset, "--rounds", 2, "--seed", 3, "--out", first, "--quiet"
+        ) == 0
+        cfg = tmp_path / "manifest_config.json"
+        cfg.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+        assert run_cli("run", "--config", cfg, "--out", again, "--quiet") == 0
+        files = ["rounds.csv", "stake.csv", "vad.csv", "events.csv"]
+        if preset.startswith("VFL_"):
+            assert not (first / "chain.jsonl").exists()
+            assert not (again / "chain.jsonl").exists()
+        else:
+            files.append("chain.jsonl")
+        for name in files:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 class TestCompare:

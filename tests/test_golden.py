@@ -41,13 +41,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _RUN = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
-from vbfl.orchestrator import RunResult, SimConfig, Simulation, VanillaRun, write_outputs
+from vbfl.orchestrator import SimConfig, run_simulation
 
 cfg = SimConfig.from_dict(json.loads(sys.argv[1]))
-driver = (VanillaRun if sys.argv[2] == "vanilla" else Simulation)(cfg)
-metrics = driver.run()
 with tempfile.TemporaryDirectory() as tmp:
-    out = write_outputs(RunResult(cfg, metrics, driver, None), tmp)
+    out = run_simulation(cfg, out_dir=tmp).out_dir
     print(json.dumps({
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(Path(out).iterdir()) if p.name != "manifest.json"
@@ -75,32 +73,25 @@ def _tiny(**kw) -> SimConfig:
 
 
 CASES = {
-    "pos_stub": ("vbfl", _tiny(arch="mlp", mlp_hidden=6)),
+    "pos_stub": _tiny(arch="mlp", mlp_hidden=6),
     # 244 rows over 20 devices: shards of 13 and of 12 rows train in two groups.
-    "pos_ragged": (
-        "vbfl",
-        _tiny(
-            arch="mlp", mlp_hidden=6,
-            dataset=DatasetConfig(
-                dim=8, classes=4, train_per_class=61, test_per_class=30,
-                spread=0.5, feature_scale=1.0,
-            ),
+    "pos_ragged": _tiny(
+        arch="mlp", mlp_hidden=6,
+        dataset=DatasetConfig(
+            dim=8, classes=4, train_per_class=61, test_per_class=30,
+            spread=0.5, feature_scale=1.0,
         ),
     ),
-    "pos_hmac_shard": ("vbfl", _tiny(signature_scheme="hmac", validator_test="shard")),
-    "pow_race": ("vbfl", _tiny(consensus="pow", pow_difficulty=2)),
-    "network": (
-        "vbfl",
-        _tiny(rounds=8, network=NetworkConfig(delay=1.0, jitter=0.5, propagated_block_wait=0.2)),
+    "pos_hmac_shard": _tiny(signature_scheme="hmac", validator_test="shard"),
+    "pow_race": _tiny(consensus="pow", pow_difficulty=2),
+    "network": _tiny(
+        rounds=8, network=NetworkConfig(delay=1.0, jitter=0.5, propagated_block_wait=0.2)
     ),
-    "vanilla": ("vanilla", _tiny()),
-    "legacy_flip_skew": (
-        "vbfl",
-        _tiny(
-            validation_scheme="legacy",
-            malicious_behaviors=(BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP),
-            sharding="label_skew",
-        ),
+    "vanilla": _tiny(consensus="vfl"),
+    "legacy_flip_skew": _tiny(
+        validation_scheme="legacy",
+        malicious_behaviors=(BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP),
+        sharding="label_skew",
     ),
 }
 
@@ -156,13 +147,11 @@ GOLDEN = {
 }
 
 
-def _digests(
-    mode: str, cfg: SimConfig, hash_seed: str = "0", blas_threads: str = "1"
-) -> dict[str, str]:
+def _digests(cfg: SimConfig, hash_seed: str = "0", blas_threads: str = "1") -> dict[str, str]:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN, json.dumps(cfg.to_dict()), mode],
+        [sys.executable, "-c", _RUN, json.dumps(cfg.to_dict())],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -171,18 +160,15 @@ def _digests(
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name):
-    mode, cfg = CASES[name]
-    assert _digests(mode, cfg) == GOLDEN[name]
+    assert _digests(CASES[name]) == GOLDEN[name]
 
 
 def test_digests_independent_of_hash_seed():
-    mode, cfg = CASES["pos_stub"]
-    assert _digests(mode, cfg, hash_seed="7") == GOLDEN["pos_stub"]
+    assert _digests(CASES["pos_stub"], hash_seed="7") == GOLDEN["pos_stub"]
 
 
 def test_digests_independent_of_blas_threads():
-    mode, cfg = CASES["pos_stub"]
-    assert _digests(mode, cfg, blas_threads="2") == GOLDEN["pos_stub"]
+    assert _digests(CASES["pos_stub"], blas_threads="2") == GOLDEN["pos_stub"]
 
 
 def test_network_case_splits_replicas(monkeypatch):
@@ -199,14 +185,14 @@ def test_network_case_splits_replicas(monkeypatch):
             raise
 
     monkeypatch.setattr(orchestrator, "append_block", counting)
-    sim = Simulation(CASES["network"][1])
+    sim = Simulation(CASES["network"])
     sim.run()
     assert len({id(st.replica) for st in sim.state.values()}) >= 2
     assert rejected
 
 
 def test_replica_edited_in_place_fails_replay():
-    sim = Simulation(CASES["network"][1])
+    sim = Simulation(CASES["network"])
     ref = sorted(sim.state)[0]
 
     def tamper(metrics):

@@ -24,7 +24,6 @@ from vbfl.orchestrator import (
     associate,
     make_devices,
     run_simulation,
-    run_vanilla_fl,
     shard_dataset,
     write_outputs,
 )
@@ -136,9 +135,11 @@ class TestConfig:
             SimConfig.from_dict({"train": {"epochs": 0}})
 
     def test_round_trip(self):
-        cfg = tiny_cfg(consensus="pow", pow_difficulty=2, malicious=(17, 18, 19))
-        again = SimConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+        for cfg in (
+            tiny_cfg(consensus="pow", pow_difficulty=2, malicious=(17, 18, 19)),
+            tiny_cfg(consensus="vfl"),
+        ):
+            assert SimConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_round_trip_every_field(self):
         # One valid non-default value per settable value, found by walking
@@ -246,7 +247,7 @@ class TestSharding:
         # Both drivers read the global accuracy from that same buffer.
         sim = Simulation(tiny_cfg(rounds=1))
         assert {st.test.buffer_id for st in sim.state.values()} == {sim.full_test.buffer_id}
-        run = VanillaRun(tiny_cfg(rounds=1))
+        run = VanillaRun(tiny_cfg(rounds=1, consensus="vfl"))
         assert {test.buffer_id for _, test in run.shards.values()} == {run.full_test.buffer_id}
         # Disjoint test shards leave one full copy for the global accuracy.
         sharded = Simulation(tiny_cfg(rounds=1, validator_test="shard"))
@@ -691,11 +692,19 @@ def _reachable_params(root) -> list[ModelParams]:
     return found
 
 
+@pytest.mark.parametrize(
+    "driver, consensus", [(Simulation, "vfl"), (VanillaRun, "pos"), (VanillaRun, "pow")]
+)
+def test_driver_rejects_the_other_drivers_config(driver, consensus):
+    with pytest.raises(ConfigError, match="^consensus: "):
+        driver(tiny_cfg(consensus=consensus))
+
+
 @pytest.mark.parametrize("runner", [Simulation, VanillaRun])
 def test_metrics_hold_no_message_copies(runner):
     # The round's block is its record: no update may stay reachable from
     # the metrics except through legitimate_block.
-    metrics = runner(tiny_cfg(rounds=2)).run()
+    metrics = runner(tiny_cfg(rounds=2, consensus="vfl" if runner is VanillaRun else "pos")).run()
     assert len(metrics) == 2
     for m in metrics:
         for f in dataclasses.fields(m):
@@ -715,7 +724,7 @@ class TestVanilla:
             return average(updates)
 
         monkeypatch.setattr(orchestrator, "fedavg", recording)
-        run = VanillaRun(tiny_cfg(rounds=1))
+        run = VanillaRun(tiny_cfg(rounds=1, consensus="vfl"))
         m = run.run_round()
         assert averaged == [20]
         assert m.consensus == "VFL"
@@ -732,20 +741,20 @@ class TestVanilla:
             return train_many(starts, shards, spec, rngs)
 
         monkeypatch.setattr(orchestrator, "local_train_many", training)
-        run = VanillaRun(tiny_cfg(rounds=1))
+        run = VanillaRun(tiny_cfg(rounds=1, consensus="vfl"))
         run.run_round()
         assert trained == [[d.id for d in run.devices]]
 
     def test_deterministic(self):
-        a = run_vanilla_fl(tiny_cfg(rounds=2))
-        b = run_vanilla_fl(tiny_cfg(rounds=2))
+        a = run_simulation(tiny_cfg(rounds=2, consensus="vfl"))
+        b = run_simulation(tiny_cfg(rounds=2, consensus="vfl"))
         assert [m.global_accuracy for m in a.metrics] == [
             m.global_accuracy for m in b.metrics
         ]
 
     def test_noise_degrades_accuracy(self):
-        clean = run_vanilla_fl(tiny_cfg(rounds=3, malicious=()))
-        noisy = run_vanilla_fl(tiny_cfg(rounds=3, malicious=tuple(range(10))))
+        clean = run_simulation(tiny_cfg(rounds=3, consensus="vfl", malicious=()))
+        noisy = run_simulation(tiny_cfg(rounds=3, consensus="vfl", malicious=tuple(range(10))))
         assert noisy.metrics[-1].global_accuracy < clean.metrics[-1].global_accuracy
 
 
@@ -777,8 +786,8 @@ class TestOutputs:
         assert manifest["malicious_ids"] == [manifest["device_ids"][19]]
 
     def test_vanilla_outputs(self, tmp_path):
-        out = run_vanilla_fl(tiny_cfg(rounds=2), out_dir=tmp_path).out_dir
-        assert (out / "rounds.csv").exists()
+        out = run_simulation(tiny_cfg(rounds=2, consensus="vfl"), out_dir=tmp_path).out_dir
+        assert (out / "rounds.csv").read_text().splitlines()[1].startswith("1,VFL,,")
         assert not (out / "chain.jsonl").exists()
         # stake/vad/events exist as header-only files
         assert (out / "stake.csv").read_text().splitlines() == [
