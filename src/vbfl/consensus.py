@@ -65,8 +65,13 @@ def build_candidate(
     prev_hash: bytes,
     round: int,
     signer: Signer,
+    tally_section: bytes | None = None,
 ) -> Block:
-    """Assemble, hash and sign this miner's candidate block for the round."""
+    """Assemble, hash and sign this miner's candidate block for the round.
+
+    ``tally_section``, when given, is ``encode_tallies(tallies)``, which
+    candidates built on the same tallies encode once.
+    """
     block = Block(
         round=round,
         miner=miner,
@@ -75,7 +80,7 @@ def build_candidate(
         miner_reward=miner_reward,
         validator_rewards=validator_rewards,
     )
-    return seal_block(block, signer)
+    return seal_block(block, signer, tally_section)
 
 
 def pos_select(blocks: Sequence[Block], ledger: StakeLedger) -> Block:

@@ -15,7 +15,8 @@ each handing the next its data explicitly:
 3. validate: a reference model per validator, one vote per verified update
    (vote flipping for malicious validators), signed validator transactions,
    gossip among miners;
-4. mine: vote aggregation and one candidate block per miner;
+4. mine: vote aggregation once per distinct stored vote set, and one
+   candidate block per miner;
 5. select: the legitimate block by stake rank or mining race;
 6. settle: chain append, reward/flag bookkeeping and the new global model,
    once per distinct (replica, block) pair, shared by its devices;
@@ -84,7 +85,8 @@ from .validation import (
     VadRecord,
     ValidatorState,
     malicious_flip,
-    pretrain_one_epoch,
+    pretrain_many,
+    pretrain_one_epoch,  # unused here, but perfbench/tracer.py wraps this module's name
     reference_from_global,
     validate_by_voting,
     write_vad_csv,
@@ -148,10 +150,15 @@ class NetworkConfig:
         return self.delay == 0.0 and self.jitter == 0.0 and math.isinf(self.propagated_block_wait)
 
     def link_delay(self, src: DeviceId, dst: DeviceId, rng: np.random.Generator) -> float:
-        if src == dst:
-            return 0.0
-        extra = self.jitter * float(rng.random()) if self.jitter else 0.0
-        return self.delay + extra
+        return 0.0 if src == dst else self.link_delays(1, rng)[0]
+
+    def link_delays(self, n: int, rng: np.random.Generator) -> list[float]:
+        """Delays of n links between distinct devices; with jitter, one draw
+        each, in order, in one call (the same values and end state as n
+        calls)."""
+        if not self.jitter:
+            return [self.delay] * n
+        return (self.delay + self.jitter * rng.random(n)).tolist()
 
 
 @dataclass(frozen=True)
@@ -648,8 +655,8 @@ class _World:
 
 
 # A gossip message: the message, the signing bytes its sender encoded once
-# (every receiver verifies the signature over the bytes it received), and
-# its arrival time.
+# (receivers verify the signature over the bytes they received), and its
+# arrival time.
 _Message = tuple[object, bytes, float]
 
 
@@ -694,33 +701,53 @@ class Simulation(_World):
         verify: Callable[[object, Signer, bytes], bool],
         peers: Sequence[DeviceId],
         net_rng: np.random.Generator,
-    ) -> dict[DeviceId, list[tuple[object, float]]]:
+    ) -> dict[DeviceId, list[_Message]]:
         """One hop of signed messages among peers: deliver, dedupe, relay.
 
         Every peer first takes its direct messages in key order, storing the
         first copy per key that verifies. Then every peer relays each copy it
         stored to every other peer, each relay drawing a link delay from
-        net_rng. Returns each peer's stored (message, arrival) in key order.
+        net_rng in peer order, and a receiver stores the first copy per key
+        that verifies. Returns each peer's stored (message, signing bytes,
+        arrival) in key order.
+
+        Each message's key is computed once. A verdict is a pure function of
+        the (message, signing bytes) pair, so each pair is verified once per
+        hop: a relayed copy is one its sender stored, so already verified.
         """
+        verdicts: dict[tuple[int, int], bool] = {}  # keys: ids of the inboxes' objects
+
+        def verified(msg, payload: bytes) -> bool:
+            pair = (id(msg), id(payload))
+            if pair not in verdicts:
+                verdicts[pair] = verify(msg, self.signer, payload)
+            return verdicts[pair]
+
         stored: dict[DeviceId, dict] = {p: {} for p in peers}
-
-        def deliver(p: DeviceId, msg, payload: bytes, at: float):
-            k = key(msg)
-            if k not in stored[p] and verify(msg, self.signer, payload):
-                stored[p][k] = (msg, at)
-
-        direct = {p: sorted(inbox[p], key=lambda item: key(item[0])) for p in peers}
+        direct = {
+            p: sorted(((key(msg), msg, payload, at) for msg, payload, at in inbox[p]),
+                      key=lambda item: item[0])
+            for p in peers
+        }
         for p in peers:
-            for msg, payload, at in direct[p]:
-                deliver(p, msg, payload, at)
-        link_delay = self.config.network.link_delay
+            for k, msg, payload, at in direct[p]:
+                if k not in stored[p] and verified(msg, payload):
+                    stored[p][k] = (msg, payload, at)
+        net = self.config.network
         for p in peers:
-            for msg, payload, at in direct[p]:
-                if stored[p].get(key(msg), (None,))[0] is not msg:
+            others = [stored[o] for o in peers if o != p]
+            for k, msg, payload, at in direct[p]:
+                if stored[p].get(k, (None,))[0] is not msg:
                     continue  # dropped at receipt
-                for other in peers:
-                    if other != p:
-                        deliver(other, msg, payload, at + link_delay(p, other, net_rng))
+                if net.jitter:
+                    delays = net.link_delays(len(others), net_rng)
+                    copies = [(msg, payload, at + delay) for delay in delays]
+                else:  # one arrival for every other peer
+                    copies = [(msg, payload, at + net.delay)] * len(others)
+                if verified(msg, payload):
+                    for other, copy in zip(others, copies):
+                        if k not in other:
+                            other[k] = copy
         return {p: [stored[p][k] for k in sorted(stored[p])] for p in peers}
 
     # -- the round ------------------------------------------------------------
@@ -747,7 +774,7 @@ class Simulation(_World):
             inbox_m, lambda vtx: (vtx.validator, vtx.inner.worker), verify_validator_tx,
             plan.miners, net_rng,
         )
-        candidates, ready_at = self._mine(plan, received_vtx)
+        candidates, ready_at = self._mine(plan, received, received_vtx)
         choice = self._select(plan, candidates, ready_at, net_rng)
         if not choice:
             return self._skip(j, ref, "no eligible legitimate block")
@@ -830,7 +857,7 @@ class Simulation(_World):
 
     def _validate(self, plan: _Plan, received, net_rng: np.random.Generator):
         """Each validator votes on every update it stored and sends the
-        votes to its miner.
+        votes to its miner, signed over the worker bytes it received.
 
         Validators sharing a test buffer see the same accuracy for the same
         update, so each (update, buffer) pair is evaluated once.
@@ -839,11 +866,12 @@ class Simulation(_World):
         vad_records: list[VadRecord] = []
         accuracy: dict[tuple[int, int], float] = {}
         inbox: dict[DeviceId, list[_Message]] = {m: [] for m in plan.miners}
+        references = self._references(plan)
         for v in plan.validators:
             st = self.state[v]
-            vstate = self._reference(v, plan.round)
-            ready = max((at for _, at in received[v]), default=0.0)
-            for tx, _ in received[v]:
+            vstate = references[v]
+            ready = max((at for _, _, at in received[v]), default=0.0)
+            for tx, tx_bytes, _ in received[v]:
                 pair = (id(tx.update), st.test.buffer_id)
                 if pair not in accuracy:
                     accuracy[pair] = evaluate(tx.update, st.test)
@@ -869,46 +897,67 @@ class Simulation(_World):
                     vali_reward=cfg.unit_reward,
                     signature=b"",
                 )
-                payload = protocol_mod.validator_tx_signing_bytes(vtx)
+                payload = protocol_mod.validator_tx_signing_bytes(vtx, tx_bytes)
                 vtx = sign_validator_tx(vtx, self.signer, payload)
                 m = plan.v2m[v]
                 inbox[m].append((vtx, payload, ready + cfg.network.link_delay(v, m, net_rng)))
         return vad_records, inbox
 
-    def _reference(self, v: DeviceId, j: int) -> ValidatorState:
-        """The validator's reference model for its votes this round."""
+    def _references(self, plan: _Plan) -> dict[DeviceId, ValidatorState]:
+        """Every validator's reference model for its votes this round; under
+        the voting scheme all train in one stacked call."""
         cfg = self.config
-        st = self.state[v]
-        vstate = ValidatorState(validator=v, threshold=cfg.vh, train=st.train, test=st.test)
+        starts = [self.state[v].replica.g for v in plan.validators]
+        states = [
+            ValidatorState(v, cfg.vh, train=self.state[v].train, test=self.state[v].test)
+            for v in plan.validators
+        ]
         if cfg.validation_scheme == SCHEME_LEGACY:
-            return reference_from_global(st.replica.g, vstate)
-        return pretrain_one_epoch(
-            st.replica.g, vstate, cfg.train, substream(cfg.master_seed, "batches", v, j)
-        )
+            refs = [reference_from_global(g, vstate) for g, vstate in zip(starts, states)]
+        else:
+            rngs = [substream(cfg.master_seed, "batches", v, plan.round) for v in plan.validators]
+            refs = pretrain_many(starts, states, cfg.train, rngs)
+        return dict(zip(plan.validators, refs))
 
-    def _mine(self, plan: _Plan, received_vtx):
-        """Every miner aggregates the votes it stored into a candidate block."""
+    def _mine(self, plan: _Plan, received, received_vtx):
+        """Every miner aggregates the votes it stored into a candidate block.
+
+        Miners that stored the same votes build on one tally set, one
+        validator-reward sum and one encoding of the tally section. That
+        encoding reuses the worker bytes the validators received, and lives
+        only for the round.
+        """
+        tx_bytes = {id(tx): b for v in plan.validators for tx, b, _ in received[v]}
+        shared: dict[tuple[int, ...], tuple] = {}  # keys: ids of the stored votes
         candidates: dict[DeviceId, Block] = {}
         ready_at: dict[DeviceId, float] = {}
         for m in plan.miners:
-            vtxs = [vtx for vtx, _ in received_vtx[m]]
-            ready_at[m] = max((at for _, at in received_vtx[m]), default=0.0)
-            tallies = consensus_mod.aggregate_votes(vtxs)
-            validator_rewards: dict[DeviceId, int] = {}
-            for vtx in vtxs:
-                validator_rewards[vtx.validator] = (
-                    validator_rewards.get(vtx.validator, 0)
-                    + vtx.verify_reward
-                    + vtx.vali_reward
+            ready_at[m] = max((at for _, _, at in received_vtx[m]), default=0.0)
+            votes = tuple(id(vtx) for vtx, _, _ in received_vtx[m])
+            if votes not in shared:
+                vtxs = [vtx for vtx, _, _ in received_vtx[m]]
+                tallies = consensus_mod.aggregate_votes(vtxs)
+                validator_rewards: dict[DeviceId, int] = {}
+                for vtx in vtxs:
+                    validator_rewards[vtx.validator] = (
+                        validator_rewards.get(vtx.validator, 0)
+                        + vtx.verify_reward
+                        + vtx.vali_reward
+                    )
+                section = protocol_mod.encode_tallies(
+                    tallies, [tx_bytes[id(t.tx)] for t in tallies]
                 )
+                shared[votes] = (tallies, validator_rewards, len(vtxs), section)
+            tallies, validator_rewards, n_votes, section = shared[votes]
             candidates[m] = consensus_mod.build_candidate(
                 miner=m,
                 tallies=tallies,
-                miner_reward=rewards_mod.miner_reward(len(vtxs), self.config.unit_reward),
+                miner_reward=rewards_mod.miner_reward(n_votes, self.config.unit_reward),
                 validator_rewards=validator_rewards,
                 prev_hash=self.state[m].replica.chain.tip_hash,
                 round=plan.round,
                 signer=self.signer,
+                tally_section=section,
             )
             self._seen_block_hashes_add(candidates[m])
         return candidates, ready_at

@@ -15,7 +15,7 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -316,13 +316,17 @@ def _read_worker_tx(r: _Reader) -> WorkerTransaction:
     )
 
 
-def validator_tx_signing_bytes(vtx: ValidatorTransaction) -> bytes:
+def validator_tx_signing_bytes(vtx: ValidatorTransaction, inner_signing_bytes: bytes) -> bytes:
+    """Everything but the signature. ``inner_signing_bytes`` is
+    ``worker_tx_signing_bytes(vtx.inner)``: the bytes the validator received
+    and verified, so a vote does not encode its worker transaction again."""
     return b"".join(
         (
             _u8(_TAG_VALIDATOR_TX),
             _u64(vtx.round),
             _blob(vtx.validator),
-            encode_worker_tx(vtx.inner),
+            inner_signing_bytes,
+            _blob(vtx.inner.signature),
             encode_vote(vtx.vote),
             _u64(vtx.verify_reward),
             _u64(vtx.vali_reward),
@@ -331,7 +335,8 @@ def validator_tx_signing_bytes(vtx: ValidatorTransaction) -> bytes:
 
 
 def encode_validator_tx(vtx: ValidatorTransaction) -> bytes:
-    return validator_tx_signing_bytes(vtx) + _blob(vtx.signature)
+    inner = worker_tx_signing_bytes(vtx.inner)
+    return validator_tx_signing_bytes(vtx, inner) + _blob(vtx.signature)
 
 
 def _read_validator_tx(r: _Reader) -> ValidatorTransaction:
@@ -347,17 +352,22 @@ def _read_validator_tx(r: _Reader) -> ValidatorTransaction:
     )
 
 
-def encode_tally(t: VoteTally) -> bytes:
+def _tally_parts(t: VoteTally, tx_signing_bytes: bytes) -> list[bytes]:
     voters = sorted(t.voters)
     parts = [
         _u8(_TAG_TALLY),
-        encode_worker_tx(t.tx),
+        tx_signing_bytes,
+        _blob(t.tx.signature),
         _u64(t.positives),
         _u64(t.negatives),
         _u32(len(voters)),
     ]
     parts.extend(_blob(v) for v in voters)
-    return b"".join(parts)
+    return parts
+
+
+def encode_tally(t: VoteTally) -> bytes:
+    return b"".join(_tally_parts(t, worker_tx_signing_bytes(t.tx)))
 
 
 def _read_tally(r: _Reader) -> VoteTally:
@@ -369,18 +379,38 @@ def _read_tally(r: _Reader) -> VoteTally:
     return VoteTally(tx, positives, negatives, voters)
 
 
-def block_body_bytes(block: Block) -> bytes:
-    """Everything but content_hash and signature; the hash covers this."""
+def encode_tallies(
+    tallies: Sequence[VoteTally], tx_signing_bytes: Sequence[bytes] | None = None
+) -> bytes:
+    """A block body's tally section: the count, then each tally in order.
+
+    ``tx_signing_bytes[i]``, when given, is ``worker_tx_signing_bytes`` of
+    ``tallies[i].tx``. Blocks built on the same tallies share one section.
+    """
+    if tx_signing_bytes is None:
+        tx_signing_bytes = [worker_tx_signing_bytes(t.tx) for t in tallies]
+    parts = [_u32(len(tallies))]
+    for t, tx_bytes in zip(tallies, tx_signing_bytes):
+        parts += _tally_parts(t, tx_bytes)
+    return b"".join(parts)
+
+
+def block_body_bytes(block: Block, tally_section: bytes | None = None) -> bytes:
+    """Everything but content_hash and signature; the hash covers this.
+
+    ``tally_section``, when given, is ``encode_tallies(block.tallies)``.
+    """
+    if tally_section is None:
+        tally_section = encode_tallies(block.tallies)  # worker-sorted by construction
     parts = [
         _u8(_TAG_BLOCK),
         _u64(block.round),
         _blob(block.miner),
         _blob(block.prev_hash),
-        _u32(len(block.tallies)),
+        tally_section,
+        _u64(block.miner_reward),
+        _u32(len(block.validator_rewards)),
     ]
-    parts.extend(encode_tally(t) for t in block.tallies)  # worker-sorted by construction
-    parts.append(_u64(block.miner_reward))
-    parts.append(_u32(len(block.validator_rewards)))
     for device, reward in block.validator_rewards:
         parts += (_blob(device), _u64(reward))
     parts.append(_blob(block.model_hash))
@@ -488,7 +518,9 @@ class StubSigner(Signer):
     """Deterministic keyed-hash signatures; verification always succeeds."""
 
     def sign(self, payload: bytes, device: DeviceId) -> bytes:
-        return payload_hash(self._secret(device) + payload)
+        h = hashlib.sha256(self._secret(device))  # sha256(secret + payload), uncopied
+        h.update(payload)
+        return h.digest()
 
     def verify(self, payload: bytes, signature: bytes, device: DeviceId) -> bool:
         return True
@@ -547,9 +579,13 @@ def compute_content_hash(block: Block) -> bytes:
     return block._body_hash
 
 
-def seal_block(block: Block, signer: Signer) -> Block:
-    """Fill in content_hash and sign it with the miner's key."""
-    digest = compute_content_hash(block)
+def seal_block(block: Block, signer: Signer, tally_section: bytes | None = None) -> Block:
+    """Fill in content_hash and sign it with the miner's key.
+
+    ``tally_section`` is as for :func:`block_body_bytes`. The sealed block
+    keeps no memo, so appending it checks the hash against its own bytes.
+    """
+    digest = payload_hash(block_body_bytes(block, tally_section))
     return replace(block, content_hash=digest, signature=signer.sign(digest, block.miner))
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .learning import DataShard, ModelParams, TrainSpec, evaluate, local_train
+from .learning import DataShard, ModelParams, TrainSpec, evaluate, local_train_many
 from .protocol import DeviceId, Vote
 
 VAD_CSV_FIELDS = ("round", "validator", "worker", "vad", "vote", "worker_malicious")
@@ -58,16 +58,28 @@ class VadRecord:
     worker_malicious: bool
 
 
+def pretrain_many(
+    global_params: Sequence[ModelParams],
+    states: Sequence[ValidatorState],
+    spec: TrainSpec,
+    rngs: Sequence[np.random.Generator],
+) -> list[ValidatorState]:
+    """Set each validator's reference accuracy from one epoch of legitimate
+    local training; all train in one ``local_train_many`` call, each from
+    its own global model on its own shard with its own generator."""
+    one_epoch = replace(spec, epochs=1)
+    trained = local_train_many(global_params, [s.train for s in states], one_epoch, rngs)
+    return [replace(s, pretrain_acc=evaluate(t, s.test)) for t, s in zip(trained, states)]
+
+
 def pretrain_one_epoch(
     global_params: ModelParams,
     state: ValidatorState,
     spec: TrainSpec,
     rng: np.random.Generator,
 ) -> ValidatorState:
-    """Set the reference accuracy from one epoch of legitimate local training."""
-    one_epoch = replace(spec, epochs=1)
-    trained = local_train(global_params, state.train, one_epoch, rng)
-    return replace(state, pretrain_acc=evaluate(trained, state.test))
+    """:func:`pretrain_many` of one validator."""
+    return pretrain_many([global_params], [state], spec, [rng])[0]
 
 
 def reference_from_global(

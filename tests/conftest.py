@@ -88,7 +88,7 @@ def record_messages(sim: Simulation) -> dict[int, RoundMessages]:
 
     def recording(inbox, key, verify, peers, net_rng):
         stored = gossip(inbox, key, verify, peers, net_rng)
-        kept = {p: tuple(msg for msg, _ in stored[p]) for p in peers}
+        kept = {p: tuple(msg for msg, _, _ in stored[p]) for p in peers}
         if sim.round_no in rounds:
             rounds[sim.round_no].by_miner = kept
         else:

@@ -390,31 +390,43 @@ class TestRound:
 
     def test_round_trains_its_workers_in_one_call(self, monkeypatch):
         import vbfl.orchestrator as orchestrator
+        import vbfl.validation as validation
 
-        trained, pretrained = [], []
+        trained = []
         train_many = orchestrator.local_train_many
-        pretrain = orchestrator.pretrain_one_epoch
 
         def training(starts, shards, spec, rngs):
-            trained.append([shard.shard_of for shard in shards])
+            trained.append(([shard.shard_of for shard in shards], spec.epochs))
             return train_many(starts, shards, spec, rngs)
 
-        def pretraining(g, state, spec, rng):
-            pretrained.append(state.validator)
-            return pretrain(g, state, spec, rng)
-
         monkeypatch.setattr(orchestrator, "local_train_many", training)
-        monkeypatch.setattr(orchestrator, "pretrain_one_epoch", pretraining)
+        monkeypatch.setattr(validation, "local_train_many", training)
         sim = Simulation(tiny_cfg(rounds=1))
         log = record_messages(sim)
         m = sim.run_round()
         # One stacked call holding exactly the round's workers, in worker
-        # order; validator reference training stays one call per validator.
-        assert trained == [[tx.worker for tx in log[1].worker_txs]]
-        assert sorted(trained[0]) == sorted(d for d, r in m.roles.items() if r == Role.WORKER)
-        validators = [d for d, r in m.roles.items() if r == Role.VALIDATOR]
-        assert sorted(pretrained) == sorted(validators)
-        assert len(pretrained) == len(validators)
+        # order; then one holding the validators, for one epoch each.
+        workers = [tx.worker for tx in log[1].worker_txs]
+        validators = sorted(d for d, r in m.roles.items() if r == Role.VALIDATOR)
+        assert trained == [(workers, TINY_TRAIN.epochs), (validators, 1)]
+        assert sorted(workers) == sorted(d for d, r in m.roles.items() if r == Role.WORKER)
+
+    def test_round_aggregates_and_encodes_once(self, monkeypatch):
+        import vbfl.consensus as consensus
+        import vbfl.protocol as protocol
+
+        aggregated = count_calls(monkeypatch, consensus, "aggregate_votes")
+        encoded = count_calls(monkeypatch, protocol, "encode_model_params")
+        sim = Simulation(tiny_cfg(rounds=1))
+        m = sim.run_round()
+        # All 3 miners store the same 60 votes: one tally set for every
+        # candidate. A worker's parameters are encoded when it signs and
+        # again when the block is appended (votes and the shared tally
+        # section reuse the signed bytes), plus g0 for the genesis block,
+        # however many validators vote and miners build candidates.
+        workers = sum(r == Role.WORKER for r in m.roles.values())
+        assert aggregated["aggregate_votes"] == 1
+        assert 0 < encoded["encode_model_params"] <= 3 * workers
 
     def test_voted_down_updates_excluded(self):
         cfg = tiny_cfg(rounds=1, malicious=(17, 18, 19), vh=0.12)

@@ -25,11 +25,13 @@ from vbfl.protocol import (
     WorkerTransaction,
     ZERO_HASH,
     append_block,
+    block_body_bytes,
     canonical_decode,
     canonical_encode,
     chain_from_jsonl,
     chain_to_jsonl,
     compute_content_hash,
+    encode_tallies,
     make_genesis,
     seal_block,
     sign_validator_tx,
@@ -73,6 +75,10 @@ def vtx(validator=5, worker=1, vote=Vote.POSITIVE, round=1) -> ValidatorTransact
         verify_reward=1,
         vali_reward=1,
     )
+
+
+def vtx_bytes(v: ValidatorTransaction) -> bytes:
+    return validator_tx_signing_bytes(v, worker_tx_signing_bytes(v.inner))
 
 
 def tally(worker=1, pos=2, neg=1, voters=(5, 6, 7)) -> VoteTally:
@@ -125,16 +131,14 @@ class TestSigning:
 
     def test_hmac_rejects_validator_tx_tampered_after_signing(self):
         signer = make_signer(HmacSigner)
-        payload = validator_tx_signing_bytes(vtx())
+        payload = vtx_bytes(vtx())
         signed = sign_validator_tx(vtx(), signer, payload)
         assert verify_validator_tx(signed, signer, payload)
         for tampered in (
             dataclasses.replace(signed, vote=Vote.NEGATIVE),
             dataclasses.replace(signed, inner=dataclasses.replace(signed.inner, epochs=50)),
         ):
-            assert not verify_validator_tx(
-                tampered, signer, validator_tx_signing_bytes(tampered)
-            )
+            assert not verify_validator_tx(tampered, signer, vtx_bytes(tampered))
 
     def test_hmac_rejects_wrong_key(self):
         signer = make_signer(HmacSigner)
@@ -252,6 +256,15 @@ class TestCodec:
     def test_structural_equality_is_byte_equality(self, tx):
         clone = dataclasses.replace(tx)
         assert canonical_encode(tx) == canonical_encode(clone)
+
+    def test_shared_tally_section_encodes_the_same_body(self):
+        b = block()
+        given = [worker_tx_signing_bytes(t.tx) for t in b.tallies]
+        section = encode_tallies(b.tallies, given)
+        assert section == encode_tallies(b.tallies)
+        assert block_body_bytes(b, section) == block_body_bytes(b)
+        signer = make_signer()
+        assert seal_block(b, signer, section) == seal_block(b, signer)
 
     def test_vote_flip_changes_block_hash(self):
         base = block()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vbfl.learning import (
+    DataShard,
     TrainSpec,
     evaluate,
     init_global_model,
@@ -19,6 +20,7 @@ from vbfl.validation import (
     VadRecord,
     ValidatorState,
     malicious_flip,
+    pretrain_many,
     pretrain_one_epoch,
     reference_from_global,
     suggest_threshold,
@@ -60,6 +62,27 @@ class TestPretrain:
     def test_in_unit_range(self, vstate, global_model):
         got = pretrain_one_epoch(global_model, vstate, TrainSpec(1, 0.05, 10), rng(0))
         assert 0.0 <= got.pretrain_acc <= 1.0
+
+    def test_many_equals_one_by_one(self, two_class_task, global_model):
+        # Three validators with shards of two lengths and two start models:
+        # each reference equals its own one-validator pretraining.
+        t = two_class_task
+        cuts = [(0, 20), (20, 40), (40, 57)]
+        states = [
+            ValidatorState(
+                validator=bytes([k]) * 16, threshold=0.08,
+                train=DataShard(t.train_x[a:b], t.train_y[a:b], shard_of=bytes([k]) * 16),
+                test=DataShard(t.test_x, t.test_y),
+            )
+            for k, (a, b) in enumerate(cuts)
+        ]
+        starts = [global_model, init_global_model(softmax_arch(4, 2), 8), global_model]
+        spec = TrainSpec(5, 0.05, 10)
+        got = pretrain_many(starts, states, spec, [rng(k) for k in range(3)])
+        want = [
+            pretrain_one_epoch(g, s, spec, rng(k)) for k, (g, s) in enumerate(zip(starts, states))
+        ]
+        assert got == want
 
     def test_legacy_reference_is_global_accuracy(self, vstate, global_model):
         got = reference_from_global(global_model, vstate)
