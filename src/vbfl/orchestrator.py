@@ -150,15 +150,10 @@ class NetworkConfig:
         return self.delay == 0.0 and self.jitter == 0.0 and math.isinf(self.propagated_block_wait)
 
     def link_delay(self, src: DeviceId, dst: DeviceId, rng: np.random.Generator) -> float:
-        return 0.0 if src == dst else self.link_delays(1, rng)[0]
-
-    def link_delays(self, n: int, rng: np.random.Generator) -> list[float]:
-        """Delays of n links between distinct devices; with jitter, one draw
-        each, in order, in one call (the same values and end state as n
-        calls)."""
-        if not self.jitter:
-            return [self.delay] * n
-        return (self.delay + self.jitter * rng.random(n)).tolist()
+        if src == dst:
+            return 0.0
+        extra = self.jitter * float(rng.random()) if self.jitter else 0.0
+        return self.delay + extra
 
 
 @dataclass(frozen=True)
@@ -733,21 +728,17 @@ class Simulation(_World):
             for k, msg, payload, at in direct[p]:
                 if k not in stored[p] and verified(msg, payload):
                     stored[p][k] = (msg, payload, at)
-        net = self.config.network
+        link_delay = self.config.network.link_delay
         for p in peers:
-            others = [stored[o] for o in peers if o != p]
+            others = [o for o in peers if o != p]
             for k, msg, payload, at in direct[p]:
                 if stored[p].get(k, (None,))[0] is not msg:
                     continue  # dropped at receipt
-                if net.jitter:
-                    delays = net.link_delays(len(others), net_rng)
-                    copies = [(msg, payload, at + delay) for delay in delays]
-                else:  # one arrival for every other peer
-                    copies = [(msg, payload, at + net.delay)] * len(others)
+                arrivals = [at + link_delay(p, o, net_rng) for o in others]
                 if verified(msg, payload):
-                    for other, copy in zip(others, copies):
-                        if k not in other:
-                            other[k] = copy
+                    for o, arrival in zip(others, arrivals):
+                        if k not in stored[o]:
+                            stored[o][k] = (msg, payload, arrival)
         return {p: [stored[p][k] for k in sorted(stored[p])] for p in peers}
 
     # -- the round ------------------------------------------------------------

@@ -68,3 +68,6 @@ def test_traced_round_writes_untraced_outputs(tmp_path, driver_cls, consensus):
     if driver_cls is Simulation:
         assert layers["validation.vote.calls"] > 0
         assert layers["consensus.aggregate_votes.calls"] == 1.0
+        # Not checked: validation.pretrain.{calls,s} read 0, because the
+        # tracer wraps orchestrator.pretrain_one_epoch and the round trains
+        # its references in one pretrain_many call (ROADMAP item 1).
