@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Paired perfbench runs of two checkouts, judged by the rule for claiming a gain.
+
+Runs ``perfbench/run.py`` in PARENT_DIR and in CHANGE_DIR once per pair,
+alternating which side runs first, and parses each run's last JSON line.
+For every end-to-end metric in CHANGE_DIR's BENCHMARK.json it prints each
+side's median and quartiles and how many pairs the change won (ties count
+for neither). The gain rule holds for a metric when the change wins at
+least nine tenths of the pairs and the medians differ, in the metric's
+better direction, by more than the parent's interquartile range.
+
+Usage:
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
+        [--pairs 10] [--seconds 12] [--seed 1]
+
+Stops at the first perfbench run that exits non-zero, and exits 1 when a
+run reports incorrect outputs or failed simulations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+    """One untraced perfbench run in checkout; its final JSON line."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", str(seconds), "--seed", str(seed)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
+    """Judge (parent, change) value pairs of one metric whose ``better`` is
+    "lower" or "higher"."""
+    sign = 1 if better == "lower" else -1
+    parent = quartiles([p for p, _ in pairs])
+    change = quartiles([c for _, c in pairs])
+    wins = sum(sign * (p - c) > 0 for p, c in pairs)
+    gain = 10 * wins >= 9 * len(pairs) and sign * (parent[1] - change[1]) > parent[2] - parent[0]
+    return {"parent": parent, "change": change, "wins": wins, "pairs": len(pairs), "gain": gain}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=12.0)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent, "change": args.change}
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            results[side].append(run_once(sides[side], args.workload, args.seconds, args.seed))
+        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+
+    bad = [f"{side} run {i + 1}" for side, runs in results.items()
+           for i, r in enumerate(runs) if not r["correct"] or r["failed"]]
+    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
+          f"--seconds {args.seconds:g}; values are q1 / median / q3")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in zip(results["parent"], results["change"])]
+        s = summarize(pairs, metric["better"])
+        fmt = " / ".join(["{:.4g}"] * 3)
+        print(f"  {name:14s} parent {fmt.format(*s['parent']):26s} "
+              f"change {fmt.format(*s['change']):26s} {metric['unit']:3s} "
+              f"wins {s['wins']}/{s['pairs']}  gain rule {'holds' if s['gain'] else 'fails'}")
+    if bad:
+        print("incorrect or failed runs: " + ", ".join(bad))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -848,14 +848,17 @@ class Simulation(_World):
 
     def _validate(self, plan: _Plan, received, net_rng: np.random.Generator):
         """Each validator votes on every update it stored and sends the
-        votes to its miner, signed over the worker bytes it received.
+        votes to its miner, each signed over the digest of the worker bytes
+        it received.
 
         Validators sharing a test buffer see the same accuracy for the same
-        update, so each (update, buffer) pair is evaluated once.
+        update, so each (update, buffer) pair is evaluated once; validators
+        that received the same worker bytes share one digest of them.
         """
         cfg = self.config
         vad_records: list[VadRecord] = []
         accuracy: dict[tuple[int, int], float] = {}
+        digests: dict[int, bytes] = {}  # keys: ids of the received worker bytes
         inbox: dict[DeviceId, list[_Message]] = {m: [] for m in plan.miners}
         references = self._references(plan)
         for v in plan.validators:
@@ -888,7 +891,9 @@ class Simulation(_World):
                     vali_reward=cfg.unit_reward,
                     signature=b"",
                 )
-                payload = protocol_mod.validator_tx_signing_bytes(vtx, tx_bytes)
+                if id(tx_bytes) not in digests:
+                    digests[id(tx_bytes)] = protocol_mod.payload_hash(tx_bytes)
+                payload = protocol_mod.validator_tx_signing_bytes(vtx, digests[id(tx_bytes)])
                 vtx = sign_validator_tx(vtx, self.signer, payload)
                 m = plan.v2m[v]
                 inbox[m].append((vtx, payload, ready + cfg.network.link_delay(v, m, net_rng)))

@@ -316,27 +316,33 @@ def _read_worker_tx(r: _Reader) -> WorkerTransaction:
     )
 
 
-def validator_tx_signing_bytes(vtx: ValidatorTransaction, inner_signing_bytes: bytes) -> bytes:
-    """Everything but the signature. ``inner_signing_bytes`` is
-    ``worker_tx_signing_bytes(vtx.inner)``: the bytes the validator received
-    and verified, so a vote does not encode its worker transaction again."""
-    return b"".join(
-        (
-            _u8(_TAG_VALIDATOR_TX),
-            _u64(vtx.round),
-            _blob(vtx.validator),
-            inner_signing_bytes,
-            _blob(vtx.inner.signature),
-            encode_vote(vtx.vote),
-            _u64(vtx.verify_reward),
-            _u64(vtx.vali_reward),
-        )
+def _validator_tx_parts(vtx: ValidatorTransaction, inner: bytes) -> tuple[bytes, ...]:
+    return (
+        _u8(_TAG_VALIDATOR_TX),
+        _u64(vtx.round),
+        _blob(vtx.validator),
+        inner,
+        encode_vote(vtx.vote),
+        _u64(vtx.verify_reward),
+        _u64(vtx.vali_reward),
     )
 
 
+def validator_tx_signing_bytes(vtx: ValidatorTransaction, inner_digest: bytes) -> bytes:
+    """Everything but the signature, with the inner worker transaction
+    committed by digest: ``inner_digest`` is the ``payload_hash`` of
+    ``worker_tx_signing_bytes(vtx.inner)``, so a vote signs about 150 bytes
+    however large the update, and one digest serves every vote on it."""
+    if len(inner_digest) != HASH_LEN:
+        raise ValueError(f"inner_digest must be {HASH_LEN} bytes, got {len(inner_digest)}")
+    inner = _blob(inner_digest) + _blob(vtx.inner.signature)
+    return b"".join(_validator_tx_parts(vtx, inner))
+
+
 def encode_validator_tx(vtx: ValidatorTransaction) -> bytes:
-    inner = worker_tx_signing_bytes(vtx.inner)
-    return validator_tx_signing_bytes(vtx, inner) + _blob(vtx.signature)
+    """The full encoding, inner worker transaction included."""
+    parts = _validator_tx_parts(vtx, encode_worker_tx(vtx.inner))
+    return b"".join((*parts, _blob(vtx.signature)))
 
 
 def _read_validator_tx(r: _Reader) -> ValidatorTransaction:

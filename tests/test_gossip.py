@@ -3,9 +3,9 @@
 The reference delivers every copy to every receiver one by one, verifying
 each copy it might store and drawing one link delay per relay. The
 simulator's hop computes each key once, verifies each (message, signing
-bytes) pair once and draws a peer's relay delays in one call; both must
-store the same copies with the same arrivals and leave the network
-generator in the same state.
+bytes) pair once and also draws one link delay per relay; both must store
+the same copies with the same arrivals and leave the network generator in
+the same state.
 """
 
 from __future__ import annotations

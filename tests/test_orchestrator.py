@@ -428,6 +428,39 @@ class TestRound:
         assert aggregated["aggregate_votes"] == 1
         assert 0 < encoded["encode_model_params"] <= 3 * workers
 
+    def test_votes_sign_a_digest_of_the_worker_bytes(self, monkeypatch):
+        # A vote signs the digest of the worker bytes its validator received,
+        # not the bytes themselves, and each distinct worker bytes object is
+        # hashed at most once in the vote phase.
+        import vbfl.protocol as protocol
+
+        sim = Simulation(tiny_cfg(rounds=1))
+        sign, payload_hash, validate = sim.signer.sign, protocol.payload_hash, sim._validate
+        signed, hashed, worker_bytes = [], [], []
+
+        def signing(payload, device):
+            signed.append(len(payload))
+            return sign(payload, device)
+
+        def hashing(data):
+            hashed.append(len(data))
+            return payload_hash(data)
+
+        def validating(plan, received, net_rng):
+            worker_bytes.extend(len(b) for v in received for _, b, _ in received[v])
+            with monkeypatch.context() as mp:
+                mp.setattr(sim.signer, "sign", signing)
+                mp.setattr(protocol, "payload_hash", hashing)
+                return validate(plan, received, net_rng)
+
+        sim._validate = validating
+        m = sim.run_round()
+        workers = sum(r == Role.WORKER for r in m.roles.values())
+        votes = len(m.vad_records)
+        assert len(signed) == votes > 0
+        assert max(signed) < 256
+        assert sum(signed) + sum(hashed) <= workers * max(worker_bytes) + votes * 256
+
     def test_voted_down_updates_excluded(self):
         cfg = tiny_cfg(rounds=1, malicious=(17, 18, 19), vh=0.12)
         sim = Simulation(cfg)

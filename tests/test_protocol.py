@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbfl.learning import ModelParams, softmax_arch
+from vbfl.learning import ModelParams, mlp_arch, param_count, softmax_arch
 from vbfl.protocol import (
     BlacklistedMinerError,
     Block,
@@ -33,6 +33,7 @@ from vbfl.protocol import (
     compute_content_hash,
     encode_tallies,
     make_genesis,
+    payload_hash,
     seal_block,
     sign_validator_tx,
     sign_worker_tx,
@@ -78,7 +79,7 @@ def vtx(validator=5, worker=1, vote=Vote.POSITIVE, round=1) -> ValidatorTransact
 
 
 def vtx_bytes(v: ValidatorTransaction) -> bytes:
-    return validator_tx_signing_bytes(v, worker_tx_signing_bytes(v.inner))
+    return validator_tx_signing_bytes(v, payload_hash(worker_tx_signing_bytes(v.inner)))
 
 
 def tally(worker=1, pos=2, neg=1, voters=(5, 6, 7)) -> VoteTally:
@@ -134,11 +135,25 @@ class TestSigning:
         payload = vtx_bytes(vtx())
         signed = sign_validator_tx(vtx(), signer, payload)
         assert verify_validator_tx(signed, signer, payload)
+        moved = ModelParams(signed.inner.update.values + 1e-9, ARCH)
         for tampered in (
             dataclasses.replace(signed, vote=Vote.NEGATIVE),
             dataclasses.replace(signed, inner=dataclasses.replace(signed.inner, epochs=50)),
+            dataclasses.replace(signed, inner=dataclasses.replace(signed.inner, update=moved)),
         ):
             assert not verify_validator_tx(tampered, signer, vtx_bytes(tampered))
+
+    def test_validator_tx_signing_bytes_do_not_grow_with_the_update(self):
+        # A vote commits to its worker transaction by digest.
+        def vote_on(arch: str) -> ValidatorTransaction:
+            update = ModelParams(np.zeros(param_count(arch)), arch)
+            return dataclasses.replace(vtx(), inner=dataclasses.replace(wtx(), update=update))
+
+        small, large = vote_on(softmax_arch(8, 4)), vote_on(mlp_arch(128, 16, 10))
+        assert len(worker_tx_signing_bytes(large.inner)) > 17_000
+        assert len(vtx_bytes(large)) == len(vtx_bytes(small))
+        with pytest.raises(ValueError):
+            validator_tx_signing_bytes(small, worker_tx_signing_bytes(small.inner))
 
     def test_hmac_rejects_wrong_key(self):
         signer = make_signer(HmacSigner)
