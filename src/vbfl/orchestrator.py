@@ -33,10 +33,11 @@ import hashlib
 import json
 import logging
 import math
+import types
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -68,6 +69,7 @@ from .protocol import (
     Signer,
     StubSigner,
     ValidatorTransaction,
+    Vote,
     WorkerTransaction,
     append_block,
     chain_to_jsonl,
@@ -89,7 +91,6 @@ from .validation import (
     pretrain_one_epoch,  # unused here, but perfbench/tracer.py wraps this module's name
     reference_from_global,
     validate_by_voting,
-    write_vad_csv,
 )
 
 logger = logging.getLogger("vbfl")
@@ -100,6 +101,7 @@ BEHAVIOR_VALIDATOR_FLIP = "VALIDATOR_FLIP"
 ROUNDS_CSV_FIELDS = ("round", "consensus", "winner", "winner_malicious", "forked", "global_accuracy")
 STAKE_CSV_FIELDS = ("round", "device", "stake", "is_malicious")
 EVENTS_CSV_FIELDS = ("round", "device", "event")
+VAD_CSV_FIELDS = ("round", "validator", "worker", "vad", "vote", "worker_malicious")
 
 EVENT_FLAGGED = "FLAGGED"
 EVENT_STREAK_RESET = "STREAK_RESET"
@@ -204,6 +206,8 @@ class SimConfig:
         known = {BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP}
         if not set(self.malicious_behaviors) <= known:
             fail("malicious_behaviors", f"must be a subset of {sorted(known)}")
+        if not math.isfinite(self.vh):
+            fail("vh", "must be finite")
         if not self.noise_variance > 0:
             fail("noise_variance", "must be > 0")
         if self.kick_r < 1:
@@ -298,22 +302,41 @@ def _to_dict(obj) -> dict:
     return out
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: an int may stand for a
+    float, a bool is not a number, and tuple elements are checked too."""
+    if get_origin(hint) is tuple:
+        elem = get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, elem) for v in value)
+    if get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _from_dict(cls, data: Mapping, section: str = ""):
+    prefix = section + "." if section else ""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{section or 'config'}: must be an object, got {data!r}")
     defaults = {f.name: f.default for f in fields(cls)}
     unknown = sorted(set(data) - set(defaults))
     if unknown:
-        prefix = section + "." if section else ""
         raise ConfigError(f"{prefix}{unknown[0]}: unknown key")
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         default = defaults[key]
         if is_dataclass(default):
-            value = _from_dict(type(default), value, key)
-        elif isinstance(default, tuple):
-            value = tuple(value)
-        elif key == "propagated_block_wait":
-            value = math.inf if value in ("unlimited", None) else float(value)
-        kwargs[key] = value
+            kwargs[key] = _from_dict(type(default), value, key)
+            continue
+        if key == "propagated_block_wait" and value in ("unlimited", None):
+            value = math.inf
+        hint = hints[key]
+        if not _fits(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{prefix}{key}: expected {name}, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(default, tuple) else value
     try:
         return cls(**kwargs)
     except ValueError as exc:  # TrainSpec checks its own values
@@ -1158,6 +1181,21 @@ def write_stake_csv(
 def write_events_csv(metrics: Sequence[RoundMetrics], path) -> None:
     _write_csv(path, EVENTS_CSV_FIELDS, (
         (m.round, device.hex(), event) for m in metrics for device, event in m.events
+    ))
+
+
+def write_vad_csv(records: Sequence[VadRecord], path) -> None:
+    """Calibration dataset: one row per (round, validator, worker) vote."""
+    _write_csv(path, VAD_CSV_FIELDS, (
+        (
+            r.round,
+            r.validator.hex(),
+            r.worker.hex(),
+            repr(r.vad),
+            "P" if r.vote is Vote.POSITIVE else "N",
+            int(r.worker_malicious),
+        )
+        for r in records
     ))
 
 

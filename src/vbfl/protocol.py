@@ -1,14 +1,16 @@
 """Transactions, blocks, the hash-linked chain and pluggable signatures.
 
-Every signed or hashed object has a canonical byte encoding (documented in
+What a run signs or hashes is a canonical byte preimage (documented in
 docs/wire-format.md): fixed field order, big-endian integers, IEEE-754
-binary64 reals, length-prefixed byte strings. The encoding is injective, so
-structural equality and byte equality coincide.
+binary64 reals, length-prefixed byte strings. Each preimage commits to
+every field but the signature, so structurally equal objects sign and
+hash alike. ``chain.jsonl`` is the one serialised form that is read back.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import hmac as _hmac
 import json
@@ -187,7 +189,7 @@ class Blockchain:
         return True
 
 
-# --- canonical encoding -------------------------------------------------
+# --- signing and hashing preimages ----------------------------------------
 
 _TAG_MODEL = 0x01
 _TAG_WORKER_TX = 0x02
@@ -198,7 +200,8 @@ _TAG_BLOCK = 0x06
 
 
 class CodecError(Exception):
-    """Canonical byte stream is malformed."""
+    """A preimage field cannot be encoded (a negative integer), or a
+    ``chain.jsonl`` line is malformed; the message names the line."""
 
 
 def _u8(n: int) -> bytes:
@@ -223,61 +226,12 @@ def _f64vec(values: np.ndarray) -> bytes:
     return _u64(values.size) + values.astype(">f8").tobytes()
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CodecError("truncated canonical encoding")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack(">B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def f64vec(self) -> np.ndarray:
-        n = self.u64()
-        return np.frombuffer(self.take(8 * n), dtype=">f8").astype(np.float64)
-
-    def expect_tag(self, tag: int):
-        got = self.u8()
-        if got != tag:
-            raise CodecError(f"expected tag 0x{tag:02x}, found 0x{got:02x}")
-
-    def done(self):
-        if self.pos != len(self.buf):
-            raise CodecError("trailing bytes after canonical encoding")
-
-
 def encode_model_params(p: ModelParams) -> bytes:
     return _u8(_TAG_MODEL) + _blob(p.arch_id.encode()) + _f64vec(p.values)
 
 
-def _read_model_params(r: _Reader) -> ModelParams:
-    r.expect_tag(_TAG_MODEL)
-    arch = r.blob().decode()
-    return ModelParams(r.f64vec(), arch)
-
-
 def encode_vote(v: Vote) -> bytes:
     return _u8(_TAG_VOTE) + _u8(v.value)
-
-
-def _read_vote(r: _Reader) -> Vote:
-    r.expect_tag(_TAG_VOTE)
-    return Vote(r.u8())
 
 
 # Encoders with several fields after a parameter vector join their parts
@@ -299,35 +253,6 @@ def worker_tx_signing_bytes(tx: WorkerTransaction) -> bytes:
     )
 
 
-def encode_worker_tx(tx: WorkerTransaction) -> bytes:
-    return worker_tx_signing_bytes(tx) + _blob(tx.signature)
-
-
-def _read_worker_tx(r: _Reader) -> WorkerTransaction:
-    r.expect_tag(_TAG_WORKER_TX)
-    return WorkerTransaction(
-        round=r.u64(),
-        worker=r.blob(),
-        update=_read_model_params(r),
-        expected_reward=r.u64(),
-        epochs=r.u64(),
-        train_size=r.u64(),
-        signature=r.blob(),
-    )
-
-
-def _validator_tx_parts(vtx: ValidatorTransaction, inner: bytes) -> tuple[bytes, ...]:
-    return (
-        _u8(_TAG_VALIDATOR_TX),
-        _u64(vtx.round),
-        _blob(vtx.validator),
-        inner,
-        encode_vote(vtx.vote),
-        _u64(vtx.verify_reward),
-        _u64(vtx.vali_reward),
-    )
-
-
 def validator_tx_signing_bytes(vtx: ValidatorTransaction, inner_digest: bytes) -> bytes:
     """Everything but the signature, with the inner worker transaction
     committed by digest: ``inner_digest`` is the ``payload_hash`` of
@@ -335,26 +260,17 @@ def validator_tx_signing_bytes(vtx: ValidatorTransaction, inner_digest: bytes) -
     however large the update, and one digest serves every vote on it."""
     if len(inner_digest) != HASH_LEN:
         raise ValueError(f"inner_digest must be {HASH_LEN} bytes, got {len(inner_digest)}")
-    inner = _blob(inner_digest) + _blob(vtx.inner.signature)
-    return b"".join(_validator_tx_parts(vtx, inner))
-
-
-def encode_validator_tx(vtx: ValidatorTransaction) -> bytes:
-    """The full encoding, inner worker transaction included."""
-    parts = _validator_tx_parts(vtx, encode_worker_tx(vtx.inner))
-    return b"".join((*parts, _blob(vtx.signature)))
-
-
-def _read_validator_tx(r: _Reader) -> ValidatorTransaction:
-    r.expect_tag(_TAG_VALIDATOR_TX)
-    return ValidatorTransaction(
-        round=r.u64(),
-        validator=r.blob(),
-        inner=_read_worker_tx(r),
-        vote=_read_vote(r),
-        verify_reward=r.u64(),
-        vali_reward=r.u64(),
-        signature=r.blob(),
+    return b"".join(
+        (
+            _u8(_TAG_VALIDATOR_TX),
+            _u64(vtx.round),
+            _blob(vtx.validator),
+            _blob(inner_digest),
+            _blob(vtx.inner.signature),
+            encode_vote(vtx.vote),
+            _u64(vtx.verify_reward),
+            _u64(vtx.vali_reward),
+        )
     )
 
 
@@ -370,19 +286,6 @@ def _tally_parts(t: VoteTally, tx_signing_bytes: bytes) -> list[bytes]:
     ]
     parts.extend(_blob(v) for v in voters)
     return parts
-
-
-def encode_tally(t: VoteTally) -> bytes:
-    return b"".join(_tally_parts(t, worker_tx_signing_bytes(t.tx)))
-
-
-def _read_tally(r: _Reader) -> VoteTally:
-    r.expect_tag(_TAG_TALLY)
-    tx = _read_worker_tx(r)
-    positives = r.u64()
-    negatives = r.u64()
-    voters = frozenset(r.blob() for _ in range(r.u32()))
-    return VoteTally(tx, positives, negatives, voters)
 
 
 def encode_tallies(
@@ -421,73 +324,6 @@ def block_body_bytes(block: Block, tally_section: bytes | None = None) -> bytes:
         parts += (_blob(device), _u64(reward))
     parts.append(_blob(block.model_hash))
     return b"".join(parts)
-
-
-def encode_block(block: Block) -> bytes:
-    return block_body_bytes(block) + _blob(block.content_hash) + _blob(block.signature)
-
-
-def _read_block(r: _Reader) -> Block:
-    r.expect_tag(_TAG_BLOCK)
-    round_ = r.u64()
-    miner = r.blob()
-    prev_hash = r.blob()
-    tallies = tuple(_read_tally(r) for _ in range(r.u32()))
-    miner_reward = r.u64()
-    rewards = tuple((r.blob(), r.u64()) for _ in range(r.u32()))
-    model_hash = r.blob()
-    return Block(
-        round=round_,
-        miner=miner,
-        prev_hash=prev_hash,
-        tallies=tallies,
-        miner_reward=miner_reward,
-        validator_rewards=rewards,
-        model_hash=model_hash,
-        content_hash=r.blob(),
-        signature=r.blob(),
-    )
-
-
-_ENCODERS = {
-    ModelParams: encode_model_params,
-    Vote: encode_vote,
-    WorkerTransaction: encode_worker_tx,
-    ValidatorTransaction: encode_validator_tx,
-    VoteTally: encode_tally,
-    Block: encode_block,
-}
-
-_READERS = {
-    _TAG_MODEL: _read_model_params,
-    _TAG_VOTE: _read_vote,
-    _TAG_WORKER_TX: _read_worker_tx,
-    _TAG_VALIDATOR_TX: _read_validator_tx,
-    _TAG_TALLY: _read_tally,
-    _TAG_BLOCK: _read_block,
-}
-
-
-def canonical_encode(obj) -> bytes:
-    """Injective byte encoding of any wire type; see docs/wire-format.md."""
-    try:
-        encoder = _ENCODERS[type(obj)]
-    except KeyError:
-        raise TypeError(f"no canonical encoding for {type(obj).__name__}") from None
-    return encoder(obj)
-
-
-def canonical_decode(data: bytes):
-    """Inverse of canonical_encode; raises CodecError on malformed input."""
-    r = _Reader(data)
-    if len(data) == 0:
-        raise CodecError("empty canonical encoding")
-    reader = _READERS.get(data[0])
-    if reader is None:
-        raise CodecError(f"unknown type tag 0x{data[0]:02x}")
-    obj = reader(r)
-    r.done()
-    return obj
 
 
 # --- signatures -----------------------------------------------------------
@@ -676,7 +512,10 @@ def block_to_json(block: Block) -> dict:
 
 
 def _tally_from_json(d: dict) -> VoteTally:
-    values = np.frombuffer(base64.b64decode(d["update_b64"]), dtype=">f8")
+    raw = base64.b64decode(d["update_b64"], validate=True)
+    if len(raw) % 8:
+        raise ValueError(f"update_b64 holds {len(raw)} bytes, not whole doubles")
+    values = np.frombuffer(raw, dtype=">f8")
     tx = WorkerTransaction(
         round=d["round"],
         worker=bytes.fromhex(d["worker"]),
@@ -720,5 +559,20 @@ def chain_to_jsonl(chain: Blockchain) -> str:
 
 
 def chain_from_jsonl(text: str) -> Blockchain:
-    blocks = tuple(block_from_json(json.loads(line)) for line in text.splitlines() if line)
-    return Blockchain(blocks)
+    """Inverse of :func:`chain_to_jsonl`. A malformed line raises
+    :class:`CodecError` naming its 1-based number and the cause."""
+    blocks = []
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line:
+            continue
+        try:
+            blocks.append(block_from_json(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise CodecError(f"line {n}: bad JSON: {exc}") from None
+        except KeyError as exc:
+            raise CodecError(f"line {n}: missing key {exc}") from None
+        except binascii.Error as exc:
+            raise CodecError(f"line {n}: bad base64: {exc}") from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise CodecError(f"line {n}: {exc}") from None
+    return Blockchain(tuple(blocks))

@@ -32,19 +32,6 @@ def worker_reward(
     return 0
 
 
-def validator_reward(n_verified_tx: int, n_votes: int, unit: int) -> int:
-    """Duty reward: one unit per verified worker transaction plus one per vote.
-
-    A validator never votes on a transaction whose signature it could not
-    verify, so n_votes may not exceed n_verified_tx.
-    """
-    if min(n_verified_tx, n_votes) < 0:
-        raise ValueError("counts must be non-negative")
-    if n_votes > n_verified_tx:
-        raise ValueError("cannot vote on more transactions than were verified")
-    return (n_verified_tx + n_votes) * unit
-
-
 def miner_reward(n_verified_vtx: int, unit: int) -> int:
     """Duty reward: one unit per verified validator transaction."""
     if n_verified_vtx < 0:

@@ -15,17 +15,13 @@ path.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .learning import DataShard, ModelParams, TrainSpec, evaluate, local_train_many
 from .protocol import DeviceId, Vote
-
-VAD_CSV_FIELDS = ("round", "validator", "worker", "vad", "vote", "worker_malicious")
 
 SCHEME_VOTING = "voting"
 SCHEME_LEGACY = "legacy"
@@ -109,25 +105,6 @@ def validate_by_voting(
 def malicious_flip(vote: Vote) -> Vote:
     """What a compromised validator reports instead of its honest vote."""
     return Vote.NEGATIVE if vote is Vote.POSITIVE else Vote.POSITIVE
-
-
-def write_vad_csv(records: Iterable[VadRecord], path) -> None:
-    """Calibration dataset: one row per (round, validator, worker) vote."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VAD_CSV_FIELDS)
-        for rec in records:
-            writer.writerow(
-                (
-                    rec.round,
-                    rec.validator.hex(),
-                    rec.worker.hex(),
-                    repr(rec.vad),
-                    "P" if rec.vote is Vote.POSITIVE else "N",
-                    int(rec.worker_malicious),
-                )
-            )
 
 
 def suggest_threshold(records: Sequence[VadRecord]) -> dict:

@@ -19,7 +19,7 @@ from vbfl.learning import ModelParams, softmax_arch
 from vbfl.orchestrator import RunResult, Simulation, run_simulation
 from vbfl.presets import apply_overrides, get_preset
 from vbfl.protocol import Vote, VoteTally, WorkerTransaction, ZERO_HASH, Block
-from vbfl.rewards import StakeLedger, apply_block, miner_reward, validator_reward, worker_reward
+from vbfl.rewards import StakeLedger, apply_block, miner_reward, worker_reward
 from vbfl.validation import suggest_threshold
 
 SEEDS = (1, 2, 5)
@@ -181,7 +181,8 @@ def _oracle_round_rewards(metrics, msgs, unit: int) -> dict[bytes, dict[str, int
     # Validators: one unit per verified transaction plus one per vote cast.
     for validator, txs in msgs.by_validator.items():
         n_votes = sum(1 for vtx in winner_vtxs if vtx.validator == validator)
-        credit(validator, "validator", validator_reward(len(txs), n_votes, unit))
+        assert n_votes <= len(txs), "a validator voted on a transaction it did not verify"
+        credit(validator, "validator", (len(txs) + n_votes) * unit)
     # The winning miner: one unit per verified validator transaction.
     credit(winner, "miner", miner_reward(len(winner_vtxs), unit))
     return out

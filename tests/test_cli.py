@@ -66,6 +66,11 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
         assert "gremlin" in capsys.readouterr().err
 
+    def test_wrong_typed_config_value_exits_one(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, train={"epochs": "5"})
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert "train.epochs" in capsys.readouterr().err
+
     def test_preset_and_config_mutually_exclusive(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
         assert run_cli("run", "--preset", "VFL_0_20", "--config", cfg) == 1

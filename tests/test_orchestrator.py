@@ -181,6 +181,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="malicious_behaviors"):
             tiny_cfg(malicious_behaviors=("EATS_CRAYONS",)).validate()
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"vh": "0.1"}, "vh"),
+            ({"vh": math.nan}, "vh"),
+            ({"vh": math.inf}, "vh"),
+            ({"vh": True}, "vh"),
+            ({"rounds": 2.5}, "rounds"),
+            ({"n_devices": "20"}, "n_devices"),
+            ({"malicious": [1.5]}, "malicious"),
+            ({"malicious": 3}, "malicious"),
+            ({"role_sequence": "wvm"}, "role_sequence"),
+            ({"train": {"epochs": "5"}}, "train.epochs"),
+            ({"train": 5}, "train"),
+            ({"dataset": {"seed": "7"}}, "dataset.seed"),
+            ({"network": {"propagated_block_wait": "never"}}, "network.propagated_block_wait"),
+        ],
+    )
+    def test_wrong_typed_value_named(self, data, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            SimConfig.from_dict(data)
+
+    def test_ints_stand_for_floats(self):
+        cfg = SimConfig.from_dict({"vh": 0, "network": {"delay": 1}, "dataset": {"seed": None}})
+        assert cfg.vh == 0 and cfg.network.delay == 1 and cfg.dataset.seed is None
+
 
 class TestDevices:
     def test_stable_and_sorted(self):

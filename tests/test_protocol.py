@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,6 @@ from vbfl.protocol import (
     ZERO_HASH,
     append_block,
     block_body_bytes,
-    canonical_decode,
-    canonical_encode,
     chain_from_jsonl,
     chain_to_jsonl,
     compute_content_hash,
@@ -169,7 +168,7 @@ class TestSigning:
             signer.sign(b"x", dev(1))
 
 
-# --- canonical encoding ------------------------------------------------------
+# --- signing and hashing preimages ---------------------------------------------
 
 
 def st_params():
@@ -193,84 +192,113 @@ def st_wtx():
     )
 
 
-def st_vote():
-    return st.sampled_from([Vote.POSITIVE, Vote.NEGATIVE])
+# One change per field of a worker transaction.
+WTX_CHANGES = {
+    "round": lambda tx: replace(tx, round=tx.round + 1),
+    "worker": lambda tx: replace(tx, worker=dev(3)),
+    "update": lambda tx: replace(tx, update=params(seed=1)),
+    "expected_reward": lambda tx: replace(tx, expected_reward=tx.expected_reward + 1),
+    "epochs": lambda tx: replace(tx, epochs=tx.epochs + 1),
+    "train_size": lambda tx: replace(tx, train_size=tx.train_size + 1),
+    "signature": lambda tx: replace(tx, signature=b"\x01" * 32),
+}
 
 
-def st_vtx():
-    def build(round, validator, inner, vote, sig):
-        inner = dataclasses.replace(inner, round=round)
-        return ValidatorTransaction(
-            round=round, validator=validator, inner=inner, vote=vote,
-            verify_reward=1, vali_reward=1, signature=sig,
-        )
-
-    return st.builds(
-        build,
-        round=st.integers(0, 1000),
-        validator=st_device(),
-        inner=st_wtx(),
-        vote=st_vote(),
-        sig=st.binary(max_size=40),
-    )
+def on_inner(change):
+    """A validator transaction whose inner transaction took change; its
+    round follows the inner round, which it must equal."""
+    def apply(v):
+        inner = change(v.inner)
+        return replace(v, round=inner.round, inner=inner)
+    return apply
 
 
-def st_tally():
-    def build(tx, votes):
-        votes = dict(votes)  # dedupe by voter id
-        pos = sum(1 for v in votes.values() if v)
-        return VoteTally(tx, pos, len(votes) - pos, frozenset(dev(i) for i in votes))
-
-    return st.builds(
-        build,
-        tx=st_wtx(),
-        votes=st.lists(st.tuples(st.integers(0, 30), st.booleans()), min_size=0, max_size=6),
-    )
+def on_tally(change):
+    """A block whose first tally took change."""
+    return lambda b: replace(b, tallies=(change(b.tallies[0]),) + b.tallies[1:])
 
 
-def st_block():
-    def build(round, miner, prev, tallies, reward, vrewards, model_hash, sig):
-        unique = {t.worker: t for t in tallies}
-        fixed = tuple(
-            dataclasses.replace(t, tx=dataclasses.replace(t.tx, round=round))
-            for t in unique.values()
-        )
-        b = Block(
-            round=round,
-            miner=miner,
-            prev_hash=prev,
-            tallies=fixed,
-            miner_reward=reward,
-            validator_rewards={dev(i): r for i, r in vrewards},
-            model_hash=model_hash,
-            signature=sig,
-        )
-        return dataclasses.replace(b, content_hash=compute_content_hash(b))
+def flip_one_vote(t: VoteTally) -> VoteTally:
+    return replace(t, positives=t.positives - 1, negatives=t.negatives + 1)
 
-    return st.builds(
-        build,
-        round=st.integers(0, 1000),
-        miner=st_device(),
-        prev=st.binary(min_size=32, max_size=32),
-        tallies=st.lists(st_tally(), max_size=3),
-        reward=st.integers(0, 10**6),
-        vrewards=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 100)), max_size=4),
-        model_hash=st.binary(min_size=32, max_size=32),
-        sig=st.binary(max_size=40),
-    )
+
+def swap_voter(t: VoteTally) -> VoteTally:
+    return replace(t, voters=(t.voters - {max(t.voters)}) | {dev(11)})
+
+
+# (object kind, the field paths a change touches, the change). Every field
+# but the signatures (and a block's content hash) is in its object's
+# signing or body preimage; a field left out would let a change to it
+# pass unsigned and unhashed.
+PREIMAGE_CHANGES = [
+    *(("worker_tx", (f,), c) for f, c in WTX_CHANGES.items() if f != "signature"),
+    *(
+        ("validator_tx", ("round", "inner.round") if f == "round" else (f"inner.{f}",),
+         on_inner(c))
+        for f, c in WTX_CHANGES.items()
+    ),
+    ("validator_tx", ("validator",), lambda v: replace(v, validator=dev(6))),
+    ("validator_tx", ("vote",), lambda v: replace(v, vote=Vote.NEGATIVE)),
+    ("validator_tx", ("verify_reward",), lambda v: replace(v, verify_reward=2)),
+    ("validator_tx", ("vali_reward",), lambda v: replace(v, vali_reward=2)),
+    ("block", ("round",), lambda b: replace(b, round=b.round + 1)),
+    ("block", ("miner",), lambda b: replace(b, miner=dev(8))),
+    ("block", ("prev_hash",), lambda b: replace(b, prev_hash=b"\x11" * 32)),
+    ("block", ("miner_reward",), lambda b: replace(b, miner_reward=b.miner_reward + 1)),
+    ("block", ("validator_rewards",), lambda b: replace(b, validator_rewards={dev(5): 25})),
+    ("block", ("model_hash",), lambda b: replace(b, model_hash=b"\x22" * 32)),
+    ("block", ("tallies.positives", "tallies.negatives"), on_tally(flip_one_vote)),
+    ("block", ("tallies.voters",), on_tally(swap_voter)),
+    *(
+        ("block", (f"tallies.tx.{f}",), on_tally(lambda t, c=c: replace(t, tx=c(t.tx))))
+        for f, c in WTX_CHANGES.items()
+    ),
+]
+
+PREIMAGES = {
+    "worker_tx": (wtx, worker_tx_signing_bytes),
+    "validator_tx": (vtx, vtx_bytes),
+    "block": (block, block_body_bytes),
+}
+
+
+def field_names(cls, exclude=()) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls) if f.init} - set(exclude)
 
 
 class TestCodec:
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(st_params(), st_vote(), st_wtx(), st_vtx(), st_tally(), st_block()))
-    def test_roundtrip(self, obj):
-        assert canonical_decode(canonical_encode(obj)) == obj
+    @pytest.mark.parametrize(
+        "kind, paths, change",
+        PREIMAGE_CHANGES,
+        ids=[f"{kind}:{'+'.join(paths)}" for kind, paths, _ in PREIMAGE_CHANGES],
+    )
+    def test_each_field_changes_the_preimage(self, kind, paths, change):
+        make, preimage = PREIMAGES[kind]
+        base = make()
+        assert preimage(change(base)) != preimage(base)
+
+    def test_table_names_every_field(self):
+        covered = {kind: set() for kind in PREIMAGES}
+        for kind, paths, _ in PREIMAGE_CHANGES:
+            covered[kind].update(paths)
+        wtx_fields = field_names(WorkerTransaction)
+        assert set(WTX_CHANGES) == wtx_fields
+        assert covered["worker_tx"] == wtx_fields - {"signature"}
+        assert covered["validator_tx"] == (
+            field_names(ValidatorTransaction, ("inner", "signature"))
+            | {f"inner.{f}" for f in wtx_fields}
+        )
+        assert covered["block"] == (
+            field_names(Block, ("tallies", "content_hash", "signature"))
+            | {f"tallies.{f}" for f in field_names(VoteTally, ("tx",))}
+            | {f"tallies.tx.{f}" for f in wtx_fields}
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(st_wtx())
     def test_structural_equality_is_byte_equality(self, tx):
         clone = dataclasses.replace(tx)
-        assert canonical_encode(tx) == canonical_encode(clone)
+        assert worker_tx_signing_bytes(tx) == worker_tx_signing_bytes(clone)
 
     def test_shared_tally_section_encodes_the_same_body(self):
         b = block()
@@ -280,32 +308,6 @@ class TestCodec:
         assert block_body_bytes(b, section) == block_body_bytes(b)
         signer = make_signer()
         assert seal_block(b, signer, section) == seal_block(b, signer)
-
-    def test_vote_flip_changes_block_hash(self):
-        base = block()
-        flipped = dataclasses.replace(
-            base,
-            tallies=(tally(1, pos=1, neg=2), base.tallies[1]),
-        )
-        assert compute_content_hash(base) != compute_content_hash(flipped)
-
-    def test_truncated_rejected(self):
-        data = canonical_encode(wtx())
-        with pytest.raises(CodecError):
-            canonical_decode(data[:-1])
-
-    def test_trailing_bytes_rejected(self):
-        data = canonical_encode(wtx())
-        with pytest.raises(CodecError):
-            canonical_decode(data + b"\x00")
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(CodecError):
-            canonical_decode(b"\xff\x00")
-
-    def test_unsupported_type_rejected(self):
-        with pytest.raises(TypeError):
-            canonical_encode("not a wire type")
 
 
 # --- blocks and chains -------------------------------------------------------
@@ -425,3 +427,39 @@ class TestJsonl:
         chain = self.build_chain()
         lines = chain_to_jsonl(chain).splitlines()
         assert len(lines) == len(chain)
+
+
+def _set(key, value):
+    return lambda d: {**d, key: value}
+
+
+def _set_update(b64):
+    return lambda d: {**d, "tallies": [{**d["tallies"][0], "update_b64": b64}]}
+
+
+def _drop(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _b64(n_bytes):
+    return base64.b64encode(b"\x00" * n_bytes).decode()
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        (None, "bad JSON"),
+        (_drop("round"), "missing key 'round'"),
+        (_set("miner", "zz"), "hexadecimal"),
+        (_set_update("!!!!"), "bad base64"),
+        (_set_update(_b64(7)), "not whole doubles"),
+        (_set_update(_b64(8 * 5)), "5 entries"),
+    ],
+    ids=["json", "missing-key", "hex", "base64", "partial-double", "vector-length"],
+)
+def test_malformed_dump_line_named(edit, cause):
+    chain = TestJsonl().build_chain()
+    lines = chain_to_jsonl(chain).splitlines()
+    lines[1] = "garbage" if edit is None else json.dumps(edit(json.loads(lines[1])))
+    with pytest.raises(CodecError, match=f"^line 2: .*{cause}"):
+        chain_from_jsonl("\n".join(lines) + "\n")

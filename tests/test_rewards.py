@@ -10,7 +10,6 @@ from vbfl.rewards import (
     apply_block,
     block_reward_total,
     miner_reward,
-    validator_reward,
     worker_reward,
 )
 
@@ -69,21 +68,6 @@ class TestWorkerReward:
             worker_reward(0, 10, 1, 0, 1)
         with pytest.raises(ValueError):
             worker_reward(1, 10, -1, 0, 1)
-
-
-class TestValidatorReward:
-    def test_full_participation(self):
-        assert validator_reward(12, 12, 1) == 24
-
-    def test_unverified_transaction_earns_no_vote(self):
-        assert validator_reward(12, 11, 1) == 23
-
-    def test_zero(self):
-        assert validator_reward(0, 0, 1) == 0
-
-    def test_votes_cannot_exceed_verified(self):
-        with pytest.raises(ValueError):
-            validator_reward(3, 4, 1)
 
 
 class TestMinerReward:

@@ -13,7 +13,7 @@ from vbfl.learning import (
     local_train,
     softmax_arch,
 )
-from vbfl.orchestrator import SimConfig, Simulation
+from vbfl.orchestrator import SimConfig, Simulation, write_vad_csv
 from vbfl.presets import get_preset
 from vbfl.protocol import Vote
 from vbfl.validation import (
@@ -25,7 +25,6 @@ from vbfl.validation import (
     reference_from_global,
     suggest_threshold,
     validate_by_voting,
-    write_vad_csv,
 )
 
 
