@@ -42,11 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--pow-difficulty", type=int)
     run_p.add_argument("--malicious", type=int, help="number of malicious devices")
     run_p.add_argument(
-        "--validation-scheme",
-        choices=("voting", "legacy"),
-        help="legacy reproduces the discarded global-model-reference check",
-    )
-    run_p.add_argument(
         "--out",
         type=Path,
         default=None,
@@ -131,7 +126,6 @@ def _cmd_run(args) -> int:
         consensus=args.consensus,
         pow_difficulty=args.pow_difficulty,
         malicious=args.malicious,
-        validation_scheme=args.validation_scheme,
     )
     out_dir = args.out or _default_out_dir(name, config.master_seed)
     progress = None if args.quiet else lambda m: print(_round_line(m))

@@ -129,16 +129,11 @@ def collect_blocks(
     own: Block,
     propagated: Sequence[tuple[Block, float]],
     deadline: float,
-    blacklist: frozenset[DeviceId] = frozenset(),
 ) -> list[Block]:
     """Own candidate plus propagated blocks that arrive in time.
 
-    Blocks from blacklisted miners are dropped at receipt. An unlimited
-    deadline (math.inf) collects everything.
+    An unlimited deadline (math.inf) collects everything; blocks from
+    blacklisted miners are left to :func:`pos_select`.
     """
-    kept = [
-        b
-        for b, arrival in propagated
-        if arrival <= deadline and b.miner not in blacklist
-    ]
+    kept = [b for b, arrival in propagated if arrival <= deadline]
     return [own] + sorted(kept, key=lambda b: b.miner)

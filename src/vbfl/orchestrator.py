@@ -82,14 +82,11 @@ from .protocol import (
 from .rewards import StakeLedger, apply_block
 from .rng import derive_seed, substream
 from .validation import (
-    SCHEME_LEGACY,
-    SCHEME_VOTING,
     VadRecord,
     ValidatorState,
     malicious_flip,
     pretrain_many,
     pretrain_one_epoch,  # unused here, but perfbench/tracer.py wraps this module's name
-    reference_from_global,
     validate_by_voting,
 )
 
@@ -181,9 +178,6 @@ class SimConfig:
     dataset: DatasetConfig = DatasetConfig()
     arch: str = "mlp"
     mlp_hidden: int = 16
-    role_policy: str = "random"
-    role_sequence: tuple[str, ...] = ()
-    validation_scheme: str = SCHEME_VOTING
     validator_test: str = "full"
     sharding: str = "iid"
     signature_scheme: str = "stub"
@@ -206,8 +200,10 @@ class SimConfig:
         known = {BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP}
         if not set(self.malicious_behaviors) <= known:
             fail("malicious_behaviors", f"must be a subset of {sorted(known)}")
-        if not math.isfinite(self.vh):
-            fail("vh", "must be finite")
+        for key, value in _float_fields(self):
+            unlimited = key == "network.propagated_block_wait" and value == math.inf
+            if not (math.isfinite(value) or unlimited):
+                fail(key, "must be finite")
         if not self.noise_variance > 0:
             fail("noise_variance", "must be > 0")
         if self.kick_r < 1:
@@ -244,16 +240,6 @@ class SimConfig:
             fail("arch", "must be 'softmax' or 'mlp'")
         if self.arch == "mlp" and self.mlp_hidden < 1:
             fail("mlp_hidden", "must be >= 1")
-        if self.role_policy not in ("random", "fixed"):
-            fail("role_policy", "must be 'random' or 'fixed'")
-        if self.role_policy == "fixed":
-            if not self.role_sequence:
-                fail("role_sequence", "required when role_policy is 'fixed'")
-            for entry in self.role_sequence:
-                if len(entry) != self.n_devices or set(entry) - set("wvm"):
-                    fail("role_sequence", "each entry needs one of w/v/m per device")
-        if self.validation_scheme not in (SCHEME_VOTING, SCHEME_LEGACY):
-            fail("validation_scheme", f"must be '{SCHEME_VOTING}' or '{SCHEME_LEGACY}'")
         if self.validator_test not in ("full", "shard"):
             fail("validator_test", "must be 'full' or 'shard'")
         if self.sharding not in ("iid", "label_skew"):
@@ -269,6 +255,16 @@ class SimConfig:
         cfg = _from_dict(SimConfig, data)
         cfg.validate()
         return cfg
+
+
+def _float_fields(obj, prefix: str = ""):
+    """(dotted key, value) of every float value, nested sections included."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _float_fields(value, f"{prefix}{f.name}.")
+        elif isinstance(value, float):
+            yield prefix + f.name, value
 
 
 def _check_rows(config: SimConfig, train_rows: int, test_rows: int) -> None:
@@ -417,20 +413,11 @@ def assign_roles(
 ) -> dict[DeviceId, Role]:
     """Per-round role map; blacklisted devices receive no role.
 
-    Random policy: a uniform shuffle filled worker-first. When exclusions
-    leave fewer devices than the configured counts, the deficit shrinks the
-    worker count first, then validators, then miners.
+    A uniform shuffle filled worker-first. When exclusions leave fewer
+    devices than the configured counts, the deficit shrinks the worker
+    count first, then validators, then miners.
     """
-    ids = sorted(device_ids)
-    active = [d for d in ids if d not in excluded]
-    if config.role_policy == "fixed":
-        entry = config.role_sequence[(round_no - 1) % len(config.role_sequence)]
-        by_char = {"w": Role.WORKER, "v": Role.VALIDATOR, "m": Role.MINER}
-        return {
-            dev: by_char[entry[number]]
-            for number, dev in enumerate(ids)
-            if dev not in excluded
-        }
+    active = [d for d in sorted(device_ids) if d not in excluded]
     counts = [config.n_workers, config.n_validators, config.n_miners]
     deficit = sum(counts) - len(active)
     for slot in range(3):  # shrink worker-first
@@ -923,19 +910,16 @@ class Simulation(_World):
         return vad_records, inbox
 
     def _references(self, plan: _Plan) -> dict[DeviceId, ValidatorState]:
-        """Every validator's reference model for its votes this round; under
-        the voting scheme all train in one stacked call."""
+        """Every validator's reference model for its votes this round: one
+        epoch from its global model, all trained in one stacked call."""
         cfg = self.config
         starts = [self.state[v].replica.g for v in plan.validators]
         states = [
             ValidatorState(v, cfg.vh, train=self.state[v].train, test=self.state[v].test)
             for v in plan.validators
         ]
-        if cfg.validation_scheme == SCHEME_LEGACY:
-            refs = [reference_from_global(g, vstate) for g, vstate in zip(starts, states)]
-        else:
-            rngs = [substream(cfg.master_seed, "batches", v, plan.round) for v in plan.validators]
-            refs = pretrain_many(starts, states, cfg.train, rngs)
+        rngs = [substream(cfg.master_seed, "batches", v, plan.round) for v in plan.validators]
+        refs = pretrain_many(starts, states, cfg.train, rngs)
         return dict(zip(plan.validators, refs))
 
     def _mine(self, plan: _Plan, received, received_vtx):
@@ -1009,7 +993,6 @@ class Simulation(_World):
                 candidates[m],
                 propagated,
                 ready_at[m] + cfg.network.propagated_block_wait,
-                blacklist=self.state[m].replica.ledger.blacklist,
             )
             try:
                 choice[m] = consensus_mod.pos_select(collected, self.state[m].replica.ledger)

@@ -121,7 +121,6 @@ def apply_overrides(
     consensus: str | None = None,
     pow_difficulty: int | None = None,
     malicious: int | None = None,
-    validation_scheme: str | None = None,
 ) -> SimConfig:
     """A preset's or a config file's config plus command-line overrides, validated."""
     changes = {
@@ -130,7 +129,6 @@ def apply_overrides(
         "vh": vh,
         "consensus": consensus,
         "pow_difficulty": pow_difficulty,
-        "validation_scheme": validation_scheme,
     }
     cfg = replace(config, **{k: v for k, v in changes.items() if v is not None})
     if malicious is not None:

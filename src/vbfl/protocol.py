@@ -511,38 +511,45 @@ def block_to_json(block: Block) -> dict:
     }
 
 
+def _uint(d: Mapping, key: str) -> int:
+    """An integer field of a dump: an int (not a bool) that fits ``_u64``."""
+    value = d[key]
+    if type(value) is not int or not 0 <= value < 2**64:
+        raise ValueError(f"{key}: expected an unsigned 64-bit integer, got {value!r}")
+    return value
+
+
 def _tally_from_json(d: dict) -> VoteTally:
     raw = base64.b64decode(d["update_b64"], validate=True)
     if len(raw) % 8:
         raise ValueError(f"update_b64 holds {len(raw)} bytes, not whole doubles")
     values = np.frombuffer(raw, dtype=">f8")
     tx = WorkerTransaction(
-        round=d["round"],
+        round=_uint(d, "round"),
         worker=bytes.fromhex(d["worker"]),
         update=ModelParams(values, d["update_arch"]),
-        expected_reward=d["expected_reward"],
-        epochs=d["epochs"],
-        train_size=d["train_size"],
+        expected_reward=_uint(d, "expected_reward"),
+        epochs=_uint(d, "epochs"),
+        train_size=_uint(d, "train_size"),
         signature=bytes.fromhex(d["tx_signature"]),
     )
     return VoteTally(
         tx,
-        d["positives"],
-        d["negatives"],
+        _uint(d, "positives"),
+        _uint(d, "negatives"),
         frozenset(bytes.fromhex(v) for v in d["voters"]),
     )
 
 
 def block_from_json(d: dict) -> Block:
+    rewards = d["validator_rewards"]
     return Block(
-        round=d["round"],
+        round=_uint(d, "round"),
         miner=bytes.fromhex(d["miner"]),
         prev_hash=bytes.fromhex(d["prev_hash"]),
         tallies=tuple(_tally_from_json(t) for t in d["tallies"]),
-        miner_reward=d["miner_reward"],
-        validator_rewards=tuple(
-            (bytes.fromhex(k), v) for k, v in d["validator_rewards"].items()
-        ),
+        miner_reward=_uint(d, "miner_reward"),
+        validator_rewards=tuple((bytes.fromhex(k), _uint(rewards, k)) for k in rewards),
         model_hash=bytes.fromhex(d["model_hash"]),
         content_hash=bytes.fromhex(d["content_hash"]),
         signature=bytes.fromhex(d["signature"]),

@@ -7,7 +7,7 @@ callers check where a device's stake came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .protocol import Block, DeviceId, GENESIS_MINER
@@ -68,12 +68,10 @@ class StakeLedger:
         return self.earned.get(device, {}).get(source, 0)
 
     def clone(self) -> "StakeLedger":
-        return StakeLedger(
-            unit_reward=self.unit_reward,
-            kick_r=self.kick_r,
+        return replace(
+            self,
             stake=dict(self.stake),
             flag_streak=dict(self.flag_streak),
-            blacklist=self.blacklist,
             earned={d: dict(e) for d, e in self.earned.items()},
         )
 

@@ -6,11 +6,6 @@ The gap between this reference accuracy and the accuracy of a worker's
 update (``vad``, validation accuracy difference) drives the vote: a gap
 above the validator's threshold means the update looks distorted and draws
 a Negative vote.
-
-A discarded earlier scheme that compares against the previous global
-model's accuracy instead of the one-epoch reference is kept behind the
-``legacy`` switch for reproducing its behavior; it is not on the protocol
-path.
 """
 
 from __future__ import annotations
@@ -22,10 +17,6 @@ import numpy as np
 
 from .learning import DataShard, ModelParams, TrainSpec, evaluate, local_train_many
 from .protocol import DeviceId, Vote
-
-SCHEME_VOTING = "voting"
-SCHEME_LEGACY = "legacy"
-
 
 @dataclass(frozen=True)
 class ValidatorState:
@@ -76,13 +67,6 @@ def pretrain_one_epoch(
 ) -> ValidatorState:
     """:func:`pretrain_many` of one validator."""
     return pretrain_many([global_params], [state], spec, [rng])[0]
-
-
-def reference_from_global(
-    global_params: ModelParams, state: ValidatorState
-) -> ValidatorState:
-    """Legacy reference: the previous global model's own accuracy."""
-    return replace(state, pretrain_acc=evaluate(global_params, state.test))
 
 
 def validate_by_voting(

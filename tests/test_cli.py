@@ -1,9 +1,14 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from vbfl import cli
 from vbfl.errors import InvariantViolation
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY_CONFIG = {
     "rounds": 2,
@@ -228,3 +233,20 @@ class TestCompare:
         assert run_cli("run", "--config", cfg_b, "--out", out_b, "--quiet") == 0
         assert run_cli("compare", out_a, out_b) == 0
         assert "ratios" in capsys.readouterr().out
+
+
+def test_readme_flag_list_matches_parser():
+    # README's "Flags:" paragraph names every option of `vbfl run` and
+    # `vbfl compare`, and no other.
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        opt
+        for name in ("run", "compare")
+        for action in sub.choices[name]._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    text = README.read_text()
+    flags = text[text.index("\nFlags: "):].split("\n\n")[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", flags)) == options

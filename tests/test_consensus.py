@@ -272,9 +272,3 @@ class TestCollectBlocks:
         own = mk_block(8)
         others = [(mk_block(9), 0.5), (mk_block(10), 0.1)]
         assert collect_blocks(own, others, 0.0) == [own]
-
-    def test_blacklisted_dropped_at_receipt(self):
-        own = mk_block(8)
-        others = [(mk_block(9), 0.0), (mk_block(10), 0.0)]
-        got = collect_blocks(own, others, math.inf, blacklist=frozenset([dev(9)]))
-        assert [b.miner for b in got] == [dev(8), dev(10)]

@@ -88,20 +88,19 @@ CASES = {
         rounds=8, network=NetworkConfig(delay=1.0, jitter=0.5, propagated_block_wait=0.2)
     ),
     "vanilla": _tiny(consensus="vfl"),
-    "legacy_flip_skew": _tiny(
-        validation_scheme="legacy",
+    "flip_skew": _tiny(
         malicious_behaviors=(BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP),
         sharding="label_skew",
     ),
 }
 
 GOLDEN = {
-    "legacy_flip_skew": {
-        "chain.jsonl": "56770d28057892e7636f2419370eb98681c2bf744cf73189ce6b39d5719abf3b",
-        "events.csv": "76d8e6bb8366736b73a701b27781ff14020e7d7b246a567c292931ea59db41bd",
-        "rounds.csv": "cf43fef9b713ed92494a442151a1850af3fdc815f6d901b164219007e545d271",
-        "stake.csv": "893ed24519b919267cbe2b6c2096f8df2625d9ca0fcb4a61f7bc5e6922720fc1",
-        "vad.csv": "d4ade09bda624165444c7595b94ec4fdeb14ac94dd3a01561dbbd42fffbe49a2",
+    "flip_skew": {
+        "chain.jsonl": "9d1724d1214a3cb736f5d27b969e5fa4e664315011c5405faa97f2cbbd3b7a50",
+        "events.csv": "da3ed4fb45b21d68026dad889a0375d3c72ab3049f38b337a1a6e903009d066a",
+        "rounds.csv": "06bce2d5f090fb61d7aaba539200044ae9ef8bd560063cb14f3dd2664cd7c3c2",
+        "stake.csv": "01f36fac45d070632a666696b8b83cea6dd1ac1cd4e7e00a5b6992d3fe751eef",
+        "vad.csv": "e9a842e5bfab07db1a61ea8fe863bfaf6cbb653530ed68a8d6c0c35e2e27b9f8",
     },
     "network": {
         "chain.jsonl": "dbb0e3dcee9f1d43123b5b4ab0c8944807b31a51a27d668b532decff8364fc56",

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import typing
 from collections import Counter
 
 import numpy as np
@@ -103,13 +104,23 @@ NON_DEFAULT = {
     "dataset.idx_dir": "data/mnist",
     "arch": "softmax",
     "mlp_hidden": 8,
-    "role_policy": "fixed",
-    "role_sequence": ("wwwwwvvvmm", "vvvmmwwwww"),
-    "validation_scheme": "legacy",
     "validator_test": "shard",
     "sharding": "label_skew",
     "signature_scheme": "hmac",
 }
+
+
+def _float_keys(cls, prefix=""):
+    """Dotted keys of every float field of cls and of its nested sections."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default):
+            yield from _float_keys(type(f.default), f"{prefix}{f.name}.")
+        elif hints[f.name] is float:
+            yield prefix + f.name
+
+
+FLOAT_KEYS = sorted(_float_keys(SimConfig))
 
 
 class TestConfig:
@@ -192,7 +203,7 @@ class TestConfig:
             ({"n_devices": "20"}, "n_devices"),
             ({"malicious": [1.5]}, "malicious"),
             ({"malicious": 3}, "malicious"),
-            ({"role_sequence": "wvm"}, "role_sequence"),
+            ({"malicious_behaviors": "WORKER_NOISE"}, "malicious_behaviors"),
             ({"train": {"epochs": "5"}}, "train.epochs"),
             ({"train": 5}, "train"),
             ({"dataset": {"seed": "7"}}, "dataset.seed"),
@@ -206,6 +217,21 @@ class TestConfig:
     def test_ints_stand_for_floats(self):
         cfg = SimConfig.from_dict({"vh": 0, "network": {"delay": 1}, "dataset": {"seed": None}})
         assert cfg.vh == 0 and cfg.network.delay == 1 and cfg.dataset.seed is None
+
+    def test_float_keys_cover_every_section(self):
+        assert {k.rpartition(".")[0] for k in FLOAT_KEYS} == {"", "train", "network", "dataset"}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_named(self, key, value):
+        section, _, name = key.rpartition(".")
+        data = {section: {name: value}} if section else {name: value}
+        if (key, value) == ("network.propagated_block_wait", math.inf):  # "unlimited"
+            assert SimConfig.from_dict(data).network.propagated_block_wait == math.inf
+            return
+        # TrainSpec rejects a NaN learning rate itself, as "train: learning_rate ...".
+        with pytest.raises(ConfigError, match=rf"^{section}\W*{name}\b"):
+            SimConfig.from_dict(data)
 
 
 class TestDevices:
@@ -317,15 +343,6 @@ class TestRoles:
             assign_roles(j, ids, cfg, substream(0, "roles", j)) for j in range(1, 101)
         ]
         assert any(maps[0] != m for m in maps[1:])
-
-    def test_fixed_sequence_replays(self):
-        seq = ("w" * 12 + "v" * 5 + "m" * 3,)
-        cfg = tiny_cfg(role_policy="fixed", role_sequence=seq)
-        ids = [d.id for d in make_devices(20)]
-        for j in (1, 2, 9):
-            roles = assign_roles(j, ids, cfg, substream(0, "roles", j))
-            assert roles[sorted(ids)[0]] is Role.WORKER
-            assert roles[sorted(ids)[19]] is Role.MINER
 
     def test_blacklisted_excluded_and_workers_shrink_first(self):
         cfg = tiny_cfg()
@@ -639,13 +656,6 @@ class TestRound:
         assert resets == workers_again
         ref = sorted(sim.state)[0]
         assert all(sim.state[ref].replica.ledger.streak_of(d) == 0 for d in resets)
-
-    def test_legacy_validation_scheme_runs(self):
-        cfg = tiny_cfg(rounds=2, validation_scheme="legacy", malicious=(19,), vh=0.12)
-        sim = Simulation(cfg)
-        metrics = sim.run()
-        assert len(sim.vad_records) == 2 * 12 * 5
-        assert all(0 <= m.global_accuracy <= 1 for m in metrics)
 
     def test_blacklisted_devices_absent_from_later_blocks(self):
         # After a device is blacklisted, no later block may carry it as a

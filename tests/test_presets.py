@@ -68,12 +68,10 @@ def test_default_network_is_benign():
 def test_overrides():
     cfg = apply_overrides(
         get_preset("VFL_0_20").config, rounds=7, seed=3, malicious=2,
-        validation_scheme="legacy",
     )
     assert cfg.rounds == 7
     assert cfg.master_seed == 3
     assert cfg.malicious == (18, 19)
-    assert cfg.validation_scheme == "legacy"
 
 
 def test_bad_malicious_count():

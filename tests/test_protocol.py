@@ -454,8 +454,14 @@ def _b64(n_bytes):
         (_set_update("!!!!"), "bad base64"),
         (_set_update(_b64(7)), "not whole doubles"),
         (_set_update(_b64(8 * 5)), "5 entries"),
+        (_set("round", 1.5), "round: expected an unsigned"),
+        (_set("miner_reward", -1), "miner_reward: expected an unsigned"),
+        (_set("round", True), "round: expected an unsigned"),
     ],
-    ids=["json", "missing-key", "hex", "base64", "partial-double", "vector-length"],
+    ids=[
+        "json", "missing-key", "hex", "base64", "partial-double", "vector-length",
+        "float-int", "negative-int", "bool-int",
+    ],
 )
 def test_malformed_dump_line_named(edit, cause):
     chain = TestJsonl().build_chain()
@@ -463,3 +469,46 @@ def test_malformed_dump_line_named(edit, cause):
     lines[1] = "garbage" if edit is None else json.dumps(edit(json.loads(lines[1])))
     with pytest.raises(CodecError, match=f"^line 2: .*{cause}"):
         chain_from_jsonl("\n".join(lines) + "\n")
+
+
+def _field_paths(d):
+    """Key paths to every field of a dump line: block, tally and reward fields."""
+    for key, value in d.items():
+        yield (key,)
+        if key == "tallies":
+            for i, t in enumerate(value):
+                yield from ((key, i, k) for k in t)
+        elif key == "validator_rewards":
+            yield from ((key, k) for k in value)
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_dump_line_rejected_or_checkable(data):
+    # One field of one line replaced by any JSON value: the load names the
+    # line, or the loaded chain's link check answers True or False.
+    lines = chain_to_jsonl(TestJsonl().build_chain()).splitlines()
+    n = data.draw(st.integers(0, len(lines) - 1))
+    d = json.loads(lines[n])
+    path = data.draw(st.sampled_from(list(_field_paths(d))))
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(_JSON_VALUES)
+    lines[n] = json.dumps(d)
+    try:
+        restored = chain_from_jsonl("\n".join(lines) + "\n")
+    except CodecError as exc:
+        assert str(exc).startswith(f"line {n + 1}: ")
+        return
+    assert isinstance(restored.verify_links(), bool)

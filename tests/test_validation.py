@@ -22,7 +22,6 @@ from vbfl.validation import (
     malicious_flip,
     pretrain_many,
     pretrain_one_epoch,
-    reference_from_global,
     suggest_threshold,
     validate_by_voting,
 )
@@ -82,10 +81,6 @@ class TestPretrain:
             pretrain_one_epoch(g, s, spec, rng(k)) for k, (g, s) in enumerate(zip(starts, states))
         ]
         assert got == want
-
-    def test_legacy_reference_is_global_accuracy(self, vstate, global_model):
-        got = reference_from_global(global_model, vstate)
-        assert got.pretrain_acc == evaluate(global_model, vstate.test)
 
 
 class TestVoteRule:
