@@ -130,10 +130,11 @@ def collect_blocks(
     propagated: Sequence[tuple[Block, float]],
     deadline: float,
 ) -> list[Block]:
-    """Own candidate plus propagated blocks that arrive in time.
+    """Own candidate plus propagated blocks that arrive in time, in the
+    order given.
 
     An unlimited deadline (math.inf) collects everything; blocks from
-    blacklisted miners are left to :func:`pos_select`.
+    blacklisted miners are left to :func:`pos_select`, which ranks the
+    distinct miners by (stake, miner id), so the order never matters.
     """
-    kept = [b for b, arrival in propagated if arrival <= deadline]
-    return [own] + sorted(kept, key=lambda b: b.miner)
+    return [own] + [b for b, arrival in propagated if arrival <= deadline]

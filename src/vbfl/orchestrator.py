@@ -714,7 +714,8 @@ class Simulation(_World):
         stored to every other peer, each relay drawing a link delay from
         net_rng in peer order, and a receiver stores the first copy per key
         that verifies. Returns each peer's stored (message, signing bytes,
-        arrival) in key order.
+        arrival) in key order; the hop's keys are sorted once and each peer's
+        list filters that order.
 
         Each message's key is computed once. A verdict is a pure function of
         the (message, signing bytes) pair, so each pair is verified once per
@@ -749,7 +750,8 @@ class Simulation(_World):
                     for o, arrival in zip(others, arrivals):
                         if k not in stored[o]:
                             stored[o][k] = (msg, payload, arrival)
-        return {p: [stored[p][k] for k in sorted(stored[p])] for p in peers}
+        order = sorted({item[0] for items in direct.values() for item in items})
+        return {p: [stored[p][k] for k in order if k in stored[p]] for p in peers}
 
     # -- the round ------------------------------------------------------------
 
@@ -1216,9 +1218,8 @@ def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path
     write_vad_csv(result.driver.vad_records, out_dir / "vad.csv")
     if isinstance(result.driver, Simulation):
         ref = result.driver._active_ids(result.driver._unanimous_blacklist())[0]
-        (out_dir / "chain.jsonl").write_text(
-            chain_to_jsonl(result.driver.state[ref].replica.chain)
-        )
+        with open(out_dir / "chain.jsonl", "w", encoding="utf-8") as out:
+            chain_to_jsonl(result.driver.state[ref].replica.chain, out)
     write_manifest(result.config, out_dir, preset)
     return out_dir
 

@@ -17,7 +17,7 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -556,13 +556,12 @@ def block_from_json(d: dict) -> Block:
     )
 
 
-def chain_to_jsonl(chain: Blockchain) -> str:
-    """One block per line; stable key order, hashes hex, params base64."""
-    lines = [
-        json.dumps(block_to_json(b), sort_keys=True, separators=(",", ":"))
-        for b in chain.blocks
-    ]
-    return "".join(line + "\n" for line in lines)
+def chain_to_jsonl(chain: Blockchain, out: TextIO) -> None:
+    """Write one block per line to out; stable key order, hashes hex, params
+    base64. Each line is built and written before the next, so only one
+    block's line is held at a time."""
+    for b in chain.blocks:
+        out.write(json.dumps(block_to_json(b), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def chain_from_jsonl(text: str) -> Blockchain:

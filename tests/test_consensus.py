@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vbfl.consensus import (
@@ -208,6 +208,26 @@ class TestPosSelect:
             blocks, StakeLedger(stake={dev(m): s * factor for m, s in stakes.items()})
         )
         assert base.miner == scaled.miner
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(st.integers(8, 12), st.integers(0, 3), min_size=1).flatmap(
+            lambda stakes: st.tuples(st.just(stakes), st.permutations(sorted(stakes)))
+        ),
+        st.sets(st.integers(8, 12)),
+    )
+    def test_input_order_irrelevant(self, stakes_order, blacklist):
+        # Distinct miners, as collect_blocks gives them: the pick is the same
+        # block for every order of the candidates.
+        stakes, order = stakes_order
+        blocks = {m: mk_block(m) for m in stakes}
+        ledger = StakeLedger(
+            stake={dev(m): s for m, s in stakes.items()},
+            blacklist=frozenset(dev(m) for m in blacklist),
+        )
+        assume(not set(stakes) <= blacklist)
+        base = pos_select([blocks[m] for m in sorted(stakes)], ledger)
+        assert pos_select([blocks[m] for m in order], ledger) is base
 
 
 class TestPowRace:

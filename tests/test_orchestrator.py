@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import typing
 from collections import Counter
 
@@ -874,6 +875,20 @@ class TestOutputs:
         assert (out / "stake.csv").read_text().splitlines() == [
             "round,device,stake,is_malicious"
         ]
+
+    def test_chain_dump_streams(self, tmp_path):
+        # write_outputs holds about one block's line of the dump at a time,
+        # never the whole dump: its traced peak stays under half the file.
+        cfg = tiny_cfg(rounds=10, arch="mlp", mlp_hidden=64)
+        sim = Simulation(cfg)
+        result = RunResult(cfg, sim.run(), sim, None)
+        tracemalloc.start()
+        try:
+            write_outputs(result, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "chain.jsonl").stat().st_size / 2
 
     def test_chain_dump_audits(self, tmp_path):
         from vbfl.protocol import chain_from_jsonl

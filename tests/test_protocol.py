@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import io
 import json
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from vbfl.protocol import (
     ZERO_HASH,
     append_block,
     block_body_bytes,
+    block_to_json,
     chain_from_jsonl,
     chain_to_jsonl,
     compute_content_hash,
@@ -393,6 +395,13 @@ class TestChain:
             append_block(chain, again, signer)
 
 
+def dump(chain: Blockchain) -> str:
+    """The chain's JSON-lines dump, written through a text stream."""
+    out = io.StringIO()
+    chain_to_jsonl(chain, out)
+    return out.getvalue()
+
+
 class TestJsonl:
     def build_chain(self):
         signer = make_signer()
@@ -402,14 +411,14 @@ class TestJsonl:
 
     def test_roundtrip_preserves_hash_links(self):
         chain = self.build_chain()
-        restored = chain_from_jsonl(chain_to_jsonl(chain))
+        restored = chain_from_jsonl(dump(chain))
         assert restored == chain
         assert restored.verify_links()
 
     def test_flipped_tally_byte_fails_after_reload(self):
         chain = self.build_chain()
         assert chain.verify_links()
-        lines = chain_to_jsonl(chain).splitlines()
+        lines = dump(chain).splitlines()
         d = json.loads(lines[1])
         raw = bytearray(base64.b64decode(d["tallies"][0]["update_b64"]))
         raw[7] ^= 0x01  # lowest mantissa bit of the first big-endian double
@@ -421,12 +430,20 @@ class TestJsonl:
 
     def test_dump_stable(self):
         chain = self.build_chain()
-        assert chain_to_jsonl(chain) == chain_to_jsonl(chain)
+        assert dump(chain) == dump(chain)
 
     def test_one_line_per_block(self):
         chain = self.build_chain()
-        lines = chain_to_jsonl(chain).splitlines()
+        lines = dump(chain).splitlines()
         assert len(lines) == len(chain)
+
+    def test_streamed_dump_equals_joined_lines(self):
+        chain = self.build_chain()
+        joined = "".join(
+            json.dumps(block_to_json(b), sort_keys=True, separators=(",", ":")) + "\n"
+            for b in chain.blocks
+        )
+        assert dump(chain) == joined
 
 
 def _set(key, value):
@@ -465,7 +482,7 @@ def _b64(n_bytes):
 )
 def test_malformed_dump_line_named(edit, cause):
     chain = TestJsonl().build_chain()
-    lines = chain_to_jsonl(chain).splitlines()
+    lines = dump(chain).splitlines()
     lines[1] = "garbage" if edit is None else json.dumps(edit(json.loads(lines[1])))
     with pytest.raises(CodecError, match=f"^line 2: .*{cause}"):
         chain_from_jsonl("\n".join(lines) + "\n")
@@ -497,7 +514,7 @@ _JSON_VALUES = st.one_of(
 def test_mutated_dump_line_rejected_or_checkable(data):
     # One field of one line replaced by any JSON value: the load names the
     # line, or the loaded chain's link check answers True or False.
-    lines = chain_to_jsonl(TestJsonl().build_chain()).splitlines()
+    lines = dump(TestJsonl().build_chain()).splitlines()
     n = data.draw(st.integers(0, len(lines) - 1))
     d = json.loads(lines[n])
     path = data.draw(st.sampled_from(list(_field_paths(d))))
