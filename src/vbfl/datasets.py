@@ -33,7 +33,6 @@ class Task:
     test_x: np.ndarray
     test_y: np.ndarray
     num_classes: int
-    name: str = "task"
 
     def __post_init__(self):
         for arr in (self.train_x, self.train_y, self.test_x, self.test_y):
@@ -56,28 +55,19 @@ def make_blobs_task(
     spread: float = 0.3,
     feature_scale: float = 0.5,
     seed: int = 0,
-    informative_dims: int | None = None,
 ) -> Task:
     """K isotropic Gaussian clusters with standard-normal means.
 
     ``spread`` is the within-cluster standard deviation; ``feature_scale``
-    rescales all features uniformly. When ``informative_dims`` is set, only
-    that many leading dimensions carry class means; the rest are pure
-    within-cluster noise, mimicking inputs where most features are
-    irrelevant. Rows are shuffled so contiguous slices are class-balanced
-    in expectation.
+    rescales all features uniformly. Rows are shuffled so contiguous slices
+    are class-balanced in expectation.
     """
     if dim < 1 or classes < 2:
         raise ValueError("need dim >= 1 and classes >= 2")
     if train_per_class < 1 or test_per_class < 1:
         raise ValueError("need at least one example per class and split")
-    if informative_dims is None:
-        informative_dims = dim
-    if not 1 <= informative_dims <= dim:
-        raise ValueError("informative_dims must lie in [1, dim]")
     rng = np.random.default_rng(seed)
-    means = np.zeros((classes, dim))
-    means[:, :informative_dims] = rng.normal(0.0, 1.0, size=(classes, informative_dims))
+    means = rng.normal(0.0, 1.0, size=(classes, dim))
 
     def split(per_class: int) -> tuple[np.ndarray, np.ndarray]:
         y = np.repeat(np.arange(classes, dtype=np.int64), per_class)
@@ -88,7 +78,7 @@ def make_blobs_task(
 
     train_x, train_y = split(train_per_class)
     test_x, test_y = split(test_per_class)
-    return Task(train_x, train_y, test_x, test_y, classes, name="blobs")
+    return Task(train_x, train_y, test_x, test_y, classes)
 
 
 def read_idx(path) -> np.ndarray:
@@ -97,7 +87,7 @@ def read_idx(path) -> np.ndarray:
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 4:
+    if len(data) < 4 or len(data) < 4 + 4 * data[3]:  # data[3] is the rank
         raise ValueError(f"{path}: truncated IDX header")
     zero, dtype_code, ndim = struct.unpack(">HBB", data[:4])
     if zero != 0:
@@ -113,9 +103,7 @@ def read_idx(path) -> np.ndarray:
     return arr.reshape(dims)
 
 
-def load_idx_task(
-    train_images, train_labels, test_images, test_labels, name: str = "idx"
-) -> Task:
+def load_idx_task(train_images, train_labels, test_images, test_labels) -> Task:
     """Build a Task from four IDX files; pixels flatten and scale to [0, 1]."""
 
     def images(path) -> np.ndarray:
@@ -130,4 +118,4 @@ def load_idx_task(
     if train_x.shape[0] != train_y.shape[0] or test_x.shape[0] != test_y.shape[0]:
         raise ValueError("image and label counts disagree")
     classes = int(max(train_y.max(), test_y.max())) + 1
-    return Task(train_x, train_y, test_x, test_y, classes, name=name)
+    return Task(train_x, train_y, test_x, test_y, classes)

@@ -131,8 +131,6 @@ class DatasetConfig:
     test_per_class: int = 200
     spread: float = 4.0
     feature_scale: float = 0.5
-    informative_dims: int | None = None
-    seed: int | None = None
     idx_dir: str | None = None
 
 
@@ -212,8 +210,8 @@ class SimConfig:
             fail("unit_reward", "must be >= 1")
         if self.consensus not in ("pos", "pow", "vfl"):
             fail("consensus", "must be 'pos', 'pow' or 'vfl'")
-        if self.pow_difficulty < 0:
-            fail("pow_difficulty", "must be >= 0")
+        if not 0 <= self.pow_difficulty <= 64:
+            fail("pow_difficulty", "must lie in [0, 64], the digest's nibble count")
         if self.rounds < 0:
             fail("rounds", "must be >= 0")
         if self.network.delay < 0 or self.network.jitter < 0:
@@ -227,9 +225,6 @@ class SimConfig:
                 fail("dataset", "need dim >= 1 and classes >= 2")
             if self.dataset.train_per_class < 1 or self.dataset.test_per_class < 1:
                 fail("dataset", "need at least one example per class and split")
-            info = self.dataset.informative_dims
-            if info is not None and not 1 <= info <= self.dataset.dim:
-                fail("dataset.informative_dims", "must lie in [1, dim]")
             classes = self.dataset.classes
             _check_rows(
                 self, classes * self.dataset.train_per_class, classes * self.dataset.test_per_class
@@ -268,14 +263,19 @@ def _float_fields(obj, prefix: str = ""):
 
 
 def _check_rows(config: SimConfig, train_rows: int, test_rows: int) -> None:
-    """Every device needs a training row, and a test row of its own under
-    ``validator_test="shard"``."""
+    """Every device needs a training row, a test row of its own under
+    ``validator_test="shard"``, and a training shard no smaller than a batch."""
     n = config.n_devices
     if train_rows < n:
         raise ConfigError(f"dataset: {train_rows} training rows for {n} devices")
     if config.validator_test == "shard" and test_rows < n:
         raise ConfigError(
             f"dataset: {test_rows} test rows for {n} devices under validator_test='shard'"
+        )
+    if config.train.batch_size > train_rows // n:
+        raise ConfigError(
+            f"train.batch_size: {config.train.batch_size} exceeds the smallest "
+            f"training shard ({train_rows // n} rows)"
         )
 
 
@@ -344,9 +344,8 @@ def _from_dict(cls, data: Mapping, section: str = ""):
 
 @dataclass(frozen=True)
 class Device:
-    """A participant: its rank in id order, public id and signing secret."""
+    """A participant: its public id and signing secret."""
 
-    number: int
     id: DeviceId
     secret: bytes
 
@@ -359,7 +358,7 @@ def make_devices(n: int) -> list[Device]:
         dev_id = hashlib.sha256(b"vbfl/device-identity/" + str(i).encode()).digest()[:16]
         raw.append((dev_id, secret))
     raw.sort()
-    return [Device(number, dev_id, secret) for number, (dev_id, secret) in enumerate(raw)]
+    return [Device(dev_id, secret) for dev_id, secret in raw]
 
 
 def shard_dataset(
@@ -478,7 +477,6 @@ class RoundMetrics:
     stakes: dict[DeviceId, int] = field(default_factory=dict)
     vad_records: tuple[VadRecord, ...] = ()
     events: tuple[tuple[DeviceId, str], ...] = ()
-    reward_breakdown: dict[DeviceId, dict[str, int]] = field(default_factory=dict)
     roles: dict[DeviceId, Role] = field(default_factory=dict)
     legitimate_block: Block | None = None
 
@@ -567,18 +565,19 @@ def _build_task(config: SimConfig) -> Task:
                     return candidate
             raise ConfigError(f"dataset.idx_dir: missing {stem}[.gz] under {root}")
 
-        return load_idx_task(
-            find("train-images-idx3-ubyte"),
-            find("train-labels-idx1-ubyte"),
-            find("t10k-images-idx3-ubyte"),
-            find("t10k-labels-idx1-ubyte"),
-            name="idx",
-        )
-    seed = ds.seed if ds.seed is not None else derive_seed(config.master_seed, "shard", "task")
+        try:
+            return load_idx_task(
+                find("train-images-idx3-ubyte"),
+                find("train-labels-idx1-ubyte"),
+                find("t10k-images-idx3-ubyte"),
+                find("t10k-labels-idx1-ubyte"),
+            )
+        except (ValueError, OSError, EOFError) as exc:  # malformed, unreadable, bad gzip
+            raise ConfigError(f"dataset.idx_dir: {exc}") from None
     params = {f.name: getattr(ds, f.name) for f in fields(ds)}
-    for key in ("kind", "seed", "idx_dir"):
+    for key in ("kind", "idx_dir"):
         del params[key]
-    return make_blobs_task(seed=seed, **params)
+    return make_blobs_task(seed=derive_seed(config.master_seed, "shard", "task"), **params)
 
 
 def _make_signer(config: SimConfig, devices: Sequence[Device]) -> Signer:
@@ -784,7 +783,6 @@ class Simulation(_World):
 
         prev_ref_ledger = self.state[ref].replica.ledger
         events, legit_ref = self._settle(plan, choice, actives, ref)
-        ref_ledger = self.state[ref].replica.ledger
         metrics = RoundMetrics(
             round=j,
             consensus=cfg.consensus.upper(),
@@ -792,16 +790,9 @@ class Simulation(_World):
             winner=legit_ref.miner if legit_ref else None,
             winner_malicious=bool(legit_ref and legit_ref.miner in self.malicious_ids),
             forked=len({b.content_hash for b in choice.values()}) > 1,
-            stakes={d: ref_ledger.stake_of(d) for d in self.state},
+            stakes={d: self.state[ref].replica.ledger.stake_of(d) for d in self.state},
             vad_records=tuple(vad_records),
             events=tuple(events),
-            reward_breakdown={
-                d: {
-                    src: ref_ledger.earned_as(d, src) - prev_ref_ledger.earned_as(d, src)
-                    for src in rewards_mod.ROLE_SOURCES
-                }
-                for d in self.state
-            },
             roles=plan.roles,
             legitimate_block=legit_ref,
         )
@@ -917,7 +908,7 @@ class Simulation(_World):
         cfg = self.config
         starts = [self.state[v].replica.g for v in plan.validators]
         states = [
-            ValidatorState(v, cfg.vh, train=self.state[v].train, test=self.state[v].test)
+            ValidatorState(cfg.vh, train=self.state[v].train, test=self.state[v].test)
             for v in plan.validators
         ]
         rngs = [substream(cfg.master_seed, "batches", v, plan.round) for v in plan.validators]
@@ -1126,10 +1117,6 @@ class RunResult:
     metrics: list[RoundMetrics]
     driver: Simulation | VanillaRun
     out_dir: Path | None
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.metrics[-1].global_accuracy if self.metrics else float("nan")
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:

@@ -39,37 +39,20 @@ class Preset:
     name: str
     requires_vh: bool
     config: SimConfig
-    description: str
 
 
 def _make_presets() -> dict[str, Preset]:
     base = _BASE
     noisy3 = replace(base, malicious=_malicious_tail(base, 3))
     presets = [
-        Preset(
-            "VFL_0_20",
-            False,
-            replace(base, malicious=(), consensus="vfl"),
-            "plain FL, 20 legitimate devices",
-        ),
-        Preset(
-            "VFL_3_20",
-            False,
-            replace(noisy3, consensus="vfl"),
-            "plain FL, 3 of 20 devices send noise-distorted updates",
-        ),
+        Preset("VFL_0_20", False, replace(base, malicious=(), consensus="vfl")),
+        Preset("VFL_3_20", False, replace(noisy3, consensus="vfl")),
         Preset(
             "VBFL_POS_0_20_VH1",
             False,
             replace(base, malicious=(), vh=VH_ALL_POSITIVE, consensus="pos"),
-            "full protocol, stake consensus, no malicious devices, threshold 1.0",
         ),
-        Preset(
-            "VBFL_POS_3_20_VHCAL",
-            True,
-            replace(noisy3, consensus="pos"),
-            "full protocol, stake consensus, 3/20 noisy workers, calibrated threshold",
-        ),
+        Preset("VBFL_POS_3_20_VHCAL", True, replace(noisy3, consensus="pos")),
         Preset(
             "VBFL_POS_3_20_VHCAL_MV",
             True,
@@ -78,25 +61,13 @@ def _make_presets() -> dict[str, Preset]:
                 consensus="pos",
                 malicious_behaviors=(BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP),
             ),
-            "as VBFL_POS_3_20_VHCAL, plus vote flipping by malicious validators",
         ),
-        Preset(
-            "VBFL_POW_3_20_VHCAL_D1",
-            True,
-            replace(noisy3, consensus="pow", pow_difficulty=1),
-            "mining-race consensus at difficulty 1, 3/20 noisy workers",
-        ),
-        Preset(
-            "VBFL_POW_3_20_VHCAL_D2",
-            True,
-            replace(noisy3, consensus="pow", pow_difficulty=2),
-            "mining-race consensus at difficulty 2, 3/20 noisy workers",
-        ),
+        Preset("VBFL_POW_3_20_VHCAL_D1", True, replace(noisy3, consensus="pow", pow_difficulty=1)),
+        Preset("VBFL_POW_3_20_VHCAL_D2", True, replace(noisy3, consensus="pow", pow_difficulty=2)),
         Preset(
             "CALIBRATE_VH",
             False,
             replace(noisy3, consensus="pos", vh=VH_ALL_POSITIVE, rounds=30),
-            "threshold-calibration run: all-Positive votes, logs every vad",
         ),
     ]
     return {p.name: p for p in presets}

@@ -1,8 +1,7 @@
 """Reward formulas, the stake ledger, worker flagging and blacklisting.
 
 Rewards are integers (unit multiples) so stake comparisons in consensus are
-exact. The ledger also keeps a per-role earnings decomposition, which lets
-callers check where a device's stake came from.
+exact.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .protocol import Block, DeviceId, GENESIS_MINER
-
-ROLE_SOURCES = ("worker", "validator", "miner")
 
 
 def worker_reward(
@@ -56,7 +53,6 @@ class StakeLedger:
     stake: dict[DeviceId, int] = field(default_factory=dict)
     flag_streak: dict[DeviceId, int] = field(default_factory=dict)
     blacklist: frozenset[DeviceId] = frozenset()
-    earned: dict[DeviceId, dict[str, int]] = field(default_factory=dict)
 
     def stake_of(self, device: DeviceId) -> int:
         return self.stake.get(device, 0)
@@ -64,24 +60,13 @@ class StakeLedger:
     def streak_of(self, device: DeviceId) -> int:
         return self.flag_streak.get(device, 0)
 
-    def earned_as(self, device: DeviceId, source: str) -> int:
-        return self.earned.get(device, {}).get(source, 0)
-
     def clone(self) -> "StakeLedger":
-        return replace(
-            self,
-            stake=dict(self.stake),
-            flag_streak=dict(self.flag_streak),
-            earned={d: dict(e) for d, e in self.earned.items()},
-        )
+        return replace(self, stake=dict(self.stake), flag_streak=dict(self.flag_streak))
 
-    def _credit(self, device: DeviceId, amount: int, source: str):
+    def _credit(self, device: DeviceId, amount: int):
         if amount == 0 or device in self.blacklist:
             return
         self.stake[device] = self.stake.get(device, 0) + amount
-        self.earned.setdefault(device, {})[source] = (
-            self.earned.get(device, {}).get(source, 0) + amount
-        )
 
 
 def apply_block(
@@ -111,14 +96,14 @@ def apply_block(
             tally.tx.expected_reward == tally.tx.epochs * tally.tx.train_size * unit
         )
         if due > 0 and honest_report:
-            new._credit(w, due, "worker")
+            new._credit(w, due)
         else:
             flagged.add(w)
 
     for validator, reward in block.validator_rewards:
-        new._credit(validator, reward, "validator")
+        new._credit(validator, reward)
     if block.miner != GENESIS_MINER:
-        new._credit(block.miner, block.miner_reward, "miner")
+        new._credit(block.miner, block.miner_reward)
 
     newly_blacklisted: set[DeviceId] = set()
     for device in flagged:

@@ -26,7 +26,6 @@ class ValidatorState:
     the current global model before any vote is cast in a round.
     """
 
-    validator: DeviceId
     threshold: float
     train: DataShard
     test: DataShard

@@ -176,6 +176,36 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
         assert capsys.readouterr().err.startswith("error: dataset")
 
+    def test_pow_difficulty_beyond_digest_exits_one(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, consensus="pow", pow_difficulty=65)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pow_difficulty: ") and len(err.splitlines()) == 1
+
+    def test_batch_larger_than_shard_exits_one(self, tmp_path, capsys):
+        # 4 x 60 training rows give each of 20 devices a shard of 12.
+        cfg = write_tiny_config(tmp_path, train={**TINY_CONFIG["train"], "batch_size": 13})
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.batch_size: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "suffix, data",
+        [("", b"\x00\x00"), ("", b"\x00\x00\x08\x03"), (".gz", b"not gzip")],
+    )
+    def test_malformed_idx_file_exits_one(self, tmp_path, capsys, suffix, data):
+        idx_dir = tmp_path / "idx"
+        idx_dir.mkdir()
+        for stem in (
+            "train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+            "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte",
+        ):
+            (idx_dir / (stem + suffix)).write_bytes(data)
+        cfg = write_tiny_config(tmp_path, dataset={"kind": "idx", "idx_dir": str(idx_dir)})
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset.idx_dir: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("preset", ["VFL_3_20", "VBFL_POS_0_20_VH1"])
     def test_manifest_config_reproduces_run(self, tmp_path, preset):
         # The manifest's config alone names the run, plain FL included.

@@ -100,8 +100,6 @@ NON_DEFAULT = {
     "dataset.test_per_class": 20,
     "dataset.spread": 1.5,
     "dataset.feature_scale": 2.0,
-    "dataset.informative_dims": 4,
-    "dataset.seed": 5,
     "dataset.idx_dir": "data/mnist",
     "arch": "softmax",
     "mlp_hidden": 8,
@@ -139,8 +137,24 @@ class TestConfig:
                 SimConfig.from_dict({section: {"blaster": 1}})
 
     def test_removed_knob_is_unknown(self):
-        with pytest.raises(ConfigError, match="hash_rates"):
-            SimConfig.from_dict({"hash_rates": []})
+        for data, key in (
+            ({"hash_rates": []}, "hash_rates"),
+            ({"dataset": {"seed": 5}}, "dataset.seed"),
+            ({"dataset": {"informative_dims": 4}}, "dataset.informative_dims"),
+        ):
+            with pytest.raises(ConfigError, match=f"^{key}: unknown key"):
+                SimConfig.from_dict(data)
+
+    def test_pow_difficulty_beyond_digest_named(self):
+        tiny_cfg(pow_difficulty=64).validate()
+        with pytest.raises(ConfigError, match="^pow_difficulty: "):
+            tiny_cfg(pow_difficulty=65).validate()
+
+    def test_batch_larger_than_shard_named(self):
+        # 4 x 60 training rows give each of 20 devices a shard of 12.
+        tiny_cfg(train=dataclasses.replace(TINY_TRAIN, batch_size=12)).validate()
+        with pytest.raises(ConfigError, match="^train.batch_size: 13 exceeds"):
+            tiny_cfg(train=dataclasses.replace(TINY_TRAIN, batch_size=13)).validate()
 
     def test_bad_train_spec_named(self):
         with pytest.raises(ConfigError, match="^train: epochs"):
@@ -207,7 +221,7 @@ class TestConfig:
             ({"malicious_behaviors": "WORKER_NOISE"}, "malicious_behaviors"),
             ({"train": {"epochs": "5"}}, "train.epochs"),
             ({"train": 5}, "train"),
-            ({"dataset": {"seed": "7"}}, "dataset.seed"),
+            ({"dataset": {"dim": "7"}}, "dataset.dim"),
             ({"network": {"propagated_block_wait": "never"}}, "network.propagated_block_wait"),
         ],
     )
@@ -216,8 +230,8 @@ class TestConfig:
             SimConfig.from_dict(data)
 
     def test_ints_stand_for_floats(self):
-        cfg = SimConfig.from_dict({"vh": 0, "network": {"delay": 1}, "dataset": {"seed": None}})
-        assert cfg.vh == 0 and cfg.network.delay == 1 and cfg.dataset.seed is None
+        cfg = SimConfig.from_dict({"vh": 0, "network": {"delay": 1}, "dataset": {"idx_dir": None}})
+        assert cfg.vh == 0 and cfg.network.delay == 1 and cfg.dataset.idx_dir is None
 
     def test_float_keys_cover_every_section(self):
         assert {k.rpartition(".")[0] for k in FLOAT_KEYS} == {"", "train", "network", "dataset"}
@@ -243,10 +257,6 @@ class TestDevices:
         ids = [d.id for d in a]
         assert ids == sorted(ids)
         assert len(set(ids)) == 20
-
-    def test_numbering_matches_order(self):
-        devs = make_devices(5)
-        assert [d.number for d in devs] == list(range(5))
 
 
 class TestSharding:

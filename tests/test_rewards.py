@@ -152,10 +152,11 @@ class TestApplyBlock:
             [tally(1, 2, 1)], miner=9, miner_rwd=60, validator_rwds={dev(5): 24}
         )
         ledger, _, _ = apply_block(self.ledger(), block, [dev(1)])
-        assert ledger.earned_as(dev(1), "worker") == 750
-        assert ledger.earned_as(dev(5), "validator") == 24
-        assert ledger.earned_as(dev(9), "miner") == 60
-        assert ledger.earned_as(dev(1), "miner") == 0
+        # One device per role, so each stake is that role's reward.
+        assert ledger.stake_of(dev(1)) == 750
+        assert ledger.stake_of(dev(5)) == 24
+        assert ledger.stake_of(dev(9)) == 60
+        assert set(ledger.stake) == {dev(1), dev(5), dev(9)}
 
     def test_input_ledger_unmodified(self):
         before = self.ledger(stake={dev(1): 5})

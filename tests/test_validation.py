@@ -34,7 +34,7 @@ def rng(seed=0):
 @pytest.fixture
 def vstate(two_class_shards):
     train, test = two_class_shards
-    return ValidatorState(validator=b"\x05" * 16, threshold=0.08, train=train, test=test)
+    return ValidatorState(threshold=0.08, train=train, test=test)
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ class TestPretrain:
         cuts = [(0, 20), (20, 40), (40, 57)]
         states = [
             ValidatorState(
-                validator=bytes([k]) * 16, threshold=0.08,
+                threshold=0.08,
                 train=DataShard(t.train_x[a:b], t.train_y[a:b], shard_of=bytes([k]) * 16),
                 test=DataShard(t.test_x, t.test_y),
             )
