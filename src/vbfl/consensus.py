@@ -17,11 +17,9 @@ import numpy as np
 from .protocol import (
     Block,
     DeviceId,
-    Signer,
     ValidatorTransaction,
     Vote,
     VoteTally,
-    seal_block,
 )
 from .rewards import StakeLedger
 
@@ -64,15 +62,13 @@ def build_candidate(
     validator_rewards: dict[DeviceId, int],
     prev_hash: bytes,
     round: int,
-    signer: Signer,
-    tally_section: bytes | None = None,
 ) -> Block:
-    """Assemble, hash and sign this miner's candidate block for the round.
+    """This miner's unsealed candidate block for the round.
 
-    ``tally_section``, when given, is ``encode_tallies(tallies)``, which
-    candidates built on the same tallies encode once.
+    Selection reads only the miner and the round, so a candidate is hashed
+    and signed (:func:`~vbfl.protocol.seal_block`) only once a miner adopts it.
     """
-    block = Block(
+    return Block(
         round=round,
         miner=miner,
         prev_hash=prev_hash,
@@ -80,7 +76,6 @@ def build_candidate(
         miner_reward=miner_reward,
         validator_rewards=validator_rewards,
     )
-    return seal_block(block, signer, tally_section)
 
 
 def pos_select(blocks: Sequence[Block], ledger: StakeLedger) -> Block:

@@ -96,7 +96,14 @@ def read_idx(path) -> np.ndarray:
         raise ValueError(f"{path}: unknown IDX dtype code 0x{dtype_code:02x}")
     header_end = 4 + 4 * ndim
     dims = struct.unpack(f">{ndim}I", data[4:header_end])
-    arr = np.frombuffer(data, dtype=_IDX_DTYPES[dtype_code], offset=header_end)
+    dtype = _IDX_DTYPES[dtype_code]
+    payload = len(data) - header_end
+    if payload % dtype.itemsize:
+        raise ValueError(
+            f"{path}: payload of {payload} bytes is not a whole number of "
+            f"{dtype.itemsize}-byte items"
+        )
+    arr = np.frombuffer(data, dtype=dtype, offset=header_end)
     expected = int(np.prod(dims)) if dims else 0
     if arr.size != expected:
         raise ValueError(f"{path}: payload size {arr.size} != header size {expected}")

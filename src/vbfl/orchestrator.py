@@ -16,8 +16,9 @@ each handing the next its data explicitly:
    (vote flipping for malicious validators), signed validator transactions,
    gossip among miners;
 4. mine: vote aggregation once per distinct stored vote set, and one
-   candidate block per miner;
-5. select: the legitimate block by stake rank or mining race;
+   unsealed candidate block per miner;
+5. select: the legitimate block by stake rank or mining race; each distinct
+   adopted block is then hashed and signed once;
 6. settle: chain append, reward/flag bookkeeping and the new global model,
    once per distinct (replica, block) pair, shared by its devices;
 7. metrics: the round's observables and the invariant checks.
@@ -776,8 +777,8 @@ class Simulation(_World):
             inbox_m, lambda vtx: (vtx.validator, vtx.inner.worker), verify_validator_tx,
             plan.miners, net_rng,
         )
-        candidates, ready_at = self._mine(plan, received, received_vtx)
-        choice = self._select(plan, candidates, ready_at, net_rng)
+        candidates, ready_at, sections = self._mine(plan, received, received_vtx)
+        choice = self._seal(self._select(plan, candidates, ready_at, net_rng), sections)
         if not choice:
             return self._skip(j, ref, "no eligible legitimate block")
 
@@ -916,7 +917,9 @@ class Simulation(_World):
         return dict(zip(plan.validators, refs))
 
     def _mine(self, plan: _Plan, received, received_vtx):
-        """Every miner aggregates the votes it stored into a candidate block.
+        """Every miner aggregates the votes it stored into an unsealed
+        candidate block; returns the candidates, when each miner is ready and
+        each candidate's tally section.
 
         Miners that stored the same votes build on one tally set, one
         validator-reward sum and one encoding of the tally section. That
@@ -927,6 +930,7 @@ class Simulation(_World):
         shared: dict[tuple[int, ...], tuple] = {}  # keys: ids of the stored votes
         candidates: dict[DeviceId, Block] = {}
         ready_at: dict[DeviceId, float] = {}
+        sections: dict[DeviceId, bytes] = {}
         for m in plan.miners:
             ready_at[m] = max((at for _, _, at in received_vtx[m]), default=0.0)
             votes = tuple(id(vtx) for vtx, _, _ in received_vtx[m])
@@ -944,7 +948,7 @@ class Simulation(_World):
                     tallies, [tx_bytes[id(t.tx)] for t in tallies]
                 )
                 shared[votes] = (tallies, validator_rewards, len(vtxs), section)
-            tallies, validator_rewards, n_votes, section = shared[votes]
+            tallies, validator_rewards, n_votes, sections[m] = shared[votes]
             candidates[m] = consensus_mod.build_candidate(
                 miner=m,
                 tallies=tallies,
@@ -952,11 +956,8 @@ class Simulation(_World):
                 validator_rewards=validator_rewards,
                 prev_hash=self.state[m].replica.chain.tip_hash,
                 round=plan.round,
-                signer=self.signer,
-                tally_section=section,
             )
-            self._seen_block_hashes_add(candidates[m])
-        return candidates, ready_at
+        return candidates, ready_at, sections
 
     def _select(
         self,
@@ -992,6 +993,20 @@ class Simulation(_World):
             except consensus_mod.NoEligibleBlock:
                 pass
         return choice
+
+    def _seal(
+        self, choice: dict[DeviceId, Block], sections: dict[DeviceId, bytes]
+    ) -> dict[DeviceId, Block]:
+        """The choice with each distinct adopted block hashed and signed once;
+        a candidate no miner adopts is never hashed."""
+        sealed: dict[DeviceId, Block] = {}  # keys: the candidates' miners
+        for block in choice.values():
+            if block.miner not in sealed:
+                sealed[block.miner] = protocol_mod.seal_block(
+                    block, self.signer, sections[block.miner]
+                )
+                self._seen_block_hashes_add(sealed[block.miner])
+        return {m: sealed[block.miner] for m, block in choice.items()}
 
     def _settle(
         self,

@@ -17,11 +17,16 @@ from vbfl.consensus import (
 from vbfl.learning import ModelParams, softmax_arch
 from vbfl.protocol import (
     Block,
+    Blockchain,
+    BlockSignatureError,
     StubSigner,
     ValidatorTransaction,
     Vote,
     WorkerTransaction,
     ZERO_HASH,
+    append_block,
+    make_genesis,
+    seal_block,
     verify_block,
 )
 from vbfl.rewards import StakeLedger
@@ -120,17 +125,17 @@ class TestAggregate:
 class TestBuildCandidate:
     def test_identical_content_across_miners(self):
         # Two honest miners with the same transactions differ only in the
-        # miner identity and everything derived from it.
+        # miner identity and everything derived from it once sealed.
         signer = make_signer()
         vtxs = [vtx(5, 1, Vote.POSITIVE), vtx(6, 1, Vote.NEGATIVE)]
         tallies = aggregate_votes(vtxs)
         kwargs = dict(
             tallies=tallies, miner_reward=2,
             validator_rewards={dev(5): 2, dev(6): 2},
-            prev_hash=ZERO_HASH, round=1, signer=signer,
+            prev_hash=ZERO_HASH, round=1,
         )
-        a = build_candidate(miner=dev(8), **kwargs)
-        b = build_candidate(miner=dev(9), **kwargs)
+        a = seal_block(build_candidate(miner=dev(8), **kwargs), signer)
+        b = seal_block(build_candidate(miner=dev(9), **kwargs), signer)
         neutral = dict(miner=b"", content_hash=b"", signature=b"")
         assert dataclasses.replace(a, **neutral) == dataclasses.replace(b, **neutral)
         assert a.content_hash != b.content_hash
@@ -140,25 +145,34 @@ class TestBuildCandidate:
         block = build_candidate(
             miner=dev(8), tallies=aggregate_votes([vtx(5, 1, Vote.POSITIVE)]),
             miner_reward=1, validator_rewards={dev(5): 2},
-            prev_hash=ZERO_HASH, round=1, signer=signer,
+            prev_hash=ZERO_HASH, round=1,
         )
-        assert verify_block(block, signer)
+        assert verify_block(seal_block(block, signer), signer)
+
+    def test_unsealed_candidate_cannot_append(self):
+        signer = make_signer()
+        chain = Blockchain((make_genesis(update()),))
+        block = build_candidate(
+            miner=dev(8), tallies=(), miner_reward=0, validator_rewards={},
+            prev_hash=chain.tip_hash, round=1,
+        )
+        assert (block.content_hash, block.signature) == (b"", b"")
+        with pytest.raises(BlockSignatureError):
+            append_block(chain, block, signer)
+        assert len(append_block(chain, seal_block(block, signer), signer)) == 2
 
     def test_zero_tallies_legal(self):
         signer = make_signer()
-        block = build_candidate(
-            miner=dev(8), tallies=(), miner_reward=0, validator_rewards={},
-            prev_hash=ZERO_HASH, round=1, signer=signer,
-        )
+        block = seal_block(mk_block(8), signer)
         assert block.tallies == ()
         assert verify_block(block, signer)
 
 
 def mk_block(miner, round=1) -> Block:
-    signer = make_signer()
+    """An unsealed candidate; selection never reads a hash or a signature."""
     return build_candidate(
         miner=dev(miner), tallies=(), miner_reward=0, validator_rewards={},
-        prev_hash=ZERO_HASH, round=round, signer=signer,
+        prev_hash=ZERO_HASH, round=round,
     )
 
 

@@ -92,6 +92,13 @@ class TestIdx:
         with pytest.raises(ValueError, match="size"):
             read_idx(path)
 
+    def test_ragged_payload_names_file(self, tmp_path):
+        # An >i2 label file with 81 payload bytes: 40.5 items.
+        path = tmp_path / "labels-idx1-ubyte"
+        path.write_bytes(struct.pack(">HBBI", 0, 0x0B, 1, 40) + b"\x00" * 81)
+        with pytest.raises(ValueError, match="labels-idx1-ubyte: payload of 81 bytes"):
+            read_idx(path)
+
     def test_load_task(self, tmp_path):
         rng = np.random.default_rng(0)
         tri = rng.integers(0, 256, size=(12, 4, 4)).astype(">u1")

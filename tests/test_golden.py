@@ -19,11 +19,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import vbfl.orchestrator as orchestrator
+import vbfl.protocol as protocol
 from vbfl.errors import InvariantViolation
 from vbfl.learning import TrainSpec
 from vbfl.orchestrator import (
@@ -188,6 +190,46 @@ def test_network_case_splits_replicas(monkeypatch):
     sim.run()
     assert len({id(st.replica) for st in sim.state.values()}) >= 2
     assert rejected
+
+
+def count_seals(monkeypatch) -> Counter:
+    """Wrap seal_block as the orchestrator calls it; the Counter fills with
+    the seals per round."""
+    seals = Counter()
+    seal = protocol.seal_block
+
+    def counting(block, *args):
+        seals[block.round] += 1
+        return seal(block, *args)
+
+    monkeypatch.setattr(protocol, "seal_block", counting)
+    return seals
+
+
+def test_benign_round_seals_only_its_block(monkeypatch):
+    # Selection reads no hash, so of the round's candidates only the one the
+    # miners adopt is ever hashed and signed.
+    seals = count_seals(monkeypatch)
+    metrics = Simulation(CASES["pos_stub"]).run()
+    decided = [m.round for m in metrics if not m.skipped]
+    assert decided
+    assert seals == Counter(decided)
+
+
+def test_network_case_seals_each_adopted_block_once(monkeypatch):
+    seals = count_seals(monkeypatch)
+    adopted = Counter()
+    select = Simulation._select
+
+    def recording(self, plan, *args):
+        choice = select(self, plan, *args)
+        adopted[plan.round] = len({b.miner for b in choice.values()})
+        return choice
+
+    monkeypatch.setattr(Simulation, "_select", recording)
+    Simulation(CASES["network"]).run()
+    assert max(adopted.values()) >= 2  # miners adopt different blocks
+    assert seals == +adopted
 
 
 def test_replica_edited_in_place_fails_replay():
