@@ -7,7 +7,9 @@ For every end-to-end metric in CHANGE_DIR's BENCHMARK.json it prints each
 side's median and quartiles and how many pairs the change won (ties count
 for neither). The gain rule holds for a metric when the change wins at
 least nine tenths of the pairs and the medians differ, in the metric's
-better direction, by more than the parent's interquartile range.
+better direction, by more than the parent's interquartile range. It also
+prints whether the change's median is within the metric's ``bound``: worse
+than the parent's median by at most that fraction of it.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
@@ -45,15 +47,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
+def summarize(
+    pairs: list[tuple[float, float]], better: str, bound: float | None = None
+) -> dict:
     """Judge (parent, change) value pairs of one metric whose ``better`` is
-    "lower" or "higher"."""
+    "lower" or "higher", and whose median may get worse by at most the
+    fraction ``bound`` of the parent's (``within_bound`` is None without
+    one)."""
     sign = 1 if better == "lower" else -1
     parent = quartiles([p for p, _ in pairs])
     change = quartiles([c for _, c in pairs])
     wins = sum(sign * (p - c) > 0 for p, c in pairs)
     gain = 10 * wins >= 9 * len(pairs) and sign * (parent[1] - change[1]) > parent[2] - parent[0]
-    return {"parent": parent, "change": change, "wins": wins, "pairs": len(pairs), "gain": gain}
+    within = None if bound is None else sign * (change[1] - parent[1]) <= bound * abs(parent[1])
+    return {"parent": parent, "change": change, "wins": wins, "pairs": len(pairs), "gain": gain,
+            "within_bound": within}
 
 
 def main(argv=None) -> int:
@@ -83,11 +91,13 @@ def main(argv=None) -> int:
         name = metric["name"]
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                  for p, c in zip(results["parent"], results["change"])]
-        s = summarize(pairs, metric["better"])
+        s = summarize(pairs, metric["better"], metric.get("bound"))
         fmt = " / ".join(["{:.4g}"] * 3)
+        verdict = {None: "no bound", True: "within bound", False: "OUTSIDE BOUND"}
         print(f"  {name:14s} parent {fmt.format(*s['parent']):26s} "
               f"change {fmt.format(*s['change']):26s} {metric['unit']:3s} "
-              f"wins {s['wins']}/{s['pairs']}  gain rule {'holds' if s['gain'] else 'fails'}")
+              f"wins {s['wins']}/{s['pairs']}  gain rule {'holds' if s['gain'] else 'fails'}  "
+              f"{verdict[s['within_bound']]}")
     if bad:
         print("incorrect or failed runs: " + ", ".join(bad))
         return 1

@@ -6,14 +6,17 @@ one-hidden-layer ReLU network (``"mlp:<in>-<hidden>-<classes>"``). Training
 is plain minibatch SGD on softmax cross-entropy; nothing fancier is needed
 at desk scale and the protocol is agnostic to the model anyway.
 
-``local_train_many`` trains many devices at once; ``local_train`` is its
-one-device case. Devices whose shards have the same row count (and the same
-architecture) step together: each draws its own permutation per epoch from
-its own generator, one gather builds the stacked minibatch, and every layer
-is one ``np.matmul`` over the stack. The bytes do not change: each slice of
-a stacked matmul is the same 2-D gemm on the same operand layout, and every
-other operation is elementwise or reduces along the same axis in the same
-order as for one device.
+``local_train_many`` trains many devices at once, each for its own number
+of epochs; ``local_train`` is its one-device case. Devices whose shards
+have the same row count (and the same architecture) step together, ordered
+by epoch count so that the devices still training in an epoch are a prefix
+of the stack: each draws its own permutation per epoch from its own
+generator, one gather builds the stacked minibatch, and every layer is one
+``np.matmul`` over the stack, its gradient written in place into one buffer
+per group. The bytes do not change: each slice of a stacked matmul is the
+same 2-D gemm on the same operand layout, and every other operation is
+elementwise or reduces along the same axis in the same order as for one
+device.
 """
 
 from __future__ import annotations
@@ -209,13 +212,18 @@ def _forward(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     return acts + [z]
 
 
-def _loss_and_grad(vec: np.ndarray, arch_id: str, x: np.ndarray, y: np.ndarray):
-    """Per-model mean cross-entropy and flat gradient of a stack of models.
+def _loss_and_grad(
+    vec: np.ndarray, arch_id: str, x: np.ndarray, y: np.ndarray, grad: np.ndarray
+) -> np.ndarray:
+    """Per-model mean cross-entropy of a stack of models; writes their flat
+    gradients into ``grad``.
 
-    ``vec`` is (W, P), ``x`` (W, B, d) and ``y`` (W, B). Each matmul is one
-    np.matmul over the stack; slice w is the 2-D gemm model w alone needs.
+    ``vec`` and ``grad`` are (W, P), ``x`` (W, B, d) and ``y`` (W, B). Each
+    matmul is one np.matmul over the stack, written straight into its layer's
+    view of ``grad``; slice w is the 2-D gemm model w alone needs.
     """
     params = _unpack(vec, arch_id)
+    grads = _unpack(grad, arch_id)
     *inputs, z = _forward(params, x)
     labels = (np.arange(len(y))[:, None], np.arange(y.shape[1]), y)
     shifted = z - z.max(axis=-1, keepdims=True)
@@ -225,13 +233,13 @@ def _loss_and_grad(vec: np.ndarray, arch_id: str, x: np.ndarray, y: np.ndarray):
     delta = e / norm
     delta[labels] -= 1.0
     delta /= y.shape[1]
-    grads = []
     for k in reversed(range(len(inputs))):
-        grads[:0] = [np.swapaxes(inputs[k], 1, 2) @ delta, delta.sum(axis=1)]
+        np.matmul(np.swapaxes(inputs[k], 1, 2), delta, out=grads[2 * k])
+        delta.sum(axis=1, keepdims=True, out=grads[2 * k + 1])
         if k:
             delta = delta @ np.swapaxes(params[2 * k], 1, 2)
             delta[inputs[k] <= 0.0] = 0.0
-    return loss, np.concatenate([g.reshape(len(y), -1) for g in grads], axis=1)
+    return loss
 
 
 def local_train(
@@ -253,18 +261,25 @@ def local_train_many(
     shards: Sequence[DataShard],
     spec: TrainSpec,
     rngs: Sequence[np.random.Generator],
+    epochs: Sequence[int] | None = None,
 ) -> list[ModelParams]:
     """``local_train`` of every (start, shard, rng) triple, stepped together.
 
-    Element i is bit-identical to ``local_train(starts[i], shards[i], spec,
-    rngs[i])``. Each rng must be its own generator: it draws its device's
-    permutations, once per epoch, as a single call would.
+    ``epochs`` gives each device its own epoch count (``spec.epochs`` for
+    all when None). Element i is bit-identical to ``local_train(starts[i],
+    shards[i], replace(spec, epochs=epochs[i]), rngs[i])``. Each rng must be
+    its own generator: it draws its device's permutations, once per epoch,
+    as a single call would.
     """
-    if not len(starts) == len(shards) == len(rngs) == len({id(r) for r in rngs}):
-        raise ValueError("need one start, one shard and a distinct rng per device")
+    if epochs is None:
+        epochs = [spec.epochs] * len(starts)
+    if not len(starts) == len(shards) == len(rngs) == len(epochs) == len({id(r) for r in rngs}):
+        raise ValueError("need one start, shard and epoch count and a distinct rng per device")
     groups: dict[tuple[int, str], list[int]] = {}
     data = [shard.arrays() for shard in shards]
     for i, (start, shard, (_, y)) in enumerate(zip(starts, shards, data)):
+        if epochs[i] < 1:
+            raise ValueError(f"epoch count {epochs[i]} of device {i} is below 1")
         if shard.dim != arch_input_dim(start.arch_id):
             raise ValueError("shard feature dimension does not match the model")
         if int(y.max()) >= arch_classes(start.arch_id):
@@ -274,19 +289,26 @@ def local_train_many(
         groups.setdefault((len(shard), start.arch_id), []).append(i)
     out: list[ModelParams] = [None] * len(starts)
     for (n, arch_id), members in groups.items():
+        # Most epochs first (stable), so the devices still training in any
+        # epoch are a prefix of the stack and every array below is a view.
+        members.sort(key=lambda i: -epochs[i])
         vec = np.stack([starts[i].values for i in members])
+        grad = np.empty_like(vec)
         x, y = (np.stack(a) for a in zip(*(data[i] for i in members)))
-        rows = np.arange(len(members))[:, None]
-        for _ in range(spec.epochs):
-            order = np.stack([rngs[i].permutation(n) for i in members])
+        for epoch in range(epochs[members[0]]):
+            k = sum(epochs[i] > epoch for i in members)
+            rows = np.arange(k)[:, None]
+            order = np.stack([rngs[i].permutation(n) for i in members[:k]])
             for lo in range(0, n, spec.batch_size):
                 idx = order[:, lo : lo + spec.batch_size]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    loss, grad = _loss_and_grad(vec, arch_id, x[rows, idx], y[rows, idx])
+                    loss = _loss_and_grad(vec[:k], arch_id, x[rows, idx], y[rows, idx], grad[:k])
                 bad = loss[~np.isfinite(loss)]
                 if bad.size:
                     raise TrainingDiverged(f"loss diverged to {float(bad[0])!r}")
-                vec -= spec.learning_rate * grad
+                step = grad[:k]
+                step *= spec.learning_rate  # vec -= lr * grad, without a temporary
+                vec[:k] -= step
         if not np.all(np.isfinite(vec)):
             raise TrainingDiverged("parameters diverged to NaN/Inf")
         for i, v in zip(members, vec):

@@ -10,11 +10,13 @@ each handing the next its data explicitly:
 
 1. roles and association: role assignment among non-blacklisted devices,
    worker->validator and validator->miner links;
-2. train: local training (noise injection for malicious workers), signed
-   worker transactions, gossip among validators;
-3. validate: a reference model per validator, one vote per verified update
-   (vote flipping for malicious validators), signed validator transactions,
-   gossip among miners;
+2. train: one stacked training call for the workers' local training (noise
+   injection for malicious workers) and every validator's one-epoch
+   reference model (never noised), signed worker transactions, gossip among
+   validators;
+3. validate: each validator's reference accuracy, one vote per verified
+   update (vote flipping for malicious validators), signed validator
+   transactions, gossip among miners;
 4. mine: vote aggregation once per distinct stored vote set, and one
    unsealed candidate block per miner;
 5. select: the legitimate block by stake rank or mining race; each distinct
@@ -86,9 +88,9 @@ from .validation import (
     VadRecord,
     ValidatorState,
     malicious_flip,
-    pretrain_many,
     pretrain_one_epoch,  # unused here, but perfbench/tracer.py wraps this module's name
     validate_by_voting,
+    with_reference,
 )
 
 logger = logging.getLogger("vbfl")
@@ -629,23 +631,30 @@ class _World:
         )
 
     def _local_updates(
-        self, jobs: Sequence[tuple[DeviceId, ModelParams, DataShard]], round_no: int
-    ) -> list[ModelParams]:
-        """The update each (device, start, shard) sends: its trained model,
-        noise-distorted when the device is a malicious worker. All train in
-        one ``local_train_many`` call."""
+        self,
+        jobs: Sequence[tuple[DeviceId, ModelParams, DataShard]],
+        round_no: int,
+        references: Sequence[tuple[DeviceId, ModelParams, DataShard]] = (),
+    ) -> tuple[list[ModelParams], list[ModelParams]]:
+        """The update each (device, start, shard) job sends: its trained
+        model, noise-distorted when the device is a malicious worker; and the
+        model one epoch makes for each reference (device, start, shard),
+        never distorted. All train in one ``local_train_many`` call."""
         cfg = self.config
-        updates = local_train_many(
-            [g for _, g, _ in jobs],
-            [train for _, _, train in jobs],
+        both = [*jobs, *references]
+        trained = local_train_many(
+            [g for _, g, _ in both],
+            [train for _, _, train in both],
             cfg.train,
-            [substream(cfg.master_seed, "batches", d, round_no) for d, _, _ in jobs],
+            [substream(cfg.master_seed, "batches", d, round_no) for d, _, _ in both],
+            [cfg.train.epochs] * len(jobs) + [1] * len(references),
         )
+        updates = trained[: len(jobs)]
         for k, (d, _, _) in enumerate(jobs):
             if self._behaves(d, BEHAVIOR_WORKER_NOISE):
                 noise = substream(cfg.master_seed, "noise", d, round_no)
                 updates[k] = inject_gaussian_noise(updates[k], cfg.noise_variance, noise)
-        return updates
+        return updates, trained[len(jobs) :]
 
     def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
         for _ in range(self.config.rounds):
@@ -768,11 +777,11 @@ class Simulation(_World):
             return self._skip(j, ref, "no validators or miners available")
         net_rng = substream(cfg.master_seed, "net", j)
 
-        inbox_v = self._train(plan, net_rng)
+        inbox_v, references = self._train(plan, net_rng)
         received = self._gossip(
             inbox_v, lambda tx: tx.worker, verify_worker_tx, plan.validators, net_rng
         )
-        vad_records, inbox_m = self._validate(plan, received, net_rng)
+        vad_records, inbox_m = self._validate(plan, received, references, net_rng)
         received_vtx = self._gossip(
             inbox_m, lambda vtx: (vtx.validator, vtx.inner.worker), verify_validator_tx,
             plan.miners, net_rng,
@@ -830,11 +839,19 @@ class Simulation(_World):
 
     def _train(self, plan: _Plan, net_rng: np.random.Generator):
         """Workers train, distort if malicious, sign and send to their
-        validator; returns the validators' inbox."""
+        validator; returns the validators' inbox and their reference models.
+
+        A validator's reference is one epoch from its global model on its
+        own shard; it trains in the same stacked call as the workers.
+        """
         cfg = self.config
         inbox: dict[DeviceId, list[_Message]] = {v: [] for v in plan.validators}
-        jobs = [(w, self.state[w].replica.g, self.state[w].train) for w in plan.workers]
-        for (w, _, train), update in zip(jobs, self._local_updates(jobs, plan.round)):
+        jobs, refs = (
+            [(d, self.state[d].replica.g, self.state[d].train) for d in devices]
+            for devices in (plan.workers, plan.validators)
+        )
+        updates, references = self._local_updates(jobs, plan.round, refs)
+        for (w, _, train), update in zip(jobs, updates):
             tx = WorkerTransaction(
                 round=plan.round,
                 worker=w,
@@ -848,12 +865,18 @@ class Simulation(_World):
             tx = sign_worker_tx(tx, self.signer, payload)
             v = plan.w2v[w]
             inbox[v].append((tx, payload, cfg.network.link_delay(w, v, net_rng)))
-        return inbox
+        return inbox, dict(zip(plan.validators, references))
 
-    def _validate(self, plan: _Plan, received, net_rng: np.random.Generator):
-        """Each validator votes on every update it stored and sends the
-        votes to its miner, each signed over the digest of the worker bytes
-        it received.
+    def _validate(
+        self,
+        plan: _Plan,
+        received,
+        references: dict[DeviceId, ModelParams],
+        net_rng: np.random.Generator,
+    ):
+        """Each validator votes on every update it stored, against the
+        accuracy of its reference model, and sends the votes to its miner,
+        each signed over the digest of the worker bytes it received.
 
         Validators sharing a test buffer see the same accuracy for the same
         update, so each (update, buffer) pair is evaluated once; validators
@@ -864,10 +887,11 @@ class Simulation(_World):
         accuracy: dict[tuple[int, int], float] = {}
         digests: dict[int, bytes] = {}  # keys: ids of the received worker bytes
         inbox: dict[DeviceId, list[_Message]] = {m: [] for m in plan.miners}
-        references = self._references(plan)
         for v in plan.validators:
             st = self.state[v]
-            vstate = references[v]
+            vstate = with_reference(
+                ValidatorState(cfg.vh, train=st.train, test=st.test), references[v]
+            )
             ready = max((at for _, _, at in received[v]), default=0.0)
             for tx, tx_bytes, _ in received[v]:
                 pair = (id(tx.update), st.test.buffer_id)
@@ -902,19 +926,6 @@ class Simulation(_World):
                 m = plan.v2m[v]
                 inbox[m].append((vtx, payload, ready + cfg.network.link_delay(v, m, net_rng)))
         return vad_records, inbox
-
-    def _references(self, plan: _Plan) -> dict[DeviceId, ValidatorState]:
-        """Every validator's reference model for its votes this round: one
-        epoch from its global model, all trained in one stacked call."""
-        cfg = self.config
-        starts = [self.state[v].replica.g for v in plan.validators]
-        states = [
-            ValidatorState(cfg.vh, train=self.state[v].train, test=self.state[v].test)
-            for v in plan.validators
-        ]
-        rngs = [substream(cfg.master_seed, "batches", v, plan.round) for v in plan.validators]
-        refs = pretrain_many(starts, states, cfg.train, rngs)
-        return dict(zip(plan.validators, refs))
 
     def _mine(self, plan: _Plan, received, received_vtx):
         """Every miner aggregates the votes it stored into an unsealed
@@ -1111,7 +1122,7 @@ class VanillaRun(_World):
     def run_round(self) -> RoundMetrics:
         j = self.round_no = self.round_no + 1
         jobs = [(d.id, self.g, self.shards[d.id][0]) for d in self.devices]
-        updates = self._local_updates(jobs, j)
+        updates, _ = self._local_updates(jobs, j)
         self.g = fedavg([(u, float(len(train))) for u, (_, _, train) in zip(updates, jobs)])
         metrics = RoundMetrics(
             round=j,

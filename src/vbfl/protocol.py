@@ -388,7 +388,17 @@ class HmacSigner(Signer):
 def sign_worker_tx(
     tx: WorkerTransaction, signer: Signer, signing_bytes: bytes
 ) -> WorkerTransaction:
-    return replace(tx, signature=signer.sign(signing_bytes, tx.worker))
+    # The constructor, not dataclasses.replace, which costs about 2.5 times
+    # as much; both signing functions run once per transaction.
+    return WorkerTransaction(
+        round=tx.round,
+        worker=tx.worker,
+        update=tx.update,
+        expected_reward=tx.expected_reward,
+        epochs=tx.epochs,
+        train_size=tx.train_size,
+        signature=signer.sign(signing_bytes, tx.worker),
+    )
 
 
 def verify_worker_tx(
@@ -400,7 +410,15 @@ def verify_worker_tx(
 def sign_validator_tx(
     vtx: ValidatorTransaction, signer: Signer, signing_bytes: bytes
 ) -> ValidatorTransaction:
-    return replace(vtx, signature=signer.sign(signing_bytes, vtx.validator))
+    return ValidatorTransaction(
+        round=vtx.round,
+        validator=vtx.validator,
+        inner=vtx.inner,
+        vote=vtx.vote,
+        verify_reward=vtx.verify_reward,
+        vali_reward=vtx.vali_reward,
+        signature=signer.sign(signing_bytes, vtx.validator),
+    )
 
 
 def verify_validator_tx(

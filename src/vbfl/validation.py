@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .learning import DataShard, ModelParams, TrainSpec, evaluate, local_train_many
+from .learning import DataShard, ModelParams, TrainSpec, evaluate, local_train
 from .protocol import DeviceId, Vote
 
 @dataclass(frozen=True)
@@ -44,18 +44,11 @@ class VadRecord:
     worker_malicious: bool
 
 
-def pretrain_many(
-    global_params: Sequence[ModelParams],
-    states: Sequence[ValidatorState],
-    spec: TrainSpec,
-    rngs: Sequence[np.random.Generator],
-) -> list[ValidatorState]:
-    """Set each validator's reference accuracy from one epoch of legitimate
-    local training; all train in one ``local_train_many`` call, each from
-    its own global model on its own shard with its own generator."""
-    one_epoch = replace(spec, epochs=1)
-    trained = local_train_many(global_params, [s.train for s in states], one_epoch, rngs)
-    return [replace(s, pretrain_acc=evaluate(t, s.test)) for t, s in zip(trained, states)]
+def with_reference(state: ValidatorState, reference: ModelParams) -> ValidatorState:
+    """``state`` with its reference accuracy: that of ``reference``, the
+    model one epoch of legitimate local training made from the validator's
+    global model on its own shard, measured on its test set."""
+    return replace(state, pretrain_acc=evaluate(reference, state.test))
 
 
 def pretrain_one_epoch(
@@ -64,8 +57,9 @@ def pretrain_one_epoch(
     spec: TrainSpec,
     rng: np.random.Generator,
 ) -> ValidatorState:
-    """:func:`pretrain_many` of one validator."""
-    return pretrain_many([global_params], [state], spec, [rng])[0]
+    """:func:`with_reference` of one epoch of training from ``global_params``."""
+    reference = local_train(global_params, state.train, replace(spec, epochs=1), rng)
+    return with_reference(state, reference)
 
 
 def validate_by_voting(

@@ -1,6 +1,7 @@
 """The paired-benchmark summary on fixed numbers, without running perfbench."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,45 @@ def test_higher_is_better(script):
     assert s["wins"] == 4 and s["gain"]
     s = script.summarize([(p, p - 0.5) for p in parent], "higher")
     assert s["wins"] == 0 and not s["gain"]
+
+
+def test_bound_is_measured_against_the_parent_median(script):
+    # Parent median 198.5 ms; a 0.2 bound allows a change median up to 238.2.
+    s = script.summarize([(p, p + 39) for p in PARENT], "lower", 0.2)
+    assert s["change"][1] == 237.5 and s["within_bound"]
+    s = script.summarize([(p, p + 40) for p in PARENT], "lower", 0.2)
+    assert s["change"][1] == 238.5 and not s["within_bound"]
+    # Getting better is always within the bound.
+    s = script.summarize([(p, p - 100) for p in PARENT], "lower", 0.2)
+    assert s["within_bound"] and s["gain"]
+    assert script.summarize([(p, p + 40) for p in PARENT], "lower")["within_bound"] is None
+
+
+def test_bound_when_higher_is_better(script):
+    # Parent median 0.535; a 0.1 bound allows a change median down to 0.4815.
+    parent = [0.5, 0.6, 0.55, 0.52]
+    s = script.summarize([(p, p - 0.05) for p in parent], "higher", 0.1)
+    assert s["within_bound"] and s["wins"] == 0
+    s = script.summarize([(p, p - 0.06) for p in parent], "higher", 0.1)
+    assert not s["within_bound"]
+
+
+def test_main_prints_each_metric_against_its_bound(script, tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "round_ms.p50", "unit": "ms", "better": "lower", "bound": 0.2},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]}))
+    values = {"parent": {"round_ms.p50": 200.0, "peak_rss_mb": 80.0},
+              "change": {"round_ms.p50": 150.0, "peak_rss_mb": 90.0}}
+
+    def run_once(checkout, workload, seconds, seed):
+        side = "change" if checkout == tmp_path else "parent"
+        return {"correct": True, "failed": 0,
+                "metrics": {k: {"value": v} for k, v in values[side].items()}}
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    assert script.main([str(tmp_path / "parent"), str(tmp_path), "--workload", "w",
+                        "--pairs", "2"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:]}
+    assert lines["round_ms.p50"].endswith("within bound")
+    assert lines["peak_rss_mb"].endswith("OUTSIDE BOUND")

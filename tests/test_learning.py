@@ -253,6 +253,49 @@ class TestLocalTrainMany:
         with pytest.raises(TrainingDiverged):
             local_train_many(starts, shards, TrainSpec(5, 10.0, 2), [rng(i) for i in range(3)])
 
+    def test_one_diverging_one_epoch_member_raises(self):
+        # The diverging device trains for one epoch, the others for five: it
+        # is last in the stack's epoch order, and its divergence still raises.
+        arch = softmax_arch(2, 2)
+        starts = [init_global_model(arch, seed) for seed in range(3)]
+        shards = [
+            DataShard([[0.1, 0.2], [0.3, -0.1]], [0, 1]),
+            DataShard([[1e160, 0.0], [-1e160, 1.0]] * 2, [0, 1] * 2),
+            DataShard([[0.5, 0.5], [-0.2, 0.4]], [1, 0]),
+        ]
+        spec = TrainSpec(5, 10.0, 2)
+        with pytest.raises(TrainingDiverged):
+            local_train_many(starts, shards, spec, [rng(i) for i in range(3)], [5, 1, 5])
+
+    def test_mixed_epochs_match_one_call_per_device(self):
+        # Two row counts, two architectures and epoch counts that tie within
+        # a group: each device gets the bytes and leaves its generator where
+        # training it alone for its own epochs does.
+        archs = [softmax_arch(4, 3), mlp_arch(4, 5, 3)] * 4
+        sizes = (12, 13, 12, 13, 13, 12, 12, 13)
+        epochs = [1, 3, 2, 1, 3, 2, 3, 1]
+        starts, shards = self.devices(archs, sizes)
+        rngs = [rng(100 + i) for i in range(len(starts))]
+        got = local_train_many(starts, shards, self.SPEC, rngs, epochs)
+        for i, (start, shard) in enumerate(zip(starts, shards)):
+            alone = rng(100 + i)
+            spec = TrainSpec(epochs[i], self.SPEC.learning_rate, self.SPEC.batch_size)
+            want = local_train(start, shard, spec, alone)
+            assert got[i].arch_id == want.arch_id
+            assert np.array_equal(got[i].values, want.values)
+            assert rngs[i].bit_generator.state == alone.bit_generator.state
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_epoch_count_below_one_rejected(self, count):
+        starts, shards = self.devices([softmax_arch(4, 3)] * 2, sizes=(12, 12))
+        with pytest.raises(ValueError, match=f"epoch count {count} "):
+            local_train_many(starts, shards, self.SPEC, [rng(0), rng(1)], [2, count])
+
+    def test_one_epoch_count_per_device(self):
+        starts, shards = self.devices([softmax_arch(4, 3)] * 2, sizes=(12, 12))
+        with pytest.raises(ValueError):
+            local_train_many(starts, shards, self.SPEC, [rng(0), rng(1)], [2])
+
     @pytest.mark.parametrize("bad", ["feature_dim", "label_range", "batch_over_rows"])
     def test_one_bad_member_rejected(self, bad):
         starts, shards = self.devices([softmax_arch(4, 3)] * 3, sizes=(12, 13, 12))

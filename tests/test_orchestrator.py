@@ -11,7 +11,7 @@ from conftest import record_messages
 
 from vbfl.datasets import make_blobs_task
 from vbfl.errors import ConfigError, InvariantViolation
-from vbfl.learning import ModelParams, TrainSpec, fedavg
+from vbfl.learning import ModelParams, TrainSpec, evaluate, fedavg, local_train
 from vbfl.orchestrator import (
     BEHAVIOR_VALIDATOR_FLIP,
     BEHAVIOR_WORKER_NOISE,
@@ -443,26 +443,30 @@ class TestRound:
             sim.run_round()
 
     def test_round_trains_its_workers_in_one_call(self, monkeypatch):
+        import vbfl.learning as learning
         import vbfl.orchestrator as orchestrator
-        import vbfl.validation as validation
 
         trained = []
         train_many = orchestrator.local_train_many
 
-        def training(starts, shards, spec, rngs):
-            trained.append(([shard.shard_of for shard in shards], spec.epochs))
-            return train_many(starts, shards, spec, rngs)
+        def training(starts, shards, spec, rngs, epochs=None):
+            trained.append(([shard.shard_of for shard in shards], epochs))
+            return train_many(starts, shards, spec, rngs, epochs)
 
+        # Under the learning module's name too, so that training by any
+        # other path (local_train included) is counted.
         monkeypatch.setattr(orchestrator, "local_train_many", training)
-        monkeypatch.setattr(validation, "local_train_many", training)
+        monkeypatch.setattr(learning, "local_train_many", training)
         sim = Simulation(tiny_cfg(rounds=1))
         log = record_messages(sim)
         m = sim.run_round()
         # One stacked call holding exactly the round's workers, in worker
-        # order; then one holding the validators, for one epoch each.
+        # order, for the configured epochs; then the validators' references,
+        # for one epoch each.
         workers = [tx.worker for tx in log[1].worker_txs]
         validators = sorted(d for d, r in m.roles.items() if r == Role.VALIDATOR)
-        assert trained == [(workers, TINY_TRAIN.epochs), (validators, 1)]
+        epochs = [TINY_TRAIN.epochs] * len(workers) + [1] * len(validators)
+        assert trained == [(workers + validators, epochs)]
         assert sorted(workers) == sorted(d for d, r in m.roles.items() if r == Role.WORKER)
 
     def test_round_aggregates_and_encodes_once(self, monkeypatch):
@@ -500,12 +504,12 @@ class TestRound:
             hashed.append(len(data))
             return payload_hash(data)
 
-        def validating(plan, received, net_rng):
+        def validating(plan, received, references, net_rng):
             worker_bytes.extend(len(b) for v in received for _, b, _ in received[v])
             with monkeypatch.context() as mp:
                 mp.setattr(sim.signer, "sign", signing)
                 mp.setattr(protocol, "payload_hash", hashing)
-                return validate(plan, received, net_rng)
+                return validate(plan, received, references, net_rng)
 
         sim._validate = validating
         m = sim.run_round()
@@ -514,6 +518,31 @@ class TestRound:
         assert len(signed) == votes > 0
         assert max(signed) < 256
         assert sum(signed) + sum(hashed) <= workers * max(worker_bytes) + votes * 256
+
+    def test_noisy_worker_as_validator_gets_a_clean_reference(self, monkeypatch):
+        # A WORKER_NOISE device distorts the updates it sends as a worker,
+        # never the reference it votes against as a validator.
+        import vbfl.orchestrator as orchestrator
+
+        references = {}
+        vote = orchestrator.validate_by_voting
+
+        def voting(update, state, accuracy):
+            references[state.train.shard_of] = state.pretrain_acc
+            return vote(update, state, accuracy)
+
+        monkeypatch.setattr(orchestrator, "validate_by_voting", voting)
+        cfg = tiny_cfg(rounds=1, malicious=tuple(range(20)))
+        sim = Simulation(cfg)
+        m = sim.run_round()
+        validators = sorted(d for d, r in m.roles.items() if r == Role.VALIDATOR)
+        assert sorted(references) == validators
+        for v in validators:
+            assert sim._behaves(v, BEHAVIOR_WORKER_NOISE)
+            st = sim.state[v]
+            batches = substream(cfg.master_seed, "batches", v, 1)
+            one = local_train(sim.g0, st.train, dataclasses.replace(cfg.train, epochs=1), batches)
+            assert references[v] == evaluate(one, st.test)
 
     def test_voted_down_updates_excluded(self):
         cfg = tiny_cfg(rounds=1, malicious=(17, 18, 19), vh=0.12)
@@ -828,9 +857,9 @@ class TestVanilla:
         trained = []
         train_many = orchestrator.local_train_many
 
-        def training(starts, shards, spec, rngs):
+        def training(starts, shards, spec, rngs, epochs=None):
             trained.append([shard.shard_of for shard in shards])
-            return train_many(starts, shards, spec, rngs)
+            return train_many(starts, shards, spec, rngs, epochs)
 
         monkeypatch.setattr(orchestrator, "local_train_many", training)
         run = VanillaRun(tiny_cfg(rounds=1, consensus="vfl"))

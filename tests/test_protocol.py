@@ -131,6 +131,18 @@ class TestSigning:
         tampered = dataclasses.replace(tx, expected_reward=10**6)
         assert not verify_worker_tx(tampered, signer, worker_tx_signing_bytes(tampered))
 
+    def test_signing_sets_only_the_signature(self):
+        # Signing builds the signed transaction field by field; a field it
+        # missed would show here.
+        signer = make_signer(HmacSigner)
+        w_bytes, v_bytes = worker_tx_signing_bytes(wtx()), vtx_bytes(vtx())
+        assert sign_worker_tx(wtx(), signer, w_bytes) == dataclasses.replace(
+            wtx(), signature=signer.sign(w_bytes, wtx().worker)
+        )
+        assert sign_validator_tx(vtx(), signer, v_bytes) == dataclasses.replace(
+            vtx(), signature=signer.sign(v_bytes, vtx().validator)
+        )
+
     def test_hmac_rejects_validator_tx_tampered_after_signing(self):
         signer = make_signer(HmacSigner)
         payload = vtx_bytes(vtx())

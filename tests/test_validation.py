@@ -11,6 +11,7 @@ from vbfl.learning import (
     init_global_model,
     inject_gaussian_noise,
     local_train,
+    local_train_many,
     softmax_arch,
 )
 from vbfl.orchestrator import SimConfig, Simulation, write_vad_csv
@@ -20,10 +21,10 @@ from vbfl.validation import (
     VadRecord,
     ValidatorState,
     malicious_flip,
-    pretrain_many,
     pretrain_one_epoch,
     suggest_threshold,
     validate_by_voting,
+    with_reference,
 )
 
 
@@ -62,8 +63,9 @@ class TestPretrain:
         assert 0.0 <= got.pretrain_acc <= 1.0
 
     def test_many_equals_one_by_one(self, two_class_task, global_model):
-        # Three validators with shards of two lengths and two start models:
-        # each reference equals its own one-validator pretraining.
+        # Three validators with shards of two lengths and two start models,
+        # their references trained for one epoch in one stacked call: each
+        # reference equals its own one-validator pretraining.
         t = two_class_task
         cuts = [(0, 20), (20, 40), (40, 57)]
         states = [
@@ -76,7 +78,10 @@ class TestPretrain:
         ]
         starts = [global_model, init_global_model(softmax_arch(4, 2), 8), global_model]
         spec = TrainSpec(5, 0.05, 10)
-        got = pretrain_many(starts, states, spec, [rng(k) for k in range(3)])
+        trained = local_train_many(
+            starts, [s.train for s in states], spec, [rng(k) for k in range(3)], [1, 1, 1]
+        )
+        got = [with_reference(s, t) for s, t in zip(states, trained)]
         want = [
             pretrain_one_epoch(g, s, spec, rng(k)) for k, (g, s) in enumerate(zip(starts, states))
         ]
