@@ -131,7 +131,10 @@ def _cmd_run(args) -> int:
     progress = None if args.quiet else lambda m: print(_round_line(m))
     result = run_simulation(config, out_dir=out_dir, preset=name, progress=progress)
     if args.preset == "CALIBRATE_VH":
-        suggestion = suggest_threshold(result.driver.vad_records)
+        try:
+            suggestion = suggest_threshold(result.driver.vad_records)
+        except ValueError as exc:
+            raise ConfigError(f"calibration: {exc}; no {CALIBRATION_FILE} was written") from None
         path = Path(out_dir) / CALIBRATION_FILE
         path.write_text(json.dumps(suggestion, sort_keys=True, indent=2) + "\n")
         print(f"suggested vh: {suggestion['suggested_vh']:.4f} (written to {path})")
@@ -144,22 +147,30 @@ def _read_run(path: Path) -> dict:
     rounds_path = path / "rounds.csv"
     if not manifest_path.exists() or not rounds_path.exists():
         raise ConfigError(f"compare: {path} is not a finished run directory")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        label = manifest.get("preset") or manifest["config"]["consensus"]
+        seed = manifest["config"]["master_seed"]
+    except (ValueError, AttributeError, KeyError, TypeError) as exc:  # not JSON, or no config
+        raise ConfigError(f"compare: cannot read {manifest_path}: {exc!r}") from None
     with rounds_path.open() as fh:
         rows = list(csv.DictReader(fh))
     if rows and tuple(rows[0]) != ROUNDS_CSV_FIELDS:
         raise ConfigError(f"compare: {path}/rounds.csv has an incompatible schema")
     if not rows:
         raise ConfigError(f"compare: {path}/rounds.csv is empty")
-    return {
-        "path": path,
-        "label": manifest.get("preset") or manifest["config"]["consensus"],
-        "seed": manifest["config"]["master_seed"],
-        "final_accuracy": float(rows[-1]["global_accuracy"]),
-        "malicious_winner_rounds": sum(int(r["winner_malicious"]) for r in rows),
-        "forked_rounds": sum(int(r["forked"]) for r in rows),
-        "rounds": len(rows),
-    }
+    try:
+        return {
+            "path": path,
+            "label": label,
+            "seed": seed,
+            "final_accuracy": float(rows[-1]["global_accuracy"]),
+            "malicious_winner_rounds": sum(int(r["winner_malicious"]) for r in rows),
+            "forked_rounds": sum(int(r["forked"]) for r in rows),
+            "rounds": len(rows),
+        }
+    except (TypeError, ValueError) as exc:  # a non-numeric or missing cell
+        raise ConfigError(f"compare: {rounds_path}: {exc}") from None
 
 
 def _cmd_compare(args) -> int:

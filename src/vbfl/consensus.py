@@ -34,16 +34,13 @@ def aggregate_votes(vtxs: Sequence[ValidatorTransaction]) -> tuple[VoteTally, ..
     A duplicate (validator, worker) vote counts once; the first occurrence
     wins.
     """
-    seen: set[tuple[DeviceId, DeviceId]] = set()
     groups: dict[DeviceId, dict] = {}
     for vtx in vtxs:
-        key = (vtx.validator, vtx.inner.worker)
-        if key in seen:
-            continue
-        seen.add(key)
         g = groups.setdefault(
             vtx.inner.worker, {"tx": vtx.inner, "pos": 0, "neg": 0, "voters": set()}
         )
+        if vtx.validator in g["voters"]:
+            continue
         if vtx.vote is Vote.POSITIVE:
             g["pos"] += 1
         else:

@@ -48,19 +48,21 @@ class Task:
 
 
 def make_blobs_task(
-    dim: int = 32,
-    classes: int = 10,
-    train_per_class: int = 300,
-    test_per_class: int = 200,
-    spread: float = 0.3,
-    feature_scale: float = 0.5,
-    seed: int = 0,
+    *,
+    dim: int,
+    classes: int,
+    train_per_class: int,
+    test_per_class: int,
+    spread: float,
+    feature_scale: float,
+    seed: int,
 ) -> Task:
     """K isotropic Gaussian clusters with standard-normal means.
 
     ``spread`` is the within-cluster standard deviation; ``feature_scale``
     rescales all features uniformly. Rows are shuffled so contiguous slices
-    are class-balanced in expectation.
+    are class-balanced in expectation. The defaults live in one place,
+    ``orchestrator.DatasetConfig``.
     """
     if dim < 1 or classes < 2:
         raise ValueError("need dim >= 1 and classes >= 2")

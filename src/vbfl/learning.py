@@ -103,7 +103,8 @@ class ModelParams:
 
 
 class DataShard:
-    """Feature/label arrays private to one device.
+    """Feature/label arrays private to one device (``shard_of``), or the whole
+    test set (``shard_of`` empty), which every device shares by default.
 
     Reads go through :meth:`arrays`, which counts accesses so tests can
     assert data locality (a device's shard is only ever read by that
@@ -133,22 +134,6 @@ class DataShard:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         self.access_count += 1
         return self._x, self._y
-
-    def view(self, shard_of: bytes) -> "DataShard":
-        """Another device's shard over these same read-only arrays.
-
-        No data is copied; the new shard counts its own accesses.
-        """
-        out = DataShard.__new__(DataShard)
-        out._x, out._y = self._x, self._y
-        out.shard_of = shard_of
-        out.access_count = 0
-        return out
-
-    @property
-    def buffer_id(self) -> int:
-        """Identity of the arrays read; equal for a shard and its views."""
-        return id(self._x)
 
     def __len__(self) -> int:
         return self._x.shape[0]

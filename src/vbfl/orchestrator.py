@@ -14,9 +14,9 @@ each handing the next its data explicitly:
    injection for malicious workers) and every validator's one-epoch
    reference model (never noised), signed worker transactions, gossip among
    validators;
-3. validate: each validator's reference accuracy, one vote per verified
-   update (vote flipping for malicious validators), signed validator
-   transactions, gossip among miners;
+3. validate: every reference's and update's accuracy by ``evaluate``, one
+   vote per verified update (vote flipping for malicious validators), signed
+   validator transactions, gossip among miners;
 4. mine: vote aggregation once per distinct stored vote set, and one
    unsealed candidate block per miner;
 5. select: the legitimate block by stake rank or mining race; each distinct
@@ -90,7 +90,6 @@ from .validation import (
     malicious_flip,
     pretrain_one_epoch,  # unused here, but perfbench/tracer.py wraps this module's name
     validate_by_voting,
-    with_reference,
 )
 
 logger = logging.getLogger("vbfl")
@@ -149,9 +148,7 @@ class NetworkConfig:
     def is_benign(self) -> bool:
         return self.delay == 0.0 and self.jitter == 0.0 and math.isinf(self.propagated_block_wait)
 
-    def link_delay(self, src: DeviceId, dst: DeviceId, rng: np.random.Generator) -> float:
-        if src == dst:
-            return 0.0
+    def link_delay(self, rng: np.random.Generator) -> float:
         extra = self.jitter * float(rng.random()) if self.jitter else 0.0
         return self.delay + extra
 
@@ -375,8 +372,8 @@ def shard_dataset(
 
     Uneven division hands the remainder one example each to the lowest
     device ids. ``label_skew`` deals label-sorted contiguous chunks instead
-    of a random split. A shared test set is one read-only buffer that every
-    device's test shard views.
+    of a random split. A shared test set is one read-only shard object that
+    every device holds.
     """
     ids = sorted(device_ids)
     n = len(ids)
@@ -394,8 +391,7 @@ def shard_dataset(
     if validator_test == "shard":
         test = split(task.test_x, task.test_y, rng.permutation(task.test_x.shape[0]))
     else:
-        shared_test = DataShard(task.test_x, task.test_y)
-        test = [shared_test.view(d) for d in ids]
+        test = [DataShard(task.test_x, task.test_y)] * n
     return dict(zip(ids, zip(train, test)))
 
 
@@ -594,8 +590,8 @@ class _World:
     """What both drivers build from a config: devices, data shards and g0.
 
     ``full_test`` is the whole test set, read for the global accuracy. Under
-    ``validator_test="full"`` it views the one buffer every device's test
-    shard views, so the test set is held once.
+    ``validator_test="full"`` it is the one test shard every device holds,
+    so the test set is held once.
     """
 
     def __init__(self, config: SimConfig):
@@ -618,9 +614,9 @@ class _World:
         self.g0 = init_global_model(arch_id, derive_seed(config.master_seed, "init"))
         self.malicious_ids = frozenset(self.devices[i].id for i in config.malicious)
         if config.validator_test == "full":
-            self.full_test = self.shards[self.devices[0].id][1].view(b"")
+            self.full_test = self.shards[self.devices[0].id][1]
         else:
-            self.full_test = DataShard(task.test_x, task.test_y, shard_of=b"")
+            self.full_test = DataShard(task.test_x, task.test_y)
         self.round_no = 0
         self.metrics: list[RoundMetrics] = []
 
@@ -754,7 +750,7 @@ class Simulation(_World):
             for k, msg, payload, at in direct[p]:
                 if stored[p].get(k, (None,))[0] is not msg:
                     continue  # dropped at receipt
-                arrivals = [at + link_delay(p, o, net_rng) for o in others]
+                arrivals = [at + link_delay(net_rng) for _ in others]
                 if verified(msg, payload):
                     for o, arrival in zip(others, arrivals):
                         if k not in stored[o]:
@@ -864,7 +860,7 @@ class Simulation(_World):
             payload = protocol_mod.worker_tx_signing_bytes(tx)
             tx = sign_worker_tx(tx, self.signer, payload)
             v = plan.w2v[w]
-            inbox[v].append((tx, payload, cfg.network.link_delay(w, v, net_rng)))
+            inbox[v].append((tx, payload, cfg.network.link_delay(net_rng)))
         return inbox, dict(zip(plan.validators, references))
 
     def _validate(
@@ -878,23 +874,21 @@ class Simulation(_World):
         accuracy of its reference model, and sends the votes to its miner,
         each signed over the digest of the worker bytes it received.
 
-        Validators sharing a test buffer see the same accuracy for the same
-        update, so each (update, buffer) pair is evaluated once; validators
+        Validators sharing a test set see the same accuracy for the same
+        update, so each (update, test set) pair is evaluated once; validators
         that received the same worker bytes share one digest of them.
         """
         cfg = self.config
         vad_records: list[VadRecord] = []
-        accuracy: dict[tuple[int, int], float] = {}
+        accuracy: dict[tuple[int, int], float] = {}  # keys: ids of (update, test set)
         digests: dict[int, bytes] = {}  # keys: ids of the received worker bytes
         inbox: dict[DeviceId, list[_Message]] = {m: [] for m in plan.miners}
         for v in plan.validators:
             st = self.state[v]
-            vstate = with_reference(
-                ValidatorState(cfg.vh, train=st.train, test=st.test), references[v]
-            )
+            vstate = ValidatorState(cfg.vh, st.test, evaluate(references[v], st.test))
             ready = max((at for _, _, at in received[v]), default=0.0)
             for tx, tx_bytes, _ in received[v]:
-                pair = (id(tx.update), st.test.buffer_id)
+                pair = (id(tx.update), id(st.test))
                 if pair not in accuracy:
                     accuracy[pair] = evaluate(tx.update, st.test)
                 vote, vad = validate_by_voting(tx.update, vstate, accuracy[pair])
@@ -924,7 +918,7 @@ class Simulation(_World):
                 payload = protocol_mod.validator_tx_signing_bytes(vtx, digests[id(tx_bytes)])
                 vtx = sign_validator_tx(vtx, self.signer, payload)
                 m = plan.v2m[v]
-                inbox[m].append((vtx, payload, ready + cfg.network.link_delay(v, m, net_rng)))
+                inbox[m].append((vtx, payload, ready + cfg.network.link_delay(net_rng)))
         return vad_records, inbox
 
     def _mine(self, plan: _Plan, received, received_vtx):
@@ -990,7 +984,7 @@ class Simulation(_World):
         choice: dict[DeviceId, Block] = {}
         for m in plan.miners:
             propagated = [
-                (candidates[other], ready_at[other] + cfg.network.link_delay(other, m, net_rng))
+                (candidates[other], ready_at[other] + cfg.network.link_delay(net_rng))
                 for other in plan.miners
                 if other != m
             ]

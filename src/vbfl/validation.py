@@ -1,11 +1,12 @@
 """Validator voting on worker updates via the one-epoch proxy accuracy gap.
 
 Each round a validator first trains the incoming global model for a single
-epoch on its own shard and measures that model's accuracy on its test set.
-The gap between this reference accuracy and the accuracy of a worker's
-update (``vad``, validation accuracy difference) drives the vote: a gap
-above the validator's threshold means the update looks distorted and draws
-a Negative vote.
+epoch on its own shard (:func:`pretrain_one_epoch`), and the caller measures
+that model's accuracy on the validator's test set with ``evaluate``. The gap
+between this reference accuracy and the accuracy of a worker's update
+(``vad``, validation accuracy difference) drives the vote: a gap above the
+validator's threshold means the update looks distorted and draws a Negative
+vote.
 """
 
 from __future__ import annotations
@@ -15,21 +16,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .learning import DataShard, ModelParams, TrainSpec, evaluate, local_train
+from .learning import DataShard, ModelParams, TrainSpec, local_train
 from .protocol import DeviceId, Vote
 
 @dataclass(frozen=True)
 class ValidatorState:
-    """One validator's per-round working state.
-
-    ``pretrain_acc`` is the reference accuracy and must be recomputed from
-    the current global model before any vote is cast in a round.
-    """
+    """One validator's state for one round: its threshold, its test set and
+    its reference accuracy on that test set."""
 
     threshold: float
-    train: DataShard
     test: DataShard
-    pretrain_acc: float | None = None
+    pretrain_acc: float
 
 
 @dataclass(frozen=True)
@@ -44,22 +41,15 @@ class VadRecord:
     worker_malicious: bool
 
 
-def with_reference(state: ValidatorState, reference: ModelParams) -> ValidatorState:
-    """``state`` with its reference accuracy: that of ``reference``, the
-    model one epoch of legitimate local training made from the validator's
-    global model on its own shard, measured on its test set."""
-    return replace(state, pretrain_acc=evaluate(reference, state.test))
-
-
 def pretrain_one_epoch(
     global_params: ModelParams,
-    state: ValidatorState,
+    train: DataShard,
     spec: TrainSpec,
     rng: np.random.Generator,
-) -> ValidatorState:
-    """:func:`with_reference` of one epoch of training from ``global_params``."""
-    reference = local_train(global_params, state.train, replace(spec, epochs=1), rng)
-    return with_reference(state, reference)
+) -> ModelParams:
+    """The reference model: one epoch of legitimate local training from
+    ``global_params`` on ``train``, whatever ``spec.epochs`` says."""
+    return local_train(global_params, train, replace(spec, epochs=1), rng)
 
 
 def validate_by_voting(
@@ -72,8 +62,6 @@ def validate_by_voting(
     Negative iff vad exceeds the validator's threshold. With a threshold of
     1.0 every vote is Positive, since vad can never exceed 1.
     """
-    if state.pretrain_acc is None:
-        raise RuntimeError("reference accuracy was not computed this round")
     vad = state.pretrain_acc - accuracy
     vote = Vote.NEGATIVE if vad > state.threshold else Vote.POSITIVE
     return vote, vad
@@ -94,7 +82,7 @@ def suggest_threshold(records: Sequence[VadRecord]) -> dict:
     legit = [r.vad for r in records if not r.worker_malicious]
     malicious = [r.vad for r in records if r.worker_malicious]
     if not legit or not malicious:
-        raise ValueError("calibration needs both legitimate and malicious records")
+        raise ValueError("need both legitimate-worker and malicious-worker vad records")
     legit_p90 = float(np.percentile(legit, 90))
     malicious_p10 = float(np.percentile(malicious, 10))
     return {

@@ -102,6 +102,19 @@ class TestRun:
         data = json.loads((out / "vh_calibration.json").read_text())
         assert set(data) >= {"suggested_vh", "legit_vad_p90", "malicious_vad_p10"}
 
+    @pytest.mark.parametrize("argv", [("--malicious", 0, "--rounds", 1), ("--rounds", 0)])
+    def test_calibration_without_both_populations_exits_one(self, tmp_path, capsys, argv):
+        # No malicious device, or no round at all, leaves suggest_threshold
+        # one population short: a named error, and no threshold file.
+        out = tmp_path / "cal"
+        code = run_cli("run", "--preset", "CALIBRATE_VH", *argv, "--out", out, "--quiet")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration: ")
+        assert "no vh_calibration.json was written" in err
+        assert (out / "rounds.csv").exists()
+        assert not (out / "vh_calibration.json").exists()
+
     def test_vh_file_flag(self, tmp_path):
         vh_file = tmp_path / "vh_calibration.json"
         vh_file.write_text(json.dumps({"suggested_vh": 0.04}))
@@ -252,6 +265,25 @@ class TestCompare:
     def test_not_a_run_dir(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert run_cli("compare", tmp_path / "empty", tmp_path / "empty") == 1
+
+    @pytest.mark.parametrize("damage", [
+        ("manifest.json", lambda text: text[:-3], "JSONDecodeError"),
+        ("manifest.json", lambda text: json.dumps({"preset": "exp"}), "'config'"),
+        ("rounds.csv", lambda text: text.replace(text.splitlines()[-1].split(",")[-1], "high"),
+         "'high'"),
+        ("rounds.csv", lambda text: text.replace(",0,0,", ",no,0,"), "'no'"),
+    ], ids=["manifest-not-json", "manifest-without-config", "accuracy-not-a-number",
+            "winner-malicious-not-a-number"])
+    def test_damaged_run_dir_exits_one(self, tmp_path, capsys, damage):
+        name, edit, cause = damage
+        dirs = self.make_runs(tmp_path)
+        path = dirs[1] / name
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert run_cli("compare", *dirs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: compare: ")
+        assert str(path) in err and cause in err
 
     def test_cross_group_ratios(self, tmp_path, capsys):
         cfg_a = write_tiny_config(tmp_path)

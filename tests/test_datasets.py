@@ -6,41 +6,53 @@ import pytest
 
 from vbfl.datasets import Task, load_idx_task, make_blobs_task, read_idx
 
+SHAPE = {"spread": 0.3, "feature_scale": 0.5}
+GEOMETRY = {
+    "dim": 32, "classes": 10, "train_per_class": 300, "test_per_class": 200, "seed": 0, **SHAPE
+}
+
 
 class TestBlobs:
     def test_shapes_and_label_range(self):
-        t = make_blobs_task(dim=6, classes=3, train_per_class=10, test_per_class=4, seed=0)
+        t = make_blobs_task(dim=6, classes=3, train_per_class=10, test_per_class=4, seed=0, **SHAPE)
         assert t.train_x.shape == (30, 6)
         assert t.test_x.shape == (12, 6)
         assert set(np.unique(t.train_y)) == {0, 1, 2}
         assert t.num_classes == 3
 
     def test_deterministic(self):
-        a = make_blobs_task(seed=5, dim=4, classes=2, train_per_class=8, test_per_class=3)
-        b = make_blobs_task(seed=5, dim=4, classes=2, train_per_class=8, test_per_class=3)
+        a = make_blobs_task(seed=5, dim=4, classes=2, train_per_class=8, test_per_class=3, **SHAPE)
+        b = make_blobs_task(seed=5, dim=4, classes=2, train_per_class=8, test_per_class=3, **SHAPE)
         assert np.array_equal(a.train_x, b.train_x)
         assert np.array_equal(a.test_y, b.test_y)
 
     def test_seed_matters(self):
-        a = make_blobs_task(seed=1, dim=4, classes=2, train_per_class=8, test_per_class=3)
-        b = make_blobs_task(seed=2, dim=4, classes=2, train_per_class=8, test_per_class=3)
+        a = make_blobs_task(seed=1, dim=4, classes=2, train_per_class=8, test_per_class=3, **SHAPE)
+        b = make_blobs_task(seed=2, dim=4, classes=2, train_per_class=8, test_per_class=3, **SHAPE)
         assert not np.array_equal(a.train_x, b.train_x)
 
     def test_feature_scale(self):
         small = make_blobs_task(seed=3, dim=4, classes=2, train_per_class=50,
-                                test_per_class=5, feature_scale=0.5)
+                                test_per_class=5, spread=0.3, feature_scale=0.5)
         big = make_blobs_task(seed=3, dim=4, classes=2, train_per_class=50,
-                              test_per_class=5, feature_scale=2.0)
+                              test_per_class=5, spread=0.3, feature_scale=2.0)
         np.testing.assert_allclose(big.train_x, small.train_x * 4.0)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            make_blobs_task(dim=0)
+            make_blobs_task(**{**GEOMETRY, "dim": 0})
         with pytest.raises(ValueError):
-            make_blobs_task(classes=1)
+            make_blobs_task(**{**GEOMETRY, "classes": 1})
+
+    def test_geometry_has_no_default(self):
+        # DatasetConfig holds the defaults; the task builder takes every field.
+        with pytest.raises(TypeError):
+            make_blobs_task(**{k: v for k, v in GEOMETRY.items() if k != "spread"})
 
     def test_arrays_locked(self):
-        t = make_blobs_task(dim=3, classes=2, train_per_class=4, test_per_class=2)
+        t = make_blobs_task(
+            dim=3, classes=2, train_per_class=4, test_per_class=2, seed=0, **SHAPE
+        )
         with pytest.raises(ValueError):
             t.train_x[0, 0] = 5.0
 

@@ -63,7 +63,7 @@ def naive_gossip(sim, inbox, key, verify, peers, net_rng):
                 continue
             for other in peers:
                 if other != p:
-                    delay = sim.config.network.link_delay(p, other, net_rng)
+                    delay = sim.config.network.link_delay(net_rng)
                     deliver(other, msg, payload, at + delay)
     return {p: [stored[p][k] for k in sorted(stored[p])] for p in peers}
 

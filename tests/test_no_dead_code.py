@@ -6,6 +6,10 @@ comment) somewhere in ``src/``, ``scripts/`` or ``perfbench/`` outside its
 own definition. A capability that only the tests call is a second way to
 do something, or a format nothing reads; this check keeps one from coming
 back unnoticed.
+
+Each parameter of a package function must be read by its body, but for a
+method that shares its name with a base-class method (both keep one
+signature) and the parameters listed in ``UNREAD_ALLOWED``.
 """
 
 import ast
@@ -66,8 +70,67 @@ def unnamed_definitions(root: Path) -> list[str]:
     return missing
 
 
+# Parameters a function may leave unread, with the reason.
+UNREAD_ALLOWED = {
+    # perfbench/tracer.py::_note_vote reads it from the call's arguments;
+    # ROADMAP item 1 deletes it with that benchmark change.
+    ("validate_by_voting", "update"),
+}
+
+
+def methods(cls: ast.ClassDef) -> dict[str, ast.AST]:
+    return {f.name: f for f in cls.body if isinstance(f, FUNCTIONS)}
+
+
+def overridden(classes: dict[str, ast.ClassDef]) -> set[int]:
+    """ids of the methods that share a name with a method of a base class
+    defined in the package, on both sides: they keep one signature."""
+    out: set[int] = set()
+    for cls in classes.values():
+        for base in cls.bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                mine, theirs = methods(cls), methods(classes[base.id])
+                out |= {id(f) for name in mine.keys() & theirs.keys()
+                        for f in (mine[name], theirs[name])}
+    return out
+
+
+def unread_parameters(root: Path) -> list[str]:
+    """Parameters of package functions (methods and nested functions too)
+    that the function body never reads, but for an overridden method."""
+    trees = {
+        path: ast.parse(path.read_text()) for path in sorted((root / "src" / "vbfl").glob("*.py"))
+    }
+    classes = {
+        node.name: node for tree in trees.values() for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    exempt = overridden(classes)
+    unread = []
+    for path, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, FUNCTIONS) or id(fn) in exempt:
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {
+                node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.relative_to(root)}:{fn.lineno} {fn.name}({p.arg})"
+                for p in params
+                if p is not None and p.arg not in read and (fn.name, p.arg) not in UNREAD_ALLOWED
+            ]
+    return sorted(unread)
+
+
 def test_every_definition_is_named_by_the_program():
     assert unnamed_definitions(ROOT) == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(ROOT) == []
 
 
 def test_the_check_sees_an_unnamed_definition(tmp_path):
@@ -85,3 +148,20 @@ def test_the_check_sees_an_unnamed_definition(tmp_path):
         "print({'orphan': used()})  # C.orphan is never called\n"
     )
     assert unnamed_definitions(tmp_path) == ["src/vbfl/m.py:13 orphan"]
+
+
+def test_the_check_sees_an_unread_parameter(tmp_path):
+    package = tmp_path / "src" / "vbfl"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        "class Base:\n    def hook(self, x):\n        raise NotImplementedError\n\n\n"
+        "class Child(Base):\n    def hook(self, x):\n        return 0\n\n"
+        "    def other(self, y):\n        return self\n\n\n"
+        "def f(a, b, *, c):\n    def inner(d):\n        return a\n    return inner(c)\n"
+    )
+    # Both hooks keep the one signature; every other unread parameter is named.
+    assert unread_parameters(tmp_path) == [
+        "src/vbfl/m.py:10 other(y)",
+        "src/vbfl/m.py:14 f(b)",
+        "src/vbfl/m.py:15 inner(d)",
+    ]

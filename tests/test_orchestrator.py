@@ -262,7 +262,8 @@ class TestDevices:
 class TestSharding:
     def task(self, train_total=40):
         return make_blobs_task(
-            dim=4, classes=4, train_per_class=train_total // 4, test_per_class=5, seed=3
+            dim=4, classes=4, train_per_class=train_total // 4, test_per_class=5, spread=0.3,
+            feature_scale=0.5, seed=3,
         )
 
     def ids(self, n):
@@ -299,24 +300,23 @@ class TestSharding:
         shards = shard_dataset(task, self.ids(8), substream(0, "shard"))
         for _, test in shards.values():
             assert len(test) == task.test_x.shape[0]
-        # One read-only buffer, one shard object and access count per device.
+        # One read-only shard object that every device holds.
         tests = [test for _, test in shards.values()]
-        assert len({t.buffer_id for t in tests}) == 1
-        assert len({id(t) for t in tests}) == len(tests)
+        assert len({id(t) for t in tests}) == 1
         x, _ = tests[0].arrays()
         assert not x.flags.writeable
         assert np.array_equal(x, task.test_x)
-        assert [t.access_count for t in tests] == [1] + [0] * (len(tests) - 1)
-        # Both drivers read the global accuracy from that same buffer.
+        # Both drivers read the global accuracy from that same object.
         sim = Simulation(tiny_cfg(rounds=1))
-        assert {st.test.buffer_id for st in sim.state.values()} == {sim.full_test.buffer_id}
+        assert {id(st.test) for st in sim.state.values()} == {id(sim.full_test)}
         run = VanillaRun(tiny_cfg(rounds=1, consensus="vfl"))
-        assert {test.buffer_id for _, test in run.shards.values()} == {run.full_test.buffer_id}
+        assert {id(test) for _, test in run.shards.values()} == {id(run.full_test)}
         # Disjoint test shards leave one full copy for the global accuracy.
         sharded = Simulation(tiny_cfg(rounds=1, validator_test="shard"))
-        assert sharded.full_test.buffer_id not in {
-            st.test.buffer_id for st in sharded.state.values()
-        }
+        x, _ = sharded.full_test.arrays()
+        assert all(
+            not np.shares_memory(x, st.test.arrays()[0]) for st in sharded.state.values()
+        )
         assert len(sharded.full_test) == 4 * 30
 
     def test_disjoint_test_shards_option(self):
@@ -334,7 +334,10 @@ class TestSharding:
         assert len(np.unique(first._y)) == 1
 
     def test_too_few_examples(self):
-        task = make_blobs_task(dim=2, classes=2, train_per_class=2, test_per_class=2)
+        task = make_blobs_task(
+            dim=2, classes=2, train_per_class=2, test_per_class=2, spread=0.3,
+            feature_scale=0.5, seed=0,
+        )
         with pytest.raises(ValueError, match="smaller"):
             shard_dataset(task, self.ids(5), substream(0, "shard"))
 
@@ -418,9 +421,12 @@ class TestRound:
         sim = Simulation(tiny_cfg(rounds=1))
         log = record_messages(sim)
         m = sim.run_round()
-        # One evaluation per distinct update on the shared test set, plus
-        # the global accuracy; one average for the block all replicas adopt.
-        assert calls["evaluate"] == len({id(tx.update) for tx in log[1].worker_txs}) + 1
+        # One evaluation per distinct update on the shared test set, one per
+        # validator's reference, plus the global accuracy; one average for
+        # the block all replicas adopt.
+        validators = sum(r == Role.VALIDATOR for r in m.roles.values())
+        updates = len({id(tx.update) for tx in log[1].worker_txs})
+        assert calls["evaluate"] == updates + validators + 1
         assert calls["fedavg"] == 1
         assert len(m.vad_records) == 12 * 5
 
@@ -528,11 +534,12 @@ class TestRound:
         vote = orchestrator.validate_by_voting
 
         def voting(update, state, accuracy):
-            references[state.train.shard_of] = state.pretrain_acc
+            references[state.test.shard_of] = state.pretrain_acc
             return vote(update, state, accuracy)
 
+        # Each validator's own test shard names it.
         monkeypatch.setattr(orchestrator, "validate_by_voting", voting)
-        cfg = tiny_cfg(rounds=1, malicious=tuple(range(20)))
+        cfg = tiny_cfg(rounds=1, malicious=tuple(range(20)), validator_test="shard")
         sim = Simulation(cfg)
         m = sim.run_round()
         validators = sorted(d for d, r in m.roles.items() if r == Role.VALIDATOR)

@@ -66,6 +66,9 @@ def test_traced_round_writes_untraced_outputs(tmp_path, driver_cls, consensus):
     assert layers["orchestrator.round.calls"] == 1.0
     assert layers["learning.evaluate.calls"] >= 1.0
     if driver_cls is Simulation:
+        # Every accuracy goes through the one evaluate name: the 12 updates
+        # on the shared test set, the 5 validators' references, the global.
+        assert layers["learning.evaluate.calls"] == 12 + 5 + 1
         assert layers["validation.vote.calls"] > 0
         assert layers["consensus.aggregate_votes.calls"] == 1.0
         # The whole chain dump is written inside the one wrapped call.
