@@ -8,8 +8,12 @@ side's median and quartiles and how many pairs the change won (ties count
 for neither). The gain rule holds for a metric when the change wins at
 least nine tenths of the pairs and the medians differ, in the metric's
 better direction, by more than the parent's interquartile range. It also
-prints whether the change's median is within the metric's ``bound``: worse
-than the parent's median by at most that fraction of it.
+prints the ratio of the change's median to the parent's, with the parent's
+median as its base, and whether the change's median is within the metric's
+``bound``: worse than the parent's median by at most that fraction of it.
+Within the bound reads ``unresolved`` when the parent's own interquartile
+range is wider than that fraction of its median, unless every change run
+beats every parent run: the spread then hides a change the bound forbids.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
@@ -53,15 +57,20 @@ def summarize(
     """Judge (parent, change) value pairs of one metric whose ``better`` is
     "lower" or "higher", and whose median may get worse by at most the
     fraction ``bound`` of the parent's (``within_bound`` is None without
-    one)."""
+    one; ``unresolved`` says the parent's spread is too wide to tell).
+    ``ratio`` is the change's median over the parent's (None when the
+    parent's is 0)."""
     sign = 1 if better == "lower" else -1
     parent = quartiles([p for p, _ in pairs])
     change = quartiles([c for _, c in pairs])
     wins = sum(sign * (p - c) > 0 for p, c in pairs)
     gain = 10 * wins >= 9 * len(pairs) and sign * (parent[1] - change[1]) > parent[2] - parent[0]
     within = None if bound is None else sign * (change[1] - parent[1]) <= bound * abs(parent[1])
+    beats_all = min(sign * p for p, _ in pairs) > max(sign * c for _, c in pairs)
+    unresolved = bool(within) and parent[2] - parent[0] > bound * abs(parent[1]) and not beats_all
     return {"parent": parent, "change": change, "wins": wins, "pairs": len(pairs), "gain": gain,
-            "within_bound": within}
+            "within_bound": within, "unresolved": unresolved,
+            "ratio": change[1] / parent[1] if parent[1] else None}
 
 
 def main(argv=None) -> int:
@@ -94,10 +103,12 @@ def main(argv=None) -> int:
         s = summarize(pairs, metric["better"], metric.get("bound"))
         fmt = " / ".join(["{:.4g}"] * 3)
         verdict = {None: "no bound", True: "within bound", False: "OUTSIDE BOUND"}
+        ratio = "n/a" if s["ratio"] is None else f"{s['ratio']:.3f}"
         print(f"  {name:14s} parent {fmt.format(*s['parent']):26s} "
               f"change {fmt.format(*s['change']):26s} {metric['unit']:3s} "
+              f"change/parent {ratio} of {s['parent'][1]:.4g}  "
               f"wins {s['wins']}/{s['pairs']}  gain rule {'holds' if s['gain'] else 'fails'}  "
-              f"{verdict[s['within_bound']]}")
+              f"{'unresolved' if s['unresolved'] else verdict[s['within_bound']]}")
     if bad:
         print("incorrect or failed runs: " + ", ".join(bad))
         return 1

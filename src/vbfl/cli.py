@@ -149,9 +149,11 @@ def _read_run(path: Path) -> dict:
         raise ConfigError(f"compare: {path} is not a finished run directory")
     try:
         manifest = json.loads(manifest_path.read_text())
-        label = manifest.get("preset") or manifest["config"]["consensus"]
-        seed = manifest["config"]["master_seed"]
-    except (ValueError, AttributeError, KeyError, TypeError) as exc:  # not JSON, or no config
+        config = manifest["config"]
+        if not isinstance(config, dict):
+            raise TypeError("'config' is not a mapping")
+        label = manifest.get("preset") or config["consensus"]
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or no config mapping
         raise ConfigError(f"compare: cannot read {manifest_path}: {exc!r}") from None
     with rounds_path.open() as fh:
         rows = list(csv.DictReader(fh))
@@ -161,13 +163,9 @@ def _read_run(path: Path) -> dict:
         raise ConfigError(f"compare: {path}/rounds.csv is empty")
     try:
         return {
-            "path": path,
             "label": label,
-            "seed": seed,
             "final_accuracy": float(rows[-1]["global_accuracy"]),
             "malicious_winner_rounds": sum(int(r["winner_malicious"]) for r in rows),
-            "forked_rounds": sum(int(r["forked"]) for r in rows),
-            "rounds": len(rows),
         }
     except (TypeError, ValueError) as exc:  # a non-numeric or missing cell
         raise ConfigError(f"compare: {rounds_path}: {exc}") from None

@@ -39,6 +39,7 @@ import math
 import types
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -148,9 +149,12 @@ class NetworkConfig:
     def is_benign(self) -> bool:
         return self.delay == 0.0 and self.jitter == 0.0 and math.isinf(self.propagated_block_wait)
 
-    def link_delay(self, rng: np.random.Generator) -> float:
-        extra = self.jitter * float(rng.random()) if self.jitter else 0.0
-        return self.delay + extra
+    def link_delay(self, rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
+        """An array of link delays, drawn in row-major order, one double each;
+        without jitter it draws nothing."""
+        if not self.jitter:
+            return np.full(shape, self.delay, dtype=float)
+        return self.delay + self.jitter * rng.random(shape)
 
 
 @dataclass(frozen=True)
@@ -665,9 +669,40 @@ class _World:
 
 
 # A gossip message: the message, the signing bytes its sender encoded once
-# (receivers verify the signature over the bytes they received), and its
-# arrival time.
+# (receivers verify the signature over the bytes they received), and an
+# arrival time. A hop's inbox lists each peer's direct messages; a hop's
+# copies are the messages some peer stored directly, with that arrival.
 _Message = tuple[object, bytes, float]
+
+
+@dataclass(frozen=True, eq=False)
+class _Hop:
+    """What one gossip hop left its peers holding.
+
+    ``keys`` is the hop's sorted key order and ``copies`` its distinct
+    stored copies. Row ``rows[p]`` of ``copy`` holds, per key, the index of
+    the copy peer p stored, and the same row of ``arrival`` when it
+    arrived. Every peer holds every key.
+    """
+
+    rows: dict[DeviceId, int]
+    keys: list
+    copies: list[_Message]
+    copy: np.ndarray  # (peers, keys) indexes into copies
+    arrival: np.ndarray  # (peers, keys) arrival times
+
+    def stored(self, p: DeviceId) -> list[_Message]:
+        """Peer p's (message, signing bytes, arrival) in key order."""
+        row = self.rows[p]
+        return [
+            (*self.copies[c][:2], at)
+            for c, at in zip(self.copy[row].tolist(), self.arrival[row].tolist())
+        ]
+
+    def ready(self, p: DeviceId) -> float:
+        """When peer p's last message arrived; 0.0 when it holds none."""
+        arrivals = self.arrival[self.rows[p]]
+        return float(arrivals.max()) if arrivals.size else 0.0
 
 
 class Simulation(_World):
@@ -711,16 +746,22 @@ class Simulation(_World):
         verify: Callable[[object, Signer, bytes], bool],
         peers: Sequence[DeviceId],
         net_rng: np.random.Generator,
-    ) -> dict[DeviceId, list[_Message]]:
-        """One hop of signed messages among peers: deliver, dedupe, relay.
+    ) -> _Hop:
+        """One hop of signed messages among peers: deliver, dedupe, relay;
+        returns what the peers hold as one :class:`_Hop`.
 
         Every peer first takes its direct messages in key order, storing the
-        first copy per key that verifies. Then every peer relays each copy it
-        stored to every other peer, each relay drawing a link delay from
-        net_rng in peer order, and a receiver stores the first copy per key
-        that verifies. Returns each peer's stored (message, signing bytes,
-        arrival) in key order; the hop's keys are sorted once and each peer's
-        list filters that order.
+        first copy per key that verifies; a key no peer verified leaves the
+        hop. Then, in peer order, every peer relays: it draws one row of
+        link delays to the other peers for each direct message whose
+        message object it holds at that moment (a copy it rejected
+        included, once an earlier relay handed it the same message), and
+        each copy it stored directly reaches the other peers that do not
+        yet hold its key, at its arrival plus the drawn delay. So after the
+        hop every peer holds every key, and a peer that received a key only
+        by relay holds the copy of the first peer, in peer order, that
+        stored it. A relaying peer draws its delays in one ``link_delay``
+        call and fills one (other peers x keys) block of the hop's arrays.
 
         Each message's key is computed once. A verdict is a pure function of
         the (message, signing bytes) pair, so each pair is verified once per
@@ -734,29 +775,51 @@ class Simulation(_World):
                 verdicts[pair] = verify(msg, self.signer, payload)
             return verdicts[pair]
 
-        stored: dict[DeviceId, dict] = {p: {} for p in peers}
-        direct = {
-            p: sorted(((key(msg), msg, payload, at) for msg, payload, at in inbox[p]),
-                      key=lambda item: item[0])
-            for p in peers
-        }
-        for p in peers:
-            for k, msg, payload, at in direct[p]:
-                if k not in stored[p] and verified(msg, payload):
-                    stored[p][k] = (msg, payload, at)
+        copies: list[_Message] = []
+        copy_rows: list[int] = []  # per copy: the row of the peer that stored it
+        copy_keys: list = []  # per copy: its key
+        direct: list[list] = []  # per peer: (key, message, copy index or -1) in key order
+        for r, p in enumerate(peers):
+            entries = sorted(((key(msg), msg, payload, at) for msg, payload, at in inbox[p]),
+                             key=itemgetter(0))
+            mine: set = set()
+            direct.append([])
+            for k, msg, payload, at in entries:
+                c = -1
+                if k not in mine and verified(msg, payload):
+                    mine.add(k)
+                    c = len(copies)
+                    copies.append((msg, payload, at))
+                    copy_rows.append(r)
+                    copy_keys.append(k)
+                direct[-1].append((k, msg, c))
+        keys = sorted(dict.fromkeys(copy_keys))  # merges the peers' sorted runs
+        column = {k: j for j, k in enumerate(keys)}
+        copy_cols = np.array([column[k] for k in copy_keys], dtype=np.intp)
+        copy_ats = np.array([at for _, _, at in copies], dtype=float)
+        n = len(peers)
+        copy = np.full((n, len(keys)), -1, dtype=np.intp)
+        arrival = np.zeros((n, len(keys)))
+        copy[copy_rows, copy_cols] = np.arange(len(copies))
+        arrival[copy_rows, copy_cols] = copy_ats
         link_delay = self.config.network.link_delay
-        for p in peers:
-            others = [o for o in peers if o != p]
-            for k, msg, payload, at in direct[p]:
-                if stored[p].get(k, (None,))[0] is not msg:
-                    continue  # dropped at receipt
-                arrivals = [at + link_delay(net_rng) for _ in others]
-                if verified(msg, payload):
-                    for o, arrival in zip(others, arrivals):
-                        if k not in stored[o]:
-                            stored[o][k] = (msg, payload, arrival)
-        order = sorted({item[0] for items in direct.values() for item in items})
-        return {p: [stored[p][k] for k in order if k in stored[p]] for p in peers}
+        for r, entries in enumerate(direct):
+            # A delay row per direct message whose object the peer holds now;
+            # only the copies it stored itself (index >= 0) reach the others.
+            drawing = np.array([
+                c for k, msg, c in entries
+                if c >= 0 or (k in column and copy[r, column[k]] >= 0
+                              and copies[copy[r, column[k]]][0] is msg)
+            ], dtype=np.intp)
+            delays = link_delay(net_rng, (len(drawing), n - 1))
+            relayed = drawing >= 0
+            new = drawing[relayed]
+            block = np.ix_(np.delete(np.arange(n), r), copy_cols[new])
+            held = copy[block]
+            empty = held < 0
+            copy[block] = np.where(empty, new, held)
+            arrival[block] = np.where(empty, copy_ats[new] + delays[relayed].T, arrival[block])
+        return _Hop({p: r for r, p in enumerate(peers)}, keys, copies, copy, arrival)
 
     # -- the round ------------------------------------------------------------
 
@@ -847,7 +910,8 @@ class Simulation(_World):
             for devices in (plan.workers, plan.validators)
         )
         updates, references = self._local_updates(jobs, plan.round, refs)
-        for (w, _, train), update in zip(jobs, updates):
+        delays = cfg.network.link_delay(net_rng, len(jobs)).tolist()
+        for (w, _, train), update, delay in zip(jobs, updates, delays):
             tx = WorkerTransaction(
                 round=plan.round,
                 worker=w,
@@ -860,13 +924,13 @@ class Simulation(_World):
             payload = protocol_mod.worker_tx_signing_bytes(tx)
             tx = sign_worker_tx(tx, self.signer, payload)
             v = plan.w2v[w]
-            inbox[v].append((tx, payload, cfg.network.link_delay(net_rng)))
+            inbox[v].append((tx, payload, delay))
         return inbox, dict(zip(plan.validators, references))
 
     def _validate(
         self,
         plan: _Plan,
-        received,
+        received: _Hop,
         references: dict[DeviceId, ModelParams],
         net_rng: np.random.Generator,
     ):
@@ -886,8 +950,10 @@ class Simulation(_World):
         for v in plan.validators:
             st = self.state[v]
             vstate = ValidatorState(cfg.vh, st.test, evaluate(references[v], st.test))
-            ready = max((at for _, _, at in received[v]), default=0.0)
-            for tx, tx_bytes, _ in received[v]:
+            row = received.copy[received.rows[v]]
+            arrivals = (received.ready(v) + cfg.network.link_delay(net_rng, len(row))).tolist()
+            for c, at in zip(row.tolist(), arrivals):
+                tx, tx_bytes, _ = received.copies[c]
                 pair = (id(tx.update), id(st.test))
                 if pair not in accuracy:
                     accuracy[pair] = evaluate(tx.update, st.test)
@@ -918,10 +984,10 @@ class Simulation(_World):
                 payload = protocol_mod.validator_tx_signing_bytes(vtx, digests[id(tx_bytes)])
                 vtx = sign_validator_tx(vtx, self.signer, payload)
                 m = plan.v2m[v]
-                inbox[m].append((vtx, payload, ready + cfg.network.link_delay(net_rng)))
+                inbox[m].append((vtx, payload, at))
         return vad_records, inbox
 
-    def _mine(self, plan: _Plan, received, received_vtx):
+    def _mine(self, plan: _Plan, received: _Hop, received_vtx: _Hop):
         """Every miner aggregates the votes it stored into an unsealed
         candidate block; returns the candidates, when each miner is ready and
         each candidate's tally section.
@@ -931,16 +997,16 @@ class Simulation(_World):
         encoding reuses the worker bytes the validators received, and lives
         only for the round.
         """
-        tx_bytes = {id(tx): b for v in plan.validators for tx, b, _ in received[v]}
-        shared: dict[tuple[int, ...], tuple] = {}  # keys: ids of the stored votes
+        tx_bytes = {id(tx): b for tx, b, _ in received.copies}
+        shared: dict[bytes, tuple] = {}  # keys: a miner's row of copy indexes
         candidates: dict[DeviceId, Block] = {}
         ready_at: dict[DeviceId, float] = {}
         sections: dict[DeviceId, bytes] = {}
         for m in plan.miners:
-            ready_at[m] = max((at for _, _, at in received_vtx[m]), default=0.0)
-            votes = tuple(id(vtx) for vtx, _, _ in received_vtx[m])
+            ready_at[m] = received_vtx.ready(m)
+            votes = received_vtx.copy[received_vtx.rows[m]].tobytes()
             if votes not in shared:
-                vtxs = [vtx for vtx, _, _ in received_vtx[m]]
+                vtxs = [vtx for vtx, _, _ in received_vtx.stored(m)]
                 tallies = consensus_mod.aggregate_votes(vtxs)
                 validator_rewards: dict[DeviceId, int] = {}
                 for vtx in vtxs:
@@ -983,10 +1049,11 @@ class Simulation(_World):
             return {m: candidates[winner] for m in plan.miners}
         choice: dict[DeviceId, Block] = {}
         for m in plan.miners:
+            others = [other for other in plan.miners if other != m]
+            delays = cfg.network.link_delay(net_rng, len(others)).tolist()
             propagated = [
-                (candidates[other], ready_at[other] + cfg.network.link_delay(net_rng))
-                for other in plan.miners
-                if other != m
+                (candidates[other], ready_at[other] + delay)
+                for other, delay in zip(others, delays)
             ]
             collected = consensus_mod.collect_blocks(
                 candidates[m],

@@ -87,14 +87,14 @@ def record_messages(sim: Simulation) -> dict[int, RoundMessages]:
     gossip = sim._gossip
 
     def recording(inbox, key, verify, peers, net_rng):
-        stored = gossip(inbox, key, verify, peers, net_rng)
-        kept = {p: tuple(msg for msg, _, _ in stored[p]) for p in peers}
+        hop = gossip(inbox, key, verify, peers, net_rng)
+        kept = {p: tuple(msg for msg, _, _ in hop.stored(p)) for p in peers}
         if sim.round_no in rounds:
             rounds[sim.round_no].by_miner = kept
         else:
             sent = sorted((msg for p in peers for msg, _, _ in inbox[p]), key=lambda tx: tx.worker)
             rounds[sim.round_no] = RoundMessages(tuple(sent), kept)
-        return stored
+        return hop
 
     sim._gossip = recording
     return rounds

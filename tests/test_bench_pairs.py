@@ -82,6 +82,37 @@ def test_bound_when_higher_is_better(script):
     assert not s["within_bound"]
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved(script):
+    # Parent quartiles 150 / 200 / 250: an IQR of 100 ms against a 0.2 bound
+    # of 40 ms, so a change median 1 ms worse cannot be told apart.
+    parent = [100.0, 150.0, 200.0, 250.0, 300.0]
+    s = script.summarize([(p, p + 1) for p in parent], "lower", 0.2)
+    assert s["within_bound"] and s["unresolved"] and s["wins"] == 0
+    # Outside the bound stays outside; unresolved only replaces "within".
+    s = script.summarize([(p, p + 50) for p in parent], "lower", 0.2)
+    assert not s["within_bound"] and not s["unresolved"]
+    # No bound, nothing to resolve.
+    assert not script.summarize([(p, p + 1) for p in parent], "lower")["unresolved"]
+
+
+def test_a_change_that_beats_every_parent_run_is_resolved(script):
+    parent = [100.0, 150.0, 200.0, 250.0, 300.0]
+    s = script.summarize([(p, 99.0) for p in parent], "lower", 0.2)
+    assert s["within_bound"] and not s["unresolved"]
+    # One change run no better than the best parent run leaves it open.
+    s = script.summarize([(p, 99.0) for p in parent[1:]] + [(100.0, 100.0)], "lower", 0.2)
+    assert s["within_bound"] and s["unresolved"]
+    # The same rule when higher is better.
+    s = script.summarize([(p, 301.0) for p in parent], "higher", 0.2)
+    assert s["within_bound"] and not s["unresolved"]
+
+
+def test_ratio_of_medians(script):
+    s = script.summarize([(p, p * 0.75) for p in PARENT], "lower")
+    assert s["ratio"] == pytest.approx(0.75)
+    assert script.summarize([(0.0, 1.0), (0.0, 2.0)], "lower")["ratio"] is None
+
+
 def test_main_prints_each_metric_against_its_bound(script, tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "round_ms.p50", "unit": "ms", "better": "lower", "bound": 0.2},
@@ -100,4 +131,6 @@ def test_main_prints_each_metric_against_its_bound(script, tmp_path, monkeypatch
                         "--pairs", "2"]) == 0
     lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:]}
     assert lines["round_ms.p50"].endswith("within bound")
+    assert "change/parent 0.750 of 200 " in lines["round_ms.p50"]
     assert lines["peak_rss_mb"].endswith("OUTSIDE BOUND")
+    assert "change/parent 1.125 of 80 " in lines["peak_rss_mb"]

@@ -269,11 +269,13 @@ class TestCompare:
     @pytest.mark.parametrize("damage", [
         ("manifest.json", lambda text: text[:-3], "JSONDecodeError"),
         ("manifest.json", lambda text: json.dumps({"preset": "exp"}), "'config'"),
+        ("manifest.json", lambda text: json.dumps({"preset": "exp", "config": [1]}),
+         "'config' is not a mapping"),
         ("rounds.csv", lambda text: text.replace(text.splitlines()[-1].split(",")[-1], "high"),
          "'high'"),
         ("rounds.csv", lambda text: text.replace(",0,0,", ",no,0,"), "'no'"),
-    ], ids=["manifest-not-json", "manifest-without-config", "accuracy-not-a-number",
-            "winner-malicious-not-a-number"])
+    ], ids=["manifest-not-json", "manifest-without-config", "config-not-a-mapping",
+            "accuracy-not-a-number", "winner-malicious-not-a-number"])
     def test_damaged_run_dir_exits_one(self, tmp_path, capsys, damage):
         name, edit, cause = damage
         dirs = self.make_runs(tmp_path)

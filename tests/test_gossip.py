@@ -3,9 +3,9 @@
 The reference delivers every copy to every receiver one by one, verifying
 each copy it might store and drawing one link delay per relay. The
 simulator's hop computes each key once, verifies each (message, signing
-bytes) pair once and also draws one link delay per relay; both must store
-the same copies with the same arrivals and leave the network generator in
-the same state.
+bytes) pair once and draws each relaying peer's delays in one array; both
+must store the same copies with the same arrivals and leave the network
+generator in the same state.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def naive_gossip(sim, inbox, key, verify, peers, net_rng):
                 continue
             for other in peers:
                 if other != p:
-                    delay = sim.config.network.link_delay(net_rng)
+                    delay = sim.config.network.link_delay(net_rng, 1)[0]
                     deliver(other, msg, payload, at + delay)
     return {p: [stored[p][k] for k in sorted(stored[p])] for p in peers}
 
@@ -126,8 +126,12 @@ def test_gossip_matches_naive_reference(messages, forged, n_peers, delay, jitter
     got = sim._gossip(inbox, key, counting_verify, peers, rng_got)
     want = naive_gossip(sim, inbox, key, verify_worker_tx, peers, rng_want)
     for p in peers:
-        assert [(id(msg), at) for msg, _, at in got[p]] == [(id(msg), at) for msg, at in want[p]]
-        assert all(payload == worker_tx_signing_bytes(msg) for msg, payload, _ in got[p])
+        stored = got.stored(p)
+        assert [(id(msg), at) for msg, _, at in stored] == [(id(msg), at) for msg, at in want[p]]
+        assert all(payload == worker_tx_signing_bytes(msg) for msg, payload, _ in stored)
+        # Every peer holds every key of the hop, and no other.
+        assert [key(msg) for msg, _, _ in stored] == got.keys
+        assert got.ready(p) == max((at for _, _, at in stored), default=0.0)
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
     assert max(verified.values(), default=1) == 1
-    assert not any(msg is forged_tx for p in peers for msg, _, _ in got[p])
+    assert not any(msg is forged_tx for p in peers for msg, _, _ in got.stored(p))

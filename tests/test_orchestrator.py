@@ -511,7 +511,7 @@ class TestRound:
             return payload_hash(data)
 
         def validating(plan, received, references, net_rng):
-            worker_bytes.extend(len(b) for v in received for _, b, _ in received[v])
+            worker_bytes.extend(len(b) for _, b, _ in received.copies)
             with monkeypatch.context() as mp:
                 mp.setattr(sim.signer, "sign", signing)
                 mp.setattr(protocol, "payload_hash", hashing)
