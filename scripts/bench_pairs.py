@@ -19,8 +19,9 @@ Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
         [--pairs 10] [--seconds 12] [--seed 1]
 
-Stops at the first perfbench run that exits non-zero, and exits 1 when a
-run reports incorrect outputs or failed simulations.
+Stops at the first perfbench run that exits non-zero, printing its side,
+pair, exit code and the tail of its stderr, and exits 1; also exits 1 when
+a run reports incorrect outputs or failed simulations.
 """
 
 from __future__ import annotations
@@ -89,7 +90,13 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(run_once(sides[side], args.workload, args.seconds, args.seed))
+            try:
+                results[side].append(run_once(sides[side], args.workload, args.seconds, args.seed))
+            except subprocess.CalledProcessError as exc:
+                tail = "\n".join(exc.stderr.splitlines()[-20:])
+                print(f"{side} run of pair {i + 1} exited {exc.returncode}; its stderr ends:\n"
+                      f"{tail}", file=sys.stderr)
+                return 1
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
     bad = [f"{side} run {i + 1}" for side, runs in results.items()

@@ -15,7 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation
-from .orchestrator import ROUNDS_CSV_FIELDS, RoundMetrics, SimConfig, run_simulation
+from .orchestrator import ROUNDS_CSV_FIELDS, RoundMetrics, SimConfig, _fits, run_simulation
 from .presets import PRESETS, apply_overrides, get_preset
 from .validation import suggest_threshold
 
@@ -65,10 +65,14 @@ def _load_config_file(path: Path) -> SimConfig:
 
 
 def _read_vh_file(path: Path) -> float:
+    """suggested_vh from a calibration file: a JSON number, as in a config."""
     try:
-        return float(json.loads(path.read_text())["suggested_vh"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        value = json.loads(path.read_text())["suggested_vh"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"vh-file: cannot read suggested_vh from {path}: {exc}") from None
+    if not _fits(value, float):
+        raise ConfigError(f"vh-file: suggested_vh in {path} must be a number, got {value!r}")
+    return float(value)
 
 
 def _resolve_vh(args, allow_cwd_lookup: bool) -> float | None:

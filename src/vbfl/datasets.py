@@ -120,7 +120,10 @@ def load_idx_task(train_images, train_labels, test_images, test_labels) -> Task:
         return raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
 
     def labels(path) -> np.ndarray:
-        return read_idx(path).reshape(-1).astype(np.int64)
+        raw = read_idx(path).reshape(-1)
+        if not np.all(np.isfinite(raw) & (raw >= 0) & (raw == np.trunc(raw))):
+            raise ValueError(f"{path}: labels must be non-negative integers")
+        return raw.astype(np.int64)
 
     train_x, train_y = images(train_images), labels(train_labels)
     test_x, test_y = images(test_images), labels(test_labels)

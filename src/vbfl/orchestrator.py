@@ -17,8 +17,8 @@ each handing the next its data explicitly:
 3. validate: every reference's and update's accuracy by ``evaluate``, one
    vote per verified update (vote flipping for malicious validators), signed
    validator transactions, gossip among miners;
-4. mine: vote aggregation once per distinct stored vote set, and one
-   unsealed candidate block per miner;
+4. mine: vote aggregation once per round, and one unsealed candidate block
+   per miner;
 5. select: the legitimate block by stake rank or mining race; each distinct
    adopted block is then hashed and signed once;
 6. settle: chain append, reward/flag bookkeeping and the new global model,
@@ -668,41 +668,10 @@ class _World:
         return [rec for m in self.metrics for rec in m.vad_records]
 
 
-# A gossip message: the message, the signing bytes its sender encoded once
-# (receivers verify the signature over the bytes they received), and an
-# arrival time. A hop's inbox lists each peer's direct messages; a hop's
-# copies are the messages some peer stored directly, with that arrival.
+# A gossip message as sent: the message, the signing bytes its sender
+# encoded once (receivers verify the signature over the bytes they
+# received), and when it arrives at the peer whose inbox lists it.
 _Message = tuple[object, bytes, float]
-
-
-@dataclass(frozen=True, eq=False)
-class _Hop:
-    """What one gossip hop left its peers holding.
-
-    ``keys`` is the hop's sorted key order and ``copies`` its distinct
-    stored copies. Row ``rows[p]`` of ``copy`` holds, per key, the index of
-    the copy peer p stored, and the same row of ``arrival`` when it
-    arrived. Every peer holds every key.
-    """
-
-    rows: dict[DeviceId, int]
-    keys: list
-    copies: list[_Message]
-    copy: np.ndarray  # (peers, keys) indexes into copies
-    arrival: np.ndarray  # (peers, keys) arrival times
-
-    def stored(self, p: DeviceId) -> list[_Message]:
-        """Peer p's (message, signing bytes, arrival) in key order."""
-        row = self.rows[p]
-        return [
-            (*self.copies[c][:2], at)
-            for c, at in zip(self.copy[row].tolist(), self.arrival[row].tolist())
-        ]
-
-    def ready(self, p: DeviceId) -> float:
-        """When peer p's last message arrived; 0.0 when it holds none."""
-        arrivals = self.arrival[self.rows[p]]
-        return float(arrivals.max()) if arrivals.size else 0.0
 
 
 class Simulation(_World):
@@ -746,80 +715,41 @@ class Simulation(_World):
         verify: Callable[[object, Signer, bytes], bool],
         peers: Sequence[DeviceId],
         net_rng: np.random.Generator,
-    ) -> _Hop:
-        """One hop of signed messages among peers: deliver, dedupe, relay;
-        returns what the peers hold as one :class:`_Hop`.
+    ) -> tuple[list[tuple[object, bytes]], dict[DeviceId, float]]:
+        """One hop of signed messages among peers: deliver, verify, relay.
 
-        Every peer first takes its direct messages in key order, storing the
-        first copy per key that verifies; a key no peer verified leaves the
-        hop. Then, in peer order, every peer relays: it draws one row of
-        link delays to the other peers for each direct message whose
-        message object it holds at that moment (a copy it rejected
-        included, once an earlier relay handed it the same message), and
-        each copy it stored directly reaches the other peers that do not
-        yet hold its key, at its arrival plus the drawn delay. So after the
-        hop every peer holds every key, and a peer that received a key only
-        by relay holds the copy of the first peer, in peer order, that
-        stored it. A relaying peer draws its delays in one ``link_delay``
-        call and fills one (other peers x keys) block of the hop's arrays.
-
-        Each message's key is computed once. A verdict is a pure function of
-        the (message, signing bytes) pair, so each pair is verified once per
-        hop: a relayed copy is one its sender stored, so already verified.
+        Each key reaches one peer, so raises InvariantViolation if the
+        inboxes carry any key twice. In peer order, a peer takes its direct
+        messages in key order, verifies each and keeps those that
+        verify; it then draws one row of link delays to the other peers per
+        kept message, in one ``link_delay`` call, and every other peer
+        receives that message at its arrival plus the drawn delay. So every
+        peer ends up holding every verified message. Returns those as
+        (message, signing bytes) in key order, and when each peer's last
+        message arrived (0.0 when it holds none).
         """
-        verdicts: dict[tuple[int, int], bool] = {}  # keys: ids of the inboxes' objects
-
-        def verified(msg, payload: bytes) -> bool:
-            pair = (id(msg), id(payload))
-            if pair not in verdicts:
-                verdicts[pair] = verify(msg, self.signer, payload)
-            return verdicts[pair]
-
-        copies: list[_Message] = []
-        copy_rows: list[int] = []  # per copy: the row of the peer that stored it
-        copy_keys: list = []  # per copy: its key
-        direct: list[list] = []  # per peer: (key, message, copy index or -1) in key order
-        for r, p in enumerate(peers):
-            entries = sorted(((key(msg), msg, payload, at) for msg, payload, at in inbox[p]),
-                             key=itemgetter(0))
-            mine: set = set()
-            direct.append([])
-            for k, msg, payload, at in entries:
-                c = -1
-                if k not in mine and verified(msg, payload):
-                    mine.add(k)
-                    c = len(copies)
-                    copies.append((msg, payload, at))
-                    copy_rows.append(r)
-                    copy_keys.append(k)
-                direct[-1].append((k, msg, c))
-        keys = sorted(dict.fromkeys(copy_keys))  # merges the peers' sorted runs
-        column = {k: j for j, k in enumerate(keys)}
-        copy_cols = np.array([column[k] for k in copy_keys], dtype=np.intp)
-        copy_ats = np.array([at for _, _, at in copies], dtype=float)
         n = len(peers)
-        copy = np.full((n, len(keys)), -1, dtype=np.intp)
-        arrival = np.zeros((n, len(keys)))
-        copy[copy_rows, copy_cols] = np.arange(len(copies))
-        arrival[copy_rows, copy_cols] = copy_ats
-        link_delay = self.config.network.link_delay
-        for r, entries in enumerate(direct):
-            # A delay row per direct message whose object the peer holds now;
-            # only the copies it stored itself (index >= 0) reach the others.
-            drawing = np.array([
-                c for k, msg, c in entries
-                if c >= 0 or (k in column and copy[r, column[k]] >= 0
-                              and copies[copy[r, column[k]]][0] is msg)
-            ], dtype=np.intp)
-            delays = link_delay(net_rng, (len(drawing), n - 1))
-            relayed = drawing >= 0
-            new = drawing[relayed]
-            block = np.ix_(np.delete(np.arange(n), r), copy_cols[new])
-            held = copy[block]
-            empty = held < 0
-            copy[block] = np.where(empty, new, held)
-            arrival[block] = np.where(empty, copy_ats[new] + delays[relayed].T, arrival[block])
-        return _Hop({p: r for r, p in enumerate(peers)}, keys, copies, copy, arrival)
+        kept: dict = {}  # keys: the messages' keys
+        seen: set = set()
+        ready = np.zeros(n)
+        for r, p in enumerate(peers):
+            arrivals = []
+            for k, msg, payload, at in sorted(
+                ((key(msg), msg, payload, at) for msg, payload, at in inbox[p]),
+                key=itemgetter(0),
+            ):
+                if k in seen:
+                    raise InvariantViolation(f"gossip key {k!r} sent twice in one hop")
+                seen.add(k)
+                if verify(msg, self.signer, payload):
+                    kept[k] = (msg, payload)
+                    arrivals.append(at)
+            at = np.array(arrivals).reshape(-1, 1)
+            delays = self.config.network.link_delay(net_rng, (len(at), n - 1))
+            # Column q: when peer q holds each message p kept; p from its arrival.
+            arrive = np.hstack([at + delays[:, :r], at, at + delays[:, r:]])
+            ready = np.maximum(ready, arrive.max(axis=0, initial=0.0))
+        return [kept[k] for k in sorted(kept)], dict(zip(peers, ready.tolist()))
 
     # -- the round ------------------------------------------------------------
 
@@ -837,16 +767,16 @@ class Simulation(_World):
         net_rng = substream(cfg.master_seed, "net", j)
 
         inbox_v, references = self._train(plan, net_rng)
-        received = self._gossip(
+        received, ready_v = self._gossip(
             inbox_v, lambda tx: tx.worker, verify_worker_tx, plan.validators, net_rng
         )
-        vad_records, inbox_m = self._validate(plan, received, references, net_rng)
-        received_vtx = self._gossip(
+        vad_records, inbox_m = self._validate(plan, received, ready_v, references, net_rng)
+        votes, ready_m = self._gossip(
             inbox_m, lambda vtx: (vtx.validator, vtx.inner.worker), verify_validator_tx,
             plan.miners, net_rng,
         )
-        candidates, ready_at, sections = self._mine(plan, received, received_vtx)
-        choice = self._seal(self._select(plan, candidates, ready_at, net_rng), sections)
+        candidates, section = self._mine(plan, received, votes)
+        choice = self._seal(self._select(plan, candidates, ready_m, net_rng), section)
         if not choice:
             return self._skip(j, ref, "no eligible legitimate block")
 
@@ -930,13 +860,15 @@ class Simulation(_World):
     def _validate(
         self,
         plan: _Plan,
-        received: _Hop,
+        received: list[tuple[WorkerTransaction, bytes]],
+        ready: dict[DeviceId, float],
         references: dict[DeviceId, ModelParams],
         net_rng: np.random.Generator,
     ):
-        """Each validator votes on every update it stored, against the
+        """Each validator votes on every received update, against the
         accuracy of its reference model, and sends the votes to its miner,
-        each signed over the digest of the worker bytes it received.
+        each signed over the digest of the worker bytes it received; a vote
+        leaves once its validator is ready.
 
         Validators sharing a test set see the same accuracy for the same
         update, so each (update, test set) pair is evaluated once; validators
@@ -950,10 +882,8 @@ class Simulation(_World):
         for v in plan.validators:
             st = self.state[v]
             vstate = ValidatorState(cfg.vh, st.test, evaluate(references[v], st.test))
-            row = received.copy[received.rows[v]]
-            arrivals = (received.ready(v) + cfg.network.link_delay(net_rng, len(row))).tolist()
-            for c, at in zip(row.tolist(), arrivals):
-                tx, tx_bytes, _ = received.copies[c]
+            arrivals = (ready[v] + cfg.network.link_delay(net_rng, len(received))).tolist()
+            for (tx, tx_bytes), at in zip(received, arrivals):
                 pair = (id(tx.update), id(st.test))
                 if pair not in accuracy:
                     accuracy[pair] = evaluate(tx.update, st.test)
@@ -987,48 +917,42 @@ class Simulation(_World):
                 inbox[m].append((vtx, payload, at))
         return vad_records, inbox
 
-    def _mine(self, plan: _Plan, received: _Hop, received_vtx: _Hop):
-        """Every miner aggregates the votes it stored into an unsealed
-        candidate block; returns the candidates, when each miner is ready and
-        each candidate's tally section.
+    def _mine(
+        self,
+        plan: _Plan,
+        received: list[tuple[WorkerTransaction, bytes]],
+        votes: list[tuple[ValidatorTransaction, bytes]],
+    ) -> tuple[dict[DeviceId, Block], bytes]:
+        """Every miner builds an unsealed candidate block on the round's
+        votes, which every miner holds; returns the candidates and their
+        one tally section.
 
-        Miners that stored the same votes build on one tally set, one
-        validator-reward sum and one encoding of the tally section. That
-        encoding reuses the worker bytes the validators received, and lives
-        only for the round.
+        The tally set, the validator-reward sum and the tally section are
+        computed once per round. The section's encoding reuses the worker
+        bytes the validators received, and lives only for the round.
         """
-        tx_bytes = {id(tx): b for tx, b, _ in received.copies}
-        shared: dict[bytes, tuple] = {}  # keys: a miner's row of copy indexes
-        candidates: dict[DeviceId, Block] = {}
-        ready_at: dict[DeviceId, float] = {}
-        sections: dict[DeviceId, bytes] = {}
-        for m in plan.miners:
-            ready_at[m] = received_vtx.ready(m)
-            votes = received_vtx.copy[received_vtx.rows[m]].tobytes()
-            if votes not in shared:
-                vtxs = [vtx for vtx, _, _ in received_vtx.stored(m)]
-                tallies = consensus_mod.aggregate_votes(vtxs)
-                validator_rewards: dict[DeviceId, int] = {}
-                for vtx in vtxs:
-                    validator_rewards[vtx.validator] = (
-                        validator_rewards.get(vtx.validator, 0)
-                        + vtx.verify_reward
-                        + vtx.vali_reward
-                    )
-                section = protocol_mod.encode_tallies(
-                    tallies, [tx_bytes[id(t.tx)] for t in tallies]
-                )
-                shared[votes] = (tallies, validator_rewards, len(vtxs), section)
-            tallies, validator_rewards, n_votes, sections[m] = shared[votes]
-            candidates[m] = consensus_mod.build_candidate(
+        vtxs = [vtx for vtx, _ in votes]
+        tallies = consensus_mod.aggregate_votes(vtxs)
+        validator_rewards: dict[DeviceId, int] = {}
+        for vtx in vtxs:
+            validator_rewards[vtx.validator] = (
+                validator_rewards.get(vtx.validator, 0) + vtx.verify_reward + vtx.vali_reward
+            )
+        tx_bytes = {id(tx): b for tx, b in received}
+        section = protocol_mod.encode_tallies(tallies, [tx_bytes[id(t.tx)] for t in tallies])
+        miner_reward = rewards_mod.miner_reward(len(vtxs), self.config.unit_reward)
+        candidates = {
+            m: consensus_mod.build_candidate(
                 miner=m,
                 tallies=tallies,
-                miner_reward=rewards_mod.miner_reward(n_votes, self.config.unit_reward),
+                miner_reward=miner_reward,
                 validator_rewards=validator_rewards,
                 prev_hash=self.state[m].replica.chain.tip_hash,
                 round=plan.round,
             )
-        return candidates, ready_at, sections
+            for m in plan.miners
+        }
+        return candidates, section
 
     def _select(
         self,
@@ -1066,17 +990,14 @@ class Simulation(_World):
                 pass
         return choice
 
-    def _seal(
-        self, choice: dict[DeviceId, Block], sections: dict[DeviceId, bytes]
-    ) -> dict[DeviceId, Block]:
-        """The choice with each distinct adopted block hashed and signed once;
-        a candidate no miner adopts is never hashed."""
+    def _seal(self, choice: dict[DeviceId, Block], section: bytes) -> dict[DeviceId, Block]:
+        """The choice with each distinct adopted block hashed and signed once,
+        over the round's tally section; a candidate no miner adopts is never
+        hashed."""
         sealed: dict[DeviceId, Block] = {}  # keys: the candidates' miners
         for block in choice.values():
             if block.miner not in sealed:
-                sealed[block.miner] = protocol_mod.seal_block(
-                    block, self.signer, sections[block.miner]
-                )
+                sealed[block.miner] = protocol_mod.seal_block(block, self.signer, section)
                 self._seen_block_hashes_add(sealed[block.miner])
         return {m: sealed[block.miner] for m, block in choice.items()}
 

@@ -71,9 +71,9 @@ class RoundMessages:
 
     # hop-1 inbox: every signed worker transaction sent, in worker order
     worker_txs: tuple[WorkerTransaction, ...]
-    # hop 1: the worker transactions each validator stored
+    # hop 1: the worker transactions each validator holds
     by_validator: dict[DeviceId, tuple[WorkerTransaction, ...]]
-    # hop 2: the validator transactions each miner stored
+    # hop 2: the validator transactions each miner holds
     by_miner: dict[DeviceId, tuple[ValidatorTransaction, ...]] = field(default_factory=dict)
 
 
@@ -87,14 +87,14 @@ def record_messages(sim: Simulation) -> dict[int, RoundMessages]:
     gossip = sim._gossip
 
     def recording(inbox, key, verify, peers, net_rng):
-        hop = gossip(inbox, key, verify, peers, net_rng)
-        kept = {p: tuple(msg for msg, _, _ in hop.stored(p)) for p in peers}
+        messages, ready = gossip(inbox, key, verify, peers, net_rng)
+        kept = {p: tuple(msg for msg, _ in messages) for p in peers}
         if sim.round_no in rounds:
             rounds[sim.round_no].by_miner = kept
         else:
             sent = sorted((msg for p in peers for msg, _, _ in inbox[p]), key=lambda tx: tx.worker)
             rounds[sim.round_no] = RoundMessages(tuple(sent), kept)
-        return hop
+        return messages, ready
 
     sim._gossip = recording
     return rounds

@@ -134,3 +134,19 @@ def test_main_prints_each_metric_against_its_bound(script, tmp_path, monkeypatch
     assert "change/parent 0.750 of 200 " in lines["round_ms.p50"]
     assert lines["peak_rss_mb"].endswith("OUTSIDE BOUND")
     assert "change/parent 1.125 of 80 " in lines["peak_rss_mb"]
+
+
+def test_a_failing_perfbench_run_is_reported(script, tmp_path, capsys):
+    # The parent runs first in pair 1, and its perfbench exits 3.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text(
+        "import sys\nprint('setting up', file=sys.stderr)\n"
+        "print('no such workload: w', file=sys.stderr)\nsys.exit(3)\n"
+    )
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    assert script.main([str(parent), str(change), "--workload", "w", "--pairs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "parent run of pair 1 exited 3" in err
+    assert err.rstrip().endswith("setting up\nno such workload: w")

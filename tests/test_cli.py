@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vbfl import cli
@@ -20,6 +21,10 @@ TINY_CONFIG = {
         "spread": 0.5, "feature_scale": 1.0,
     },
 }
+
+
+# The header of a one-dimensional IDX file of 200 items; % fills in the dtype code.
+IDX_200 = b"\x00\x00%c\x01\x00\x00\x00\xc8"
 
 
 def run_cli(*argv):
@@ -124,6 +129,20 @@ class TestRun:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("vh", [True, "0.05", None])
+    def test_vh_file_not_a_number_exits_one(self, tmp_path, capsys, vh):
+        # As in a config, a threshold is a JSON number: true would run as 1.0.
+        vh_file = tmp_path / "vh_calibration.json"
+        vh_file.write_text(json.dumps({"suggested_vh": vh}))
+        code = run_cli(
+            "run", "--preset", "VBFL_POS_3_20_VHCAL", "--rounds", 1, "--seed", 1,
+            "--vh-file", vh_file, "--out", tmp_path / "o", "--quiet",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: vh-file: ") and "must be a number" in err
+        assert not (tmp_path / "o").exists()
+
     def test_cwd_calibration_file_found(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "vh_calibration.json").write_text(json.dumps({"suggested_vh": 0.04}))
@@ -204,7 +223,14 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "suffix, data",
-        [("", b"\x00\x00"), ("", b"\x00\x00\x08\x03"), (".gz", b"not gzip")],
+        [
+            ("", b"\x00\x00"), ("", b"\x00\x00\x08\x03"), (".gz", b"not gzip"),
+            # 200 one-pixel images and labels, one label -1 (signed bytes) or 0.5 (floats)
+            pytest.param("", IDX_200 % 0x09 + bytes([255] + [0, 1] * 99 + [1]),
+                         id="negative-label"),
+            pytest.param("", IDX_200 % 0x0D + np.array([0.5] + [0, 1] * 99 + [1], ">f4").tobytes(),
+                         id="fractional-label"),
+        ],
     )
     def test_malformed_idx_file_exits_one(self, tmp_path, capsys, suffix, data):
         idx_dir = tmp_path / "idx"

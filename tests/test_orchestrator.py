@@ -479,18 +479,39 @@ class TestRound:
         import vbfl.consensus as consensus
         import vbfl.protocol as protocol
 
+        from test_golden import CASES
+
         aggregated = count_calls(monkeypatch, consensus, "aggregate_votes")
         encoded = count_calls(monkeypatch, protocol, "encode_model_params")
+        encode_tallies = protocol.encode_tallies
+        sections = []
+
+        def encoding(tallies, tx_signing_bytes=None):
+            # A tally section built from the signed worker bytes; an append
+            # re-encodes its block's tallies without them.
+            if tx_signing_bytes is not None:
+                sections.append(len(tallies))
+            return encode_tallies(tallies, tx_signing_bytes)
+
+        monkeypatch.setattr(protocol, "encode_tallies", encoding)
         sim = Simulation(tiny_cfg(rounds=1))
         m = sim.run_round()
-        # All 3 miners store the same 60 votes: one tally set for every
-        # candidate. A worker's parameters are encoded when it signs and
-        # again when the block is appended (votes and the shared tally
-        # section reuse the signed bytes), plus g0 for the genesis block,
-        # however many validators vote and miners build candidates.
+        # All 3 miners hold the same 60 votes: one tally set and one tally
+        # section for every candidate. A worker's parameters are encoded
+        # when it signs and again when the block is appended (votes and the
+        # tally section reuse the signed bytes), plus g0 for the genesis
+        # block, however many validators vote and miners build candidates.
         workers = sum(r == Role.WORKER for r in m.roles.values())
-        assert aggregated["aggregate_votes"] == 1
+        assert aggregated["aggregate_votes"] == len(sections) == 1
         assert 0 < encoded["encode_model_params"] <= 3 * workers
+        # Under the golden network case's jitter, miners adopt different
+        # blocks; still every round that gossips aggregates and encodes once.
+        aggregated.clear()
+        sections.clear()
+        sim = Simulation(CASES["network"])
+        log = record_messages(sim)
+        sim.run()
+        assert aggregated["aggregate_votes"] == len(sections) == len(log) > 0
 
     def test_votes_sign_a_digest_of_the_worker_bytes(self, monkeypatch):
         # A vote signs the digest of the worker bytes its validator received,
@@ -510,12 +531,12 @@ class TestRound:
             hashed.append(len(data))
             return payload_hash(data)
 
-        def validating(plan, received, references, net_rng):
-            worker_bytes.extend(len(b) for _, b, _ in received.copies)
+        def validating(plan, received, *args):
+            worker_bytes.extend(len(b) for _, b in received)
             with monkeypatch.context() as mp:
                 mp.setattr(sim.signer, "sign", signing)
                 mp.setattr(protocol, "payload_hash", hashing)
-                return validate(plan, received, references, net_rng)
+                return validate(plan, received, *args)
 
         sim._validate = validating
         m = sim.run_round()
