@@ -10,13 +10,22 @@ at desk scale and the protocol is agnostic to the model anyway.
 of epochs; ``local_train`` is its one-device case. Devices whose shards
 have the same row count (and the same architecture) step together, ordered
 by epoch count so that the devices still training in an epoch are a prefix
-of the stack: each draws its own permutation per epoch from its own
-generator, one gather builds the stacked minibatch, and every layer is one
-``np.matmul`` over the stack, its gradient written in place into one buffer
-per group. The bytes do not change: each slice of a stacked matmul is the
-same 2-D gemm on the same operand layout, and every other operation is
-elementwise or reduces along the same axis in the same order as for one
-device.
+of the stack. The work is split by how often it changes:
+
+- per call: the input checks and one ``np.errstate`` for every step;
+- per group: the stacked parameters, gradient buffer and shards, and one
+  ``_Step`` per prefix size ``k`` (per distinct epoch count), which holds
+  the layer views of the first ``k`` parameter and gradient rows, the
+  transposed weights, and per batch width the label offsets and each
+  layer's output buffer;
+- per epoch: each device draws its own permutation from its own generator;
+- per step: one gather builds the stacked minibatch, every layer is one
+  ``np.matmul`` over the stack into its buffer, its gradient written in
+  place into the group's gradient buffer, then the update.
+
+The bytes do not change: each slice of a stacked matmul is the same 2-D
+gemm on the same operand layout, and every other operation is elementwise
+or reduces along the same axis in the same order as for one device.
 """
 
 from __future__ import annotations
@@ -197,34 +206,75 @@ def _forward(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     return acts + [z]
 
 
-def _loss_and_grad(
-    vec: np.ndarray, arch_id: str, x: np.ndarray, y: np.ndarray, grad: np.ndarray
-) -> np.ndarray:
-    """Per-model mean cross-entropy of a stack of models; writes their flat
-    gradients into ``grad``.
+class _Step:
+    """One SGD step of the first ``k`` models of a group.
 
-    ``vec`` and ``grad`` are (W, P), ``x`` (W, B, d) and ``y`` (W, B). Each
-    matmul is one np.matmul over the stack, written straight into its layer's
-    view of ``grad``; slice w is the 2-D gemm model w alone needs.
+    ``vec`` and ``grad`` are the group's (W, P) parameters and gradient
+    buffer, ``x`` and ``y`` its stacked shards, (W, n, d) and (W, n).
+    Everything that depends on the group and ``k`` alone is built here once:
+    the layer views of ``vec[:k]`` and ``grad[:k]``, the transposed weights
+    and each model's row offset into the flattened shards. Per batch width
+    it builds, once, each label's flat offset into the logits and each
+    layer's output buffer. A call then does only the work of its batch. Each
+    matmul is one np.matmul over the stack; slice w is the 2-D gemm model w
+    alone needs.
     """
-    params = _unpack(vec, arch_id)
-    grads = _unpack(grad, arch_id)
-    *inputs, z = _forward(params, x)
-    labels = (np.arange(len(y))[:, None], np.arange(y.shape[1]), y)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    norm = e.sum(axis=-1, keepdims=True)
-    loss = (np.log(norm[..., 0]) - shifted[labels]).sum(axis=1) / y.shape[1]
-    delta = e / norm
-    delta[labels] -= 1.0
-    delta /= y.shape[1]
-    for k in reversed(range(len(inputs))):
-        np.matmul(np.swapaxes(inputs[k], 1, 2), delta, out=grads[2 * k])
-        delta.sum(axis=1, keepdims=True, out=grads[2 * k + 1])
-        if k:
-            delta = delta @ np.swapaxes(params[2 * k], 1, 2)
-            delta[inputs[k] <= 0.0] = 0.0
-    return loss
+
+    def __init__(self, vec, grad, x, y, arch_id: str, k: int, lr: float):
+        self.vec, self.grad, self.lr = vec[:k], grad[:k], lr
+        self.params = _unpack(self.vec, arch_id)
+        self.grads = _unpack(self.grad, arch_id)
+        self.weights_t = [np.swapaxes(w, 1, 2) for w in self.params[::2]]
+        self.x, self.y = x.reshape(-1, x.shape[-1]), y.reshape(-1)
+        self.offsets = np.arange(k)[:, None] * x.shape[1]
+        self.widths: dict[int, tuple] = {}
+
+    def _width(self, width: int) -> tuple:
+        """Flat offset of each batch row's logits, layer output buffers and
+        transposed hidden outputs."""
+        if width not in self.widths:
+            k, classes = len(self.vec), self.params[-1].shape[-1]
+            logits = (np.arange(k)[:, None] * width + np.arange(width)) * classes
+            outs = [np.empty((k, width) + b.shape[-1:]) for b in self.params[1::2]]
+            hidden_t = [np.swapaxes(h, 1, 2) for h in outs[:-1]]
+            self.widths[width] = (logits, outs, hidden_t)
+        return self.widths[width]
+
+    def __call__(self, idx: np.ndarray) -> None:
+        """Step on the rows ``idx`` (k, B) of each model's shard: mean
+        cross-entropy, its gradient written into ``grad[:k]``, then
+        ``vec[:k] -= lr * grad[:k]``. Raises TrainingDiverged, before the
+        update, on a non-finite loss."""
+        rows = idx + self.offsets
+        xb, yb = self.x[rows], self.y[rows]
+        width = idx.shape[1]
+        logits, outs, hidden_t = self._width(width)
+        labels = logits + yb  # flat index of each row's label logit
+        inputs = [xb, *outs[:-1]]
+        z = outs[-1]
+        for a, w, b, o in zip(inputs, self.params[::2], self.params[1::2], outs):
+            np.matmul(a, w, out=o)
+            o += b
+            if o is not z:
+                np.maximum(o, 0.0, out=o)
+        shifted = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        norm = e.sum(axis=-1, keepdims=True)
+        loss = (np.log(norm[..., 0]) - shifted.reshape(-1)[labels]).sum(axis=1) / width
+        if not np.isfinite(loss).all():
+            raise TrainingDiverged(f"loss diverged to {float(loss[~np.isfinite(loss)][0])!r}")
+        delta = e / norm
+        delta.reshape(-1)[labels] -= 1.0
+        delta /= width
+        inputs_t = [np.swapaxes(xb, 1, 2), *hidden_t]
+        for layer in reversed(range(len(inputs))):
+            np.matmul(inputs_t[layer], delta, out=self.grads[2 * layer])
+            delta.sum(axis=1, keepdims=True, out=self.grads[2 * layer + 1])
+            if layer:
+                delta = delta @ self.weights_t[layer]
+                np.putmask(delta, inputs[layer] <= 0.0, 0.0)
+        self.grad *= self.lr  # vec -= lr * grad, without a temporary
+        self.vec -= self.grad
 
 
 def local_train(
@@ -273,31 +323,27 @@ def local_train_many(
             raise ValueError("batch_size exceeds shard size")
         groups.setdefault((len(shard), start.arch_id), []).append(i)
     out: list[ModelParams] = [None] * len(starts)
-    for (n, arch_id), members in groups.items():
-        # Most epochs first (stable), so the devices still training in any
-        # epoch are a prefix of the stack and every array below is a view.
-        members.sort(key=lambda i: -epochs[i])
-        vec = np.stack([starts[i].values for i in members])
-        grad = np.empty_like(vec)
-        x, y = (np.stack(a) for a in zip(*(data[i] for i in members)))
-        for epoch in range(epochs[members[0]]):
-            k = sum(epochs[i] > epoch for i in members)
-            rows = np.arange(k)[:, None]
-            order = np.stack([rngs[i].permutation(n) for i in members[:k]])
-            for lo in range(0, n, spec.batch_size):
-                idx = order[:, lo : lo + spec.batch_size]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loss = _loss_and_grad(vec[:k], arch_id, x[rows, idx], y[rows, idx], grad[:k])
-                bad = loss[~np.isfinite(loss)]
-                if bad.size:
-                    raise TrainingDiverged(f"loss diverged to {float(bad[0])!r}")
-                step = grad[:k]
-                step *= spec.learning_rate  # vec -= lr * grad, without a temporary
-                vec[:k] -= step
-        if not np.all(np.isfinite(vec)):
-            raise TrainingDiverged("parameters diverged to NaN/Inf")
-        for i, v in zip(members, vec):
-            out[i] = ModelParams(v, arch_id)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (n, arch_id), members in groups.items():
+            # Most epochs first (stable), so the devices still training in
+            # any epoch are a prefix of the stack and every array below is a
+            # view.
+            members.sort(key=lambda i: -epochs[i])
+            vec = np.stack([starts[i].values for i in members])
+            grad = np.empty_like(vec)
+            x, y = (np.stack(a) for a in zip(*(data[i] for i in members)))
+            step = None
+            for epoch in range(epochs[members[0]]):
+                k = sum(epochs[i] > epoch for i in members)
+                if step is None or len(step.vec) != k:
+                    step = _Step(vec, grad, x, y, arch_id, k, spec.learning_rate)
+                order = np.stack([rngs[i].permutation(n) for i in members[:k]])
+                for lo in range(0, n, spec.batch_size):
+                    step(order[:, lo : lo + spec.batch_size])
+            if not np.all(np.isfinite(vec)):
+                raise TrainingDiverged("parameters diverged to NaN/Inf")
+            for i, v in zip(members, vec):
+                out[i] = ModelParams(v, arch_id)
     return out
 
 

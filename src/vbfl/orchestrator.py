@@ -1203,10 +1203,23 @@ def write_manifest(config: SimConfig, out_dir: Path, preset: str | None = None) 
     )
 
 
-def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path:
-    """Emit rounds/stake/vad/events CSVs, the chain dump and the manifest."""
+def _make_out_dir(out_dir) -> Path:
+    """Create the output directory (and its parents) if missing. Raises
+    ConfigError, named ``out``, when the path cannot be one."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"out: cannot use {out_dir} as the output directory: {exc.strerror}"
+        ) from None
+    return out_dir
+
+
+def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path:
+    """Emit rounds/stake/vad/events CSVs, the chain dump and the manifest.
+    A plain-FL run has no chain, so it removes an earlier run's dump."""
+    out_dir = _make_out_dir(out_dir)
     write_rounds_csv(result.metrics, out_dir / "rounds.csv")
     write_stake_csv(result.metrics, frozenset(result.driver.malicious_ids), out_dir / "stake.csv")
     write_events_csv(result.metrics, out_dir / "events.csv")
@@ -1215,6 +1228,8 @@ def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path
         ref = result.driver._active_ids(result.driver._unanimous_blacklist())[0]
         with open(out_dir / "chain.jsonl", "w", encoding="utf-8") as out:
             chain_to_jsonl(result.driver.state[ref].replica.chain, out)
+    else:
+        (out_dir / "chain.jsonl").unlink(missing_ok=True)
     write_manifest(result.config, out_dir, preset)
     return out_dir
 
@@ -1225,8 +1240,12 @@ def run_simulation(
     preset: str | None = None,
     progress: Callable[[RoundMetrics], None] | None = None,
 ) -> RunResult:
-    """Run the driver the config names for config.rounds rounds; emit metric files."""
+    """Run the driver the config names for config.rounds rounds; emit metric
+    files. The output directory is made once the driver is built, so a bad
+    ``out_dir`` fails before round 1."""
     driver = (VanillaRun if config.consensus == "vfl" else Simulation)(config)
+    if out_dir is not None:
+        out_dir = _make_out_dir(out_dir)
     result = RunResult(config, driver.run(progress), driver, None)
     if out_dir is not None:
         result.out_dir = write_outputs(result, out_dir, preset)

@@ -582,11 +582,23 @@ def chain_to_jsonl(chain: Blockchain, out: TextIO) -> None:
         out.write(json.dumps(block_to_json(b), sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _lines(text: str):
+    """The lines of ``text`` one at a time, without their LF or CRLF
+    ending; no list of them all is built."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        yield text[start:end].removesuffix("\r")
+        start = end + 1
+
+
 def chain_from_jsonl(text: str) -> Blockchain:
-    """Inverse of :func:`chain_to_jsonl`. A malformed line raises
+    """Inverse of :func:`chain_to_jsonl`, parsing one line at a time. Lines
+    end in LF or CRLF; blank ones are skipped. A malformed line raises
     :class:`CodecError` naming its 1-based number and the cause."""
     blocks = []
-    for n, line in enumerate(text.splitlines(), 1):
+    for n, line in enumerate(_lines(text), 1):
         if not line:
             continue
         try:

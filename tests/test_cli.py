@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from vbfl import cli
 from vbfl.errors import InvariantViolation
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 TINY_CONFIG = {
     "rounds": 2,
@@ -171,6 +175,28 @@ class TestRun:
         cfg = write_tiny_config(tmp_path)
         assert run_cli("run", "--config", cfg, "--quiet") == 0
         assert (tmp_path / "envout" / "exp-seed4" / "rounds.csv").exists()
+
+    def test_out_is_a_file_exits_one_before_round_one(self, tmp_path):
+        # Run as a process, so that a traceback would show on stderr.
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "vbfl.cli", "run", "--preset", "VFL_3_20",
+             "--rounds", "1", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: out: ")
+        assert "Traceback" not in done.stderr
+        assert "round" not in done.stdout
+        assert out.read_text() == "not a directory\n"
+
+    def test_plain_fl_run_removes_an_earlier_chain_dump(self, tmp_path):
+        out = tmp_path / "o"
+        for preset in ("VBFL_POS_0_20_VH1", "VFL_0_20"):
+            assert run_cli("run", "--preset", preset, "--rounds", 1, "--out", out, "--quiet") == 0
+        assert not (out / "chain.jsonl").exists()
+        assert json.loads((out / "manifest.json").read_text())["preset"] == "VFL_0_20"
 
     def test_invariant_violation_exits_two(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbfl import learning
 from vbfl.learning import (
     DataShard,
     ModelParams,
@@ -312,6 +313,72 @@ class TestLocalTrainMany:
         shared = rng(0)
         with pytest.raises(ValueError):
             local_train_many(starts, shards, self.SPEC, [shared, shared])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda batch: st.tuples(
+                st.just(batch),
+                st.lists(
+                    # (mlp?, rows, epochs): rows from batch up, so some shards
+                    # end on a partial batch and some share a row count.
+                    st.tuples(st.booleans(), st.integers(batch, batch + 5), st.integers(1, 3)),
+                    min_size=1,
+                    max_size=6,
+                ),
+            )
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_property_matches_one_call_per_device(self, case, seed):
+        batch, devices = case
+        data = rng(seed)
+        archs = [mlp_arch(3, 4, 3) if mlp else softmax_arch(3, 3) for mlp, _, _ in devices]
+        starts = [init_global_model(arch, seed + i) for i, arch in enumerate(archs)]
+        shards = [
+            DataShard(data.standard_normal((n, 3)), data.integers(0, 3, n)) for _, n, _ in devices
+        ]
+        epochs = [e for _, _, e in devices]
+        spec = TrainSpec(1, 0.1, batch)
+        rngs = [rng(seed + 100 + i) for i in range(len(devices))]
+        got = local_train_many(starts, shards, spec, rngs, epochs)
+        for i, (start, shard) in enumerate(zip(starts, shards)):
+            alone = rng(seed + 100 + i)
+            want = local_train(start, shard, TrainSpec(epochs[i], 0.1, batch), alone)
+            assert got[i].values.tobytes() == want.values.tobytes()
+            assert rngs[i].bit_generator.state == alone.bit_generator.state
+
+    @staticmethod
+    def blowup(x_scale, label):
+        """Softmax start (weights +-1e300) and a 2-row shard of features
+        x_scale and label ``label``: a finite start whose loss is inf at
+        x_scale 1e8 (the logits are +-1e308, so the label's logit minus the
+        max overflows) and NaN at x_scale 1e300 (the logits are +-inf)."""
+        arch = softmax_arch(1, 2)
+        start = ModelParams(np.array([1e300, -1e300, 0.0, 0.0]), arch)
+        return start, DataShard([[x_scale], [x_scale]], [label, label])
+
+    @pytest.mark.parametrize(
+        "order, first", [((1e8, 1e300), "inf"), ((1e300, 1e8), "nan")], ids=["inf", "nan"]
+    )
+    def test_divergence_names_the_first_non_finite_loss(self, order, first):
+        calm = (init_global_model(softmax_arch(1, 2), 0), DataShard([[0.5], [-0.5]], [0, 1]))
+        starts, shards = zip(calm, *(self.blowup(scale, 1) for scale in order))
+        with pytest.raises(TrainingDiverged, match=f"loss diverged to {first}$"):
+            local_train_many(starts, shards, TrainSpec(1, 0.1, 2), [rng(i) for i in range(3)])
+
+    def test_layer_views_built_per_group_and_epoch_count(self, monkeypatch):
+        # Two groups (12 and 13 rows); epoch counts {1, 2, 4} and {3}. Each
+        # (group, prefix size) builds the views of its parameter and gradient
+        # rows once, however many steps it takes.
+        builds = []
+        unpack = learning._unpack
+        monkeypatch.setattr(learning, "_unpack", lambda *a: builds.append(a) or unpack(*a))
+        starts, shards = self.devices([mlp_arch(4, 5, 3)] * 5, sizes=(12, 12, 12, 13, 13))
+        epochs = [1, 2, 4, 3, 3]
+        local_train_many(starts, shards, TrainSpec(1, 0.1, 2), [rng(i) for i in range(5)], epochs)
+        steps = 4 * 6 + 3 * 7  # epochs of the longest member × steps per epoch, per group
+        assert len(builds) <= 2 * (3 + 1) < steps
 
 
 class TestEvaluate:

@@ -541,3 +541,15 @@ def test_mutated_dump_line_rejected_or_checkable(data):
         assert str(exc).startswith(f"line {n + 1}: ")
         return
     assert isinstance(restored.verify_links(), bool)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_dump_line_endings(ending):
+    # Either ending loads, with or without a final one, and a blank line
+    # still counts when a malformed line is named.
+    chain = TestJsonl().build_chain()
+    lines = dump(chain).splitlines()
+    assert chain_from_jsonl(ending.join(lines) + ending) == chain
+    assert chain_from_jsonl(ending.join(lines)) == chain
+    with pytest.raises(CodecError, match="^line 3: bad JSON"):
+        chain_from_jsonl(ending.join([lines[0], "", "garbage", lines[1]]) + ending)
