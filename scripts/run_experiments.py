@@ -19,6 +19,7 @@ import json
 import time
 from pathlib import Path
 
+from vbfl.cli import CALIBRATION_FILE
 from vbfl.orchestrator import run_simulation
 from vbfl.presets import apply_overrides, get_preset
 from vbfl.validation import suggest_threshold
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
           f"(legit p90 {suggestion['legit_vad_p90']:.4f}, "
           f"malicious p10 {suggestion['malicious_vad_p10']:.4f})")
     if cal_dir:
-        (cal_dir / "vh_calibration.json").write_text(
+        (cal_dir / CALIBRATION_FILE).write_text(
             json.dumps(suggestion, sort_keys=True, indent=2) + "\n"
         )
 

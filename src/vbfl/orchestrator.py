@@ -32,6 +32,7 @@ bit-reproducible and changing one noise source never shifts another.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -41,7 +42,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, Literal, Mapping, NamedTuple, Sequence
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -95,8 +97,8 @@ from .validation import (
 
 logger = logging.getLogger("vbfl")
 
-BEHAVIOR_WORKER_NOISE = "WORKER_NOISE"
-BEHAVIOR_VALIDATOR_FLIP = "VALIDATOR_FLIP"
+Behavior = Literal["WORKER_NOISE", "VALIDATOR_FLIP"]
+BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP = get_args(Behavior)
 
 ROUNDS_CSV_FIELDS = ("round", "consensus", "winner", "winner_malicious", "forked", "global_accuracy")
 STAKE_CSV_FIELDS = ("round", "device", "stake", "is_malicious")
@@ -117,6 +119,16 @@ class Role(Enum):
 # --- configuration --------------------------------------------------------
 
 
+class Bound(NamedTuple):
+    """A numeric field's closed range, as its ``Annotated`` metadata.
+    ``message`` replaces the default complaint, "must be >= lo"; a finite
+    ``hi`` needs one."""
+
+    lo: float
+    hi: float = math.inf
+    message: str = ""
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     """Task description: synthetic blobs by default, IDX files for fidelity.
@@ -127,11 +139,11 @@ class DatasetConfig:
     makes the poisoning experiments meaningful at desk scale.
     """
 
-    kind: str = "blobs"
-    dim: int = 128
-    classes: int = 10
-    train_per_class: int = 300
-    test_per_class: int = 200
+    kind: Literal["blobs", "idx"] = "blobs"
+    dim: Annotated[int, Bound(1)] = 128
+    classes: Annotated[int, Bound(2)] = 10
+    train_per_class: Annotated[int, Bound(1)] = 300
+    test_per_class: Annotated[int, Bound(1)] = 200
     spread: float = 4.0
     feature_scale: float = 0.5
     idx_dir: str | None = None
@@ -141,9 +153,9 @@ class DatasetConfig:
 class NetworkConfig:
     """Per-link constant delay plus optional jitter; wait caps block collection."""
 
-    delay: float = 0.0
-    jitter: float = 0.0
-    propagated_block_wait: float = math.inf
+    delay: Annotated[float, Bound(0)] = 0.0
+    jitter: Annotated[float, Bound(0)] = 0.0
+    propagated_block_wait: Annotated[float, Bound(0)] = math.inf
 
     @property
     def is_benign(self) -> bool:
@@ -159,111 +171,100 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one experiment."""
+    """Full description of one experiment.
 
-    n_devices: int = 20
-    n_workers: int = 12
-    n_validators: int = 5
-    n_miners: int = 3
+    Each field's own rule lives in its annotation: a ``Literal`` lists its
+    choices, a :class:`Bound` its range, and every float must be finite.
+    Building a config (``replace`` included) checks those rules and then
+    :meth:`validate`'s rules that span several fields.
+    """
+
+    n_devices: Annotated[int, Bound(3, message="must be >= 3: one device per role")] = 20
+    n_workers: Annotated[int, Bound(1)] = 12
+    n_validators: Annotated[int, Bound(1)] = 5
+    n_miners: Annotated[int, Bound(1)] = 3
     malicious: tuple[int, ...] = ()
-    malicious_behaviors: tuple[str, ...] = (BEHAVIOR_WORKER_NOISE,)
-    noise_variance: float = 1.0
+    malicious_behaviors: tuple[Behavior, ...] = (BEHAVIOR_WORKER_NOISE,)
+    # math.ulp(0.0) is the least float > 0.
+    noise_variance: Annotated[float, Bound(math.ulp(0.0), message="must be > 0")] = 1.0
     vh: float = 1.0
-    kick_r: int = 6
-    unit_reward: int = 1
+    kick_r: Annotated[int, Bound(1)] = 6
+    unit_reward: Annotated[int, Bound(1)] = 1
     train: TrainSpec = TrainSpec()
-    consensus: str = "pos"
-    pow_difficulty: int = 1
-    rounds: int = 30
+    consensus: Literal["pos", "pow", "vfl"] = "pos"
+    pow_difficulty: Annotated[
+        int, Bound(0, 64, "must lie in [0, 64], the digest's nibble count")
+    ] = 1
+    rounds: Annotated[int, Bound(0)] = 30
     master_seed: int = 0
     network: NetworkConfig = NetworkConfig()
     dataset: DatasetConfig = DatasetConfig()
-    arch: str = "mlp"
-    mlp_hidden: int = 16
-    validator_test: str = "full"
-    sharding: str = "iid"
-    signature_scheme: str = "stub"
+    arch: Literal["softmax", "mlp"] = "mlp"
+    mlp_hidden: Annotated[int, Bound(1)] = 16
+    validator_test: Literal["full", "shard"] = "full"
+    sharding: Literal["iid", "label_skew"] = "iid"
+    signature_scheme: Literal["stub", "hmac"] = "stub"
+
+    def __post_init__(self):
+        _check_fields(self)
+        self.validate()
 
     def validate(self) -> None:
-        def fail(key: str, why: str):
-            raise ConfigError(f"{key}: {why}")
-
-        if self.n_devices < 2:
-            fail("n_devices", "need at least two devices")
+        """The rules that span several fields: role counts, malicious device
+        numbers, rows per device and the IDX directory."""
         counts = (self.n_workers, self.n_validators, self.n_miners)
-        if any(c < 1 for c in counts):
-            fail("role_counts", "each of n_workers/n_validators/n_miners must be >= 1")
         if sum(counts) != self.n_devices:
-            fail("role_counts", f"{counts} must sum to n_devices={self.n_devices}")
+            raise ConfigError(f"role_counts: {counts} must sum to n_devices={self.n_devices}")
         if any(i < 0 or i >= self.n_devices for i in self.malicious):
-            fail("malicious", "device numbers must lie in [0, n_devices)")
+            raise ConfigError("malicious: device numbers must lie in [0, n_devices)")
         if len(set(self.malicious)) != len(self.malicious):
-            fail("malicious", "device numbers must be distinct")
-        known = {BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP}
-        if not set(self.malicious_behaviors) <= known:
-            fail("malicious_behaviors", f"must be a subset of {sorted(known)}")
-        for key, value in _float_fields(self):
-            unlimited = key == "network.propagated_block_wait" and value == math.inf
-            if not (math.isfinite(value) or unlimited):
-                fail(key, "must be finite")
-        if not self.noise_variance > 0:
-            fail("noise_variance", "must be > 0")
-        if self.kick_r < 1:
-            fail("kick_r", "must be >= 1")
-        if self.unit_reward < 1:
-            fail("unit_reward", "must be >= 1")
-        if self.consensus not in ("pos", "pow", "vfl"):
-            fail("consensus", "must be 'pos', 'pow' or 'vfl'")
-        if not 0 <= self.pow_difficulty <= 64:
-            fail("pow_difficulty", "must lie in [0, 64], the digest's nibble count")
-        if self.rounds < 0:
-            fail("rounds", "must be >= 0")
-        if self.network.delay < 0 or self.network.jitter < 0:
-            fail("network", "delay and jitter must be >= 0")
-        if self.network.propagated_block_wait < 0:
-            fail("network", "propagated_block_wait must be >= 0 or unlimited")
-        if self.dataset.kind not in ("blobs", "idx"):
-            fail("dataset.kind", "must be 'blobs' or 'idx'")
-        if self.dataset.kind == "blobs":
-            if self.dataset.dim < 1 or self.dataset.classes < 2:
-                fail("dataset", "need dim >= 1 and classes >= 2")
-            if self.dataset.train_per_class < 1 or self.dataset.test_per_class < 1:
-                fail("dataset", "need at least one example per class and split")
-            classes = self.dataset.classes
-            _check_rows(
-                self, classes * self.dataset.train_per_class, classes * self.dataset.test_per_class
-            )
-        elif not self.dataset.idx_dir:
-            fail("dataset.idx_dir", "required when dataset.kind is 'idx'")
-        if self.arch not in ("softmax", "mlp"):
-            fail("arch", "must be 'softmax' or 'mlp'")
-        if self.arch == "mlp" and self.mlp_hidden < 1:
-            fail("mlp_hidden", "must be >= 1")
-        if self.validator_test not in ("full", "shard"):
-            fail("validator_test", "must be 'full' or 'shard'")
-        if self.sharding not in ("iid", "label_skew"):
-            fail("sharding", "must be 'iid' or 'label_skew'")
-        if self.signature_scheme not in ("stub", "hmac"):
-            fail("signature_scheme", "must be 'stub' or 'hmac'")
+            raise ConfigError("malicious: device numbers must be distinct")
+        ds = self.dataset
+        if ds.kind == "blobs":
+            _check_rows(self, ds.classes * ds.train_per_class, ds.classes * ds.test_per_class)
+        elif not ds.idx_dir:
+            raise ConfigError("dataset.idx_dir: required when dataset.kind is 'idx'")
 
     def to_dict(self) -> dict:
         return _to_dict(self)
 
     @staticmethod
     def from_dict(data: Mapping) -> "SimConfig":
-        cfg = _from_dict(SimConfig, data)
-        cfg.validate()
-        return cfg
+        return _from_dict(SimConfig, data)
 
 
-def _float_fields(obj, prefix: str = ""):
-    """(dotted key, value) of every float value, nested sections included."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+@functools.cache
+def _rules(cls) -> dict[str, tuple[object, tuple, Bound | None]]:
+    """(type, choices, bound or None) of each field of a config class, read
+    from its annotations once per class; ``choices`` are the ``Literal``
+    values a choice field, or each element of a tuple of choices, may take."""
+    out = {}
+    for name, hint in get_type_hints(cls, include_extras=True).items():
+        hint, bound = get_args(hint) if get_origin(hint) is Annotated else (hint, None)
+        elem = get_args(hint)[0] if get_origin(hint) is tuple else hint
+        out[name] = (hint, get_args(elem) if get_origin(elem) is Literal else (), bound)
+    return out
+
+
+def _check_fields(obj, prefix: str = "") -> None:
+    """Hold every leaf of a config, nested sections included, to its
+    annotation: a choice to its choices, a bounded number to its bound, and a
+    float to finiteness (an unlimited propagated_block_wait aside)."""
+    for name, (hint, choices, bound) in _rules(type(obj)).items():
+        key, value = prefix + name, getattr(obj, name)
         if is_dataclass(value):
-            yield from _float_fields(value, f"{prefix}{f.name}.")
-        elif isinstance(value, float):
-            yield prefix + f.name, value
+            _check_fields(value, key + ".")
+            continue
+        unlimited = name == "propagated_block_wait" and value == math.inf
+        if isinstance(value, float) and not (math.isfinite(value) or unlimited):
+            why = "must be finite"
+        elif choices and not _fits(value, hint):
+            why = f"choices are {', '.join(map(repr, choices))}; got {value!r}"
+        elif bound is not None and not bound.lo <= value <= bound.hi:
+            why = bound.message or f"must be >= {bound.lo}"
+        else:
+            continue
+        raise ConfigError(f"{key}: {why}")
 
 
 def _check_rows(config: SimConfig, train_rows: int, test_rows: int) -> None:
@@ -304,10 +305,13 @@ def _to_dict(obj) -> dict:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: an int may stand for a
-    float, a bool is not a number, and tuple elements are checked too."""
+    float, a bool is not a number, a choice must be one of its ``Literal``
+    values, and tuple elements are checked too."""
     if get_origin(hint) is tuple:
         elem = get_args(hint)[0]
         return isinstance(value, (list, tuple)) and all(_fits(v, elem) for v in value)
+    if get_origin(hint) is Literal:
+        return value in get_args(hint)
     if get_origin(hint) is types.UnionType:
         return any(_fits(value, h) for h in get_args(hint))
     if isinstance(value, bool):
@@ -323,7 +327,6 @@ def _from_dict(cls, data: Mapping, section: str = ""):
     unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise ConfigError(f"{prefix}{unknown[0]}: unknown key")
-    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         default = defaults[key]
@@ -332,9 +335,9 @@ def _from_dict(cls, data: Mapping, section: str = ""):
             continue
         if key == "propagated_block_wait" and value in ("unlimited", None):
             value = math.inf
-        hint = hints[key]
+        hint = _rules(cls)[key][0]
         if not _fits(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else hint
+            name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
             raise ConfigError(f"{prefix}{key}: expected {name}, got {value!r}")
         kwargs[key] = tuple(value) if isinstance(default, tuple) else value
     try:
@@ -599,7 +602,6 @@ class _World:
     """
 
     def __init__(self, config: SimConfig):
-        config.validate()
         self.config = config
         self.devices = make_devices(config.n_devices)
         task = _build_task(config)
@@ -871,19 +873,19 @@ class Simulation(_World):
         leaves once its validator is ready.
 
         Validators sharing a test set see the same accuracy for the same
-        update, so each (update, test set) pair is evaluated once; validators
-        that received the same worker bytes share one digest of them.
+        update, so each (update, test set) pair is evaluated once; every
+        validator received the same worker bytes, so each is digested once.
         """
         cfg = self.config
         vad_records: list[VadRecord] = []
         accuracy: dict[tuple[int, int], float] = {}  # keys: ids of (update, test set)
-        digests: dict[int, bytes] = {}  # keys: ids of the received worker bytes
+        digests = [protocol_mod.payload_hash(tx_bytes) for _, tx_bytes in received]
         inbox: dict[DeviceId, list[_Message]] = {m: [] for m in plan.miners}
         for v in plan.validators:
             st = self.state[v]
             vstate = ValidatorState(cfg.vh, st.test, evaluate(references[v], st.test))
             arrivals = (ready[v] + cfg.network.link_delay(net_rng, len(received))).tolist()
-            for (tx, tx_bytes), at in zip(received, arrivals):
+            for (tx, _), digest, at in zip(received, digests, arrivals):
                 pair = (id(tx.update), id(st.test))
                 if pair not in accuracy:
                     accuracy[pair] = evaluate(tx.update, st.test)
@@ -909,9 +911,7 @@ class Simulation(_World):
                     vali_reward=cfg.unit_reward,
                     signature=b"",
                 )
-                if id(tx_bytes) not in digests:
-                    digests[id(tx_bytes)] = protocol_mod.payload_hash(tx_bytes)
-                payload = protocol_mod.validator_tx_signing_bytes(vtx, digests[id(tx_bytes)])
+                payload = protocol_mod.validator_tx_signing_bytes(vtx, digest)
                 vtx = sign_validator_tx(vtx, self.signer, payload)
                 m = plan.v2m[v]
                 inbox[m].append((vtx, payload, at))

@@ -93,16 +93,14 @@ def apply_overrides(
     pow_difficulty: int | None = None,
     malicious: int | None = None,
 ) -> SimConfig:
-    """A preset's or a config file's config plus command-line overrides, validated."""
+    """A preset's or a config file's config plus command-line overrides, in
+    one ``replace``, so the new config is checked once, as a whole."""
     changes = {
         "rounds": rounds,
         "master_seed": seed,
         "vh": vh,
         "consensus": consensus,
         "pow_difficulty": pow_difficulty,
+        "malicious": None if malicious is None else _malicious_tail(config, malicious),
     }
-    cfg = replace(config, **{k: v for k, v in changes.items() if v is not None})
-    if malicious is not None:
-        cfg = replace(cfg, malicious=_malicious_tail(cfg, malicious))
-    cfg.validate()
-    return cfg
+    return replace(config, **{k: v for k, v in changes.items() if v is not None})

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .protocol import Block, DeviceId, GENESIS_MINER
+from .protocol import Block, DeviceId, GENESIS_MINER, VoteTally
 
 
 def worker_reward(
@@ -27,6 +27,15 @@ def worker_reward(
     if positives >= negatives:
         return epochs * train_size * unit
     return 0
+
+
+def tally_reward(tally: VoteTally, unit: int) -> int:
+    """What a tally pays its worker: the :func:`worker_reward` of its
+    transaction's epochs and shard size and its votes, when the worker's
+    self-reported expected reward equals that; 0 otherwise."""
+    tx = tally.tx
+    due = worker_reward(tx.epochs, tx.train_size, tally.positives, tally.negatives, unit)
+    return due if tx.expected_reward == due else 0
 
 
 def miner_reward(n_verified_vtx: int, unit: int) -> int:
@@ -88,17 +97,11 @@ def apply_block(
     flagged: set[DeviceId] = set()
 
     for tally in block.tallies:
-        w = tally.worker
-        due = worker_reward(
-            tally.tx.epochs, tally.tx.train_size, tally.positives, tally.negatives, unit
-        )
-        honest_report = (
-            tally.tx.expected_reward == tally.tx.epochs * tally.tx.train_size * unit
-        )
-        if due > 0 and honest_report:
-            new._credit(w, due)
+        due = tally_reward(tally, unit)
+        if due > 0:
+            new._credit(tally.worker, due)
         else:
-            flagged.add(w)
+            flagged.add(tally.worker)
 
     for validator, reward in block.validator_rewards:
         new._credit(validator, reward)
@@ -128,14 +131,7 @@ def block_reward_total(
     ``blacklist`` is the crediting ledger's blacklist before the block: like
     :meth:`StakeLedger._credit`, the oracle pays its members nothing.
     """
-    total = 0
-    for tally in block.tallies:
-        due = worker_reward(
-            tally.tx.epochs, tally.tx.train_size, tally.positives, tally.negatives, unit
-        )
-        honest = tally.tx.expected_reward == tally.tx.epochs * tally.tx.train_size * unit
-        if due > 0 and honest and tally.worker not in blacklist:
-            total += due
+    total = sum(tally_reward(t, unit) for t in block.tallies if t.worker not in blacklist)
     total += sum(r for v, r in block.validator_rewards if v not in blacklist)
     if block.miner != GENESIS_MINER and block.miner not in blacklist:
         total += block.miner_reward

@@ -1,8 +1,10 @@
 """Validator voting on worker updates via the one-epoch proxy accuracy gap.
 
-Each round a validator first trains the incoming global model for a single
-epoch on its own shard (:func:`pretrain_one_epoch`), and the caller measures
-that model's accuracy on the validator's test set with ``evaluate``. The gap
+Each round a validator's reference model is the incoming global model
+trained for a single epoch on its own shard: the orchestrator trains every
+reference in its one stacked training call with the workers' updates, and
+:func:`pretrain_one_epoch` is that model trained alone. The caller measures
+the reference's accuracy on the validator's test set with ``evaluate``. The gap
 between this reference accuracy and the accuracy of a worker's update
 (``vad``, validation accuracy difference) drives the vote: a gap above the
 validator's threshold means the update looks distorted and draws a Negative

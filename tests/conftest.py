@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gzip
+import struct
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +67,57 @@ def two_class_shards(two_class_task):
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def write_idx(path, arr: np.ndarray, dtype_code: int, compress=False):
+    header = struct.pack(">HBB", 0, dtype_code, arr.ndim)
+    header += struct.pack(f">{arr.ndim}I", *arr.shape)
+    payload = header + arr.tobytes()
+    if compress:
+        path.write_bytes(gzip.compress(payload))
+    else:
+        path.write_bytes(payload)
+
+
+def config_annotations(cls=SimConfig, prefix: str = ""):
+    """(dotted key, annotation with its Annotated metadata) of every leaf
+    field of a config class, nested sections included."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default):
+            yield from config_annotations(type(f.default), f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, hints[f.name]
+
+
+def choices_of(hint) -> tuple:
+    """The Literal values of a choice annotation, or of a tuple of choices."""
+    if typing.get_origin(hint) is tuple:
+        hint = typing.get_args(hint)[0]
+    return typing.get_args(hint) if typing.get_origin(hint) is typing.Literal else ()
+
+
+CHOICES = {key: choices_of(hint) for key, hint in config_annotations() if choices_of(hint)}
+
+
+def leaf(cfg: SimConfig, key: str):
+    for part in key.split("."):
+        cfg = getattr(cfg, part)
+    return cfg
+
+
+def with_leaves(cfg: SimConfig, changes: dict) -> SimConfig:
+    """cfg with the leaf at each dotted key of changes replaced, in one ``replace``."""
+    top, sections = {}, {}
+    for key, value in changes.items():
+        section, _, name = key.rpartition(".")
+        if section:
+            sections.setdefault(section, {})[name] = value
+        else:
+            top[name] = value
+    for section, values in sections.items():
+        top[section] = dataclasses.replace(getattr(cfg, section), **values)
+    return dataclasses.replace(cfg, **top)
 
 
 @dataclass

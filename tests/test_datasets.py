@@ -1,8 +1,8 @@
-import gzip
 import struct
 
 import numpy as np
 import pytest
+from conftest import write_idx
 
 from vbfl.datasets import Task, load_idx_task, make_blobs_task, read_idx
 
@@ -55,16 +55,6 @@ class TestBlobs:
         )
         with pytest.raises(ValueError):
             t.train_x[0, 0] = 5.0
-
-
-def write_idx(path, arr: np.ndarray, dtype_code: int, compress=False):
-    header = struct.pack(">HBB", 0, dtype_code, arr.ndim)
-    header += struct.pack(f">{arr.ndim}I", *arr.shape)
-    payload = header + arr.tobytes()
-    if compress:
-        path.write_bytes(gzip.compress(payload))
-    else:
-        path.write_bytes(payload)
 
 
 class TestIdx:

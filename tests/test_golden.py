@@ -22,11 +22,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import CHOICES, leaf, write_idx
 
 import vbfl.orchestrator as orchestrator
 import vbfl.protocol as protocol
-from vbfl.errors import InvariantViolation
+from vbfl.errors import ConfigError, InvariantViolation
 from vbfl.learning import TrainSpec
 from vbfl.orchestrator import (
     BEHAVIOR_VALIDATOR_FLIP,
@@ -35,6 +37,7 @@ from vbfl.orchestrator import (
     NetworkConfig,
     SimConfig,
     Simulation,
+    run_simulation,
 )
 from vbfl.protocol import BlockRejected
 
@@ -243,3 +246,41 @@ def test_replica_edited_in_place_fails_replay():
 
     with pytest.raises(InvariantViolation, match="!= replay"):
         sim.run(tamper)
+
+
+def _idx_case(idx_dir, **kw) -> SimConfig:
+    return _tiny(rounds=2, dataset=DatasetConfig(kind="idx", idx_dir=str(idx_dir)), **kw)
+
+
+def test_every_choice_runs():
+    # Each value of each choice field runs in a golden case or in the IDX
+    # test below, so no choice-valued knob goes untested.
+    ran = {
+        (key, choice)
+        for cfg in (*CASES.values(), _idx_case("idx"))
+        for key in CHOICES
+        for value in (leaf(cfg, key),)
+        for choice in (value if isinstance(value, tuple) else (value,))
+    }
+    assert {(key, c) for key, choices in CHOICES.items() for c in choices} <= ran
+
+
+def test_idx_dataset_runs(tmp_path):
+    # 240 training rows give each of 20 devices a 12-row shard; 12 test rows
+    # serve every device under validator_test="full" but not one each
+    # under "shard". One file is gzipped, so find() falls back to ".gz".
+    rng = np.random.default_rng(0)
+    idx_dir = tmp_path / "idx"
+    idx_dir.mkdir()
+    for split, rows in (("train", 240), ("t10k", 12)):
+        images = rng.integers(0, 256, size=(rows, 3, 3)).astype(">u1")
+        write_idx(idx_dir / f"{split}-images-idx3-ubyte", images, 0x08)
+        labels = (np.arange(rows) % 4).astype(">u1")
+        gz = split == "train"
+        name = f"{split}-labels-idx1-ubyte" + (".gz" if gz else "")
+        write_idx(idx_dir / name, labels, 0x08, compress=gz)
+    out = run_simulation(_idx_case(idx_dir), out_dir=tmp_path / "out").out_dir
+    assert len((out / "rounds.csv").read_text().splitlines()) == 1 + 2
+    assert len(protocol.chain_from_jsonl((out / "chain.jsonl").read_text()).blocks) == 1 + 2
+    with pytest.raises(ConfigError, match="^dataset: 12 test rows for 20 devices"):
+        run_simulation(_idx_case(idx_dir, validator_test="shard"))

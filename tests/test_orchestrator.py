@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import typing
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import record_messages
+from conftest import CHOICES, config_annotations, leaf, record_messages, with_leaves
 
 from vbfl.datasets import make_blobs_task
 from vbfl.errors import ConfigError, InvariantViolation
@@ -15,6 +16,7 @@ from vbfl.learning import ModelParams, TrainSpec, evaluate, fedavg, local_train
 from vbfl.orchestrator import (
     BEHAVIOR_VALIDATOR_FLIP,
     BEHAVIOR_WORKER_NOISE,
+    Bound,
     DatasetConfig,
     NetworkConfig,
     Role,
@@ -120,6 +122,30 @@ def _float_keys(cls, prefix=""):
 
 
 FLOAT_KEYS = sorted(_float_keys(SimConfig))
+
+# (dotted key, base type, Bound) of every bounded leaf, read from the annotations.
+BOUNDS = sorted(
+    (key, *typing.get_args(hint))
+    for key, hint in config_annotations()
+    if typing.get_origin(hint) is typing.Annotated
+)
+ROLE_COUNTS = ("n_workers", "n_validators", "n_miners")
+# Four devices and one-row batches, so that every bound's edge fits the rows per device.
+EDGE_BASE = tiny_cfg(
+    n_devices=4, n_workers=2, n_validators=1, n_miners=1,
+    train=dataclasses.replace(TINY_TRAIN, batch_size=1),
+)
+
+
+def _at_edge(key: str, value) -> SimConfig:
+    """EDGE_BASE with key set to value; a role count or n_devices brings the
+    other side of the role sum along, so that only the bound decides."""
+    changes = {key: value}
+    if key in ROLE_COUNTS:
+        changes["n_devices"] = EDGE_BASE.n_devices - getattr(EDGE_BASE, key) + value
+    elif key == "n_devices":
+        changes["n_workers"] = value - EDGE_BASE.n_validators - EDGE_BASE.n_miners
+    return with_leaves(EDGE_BASE, changes)
 
 
 class TestConfig:
@@ -246,6 +272,52 @@ class TestConfig:
             return
         # TrainSpec rejects a NaN learning rate itself, as "train: learning_rate ...".
         with pytest.raises(ConfigError, match=rf"^{section}\W*{name}\b"):
+            SimConfig.from_dict(data)
+
+    def test_bounds_cover_the_sections(self):
+        assert all(isinstance(bound, Bound) for _, _, bound in BOUNDS)
+        assert {key.rpartition(".")[0] for key, _, _ in BOUNDS} == {"", "network", "dataset"}
+
+    @pytest.mark.parametrize(
+        "key, base, bound, side",
+        [
+            pytest.param(*b, side, id=f"{b[0]}-{side}")
+            for b in BOUNDS for side in ("lo", "hi") if getattr(b[2], side) != math.inf
+        ],
+    )
+    def test_bound_edge_accepted_and_just_past_rejected(self, key, base, bound, side):
+        edge = getattr(bound, side)
+        assert leaf(_at_edge(key, edge), key) == edge
+        away = -math.inf if side == "lo" else math.inf
+        past = edge + (1 if side == "hi" else -1) if base is int else math.nextafter(edge, away)
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            with_leaves(EDGE_BASE, {key: past})
+
+    def test_bound_message(self):
+        with pytest.raises(ConfigError, match=r"^network\.delay: must be >= 0$"):
+            tiny_cfg(network=NetworkConfig(delay=-1.0))
+        with pytest.raises(ConfigError, match="^noise_variance: must be > 0$"):
+            tiny_cfg(noise_variance=0.0)
+
+    @pytest.mark.parametrize("key", sorted(CHOICES))
+    def test_bad_choice_raises_at_construction(self, key):
+        bad = ("NOPE",) if isinstance(leaf(SimConfig(), key), tuple) else "NOPE"
+        section, _, name = key.rpartition(".")
+        match = f"^{re.escape(key)}: choices are .*; got {re.escape(repr(bad))}$"
+        with pytest.raises(ConfigError, match=match):
+            with_leaves(tiny_cfg(), {key: bad})
+        built = {name: bad}
+        if section:  # a section built with the bad value, e.g. DatasetConfig(kind=...)
+            built = {section: type(getattr(SimConfig(), section))(**built)}
+        with pytest.raises(ConfigError, match=match):
+            SimConfig(**built)
+
+    @pytest.mark.parametrize("key", sorted(CHOICES))
+    def test_bad_choice_in_json_named(self, key):
+        section, _, name = key.rpartition(".")
+        bad = ["NOPE"] if isinstance(leaf(SimConfig(), key), tuple) else "NOPE"
+        data = {section: {name: bad}} if section else {name: bad}
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected .*Literal"):
             SimConfig.from_dict(data)
 
 
