@@ -5,9 +5,10 @@ Runs ``perfbench/run.py`` in PARENT_DIR and in CHANGE_DIR once per pair,
 alternating which side runs first, and parses each run's last JSON line.
 For every end-to-end metric in CHANGE_DIR's BENCHMARK.json it prints each
 side's median and quartiles and how many pairs the change won (ties count
-for neither). The gain rule holds for a metric when the change wins at
-least nine tenths of the pairs and the medians differ, in the metric's
-better direction, by more than the parent's interquartile range. It also
+for neither). The gain rule holds for a metric when at least ten pairs
+ran, the change wins at least nine tenths of them and the medians differ,
+in the metric's better direction, by more than the parent's interquartile
+range; with fewer pairs it fails, whatever they read. It also
 prints the ratio of the change's median to the parent's, with the parent's
 median as its base, and whether the change's median is within the metric's
 ``bound``: worse than the parent's median by at most that fraction of it.
@@ -32,6 +33,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+MIN_PAIRS = 10  # the gain rule judges no fewer pairs than this
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -65,7 +68,11 @@ def summarize(
     parent = quartiles([p for p, _ in pairs])
     change = quartiles([c for _, c in pairs])
     wins = sum(sign * (p - c) > 0 for p, c in pairs)
-    gain = 10 * wins >= 9 * len(pairs) and sign * (parent[1] - change[1]) > parent[2] - parent[0]
+    gain = (
+        len(pairs) >= MIN_PAIRS
+        and 10 * wins >= 9 * len(pairs)
+        and sign * (parent[1] - change[1]) > parent[2] - parent[0]
+    )
     within = None if bound is None else sign * (change[1] - parent[1]) <= bound * abs(parent[1])
     beats_all = min(sign * p for p, _ in pairs) > max(sign * c for _, c in pairs)
     unresolved = bool(within) and parent[2] - parent[0] > bound * abs(parent[1]) and not beats_all

@@ -1,10 +1,10 @@
 """Deterministic simulator for a blockchained federated-learning protocol
 with decentralized validator voting and stake-based block selection."""
 
+from .config import SimConfig, TrainSpec
 from .learning import (
     DataShard,
     ModelParams,
-    TrainSpec,
     evaluate,
     fedavg,
     init_global_model,
@@ -14,7 +14,6 @@ from .learning import (
 from .orchestrator import (
     RoundMetrics,
     RunResult,
-    SimConfig,
     Simulation,
     run_simulation,
 )

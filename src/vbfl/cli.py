@@ -14,8 +14,9 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+from .config import SimConfig, fits
 from .errors import ConfigError, InvariantViolation
-from .orchestrator import ROUNDS_CSV_FIELDS, RoundMetrics, SimConfig, _fits, run_simulation
+from .orchestrator import ROUNDS_CSV_FIELDS, RoundMetrics, run_simulation
 from .presets import PRESETS, apply_overrides, get_preset
 from .validation import suggest_threshold
 
@@ -70,7 +71,7 @@ def _read_vh_file(path: Path) -> float:
         value = json.loads(path.read_text())["suggested_vh"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"vh-file: cannot read suggested_vh from {path}: {exc}") from None
-    if not _fits(value, float):
+    if not fits(value, float):
         raise ConfigError(f"vh-file: suggested_vh in {path} must be a number, got {value!r}")
     return float(value)
 

@@ -62,7 +62,7 @@ def make_blobs_task(
     ``spread`` is the within-cluster standard deviation; ``feature_scale``
     rescales all features uniformly. Rows are shuffled so contiguous slices
     are class-balanced in expectation. The defaults live in one place,
-    ``orchestrator.DatasetConfig``.
+    ``config.DatasetConfig``.
     """
     if dim < 1 or classes < 2:
         raise ValueError("need dim >= 1 and classes >= 2")

@@ -12,7 +12,8 @@ have the same row count (and the same architecture) step together, ordered
 by epoch count so that the devices still training in an epoch are a prefix
 of the stack. The work is split by how often it changes:
 
-- per call: the input checks and one ``np.errstate`` for every step;
+- per call: the spec's walk against its annotations (``config.TrainSpec``),
+  the input checks and one ``np.errstate`` for every step;
 - per group: the stacked parameters, gradient buffer and shards, and one
   ``_Step`` per prefix size ``k`` (per distinct epoch count), which holds
   the layer views of the first ``k`` parameter and gradient rows, the
@@ -35,6 +36,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .config import TrainSpec, check_fields
 
 INIT_SCALE = 0.05  # uniform initializer range [-INIT_SCALE, INIT_SCALE]
 
@@ -150,23 +153,6 @@ class DataShard:
     @property
     def dim(self) -> int:
         return self._x.shape[1]
-
-
-@dataclass(frozen=True)
-class TrainSpec:
-    """Local training hyperparameters, shared by all devices in a run."""
-
-    epochs: int = 5
-    learning_rate: float = 0.01
-    batch_size: int = 10
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 def init_global_model(arch_id: str, seed: int) -> ModelParams:
@@ -304,8 +290,10 @@ def local_train_many(
     all when None). Element i is bit-identical to ``local_train(starts[i],
     shards[i], replace(spec, epochs=epochs[i]), rngs[i])``. Each rng must be
     its own generator: it draws its device's permutations, once per epoch,
-    as a single call would.
+    as a single call would. A spec that breaks a ``TrainSpec`` rule raises
+    ``ConfigError`` naming its ``train.`` key.
     """
+    check_fields(spec, "train.")
     if epochs is None:
         epochs = [spec.epochs] * len(starts)
     if not len(starts) == len(shards) == len(rngs) == len(epochs) == len({id(r) for r in rngs}):

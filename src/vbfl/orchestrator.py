@@ -26,36 +26,33 @@ each handing the next its data explicitly:
 7. metrics: the round's observables and the invariant checks.
 
 Everything is driven by named substreams of the master seed, so runs are
-bit-reproducible and changing one noise source never shifts another.
+bit-reproducible and changing one noise source never shifts another. The
+config a run reads, and its rules, live in :mod:`vbfl.config`.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import logging
-import math
-import types
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Annotated, Callable, Literal, Mapping, NamedTuple, Sequence
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import consensus as consensus_mod
 from . import protocol as protocol_mod
 from . import rewards as rewards_mod
+from .config import BEHAVIOR_VALIDATOR_FLIP, BEHAVIOR_WORKER_NOISE, SimConfig, check_rows
 from .datasets import Task, load_idx_task, make_blobs_task
 from .errors import ConfigError, InvariantViolation
 from .learning import (
     DataShard,
     ModelParams,
-    TrainSpec,
     evaluate,
     fedavg,
     init_global_model,
@@ -97,9 +94,6 @@ from .validation import (
 
 logger = logging.getLogger("vbfl")
 
-Behavior = Literal["WORKER_NOISE", "VALIDATOR_FLIP"]
-BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP = get_args(Behavior)
-
 ROUNDS_CSV_FIELDS = ("round", "consensus", "winner", "winner_malicious", "forked", "global_accuracy")
 STAKE_CSV_FIELDS = ("round", "device", "stake", "is_malicious")
 EVENTS_CSV_FIELDS = ("round", "device", "event")
@@ -114,236 +108,6 @@ class Role(Enum):
     WORKER = "w"
     VALIDATOR = "v"
     MINER = "m"
-
-
-# --- configuration --------------------------------------------------------
-
-
-class Bound(NamedTuple):
-    """A numeric field's closed range, as its ``Annotated`` metadata.
-    ``message`` replaces the default complaint, "must be >= lo"; a finite
-    ``hi`` needs one."""
-
-    lo: float
-    hi: float = math.inf
-    message: str = ""
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    """Task description: synthetic blobs by default, IDX files for fidelity.
-
-    The default geometry (wide clusters in 128 dimensions, modest feature
-    scale) is deliberately fragile to additive parameter noise: one round of
-    local training cannot repair a noise-distorted average, which is what
-    makes the poisoning experiments meaningful at desk scale.
-    """
-
-    kind: Literal["blobs", "idx"] = "blobs"
-    dim: Annotated[int, Bound(1)] = 128
-    classes: Annotated[int, Bound(2)] = 10
-    train_per_class: Annotated[int, Bound(1)] = 300
-    test_per_class: Annotated[int, Bound(1)] = 200
-    spread: float = 4.0
-    feature_scale: float = 0.5
-    idx_dir: str | None = None
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Per-link constant delay plus optional jitter; wait caps block collection."""
-
-    delay: Annotated[float, Bound(0)] = 0.0
-    jitter: Annotated[float, Bound(0)] = 0.0
-    propagated_block_wait: Annotated[float, Bound(0)] = math.inf
-
-    @property
-    def is_benign(self) -> bool:
-        return self.delay == 0.0 and self.jitter == 0.0 and math.isinf(self.propagated_block_wait)
-
-    def link_delay(self, rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
-        """An array of link delays, drawn in row-major order, one double each;
-        without jitter it draws nothing."""
-        if not self.jitter:
-            return np.full(shape, self.delay, dtype=float)
-        return self.delay + self.jitter * rng.random(shape)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Full description of one experiment.
-
-    Each field's own rule lives in its annotation: a ``Literal`` lists its
-    choices, a :class:`Bound` its range, and every float must be finite.
-    Building a config (``replace`` included) checks those rules and then
-    :meth:`validate`'s rules that span several fields.
-    """
-
-    n_devices: Annotated[int, Bound(3, message="must be >= 3: one device per role")] = 20
-    n_workers: Annotated[int, Bound(1)] = 12
-    n_validators: Annotated[int, Bound(1)] = 5
-    n_miners: Annotated[int, Bound(1)] = 3
-    malicious: tuple[int, ...] = ()
-    malicious_behaviors: tuple[Behavior, ...] = (BEHAVIOR_WORKER_NOISE,)
-    # math.ulp(0.0) is the least float > 0.
-    noise_variance: Annotated[float, Bound(math.ulp(0.0), message="must be > 0")] = 1.0
-    vh: float = 1.0
-    kick_r: Annotated[int, Bound(1)] = 6
-    unit_reward: Annotated[int, Bound(1)] = 1
-    train: TrainSpec = TrainSpec()
-    consensus: Literal["pos", "pow", "vfl"] = "pos"
-    pow_difficulty: Annotated[
-        int, Bound(0, 64, "must lie in [0, 64], the digest's nibble count")
-    ] = 1
-    rounds: Annotated[int, Bound(0)] = 30
-    master_seed: int = 0
-    network: NetworkConfig = NetworkConfig()
-    dataset: DatasetConfig = DatasetConfig()
-    arch: Literal["softmax", "mlp"] = "mlp"
-    mlp_hidden: Annotated[int, Bound(1)] = 16
-    validator_test: Literal["full", "shard"] = "full"
-    sharding: Literal["iid", "label_skew"] = "iid"
-    signature_scheme: Literal["stub", "hmac"] = "stub"
-
-    def __post_init__(self):
-        _check_fields(self)
-        self.validate()
-
-    def validate(self) -> None:
-        """The rules that span several fields: role counts, malicious device
-        numbers, rows per device and the IDX directory."""
-        counts = (self.n_workers, self.n_validators, self.n_miners)
-        if sum(counts) != self.n_devices:
-            raise ConfigError(f"role_counts: {counts} must sum to n_devices={self.n_devices}")
-        if any(i < 0 or i >= self.n_devices for i in self.malicious):
-            raise ConfigError("malicious: device numbers must lie in [0, n_devices)")
-        if len(set(self.malicious)) != len(self.malicious):
-            raise ConfigError("malicious: device numbers must be distinct")
-        ds = self.dataset
-        if ds.kind == "blobs":
-            _check_rows(self, ds.classes * ds.train_per_class, ds.classes * ds.test_per_class)
-        elif not ds.idx_dir:
-            raise ConfigError("dataset.idx_dir: required when dataset.kind is 'idx'")
-
-    def to_dict(self) -> dict:
-        return _to_dict(self)
-
-    @staticmethod
-    def from_dict(data: Mapping) -> "SimConfig":
-        return _from_dict(SimConfig, data)
-
-
-@functools.cache
-def _rules(cls) -> dict[str, tuple[object, tuple, Bound | None]]:
-    """(type, choices, bound or None) of each field of a config class, read
-    from its annotations once per class; ``choices`` are the ``Literal``
-    values a choice field, or each element of a tuple of choices, may take."""
-    out = {}
-    for name, hint in get_type_hints(cls, include_extras=True).items():
-        hint, bound = get_args(hint) if get_origin(hint) is Annotated else (hint, None)
-        elem = get_args(hint)[0] if get_origin(hint) is tuple else hint
-        out[name] = (hint, get_args(elem) if get_origin(elem) is Literal else (), bound)
-    return out
-
-
-def _check_fields(obj, prefix: str = "") -> None:
-    """Hold every leaf of a config, nested sections included, to its
-    annotation: a choice to its choices, a bounded number to its bound, and a
-    float to finiteness (an unlimited propagated_block_wait aside)."""
-    for name, (hint, choices, bound) in _rules(type(obj)).items():
-        key, value = prefix + name, getattr(obj, name)
-        if is_dataclass(value):
-            _check_fields(value, key + ".")
-            continue
-        unlimited = name == "propagated_block_wait" and value == math.inf
-        if isinstance(value, float) and not (math.isfinite(value) or unlimited):
-            why = "must be finite"
-        elif choices and not _fits(value, hint):
-            why = f"choices are {', '.join(map(repr, choices))}; got {value!r}"
-        elif bound is not None and not bound.lo <= value <= bound.hi:
-            why = bound.message or f"must be >= {bound.lo}"
-        else:
-            continue
-        raise ConfigError(f"{key}: {why}")
-
-
-def _check_rows(config: SimConfig, train_rows: int, test_rows: int) -> None:
-    """Every device needs a training row, a test row of its own under
-    ``validator_test="shard"``, and a training shard no smaller than a batch."""
-    n = config.n_devices
-    if train_rows < n:
-        raise ConfigError(f"dataset: {train_rows} training rows for {n} devices")
-    if config.validator_test == "shard" and test_rows < n:
-        raise ConfigError(
-            f"dataset: {test_rows} test rows for {n} devices under validator_test='shard'"
-        )
-    if config.train.batch_size > train_rows // n:
-        raise ConfigError(
-            f"train.batch_size: {config.train.batch_size} exceeds the smallest "
-            f"training shard ({train_rows // n} rows)"
-        )
-
-
-# The (de)serialisers walk the dataclass fields, so a new knob needs no
-# serialiser change. JSON form: nested sections as objects, tuples as lists,
-# an unlimited propagated_block_wait as "unlimited".
-
-
-def _to_dict(obj) -> dict:
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = _to_dict(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        elif f.name == "propagated_block_wait" and math.isinf(value):
-            value = "unlimited"
-        out[f.name] = value
-    return out
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation: an int may stand for a
-    float, a bool is not a number, a choice must be one of its ``Literal``
-    values, and tuple elements are checked too."""
-    if get_origin(hint) is tuple:
-        elem = get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(v, elem) for v in value)
-    if get_origin(hint) is Literal:
-        return value in get_args(hint)
-    if get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in get_args(hint))
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _from_dict(cls, data: Mapping, section: str = ""):
-    prefix = section + "." if section else ""
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{section or 'config'}: must be an object, got {data!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = sorted(set(data) - set(defaults))
-    if unknown:
-        raise ConfigError(f"{prefix}{unknown[0]}: unknown key")
-    kwargs = {}
-    for key, value in data.items():
-        default = defaults[key]
-        if is_dataclass(default):
-            kwargs[key] = _from_dict(type(default), value, key)
-            continue
-        if key == "propagated_block_wait" and value in ("unlimited", None):
-            value = math.inf
-        hint = _rules(cls)[key][0]
-        if not _fits(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-            raise ConfigError(f"{prefix}{key}: expected {name}, got {value!r}")
-        kwargs[key] = tuple(value) if isinstance(default, tuple) else value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:  # TrainSpec checks its own values
-        raise ConfigError(f"{section}: {exc}") from None
 
 
 # --- devices and sharding ---------------------------------------------------
@@ -605,7 +369,7 @@ class _World:
         self.config = config
         self.devices = make_devices(config.n_devices)
         task = _build_task(config)
-        _check_rows(config, task.train_size, task.test_x.shape[0])
+        check_rows(config, task.train_size, task.test_x.shape[0])
         if config.arch == "mlp":
             arch_id = mlp_arch(task.dim, config.mlp_hidden, task.num_classes)
         else:

@@ -15,12 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .config import BEHAVIOR_VALIDATOR_FLIP, BEHAVIOR_WORKER_NOISE, SimConfig
 from .errors import ConfigError
-from .orchestrator import (
-    BEHAVIOR_VALIDATOR_FLIP,
-    BEHAVIOR_WORKER_NOISE,
-    SimConfig,
-)
 
 VH_ALL_POSITIVE = 1.0  # vad can never exceed 1, so every vote is Positive
 

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .learning import DataShard, ModelParams, TrainSpec, local_train
+from .config import TrainSpec
+from .learning import DataShard, ModelParams, local_train
 from .protocol import DeviceId, Vote
 
 @dataclass(frozen=True)

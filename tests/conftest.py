@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from vbfl.datasets import make_blobs_task
-from vbfl.learning import DataShard, TrainSpec
-from vbfl.orchestrator import DatasetConfig, SimConfig, Simulation
+from vbfl.config import DatasetConfig, SimConfig, TrainSpec
+from vbfl.learning import DataShard
+from vbfl.orchestrator import Simulation
 from vbfl.protocol import DeviceId, ValidatorTransaction, WorkerTransaction
 
 
@@ -80,14 +81,18 @@ def write_idx(path, arr: np.ndarray, dtype_code: int, compress=False):
 
 
 def config_annotations(cls=SimConfig, prefix: str = ""):
-    """(dotted key, annotation with its Annotated metadata) of every leaf
-    field of a config class, nested sections included."""
+    """(dotted key, type, Bound or None) of every leaf field of a config
+    class, nested sections included, read from the annotations; the tests
+    walk config leaves only through this."""
     hints = typing.get_type_hints(cls, include_extras=True)
     for f in dataclasses.fields(cls):
-        if dataclasses.is_dataclass(f.default):
-            yield from config_annotations(type(f.default), f"{prefix}{f.name}.")
+        hint, bound = hints[f.name], None
+        if typing.get_origin(hint) is typing.Annotated:
+            hint, bound = typing.get_args(hint)
+        if dataclasses.is_dataclass(hint):
+            yield from config_annotations(hint, f"{prefix}{f.name}.")
         else:
-            yield prefix + f.name, hints[f.name]
+            yield prefix + f.name, hint, bound
 
 
 def choices_of(hint) -> tuple:
@@ -97,7 +102,21 @@ def choices_of(hint) -> tuple:
     return typing.get_args(hint) if typing.get_origin(hint) is typing.Literal else ()
 
 
-CHOICES = {key: choices_of(hint) for key, hint in config_annotations() if choices_of(hint)}
+CHOICES = {key: choices_of(hint) for key, hint, _ in config_annotations() if choices_of(hint)}
+
+
+def mistyped(hint) -> list:
+    """Values that do not fit a leaf's type: a str or a bool for a number, a
+    float for an int, a number for a choice or a str, and for a tuple a list,
+    a bare element or a float element."""
+    if typing.get_origin(hint) is tuple:
+        element = (choices_of(hint) or (1,))[0]
+        return [[element], element, (1.5,)]
+    if hint is int:
+        return ["3", 1.5, True]
+    if hint is float:
+        return ["0.1", True]
+    return [5]
 
 
 def leaf(cfg: SimConfig, key: str):

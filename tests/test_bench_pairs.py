@@ -53,10 +53,17 @@ def test_a_gain_inside_the_parent_spread_is_not(script):
     assert s["wins"] == 10 and not s["gain"]
 
 
+def test_fewer_than_ten_pairs_are_no_gain(script):
+    # Nine of nine won, far outside the parent's spread: still too few pairs.
+    change = [p - 25 for p in PARENT[:9]]
+    s = script.summarize(list(zip(PARENT[:9], change)), "lower")
+    assert s["wins"] == s["pairs"] == 9 and not s["gain"]
+
+
 def test_higher_is_better(script):
-    parent = [0.5, 0.6, 0.55, 0.52]
+    parent = [0.5, 0.6, 0.55, 0.52, 0.58, 0.51, 0.57, 0.54, 0.56, 0.53]
     s = script.summarize([(p, p + 0.5) for p in parent], "higher")
-    assert s["wins"] == 4 and s["gain"]
+    assert s["wins"] == 10 and s["gain"]
     s = script.summarize([(p, p - 0.5) for p in parent], "higher")
     assert s["wins"] == 0 and not s["gain"]
 

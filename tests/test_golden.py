@@ -28,17 +28,16 @@ from conftest import CHOICES, leaf, write_idx
 
 import vbfl.orchestrator as orchestrator
 import vbfl.protocol as protocol
-from vbfl.errors import ConfigError, InvariantViolation
-from vbfl.learning import TrainSpec
-from vbfl.orchestrator import (
+from vbfl.config import (
     BEHAVIOR_VALIDATOR_FLIP,
     BEHAVIOR_WORKER_NOISE,
     DatasetConfig,
     NetworkConfig,
     SimConfig,
-    Simulation,
-    run_simulation,
+    TrainSpec,
 )
+from vbfl.errors import ConfigError, InvariantViolation
+from vbfl.orchestrator import Simulation, run_simulation
 from vbfl.protocol import BlockRejected
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -46,7 +45,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _RUN = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
-from vbfl.orchestrator import SimConfig, run_simulation
+from vbfl.config import SimConfig
+from vbfl.orchestrator import run_simulation
 
 cfg = SimConfig.from_dict(json.loads(sys.argv[1]))
 with tempfile.TemporaryDirectory() as tmp:

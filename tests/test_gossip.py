@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbfl.errors import InvariantViolation
-from vbfl.learning import TrainSpec
-from vbfl.orchestrator import NetworkConfig, SimConfig, Simulation
+from vbfl.config import NetworkConfig, SimConfig, TrainSpec
+from vbfl.orchestrator import Simulation
 from vbfl.protocol import (
     WorkerTransaction,
     sign_worker_tx,

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbfl import learning
+from vbfl.config import TrainSpec
+from vbfl.errors import ConfigError
 from vbfl.learning import (
     DataShard,
     ModelParams,
-    TrainSpec,
     TrainingDiverged,
     evaluate,
     fedavg,
@@ -142,9 +143,11 @@ class TestLocalTrain:
         with pytest.raises(TrainingDiverged):
             local_train(start, shard, TrainSpec(5, 10.0, 2), rng(0))
 
-    def test_epochs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TrainSpec(0, 0.1, 1)
+    def test_epochs_must_be_positive(self, two_class_shards):
+        train, _ = two_class_shards
+        start = init_global_model(softmax_arch(4, 2), 7)
+        with pytest.raises(ConfigError, match=r"^train\.epochs: must be >= 1"):
+            local_train(start, train, TrainSpec(0, 0.1, 1), rng(0))
 
     def test_batch_larger_than_shard_rejected(self, two_class_shards):
         train, _ = two_class_shards

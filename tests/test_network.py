@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbfl.orchestrator import NetworkConfig
+from vbfl.config import NetworkConfig
 
 _shape = st.one_of(
     st.integers(0, 6),

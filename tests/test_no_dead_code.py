@@ -10,6 +10,9 @@ back unnoticed.
 Each parameter of a package function must be read by its body, but for a
 method that shares its name with a base-class method (both keep one
 signature) and the parameters listed in ``UNREAD_ALLOWED``.
+
+No package module imports an underscore name from another: a helper that
+crosses a module boundary gets a public name.
 """
 
 import ast
@@ -125,12 +128,33 @@ def unread_parameters(root: Path) -> list[str]:
     return sorted(unread)
 
 
+def private_imports(root: Path) -> list[str]:
+    """Underscore names (dunders aside) that a package module imports from
+    another package module."""
+    found = []
+    for path in sorted((root / "src" / "vbfl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "vbfl"
+            ):
+                found += [
+                    f"{path.relative_to(root)}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not is_dunder(alias.name)
+                ]
+    return found
+
+
 def test_every_definition_is_named_by_the_program():
     assert unnamed_definitions(ROOT) == []
 
 
 def test_every_parameter_is_read():
     assert unread_parameters(ROOT) == []
+
+
+def test_no_module_imports_a_private_name():
+    assert private_imports(ROOT) == []
 
 
 def test_the_check_sees_an_unnamed_definition(tmp_path):
@@ -165,3 +189,17 @@ def test_the_check_sees_an_unread_parameter(tmp_path):
         "src/vbfl/m.py:14 f(b)",
         "src/vbfl/m.py:15 inner(d)",
     ]
+
+
+def test_the_check_sees_a_private_import(tmp_path):
+    package = tmp_path / "src" / "vbfl"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import numpy as _np\n"
+        "from . import n\n"
+        "from .n import _helper, public\n"
+        "from vbfl.n import __version__, _other\n"
+        "from numpy import _globals\n"
+    )
+    assert private_imports(tmp_path) == ["src/vbfl/m.py:5 _helper", "src/vbfl/m.py:6 _other"]

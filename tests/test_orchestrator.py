@@ -3,25 +3,27 @@ import json
 import math
 import re
 import tracemalloc
-import typing
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import CHOICES, config_annotations, leaf, record_messages, with_leaves
+from conftest import CHOICES, config_annotations, leaf, mistyped, record_messages, with_leaves
 
-from vbfl.datasets import make_blobs_task
-from vbfl.errors import ConfigError, InvariantViolation
-from vbfl.learning import ModelParams, TrainSpec, evaluate, fedavg, local_train
-from vbfl.orchestrator import (
+from vbfl.config import (
     BEHAVIOR_VALIDATOR_FLIP,
     BEHAVIOR_WORKER_NOISE,
     Bound,
     DatasetConfig,
     NetworkConfig,
+    SimConfig,
+    TrainSpec,
+)
+from vbfl.datasets import make_blobs_task
+from vbfl.errors import ConfigError, InvariantViolation
+from vbfl.learning import ModelParams, evaluate, fedavg, local_train
+from vbfl.orchestrator import (
     Role,
     RunResult,
-    SimConfig,
     Simulation,
     VanillaRun,
     assign_roles,
@@ -111,24 +113,11 @@ NON_DEFAULT = {
 }
 
 
-def _float_keys(cls, prefix=""):
-    """Dotted keys of every float field of cls and of its nested sections."""
-    hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        if dataclasses.is_dataclass(f.default):
-            yield from _float_keys(type(f.default), f"{prefix}{f.name}.")
-        elif hints[f.name] is float:
-            yield prefix + f.name
-
-
-FLOAT_KEYS = sorted(_float_keys(SimConfig))
-
-# (dotted key, base type, Bound) of every bounded leaf, read from the annotations.
-BOUNDS = sorted(
-    (key, *typing.get_args(hint))
-    for key, hint in config_annotations()
-    if typing.get_origin(hint) is typing.Annotated
-)
+FLOAT_KEYS = sorted(key for key, hint, _ in config_annotations() if hint is float)
+# (dotted key, base type, Bound) of every bounded leaf.
+BOUNDS = sorted(entry for entry in config_annotations() if entry[2] is not None)
+# (dotted key, value) of every leaf with each value that does not fit its type.
+MISTYPED = [(key, value) for key, hint, _ in config_annotations() for value in mistyped(hint)]
 ROLE_COUNTS = ("n_workers", "n_validators", "n_miners")
 # Four devices and one-row batches, so that every bound's edge fits the rows per device.
 EDGE_BASE = tiny_cfg(
@@ -183,7 +172,7 @@ class TestConfig:
             tiny_cfg(train=dataclasses.replace(TINY_TRAIN, batch_size=13)).validate()
 
     def test_bad_train_spec_named(self):
-        with pytest.raises(ConfigError, match="^train: epochs"):
+        with pytest.raises(ConfigError, match=r"^train\.epochs: must be >= 1"):
             SimConfig.from_dict({"train": {"epochs": 0}})
 
     def test_round_trip(self):
@@ -196,14 +185,7 @@ class TestConfig:
     def test_round_trip_every_field(self):
         # One valid non-default value per settable value, found by walking
         # the dataclass fields, so a new knob cannot bypass the serialiser.
-        def leaves(cls, prefix=""):
-            for f in dataclasses.fields(cls):
-                if dataclasses.is_dataclass(f.default):
-                    yield from leaves(type(f.default), f"{prefix}{f.name}.")
-                else:
-                    yield prefix + f.name
-
-        assert set(leaves(SimConfig)) == set(NON_DEFAULT)
+        assert {key for key, _, _ in config_annotations()} == set(NON_DEFAULT)
         sections = {}
         for key, value in NON_DEFAULT.items():
             section, _, name = key.rpartition(".")
@@ -255,6 +237,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             SimConfig.from_dict(data)
 
+    @pytest.mark.parametrize("key, value", MISTYPED, ids=[f"{k}={v!r}" for k, v in MISTYPED])
+    def test_mistyped_leaf_named_alike_in_python_and_json(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as built:
+            with_leaves(tiny_cfg(), {key: value})
+        if isinstance(value, list):  # in JSON a list is how a tuple is written
+            return
+        section, _, name = key.rpartition(".")
+        data = {section: {name: value}} if section else {name: value}
+        with pytest.raises(ConfigError) as read:
+            SimConfig.from_dict(json.loads(json.dumps(data)))
+        assert str(read.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SimConfig(rounds="3"), "rounds: expected int, got '3'"),
+            (lambda: SimConfig(vh="0.1"), "vh: expected float, got '0.1'"),
+            (lambda: SimConfig(master_seed=1.5), "master_seed: expected int, got 1.5"),
+            (
+                lambda: SimConfig.from_dict({"train": {"epochs": "5"}}),
+                "train.epochs: expected int, got '5'",
+            ),
+        ],
+        ids=["rounds", "vh", "master_seed", "train.epochs"],
+    )
+    def test_mistyped_found_configs(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_ints_stand_for_floats(self):
         cfg = SimConfig.from_dict({"vh": 0, "network": {"delay": 1}, "dataset": {"idx_dir": None}})
         assert cfg.vh == 0 and cfg.network.delay == 1 and cfg.dataset.idx_dir is None
@@ -270,13 +281,13 @@ class TestConfig:
         if (key, value) == ("network.propagated_block_wait", math.inf):  # "unlimited"
             assert SimConfig.from_dict(data).network.propagated_block_wait == math.inf
             return
-        # TrainSpec rejects a NaN learning rate itself, as "train: learning_rate ...".
-        with pytest.raises(ConfigError, match=rf"^{section}\W*{name}\b"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be finite$"):
             SimConfig.from_dict(data)
 
     def test_bounds_cover_the_sections(self):
         assert all(isinstance(bound, Bound) for _, _, bound in BOUNDS)
-        assert {key.rpartition(".")[0] for key, _, _ in BOUNDS} == {"", "network", "dataset"}
+        sections = {key.rpartition(".")[0] for key, _, _ in BOUNDS}
+        assert sections == {"", "train", "network", "dataset"}
 
     @pytest.mark.parametrize(
         "key, base, bound, side",
@@ -299,11 +310,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^noise_variance: must be > 0$"):
             tiny_cfg(noise_variance=0.0)
 
+    @staticmethod
+    def _bad_choice(key):
+        """A value that is no choice of key, and the one message it raises."""
+        bad = ("NOPE",) if isinstance(leaf(SimConfig(), key), tuple) else "NOPE"
+        return bad, f"^{re.escape(key)}: choices are .*; got {re.escape(repr(bad))}$"
+
     @pytest.mark.parametrize("key", sorted(CHOICES))
     def test_bad_choice_raises_at_construction(self, key):
-        bad = ("NOPE",) if isinstance(leaf(SimConfig(), key), tuple) else "NOPE"
+        bad, match = self._bad_choice(key)
         section, _, name = key.rpartition(".")
-        match = f"^{re.escape(key)}: choices are .*; got {re.escape(repr(bad))}$"
         with pytest.raises(ConfigError, match=match):
             with_leaves(tiny_cfg(), {key: bad})
         built = {name: bad}
@@ -314,11 +330,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", sorted(CHOICES))
     def test_bad_choice_in_json_named(self, key):
+        bad, match = self._bad_choice(key)
         section, _, name = key.rpartition(".")
-        bad = ["NOPE"] if isinstance(leaf(SimConfig(), key), tuple) else "NOPE"
         data = {section: {name: bad}} if section else {name: bad}
-        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected .*Literal"):
-            SimConfig.from_dict(data)
+        with pytest.raises(ConfigError, match=match):
+            SimConfig.from_dict(json.loads(json.dumps(data)))
 
 
 class TestDevices:

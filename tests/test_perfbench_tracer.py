@@ -16,8 +16,8 @@ import pytest
 
 import vbfl.learning as learning
 import vbfl.orchestrator as orchestrator
-from vbfl.learning import TrainSpec
-from vbfl.orchestrator import DatasetConfig, RunResult, SimConfig, Simulation, VanillaRun
+from vbfl.config import DatasetConfig, SimConfig, TrainSpec
+from vbfl.orchestrator import RunResult, Simulation, VanillaRun
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 

@@ -4,9 +4,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from vbfl.config import SimConfig, TrainSpec
 from vbfl.learning import (
     DataShard,
-    TrainSpec,
     evaluate,
     init_global_model,
     inject_gaussian_noise,
@@ -14,7 +14,7 @@ from vbfl.learning import (
     local_train_many,
     softmax_arch,
 )
-from vbfl.orchestrator import SimConfig, Simulation, write_vad_csv
+from vbfl.orchestrator import Simulation, write_vad_csv
 from vbfl.presets import get_preset
 from vbfl.protocol import Vote
 from vbfl.validation import (
