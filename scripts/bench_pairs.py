@@ -21,8 +21,9 @@ Usage:
         [--pairs 10] [--seconds 12] [--seed 1]
 
 Stops at the first perfbench run that exits non-zero, printing its side,
-pair, exit code and the tail of its stderr, and exits 1; also exits 1 when
-a run reports incorrect outputs or failed simulations.
+pair, exit code and the tail of its stderr, and exits 1; it does the same,
+naming side and pair, for a run whose last stdout line is not a JSON object.
+It also exits 1 when a run reports incorrect outputs or failed simulations.
 """
 
 from __future__ import annotations
@@ -44,7 +45,14 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
          "--seconds", str(seconds), "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    try:
+        record = json.loads(last)
+    except json.JSONDecodeError:
+        record = None
+    if not isinstance(record, dict):
+        raise ValueError(f"its last stdout line is not a JSON object: {last[:200]!r}")
+    return record
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -103,6 +111,9 @@ def main(argv=None) -> int:
                 tail = "\n".join(exc.stderr.splitlines()[-20:])
                 print(f"{side} run of pair {i + 1} exited {exc.returncode}; its stderr ends:\n"
                       f"{tail}", file=sys.stderr)
+                return 1
+            except ValueError as exc:
+                print(f"{side} run of pair {i + 1} exited 0, but {exc}", file=sys.stderr)
                 return 1
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 

@@ -15,14 +15,12 @@ With default settings the whole sweep takes a few minutes on a laptop.
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
 
-from vbfl.cli import CALIBRATION_FILE
+from vbfl.cli import write_calibration
 from vbfl.orchestrator import run_simulation
 from vbfl.presets import apply_overrides, get_preset
-from vbfl.validation import suggest_threshold
 
 SETUPS = (
     "VFL_0_20",
@@ -48,15 +46,11 @@ def main(argv=None) -> int:
     cal_cfg = apply_overrides(cal_preset.config, seed=args.calibration_seed)
     cal_dir = args.out / "calibrate_vh" if args.out else None
     cal = run_simulation(cal_cfg, out_dir=cal_dir, preset=cal_preset.name)
-    suggestion = suggest_threshold(cal.driver.vad_records)
+    suggestion = write_calibration(cal.driver.vote_tables, cal_dir)
     vh = suggestion["suggested_vh"]
     print(f"calibrated threshold: {vh:.4f} "
           f"(legit p90 {suggestion['legit_vad_p90']:.4f}, "
           f"malicious p10 {suggestion['malicious_vad_p10']:.4f})")
-    if cal_dir:
-        (cal_dir / CALIBRATION_FILE).write_text(
-            json.dumps(suggestion, sort_keys=True, indent=2) + "\n"
-        )
 
     results: dict[str, list] = {}
     for name in SETUPS:

@@ -18,7 +18,7 @@ from .config import SimConfig, fits
 from .errors import ConfigError, InvariantViolation
 from .orchestrator import ROUNDS_CSV_FIELDS, RoundMetrics, run_simulation
 from .presets import PRESETS, apply_overrides, get_preset
-from .validation import suggest_threshold
+from .validation import VoteTable, suggest_threshold
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -107,6 +107,20 @@ def _round_line(m: RoundMetrics) -> str:
     )
 
 
+def write_calibration(tables: list[VoteTable], out_dir) -> dict:
+    """suggest_threshold over a calibration run's vote tables, written as
+    CALIBRATION_FILE into out_dir unless it is None. Raises ConfigError,
+    named ``calibration``, when the run cannot suggest a threshold."""
+    try:
+        suggestion = suggest_threshold(tables)
+    except ValueError as exc:
+        raise ConfigError(f"calibration: {exc}; no {CALIBRATION_FILE} was written") from None
+    if out_dir is not None:
+        path = Path(out_dir) / CALIBRATION_FILE
+        path.write_text(json.dumps(suggestion, sort_keys=True, indent=2) + "\n")
+    return suggestion
+
+
 def _cmd_run(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("preset: give exactly one of --preset or --config")
@@ -136,13 +150,9 @@ def _cmd_run(args) -> int:
     progress = None if args.quiet else lambda m: print(_round_line(m))
     result = run_simulation(config, out_dir=out_dir, preset=name, progress=progress)
     if args.preset == "CALIBRATE_VH":
-        try:
-            suggestion = suggest_threshold(result.driver.vad_records)
-        except ValueError as exc:
-            raise ConfigError(f"calibration: {exc}; no {CALIBRATION_FILE} was written") from None
-        path = Path(out_dir) / CALIBRATION_FILE
-        path.write_text(json.dumps(suggestion, sort_keys=True, indent=2) + "\n")
-        print(f"suggested vh: {suggestion['suggested_vh']:.4f} (written to {path})")
+        suggestion = write_calibration(result.driver.vote_tables, out_dir)
+        print(f"suggested vh: {suggestion['suggested_vh']:.4f} "
+              f"(written to {Path(out_dir) / CALIBRATION_FILE})")
     print(f"done: {len(result.metrics)} rounds, outputs in {out_dir}")
     return EXIT_OK
 

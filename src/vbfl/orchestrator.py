@@ -14,9 +14,10 @@ each handing the next its data explicitly:
    injection for malicious workers) and every validator's one-epoch
    reference model (never noised), signed worker transactions, gossip among
    validators;
-3. validate: every reference's and update's accuracy by ``evaluate``, one
-   vote per verified update (vote flipping for malicious validators), signed
-   validator transactions, gossip among miners;
+3. validate: the round's vote table, a row per validator and a column per
+   verified update, from one ``evaluate`` per reference and per distinct
+   (update, test set) pair; flipping validators invert their row. Then
+   signed validator transactions, gossip among miners;
 4. mine: vote aggregation once per round, and one unsealed candidate block
    per miner;
 5. select: the legitimate block by stake rank or mining race; each distinct
@@ -85,9 +86,8 @@ from .protocol import (
 from .rewards import StakeLedger, apply_block
 from .rng import derive_seed, substream
 from .validation import (
-    VadRecord,
     ValidatorState,
-    malicious_flip,
+    VoteTable,
     pretrain_one_epoch,  # unused here, but perfbench/tracer.py wraps this module's name
     validate_by_voting,
 )
@@ -245,7 +245,7 @@ class RoundMetrics:
     skipped: bool = False
     skip_reason: str = ""
     stakes: dict[DeviceId, int] = field(default_factory=dict)
-    vad_records: tuple[VadRecord, ...] = ()
+    votes: VoteTable | None = None
     events: tuple[tuple[DeviceId, str], ...] = ()
     roles: dict[DeviceId, Role] = field(default_factory=dict)
     legitimate_block: Block | None = None
@@ -430,8 +430,8 @@ class _World:
         return self.metrics
 
     @property
-    def vad_records(self) -> list[VadRecord]:
-        return [rec for m in self.metrics for rec in m.vad_records]
+    def vote_tables(self) -> list[VoteTable]:
+        return [m.votes for m in self.metrics if m.votes is not None]
 
 
 # A gossip message as sent: the message, the signing bytes its sender
@@ -457,8 +457,11 @@ class Simulation(_World):
 
     # -- helpers ------------------------------------------------------------
 
-    def _unanimous_blacklist(self) -> frozenset[DeviceId]:
-        """Devices every still-participating replica has blacklisted.
+    def _roster(self) -> tuple[frozenset[DeviceId], list[DeviceId], DeviceId]:
+        """The devices every still-participating replica has blacklisted,
+        the other (active) devices in id order, and the reporting device:
+        the first active one, or the lowest id when none is. The reporting
+        device's replica gives the round metrics and the chain dump.
 
         Blacklisted devices stop adopting blocks, so their replicas go
         stale and must not weigh in; iterate to the fixed point.
@@ -468,11 +471,10 @@ class Simulation(_World):
             views = [st.replica.ledger.blacklist for d, st in self.state.items() if d not in out]
             agreed = frozenset.intersection(*map(frozenset, views)) if views else out
             if agreed == out:
-                return out
+                break
             out = agreed
-
-    def _active_ids(self, blacklist: frozenset[DeviceId]) -> list[DeviceId]:
-        return [d.id for d in self.devices if d.id not in blacklist]
+        actives = [d.id for d in self.devices if d.id not in out]
+        return out, actives, (actives or [self.devices[0].id])[0]
 
     def _gossip(
         self,
@@ -522,9 +524,7 @@ class Simulation(_World):
     def run_round(self) -> RoundMetrics:
         cfg = self.config
         j = self.round_no = self.round_no + 1
-        blacklist = self._unanimous_blacklist()
-        actives = self._active_ids(blacklist)
-        ref = actives[0] if actives else sorted(self.state)[0]
+        blacklist, actives, ref = self._roster()
         if not actives:
             return self._skip(j, ref, "all devices blacklisted")
         plan = self._plan(j, blacklist)
@@ -536,44 +536,44 @@ class Simulation(_World):
         received, ready_v = self._gossip(
             inbox_v, lambda tx: tx.worker, verify_worker_tx, plan.validators, net_rng
         )
-        vad_records, inbox_m = self._validate(plan, received, ready_v, references, net_rng)
-        votes, ready_m = self._gossip(
+        votes, inbox_m = self._validate(plan, received, ready_v, references, net_rng)
+        vtxs, ready_m = self._gossip(
             inbox_m, lambda vtx: (vtx.validator, vtx.inner.worker), verify_validator_tx,
             plan.miners, net_rng,
         )
-        candidates, section = self._mine(plan, received, votes)
+        candidates, section = self._mine(plan, received, vtxs)
         choice = self._seal(self._select(plan, candidates, ready_m, net_rng), section)
         if not choice:
             return self._skip(j, ref, "no eligible legitimate block")
 
         prev_ref_ledger = self.state[ref].replica.ledger
         events, legit_ref = self._settle(plan, choice, actives, ref)
-        metrics = RoundMetrics(
-            round=j,
-            consensus=cfg.consensus.upper(),
-            global_accuracy=evaluate(self.state[ref].replica.g, self.full_test),
+        metrics = self._report(
+            j, ref,
             winner=legit_ref.miner if legit_ref else None,
             winner_malicious=bool(legit_ref and legit_ref.miner in self.malicious_ids),
             forked=len({b.content_hash for b in choice.values()}) > 1,
-            stakes={d: self.state[ref].replica.ledger.stake_of(d) for d in self.state},
-            vad_records=tuple(vad_records),
+            votes=votes,
             events=tuple(events),
             roles=plan.roles,
             legitimate_block=legit_ref,
         )
-        self.metrics.append(metrics)
         self._check_round_invariants(metrics, prev_ref_ledger, actives)
         return metrics
 
     def _skip(self, j: int, ref: DeviceId, reason: str) -> RoundMetrics:
         logger.warning("round %d skipped: %s", j, reason)
+        return self._report(j, ref, skipped=True, skip_reason=reason)
+
+    def _report(self, j: int, ref: DeviceId, **observed) -> RoundMetrics:
+        """Round j's metrics, read from the reporting device ref's replica."""
+        replica = self.state[ref].replica
         metrics = RoundMetrics(
             round=j,
             consensus=self.config.consensus.upper(),
-            global_accuracy=evaluate(self.state[ref].replica.g, self.full_test),
-            skipped=True,
-            skip_reason=reason,
-            stakes={d: self.state[ref].replica.ledger.stake_of(d) for d in self.state},
+            global_accuracy=evaluate(replica.g, self.full_test),
+            stakes={d: replica.ledger.stake_of(d) for d in self.state},
+            **observed,
         )
         self.metrics.append(metrics)
         return metrics
@@ -630,56 +630,53 @@ class Simulation(_World):
         ready: dict[DeviceId, float],
         references: dict[DeviceId, ModelParams],
         net_rng: np.random.Generator,
-    ):
+    ) -> tuple[VoteTable, dict[DeviceId, list[_Message]]]:
         """Each validator votes on every received update, against the
         accuracy of its reference model, and sends the votes to its miner,
         each signed over the digest of the worker bytes it received; a vote
-        leaves once its validator is ready.
+        leaves once its validator is ready. Returns the round's vote table
+        and the miners' inbox.
 
-        Validators sharing a test set see the same accuracy for the same
-        update, so each (update, test set) pair is evaluated once; every
-        validator received the same worker bytes, so each is digested once.
+        Validators sharing a test set form one group, which evaluates each
+        update once and votes on it in one call; every validator received
+        the same worker bytes, so each is digested once.
         """
         cfg = self.config
-        vad_records: list[VadRecord] = []
-        accuracy: dict[tuple[int, int], float] = {}  # keys: ids of (update, test set)
+        validators = plan.validators
+        shape = (len(validators), len(received))
+        vad, negative = np.empty(shape), np.empty(shape, dtype=bool)
+        groups: dict[int, list[int]] = {}  # keys: ids of the test sets; values: rows
+        for i, v in enumerate(validators):
+            groups.setdefault(id(self.state[v].test), []).append(i)
+        for rows in groups.values():
+            test = self.state[validators[rows[0]]].test
+            refs = np.array([evaluate(references[validators[i]], test) for i in rows])
+            group = ValidatorState(cfg.vh, test, refs)
+            for j, (tx, _) in enumerate(received):
+                accuracy = evaluate(tx.update, test)
+                negative[rows, j], vad[rows, j] = validate_by_voting(tx.update, group, accuracy)
+        negative ^= np.array([[self._behaves(v, BEHAVIOR_VALIDATOR_FLIP)] for v in validators])
         digests = [protocol_mod.payload_hash(tx_bytes) for _, tx_bytes in received]
+        ready_at = np.array([[ready[v]] for v in validators])
+        arrivals = (ready_at + cfg.network.link_delay(net_rng, shape)).tolist()
         inbox: dict[DeviceId, list[_Message]] = {m: [] for m in plan.miners}
-        for v in plan.validators:
-            st = self.state[v]
-            vstate = ValidatorState(cfg.vh, st.test, evaluate(references[v], st.test))
-            arrivals = (ready[v] + cfg.network.link_delay(net_rng, len(received))).tolist()
-            for (tx, _), digest, at in zip(received, digests, arrivals):
-                pair = (id(tx.update), id(st.test))
-                if pair not in accuracy:
-                    accuracy[pair] = evaluate(tx.update, st.test)
-                vote, vad = validate_by_voting(tx.update, vstate, accuracy[pair])
-                if self._behaves(v, BEHAVIOR_VALIDATOR_FLIP):
-                    vote = malicious_flip(vote)
-                vad_records.append(
-                    VadRecord(
-                        round=plan.round,
-                        validator=v,
-                        worker=tx.worker,
-                        vad=vad,
-                        vote=vote,
-                        worker_malicious=tx.worker in self.malicious_ids,
-                    )
-                )
+        for v, row, row_at in zip(validators, negative.tolist(), arrivals):
+            for (tx, _), digest, neg, at in zip(received, digests, row, row_at):
                 vtx = ValidatorTransaction(
                     round=plan.round,
                     validator=v,
                     inner=tx,
-                    vote=vote,
+                    vote=Vote.NEGATIVE if neg else Vote.POSITIVE,
                     verify_reward=cfg.unit_reward,
                     vali_reward=cfg.unit_reward,
                     signature=b"",
                 )
                 payload = protocol_mod.validator_tx_signing_bytes(vtx, digest)
                 vtx = sign_validator_tx(vtx, self.signer, payload)
-                m = plan.v2m[v]
-                inbox[m].append((vtx, payload, at))
-        return vad_records, inbox
+                inbox[plan.v2m[v]].append((vtx, payload, at))
+        workers = tuple(tx.worker for tx, _ in received)
+        malicious = np.array([w in self.malicious_ids for w in workers], dtype=bool)
+        return VoteTable(plan.round, tuple(validators), workers, malicious, vad, negative), inbox
 
     def _mine(
         self,
@@ -928,18 +925,13 @@ def write_events_csv(metrics: Sequence[RoundMetrics], path) -> None:
     ))
 
 
-def write_vad_csv(records: Sequence[VadRecord], path) -> None:
-    """Calibration dataset: one row per (round, validator, worker) vote."""
+def write_vad_csv(tables: Sequence[VoteTable], path) -> None:
+    """Calibration dataset: one row per vote, by round, validator, worker."""
     _write_csv(path, VAD_CSV_FIELDS, (
-        (
-            r.round,
-            r.validator.hex(),
-            r.worker.hex(),
-            repr(r.vad),
-            "P" if r.vote is Vote.POSITIVE else "N",
-            int(r.worker_malicious),
-        )
-        for r in records
+        (t.round, v.hex(), w.hex(), repr(vad), "N" if neg else "P", int(mal))
+        for t in tables
+        for v, vads, negs in zip(t.validators, t.vad.tolist(), t.negative.tolist())
+        for w, vad, neg, mal in zip(t.workers, vads, negs, t.worker_malicious.tolist())
     ))
 
 
@@ -987,9 +979,9 @@ def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path
     write_rounds_csv(result.metrics, out_dir / "rounds.csv")
     write_stake_csv(result.metrics, frozenset(result.driver.malicious_ids), out_dir / "stake.csv")
     write_events_csv(result.metrics, out_dir / "events.csv")
-    write_vad_csv(result.driver.vad_records, out_dir / "vad.csv")
+    write_vad_csv(result.driver.vote_tables, out_dir / "vad.csv")
     if isinstance(result.driver, Simulation):
-        ref = result.driver._active_ids(result.driver._unanimous_blacklist())[0]
+        _, _, ref = result.driver._roster()
         with open(out_dir / "chain.jsonl", "w", encoding="utf-8") as out:
             chain_to_jsonl(result.driver.state[ref].replica.chain, out)
     else:

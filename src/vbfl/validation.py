@@ -1,14 +1,13 @@
 """Validator voting on worker updates via the one-epoch proxy accuracy gap.
 
-Each round a validator's reference model is the incoming global model
-trained for a single epoch on its own shard: the orchestrator trains every
-reference in its one stacked training call with the workers' updates, and
-:func:`pretrain_one_epoch` is that model trained alone. The caller measures
-the reference's accuracy on the validator's test set with ``evaluate``. The gap
-between this reference accuracy and the accuracy of a worker's update
-(``vad``, validation accuracy difference) drives the vote: a gap above the
-validator's threshold means the update looks distorted and draws a Negative
-vote.
+A validator's reference model is the round's global model trained for one
+epoch on its own shard, in the orchestrator's one stacked training call
+(:func:`pretrain_one_epoch` is that model trained alone). The caller
+evaluates each reference on its validator's test set and each update once
+per distinct test set. The gap between the two accuracies (``vad``,
+validation accuracy difference) drives the vote: a gap above the threshold
+means the update looks distorted and draws a Negative vote. A round's votes
+form one :class:`VoteTable`, a validator per row and an update per column.
 """
 
 from __future__ import annotations
@@ -20,28 +19,30 @@ import numpy as np
 
 from .config import TrainSpec
 from .learning import DataShard, ModelParams, local_train
-from .protocol import DeviceId, Vote
+from .protocol import DeviceId
+
 
 @dataclass(frozen=True)
 class ValidatorState:
-    """One validator's state for one round: its threshold, its test set and
-    its reference accuracy on that test set."""
+    """The validators of one round that share a test set: their threshold,
+    that test set and each one's reference accuracy on it."""
 
     threshold: float
     test: DataShard
-    pretrain_acc: float
+    pretrain_acc: np.ndarray  # (validators in the group,)
 
 
 @dataclass(frozen=True)
-class VadRecord:
-    """One (validator, worker) measurement, for calibration and audit."""
+class VoteTable:
+    """One round's votes: row i is validators[i], column j the update of
+    workers[j]. ``negative`` is the vote sent, flips included."""
 
     round: int
-    validator: DeviceId
-    worker: DeviceId
-    vad: float
-    vote: Vote
-    worker_malicious: bool
+    validators: tuple[DeviceId, ...]
+    workers: tuple[DeviceId, ...]
+    worker_malicious: np.ndarray  # (workers,) bool
+    vad: np.ndarray  # (validators, workers) float
+    negative: np.ndarray  # (validators, workers) bool
 
 
 def pretrain_one_epoch(
@@ -57,34 +58,30 @@ def pretrain_one_epoch(
 
 def validate_by_voting(
     update: ModelParams, state: ValidatorState, accuracy: float
-) -> tuple[Vote, float]:
-    """Vote on one update; returns (vote, vad).
+) -> tuple[np.ndarray, np.ndarray]:
+    """A group's votes on one update; returns (negative, vad), one entry per
+    validator of the group.
 
     ``accuracy`` is ``evaluate(update, state.test)``, measured by the caller
-    so that validators sharing a test set evaluate each update once.
-    Negative iff vad exceeds the validator's threshold. With a threshold of
-    1.0 every vote is Positive, since vad can never exceed 1.
+    once for the whole group. Negative iff vad exceeds the threshold. With
+    a threshold of 1.0 every vote is Positive, since vad can never exceed 1.
     """
     vad = state.pretrain_acc - accuracy
-    vote = Vote.NEGATIVE if vad > state.threshold else Vote.POSITIVE
-    return vote, vad
+    return vad > state.threshold, vad
 
 
-def malicious_flip(vote: Vote) -> Vote:
-    """What a compromised validator reports instead of its honest vote."""
-    return Vote.NEGATIVE if vote is Vote.POSITIVE else Vote.POSITIVE
-
-
-def suggest_threshold(records: Sequence[VadRecord]) -> dict:
+def suggest_threshold(tables: Sequence[VoteTable]) -> dict:
     """Threshold suggestion from a calibration run's vad scatter.
 
     Midpoint between the 90th percentile of legitimate-worker vads and the
     10th percentile of malicious-worker vads; both populations must be
     present.
     """
-    legit = [r.vad for r in records if not r.worker_malicious]
-    malicious = [r.vad for r in records if r.worker_malicious]
-    if not legit or not malicious:
+    legit, malicious = (
+        np.concatenate([np.empty(0)] + [t.vad[:, t.worker_malicious == m].ravel() for t in tables])
+        for m in (False, True)
+    )
+    if not legit.size or not malicious.size:
         raise ValueError("need both legitimate-worker and malicious-worker vad records")
     legit_p90 = float(np.percentile(legit, 90))
     malicious_p10 = float(np.percentile(malicious, 10))
@@ -92,6 +89,6 @@ def suggest_threshold(records: Sequence[VadRecord]) -> dict:
         "suggested_vh": (legit_p90 + malicious_p10) / 2.0,
         "legit_vad_p90": legit_p90,
         "malicious_vad_p10": malicious_p10,
-        "n_legit": len(legit),
-        "n_malicious": len(malicious),
+        "n_legit": legit.size,
+        "n_malicious": malicious.size,
     }

@@ -55,10 +55,10 @@ def messages(preset_name: str, seed: int, rounds: int | None = None, vh: float |
 @pytest.fixture(scope="module")
 def calibrated_vh() -> float:
     result, _ = run("CALIBRATE_VH", CALIBRATION_SEED)
-    records = result.driver.vad_records
+    tables = result.driver.vote_tables
     # Full delivery: 30 rounds x 12 workers x 5 validators.
-    assert len(records) == 30 * 12 * 5
-    return suggest_threshold(records)["suggested_vh"]
+    assert [t.vad.shape for t in tables] == [(5, 12)] * 30
+    return suggest_threshold(tables)["suggested_vh"]
 
 
 def final_acc(result) -> float:
@@ -343,8 +343,7 @@ def test_criterion_10_consensus_safety(calibrated_vh):
         # Per-round chain equality is enforced by the runtime invariant
         # check (the run would have failed); verify the end state too.
         sim = result.driver
-        blacklist = sim._unanimous_blacklist()
-        actives = [d for d in sorted(sim.state) if d not in blacklist]
+        _, actives, _ = sim._roster()
         replicas = {id(sim.state[d].replica): sim.state[d].replica for d in actives}
         assert len(replicas) == 1, f"seed {seed}: active devices on {len(replicas)} replicas"
         (replica,) = replicas.values()

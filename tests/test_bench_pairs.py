@@ -157,3 +157,16 @@ def test_a_failing_perfbench_run_is_reported(script, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "parent run of pair 1 exited 3" in err
     assert err.rstrip().endswith("setting up\nno such workload: w")
+
+
+@pytest.mark.parametrize("stdout", ["", "done\n", "[1, 2]\n"])
+def test_a_run_without_a_json_record_is_reported(script, tmp_path, capsys, stdout):
+    # The parent runs first in pair 1, exits 0, and its last line is no record.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text(f"print({stdout!r}, end='')\n")
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    assert script.main([str(parent), str(change), "--workload", "w", "--pairs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "parent run of pair 1 exited 0, but its last stdout line is not a JSON object" in err

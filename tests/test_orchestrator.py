@@ -502,21 +502,36 @@ class TestRound:
         )
         assert g_before[ref] != want
 
-    def test_round_evaluates_each_update_once(self, monkeypatch):
+    @pytest.mark.parametrize("validator_test", ["full", "shard"])
+    def test_round_evaluates_each_update_once(self, monkeypatch, validator_test):
         import vbfl.orchestrator as orchestrator
 
         calls = count_calls(monkeypatch, orchestrator, "evaluate", "fedavg")
-        sim = Simulation(tiny_cfg(rounds=1))
+        groups = Counter()  # keys: (id of the test set, validators in the group)
+        vote = orchestrator.validate_by_voting
+
+        def voting(update, state, accuracy):
+            groups[id(state.test), len(state.pretrain_acc)] += 1
+            return vote(update, state, accuracy)
+
+        monkeypatch.setattr(orchestrator, "validate_by_voting", voting)
+        sim = Simulation(tiny_cfg(rounds=1, validator_test=validator_test))
         log = record_messages(sim)
         m = sim.run_round()
-        # One evaluation per distinct update on the shared test set, one per
-        # validator's reference, plus the global accuracy; one average for
-        # the block all replicas adopt.
+        # Validators sharing a test set vote as one group, which evaluates
+        # each distinct update once; one evaluation per validator's
+        # reference, plus the global accuracy; one average for the block
+        # all replicas adopt.
         validators = sum(r == Role.VALIDATOR for r in m.roles.values())
         updates = len({id(tx.update) for tx in log[1].worker_txs})
-        assert calls["evaluate"] == updates + validators + 1
+        test_sets = 1 if validator_test == "full" else validators
+        assert calls["evaluate"] == updates * test_sets + validators + 1
         assert calls["fedavg"] == 1
-        assert len(m.vad_records) == 12 * 5
+        assert m.votes.vad.shape == m.votes.negative.shape == (5, 12)
+        # One group of every validator on the shared test set; under
+        # "shard" every validator is its own group.
+        assert list(groups.values()) == [updates] * test_sets
+        assert {size for _, size in groups} == {validators // test_sets}
 
     def test_round_settles_its_block_once(self, monkeypatch):
         import vbfl.orchestrator as orchestrator
@@ -629,7 +644,7 @@ class TestRound:
         sim._validate = validating
         m = sim.run_round()
         workers = sum(r == Role.WORKER for r in m.roles.values())
-        votes = len(m.vad_records)
+        votes = m.votes.negative.size
         assert len(signed) == votes > 0
         assert max(signed) < 256
         assert sum(signed) + sum(hashed) <= workers * max(worker_bytes) + votes * 256
@@ -643,7 +658,7 @@ class TestRound:
         vote = orchestrator.validate_by_voting
 
         def voting(update, state, accuracy):
-            references[state.test.shard_of] = state.pretrain_acc
+            [references[state.test.shard_of]] = state.pretrain_acc.tolist()
             return vote(update, state, accuracy)
 
         # Each validator's own test shard names it.
@@ -699,7 +714,7 @@ class TestRound:
         assert m.winner is not None and not m.winner_malicious
         assert not m.forked and not m.skipped
         assert set(m.stakes) == set(sim.state)
-        assert len(m.vad_records) == 12 * 5
+        assert m.votes.vad.shape == (5, 12)
 
     def test_miner_never_reads_its_train_shard(self):
         sim = Simulation(tiny_cfg(rounds=1))
@@ -760,10 +775,14 @@ class TestRound:
         } & flipped.malicious_ids
         if not flipped_validators:
             pytest.skip("no malicious device drew the validator role this round")
-        hv = {(r.validator, r.worker): r.vote for r in mh.vad_records}
-        for rec in mf.vad_records:
-            if rec.validator in flipped_validators:
-                assert rec.vote is not hv[(rec.validator, rec.worker)]
+        # A flipping validator sends the inverse of each honest vote; its
+        # vad and every other validator's votes stay as they were.
+        th, tf = mh.votes, mf.votes
+        assert (th.validators, th.workers) == (tf.validators, tf.workers)
+        assert np.array_equal(th.vad, tf.vad)
+        flips = np.array([v in flipped_validators for v in tf.validators])
+        assert np.array_equal(tf.negative[flips], ~th.negative[flips])
+        assert np.array_equal(tf.negative[~flips], th.negative[~flips])
 
     def test_rounds_zero_genesis_only(self):
         result = run_simulation(tiny_cfg(rounds=0))
@@ -878,8 +897,9 @@ class TestRound:
         assert vad_rows and not any(bad.hex() in row for row in vad_rows)
         others = {tx.worker for tx in log[1].worker_txs} - {bad}
         assert len(others) == 11
-        for w in others:
-            assert {r.validator for r in m.vad_records if r.worker == w} == validators
+        # Every validator voted on every other worker's update.
+        assert set(m.votes.workers) == others
+        assert set(m.votes.validators) == validators
 
     def test_round_skipped_when_no_validators_remain(self):
         cfg = tiny_cfg(
@@ -894,6 +914,22 @@ class TestRound:
         m = sim.run_round()
         assert m.skipped
         assert sim.state[ref].replica.g == before
+
+    def test_all_blacklisted_run_still_writes_its_outputs(self, tmp_path):
+        # With no active device left, the round metrics and the chain dump
+        # both read the lowest-id device's replica.
+        from vbfl.protocol import chain_from_jsonl
+
+        sim = Simulation(tiny_cfg(rounds=1))
+        for st in sim.state.values():
+            st.replica.ledger.blacklist = frozenset(sim.state)
+        m = sim.run_round()
+        assert m.skipped and m.skip_reason == "all devices blacklisted"
+        assert m.votes is None and sim.vote_tables == []
+        out = write_outputs(RunResult(sim.config, sim.metrics, sim, None), tmp_path)
+        dumped = chain_from_jsonl((out / "chain.jsonl").read_text())
+        assert dumped.tip_hash == sim.state[min(sim.state)].replica.chain.tip_hash
+        assert (out / "vad.csv").read_text().splitlines()[1:] == []
 
     def test_forking_network_conserves_stake(self):
         # On this forking network the block of round 32 pays a device the

@@ -69,7 +69,8 @@ def test_traced_round_writes_untraced_outputs(tmp_path, driver_cls, consensus):
         # Every accuracy goes through the one evaluate name: the 12 updates
         # on the shared test set, the 5 validators' references, the global.
         assert layers["learning.evaluate.calls"] == 12 + 5 + 1
-        assert layers["validation.vote.calls"] > 0
+        # One vote call per (update, test set) pair: 12 updates, one shared set.
+        assert layers["validation.vote.calls"] == 12
         assert layers["consensus.aggregate_votes.calls"] == 1.0
         # The whole chain dump is written inside the one wrapped call.
         assert layers["protocol.chain_to_jsonl.calls"] == 1.0

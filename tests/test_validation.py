@@ -16,11 +16,9 @@ from vbfl.learning import (
 )
 from vbfl.orchestrator import Simulation, write_vad_csv
 from vbfl.presets import get_preset
-from vbfl.protocol import Vote
 from vbfl.validation import (
-    VadRecord,
     ValidatorState,
-    malicious_flip,
+    VoteTable,
     pretrain_one_epoch,
     suggest_threshold,
     validate_by_voting,
@@ -34,7 +32,7 @@ def rng(seed=0):
 @pytest.fixture
 def vstate(two_class_shards):
     _, test = two_class_shards
-    return ValidatorState(threshold=0.08, test=test, pretrain_acc=0.5)
+    return ValidatorState(threshold=0.08, test=test, pretrain_acc=np.array([0.5]))
 
 
 @pytest.fixture
@@ -80,15 +78,15 @@ class TestPretrain:
 
 class TestVoteRule:
     def mk_state(self, vstate, acc, vh):
-        return dataclasses.replace(vstate, pretrain_acc=acc, threshold=vh)
+        return dataclasses.replace(vstate, pretrain_acc=np.array([acc]), threshold=vh)
 
     def test_threshold_one_always_positive(self, vstate, global_model):
         # vad can never exceed 1, so a threshold of 1.0 approves everything,
         # even a model with zero accuracy against a perfect reference.
         state = self.mk_state(vstate, 1.0, 1.0)
         noisy = inject_gaussian_noise(global_model, 25.0, rng(1))
-        vote, vad = validate_by_voting(noisy, state, evaluate(noisy, state.test))
-        assert vote is Vote.POSITIVE
+        (negative,), (vad,) = validate_by_voting(noisy, state, evaluate(noisy, state.test))
+        assert not negative
         assert vad <= 1.0
 
     def test_large_gap_votes_negative(self, vstate, global_model, two_class_shards):
@@ -96,29 +94,41 @@ class TestVoteRule:
         trained = local_train(global_model, train, TrainSpec(5, 0.05, 10), rng(0))
         good_acc = evaluate(trained, test)
         assert good_acc > 0.9
-        state = dataclasses.replace(vstate, pretrain_acc=good_acc, threshold=0.08)
+        state = self.mk_state(vstate, good_acc, 0.08)
         garbage = inject_gaussian_noise(trained, 100.0, rng(2))
-        vote, vad = validate_by_voting(garbage, state, evaluate(garbage, test))
+        (negative,), (vad,) = validate_by_voting(garbage, state, evaluate(garbage, test))
         assert vad > 0.08
-        assert vote is Vote.NEGATIVE
+        assert negative
 
     def test_small_gap_votes_positive(self, vstate, global_model, two_class_shards):
         train, test = two_class_shards
         trained = local_train(global_model, train, TrainSpec(5, 0.05, 10), rng(0))
-        state = dataclasses.replace(
-            vstate, pretrain_acc=evaluate(trained, test) + 0.02, threshold=0.08
-        )
-        vote, vad = validate_by_voting(trained, state, evaluate(trained, test))
+        state = self.mk_state(vstate, evaluate(trained, test) + 0.02, 0.08)
+        (negative,), (vad,) = validate_by_voting(trained, state, evaluate(trained, test))
         assert vad == pytest.approx(0.02)
-        assert vote is Vote.POSITIVE
+        assert not negative
 
     def test_measured_accuracy_gives_the_same_vote(self, vstate, global_model):
         # The vote comes from the accuracy passed in; the test set is not read.
         state = self.mk_state(vstate, 0.9, 0.08)
         reads = state.test.access_count
-        assert validate_by_voting(global_model, state, 0.5) == (Vote.NEGATIVE, 0.9 - 0.5)
-        assert validate_by_voting(global_model, state, 0.85) == (Vote.POSITIVE, 0.9 - 0.85)
+        negative, vad = validate_by_voting(global_model, state, 0.5)
+        assert negative.tolist() == [True] and vad.tolist() == [0.9 - 0.5]
+        negative, vad = validate_by_voting(global_model, state, 0.85)
+        assert negative.tolist() == [False] and vad.tolist() == [0.9 - 0.85]
         assert state.test.access_count == reads
+
+    def test_group_votes_as_each_validator_alone(self, vstate, global_model):
+        # A group's validators share the update's accuracy; each entry is
+        # the one-validator rule on that validator's reference accuracy.
+        refs = [0.3, 0.58, 0.6, 0.95]
+        group = dataclasses.replace(vstate, pretrain_acc=np.array(refs), threshold=0.08)
+        negative, vad = validate_by_voting(global_model, group, 0.5)
+        alone = [
+            validate_by_voting(global_model, self.mk_state(vstate, r, 0.08), 0.5) for r in refs
+        ]
+        assert negative.tolist() == [n for (n,), _ in alone] == [False, False, True, True]
+        assert vad.tolist() == [v for _, (v,) in alone] == [r - 0.5 for r in refs]
 
     def test_monotone_in_threshold(self, vstate, global_model):
         # Raising the threshold can only turn Negative votes Positive.
@@ -128,10 +138,10 @@ class TestVoteRule:
         votes = []
         for vh in np.linspace(-1.0, 1.0, 21):
             state = dataclasses.replace(state0, threshold=float(vh))
-            votes.append(validate_by_voting(update, state, accuracy)[0])
+            votes.append(bool(validate_by_voting(update, state, accuracy)[0][0]))
         seen_positive = False
-        for vote in votes:
-            if vote is Vote.POSITIVE:
+        for negative in votes:
+            if not negative:
                 seen_positive = True
             else:
                 assert not seen_positive, "a Positive flipped back to Negative"
@@ -140,36 +150,40 @@ class TestVoteRule:
         for acc in (0.0, 0.37, 1.0):
             state = self.mk_state(vstate, acc, 0.05)
             _, vad = validate_by_voting(global_model, state, evaluate(global_model, state.test))
-            assert -1.0 <= vad <= 1.0
+            assert -1.0 <= vad.item() <= 1.0
 
 
-class TestFlip:
-    def test_flip_positive(self):
-        assert malicious_flip(Vote.POSITIVE) is Vote.NEGATIVE
-
-    def test_flip_negative(self):
-        assert malicious_flip(Vote.NEGATIVE) is Vote.POSITIVE
-
-    def test_involution(self):
-        for v in Vote:
-            assert malicious_flip(malicious_flip(v)) is v
+def table(vad, negative, malicious, round_no=1) -> VoteTable:
+    """A vote table with validators 0x05.., 0x06.., ... and workers 0x01.., 0x02.., ..."""
+    vad, negative = np.array(vad, dtype=float), np.array(negative, dtype=bool)
+    return VoteTable(
+        round=round_no,
+        validators=tuple(bytes([5 + i]) * 16 for i in range(vad.shape[0])),
+        workers=tuple(bytes([1 + j]) * 16 for j in range(vad.shape[1])),
+        worker_malicious=np.array(malicious, dtype=bool),
+        vad=vad,
+        negative=negative,
+    )
 
 
 class TestVadLog:
-    def records(self):
-        return [
-            VadRecord(1, b"\x05" * 16, b"\x01" * 16, 0.42, Vote.NEGATIVE, True),
-            VadRecord(1, b"\x05" * 16, b"\x02" * 16, -0.01, Vote.POSITIVE, False),
-        ]
+    def tables(self):
+        return [table([[0.42, -0.01], [0.3, 0.1]], [[True, False], [True, True]], [True, False])]
 
     def test_csv_shape(self, tmp_path):
         path = tmp_path / "vad.csv"
-        write_vad_csv(self.records(), path)
+        write_vad_csv(self.tables(), path)
         rows = list(csv.DictReader(path.open()))
-        assert len(rows) == 2
+        assert len(rows) == 4
         assert rows[0]["vote"] == "N" and rows[1]["vote"] == "P"
-        assert rows[0]["worker_malicious"] == "1"
+        assert rows[0]["worker_malicious"] == "1" and rows[3]["worker_malicious"] == "0"
         assert float(rows[0]["vad"]) == 0.42
+        # Rows run by round, then validator, then worker.
+        v, w = "05" * 16, "01" * 16
+        assert [(r["validator"] == v, r["worker"] == w) for r in rows] == [
+            (True, True), (True, False), (False, True), (False, False)
+        ]
+        assert rows[3]["vad"] == repr(0.1)
 
     def test_empty_run_header_only(self, tmp_path):
         path = tmp_path / "vad.csv"
@@ -179,7 +193,7 @@ class TestVadLog:
 
     def test_row_count_full_delivery(self, tiny_dataset):
         # With zero delay every worker transaction reaches every validator,
-        # so rounds x workers x validators rows accumulate.
+        # so rounds x workers x validators votes accumulate.
         config = SimConfig(
             rounds=4,
             master_seed=5,
@@ -189,21 +203,23 @@ class TestVadLog:
         )
         sim = Simulation(config)
         sim.run()
-        assert len(sim.vad_records) == 4 * 12 * 5
+        assert [t.vad.shape for t in sim.vote_tables] == [(5, 12)] * 4
 
     def test_suggestion_needs_both_populations(self):
-        legit_only = [r for r in self.records() if not r.worker_malicious]
+        legit_only = table([[-0.01], [0.1]], [[False], [True]], [False])
         with pytest.raises(ValueError):
-            suggest_threshold(legit_only)
+            suggest_threshold([legit_only])
+        with pytest.raises(ValueError):
+            suggest_threshold([])
 
     def test_suggestion_midpoint(self):
-        records = []
-        for i in range(10):
-            records.append(VadRecord(1, b"v", bytes([i]), 0.0 + i * 0.001, Vote.POSITIVE, False))
-            records.append(VadRecord(1, b"v", bytes([i]), 0.5 + i * 0.001, Vote.NEGATIVE, True))
-        got = suggest_threshold(records)
-        legit = [r.vad for r in records if not r.worker_malicious]
-        mal = [r.vad for r in records if r.worker_malicious]
+        legit = [0.0 + i * 0.001 for i in range(10)]
+        mal = [0.5 + i * 0.001 for i in range(10)]
+        tables = [
+            table([legit[:6] + mal[:4]], [[False] * 10], [False] * 6 + [True] * 4),
+            table([mal[4:] + legit[6:]], [[False] * 10], [True] * 6 + [False] * 4, 2),
+        ]
+        got = suggest_threshold(tables)
         want = (np.percentile(legit, 90) + np.percentile(mal, 10)) / 2
         assert got["suggested_vh"] == pytest.approx(want)
         assert got["n_legit"] == got["n_malicious"] == 10
@@ -221,8 +237,8 @@ class TestSeparation:
         )
         sim = Simulation(config)
         sim.run()
-        mal = np.array([r.vad for r in sim.vad_records if r.worker_malicious])
-        legit = np.array([r.vad for r in sim.vad_records if not r.worker_malicious])
+        mal = np.concatenate([t.vad[:, t.worker_malicious].ravel() for t in sim.vote_tables])
+        legit = np.concatenate([t.vad[:, ~t.worker_malicious].ravel() for t in sim.vote_tables])
         assert len(mal) and len(legit)
         assert np.median(mal) > np.median(legit)
         candidates = np.unique(np.concatenate([mal, legit]))
