@@ -14,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .protocol import (
-    Block,
-    DeviceId,
-    ValidatorTransaction,
-    Vote,
-    VoteTally,
-)
+from .protocol import Block, DeviceId, Vote, VoteTally, WorkerTransaction
 from .rewards import StakeLedger
 
 
@@ -28,28 +22,28 @@ class NoEligibleBlock(Exception):
     """Every candidate block was ruled out (empty input or all blacklisted)."""
 
 
-def aggregate_votes(vtxs: Sequence[ValidatorTransaction]) -> tuple[VoteTally, ...]:
-    """Fold validator transactions into one tally per worker, ordered by id.
+def aggregate_votes(
+    txs: Sequence[WorkerTransaction],
+    validators: Sequence[DeviceId],
+    kept: np.ndarray,
+    votes: np.ndarray,
+) -> tuple[VoteTally, ...]:
+    """One tally per worker transaction with a counted vote, ordered by id.
 
-    A duplicate (validator, worker) vote counts once; the first occurrence
-    wins.
+    ``kept`` (validators × txs, bool) marks the votes a miner verified, and
+    ``votes`` holds the vote value each of those signed (``Vote.value``);
+    entries outside ``kept`` are ignored. A value that is neither Positive
+    nor Negative counts for nothing.
     """
-    groups: dict[DeviceId, dict] = {}
-    for vtx in vtxs:
-        g = groups.setdefault(
-            vtx.inner.worker, {"tx": vtx.inner, "pos": 0, "neg": 0, "voters": set()}
-        )
-        if vtx.validator in g["voters"]:
-            continue
-        if vtx.vote is Vote.POSITIVE:
-            g["pos"] += 1
-        else:
-            g["neg"] += 1
-        g["voters"].add(vtx.validator)
-    return tuple(
-        VoteTally(g["tx"], g["pos"], g["neg"], frozenset(g["voters"]))
-        for _, g in sorted(groups.items())
-    )
+    positive = kept & (votes == Vote.POSITIVE.value)
+    negative = kept & (votes == Vote.NEGATIVE.value)
+    pos, neg = positive.sum(axis=0).tolist(), negative.sum(axis=0).tolist()
+    tallies = [
+        VoteTally(tx, p, n, {v for v, c in zip(validators, column) if c})
+        for tx, p, n, column in zip(txs, pos, neg, (positive | negative).T.tolist())
+        if p + n
+    ]
+    return tuple(sorted(tallies, key=lambda t: t.worker))
 
 
 def build_candidate(

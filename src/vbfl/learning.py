@@ -182,16 +182,6 @@ def _layout(arch_id: str) -> tuple[tuple[int, int, tuple[int, int]], ...]:
     return tuple(out)
 
 
-def _forward(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-    """The input of every layer, then the logits: [x, z] or [x, hidden, z]."""
-    acts = [x]
-    for k in range(0, len(params), 2):
-        if k:
-            acts.append(np.maximum(z, 0.0))
-        z = acts[-1] @ params[k] + params[k + 1]
-    return acts + [z]
-
-
 class _Step:
     """One SGD step of the first ``k`` models of a group.
 
@@ -344,8 +334,14 @@ def evaluate(params: ModelParams, test: DataShard) -> float:
     x, y = test.arrays()
     if test.dim != arch_input_dim(params.arch_id):
         raise ValueError("test feature dimension does not match the model")
-    preds = np.argmax(_forward(_unpack(params.values, params.arch_id), x)[-1], axis=1)
-    return float(np.mean(preds == y))
+    layers = _unpack(params.values, params.arch_id)
+    a = x
+    for k in range(0, len(layers), 2):
+        if k:
+            np.maximum(a, 0.0, out=a)  # ReLU on the hidden layer, in place
+        a = a @ layers[k]
+        a += layers[k + 1]
+    return np.count_nonzero(a.argmax(axis=1) == y) / len(y)
 
 
 def fedavg(updates: Sequence[tuple[ModelParams, float]]) -> ModelParams:

@@ -16,10 +16,13 @@ each handing the next its data explicitly:
    validators;
 3. validate: the round's vote table, a row per validator and a column per
    verified update, from one ``evaluate`` per reference and per distinct
-   (update, test set) pair; flipping validators invert their row. Then
-   signed validator transactions, gossip among miners;
-4. mine: vote aggregation once per round, and one unsealed candidate block
-   per miner;
+   (update, test set) pair; flipping validators invert their row. Then the
+   votes' signing bytes as one table, a row per vote, each row signed and
+   sent as a light (validator, column, signature) message, gossip among
+   miners;
+4. mine: the verified votes as a mask over the table and the vote each row
+   signs; tallies as column sums and validator rewards as row sums, once
+   per round, and one unsealed candidate block per miner;
 5. select: the legitimate block by stake rank or mining race; each distinct
    adopted block is then hashed and signed once;
 6. settle: chain append, reward/flag bookkeeping and the new global model,
@@ -72,8 +75,7 @@ from .protocol import (
     HmacSigner,
     Signer,
     StubSigner,
-    ValidatorTransaction,
-    Vote,
+    VoteMessage,
     WorkerTransaction,
     append_block,
     chain_to_jsonl,
@@ -537,11 +539,11 @@ class Simulation(_World):
             inbox_v, lambda tx: tx.worker, verify_worker_tx, plan.validators, net_rng
         )
         votes, inbox_m = self._validate(plan, received, ready_v, references, net_rng)
-        vtxs, ready_m = self._gossip(
-            inbox_m, lambda vtx: (vtx.validator, vtx.inner.worker), verify_validator_tx,
-            plan.miners, net_rng,
+        # A vote's key (validator, column) sorts as (validator, worker) would.
+        kept, ready_m = self._gossip(
+            inbox_m, itemgetter(0, 1), verify_validator_tx, plan.miners, net_rng
         )
-        candidates, section = self._mine(plan, received, vtxs)
+        candidates, section = self._mine(plan, received, kept)
         choice = self._seal(self._select(plan, candidates, ready_m, net_rng), section)
         if not choice:
             return self._skip(j, ref, "no eligible legitimate block")
@@ -632,14 +634,15 @@ class Simulation(_World):
         net_rng: np.random.Generator,
     ) -> tuple[VoteTable, dict[DeviceId, list[_Message]]]:
         """Each validator votes on every received update, against the
-        accuracy of its reference model, and sends the votes to its miner,
-        each signed over the digest of the worker bytes it received; a vote
-        leaves once its validator is ready. Returns the round's vote table
-        and the miners' inbox.
+        accuracy of its reference model, and sends the votes to its miner; a
+        vote leaves once its validator is ready. Returns the round's vote
+        table and the miners' inbox.
 
         Validators sharing a test set form one group, which evaluates each
         update once and votes on it in one call; every validator received
-        the same worker bytes, so each is digested once.
+        the same worker bytes, so each is digested once. The votes' signing
+        bytes are built as one table, a row per vote, each committing to the
+        digest of the worker bytes; a message carries its row.
         """
         cfg = self.config
         validators = plan.validators
@@ -656,25 +659,24 @@ class Simulation(_World):
                 accuracy = evaluate(tx.update, test)
                 negative[rows, j], vad[rows, j] = validate_by_voting(tx.update, group, accuracy)
         negative ^= np.array([[self._behaves(v, BEHAVIOR_VALIDATOR_FLIP)] for v in validators])
-        digests = [protocol_mod.payload_hash(tx_bytes) for _, tx_bytes in received]
+        txs = [tx for tx, _ in received]
+        table = protocol_mod.validator_tx_signing_bytes(
+            plan.round, validators, [protocol_mod.payload_hash(b) for _, b in received],
+            [tx.signature for tx in txs], negative, cfg.unit_reward, cfg.unit_reward,
+        )
+        width = len(table) // max(negative.size, 1)
         ready_at = np.array([[ready[v]] for v in validators])
         arrivals = (ready_at + cfg.network.link_delay(net_rng, shape)).tolist()
         inbox: dict[DeviceId, list[_Message]] = {m: [] for m in plan.miners}
-        for v, row, row_at in zip(validators, negative.tolist(), arrivals):
-            for (tx, _), digest, neg, at in zip(received, digests, row, row_at):
-                vtx = ValidatorTransaction(
-                    round=plan.round,
-                    validator=v,
-                    inner=tx,
-                    vote=Vote.NEGATIVE if neg else Vote.POSITIVE,
-                    verify_reward=cfg.unit_reward,
-                    vali_reward=cfg.unit_reward,
-                    signature=b"",
-                )
-                payload = protocol_mod.validator_tx_signing_bytes(vtx, digest)
-                vtx = sign_validator_tx(vtx, self.signer, payload)
-                inbox[plan.v2m[v]].append((vtx, payload, at))
-        workers = tuple(tx.worker for tx, _ in received)
+        at = 0  # offset of the next row in the table
+        for v, row_at in zip(validators, arrivals):
+            sent = inbox[plan.v2m[v]]
+            for j, arrival in enumerate(row_at):
+                payload = table[at : at + width]
+                at += width
+                signature = sign_validator_tx(v, self.signer, payload)
+                sent.append((VoteMessage(v, j, signature), payload, arrival))
+        workers = tuple(tx.worker for tx in txs)
         malicious = np.array([w in self.malicious_ids for w in workers], dtype=bool)
         return VoteTable(plan.round, tuple(validators), workers, malicious, vad, negative), inbox
 
@@ -682,26 +684,36 @@ class Simulation(_World):
         self,
         plan: _Plan,
         received: list[tuple[WorkerTransaction, bytes]],
-        votes: list[tuple[ValidatorTransaction, bytes]],
+        votes: list[tuple[VoteMessage, bytes]],
     ) -> tuple[dict[DeviceId, Block], bytes]:
         """Every miner builds an unsealed candidate block on the round's
-        votes, which every miner holds; returns the candidates and their
-        one tally section.
+        verified votes, which every miner holds; returns the candidates and
+        their one tally section.
 
-        The tally set, the validator-reward sum and the tally section are
-        computed once per round. The section's encoding reuses the worker
-        bytes the validators received, and lives only for the round.
+        The votes become a (validators × updates) mask and the vote value
+        each signed row carries, so the tallies are column sums and the
+        validator rewards row sums. The tally set, the rewards and the tally
+        section are computed once per round. The section's encoding reuses
+        the worker bytes the validators received, and lives only for the
+        round.
         """
-        vtxs = [vtx for vtx, _ in votes]
-        tallies = consensus_mod.aggregate_votes(vtxs)
-        validator_rewards: dict[DeviceId, int] = {}
-        for vtx in vtxs:
-            validator_rewards[vtx.validator] = (
-                validator_rewards.get(vtx.validator, 0) + vtx.verify_reward + vtx.vali_reward
-            )
+        unit = self.config.unit_reward
+        validators = plan.validators
+        row = {v: i for i, v in enumerate(validators)}
+        cells = ([row[msg.validator] for msg, _ in votes], [msg.column for msg, _ in votes])
+        kept = np.zeros((len(validators), len(received)), dtype=bool)
+        kept[cells] = True
+        signed = np.zeros(kept.shape, dtype=np.uint8)
+        signed[cells] = protocol_mod.signed_votes([payload for _, payload in votes])
+        txs = [tx for tx, _ in received]
+        tallies = consensus_mod.aggregate_votes(txs, validators, kept, signed)
+        # Each verified vote earns its validator a verify and a vali reward.
+        validator_rewards = {
+            v: 2 * unit * n for v, n in zip(validators, kept.sum(axis=1).tolist()) if n
+        }
         tx_bytes = {id(tx): b for tx, b in received}
         section = protocol_mod.encode_tallies(tallies, [tx_bytes[id(t.tx)] for t in tallies])
-        miner_reward = rewards_mod.miner_reward(len(vtxs), self.config.unit_reward)
+        miner_reward = rewards_mod.miner_reward(len(votes), unit)
         candidates = {
             m: consensus_mod.build_candidate(
                 miner=m,

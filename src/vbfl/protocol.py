@@ -17,7 +17,7 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -74,21 +74,14 @@ class WorkerTransaction:
     signature: bytes = b""
 
 
-@dataclass(frozen=True)
-class ValidatorTransaction:
-    """A validator's vote on one worker transaction, plus duty rewards."""
+class VoteMessage(NamedTuple):
+    """A validator's signed vote on one update. Its signing bytes are row
+    (validator, ``column``) of the round's :func:`validator_tx_signing_bytes`
+    table; ``column`` indexes the round's updates in worker-id order."""
 
-    round: int
     validator: DeviceId
-    inner: WorkerTransaction
-    vote: Vote
-    verify_reward: int
-    vali_reward: int
-    signature: bytes = b""
-
-    def __post_init__(self):
-        if self.inner.round != self.round:
-            raise ValueError("inner worker transaction is from a different round")
+    column: int
+    signature: bytes
 
 
 @dataclass(frozen=True)
@@ -230,10 +223,6 @@ def encode_model_params(p: ModelParams) -> bytes:
     return _u8(_TAG_MODEL) + _blob(p.arch_id.encode()) + _f64vec(p.values)
 
 
-def encode_vote(v: Vote) -> bytes:
-    return _u8(_TAG_VOTE) + _u8(v.value)
-
-
 # Encoders with several fields after a parameter vector join their parts
 # once: a chain of ``+`` would copy the vector once per following field.
 
@@ -253,25 +242,43 @@ def worker_tx_signing_bytes(tx: WorkerTransaction) -> bytes:
     )
 
 
-def validator_tx_signing_bytes(vtx: ValidatorTransaction, inner_digest: bytes) -> bytes:
-    """Everything but the signature, with the inner worker transaction
-    committed by digest: ``inner_digest`` is the ``payload_hash`` of
-    ``worker_tx_signing_bytes(vtx.inner)``, so a vote signs about 150 bytes
-    however large the update, and one digest serves every vote on it."""
-    if len(inner_digest) != HASH_LEN:
-        raise ValueError(f"inner_digest must be {HASH_LEN} bytes, got {len(inner_digest)}")
-    return b"".join(
-        (
-            _u8(_TAG_VALIDATOR_TX),
-            _u64(vtx.round),
-            _blob(vtx.validator),
-            _blob(inner_digest),
-            _blob(vtx.inner.signature),
-            encode_vote(vtx.vote),
-            _u64(vtx.verify_reward),
-            _u64(vtx.vali_reward),
-        )
+def validator_tx_signing_bytes(
+    round: int, validators: Sequence[DeviceId], inner_digests: Sequence[bytes],
+    inner_signatures: Sequence[bytes], negative: np.ndarray, verify_reward: int, vali_reward: int,
+) -> bytes:
+    """The signing bytes of a round's votes: one fixed-width row per
+    (validator, update) pair, rows in row-major order of the (validators ×
+    updates) ``negative`` table. A row is everything but the signature, with
+    the inner worker transaction committed by digest: ``inner_digests[j]``
+    is the ``payload_hash`` of update j's ``worker_tx_signing_bytes``, so a
+    row is 119 bytes (with 32-byte inner signatures) however large the
+    update. Raises ValueError if a digest is not ``HASH_LEN`` bytes, or the
+    validator ids or the inner signatures differ in length."""
+    if any(len(d) != HASH_LEN for d in inner_digests):
+        raise ValueError(f"inner digests must be {HASH_LEN} bytes")
+    if len({len(v) for v in validators}) > 1 or len({len(s) for s in inner_signatures}) > 1:
+        raise ValueError("validator ids or inner signatures differ in length")
+    if not negative.size:
+        return b""
+    n_v, n_u = negative.shape
+    head = b"".join(_u8(_TAG_VALIDATOR_TX) + _u64(round) + _blob(v) for v in validators)
+    inner = b"".join(
+        _blob(d) + _blob(sig) + _u8(_TAG_VOTE) for d, sig in zip(inner_digests, inner_signatures)
     )
+    tail = _u64(verify_reward) + _u64(vali_reward)
+    h, m = len(head) // n_v, len(inner) // n_u
+    rows = np.empty((n_v, n_u, h + m + 1 + len(tail)), dtype=np.uint8)
+    rows[:, :, :h] = np.frombuffer(head, np.uint8).reshape(n_v, 1, h)
+    rows[:, :, h : h + m] = np.frombuffer(inner, np.uint8).reshape(1, n_u, m)
+    rows[:, :, h + m] = np.where(negative, Vote.NEGATIVE.value, Vote.POSITIVE.value)
+    rows[:, :, h + m + 1 :] = np.frombuffer(tail, np.uint8)
+    return rows.tobytes()
+
+
+def signed_votes(rows: Sequence[bytes]) -> list[int]:
+    """The vote value (``Vote.value``) each validator-transaction row signs:
+    the byte before its two u64 rewards."""
+    return [row[-17] for row in rows]
 
 
 def _tally_parts(t: VoteTally, tx_signing_bytes: bytes) -> list[bytes]:
@@ -381,15 +388,16 @@ class HmacSigner(Signer):
 
 
 # The sign/verify functions take the signing bytes as an argument: a sender
-# encodes a transaction once and the message carries those bytes, so each
-# receiver checks the signature over what it received.
+# encodes a transaction once (a round's votes as one table) and the message
+# carries those bytes, so each receiver checks the signature over what it
+# received.
 
 
 def sign_worker_tx(
     tx: WorkerTransaction, signer: Signer, signing_bytes: bytes
 ) -> WorkerTransaction:
     # The constructor, not dataclasses.replace, which costs about 2.5 times
-    # as much; both signing functions run once per transaction.
+    # as much; this runs once per transaction.
     return WorkerTransaction(
         round=tx.round,
         worker=tx.worker,
@@ -407,24 +415,12 @@ def verify_worker_tx(
     return signer.verify(signing_bytes, tx.signature, tx.worker)
 
 
-def sign_validator_tx(
-    vtx: ValidatorTransaction, signer: Signer, signing_bytes: bytes
-) -> ValidatorTransaction:
-    return ValidatorTransaction(
-        round=vtx.round,
-        validator=vtx.validator,
-        inner=vtx.inner,
-        vote=vtx.vote,
-        verify_reward=vtx.verify_reward,
-        vali_reward=vtx.vali_reward,
-        signature=signer.sign(signing_bytes, vtx.validator),
-    )
+def sign_validator_tx(validator: DeviceId, signer: Signer, signing_bytes: bytes) -> bytes:
+    return signer.sign(signing_bytes, validator)
 
 
-def verify_validator_tx(
-    vtx: ValidatorTransaction, signer: Signer, signing_bytes: bytes
-) -> bool:
-    return signer.verify(signing_bytes, vtx.signature, vtx.validator)
+def verify_validator_tx(msg: VoteMessage, signer: Signer, signing_bytes: bytes) -> bool:
+    return signer.verify(signing_bytes, msg.signature, msg.validator)
 
 
 def compute_content_hash(block: Block) -> bytes:

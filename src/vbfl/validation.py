@@ -7,7 +7,8 @@ evaluates each reference on its validator's test set and each update once
 per distinct test set. The gap between the two accuracies (``vad``,
 validation accuracy difference) drives the vote: a gap above the threshold
 means the update looks distorted and draws a Negative vote. A round's votes
-form one :class:`VoteTable`, a validator per row and an update per column.
+form one :class:`VoteTable`, a validator per row and an update per column,
+and so do their signing bytes and the miners' tallies (see vbfl.protocol).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from vbfl.datasets import make_blobs_task
 from vbfl.config import DatasetConfig, SimConfig, TrainSpec
 from vbfl.learning import DataShard
 from vbfl.orchestrator import Simulation
-from vbfl.protocol import DeviceId, ValidatorTransaction, WorkerTransaction
+from vbfl.protocol import DeviceId, Vote, WorkerTransaction, payload_hash
 
 
 TINY_DATASET = DatasetConfig(
@@ -139,6 +139,30 @@ def with_leaves(cfg: SimConfig, changes: dict) -> SimConfig:
     return dataclasses.replace(cfg, **top)
 
 
+@dataclass(frozen=True)
+class RecordedVote:
+    """A vote a miner verified, as the row it signed says."""
+
+    validator: DeviceId
+    worker: DeviceId
+    vote: Vote
+
+
+def decode_vote_row(row: bytes) -> tuple:
+    """(round, validator, inner digest, inner signature, Vote, verify reward,
+    vali reward) of a vote's signing bytes, parsed as docs/wire-format.md
+    lays them out; raises AssertionError on any other layout."""
+    tag, round_no = struct.unpack_from(">BQ", row)
+    at, blobs = 9, []
+    for _ in range(3):  # validator, inner digest, inner signature
+        (n,) = struct.unpack_from(">I", row, at)
+        blobs.append(row[at + 4 : at + 4 + n])
+        at += 4 + n
+    vote_tag, value, verify_reward, vali_reward = struct.unpack_from(">BBQQ", row, at)
+    assert (tag, vote_tag, len(row)) == (0x04, 0x03, at + 18)
+    return (round_no, *blobs, Vote(value), verify_reward, vali_reward)
+
+
 @dataclass
 class RoundMessages:
     """One round's gossip, as the simulator's two hops moved it."""
@@ -147,8 +171,8 @@ class RoundMessages:
     worker_txs: tuple[WorkerTransaction, ...]
     # hop 1: the worker transactions each validator holds
     by_validator: dict[DeviceId, tuple[WorkerTransaction, ...]]
-    # hop 2: the validator transactions each miner holds
-    by_miner: dict[DeviceId, tuple[ValidatorTransaction, ...]] = field(default_factory=dict)
+    # hop 2: the votes each miner holds, in (validator, worker) order
+    by_miner: dict[DeviceId, tuple[RecordedVote, ...]] = field(default_factory=dict)
 
 
 def record_messages(sim: Simulation) -> dict[int, RoundMessages]:
@@ -156,18 +180,29 @@ def record_messages(sim: Simulation) -> dict[int, RoundMessages]:
 
     A round calls _gossip twice, worker->validator first and
     validator->miner second; a round skipped before gossip has no entry.
+    Each vote is decoded from the bytes its miner verified, and its worker
+    found by the digest it signs; that worker must be its column's.
     """
     rounds: dict[int, RoundMessages] = {}
     gossip = sim._gossip
+    received: list = []  # the round's hop-1 (tx, signing bytes), in column order
 
     def recording(inbox, key, verify, peers, net_rng):
         messages, ready = gossip(inbox, key, verify, peers, net_rng)
-        kept = {p: tuple(msg for msg, _ in messages) for p in peers}
         if sim.round_no in rounds:
-            rounds[sim.round_no].by_miner = kept
+            worker_of = {payload_hash(b): tx.worker for tx, b in received}
+            votes = []
+            for msg, row in messages:
+                round_no, validator, digest, _, vote, _, _ = decode_vote_row(row)
+                assert (round_no, validator) == (sim.round_no, msg.validator)
+                assert worker_of[digest] == received[msg.column][0].worker
+                votes.append(RecordedVote(validator, worker_of[digest], vote))
+            rounds[sim.round_no].by_miner = {p: tuple(votes) for p in peers}
         else:
+            received[:] = messages
+            kept = tuple(msg for msg, _ in messages)
             sent = sorted((msg for p in peers for msg, _, _ in inbox[p]), key=lambda tx: tx.worker)
-            rounds[sim.round_no] = RoundMessages(tuple(sent), kept)
+            rounds[sim.round_no] = RoundMessages(tuple(sent), {p: kept for p in peers})
         return messages, ready
 
     sim._gossip = recording

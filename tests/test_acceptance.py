@@ -157,11 +157,11 @@ def _oracle_round_rewards(metrics, msgs, unit: int) -> dict[bytes, dict[str, int
     if metrics.skipped or metrics.legitimate_block is None:
         return out
     winner = metrics.legitimate_block.miner
-    winner_vtxs = msgs.by_miner[winner]
-    # Workers: recount votes over the winner's raw validator transactions.
+    winner_votes = msgs.by_miner[winner]
+    # Workers: recount votes over the rows the winner verified.
     votes: dict[bytes, list[Vote]] = {}
-    for vtx in winner_vtxs:
-        votes.setdefault(vtx.inner.worker, []).append(vtx.vote)
+    for v in winner_votes:
+        votes.setdefault(v.worker, []).append(v.vote)
     for tx in msgs.worker_txs:
         tallied = votes.get(tx.worker, [])
         if not tallied:
@@ -174,11 +174,11 @@ def _oracle_round_rewards(metrics, msgs, unit: int) -> dict[bytes, dict[str, int
             credit(tx.worker, "worker", due)
     # Validators: one unit per verified transaction plus one per vote cast.
     for validator, txs in msgs.by_validator.items():
-        n_votes = sum(1 for vtx in winner_vtxs if vtx.validator == validator)
+        n_votes = sum(1 for v in winner_votes if v.validator == validator)
         assert n_votes <= len(txs), "a validator voted on a transaction it did not verify"
         credit(validator, "validator", (len(txs) + n_votes) * unit)
-    # The winning miner: one unit per verified validator transaction.
-    credit(winner, "miner", miner_reward(len(winner_vtxs), unit))
+    # The winning miner: one unit per verified vote.
+    credit(winner, "miner", miner_reward(len(winner_votes), unit))
     return out
 
 
@@ -215,23 +215,32 @@ def test_criterion_7_vote_aggregation_oracle(calibrated_vh):
         for m in result.metrics:
             if m.skipped or m.legitimate_block is None:
                 continue
-            for miner, vtxs in log[m.round].by_miner.items():
-                # Brute-force recount, first vote per (validator, worker).
-                seen = {}
-                for vtx in vtxs:
-                    seen.setdefault((vtx.validator, vtx.inner.worker), vtx.vote)
+            txs = log[m.round].worker_txs
+            for miner, votes in log[m.round].by_miner.items():
+                # Brute-force recount of the rows the miner verified.
                 by_worker: dict[bytes, dict] = {}
-                for (validator, worker), vote in seen.items():
-                    g = by_worker.setdefault(worker, {"pos": 0, "neg": 0, "voters": set()})
-                    g["pos"] += vote is Vote.POSITIVE
-                    g["neg"] += vote is Vote.NEGATIVE
-                    g["voters"].add(validator)
-                got = aggregate_votes(vtxs)
+                for v in votes:
+                    g = by_worker.setdefault(v.worker, {"pos": 0, "neg": 0, "voters": set()})
+                    g["pos"] += v.vote is Vote.POSITIVE
+                    g["neg"] += v.vote is Vote.NEGATIVE
+                    g["voters"].add(v.validator)
+                # The same votes as aggregate_votes' column input.
+                validators = sorted({v.validator for v in votes})
+                column = {tx.worker: j for j, tx in enumerate(txs)}
+                kept = np.zeros((len(validators), len(txs)), dtype=bool)
+                signed = np.zeros(kept.shape, dtype=np.uint8)
+                for v in votes:
+                    cell = validators.index(v.validator), column[v.worker]
+                    assert not kept[cell], "a (validator, worker) vote held twice"
+                    kept[cell], signed[cell] = True, v.vote.value
+                got = aggregate_votes(txs, validators, kept, signed)
                 assert len(got) == len(by_worker)
                 for tally in got:
                     want = by_worker[tally.worker]
                     assert (tally.positives, tally.negatives) == (want["pos"], want["neg"])
                     assert tally.voters == frozenset(want["voters"])
+            # The adopted block tallies the same votes.
+            assert m.legitimate_block.tallies == got
             rounds_checked += 1
     report("criterion 7 (vote aggregation oracle)", f"{rounds_checked} rounds, exact match")
 

@@ -20,7 +20,6 @@ from vbfl.protocol import (
     Blockchain,
     BlockSignatureError,
     StubSigner,
-    ValidatorTransaction,
     Vote,
     WorkerTransaction,
     ZERO_HASH,
@@ -53,11 +52,18 @@ def wtx(worker, round=1) -> WorkerTransaction:
     )
 
 
-def vtx(validator, worker, vote, round=1) -> ValidatorTransaction:
-    return ValidatorTransaction(
-        round=round, validator=dev(validator), inner=wtx(worker, round),
-        vote=vote, verify_reward=1, vali_reward=1,
-    )
+def tally_votes(votes):
+    """aggregate_votes over (validator, worker, Vote) triples, each distinct
+    (validator, worker) pair at most once, as the column input a miner
+    builds: validators and workers in id order."""
+    validators = sorted({dev(v) for v, _, _ in votes})
+    workers = sorted({w for _, w, _ in votes})
+    kept = np.zeros((len(validators), len(workers)), dtype=bool)
+    signed = np.zeros(kept.shape, dtype=np.uint8)
+    for v, w, vote in votes:
+        cell = validators.index(dev(v)), workers.index(w)
+        kept[cell], signed[cell] = True, vote.value
+    return aggregate_votes([wtx(w) for w in workers], validators, kept, signed)
 
 
 def make_signer(ids=range(32)):
@@ -71,55 +77,58 @@ class TestAggregate:
     def test_two_worker_walkthrough(self):
         # Three validators split 2-1 on the first update and vote the second
         # one down unanimously.
-        vtxs = [
-            vtx(5, 1, Vote.POSITIVE),
-            vtx(6, 1, Vote.NEGATIVE),
-            vtx(7, 1, Vote.POSITIVE),
-            vtx(5, 2, Vote.NEGATIVE),
-            vtx(6, 2, Vote.NEGATIVE),
-            vtx(7, 2, Vote.NEGATIVE),
-        ]
-        tallies = aggregate_votes(vtxs)
+        tallies = tally_votes([
+            (5, 1, Vote.POSITIVE),
+            (6, 1, Vote.NEGATIVE),
+            (7, 1, Vote.POSITIVE),
+            (5, 2, Vote.NEGATIVE),
+            (6, 2, Vote.NEGATIVE),
+            (7, 2, Vote.NEGATIVE),
+        ])
         assert [(t.positives, t.negatives) for t in tallies] == [(2, 1), (0, 3)]
         assert tallies[0].voters == frozenset(dev(v) for v in (5, 6, 7))
 
     def test_ordering_by_worker_id(self):
-        tallies = aggregate_votes([vtx(5, 9, Vote.POSITIVE), vtx(5, 2, Vote.POSITIVE)])
+        # Columns out of worker order still give tallies in worker order.
+        kept = np.ones((1, 2), dtype=bool)
+        signed = np.full((1, 2), Vote.POSITIVE.value, dtype=np.uint8)
+        tallies = aggregate_votes([wtx(9), wtx(2)], [dev(5)], kept, signed)
         assert [t.worker for t in tallies] == [dev(2), dev(9)]
 
     def test_empty(self):
-        assert aggregate_votes([]) == ()
-
-    def test_duplicate_vote_counted_once(self):
-        tallies = aggregate_votes(
-            [vtx(5, 1, Vote.POSITIVE), vtx(5, 1, Vote.NEGATIVE)]
-        )
-        assert (tallies[0].positives, tallies[0].negatives) == (1, 0)
+        assert tally_votes([]) == ()
+        # A column with no verified vote gives no tally, whatever it holds.
+        nothing_kept = np.zeros((2, 3), dtype=bool)
+        signed = np.full((2, 3), Vote.POSITIVE.value, dtype=np.uint8)
+        txs = [wtx(w) for w in (1, 2, 3)]
+        assert aggregate_votes(txs, [dev(5), dev(6)], nothing_kept, signed) == ()
 
     @settings(max_examples=50, deadline=None)
     @given(
-        st.lists(
-            st.tuples(st.integers(20, 26), st.integers(1, 6), st.booleans()),
-            max_size=30,
+        st.dictionaries(
+            st.tuples(st.integers(20, 26), st.integers(1, 6)), st.booleans(), max_size=30
         )
     )
-    def test_matches_bruteforce_recount(self, triples):
-        vtxs = [
-            vtx(v, w, Vote.POSITIVE if p else Vote.NEGATIVE) for v, w, p in triples
-        ]
-        tallies = aggregate_votes(vtxs)
-        # Brute force: first vote per (validator, worker) pair wins.
-        seen = {}
-        for v, w, p in triples:
-            seen.setdefault((v, w), p)
+    def test_matches_bruteforce_recount(self, votes):
+        # One vote per (validator, worker) pair: a hop raises on a key sent twice.
+        tallies = tally_votes(
+            [(v, w, Vote.POSITIVE if p else Vote.NEGATIVE) for (v, w), p in votes.items()]
+        )
         by_worker = {}
-        for (v, w), p in seen.items():
-            by_worker.setdefault(w, []).append(p)
+        for (v, w), p in votes.items():
+            by_worker.setdefault(w, []).append((v, p))
         assert len(tallies) == len(by_worker)
         for t in tallies:
-            votes = by_worker[t.worker[0]]
-            assert t.positives == sum(votes)
-            assert t.negatives == len(votes) - sum(votes)
+            cast = by_worker[t.worker[0]]
+            assert t.positives == sum(p for _, p in cast)
+            assert t.negatives == len(cast) - t.positives
+            assert t.voters == frozenset(dev(v) for v, _ in cast)
+
+    def test_a_vote_value_outside_the_enum_counts_for_nothing(self):
+        kept = np.ones((2, 1), dtype=bool)
+        signed = np.array([[Vote.NEGATIVE.value], [7]], dtype=np.uint8)
+        (t,) = aggregate_votes([wtx(1)], [dev(5), dev(6)], kept, signed)
+        assert (t.positives, t.negatives, t.voters) == (0, 1, frozenset([dev(5)]))
 
 
 class TestBuildCandidate:
@@ -127,8 +136,7 @@ class TestBuildCandidate:
         # Two honest miners with the same transactions differ only in the
         # miner identity and everything derived from it once sealed.
         signer = make_signer()
-        vtxs = [vtx(5, 1, Vote.POSITIVE), vtx(6, 1, Vote.NEGATIVE)]
-        tallies = aggregate_votes(vtxs)
+        tallies = tally_votes([(5, 1, Vote.POSITIVE), (6, 1, Vote.NEGATIVE)])
         kwargs = dict(
             tallies=tallies, miner_reward=2,
             validator_rewards={dev(5): 2, dev(6): 2},
@@ -143,7 +151,7 @@ class TestBuildCandidate:
     def test_candidate_verifies(self):
         signer = make_signer()
         block = build_candidate(
-            miner=dev(8), tallies=aggregate_votes([vtx(5, 1, Vote.POSITIVE)]),
+            miner=dev(8), tallies=tally_votes([(5, 1, Vote.POSITIVE)]),
             miner_reward=1, validator_rewards={dev(5): 2},
             prev_hash=ZERO_HASH, round=1,
         )

@@ -413,6 +413,35 @@ class TestEvaluate:
         p = init_global_model(softmax_arch(4, 2), 7)
         assert evaluate(p, test) == evaluate(p, test)
 
+    @pytest.mark.parametrize("hidden", [None, 4], ids=["softmax", "mlp"])
+    def test_matches_a_plain_forward_and_writes_no_input(self, hidden):
+        # evaluate computes in place; the test set and the parameters must
+        # come out byte-unchanged, and the accuracy must be that of a plain
+        # argmax(relu(x @ W1 + b1) @ W2 + b2).
+        r = rng(5)
+        dims = (5, 3) if hidden is None else (5, hidden, 3)
+        layers = []
+        for rows, cols in zip(dims[:-1], dims[1:]):
+            layers += [r.normal(size=(rows, cols)), r.normal(size=cols)]
+        if hidden is not None:
+            layers[1] = -np.abs(layers[1])  # a zero input row leaves no hidden unit on
+        layers[-1] = np.array([0.2, 0.7, 0.7])  # so its logits tie on classes 1 and 2
+        x = r.normal(size=(40, 5))
+        x[:2] = 0.0
+        y = r.integers(0, 3, size=40)
+        y[:2] = (1, 2)  # the tie goes to class 1: one right, one wrong
+        arch = softmax_arch(5, 3) if hidden is None else mlp_arch(5, hidden, 3)
+        params = ModelParams(np.concatenate([a.ravel() for a in layers]), arch)
+        test = DataShard(x, y)
+        before = [a.tobytes() for a in (*test.arrays(), params.values)]
+        a = x
+        for k in range(0, len(layers), 2):
+            a = (np.maximum(a, 0.0) if k else a) @ layers[k] + layers[k + 1]
+        want = np.argmax(a, axis=1)
+        assert list(want[:2]) == [1, 1]
+        assert evaluate(params, test) == float(np.mean(want == y))
+        assert [a.tobytes() for a in (*test.arrays(), params.values)] == before
+
 
 class TestFedavg:
     def arch(self):

@@ -2,14 +2,19 @@ import base64
 import dataclasses
 import io
 import json
-from dataclasses import replace
+import struct
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TINY_DATASET
+
+from vbfl.config import BEHAVIOR_VALIDATOR_FLIP, SimConfig, TrainSpec
 from vbfl.learning import ModelParams, mlp_arch, param_count, softmax_arch
+from vbfl.orchestrator import Role, Simulation, assign_roles, make_devices
 from vbfl.protocol import (
     BlacklistedMinerError,
     Block,
@@ -21,8 +26,8 @@ from vbfl.protocol import (
     HmacSigner,
     StubSigner,
     UnregisteredDevice,
-    ValidatorTransaction,
     Vote,
+    VoteMessage,
     VoteTally,
     WorkerTransaction,
     ZERO_HASH,
@@ -44,6 +49,7 @@ from vbfl.protocol import (
     verify_worker_tx,
     worker_tx_signing_bytes,
 )
+from vbfl.rng import substream
 
 ARCH = softmax_arch(2, 2)
 
@@ -68,19 +74,42 @@ def wtx(worker=1, round=1, seed=0, signature=b"") -> WorkerTransaction:
     )
 
 
-def vtx(validator=5, worker=1, vote=Vote.POSITIVE, round=1) -> ValidatorTransaction:
-    return ValidatorTransaction(
-        round=round,
-        validator=dev(validator),
-        inner=wtx(worker, round),
-        vote=vote,
-        verify_reward=1,
-        vali_reward=1,
+@dataclass(frozen=True)
+class VoteRow:
+    """The fields one row of a round's vote signing table commits to."""
+
+    round: int
+    validator: bytes
+    inner: WorkerTransaction
+    vote: Vote
+    verify_reward: int
+    vali_reward: int
+
+
+def vtx(validator=5, worker=1, vote=Vote.POSITIVE, round=1) -> VoteRow:
+    return VoteRow(round, dev(validator), wtx(worker, round), vote, 1, 1)
+
+
+def vtx_bytes(v: VoteRow) -> bytes:
+    """The vote's signing bytes: a table of one row."""
+    return validator_tx_signing_bytes(
+        v.round,
+        [v.validator],
+        [payload_hash(worker_tx_signing_bytes(v.inner))],
+        [v.inner.signature],
+        np.array([[v.vote is Vote.NEGATIVE]]),
+        v.verify_reward,
+        v.vali_reward,
     )
 
 
-def vtx_bytes(v: ValidatorTransaction) -> bytes:
-    return validator_tx_signing_bytes(v, payload_hash(worker_tx_signing_bytes(v.inner)))
+def struct_vote_row(round, validator, digest, inner_signature, vote: Vote, rewards) -> bytes:
+    """A vote's signing bytes, written field by field as docs/wire-format.md
+    lays them out."""
+    out = struct.pack(">BQ", 0x04, round)
+    for blob in (validator, digest, inner_signature):
+        out += struct.pack(">I", len(blob)) + blob
+    return out + struct.pack(">BBQQ", 0x03, vote.value, *rewards)
 
 
 def tally(worker=1, pos=2, neg=1, voters=(5, 6, 7)) -> VoteTally:
@@ -139,34 +168,49 @@ class TestSigning:
         assert sign_worker_tx(wtx(), signer, w_bytes) == dataclasses.replace(
             wtx(), signature=signer.sign(w_bytes, wtx().worker)
         )
-        assert sign_validator_tx(vtx(), signer, v_bytes) == dataclasses.replace(
-            vtx(), signature=signer.sign(v_bytes, vtx().validator)
-        )
+        assert sign_validator_tx(dev(5), signer, v_bytes) == signer.sign(v_bytes, dev(5))
 
     def test_hmac_rejects_validator_tx_tampered_after_signing(self):
         signer = make_signer(HmacSigner)
-        payload = vtx_bytes(vtx())
-        signed = sign_validator_tx(vtx(), signer, payload)
+        v = vtx()
+        payload = vtx_bytes(v)
+        signed = VoteMessage(v.validator, 0, sign_validator_tx(v.validator, signer, payload))
         assert verify_validator_tx(signed, signer, payload)
-        moved = ModelParams(signed.inner.update.values + 1e-9, ARCH)
+        moved = ModelParams(v.inner.update.values + 1e-9, ARCH)
         for tampered in (
-            dataclasses.replace(signed, vote=Vote.NEGATIVE),
-            dataclasses.replace(signed, inner=dataclasses.replace(signed.inner, epochs=50)),
-            dataclasses.replace(signed, inner=dataclasses.replace(signed.inner, update=moved)),
+            dataclasses.replace(v, vote=Vote.NEGATIVE),
+            dataclasses.replace(v, inner=dataclasses.replace(v.inner, epochs=50)),
+            dataclasses.replace(v, inner=dataclasses.replace(v.inner, update=moved)),
         ):
-            assert not verify_validator_tx(tampered, signer, vtx_bytes(tampered))
+            assert not verify_validator_tx(signed, signer, vtx_bytes(tampered))
+        assert not verify_validator_tx(signed._replace(validator=dev(6)), signer, payload)
 
     def test_validator_tx_signing_bytes_do_not_grow_with_the_update(self):
         # A vote commits to its worker transaction by digest.
-        def vote_on(arch: str) -> ValidatorTransaction:
+        def vote_on(arch: str) -> VoteRow:
             update = ModelParams(np.zeros(param_count(arch)), arch)
             return dataclasses.replace(vtx(), inner=dataclasses.replace(wtx(), update=update))
 
         small, large = vote_on(softmax_arch(8, 4)), vote_on(mlp_arch(128, 16, 10))
         assert len(worker_tx_signing_bytes(large.inner)) > 17_000
         assert len(vtx_bytes(large)) == len(vtx_bytes(small))
+        undigested, one = worker_tx_signing_bytes(small.inner), np.zeros((1, 1), dtype=bool)
         with pytest.raises(ValueError):
-            validator_tx_signing_bytes(small, worker_tx_signing_bytes(small.inner))
+            validator_tx_signing_bytes(1, [dev(5)], [undigested], [b""], one, 1, 1)
+
+    def test_rows_of_two_widths_are_refused(self):
+        # Inner signatures or validator ids of two lengths would give rows
+        # of two widths.
+        with pytest.raises(ValueError, match="differ in length"):
+            validator_tx_signing_bytes(
+                1, [dev(5)], [ZERO_HASH] * 2, [b"\x01" * 32, b"\x01" * 31],
+                np.zeros((1, 2), dtype=bool), 1, 1,
+            )
+        with pytest.raises(ValueError, match="differ in length"):
+            validator_tx_signing_bytes(
+                1, [dev(5), dev(6)[:15]], [ZERO_HASH], [b"\x01" * 32],
+                np.zeros((2, 1), dtype=bool), 1, 1,
+            )
 
     def test_hmac_rejects_wrong_key(self):
         signer = make_signer(HmacSigner)
@@ -299,7 +343,7 @@ class TestCodec:
         assert set(WTX_CHANGES) == wtx_fields
         assert covered["worker_tx"] == wtx_fields - {"signature"}
         assert covered["validator_tx"] == (
-            field_names(ValidatorTransaction, ("inner", "signature"))
+            field_names(VoteRow, ("inner",))
             | {f"inner.{f}" for f in wtx_fields}
         )
         assert covered["block"] == (
@@ -322,6 +366,132 @@ class TestCodec:
         assert block_body_bytes(b, section) == block_body_bytes(b)
         signer = make_signer()
         assert seal_block(b, signer, section) == seal_block(b, signer)
+
+
+# --- a round's votes on the wire -----------------------------------------------
+
+
+def flip_vote_byte(row: bytes) -> bytes:
+    """row with its vote value inverted: the byte before the two rewards."""
+    return row[:-17] + bytes([row[-17] ^ 1]) + row[-16:]
+
+
+def vote_round(scheme: str) -> Simulation:
+    """One round of 4 workers, 3 validators and 2 miners; the first
+    validator of round 1 flips its votes."""
+    cfg = SimConfig(
+        rounds=1, master_seed=11, n_devices=9, n_workers=4, n_validators=3, n_miners=2,
+        dataset=TINY_DATASET, arch="softmax",
+        train=TrainSpec(epochs=2, learning_rate=0.05, batch_size=10),
+        vh=0.0, signature_scheme=scheme, malicious_behaviors=(BEHAVIOR_VALIDATOR_FLIP,),
+    )
+    ids = [d.id for d in make_devices(cfg.n_devices)]
+    roles = assign_roles(1, ids, cfg, substream(cfg.master_seed, "roles", 1))
+    flipper = next(k for k, d in enumerate(ids) if roles[d] is Role.VALIDATOR)
+    return Simulation(replace(cfg, malicious=(flipper,)))
+
+
+def hops(sim: Simulation, tamper=None) -> list:
+    """Wrap sim._gossip; the list fills with each hop's (inbox as sent,
+    kept messages). ``tamper(inbox)``, if given, edits the second hop's
+    inbox, after signing and before delivery."""
+    log, gossip = [], sim._gossip
+
+    def recording(inbox, *args):
+        if log and tamper:
+            tamper(inbox)
+        kept, ready = gossip(inbox, *args)
+        log.append((inbox, kept))
+        return kept, ready
+
+    sim._gossip = recording
+    return log
+
+
+class TestVoteTable:
+    @pytest.mark.parametrize("kind", [StubSigner, HmacSigner], ids=["stub", "hmac"])
+    def test_every_row_is_the_documented_layout(self, kind):
+        # 3 validators x 4 updates; the second validator flips its row.
+        signer = make_signer(kind)
+        unsigned = [wtx(w, round=3, seed=w) for w in (1, 2, 3, 4)]
+        payloads = [worker_tx_signing_bytes(tx) for tx in unsigned]
+        txs = [sign_worker_tx(tx, signer, b) for tx, b in zip(unsigned, payloads)]
+        digests = [payload_hash(b) for b in payloads]
+        validators = [dev(5), dev(6), dev(7)]
+        negative = np.array([[False, True, False, False]] * 3)
+        negative[1] ^= True
+        table = validator_tx_signing_bytes(
+            3, validators, digests, [tx.signature for tx in txs], negative, 1, 2
+        )
+        assert len(table) == 12 * 119
+        for k in range(12):
+            i, j = divmod(k, 4)
+            row = table[119 * k : 119 * (k + 1)]
+            vote = Vote.NEGATIVE if negative[i, j] else Vote.POSITIVE
+            want = struct_vote_row(3, validators[i], digests[j], txs[j].signature, vote, (1, 2))
+            assert row == want
+            msg = VoteMessage(validators[i], j, sign_validator_tx(validators[i], signer, row))
+            assert verify_validator_tx(msg, signer, row)
+            assert verify_validator_tx(msg, signer, flip_vote_byte(row)) is (kind is StubSigner)
+
+    @pytest.mark.parametrize("scheme", ["stub", "hmac"])
+    def test_a_round_sends_the_documented_rows(self, scheme):
+        sim = vote_round(scheme)
+        log = hops(sim)
+        t = sim.run_round().votes
+        (_, received), (inbox, _) = log
+        flips = np.array([[v in sim.malicious_ids] for v in t.validators])
+        assert t.negative.shape == (3, 4) and flips.sum() == 1
+        assert np.array_equal(t.negative, (t.vad > 0.0) ^ flips)
+        assert 0 < t.negative.sum() < 12
+        sent = [(msg, row) for m in sorted(inbox) for msg, row, _ in inbox[m]]
+        assert sorted((msg.validator, msg.column) for msg, _ in sent) == [
+            (v, j) for v in t.validators for j in range(4)
+        ]
+        for msg, row in sent:
+            i = t.validators.index(msg.validator)
+            tx, tx_bytes = received[msg.column]
+            assert tx.worker == t.workers[msg.column]
+            vote = Vote.NEGATIVE if t.negative[i, msg.column] else Vote.POSITIVE
+            digest = payload_hash(tx_bytes)
+            assert row == struct_vote_row(1, msg.validator, digest, tx.signature, vote, (1, 1))
+
+    @pytest.mark.parametrize("scheme", ["stub", "hmac"])
+    def test_a_row_flipped_after_signing(self, scheme):
+        # Under HMAC the flipped vote fails at its miner: it is missing from
+        # the tally, and its validator and the miner earn less. The stub
+        # verifies anything, so the miner counts the vote the row now says.
+        flipped = []
+
+        def flip_first_vote(inbox):
+            miner = min(m for m in inbox if inbox[m])
+            msg, row, at = inbox[miner][0]
+            inbox[miner][0] = (msg, flip_vote_byte(row), at)
+            flipped.append((msg, row[-17]))
+
+        clean = vote_round(scheme).run_round().legitimate_block
+        sim = vote_round(scheme)
+        hops(sim, flip_first_vote)
+        block = sim.run_round().legitimate_block
+        ((msg, was),) = flipped
+        worker = sim.metrics[0].votes.workers[msg.column]
+        before, after = ({t.worker: t for t in b.tallies} for b in (clean, block))
+        rewards_before, rewards_after = dict(clean.validator_rewards), dict(block.validator_rewards)
+        if scheme == "hmac":
+            assert msg.validator in before[worker].voters
+            assert msg.validator not in after[worker].voters
+            assert rewards_after[msg.validator] == rewards_before[msg.validator] - 2
+            assert block.miner_reward == clean.miner_reward - 1
+            counts = (before[worker].positives, before[worker].negatives)
+            lost = (1, 0) if was == Vote.POSITIVE.value else (0, 1)
+            assert (after[worker].positives, after[worker].negatives) == (
+                counts[0] - lost[0], counts[1] - lost[1]
+            )
+        else:
+            assert after[worker].voters == before[worker].voters
+            assert rewards_after == rewards_before
+            moved = 1 if was == Vote.NEGATIVE.value else -1
+            assert after[worker].positives == before[worker].positives + moved
 
 
 # --- blocks and chains -------------------------------------------------------
