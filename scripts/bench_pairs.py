@@ -16,6 +16,10 @@ Within the bound reads ``unresolved`` when the parent's own interquartile
 range is wider than that fraction of its median, unless every change run
 beats every parent run: the spread then hides a change the bound forbids.
 
+It also prints each side's environment from perfbench's ``env:`` line (BLAS
+threads, ``OPENBLAS_NUM_THREADS``, CPUs, numpy and Python versions) and warns
+when the two sides differ in it; git sha and load average are left out.
+
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
         [--pairs 10] [--seconds 12] [--seed 1]
@@ -36,23 +40,47 @@ import sys
 from pathlib import Path
 
 MIN_PAIRS = 10  # the gain rule judges no fewer pairs than this
+# The fields of perfbench's environment that two sides of a pair should share.
+ENV_KEYS = ("blas_threads", "OPENBLAS_NUM_THREADS", "nproc", "numpy", "python")
+
+
+def parse_run(stdout: str) -> dict:
+    """A perfbench run's record, its last stdout line, with the fields of
+    its ``env:`` line under "env" (empty without one)."""
+    lines = stdout.strip().splitlines() or [""]
+    try:
+        record = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        record = None
+    if not isinstance(record, dict):
+        raise ValueError(f"its last stdout line is not a JSON object: {lines[-1][:200]!r}")
+    env = [json.loads(line[len("env: "):]) for line in lines if line.startswith("env: ")]
+    return {**record, "env": env[-1] if env else {}}
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One untraced perfbench run in checkout; its final JSON line."""
+    """One untraced perfbench run in checkout; its parsed record."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
-    last = (done.stdout.strip().splitlines() or [""])[-1]
-    try:
-        record = json.loads(last)
-    except json.JSONDecodeError:
-        record = None
-    if not isinstance(record, dict):
-        raise ValueError(f"its last stdout line is not a JSON object: {last[:200]!r}")
-    return record
+    return parse_run(done.stdout)
+
+
+def environment_lines(results: dict[str, list[dict]]) -> list[str]:
+    """A line per side naming its runs' ENV_KEYS values (several, joined by
+    "|", when its runs differ), then a warning line if the sides differ."""
+    seen = {
+        side: {key: sorted({str(r.get("env", {}).get(key)) for r in runs}) for key in ENV_KEYS}
+        for side, runs in results.items()
+    }
+    lines = [f"  {side} env: " + ", ".join(f"{k}={'|'.join(v)}" for k, v in values.items())
+             for side, values in seen.items()]
+    differ = [key for key in ENV_KEYS if seen["parent"][key] != seen["change"][key]]
+    if differ:
+        lines.append("  WARNING: parent and change ran with different " + ", ".join(differ))
+    return lines
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -121,6 +149,7 @@ def main(argv=None) -> int:
            for i, r in enumerate(runs) if not r["correct"] or r["failed"]]
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"--seconds {args.seconds:g}; values are q1 / median / q3")
+    print("\n".join(environment_lines(results)))
     for metric in spec["end_to_end"]:
         name = metric["name"]
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])

@@ -56,7 +56,9 @@ def mlp_arch(input_dim: int, hidden: int, num_classes: int) -> str:
 
 @functools.lru_cache
 def parse_arch(arch_id: str) -> tuple[str, tuple[int, ...]]:
-    """Split an architecture id into (kind, layer dims). Raises ValueError.
+    """Split an architecture id into (kind, layer dims). Raises ValueError,
+    also for an id that is not the one spelling of its dims (``"mlp:08-4-2"``),
+    so equal layouts have equal ids.
 
     Cached: training, evaluation and every ModelParams parse an id. A
     failed parse raises each time, since exceptions are not cached.
@@ -66,6 +68,8 @@ def parse_arch(arch_id: str) -> tuple[str, tuple[int, ...]]:
         dims = tuple(int(d) for d in spec.split("-"))
     except (ValueError, AttributeError):
         raise ValueError(f"malformed architecture id: {arch_id!r}") from None
+    if arch_id != f"{kind}:{'-'.join(map(str, dims))}":
+        raise ValueError(f"non-canonical architecture id: {arch_id!r}")
     if kind == "softmax" and len(dims) == 2 and all(d > 0 for d in dims):
         return kind, dims
     if kind == "mlp" and len(dims) == 3 and all(d > 0 for d in dims):

@@ -36,7 +36,6 @@ config a run reads, and its rules, live in :mod:`vbfl.config`.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -900,23 +899,20 @@ class RunResult:
     out_dir: Path | None
 
 
-def _write_csv(path, header: Sequence[str], rows) -> None:
+def _write_csv(path, header: Sequence[str], lines) -> None:
+    """Write the header and the preformatted lines as csv.writer's default
+    dialect would: comma-separated, each line ending in CRLF. No field can
+    need quoting, since each is hex, a decimal int, a repr'd float or a
+    fixed word."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(lines)
 
 
 def write_rounds_csv(metrics: Sequence[RoundMetrics], path) -> None:
     _write_csv(path, ROUNDS_CSV_FIELDS, (
-        (
-            m.round,
-            m.consensus,
-            m.winner.hex() if m.winner else "",
-            int(m.winner_malicious),
-            int(m.forked),
-            repr(float(m.global_accuracy)),
-        )
+        f"{m.round},{m.consensus},{m.winner.hex() if m.winner else ''},"
+        f"{int(m.winner_malicious)},{int(m.forked)},{float(m.global_accuracy)!r}\r\n"
         for m in metrics
     ))
 
@@ -925,26 +921,34 @@ def write_stake_csv(
     metrics: Sequence[RoundMetrics], malicious_ids: frozenset[DeviceId], path
 ) -> None:
     _write_csv(path, STAKE_CSV_FIELDS, (
-        (m.round, d.hex(), m.stakes[d], int(d in malicious_ids))
-        for m in metrics
-        for d in sorted(m.stakes)
+        f"{m.round},{d.hex()},{m.stakes[d]},{int(d in malicious_ids)}\r\n"
+        for m in metrics for d in sorted(m.stakes)
     ))
 
 
 def write_events_csv(metrics: Sequence[RoundMetrics], path) -> None:
     _write_csv(path, EVENTS_CSV_FIELDS, (
-        (m.round, device.hex(), event) for m in metrics for device, event in m.events
+        f"{m.round},{device.hex()},{event}\r\n" for m in metrics for device, event in m.events
     ))
 
 
 def write_vad_csv(tables: Sequence[VoteTable], path) -> None:
     """Calibration dataset: one row per vote, by round, validator, worker."""
-    _write_csv(path, VAD_CSV_FIELDS, (
-        (t.round, v.hex(), w.hex(), repr(vad), "N" if neg else "P", int(mal))
-        for t in tables
-        for v, vads, negs in zip(t.validators, t.vad.tolist(), t.negative.tolist())
-        for w, vad, neg, mal in zip(t.workers, vads, negs, t.worker_malicious.tolist())
-    ))
+
+    def lines():
+        for t in tables:
+            columns = [
+                (f"{w.hex()},", f",{int(mal)}\r\n")
+                for w, mal in zip(t.workers, t.worker_malicious.tolist())
+            ]
+            for v, vads, negs in zip(t.validators, t.vad.tolist(), t.negative.tolist()):
+                head = f"{t.round},{v.hex()},"
+                yield "".join(
+                    f"{head}{worker}{vad!r},{'N' if neg else 'P'}{tail}"
+                    for (worker, tail), vad, neg in zip(columns, vads, negs)
+                )
+
+    _write_csv(path, VAD_CSV_FIELDS, lines())
 
 
 def code_fingerprint() -> str:

@@ -495,36 +495,6 @@ def append_block(
 # --- JSON-lines export ----------------------------------------------------
 
 
-def _tally_to_json(t: VoteTally) -> dict:
-    return {
-        "worker": t.worker.hex(),
-        "positives": t.positives,
-        "negatives": t.negatives,
-        "voters": sorted(v.hex() for v in t.voters),
-        "epochs": t.tx.epochs,
-        "train_size": t.tx.train_size,
-        "expected_reward": t.tx.expected_reward,
-        "round": t.tx.round,
-        "update_arch": t.tx.update.arch_id,
-        "update_b64": base64.b64encode(t.tx.update.values.astype(">f8").tobytes()).decode(),
-        "tx_signature": t.tx.signature.hex(),
-    }
-
-
-def block_to_json(block: Block) -> dict:
-    return {
-        "round": block.round,
-        "miner": block.miner.hex(),
-        "prev_hash": block.prev_hash.hex(),
-        "model_hash": block.model_hash.hex(),
-        "content_hash": block.content_hash.hex(),
-        "signature": block.signature.hex(),
-        "miner_reward": block.miner_reward,
-        "validator_rewards": {d.hex(): r for d, r in block.validator_rewards},
-        "tallies": [_tally_to_json(t) for t in block.tallies],
-    }
-
-
 def _uint(d: Mapping, key: str) -> int:
     """An integer field of a dump: an int (not a bool) that fits ``_u64``."""
     value = d[key]
@@ -571,11 +541,35 @@ def block_from_json(d: dict) -> Block:
 
 
 def chain_to_jsonl(chain: Blockchain, out: TextIO) -> None:
-    """Write one block per line to out; stable key order, hashes hex, params
-    base64. Each line is built and written before the next, so only one
-    block's line is held at a time."""
+    """Write one block per line to out, each line the canonical JSON of the
+    block: ``json.dumps`` with sorted keys and ``,``/``:`` separators, hashes
+    and ids hex, ints decimal, params base64. The text is formatted here,
+    keys in sorted order, because no value can need a JSON escape: hex,
+    base64, decimal ints and arch ids (``[a-z0-9:-]``, see
+    ``learning.parse_arch``). A tally's text is written before the next is
+    built, so about one tally's text is held at a time."""
     for b in chain.blocks:
-        out.write(json.dumps(block_to_json(b), sort_keys=True, separators=(",", ":")) + "\n")
+        out.write(
+            f'{{"content_hash":"{b.content_hash.hex()}","miner":"{b.miner.hex()}",'
+            f'"miner_reward":{b.miner_reward},"model_hash":"{b.model_hash.hex()}",'
+            f'"prev_hash":"{b.prev_hash.hex()}","round":{b.round},'
+            f'"signature":"{b.signature.hex()}","tallies":['
+        )
+        for i, t in enumerate(b.tallies):
+            tx = t.tx
+            voters = ",".join(f'"{h}"' for h in sorted(v.hex() for v in t.voters))
+            out.write(
+                f'{"," if i else ""}{{"epochs":{tx.epochs},"expected_reward":{tx.expected_reward},'
+                f'"negatives":{t.negatives},"positives":{t.positives},"round":{tx.round},'
+                f'"train_size":{tx.train_size},"tx_signature":"{tx.signature.hex()}",'
+                f'"update_arch":"{tx.update.arch_id}","update_b64":"'
+            )
+            out.write(binascii.b2a_base64(tx.update.values.astype(">f8"), newline=False).decode())
+            out.write(f'","voters":[{voters}],"worker":"{tx.worker.hex()}"}}')
+        rewards = ",".join(
+            f'"{d}":{r}' for d, r in sorted({d.hex(): r for d, r in b.validator_rewards}.items())
+        )
+        out.write(f'],"validator_rewards":{{{rewards}}}}}\n')
 
 
 def _lines(text: str):

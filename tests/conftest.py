@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import gzip
+import io
 import struct
 import typing
 from dataclasses import dataclass, field
@@ -26,6 +28,25 @@ TINY_DATASET = DatasetConfig(
     spread=0.5,
     feature_scale=1.0,
 )
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """The header and rows as csv.writer writes them in its default dialect."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+def vad_rows(tables) -> list[tuple]:
+    """vad.csv's rows, one per vote, each vad a float for csv.writer to format."""
+    return [
+        (t.round, v.hex(), w.hex(), vad, "N" if neg else "P", int(mal))
+        for t in tables
+        for v, vads, negs in zip(t.validators, t.vad.tolist(), t.negative.tolist())
+        for w, vad, neg, mal in zip(t.workers, vads, negs, t.worker_malicious.tolist())
+    ]
 
 
 @pytest.fixture

@@ -170,3 +170,56 @@ def test_a_run_without_a_json_record_is_reported(script, tmp_path, capsys, stdou
     assert script.main([str(parent), str(change), "--workload", "w", "--pairs", "1"]) == 1
     err = capsys.readouterr().err
     assert "parent run of pair 1 exited 0, but its last stdout line is not a JSON object" in err
+
+
+ENV = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.30",
+       "blas_threads": 1, "OPENBLAS_NUM_THREADS": "1", "nproc": 2,
+       "loadavg_at_start": [0.5, 0.4, 0.3], "git_sha": "a" * 40, "src_sha256": "b" * 64}
+
+
+def perfbench_stdout(**env) -> str:
+    """What perfbench/run.py prints for one run, its env fields replaced by env."""
+    return (
+        "workload w, seed 1, trace 0; record in .perfbench_out/result-w-seed1-trace0.json\n"
+        "  run_s                                       0.5 s\n"
+        "  ops_failed                                    0 share  0 of 3 simulations\n"
+        f"env: {json.dumps({**ENV, **env})}\n"
+        '{"correct": true, "attempted": 3, "failed": 0, '
+        '"metrics": {"run_s": {"value": 0.5, "unit": "s"}}}\n'
+    )
+
+
+def test_parse_run_reads_the_env_line(script):
+    record = script.parse_run(perfbench_stdout())
+    assert record["correct"] and record["metrics"]["run_s"]["value"] == 0.5
+    assert record["env"] == ENV
+    assert script.parse_run('{"correct": true}\n')["env"] == {}
+
+
+@pytest.mark.parametrize("change_env, warning", [
+    ({"git_sha": "c" * 40, "loadavg_at_start": [1.9, 1.0, 0.7]}, None),
+    ({"blas_threads": 2, "OPENBLAS_NUM_THREADS": "2", "git_sha": "c" * 40},
+     "  WARNING: parent and change ran with different blas_threads, OPENBLAS_NUM_THREADS"),
+], ids=["same", "blas-threads-differ"])
+def test_main_prints_each_side_environment(script, tmp_path, monkeypatch, capsys,
+                                           change_env, warning):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.2},
+    ]}))
+
+    def run_once(checkout, workload, seconds, seed):
+        return script.parse_run(perfbench_stdout(**(change_env if checkout == tmp_path else {})))
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    assert script.main([str(tmp_path / "parent"), str(tmp_path), "--workload", "w",
+                        "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    blas = change_env.get("blas_threads", 1)
+    openblas = change_env.get("OPENBLAS_NUM_THREADS", "1")
+    assert lines[1:3] == [
+        "  parent env: blas_threads=1, OPENBLAS_NUM_THREADS=1, nproc=2, numpy=2.4.6, "
+        "python=3.11.7",
+        f"  change env: blas_threads={blas}, OPENBLAS_NUM_THREADS={openblas}, nproc=2, "
+        "numpy=2.4.6, python=3.11.7",
+    ]
+    assert [line for line in lines if "WARNING" in line] == ([warning] if warning else [])

@@ -4,7 +4,8 @@ Each config runs in a fresh interpreter with a fixed ``PYTHONHASHSEED`` and
 one BLAS thread, so the digests also pin determinism across processes, not
 only within one; one case is re-run with another hash seed and one with two
 BLAS threads. A change that moves any digest changes behaviour: it must say
-so and derive the digests again, with the reason.
+so and derive the digests again, with the reason. Each run also checks that
+every line of its chain dump is canonical JSON.
 
 Every case but ``pos_ragged`` gives each device a 12-row shard;
 ``pos_ragged`` mixes 12- and 13-row shards, so its workers train in two
@@ -51,10 +52,16 @@ from vbfl.orchestrator import run_simulation
 cfg = SimConfig.from_dict(json.loads(sys.argv[1]))
 with tempfile.TemporaryDirectory() as tmp:
     out = run_simulation(cfg, out_dir=tmp).out_dir
+    dump = out / "chain.jsonl"
+    lines = dump.read_text().splitlines(keepends=True) if dump.exists() else []
     print(json.dumps({
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(Path(out).iterdir()) if p.name != "manifest.json"
     }))
+    print(json.dumps([
+        n for n, line in enumerate(lines, 1)
+        if line != json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) + "\\n"
+    ]))
 """
 
 
@@ -159,7 +166,11 @@ def _digests(cfg: SimConfig, hash_seed: str = "0", blas_threads: str = "1") -> d
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    digests, non_canonical = map(json.loads, proc.stdout.splitlines())
+    # Every dump line is canonical JSON: what json.dumps writes, keys sorted
+    # and no whitespace, for the object it holds.
+    assert non_canonical == []
+    return digests
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

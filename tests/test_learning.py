@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,21 @@ class TestArch:
         for _ in range(2):  # a failed parse is not cached
             with pytest.raises(ValueError):
                 parse_arch(bad)
+
+
+    @pytest.mark.parametrize(
+        "spelling",
+        ["mlp:0128-16-10", "mlp: 128-16-10", "mlp:1_28-16-10", "mlp:+128-16-10",
+         "mlp:\u0661\u0662\u0668-16-10"],
+        ids=["leading-zero", "space", "underscore", "plus", "arabic-indic"],
+    )
+    def test_non_canonical_arch_rejected(self, spelling):
+        # Each spelling reads as (128, 16, 10) to int(); only "mlp:128-16-10"
+        # may name that layout, or equal parameters would compare unequal.
+        assert parse_arch("mlp:128-16-10") == ("mlp", (128, 16, 10))
+        named = f"^non-canonical architecture id: {re.escape(repr(spelling))}$"
+        with pytest.raises(ValueError, match=named):
+            parse_arch(spelling)
 
 
 class TestModelParams:

@@ -7,7 +7,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import CHOICES, config_annotations, leaf, mistyped, record_messages, with_leaves
+from conftest import (
+    CHOICES,
+    config_annotations,
+    csv_writer_bytes,
+    leaf,
+    mistyped,
+    record_messages,
+    vad_rows,
+    with_leaves,
+)
 
 from vbfl.config import (
     BEHAVIOR_VALIDATOR_FLIP,
@@ -22,6 +31,10 @@ from vbfl.datasets import make_blobs_task
 from vbfl.errors import ConfigError, InvariantViolation
 from vbfl.learning import ModelParams, evaluate, fedavg, local_train
 from vbfl.orchestrator import (
+    EVENTS_CSV_FIELDS,
+    ROUNDS_CSV_FIELDS,
+    STAKE_CSV_FIELDS,
+    VAD_CSV_FIELDS,
     Role,
     RunResult,
     Simulation,
@@ -1067,9 +1080,54 @@ class TestOutputs:
             "round,device,stake,is_malicious"
         ]
 
+    @staticmethod
+    def protocol_run_ending_skipped() -> RunResult:
+        # Noisy workers draw flags and blacklistings; then every device is
+        # blacklisted, so the last round is skipped.
+        cfg = tiny_cfg(rounds=4, malicious=(16, 17, 18, 19), noise_variance=4.0, vh=0.05, kick_r=2)
+        sim = Simulation(cfg)
+        for _ in range(3):
+            sim.run_round()
+        for st in sim.state.values():
+            st.replica.ledger.blacklist = frozenset(sim.state)
+        assert sim.run_round().skipped
+        assert {event for m in sim.metrics for _, event in m.events} >= {"FLAGGED", "BLACKLISTED"}
+        return RunResult(cfg, sim.metrics, sim, None)
+
+    @staticmethod
+    def plain_fl_run() -> RunResult:
+        sim = VanillaRun(tiny_cfg(rounds=2, consensus="vfl"))
+        return RunResult(sim.config, sim.run(), sim, None)
+
+    @pytest.mark.parametrize("run", ["protocol_run_ending_skipped", "plain_fl_run"])
+    def test_csvs_equal_csv_writer_output(self, tmp_path, run):
+        # Each CSV writer formats its lines itself; its bytes are what
+        # csv.writer's default dialect writes for the same rows.
+        result = getattr(self, run)()
+        out = write_outputs(result, tmp_path)
+        metrics, malicious = result.metrics, frozenset(result.driver.malicious_ids)
+        expected = {
+            "rounds.csv": csv_writer_bytes(ROUNDS_CSV_FIELDS, [
+                (m.round, m.consensus, m.winner.hex() if m.winner else "",
+                 int(m.winner_malicious), int(m.forked), float(m.global_accuracy))
+                for m in metrics
+            ]),
+            "stake.csv": csv_writer_bytes(STAKE_CSV_FIELDS, [
+                (m.round, d.hex(), m.stakes[d], int(d in malicious))
+                for m in metrics for d in sorted(m.stakes)
+            ]),
+            "events.csv": csv_writer_bytes(EVENTS_CSV_FIELDS, [
+                (m.round, d.hex(), event) for m in metrics for d, event in m.events
+            ]),
+            "vad.csv": csv_writer_bytes(VAD_CSV_FIELDS, vad_rows(result.driver.vote_tables)),
+        }
+        for name, data in expected.items():
+            assert (out / name).read_bytes() == data, name
+
     def test_chain_dump_streams(self, tmp_path):
-        # write_outputs holds about one block's line of the dump at a time,
-        # never the whole dump: its traced peak stays under half the file.
+        # write_outputs holds about one tally's text of the dump at a time,
+        # not a block's line: its traced peak stays under the longest line,
+        # which holds twelve tallies.
         cfg = tiny_cfg(rounds=10, arch="mlp", mlp_hidden=64)
         sim = Simulation(cfg)
         result = RunResult(cfg, sim.run(), sim, None)
@@ -1079,7 +1137,9 @@ class TestOutputs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (tmp_path / "chain.jsonl").stat().st_size / 2
+        lines = (tmp_path / "chain.jsonl").read_text().splitlines()
+        assert len(json.loads(lines[-1])["tallies"]) == 12
+        assert peak < max(map(len, lines))
 
     def test_chain_dump_audits(self, tmp_path):
         from vbfl.protocol import chain_from_jsonl

@@ -33,7 +33,6 @@ from vbfl.protocol import (
     ZERO_HASH,
     append_block,
     block_body_bytes,
-    block_to_json,
     chain_from_jsonl,
     chain_to_jsonl,
     compute_content_hash,
@@ -619,21 +618,96 @@ class TestJsonl:
         lines = dump(chain).splitlines()
         assert len(lines) == len(chain)
 
-    def test_streamed_dump_equals_joined_lines(self):
-        chain = self.build_chain()
-        joined = "".join(
-            json.dumps(block_to_json(b), sort_keys=True, separators=(",", ":")) + "\n"
-            for b in chain.blocks
-        )
-        assert dump(chain) == joined
+
+def reference_line(b: Block) -> str:
+    """A block's dump line as json.dumps writes it from a dict of its fields."""
+    d = {
+        "round": b.round,
+        "miner": b.miner.hex(),
+        "prev_hash": b.prev_hash.hex(),
+        "model_hash": b.model_hash.hex(),
+        "content_hash": b.content_hash.hex(),
+        "signature": b.signature.hex(),
+        "miner_reward": b.miner_reward,
+        "validator_rewards": {v.hex(): r for v, r in b.validator_rewards},
+        "tallies": [
+            {
+                "worker": t.worker.hex(),
+                "positives": t.positives,
+                "negatives": t.negatives,
+                "voters": sorted(v.hex() for v in t.voters),
+                "epochs": t.tx.epochs,
+                "train_size": t.tx.train_size,
+                "expected_reward": t.tx.expected_reward,
+                "round": t.tx.round,
+                "update_arch": t.tx.update.arch_id,
+                "update_b64": base64.b64encode(t.update.values.astype(">f8").tobytes()).decode(),
+                "tx_signature": t.tx.signature.hex(),
+            }
+            for t in b.tallies
+        ],
+    }
+    return json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+_U64 = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+_IDS = st.binary(min_size=16, max_size=16)
+_HASHES = st.binary(min_size=32, max_size=32)
+
+
+@st.composite
+def _tallies(draw) -> VoteTally:
+    arch = draw(st.sampled_from([ARCH, mlp_arch(2, 3, 2)]))
+    n = param_count(arch)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(finite, min_size=n, max_size=n))
+    voters = draw(st.frozensets(_IDS, max_size=4))
+    positives = draw(st.integers(0, len(voters)))
+    tx = WorkerTransaction(
+        round=draw(_U64),
+        worker=draw(_IDS),
+        update=ModelParams(np.array(values), arch),
+        expected_reward=draw(_U64),
+        epochs=draw(_U64),
+        train_size=draw(_U64),
+        signature=draw(st.binary(max_size=32)),
+    )
+    return VoteTally(tx, positives, len(voters) - positives, voters)
+
+
+_BLOCKS = st.builds(
+    Block,
+    round=_U64,
+    miner=_IDS,
+    prev_hash=_HASHES,
+    tallies=st.lists(_tallies(), max_size=3, unique_by=lambda t: t.worker).map(tuple),
+    miner_reward=_U64,
+    validator_rewards=st.dictionaries(_IDS, _U64, max_size=3),
+    model_hash=_HASHES,
+    content_hash=_HASHES,
+    signature=st.binary(max_size=32),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(blocks=st.lists(_BLOCKS, max_size=3))
+def test_dump_equals_json_dumps_of_each_block(blocks):
+    assert dump(Blockchain(tuple(blocks))) == "".join(reference_line(b) for b in blocks)
+
+
+def test_dump_of_empty_block_sections():
+    # No tallies, no voters and no validator rewards write as [] and {}.
+    b = replace(block(), tallies=(tally(voters=(), pos=0, neg=0),), validator_rewards=())
+    for case in (b, replace(b, tallies=())):
+        assert dump(Blockchain((case,))) == reference_line(case)
 
 
 def _set(key, value):
     return lambda d: {**d, key: value}
 
 
-def _set_update(b64):
-    return lambda d: {**d, "tallies": [{**d["tallies"][0], "update_b64": b64}]}
+def _set_tally(key, value):
+    return lambda d: {**d, "tallies": [{**d["tallies"][0], key: value}]}
 
 
 def _drop(key):
@@ -650,16 +724,17 @@ def _b64(n_bytes):
         (None, "bad JSON"),
         (_drop("round"), "missing key 'round'"),
         (_set("miner", "zz"), "hexadecimal"),
-        (_set_update("!!!!"), "bad base64"),
-        (_set_update(_b64(7)), "not whole doubles"),
-        (_set_update(_b64(8 * 5)), "5 entries"),
+        (_set_tally("update_b64", "!!!!"), "bad base64"),
+        (_set_tally("update_b64", _b64(7)), "not whole doubles"),
+        (_set_tally("update_b64", _b64(8 * 5)), "5 entries"),
+        (_set_tally("update_arch", "softmax:02-2"), "non-canonical architecture id"),
         (_set("round", 1.5), "round: expected an unsigned"),
         (_set("miner_reward", -1), "miner_reward: expected an unsigned"),
         (_set("round", True), "round: expected an unsigned"),
     ],
     ids=[
         "json", "missing-key", "hex", "base64", "partial-double", "vector-length",
-        "float-int", "negative-int", "bool-int",
+        "non-canonical-arch", "float-int", "negative-int", "bool-int",
     ],
 )
 def test_malformed_dump_line_named(edit, cause):

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import csv_writer_bytes, vad_rows
 
 from vbfl.config import SimConfig, TrainSpec
 from vbfl.learning import (
@@ -14,7 +15,7 @@ from vbfl.learning import (
     local_train_many,
     softmax_arch,
 )
-from vbfl.orchestrator import Simulation, write_vad_csv
+from vbfl.orchestrator import VAD_CSV_FIELDS, Simulation, write_vad_csv
 from vbfl.presets import get_preset
 from vbfl.validation import (
     ValidatorState,
@@ -184,6 +185,22 @@ class TestVadLog:
             (True, True), (True, False), (False, True), (False, False)
         ]
         assert rows[3]["vad"] == repr(0.1)
+
+    def test_bytes_equal_csv_writer_output(self, tmp_path):
+        # Each vad is formatted as csv.writer formats a float, by repr;
+        # -0.0 keeps its sign even beside an equal 0.0.
+        tables = [
+            table([[1e-05, -0.0, 0.0], [0.1 + 0.2, 0.0, -0.0]],
+                  [[False, False, True], [True, False, False]], [False, True, False]),
+            table([[0.42, -0.01, 0.5]], [[True, False, False]], [True, False, False], round_no=2),
+        ]
+        path = tmp_path / "vad.csv"
+        write_vad_csv(tables, path)
+        assert path.read_bytes() == csv_writer_bytes(VAD_CSV_FIELDS, vad_rows(tables))
+        assert [line.split(",")[3] for line in path.read_text().splitlines()[1:4]] == [
+            "1e-05", "-0.0", "0.0"
+        ]
+        assert "0.30000000000000004" in path.read_text()
 
     def test_empty_run_header_only(self, tmp_path):
         path = tmp_path / "vad.csv"
