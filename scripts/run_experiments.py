@@ -2,9 +2,11 @@
 """Reproduce the headline robustness comparison at desk scale.
 
 Runs the calibration preset once to pick a validator threshold, then every
-named setup over three seeds, and prints a summary table: final accuracy
-mean/std per setup, malicious winning-miner rounds, and the accuracy ratio
-of each setup against the poisoned plain-FL baseline.
+named setup over three seeds, and prints the summary that ``vbfl compare``
+prints for the same runs: final accuracy mean/std and malicious
+winning-miner rounds per setup, then the matrix of accuracy ratios between
+setups, whose VFL_3_20 column is the ratio against the poisoned plain-FL
+baseline.
 
 Usage:
     python scripts/run_experiments.py [--rounds N] [--seeds 1 2 5] [--out DIR]
@@ -18,7 +20,7 @@ import argparse
 import time
 from pathlib import Path
 
-from vbfl.cli import write_calibration
+from vbfl.cli import print_summary, write_calibration
 from vbfl.orchestrator import run_simulation
 from vbfl.presets import apply_overrides, get_preset
 
@@ -52,7 +54,7 @@ def main(argv=None) -> int:
           f"(legit p90 {suggestion['legit_vad_p90']:.4f}, "
           f"malicious p10 {suggestion['malicious_vad_p10']:.4f})")
 
-    results: dict[str, list] = {}
+    runs = []
     for name in SETUPS:
         preset = get_preset(name)
         for seed in args.seeds:
@@ -64,30 +66,17 @@ def main(argv=None) -> int:
             )
             out_dir = args.out / f"{name.lower()}-seed{seed}" if args.out else None
             result = run_simulation(cfg, out_dir=out_dir, preset=name)
-            mal_winner_rounds = sum(m.winner_malicious for m in result.metrics)
-            results.setdefault(name, []).append(
-                (result.metrics[-1].global_accuracy, mal_winner_rounds)
-            )
-            print(f"  {name} seed {seed}: final acc "
-                  f"{result.metrics[-1].global_accuracy:.4f}, "
-                  f"malicious winners {mal_winner_rounds}")
+            run = {
+                "label": name,
+                "final_accuracy": result.metrics[-1].global_accuracy,
+                "malicious_winner_rounds": sum(m.winner_malicious for m in result.metrics),
+            }
+            runs.append(run)
+            print(f"  {name} seed {seed}: final acc {run['final_accuracy']:.4f}, "
+                  f"malicious winners {run['malicious_winner_rounds']}")
 
-    def mean(xs):
-        return sum(xs) / len(xs)
-
-    def std(xs):
-        mu = mean(xs)
-        return (sum((x - mu) ** 2 for x in xs) / len(xs)) ** 0.5
-
-    baseline = mean([acc for acc, _ in results["VFL_3_20"]])
-    print(f"\n{'setup':<26} {'final acc':>16} {'mal winners':>12} {'vs VFL_3_20':>12}")
-    for name in SETUPS:
-        accs = [acc for acc, _ in results[name]]
-        winners = [w for _, w in results[name]]
-        print(
-            f"{name:<26} {mean(accs):>8.4f} ± {std(accs):.4f} "
-            f"{mean(winners):>10.1f} {mean(accs) / baseline:>11.2f}x"
-        )
+    print()
+    print_summary(runs)
     print(f"\ntotal {time.time() - t0:.0f}s")
     return 0
 

@@ -13,6 +13,8 @@ import os
 import sys
 from collections import defaultdict
 from pathlib import Path
+from statistics import fmean, pstdev
+from typing import Mapping, Sequence
 
 from .config import SimConfig, fits
 from .errors import ConfigError, InvariantViolation
@@ -186,42 +188,42 @@ def _read_run(path: Path) -> dict:
         raise ConfigError(f"compare: {rounds_path}: {exc}") from None
 
 
+def print_summary(runs: Sequence[Mapping]) -> None:
+    """Print the summary of finished runs, each a record as :func:`_read_run`
+    returns it: per label, the run count, final accuracy mean ± std and mean
+    malicious winning-miner rounds; then, for two labels or more, the matrix
+    of mean final-accuracy ratios (row / column). Labels are never cut: the
+    first column is as wide as the longest, each matrix column as its own."""
+    groups: dict[str, list[Mapping]] = defaultdict(list)
+    for run in runs:
+        groups[run["label"]].append(run)
+    labels = sorted(groups)
+    w = max(len(label) for label in [*labels, "group"])
+    print(f"{'group':<{w}} {'runs':>4} {'final acc':>19} {'mal-winner rounds':>18}")
+    means = {}
+    for label in labels:
+        accs = [r["final_accuracy"] for r in groups[label]]
+        means[label] = fmean(accs)
+        mal = fmean(r["malicious_winner_rounds"] for r in groups[label])
+        print(
+            f"{label:<{w}} {len(accs):>4} "
+            f"{means[label]:>10.4f} ± {pstdev(accs):.4f} {mal:>18.1f}"
+        )
+    if len(labels) > 1:
+        print("\nfinal-accuracy ratios (row / column):")
+        widths = {b: max(len(b), 6) for b in labels}
+        print(" " * w + "".join(f" {b:>{widths[b]}}" for b in labels))
+        for a in labels:
+            print(f"{a:<{w}}" + "".join(
+                f" {means[a] / means[b] if means[b] else float('inf'):>{widths[b]}.2f}"
+                for b in labels
+            ))
+
+
 def _cmd_compare(args) -> int:
     if len(args.dirs) < 2:
         raise ConfigError("compare: need at least two run directories")
-    runs = [_read_run(p) for p in args.dirs]
-    groups: dict[str, list[dict]] = defaultdict(list)
-    for run in runs:
-        groups[run["label"]].append(run)
-
-    def mean(xs):
-        return sum(xs) / len(xs)
-
-    def std(xs):
-        mu = mean(xs)
-        return (sum((x - mu) ** 2 for x in xs) / len(xs)) ** 0.5
-
-    print(f"{'group':<28} {'runs':>4} {'final acc':>18} {'mal-winner rounds':>18}")
-    summary = {}
-    for label in sorted(groups):
-        accs = [r["final_accuracy"] for r in groups[label]]
-        mal = [r["malicious_winner_rounds"] for r in groups[label]]
-        summary[label] = mean(accs)
-        print(
-            f"{label:<28} {len(accs):>4} "
-            f"{mean(accs):>10.4f} ± {std(accs):.4f} "
-            f"{mean(mal):>14.1f}"
-        )
-    labels = sorted(summary)
-    if len(labels) > 1:
-        print("\nfinal-accuracy ratios (row / column):")
-        print(" " * 28 + "".join(f"{l[:12]:>14}" for l in labels))
-        for a in labels:
-            cells = []
-            for b in labels:
-                ratio = summary[a] / summary[b] if summary[b] else float("inf")
-                cells.append(f"{ratio:>14.2f}")
-            print(f"{a:<28}" + "".join(cells))
+    print_summary([_read_run(p) for p in args.dirs])
     return EXIT_OK
 
 

@@ -119,17 +119,13 @@ class ModelParams:
 
 
 class DataShard:
-    """Feature/label arrays private to one device (``shard_of``), or the whole
-    test set (``shard_of`` empty), which every device shares by default.
+    """Read-only feature/label arrays: one device's private shard, or the
+    whole test set, which every device shares by default. :meth:`arrays`
+    is the one read."""
 
-    Reads go through :meth:`arrays`, which counts accesses so tests can
-    assert data locality (a device's shard is only ever read by that
-    device's own training/evaluation).
-    """
+    __slots__ = ("_x", "_y")
 
-    __slots__ = ("_x", "_y", "shard_of", "access_count")
-
-    def __init__(self, x, y, shard_of: bytes = b""):
+    def __init__(self, x, y):
         x = np.array(x, dtype=np.float64)
         y = np.array(y, dtype=np.int64).reshape(-1)
         if x.ndim != 2:
@@ -144,11 +140,8 @@ class DataShard:
         y.flags.writeable = False
         self._x = x
         self._y = y
-        self.shard_of = shard_of
-        self.access_count = 0
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        self.access_count += 1
         return self._x, self._y
 
     def __len__(self) -> int:

@@ -157,7 +157,7 @@ def shard_dataset(
         order = np.argsort(task.train_y, kind="stable")
 
     def split(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> list[DataShard]:
-        return [DataShard(x[r], y[r], shard_of=d) for d, r in zip(ids, _chunks(rows, n))]
+        return [DataShard(x[r], y[r]) for r in np.array_split(rows, n)]
 
     train = split(task.train_x, task.train_y, order)
     if validator_test == "shard":
@@ -165,13 +165,6 @@ def shard_dataset(
     else:
         test = [DataShard(task.test_x, task.test_y)] * n
     return dict(zip(ids, zip(train, test)))
-
-
-def _chunks(order: np.ndarray, n: int) -> list[np.ndarray]:
-    """n contiguous slices of order; the remainder adds one row each to the first."""
-    base, rem = divmod(len(order), n)
-    bounds = np.cumsum([0] + [base + (k < rem) for k in range(n)])
-    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def assign_roles(
@@ -423,6 +416,17 @@ class _World:
                 updates[k] = inject_gaussian_noise(updates[k], cfg.noise_variance, noise)
         return updates, trained[len(jobs) :]
 
+    def _record(self, g: ModelParams, **observed) -> RoundMetrics:
+        """This round's metrics, with g's accuracy on the full test set."""
+        metrics = RoundMetrics(
+            round=self.round_no,
+            consensus=self.config.consensus.upper(),
+            global_accuracy=evaluate(g, self.full_test),
+            **observed,
+        )
+        self.metrics.append(metrics)
+        return metrics
+
     def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
         for _ in range(self.config.rounds):
             m = self.run_round()
@@ -550,7 +554,7 @@ class Simulation(_World):
         prev_ref_ledger = self.state[ref].replica.ledger
         events, legit_ref = self._settle(plan, choice, actives, ref)
         metrics = self._report(
-            j, ref,
+            ref,
             winner=legit_ref.miner if legit_ref else None,
             winner_malicious=bool(legit_ref and legit_ref.miner in self.malicious_ids),
             forked=len({b.content_hash for b in choice.values()}) > 1,
@@ -564,20 +568,13 @@ class Simulation(_World):
 
     def _skip(self, j: int, ref: DeviceId, reason: str) -> RoundMetrics:
         logger.warning("round %d skipped: %s", j, reason)
-        return self._report(j, ref, skipped=True, skip_reason=reason)
+        return self._report(ref, skipped=True, skip_reason=reason)
 
-    def _report(self, j: int, ref: DeviceId, **observed) -> RoundMetrics:
-        """Round j's metrics, read from the reporting device ref's replica."""
+    def _report(self, ref: DeviceId, **observed) -> RoundMetrics:
+        """This round's metrics, read from the reporting device ref's replica."""
         replica = self.state[ref].replica
-        metrics = RoundMetrics(
-            round=j,
-            consensus=self.config.consensus.upper(),
-            global_accuracy=evaluate(replica.g, self.full_test),
-            stakes={d: replica.ledger.stake_of(d) for d in self.state},
-            **observed,
-        )
-        self.metrics.append(metrics)
-        return metrics
+        stakes = {d: replica.ledger.stake_of(d) for d in self.state}
+        return self._record(replica.g, stakes=stakes, **observed)
 
     def _plan(self, j: int, blacklist: frozenset[DeviceId]) -> _Plan | None:
         """Roles and association; None when no validator or miner is left."""
@@ -878,14 +875,7 @@ class VanillaRun(_World):
         jobs = [(d.id, self.g, self.shards[d.id][0]) for d in self.devices]
         updates, _ = self._local_updates(jobs, j)
         self.g = fedavg([(u, float(len(train))) for u, (_, _, train) in zip(updates, jobs)])
-        metrics = RoundMetrics(
-            round=j,
-            consensus=self.config.consensus.upper(),
-            global_accuracy=evaluate(self.g, self.full_test),
-            roles={d.id: Role.WORKER for d in self.devices},
-        )
-        self.metrics.append(metrics)
-        return metrics
+        return self._record(self.g, roles={d.id: Role.WORKER for d in self.devices})
 
 
 # --- output files -------------------------------------------------------------

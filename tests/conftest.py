@@ -8,6 +8,7 @@ import gzip
 import io
 import struct
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,9 +83,22 @@ def two_class_task():
 @pytest.fixture
 def two_class_shards(two_class_task):
     t = two_class_task
-    train = DataShard(t.train_x, t.train_y, shard_of=b"train")
-    test = DataShard(t.test_x, t.test_y, shard_of=b"test")
-    return train, test
+    return DataShard(t.train_x, t.train_y), DataShard(t.test_x, t.test_y)
+
+
+@pytest.fixture
+def shard_reads(monkeypatch) -> Counter:
+    """The number of ``arrays()`` reads of each DataShard, keyed by the
+    shard's id, from the moment the fixture is requested."""
+    reads: Counter = Counter()
+    arrays = DataShard.arrays
+
+    def counted(shard):
+        reads[id(shard)] += 1
+        return arrays(shard)
+
+    monkeypatch.setattr(DataShard, "arrays", counted)
+    return reads
 
 
 def rng(seed: int = 0) -> np.random.Generator:

@@ -350,6 +350,21 @@ class TestCompare:
         assert run_cli("compare", out_a, out_b) == 0
         assert "ratios" in capsys.readouterr().out
 
+    def test_summary_of_records(self, capsys):
+        # Two labels that share their first 12 characters, one with a zero
+        # mean: full headers, population std, and an infinite ratio.
+        runs = [
+            {"label": "VBFL_POS_3_20_VHCAL", "final_accuracy": acc, "malicious_winner_rounds": m}
+            for acc, m in ((0.5, 1), (0.7, 2))
+        ] + [{"label": "VBFL_POS_3_20_VHCAL_MV", "final_accuracy": 0.0,
+              "malicious_winner_rounds": 0}]
+        cli.print_summary(runs)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["VBFL_POS_3_20_VHCAL", "2", "0.6000", "±", "0.1000", "1.5"]
+        assert lines[-3].split() == ["VBFL_POS_3_20_VHCAL", "VBFL_POS_3_20_VHCAL_MV"]
+        assert lines[-2].split() == ["VBFL_POS_3_20_VHCAL", "1.00", "inf"]
+        assert lines[-1].split() == ["VBFL_POS_3_20_VHCAL_MV", "0.00", "inf"]
+
 
 def test_readme_flag_list_matches_parser():
     # README's "Flags:" paragraph names every option of `vbfl run` and

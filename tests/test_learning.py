@@ -172,14 +172,13 @@ class TestLocalTrain:
         with pytest.raises(ValueError):
             local_train(start, train, TrainSpec(1, 0.1, len(train) + 1), rng(0))
 
-    def test_reads_only_its_own_shard(self, two_class_shards):
+    def test_reads_only_its_own_shard(self, two_class_shards, shard_reads):
         train, test = two_class_shards
-        other = DataShard(np.zeros((3, 4)), np.zeros(3, dtype=int), shard_of=b"other")
+        other = DataShard(np.zeros((3, 4)), np.zeros(3, dtype=int))
         start = init_global_model(softmax_arch(4, 2), 7)
-        before = other.access_count
         local_train(start, train, TrainSpec(1, 0.1, 10), rng(0))
-        assert other.access_count == before
-        assert train.access_count > 0
+        assert shard_reads[id(other)] == 0
+        assert shard_reads[id(train)] > 0
 
 
 def reference_grad(vec, arch_id, x, y):
@@ -220,8 +219,7 @@ class TestLocalTrainMany:
         data = rng(9)
         starts = [init_global_model(arch, seed) for seed, arch in enumerate(archs)]
         shards = [
-            DataShard(data.standard_normal((n, 4)), data.integers(0, 3, n), shard_of=bytes([i]))
-            for i, n in enumerate(sizes)
+            DataShard(data.standard_normal((n, 4)), data.integers(0, 3, n)) for n in sizes
         ]
         return starts, shards
 
@@ -234,11 +232,11 @@ class TestLocalTrainMany:
         ],
         ids=["softmax", "mlp", "mixed"],
     )
-    def test_matches_one_call_per_device(self, archs):
+    def test_matches_one_call_per_device(self, archs, shard_reads):
         starts, shards = self.devices(archs)
         rngs = [rng(100 + i) for i in range(len(starts))]
         got = local_train_many(starts, shards, self.SPEC, rngs)
-        assert [s.access_count for s in shards] == [1] * len(shards)
+        assert [shard_reads[id(s)] for s in shards] == [1] * len(shards)
         for i, (start, shard) in enumerate(zip(starts, shards)):
             alone = rng(100 + i)
             want = local_train(start, shard, self.SPEC, alone)

@@ -11,6 +11,12 @@ Each parameter of a package function must be read by its body, but for a
 method that shares its name with a base-class method (both keep one
 signature) and the parameters listed in ``UNREAD_ALLOWED``.
 
+Each attribute a package class stores (a field annotated in its body, or
+an attribute its methods set on ``self``) must be loaded by name somewhere
+in the program, but for those listed in ``UNLOADED_ALLOWED``. A load inside
+an assignment to an attribute of that name only updates it and does not
+count, so a counter nothing reads is caught.
+
 No package module imports an underscore name from another: a helper that
 crosses a module boundary gets a public name.
 """
@@ -128,6 +134,74 @@ def unread_parameters(root: Path) -> list[str]:
     return sorted(unread)
 
 
+# Attributes a package class may store that the program never loads by
+# name, with the reason; "*" stands for every field of the class.
+UNLOADED_ALLOWED = {
+    # perfbench/measure.py builds RunResult positionally.
+    ("RunResult", "out_dir"),
+    # The config dataclasses: config._rules walks their fields by
+    # annotation, and _build_task reads the dataset fields through fields().
+    ("TrainSpec", "*"),
+    ("DatasetConfig", "*"),
+    ("NetworkConfig", "*"),
+    ("SimConfig", "*"),
+}
+
+
+def stored_attributes(cls: ast.ClassDef) -> dict[str, int]:
+    """The first line that stores each field annotated in the class body or
+    attribute a method sets on its first parameter, by name."""
+    stored: dict[str, int] = {}
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            stored.setdefault(node.target.id, node.lineno)
+        if isinstance(node, FUNCTIONS) and node.args.args:
+            me = node.args.args[0].arg
+            for n in ast.walk(node):
+                if (
+                    isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == me
+                ):
+                    stored.setdefault(n.attr, n.lineno)
+    return stored
+
+
+def loaded_attributes(tree: ast.Module) -> set[str]:
+    """Names of the attributes tree loads, but for a load inside an
+    assignment to an attribute of the same name: that only updates it."""
+    updating: set[int] = set()
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {t.attr for t in targets if isinstance(t, ast.Attribute)}
+            updating |= {
+                id(n) for n in ast.walk(stmt) if isinstance(n, ast.Attribute) and n.attr in names
+            }
+    return {
+        n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in updating
+    }
+
+
+def unloaded_attributes(root: Path) -> list[str]:
+    loads = set().union(*(
+        loaded_attributes(ast.parse(path.read_text()))
+        for top in PROGRAM_DIRS
+        for path in sorted((root / top).rglob("*.py"))
+    ))
+    unloaded = []
+    for path in sorted((root / "src" / "vbfl").glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef) or (cls.name, "*") in UNLOADED_ALLOWED:
+                continue
+            unloaded += [
+                f"{path.relative_to(root)}:{line} {cls.name}.{name}"
+                for name, line in stored_attributes(cls).items()
+                if name not in loads and (cls.name, name) not in UNLOADED_ALLOWED
+            ]
+    return unloaded
+
+
 def private_imports(root: Path) -> list[str]:
     """Underscore names (dunders aside) that a package module imports from
     another package module."""
@@ -151,6 +225,10 @@ def test_every_definition_is_named_by_the_program():
 
 def test_every_parameter_is_read():
     assert unread_parameters(ROOT) == []
+
+
+def test_every_stored_attribute_is_loaded():
+    assert unloaded_attributes(ROOT) == []
 
 
 def test_no_module_imports_a_private_name():
@@ -188,6 +266,31 @@ def test_the_check_sees_an_unread_parameter(tmp_path):
         "src/vbfl/m.py:10 other(y)",
         "src/vbfl/m.py:14 f(b)",
         "src/vbfl/m.py:15 inner(d)",
+    ]
+
+
+def test_the_check_sees_an_unloaded_attribute(tmp_path):
+    package = tmp_path / "src" / "vbfl"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        "class Shard:\n"
+        "    size: int\n"
+        "    label: str\n\n"
+        "    def __init__(self, data):\n"
+        "        self.data = data\n"
+        "        self.reads = 0\n"
+        "        self.hits = 0\n\n"
+        "    def read(self):\n"
+        "        self.reads += 1\n"
+        "        self.hits = self.hits + 1\n"
+        "        return self.data, self.size\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run.py").write_text("print(shard.label)\n")
+    # A field or attribute read anywhere counts; one only updated does not.
+    assert unloaded_attributes(tmp_path) == [
+        "src/vbfl/m.py:7 Shard.reads",
+        "src/vbfl/m.py:8 Shard.hits",
     ]
 
 

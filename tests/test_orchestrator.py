@@ -572,7 +572,8 @@ class TestRound:
         train_many = orchestrator.local_train_many
 
         def training(starts, shards, spec, rngs, epochs=None):
-            trained.append(([shard.shard_of for shard in shards], epochs))
+            owner = {id(st.train): d for d, st in sim.state.items()}
+            trained.append(([owner[id(shard)] for shard in shards], epochs))
             return train_many(starts, shards, spec, rngs, epochs)
 
         # Under the learning module's name too, so that training by any
@@ -671,10 +672,11 @@ class TestRound:
         vote = orchestrator.validate_by_voting
 
         def voting(update, state, accuracy):
-            [references[state.test.shard_of]] = state.pretrain_acc.tolist()
+            owner = {id(st.test): d for d, st in sim.state.items()}
+            [references[owner[id(state.test)]]] = state.pretrain_acc.tolist()
             return vote(update, state, accuracy)
 
-        # Each validator's own test shard names it.
+        # Each validator holds its own test shard.
         monkeypatch.setattr(orchestrator, "validate_by_voting", voting)
         cfg = tiny_cfg(rounds=1, malicious=tuple(range(20)), validator_test="shard")
         sim = Simulation(cfg)
@@ -729,12 +731,12 @@ class TestRound:
         assert set(m.stakes) == set(sim.state)
         assert m.votes.vad.shape == (5, 12)
 
-    def test_miner_never_reads_its_train_shard(self):
+    def test_miner_never_reads_its_train_shard(self, shard_reads):
         sim = Simulation(tiny_cfg(rounds=1))
-        before = {d: st.train.access_count for d, st in sim.state.items()}
+        shard_reads.clear()
         m = sim.run_round()
         for d, role in m.roles.items():
-            accesses = sim.state[d].train.access_count - before[d]
+            accesses = shard_reads[id(sim.state[d].train)]
             if role is Role.MINER:
                 assert accesses == 0
             else:
@@ -1023,7 +1025,8 @@ class TestVanilla:
         train_many = orchestrator.local_train_many
 
         def training(starts, shards, spec, rngs, epochs=None):
-            trained.append([shard.shard_of for shard in shards])
+            owner = {id(train): d for d, (train, _) in run.shards.items()}
+            trained.append([owner[id(shard)] for shard in shards])
             return train_many(starts, shards, spec, rngs, epochs)
 
         monkeypatch.setattr(orchestrator, "local_train_many", training)

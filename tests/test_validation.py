@@ -64,8 +64,7 @@ class TestPretrain:
         t = two_class_task
         cuts = [(0, 20), (20, 40), (40, 57)]
         trains = [
-            DataShard(t.train_x[a:b], t.train_y[a:b], shard_of=bytes([k]) * 16)
-            for k, (a, b) in enumerate(cuts)
+            DataShard(t.train_x[a:b], t.train_y[a:b]) for a, b in cuts
         ]
         starts = [global_model, init_global_model(softmax_arch(4, 2), 8), global_model]
         spec = TrainSpec(5, 0.05, 10)
@@ -109,15 +108,14 @@ class TestVoteRule:
         assert vad == pytest.approx(0.02)
         assert not negative
 
-    def test_measured_accuracy_gives_the_same_vote(self, vstate, global_model):
+    def test_measured_accuracy_gives_the_same_vote(self, vstate, global_model, shard_reads):
         # The vote comes from the accuracy passed in; the test set is not read.
         state = self.mk_state(vstate, 0.9, 0.08)
-        reads = state.test.access_count
         negative, vad = validate_by_voting(global_model, state, 0.5)
         assert negative.tolist() == [True] and vad.tolist() == [0.9 - 0.5]
         negative, vad = validate_by_voting(global_model, state, 0.85)
         assert negative.tolist() == [False] and vad.tolist() == [0.9 - 0.85]
-        assert state.test.access_count == reads
+        assert shard_reads[id(state.test)] == 0
 
     def test_group_votes_as_each_validator_alone(self, vstate, global_model):
         # A group's validators share the update's accuracy; each entry is
