@@ -62,8 +62,8 @@ def _load_config_file(path: Path) -> SimConfig:
         data = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"config: cannot read {path} as JSON: {exc}") from None
     return SimConfig.from_dict(data)
 
 
@@ -71,7 +71,7 @@ def _read_vh_file(path: Path) -> float:
     """suggested_vh from a calibration file: a JSON number, as in a config."""
     try:
         value = json.loads(path.read_text())["suggested_vh"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"vh-file: cannot read suggested_vh from {path}: {exc}") from None
     if not fits(value, float):
         raise ConfigError(f"vh-file: suggested_vh in {path} must be a number, got {value!r}")

@@ -114,9 +114,6 @@ class ModelParams:
             return NotImplemented
         return self.arch_id == other.arch_id and np.array_equal(self.values, other.values)
 
-    def __hash__(self):
-        return hash((self.arch_id, self.values.tobytes()))
-
 
 class DataShard:
     """Read-only feature/label arrays: one device's private shard, or the

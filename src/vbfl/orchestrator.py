@@ -21,7 +21,7 @@ each handing the next its data explicitly:
    sent as a light (validator, column, signature) message, gossip among
    miners;
 4. mine: the verified votes as a mask over the table and the vote each row
-   signs; tallies as column sums and validator rewards as row sums, once
+   signs; tallies as column sums and validator rewards from row sums, once
    per round, and one unsealed candidate block per miner;
 5. select: the legitimate block by stake rank or mining race; each distinct
    adopted block is then hashed and signed once;
@@ -99,10 +99,6 @@ ROUNDS_CSV_FIELDS = ("round", "consensus", "winner", "winner_malicious", "forked
 STAKE_CSV_FIELDS = ("round", "device", "stake", "is_malicious")
 EVENTS_CSV_FIELDS = ("round", "device", "event")
 VAD_CSV_FIELDS = ("round", "validator", "worker", "vad", "vote", "worker_malicious")
-
-EVENT_FLAGGED = "FLAGGED"
-EVENT_STREAK_RESET = "STREAK_RESET"
-EVENT_BLACKLISTED = "BLACKLISTED"
 
 
 class Role(Enum):
@@ -266,20 +262,14 @@ class DeviceState:
 
 def extend(
     replica: Replica, block: Block, workers: Sequence[DeviceId], signer: Signer
-) -> tuple[Replica, list[tuple[DeviceId, str]]]:
+) -> tuple[Replica, tuple[tuple[DeviceId, str], ...]]:
     """The replica after a block of the round with these sorted workers, and
-    its flags, streak resets and blacklistings; the model averages the
-    qualified tallies, if any. Raises BlockRejected if the block may not append."""
+    the block's events (:func:`apply_block`); the model averages the
+    qualified tallies, if any. Raises BlockRejected if it may not append."""
     chain = append_block(replica.chain, block, signer, replica.ledger.blacklist)
-    ledger, flagged, newly_blacklisted = apply_block(replica.ledger, block, workers)
-    good = [t for t in block.tallies if t.positives >= t.negatives]
+    ledger, events = apply_block(replica.ledger, block, workers)
+    good = [t for t in block.tallies if rewards_mod.qualified(t.positives, t.negatives)]
     g = fedavg([(t.update, float(t.tx.train_size)) for t in good]) if good else replica.g
-    events = [(dev, EVENT_FLAGGED) for dev in sorted(flagged)]
-    events += [
-        (dev, EVENT_STREAK_RESET) for dev in workers
-        if dev not in flagged and replica.ledger.streak_of(dev) > 0
-    ]
-    events += [(dev, EVENT_BLACKLISTED) for dev in sorted(newly_blacklisted)]
     return Replica(chain, ledger, g), events
 
 
@@ -559,7 +549,7 @@ class Simulation(_World):
             winner_malicious=bool(legit_ref and legit_ref.miner in self.malicious_ids),
             forked=len({b.content_hash for b in choice.values()}) > 1,
             votes=votes,
-            events=tuple(events),
+            events=events,
             roles=plan.roles,
             legitimate_block=legit_ref,
         )
@@ -597,7 +587,7 @@ class Simulation(_World):
         A validator's reference is one epoch from its global model on its
         own shard; it trains in the same stacked call as the workers.
         """
-        cfg = self.config
+        cfg, unit = self.config, self.config.unit_reward
         inbox: dict[DeviceId, list[_Message]] = {v: [] for v in plan.validators}
         jobs, refs = (
             [(d, self.state[d].replica.g, self.state[d].train) for d in devices]
@@ -610,7 +600,7 @@ class Simulation(_World):
                 round=plan.round,
                 worker=w,
                 update=update,
-                expected_reward=cfg.train.epochs * len(train) * cfg.unit_reward,
+                expected_reward=rewards_mod.training_reward(cfg.train.epochs, len(train), unit),
                 epochs=cfg.train.epochs,
                 train_size=len(train),
                 signature=b"",
@@ -658,7 +648,7 @@ class Simulation(_World):
         txs = [tx for tx, _ in received]
         table = protocol_mod.validator_tx_signing_bytes(
             plan.round, validators, [protocol_mod.payload_hash(b) for _, b in received],
-            [tx.signature for tx in txs], negative, cfg.unit_reward, cfg.unit_reward,
+            [tx.signature for tx in txs], negative, *rewards_mod.vote_rewards(cfg.unit_reward),
         )
         width = len(table) // max(negative.size, 1)
         ready_at = np.array([[ready[v]] for v in validators])
@@ -687,11 +677,11 @@ class Simulation(_World):
         their one tally section.
 
         The votes become a (validators × updates) mask and the vote value
-        each signed row carries, so the tallies are column sums and the
-        validator rewards row sums. The tally set, the rewards and the tally
-        section are computed once per round. The section's encoding reuses
-        the worker bytes the validators received, and lives only for the
-        round.
+        each signed row carries, so the tallies are column sums and each
+        validator's reward comes from its row sum. The tally set, the rewards
+        and the tally section are computed once per round. The section's
+        encoding reuses the worker bytes the validators received, and lives
+        only for the round.
         """
         unit = self.config.unit_reward
         validators = plan.validators
@@ -703,9 +693,9 @@ class Simulation(_World):
         signed[cells] = protocol_mod.signed_votes([payload for _, payload in votes])
         txs = [tx for tx, _ in received]
         tallies = consensus_mod.aggregate_votes(txs, validators, kept, signed)
-        # Each verified vote earns its validator a verify and a vali reward.
         validator_rewards = {
-            v: 2 * unit * n for v, n in zip(validators, kept.sum(axis=1).tolist()) if n
+            v: rewards_mod.validator_reward(n, unit)
+            for v, n in zip(validators, kept.sum(axis=1).tolist()) if n
         }
         tx_bytes = {id(tx): b for tx, b in received}
         section = protocol_mod.encode_tallies(tallies, [tx_bytes[id(t.tx)] for t in tallies])
@@ -776,14 +766,14 @@ class Simulation(_World):
         choice: dict[DeviceId, Block],
         actives: Sequence[DeviceId],
         ref: DeviceId,
-    ) -> tuple[list[tuple[DeviceId, str]], Block | None]:
+    ) -> tuple[tuple[tuple[DeviceId, str], ...], Block | None]:
         """Every active device adopts its partition's block. Each distinct
         (replica, block) pair is settled once, a rejection included, and its
         devices move to the result. Returns the reference device's events and block.
         """
         # Keys are looked up only for replicas that predate the loop: ids cannot clash.
-        settled: dict[tuple[int, bytes], tuple[Replica, list] | BlockRejected] = {}
-        events: list[tuple[DeviceId, str]] = []
+        settled: dict[tuple[int, bytes], tuple[Replica, tuple] | BlockRejected] = {}
+        events: tuple[tuple[DeviceId, str], ...] = ()
         legit_ref: Block | None = None
         for d in actives:
             st = self.state[d]

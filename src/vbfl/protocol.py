@@ -15,6 +15,7 @@ import hashlib
 import hmac as _hmac
 import json
 import struct
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence, TextIO
@@ -100,8 +101,6 @@ class VoteTally:
 
     def __post_init__(self):
         object.__setattr__(self, "voters", frozenset(self.voters))
-        if self.positives < 0 or self.negatives < 0:
-            raise ValueError("vote counts must be non-negative")
         if self.positives + self.negatives != len(self.voters):
             raise ValueError("vote counts disagree with the voter set")
 
@@ -336,7 +335,7 @@ def block_body_bytes(block: Block, tally_section: bytes | None = None) -> bytes:
 # --- signatures -----------------------------------------------------------
 
 
-class Signer:
+class Signer(ABC):
     """Registry of per-device key material plus a signing scheme.
 
     Subclasses define the actual scheme. The stub scheme reproduces the
@@ -356,11 +355,13 @@ class Signer:
         except KeyError:
             raise UnregisteredDevice(f"no key material for device {device.hex()}") from None
 
+    @abstractmethod
     def sign(self, payload: bytes, device: DeviceId) -> bytes:
-        raise NotImplementedError
+        """device's signature over payload."""
 
+    @abstractmethod
     def verify(self, payload: bytes, signature: bytes, device: DeviceId) -> bool:
-        raise NotImplementedError
+        """Whether signature is device's over payload."""
 
 
 class StubSigner(Signer):
@@ -409,9 +410,7 @@ def sign_worker_tx(
     )
 
 
-def verify_worker_tx(
-    tx: WorkerTransaction, signer: Signer, signing_bytes: bytes
-) -> bool:
+def verify_worker_tx(tx: WorkerTransaction, signer: Signer, signing_bytes: bytes) -> bool:
     return signer.verify(signing_bytes, tx.signature, tx.worker)
 
 

@@ -12,21 +12,32 @@ from typing import Sequence
 from .protocol import Block, DeviceId, GENESIS_MINER, VoteTally
 
 
-def worker_reward(
-    epochs: int, train_size: int, positives: int, negatives: int, unit: int
-) -> int:
-    """Training reward: epochs x shard size x unit, gated by the vote tally.
+EVENT_FLAGGED = "FLAGGED"
+EVENT_STREAK_RESET = "STREAK_RESET"
+EVENT_BLACKLISTED = "BLACKLISTED"
 
-    A tie counts as qualified; a worker only loses its reward when Negative
-    votes strictly outnumber Positive ones.
-    """
+
+def qualified(positives: int, negatives: int) -> bool:
+    """Whether a tally's votes qualify its update for reward and averaging:
+    a tie does; only strictly more Negative than Positive votes do not."""
+    return positives >= negatives
+
+
+def training_reward(epochs: int, train_size: int, unit: int) -> int:
+    """What a qualified worker earns, and so reports as its expected
+    reward: epochs x shard size x unit."""
     if min(epochs, train_size, unit) < 1:
         raise ValueError("epochs, train_size and unit must be positive")
+    return epochs * train_size * unit
+
+
+def worker_reward(epochs: int, train_size: int, positives: int, negatives: int, unit: int) -> int:
+    """The :func:`training_reward`, gated by the vote tally: 0 unless
+    :func:`qualified`."""
     if min(positives, negatives) < 0:
         raise ValueError("vote counts must be non-negative")
-    if positives >= negatives:
-        return epochs * train_size * unit
-    return 0
+    due = training_reward(epochs, train_size, unit)
+    return due if qualified(positives, negatives) else 0
 
 
 def tally_reward(tally: VoteTally, unit: int) -> int:
@@ -40,9 +51,18 @@ def tally_reward(tally: VoteTally, unit: int) -> int:
 
 def miner_reward(n_verified_vtx: int, unit: int) -> int:
     """Duty reward: one unit per verified validator transaction."""
-    if n_verified_vtx < 0:
-        raise ValueError("count must be non-negative")
     return n_verified_vtx * unit
+
+
+def vote_rewards(unit: int) -> tuple[int, int]:
+    """The verification and the validation reward one verified vote earns
+    its validator; each vote signs both."""
+    return unit, unit
+
+
+def validator_reward(n_verified_votes: int, unit: int) -> int:
+    """Duty reward: both :func:`vote_rewards` per verified vote."""
+    return n_verified_votes * sum(vote_rewards(unit))
 
 
 @dataclass
@@ -79,18 +99,17 @@ class StakeLedger:
 
 
 def apply_block(
-    ledger: StakeLedger,
-    block: Block,
-    workers: Sequence[DeviceId],
-) -> tuple[StakeLedger, frozenset[DeviceId], frozenset[DeviceId]]:
+    ledger: StakeLedger, block: Block, workers: Sequence[DeviceId]
+) -> tuple[StakeLedger, tuple[tuple[DeviceId, str], ...]]:
     """Process one legitimate block: credit rewards, update flags, blacklist.
 
     Worker rewards are recomputed from the epochs and shard size embedded in
     each tally's transaction; a self-reported expected reward that disagrees
     is treated as dishonest reporting (reward denied, worker flagged), as is
-    a tally where Negative votes outnumber Positive ones. Returns the new
-    ledger plus the flagged and newly blacklisted device sets. Of the round's
-    sorted ``workers``, those not flagged have their streak reset.
+    an unqualified tally. Of the round's sorted ``workers``, those not
+    flagged have their streak reset. Returns the new ledger and the block's
+    (device, event) pairs: the flagged workers, the streak resets and the
+    newly blacklisted devices, in that order, the first and last by id.
     """
     new = ledger.clone()
     unit = new.unit_reward
@@ -108,19 +127,16 @@ def apply_block(
     if block.miner != GENESIS_MINER:
         new._credit(block.miner, block.miner_reward)
 
-    newly_blacklisted: set[DeviceId] = set()
     for device in flagged:
-        streak = new.flag_streak.get(device, 0) + 1
-        new.flag_streak[device] = streak
-        if streak >= new.kick_r and device not in new.blacklist:
-            newly_blacklisted.add(device)
-    for device in workers:
-        if device not in flagged:
-            new.flag_streak[device] = 0
-    if newly_blacklisted:
-        new.blacklist = new.blacklist | newly_blacklisted
-
-    return new, frozenset(flagged), frozenset(newly_blacklisted)
+        new.flag_streak[device] = new.streak_of(device) + 1
+    newly_blacklisted = {d for d in flagged if new.streak_of(d) >= new.kick_r} - new.blacklist
+    reset = [d for d in workers if d not in flagged]
+    events = [(d, EVENT_FLAGGED) for d in sorted(flagged)]
+    events += [(d, EVENT_STREAK_RESET) for d in reset if new.streak_of(d) > 0]
+    events += [(d, EVENT_BLACKLISTED) for d in sorted(newly_blacklisted)]
+    new.flag_streak.update(dict.fromkeys(reset, 0))
+    new.blacklist |= newly_blacklisted
+    return new, tuple(events)
 
 
 def block_reward_total(

@@ -19,7 +19,14 @@ from vbfl.learning import ModelParams, softmax_arch
 from vbfl.orchestrator import Role, RunResult, Simulation, run_simulation
 from vbfl.presets import apply_overrides, get_preset
 from vbfl.protocol import Vote, VoteTally, WorkerTransaction, ZERO_HASH, Block
-from vbfl.rewards import StakeLedger, apply_block, miner_reward, worker_reward
+from vbfl.rewards import (
+    EVENT_BLACKLISTED,
+    EVENT_FLAGGED,
+    StakeLedger,
+    apply_block,
+    miner_reward,
+    worker_reward,
+)
 from vbfl.validation import suggest_threshold
 
 SEEDS = (1, 2, 5)
@@ -271,18 +278,23 @@ def test_criterion_8_blacklisting_timing():
     ledger = StakeLedger(unit_reward=1, kick_r=6)
     round_no = 0
 
+    def outcome(ledger, events):
+        """The ledger, and the flagged and the newly blacklisted devices."""
+        kinds = (EVENT_FLAGGED, EVENT_BLACKLISTED)
+        return ledger, *({d for d, e in events if e == kind} for kind in kinds)
+
     def worker_round(ledger, flagged: bool):
         nonlocal round_no
         round_no += 1
         votes = (0, 3) if flagged else (3, 0)
         block = _block([_tally(target, *votes)], round_no)
-        return apply_block(ledger, block, [target])
+        return outcome(*apply_block(ledger, block, [target]))
 
     def bystander_round(ledger):
         nonlocal round_no
         round_no += 1
         block = _block([_tally(bytes([2]) * 16, 3, 0)], round_no)
-        return apply_block(ledger, block, [])
+        return outcome(*apply_block(ledger, block, []))
 
     # Five flagged worker rounds with a validator round wedged in: streak
     # survives the non-worker round and stays below the threshold.
@@ -306,7 +318,7 @@ def test_criterion_8_blacklisting_timing():
         if i < 6:
             assert not blacklisted, f"blacklisted early, flagged round {i}"
         else:
-            assert blacklisted == frozenset([target])
+            assert blacklisted == {target}
     assert target in ledger.blacklist
     report("criterion 8 (blacklisting timing)", "kick on 6th flagged worker round; reset works")
 

@@ -35,6 +35,15 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def unreadable(path, content: bytes | None):
+    """path holding content, or a directory when content is None."""
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    return path
+
+
 def write_tiny_config(tmp_path, **extra):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({**TINY_CONFIG, **extra}))
@@ -84,6 +93,20 @@ class TestRun:
         cfg = write_tiny_config(tmp_path, train={"epochs": "5"})
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
         assert "train.epochs" in capsys.readouterr().err
+
+    def test_missing_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: config: file not found: {path}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff{}", None],
+                             ids=["not-json", "not-utf8", "a-directory"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, content):
+        path = unreadable(tmp_path / "exp.json", content)
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err.startswith(f"error: config: cannot read {path} as JSON: ")
+        assert not (tmp_path / "o").exists()
 
     def test_preset_and_config_mutually_exclusive(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
@@ -145,6 +168,25 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: vh-file: ") and "must be a number" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_vh_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code = run_cli("run", "--preset", "VBFL_POS_3_20_VHCAL", "--vh-file", path,
+                       "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: vh-file: file not found: {path}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [b"0.05 0.06", b'{"vh": 0.05}', b"\xff{}", None],
+                             ids=["not-json", "no-suggested-vh", "not-utf8", "a-directory"])
+    def test_unreadable_vh_file_exits_one(self, tmp_path, capsys, content):
+        path = unreadable(tmp_path / "vh_calibration.json", content)
+        code = run_cli("run", "--preset", "VBFL_POS_3_20_VHCAL", "--vh-file", path,
+                       "--out", tmp_path / "o")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: vh-file: cannot read suggested_vh from {path}: ")
         assert not (tmp_path / "o").exists()
 
     def test_cwd_calibration_file_found(self, tmp_path, monkeypatch):
@@ -326,8 +368,12 @@ class TestCompare:
         ("rounds.csv", lambda text: text.replace(text.splitlines()[-1].split(",")[-1], "high"),
          "'high'"),
         ("rounds.csv", lambda text: text.replace(",0,0,", ",no,0,"), "'no'"),
+        ("rounds.csv", lambda text: text.replace("global_accuracy", "accuracy"),
+         " has an incompatible schema"),
+        ("rounds.csv", lambda text: text.splitlines(keepends=True)[0], " is empty"),
     ], ids=["manifest-not-json", "manifest-without-config", "config-not-a-mapping",
-            "accuracy-not-a-number", "winner-malicious-not-a-number"])
+            "accuracy-not-a-number", "winner-malicious-not-a-number", "another-header",
+            "no-rows"])
     def test_damaged_run_dir_exits_one(self, tmp_path, capsys, damage):
         name, edit, cause = damage
         dirs = self.make_runs(tmp_path)

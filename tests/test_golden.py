@@ -16,6 +16,8 @@ under which a round settles each (replica, block) pair once.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -257,6 +259,35 @@ def test_replica_edited_in_place_fails_replay():
 
     with pytest.raises(InvariantViolation, match="!= replay"):
         sim.run(tamper)
+
+
+@pytest.fixture(scope="module")
+def golden_chain(tmp_path_factory) -> protocol.Blockchain:
+    """pos_stub's chain, read back from its dump, which holds its digest."""
+    out = run_simulation(CASES["pos_stub"], out_dir=tmp_path_factory.mktemp("pos_stub")).out_dir
+    dump = (out / "chain.jsonl").read_bytes()
+    assert hashlib.sha256(dump).hexdigest() == GOLDEN["pos_stub"]["chain.jsonl"]
+    return protocol.chain_from_jsonl(dump.decode())
+
+
+def _tampered(chain: protocol.Blockchain, tamper: str) -> protocol.Blockchain:
+    """The chain with one fault that only one of verify_links' checks sees."""
+    *blocks, last = chain.blocks
+    if tamper == "bad link":  # a block dropped: the next one links past it
+        return protocol.Blockchain((*blocks[:-1], last))
+    if tamper == "bad hash":  # a reward raised without re-hashing
+        last = dataclasses.replace(last, miner_reward=last.miner_reward + 1)
+    else:  # the last block under its predecessor's round, re-hashed
+        last = dataclasses.replace(last, round=blocks[-1].round)
+        last = dataclasses.replace(last, content_hash=protocol.compute_content_hash(last))
+    return protocol.Blockchain((*blocks, last))
+
+
+@pytest.mark.parametrize("tamper", ["bad link", "bad hash", "round does not advance"])
+def test_tampered_golden_chain_fails_its_link_check(golden_chain, tamper):
+    assert golden_chain.verify_links()
+    assert len(golden_chain) == 1 + CASES["pos_stub"].rounds
+    assert not _tampered(golden_chain, tamper).verify_links()
 
 
 def _idx_case(idx_dir, **kw) -> SimConfig:

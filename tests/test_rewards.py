@@ -6,10 +6,17 @@ from hypothesis import strategies as st
 from vbfl.learning import ModelParams, softmax_arch
 from vbfl.protocol import Block, VoteTally, WorkerTransaction, ZERO_HASH
 from vbfl.rewards import (
+    EVENT_BLACKLISTED,
+    EVENT_FLAGGED,
+    EVENT_STREAK_RESET,
     StakeLedger,
     apply_block,
     block_reward_total,
     miner_reward,
+    qualified,
+    training_reward,
+    validator_reward,
+    vote_rewards,
     worker_reward,
 )
 
@@ -41,6 +48,11 @@ def tally(worker, pos, neg, **kw) -> VoteTally:
     return VoteTally(wtx(worker, **kw), pos, neg, frozenset(dev(50 + i) for i in range(pos + neg)))
 
 
+def devices(events, kind) -> frozenset:
+    """The devices of one kind of event."""
+    return frozenset(d for d, e in events if e == kind)
+
+
 def make_block(tallies, miner=9, miner_rwd=60, validator_rwds=None, round=1) -> Block:
     return Block(
         round=round,
@@ -50,6 +62,34 @@ def make_block(tallies, miner=9, miner_rwd=60, validator_rwds=None, round=1) -> 
         miner_reward=miner_rwd,
         validator_rewards=validator_rwds or {},
     )
+
+
+class TestQualified:
+    @pytest.mark.parametrize("pos,neg,want", [(2, 1, True), (2, 2, True), (0, 0, True),
+                                              (1, 2, False), (0, 3, False)])
+    def test_tie_qualifies_and_a_negative_majority_does_not(self, pos, neg, want):
+        assert qualified(pos, neg) is want
+
+
+class TestTrainingReward:
+    @pytest.mark.parametrize("epochs,size,unit,want", [(5, 3000, 1, 15000), (2, 12, 3, 72)])
+    def test_values(self, epochs, size, unit, want):
+        assert training_reward(epochs, size, unit) == want
+
+    @pytest.mark.parametrize("args", [(0, 10, 1), (1, 0, 1), (1, 10, 0)])
+    def test_bad_args(self, args):
+        with pytest.raises(ValueError):
+            training_reward(*args)
+
+
+class TestValidatorReward:
+    def test_each_vote_pays_a_verification_and_a_validation_reward(self):
+        assert vote_rewards(1) == (1, 1)
+        assert vote_rewards(3) == (3, 3)
+
+    @pytest.mark.parametrize("n,unit,want", [(0, 1, 0), (12, 1, 24), (5, 3, 30)])
+    def test_values(self, n, unit, want):
+        assert validator_reward(n, unit) == want
 
 
 class TestWorkerReward:
@@ -75,10 +115,6 @@ class TestMinerReward:
     def test_values(self, n, unit, want):
         assert miner_reward(n, unit) == want
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            miner_reward(-1, 1)
-
 
 class TestApplyBlock:
     def ledger(self, **kw) -> StakeLedger:
@@ -91,45 +127,47 @@ class TestApplyBlock:
             [tally(1, 2, 1), tally(2, 0, 3)],
             validator_rwds={dev(5): 4, dev(6): 4, dev(7): 4},
         )
-        ledger, flagged, blacklisted = apply_block(self.ledger(), block, [dev(1), dev(2)])
+        ledger, events = apply_block(self.ledger(), block, [dev(1), dev(2)])
         assert ledger.stake_of(dev(1)) == 750
         assert ledger.stake_of(dev(2)) == 0
-        assert flagged == frozenset([dev(2)])
+        assert events == ((dev(2), EVENT_FLAGGED),)
         assert ledger.streak_of(dev(2)) == 1
-        assert not blacklisted
         assert ledger.stake_of(dev(9)) == 60
         assert ledger.stake_of(dev(5)) == 4
 
     def test_reward_recomputed_not_trusted(self):
         # An inflated self-report is denied and treated as a flag.
         block = make_block([tally(3, 3, 0, expected=10**6)])
-        ledger, flagged, _ = apply_block(self.ledger(), block, [dev(3)])
+        ledger, events = apply_block(self.ledger(), block, [dev(3)])
         assert ledger.stake_of(dev(3)) == 0
-        assert flagged == frozenset([dev(3)])
+        assert events == ((dev(3), EVENT_FLAGGED),)
 
     def test_blacklisted_on_kick_r_consecutive_worker_rounds(self):
         ledger = self.ledger()
         for round_no in range(1, 7):
             block = make_block([tally(4, 0, 3)], round=round_no, miner_rwd=0)
-            ledger, flagged, blacklisted = apply_block(ledger, block, [dev(4)])
-            assert dev(4) in flagged
+            ledger, events = apply_block(ledger, block, [dev(4)])
+            assert devices(events, EVENT_FLAGGED) == {dev(4)}
             if round_no < 6:
-                assert not blacklisted, f"blacklisted too early at round {round_no}"
+                assert not devices(events, EVENT_BLACKLISTED), (
+                    f"blacklisted too early at round {round_no}"
+                )
             else:
-                assert blacklisted == frozenset([dev(4)])
+                assert devices(events, EVENT_BLACKLISTED) == {dev(4)}
         assert dev(4) in ledger.blacklist
 
     def test_non_worker_round_leaves_streak_unchanged(self):
         ledger = self.ledger(flag_streak={dev(4): 3})
         block = make_block([tally(1, 2, 0)], miner_rwd=0)
-        ledger, _, _ = apply_block(ledger, block, [dev(1)])
+        ledger, events = apply_block(ledger, block, [dev(1)])
         assert ledger.streak_of(dev(4)) == 3
+        assert events == ()
 
     def test_positive_worker_round_resets_streak(self):
         ledger = self.ledger(flag_streak={dev(4): 5})
         block = make_block([tally(4, 3, 0)], miner_rwd=0)
-        ledger, flagged, blacklisted = apply_block(ledger, block, [dev(4)])
-        assert not flagged and not blacklisted
+        ledger, events = apply_block(ledger, block, [dev(4)])
+        assert events == ((dev(4), EVENT_STREAK_RESET),)
         assert ledger.streak_of(dev(4)) == 0
 
     def test_zero_vote_worker_unrewarded_but_resets(self):
@@ -137,26 +175,47 @@ class TestApplyBlock:
         # earns nothing and, being unflagged, clears its streak.
         ledger = self.ledger(flag_streak={dev(4): 2})
         block = make_block([tally(1, 2, 0)], miner_rwd=0)
-        ledger, _, _ = apply_block(ledger, block, [dev(1), dev(4)])
+        ledger, events = apply_block(ledger, block, [dev(1), dev(4)])
         assert ledger.stake_of(dev(4)) == 0
         assert ledger.streak_of(dev(4)) == 0
+        assert events == ((dev(4), EVENT_STREAK_RESET),)
 
     def test_blacklisted_stake_frozen(self):
         ledger = self.ledger(stake={dev(4): 100}, blacklist=frozenset([dev(4)]))
         block = make_block([tally(4, 3, 0)], miner_rwd=0)
-        ledger, _, _ = apply_block(ledger, block, [dev(4)])
+        ledger, _ = apply_block(ledger, block, [dev(4)])
         assert ledger.stake_of(dev(4)) == 100
 
     def test_earnings_decomposition(self):
         block = make_block(
             [tally(1, 2, 1)], miner=9, miner_rwd=60, validator_rwds={dev(5): 24}
         )
-        ledger, _, _ = apply_block(self.ledger(), block, [dev(1)])
+        ledger, _ = apply_block(self.ledger(), block, [dev(1)])
         # One device per role, so each stake is that role's reward.
         assert ledger.stake_of(dev(1)) == 750
         assert ledger.stake_of(dev(5)) == 24
         assert ledger.stake_of(dev(9)) == 60
         assert set(ledger.stake) == {dev(1), dev(5), dev(9)}
+
+    def test_events_in_order(self):
+        # Flags by id, then resets in the round's worker order, then
+        # blacklistings by id; a worker without a streak resets nothing.
+        ledger = StakeLedger(kick_r=2, flag_streak={
+            dev(2): 1, dev(3): 4, dev(5): 1, dev(6): 1, dev(7): 1,
+        })
+        block = make_block(
+            [tally(7, 0, 2), tally(2, 0, 2), tally(6, 1, 0), tally(3, 2, 0), tally(5, 0, 1),
+             tally(1, 1, 0)],
+            miner_rwd=0,
+        )
+        workers = [dev(n) for n in (1, 2, 3, 5, 6, 7)]
+        ledger, events = apply_block(ledger, block, workers)
+        assert events == (
+            (dev(2), EVENT_FLAGGED), (dev(5), EVENT_FLAGGED), (dev(7), EVENT_FLAGGED),
+            (dev(3), EVENT_STREAK_RESET), (dev(6), EVENT_STREAK_RESET),
+            (dev(2), EVENT_BLACKLISTED), (dev(5), EVENT_BLACKLISTED), (dev(7), EVENT_BLACKLISTED),
+        )
+        assert [ledger.streak_of(d) for d in workers] == [0, 2, 0, 2, 0, 2]
 
     def test_input_ledger_unmodified(self):
         before = self.ledger(stake={dev(1): 5})
@@ -193,7 +252,7 @@ def test_stake_monotone_and_conserved(votes, miner_rwd, blacklisted):
     block = make_block(tallies, miner_rwd=miner_rwd, validator_rwds={dev(40): 7})
     blacklist = frozenset(map(dev, blacklisted))
     start = StakeLedger(unit_reward=1, kick_r=6, stake={dev(1): 3}, blacklist=blacklist)
-    after, _, _ = apply_block(start, block, sorted(map(dev, seen)))
+    after, _ = apply_block(start, block, sorted(map(dev, seen)))
     for d in set(start.stake) | set(after.stake):
         assert after.stake_of(d) >= start.stake_of(d)
     increase = sum(after.stake.values()) - sum(start.stake.values())
