@@ -101,6 +101,8 @@ class VoteTally:
 
     def __post_init__(self):
         object.__setattr__(self, "voters", frozenset(self.voters))
+        if self.positives < 0 or self.negatives < 0:
+            raise ValueError("vote counts must be non-negative")
         if self.positives + self.negatives != len(self.voters):
             raise ValueError("vote counts disagree with the voter set")
 
@@ -410,7 +412,9 @@ def sign_worker_tx(
     )
 
 
-def verify_worker_tx(tx: WorkerTransaction, signer: Signer, signing_bytes: bytes) -> bool:
+def verify_worker_tx(
+    tx: WorkerTransaction, signer: Signer, signing_bytes: bytes
+) -> bool:
     return signer.verify(signing_bytes, tx.signature, tx.worker)
 
 

@@ -31,7 +31,9 @@ def training_reward(epochs: int, train_size: int, unit: int) -> int:
     return epochs * train_size * unit
 
 
-def worker_reward(epochs: int, train_size: int, positives: int, negatives: int, unit: int) -> int:
+def worker_reward(
+    epochs: int, train_size: int, positives: int, negatives: int, unit: int
+) -> int:
     """The :func:`training_reward`, gated by the vote tally: 0 unless
     :func:`qualified`."""
     if min(positives, negatives) < 0:
@@ -51,6 +53,8 @@ def tally_reward(tally: VoteTally, unit: int) -> int:
 
 def miner_reward(n_verified_vtx: int, unit: int) -> int:
     """Duty reward: one unit per verified validator transaction."""
+    if n_verified_vtx < 0:
+        raise ValueError("count must be non-negative")
     return n_verified_vtx * unit
 
 
@@ -99,7 +103,9 @@ class StakeLedger:
 
 
 def apply_block(
-    ledger: StakeLedger, block: Block, workers: Sequence[DeviceId]
+    ledger: StakeLedger,
+    block: Block,
+    workers: Sequence[DeviceId],
 ) -> tuple[StakeLedger, tuple[tuple[DeviceId, str], ...]]:
     """Process one legitimate block: credit rewards, update flags, blacklist.
 

@@ -525,6 +525,11 @@ class TestBlocks:
         with pytest.raises(ValueError):
             VoteTally(wtx(), 2, 2, frozenset([dev(5)]))
 
+    def test_negative_count_rejected(self):
+        # -1 + 1 matches the empty voter set, so only the sign check can catch it.
+        with pytest.raises(ValueError, match="non-negative"):
+            VoteTally(wtx(), -1, 1, frozenset())
+
 
 class TestChain:
     def test_genesis_append(self):

@@ -115,6 +115,10 @@ class TestMinerReward:
     def test_values(self, n, unit, want):
         assert miner_reward(n, unit) == want
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            miner_reward(-1, 1)
+
 
 class TestApplyBlock:
     def ledger(self, **kw) -> StakeLedger:
