@@ -648,7 +648,7 @@ class Simulation(_World):
         txs = [tx for tx, _ in received]
         table = protocol_mod.validator_tx_signing_bytes(
             plan.round, validators, [protocol_mod.payload_hash(b) for _, b in received],
-            [tx.signature for tx in txs], negative, *rewards_mod.vote_rewards(cfg.unit_reward),
+            [tx.signature for tx in txs], negative,
         )
         width = len(table) // max(negative.size, 1)
         ready_at = np.array([[ready[v]] for v in validators])

@@ -245,14 +245,14 @@ def worker_tx_signing_bytes(tx: WorkerTransaction) -> bytes:
 
 def validator_tx_signing_bytes(
     round: int, validators: Sequence[DeviceId], inner_digests: Sequence[bytes],
-    inner_signatures: Sequence[bytes], negative: np.ndarray, verify_reward: int, vali_reward: int,
+    inner_signatures: Sequence[bytes], negative: np.ndarray,
 ) -> bytes:
     """The signing bytes of a round's votes: one fixed-width row per
     (validator, update) pair, rows in row-major order of the (validators ×
     updates) ``negative`` table. A row is everything but the signature, with
     the inner worker transaction committed by digest: ``inner_digests[j]``
     is the ``payload_hash`` of update j's ``worker_tx_signing_bytes``, so a
-    row is 119 bytes (with 32-byte inner signatures) however large the
+    row is 103 bytes (with 32-byte inner signatures) however large the
     update. Raises ValueError if a digest is not ``HASH_LEN`` bytes, or the
     validator ids or the inner signatures differ in length."""
     if any(len(d) != HASH_LEN for d in inner_digests):
@@ -266,20 +266,18 @@ def validator_tx_signing_bytes(
     inner = b"".join(
         _blob(d) + _blob(sig) + _u8(_TAG_VOTE) for d, sig in zip(inner_digests, inner_signatures)
     )
-    tail = _u64(verify_reward) + _u64(vali_reward)
     h, m = len(head) // n_v, len(inner) // n_u
-    rows = np.empty((n_v, n_u, h + m + 1 + len(tail)), dtype=np.uint8)
+    rows = np.empty((n_v, n_u, h + m + 1), dtype=np.uint8)
     rows[:, :, :h] = np.frombuffer(head, np.uint8).reshape(n_v, 1, h)
     rows[:, :, h : h + m] = np.frombuffer(inner, np.uint8).reshape(1, n_u, m)
     rows[:, :, h + m] = np.where(negative, Vote.NEGATIVE.value, Vote.POSITIVE.value)
-    rows[:, :, h + m + 1 :] = np.frombuffer(tail, np.uint8)
     return rows.tobytes()
 
 
 def signed_votes(rows: Sequence[bytes]) -> list[int]:
     """The vote value (``Vote.value``) each validator-transaction row signs:
-    the byte before its two u64 rewards."""
-    return [row[-17] for row in rows]
+    its last byte."""
+    return [row[-1] for row in rows]
 
 
 def _tally_parts(t: VoteTally, tx_signing_bytes: bytes) -> list[bytes]:
@@ -399,17 +397,7 @@ class HmacSigner(Signer):
 def sign_worker_tx(
     tx: WorkerTransaction, signer: Signer, signing_bytes: bytes
 ) -> WorkerTransaction:
-    # The constructor, not dataclasses.replace, which costs about 2.5 times
-    # as much; this runs once per transaction.
-    return WorkerTransaction(
-        round=tx.round,
-        worker=tx.worker,
-        update=tx.update,
-        expected_reward=tx.expected_reward,
-        epochs=tx.epochs,
-        train_size=tx.train_size,
-        signature=signer.sign(signing_bytes, tx.worker),
-    )
+    return replace(tx, signature=signer.sign(signing_bytes, tx.worker))
 
 
 def verify_worker_tx(

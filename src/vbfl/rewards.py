@@ -58,15 +58,10 @@ def miner_reward(n_verified_vtx: int, unit: int) -> int:
     return n_verified_vtx * unit
 
 
-def vote_rewards(unit: int) -> tuple[int, int]:
-    """The verification and the validation reward one verified vote earns
-    its validator; each vote signs both."""
-    return unit, unit
-
-
 def validator_reward(n_verified_votes: int, unit: int) -> int:
-    """Duty reward: both :func:`vote_rewards` per verified vote."""
-    return n_verified_votes * sum(vote_rewards(unit))
+    """Duty reward: a verification and a validation reward of one unit
+    each per verified vote."""
+    return 2 * n_verified_votes * unit
 
 
 @dataclass

@@ -184,18 +184,18 @@ class RecordedVote:
 
 
 def decode_vote_row(row: bytes) -> tuple:
-    """(round, validator, inner digest, inner signature, Vote, verify reward,
-    vali reward) of a vote's signing bytes, parsed as docs/wire-format.md
-    lays them out; raises AssertionError on any other layout."""
+    """(round, validator, inner digest, inner signature, Vote) of a vote's
+    signing bytes, parsed as docs/wire-format.md lays them out; raises
+    AssertionError on any other layout."""
     tag, round_no = struct.unpack_from(">BQ", row)
     at, blobs = 9, []
     for _ in range(3):  # validator, inner digest, inner signature
         (n,) = struct.unpack_from(">I", row, at)
         blobs.append(row[at + 4 : at + 4 + n])
         at += 4 + n
-    vote_tag, value, verify_reward, vali_reward = struct.unpack_from(">BBQQ", row, at)
-    assert (tag, vote_tag, len(row)) == (0x04, 0x03, at + 18)
-    return (round_no, *blobs, Vote(value), verify_reward, vali_reward)
+    vote_tag, value = struct.unpack_from(">BB", row, at)
+    assert (tag, vote_tag, len(row)) == (0x04, 0x03, at + 2)
+    return (round_no, *blobs, Vote(value))
 
 
 @dataclass
@@ -228,7 +228,7 @@ def record_messages(sim: Simulation) -> dict[int, RoundMessages]:
             worker_of = {payload_hash(b): tx.worker for tx, b in received}
             votes = []
             for msg, row in messages:
-                round_no, validator, digest, _, vote, _, _ = decode_vote_row(row)
+                round_no, validator, digest, _, vote = decode_vote_row(row)
                 assert (round_no, validator) == (sim.round_no, msg.validator)
                 assert worker_of[digest] == received[msg.column][0].worker
                 votes.append(RecordedVote(validator, worker_of[digest], vote))

@@ -233,6 +233,15 @@ class TestRun:
         assert "round" not in done.stdout
         assert out.read_text() == "not a directory\n"
 
+    def test_out_under_a_file_exits_one(self, tmp_path, capsys):
+        # The output directory's parent is a regular file, so it cannot be made.
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        cfg = write_tiny_config(tmp_path)
+        assert run_cli("run", "--config", cfg, "--out", taken / "sub", "--quiet") == 1
+        assert capsys.readouterr().err.startswith(f"error: out: cannot use {taken / 'sub'} ")
+        assert taken.read_text() == "not a directory\n"
+
     def test_plain_fl_run_removes_an_earlier_chain_dump(self, tmp_path):
         out = tmp_path / "o"
         for preset in ("VBFL_POS_0_20_VH1", "VFL_0_20"):

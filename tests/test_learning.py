@@ -160,6 +160,14 @@ class TestLocalTrain:
         with pytest.raises(TrainingDiverged):
             local_train(start, shard, TrainSpec(5, 10.0, 2), rng(0))
 
+    def test_parameters_that_overflow_after_the_last_step_raise(self):
+        # One full-shard batch: the one loss is finite, and the step it
+        # takes, scaled by the huge learning rate, overflows the weights.
+        shard = DataShard(np.array([[10.0, -10.0], [-10.0, 10.0]]), np.array([0, 1]))
+        start = init_global_model(softmax_arch(2, 2), 7)
+        with pytest.raises(TrainingDiverged, match="^parameters diverged"):
+            local_train(start, shard, TrainSpec(1, 1e308, 2), rng(0))
+
     def test_epochs_must_be_positive(self, two_class_shards):
         train, _ = two_class_shards
         start = init_global_model(softmax_arch(4, 2), 7)

@@ -930,6 +930,33 @@ class TestRound:
         assert m.skipped
         assert sim.state[ref].replica.g == before
 
+    def test_round_without_workers_appends_an_empty_block(self, tmp_path):
+        # Round 1 votes its one worker down (vh -1 rejects every update) and
+        # blacklists it at once (kick_r 1); round 2 has a validator and a
+        # miner but no worker, so its vote table is empty.
+        cfg = tiny_cfg(
+            rounds=2, n_devices=3, n_workers=1, n_validators=1, n_miners=1, kick_r=1, vh=-1.0
+        )
+        sim = Simulation(cfg)
+        m1 = sim.run_round()
+        (worker, _), (kicked, event) = m1.events
+        assert (kicked, event) == (worker, "BLACKLISTED")
+        ref = min(set(sim.state) - {worker})
+        before = sim.state[ref].replica
+        m2 = sim.run_round()
+        assert Role.WORKER not in m2.roles.values() and len(m2.roles) == 2
+        after = sim.state[ref].replica
+        block = m2.legitimate_block
+        assert not m2.skipped and after.chain.blocks == before.chain.blocks + (block,)
+        assert (block.round, block.tallies, block.miner_reward) == (2, (), 0)
+        assert block.validator_rewards == ()
+        assert after.g == before.g
+        assert after.ledger.stake == before.ledger.stake and m2.stakes == m1.stakes
+        assert m2.events == ()
+        out = write_outputs(RunResult(sim.config, sim.metrics, sim, None), tmp_path)
+        rounds = [row.split(",")[0] for row in (out / "vad.csv").read_text().splitlines()[1:]]
+        assert rounds == ["1"]
+
     def test_all_blacklisted_run_still_writes_its_outputs(self, tmp_path):
         # With no active device left, the round metrics and the chain dump
         # both read the lowest-id device's replica.

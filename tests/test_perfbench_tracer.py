@@ -75,8 +75,8 @@ def test_traced_round_writes_untraced_outputs(tmp_path, driver_cls, consensus):
         # Every message is signed once and verified once per hop: the 12
         # worker transactions and the 60 votes (5 validators x 12 updates).
         assert layers["protocol.sign.calls"] == layers["protocol.verify.calls"] == 12 + 60
-        # The 60 vote rows of 119 bytes each are among the encoded bytes.
-        assert layers["protocol.encode.bytes"] == 46627
+        # The 60 vote rows of 103 bytes each are among the encoded bytes.
+        assert layers["protocol.encode.bytes"] == 45667
         # The whole chain dump is written inside the one wrapped call.
         assert layers["protocol.chain_to_jsonl.calls"] == 1.0
         # Not checked: validation.pretrain.{calls,s} read 0, because the

@@ -81,12 +81,10 @@ class VoteRow:
     validator: bytes
     inner: WorkerTransaction
     vote: Vote
-    verify_reward: int
-    vali_reward: int
 
 
 def vtx(validator=5, worker=1, vote=Vote.POSITIVE, round=1) -> VoteRow:
-    return VoteRow(round, dev(validator), wtx(worker, round), vote, 1, 1)
+    return VoteRow(round, dev(validator), wtx(worker, round), vote)
 
 
 def vtx_bytes(v: VoteRow) -> bytes:
@@ -97,18 +95,16 @@ def vtx_bytes(v: VoteRow) -> bytes:
         [payload_hash(worker_tx_signing_bytes(v.inner))],
         [v.inner.signature],
         np.array([[v.vote is Vote.NEGATIVE]]),
-        v.verify_reward,
-        v.vali_reward,
     )
 
 
-def struct_vote_row(round, validator, digest, inner_signature, vote: Vote, rewards) -> bytes:
+def struct_vote_row(round, validator, digest, inner_signature, vote: Vote) -> bytes:
     """A vote's signing bytes, written field by field as docs/wire-format.md
     lays them out."""
     out = struct.pack(">BQ", 0x04, round)
     for blob in (validator, digest, inner_signature):
         out += struct.pack(">I", len(blob)) + blob
-    return out + struct.pack(">BBQQ", 0x03, vote.value, *rewards)
+    return out + struct.pack(">BB", 0x03, vote.value)
 
 
 def tally(worker=1, pos=2, neg=1, voters=(5, 6, 7)) -> VoteTally:
@@ -160,8 +156,6 @@ class TestSigning:
         assert not verify_worker_tx(tampered, signer, worker_tx_signing_bytes(tampered))
 
     def test_signing_sets_only_the_signature(self):
-        # Signing builds the signed transaction field by field; a field it
-        # missed would show here.
         signer = make_signer(HmacSigner)
         w_bytes, v_bytes = worker_tx_signing_bytes(wtx()), vtx_bytes(vtx())
         assert sign_worker_tx(wtx(), signer, w_bytes) == dataclasses.replace(
@@ -195,7 +189,7 @@ class TestSigning:
         assert len(vtx_bytes(large)) == len(vtx_bytes(small))
         undigested, one = worker_tx_signing_bytes(small.inner), np.zeros((1, 1), dtype=bool)
         with pytest.raises(ValueError):
-            validator_tx_signing_bytes(1, [dev(5)], [undigested], [b""], one, 1, 1)
+            validator_tx_signing_bytes(1, [dev(5)], [undigested], [b""], one)
 
     def test_rows_of_two_widths_are_refused(self):
         # Inner signatures or validator ids of two lengths would give rows
@@ -203,12 +197,12 @@ class TestSigning:
         with pytest.raises(ValueError, match="differ in length"):
             validator_tx_signing_bytes(
                 1, [dev(5)], [ZERO_HASH] * 2, [b"\x01" * 32, b"\x01" * 31],
-                np.zeros((1, 2), dtype=bool), 1, 1,
+                np.zeros((1, 2), dtype=bool),
             )
         with pytest.raises(ValueError, match="differ in length"):
             validator_tx_signing_bytes(
                 1, [dev(5), dev(6)[:15]], [ZERO_HASH], [b"\x01" * 32],
-                np.zeros((2, 1), dtype=bool), 1, 1,
+                np.zeros((2, 1), dtype=bool),
             )
 
     def test_hmac_rejects_wrong_key(self):
@@ -223,6 +217,12 @@ class TestSigning:
         signer = make_signer(ids=())
         with pytest.raises(UnregisteredDevice):
             signer.sign(b"x", dev(1))
+
+    def test_hmac_refuses_a_signature_of_an_unregistered_device(self):
+        signer = make_signer(HmacSigner, ids=(1,))
+        signature = signer.sign(b"x", dev(1))
+        assert signer.verify(b"x", signature, dev(1))
+        assert not signer.verify(b"x", signature, dev(2))
 
 
 # --- signing and hashing preimages ---------------------------------------------
@@ -296,8 +296,6 @@ PREIMAGE_CHANGES = [
     ),
     ("validator_tx", ("validator",), lambda v: replace(v, validator=dev(6))),
     ("validator_tx", ("vote",), lambda v: replace(v, vote=Vote.NEGATIVE)),
-    ("validator_tx", ("verify_reward",), lambda v: replace(v, verify_reward=2)),
-    ("validator_tx", ("vali_reward",), lambda v: replace(v, vali_reward=2)),
     ("block", ("round",), lambda b: replace(b, round=b.round + 1)),
     ("block", ("miner",), lambda b: replace(b, miner=dev(8))),
     ("block", ("prev_hash",), lambda b: replace(b, prev_hash=b"\x11" * 32)),
@@ -351,6 +349,10 @@ class TestCodec:
             | {f"tallies.tx.{f}" for f in wtx_fields}
         )
 
+    def test_a_negative_integer_is_refused(self):
+        with pytest.raises(CodecError, match="^negative integer"):
+            worker_tx_signing_bytes(dataclasses.replace(wtx(), expected_reward=-1))
+
     @settings(max_examples=40, deadline=None)
     @given(st_wtx())
     def test_structural_equality_is_byte_equality(self, tx):
@@ -371,8 +373,8 @@ class TestCodec:
 
 
 def flip_vote_byte(row: bytes) -> bytes:
-    """row with its vote value inverted: the byte before the two rewards."""
-    return row[:-17] + bytes([row[-17] ^ 1]) + row[-16:]
+    """row with its vote value inverted: its last byte."""
+    return row[:-1] + bytes([row[-1] ^ 1])
 
 
 def vote_round(scheme: str) -> Simulation:
@@ -420,14 +422,14 @@ class TestVoteTable:
         negative = np.array([[False, True, False, False]] * 3)
         negative[1] ^= True
         table = validator_tx_signing_bytes(
-            3, validators, digests, [tx.signature for tx in txs], negative, 1, 2
+            3, validators, digests, [tx.signature for tx in txs], negative
         )
-        assert len(table) == 12 * 119
+        assert len(table) == 12 * 103
         for k in range(12):
             i, j = divmod(k, 4)
-            row = table[119 * k : 119 * (k + 1)]
+            row = table[103 * k : 103 * (k + 1)]
             vote = Vote.NEGATIVE if negative[i, j] else Vote.POSITIVE
-            want = struct_vote_row(3, validators[i], digests[j], txs[j].signature, vote, (1, 2))
+            want = struct_vote_row(3, validators[i], digests[j], txs[j].signature, vote)
             assert row == want
             msg = VoteMessage(validators[i], j, sign_validator_tx(validators[i], signer, row))
             assert verify_validator_tx(msg, signer, row)
@@ -453,7 +455,7 @@ class TestVoteTable:
             assert tx.worker == t.workers[msg.column]
             vote = Vote.NEGATIVE if t.negative[i, msg.column] else Vote.POSITIVE
             digest = payload_hash(tx_bytes)
-            assert row == struct_vote_row(1, msg.validator, digest, tx.signature, vote, (1, 1))
+            assert row == struct_vote_row(1, msg.validator, digest, tx.signature, vote)
 
     @pytest.mark.parametrize("scheme", ["stub", "hmac"])
     def test_a_row_flipped_after_signing(self, scheme):
@@ -466,7 +468,7 @@ class TestVoteTable:
             miner = min(m for m in inbox if inbox[m])
             msg, row, at = inbox[miner][0]
             inbox[miner][0] = (msg, flip_vote_byte(row), at)
-            flipped.append((msg, row[-17]))
+            flipped.append((msg, row[-1]))
 
         clean = vote_round(scheme).run_round().legitimate_block
         sim = vote_round(scheme)

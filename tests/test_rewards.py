@@ -16,7 +16,6 @@ from vbfl.rewards import (
     qualified,
     training_reward,
     validator_reward,
-    vote_rewards,
     worker_reward,
 )
 
@@ -83,10 +82,6 @@ class TestTrainingReward:
 
 
 class TestValidatorReward:
-    def test_each_vote_pays_a_verification_and_a_validation_reward(self):
-        assert vote_rewards(1) == (1, 1)
-        assert vote_rewards(3) == (3, 3)
-
     @pytest.mark.parametrize("n,unit,want", [(0, 1, 0), (12, 1, 24), (5, 3, 30)])
     def test_values(self, n, unit, want):
         assert validator_reward(n, unit) == want
