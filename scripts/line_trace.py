@@ -9,8 +9,9 @@ digest runs, the CLI and perfbench subprocess tests) is listed too, since
 subprocesses are not traced. Use it to re-check which branches and
 self-checks no test reaches; it needs no coverage package.
 
-Tracing slows the suite down: on a 2-vCPU box tier-1 ran 113 s under it
-against 68 s without (110 s against 71 s in an earlier measurement).
+Tracing slows the suite down about 1.5 times: on a 2-vCPU box with one
+BLAS thread, two runs of tier-1 took 99 s and 92 s under it against 66 s
+and 58 s without.
 
 Usage:
     PYTHONPATH=src python3 scripts/line_trace.py [PYTEST_ARGS...]

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -261,28 +261,24 @@ class DeviceState:
 
 
 def extend(
-    replica: Replica, block: Block, workers: Sequence[DeviceId], signer: Signer
+    replica: Replica, block: Block, signer: Signer
 ) -> tuple[Replica, tuple[tuple[DeviceId, str], ...]]:
-    """The replica after a block of the round with these sorted workers, and
-    the block's events (:func:`apply_block`); the model averages the
-    qualified tallies, if any. Raises BlockRejected if it may not append."""
+    """The replica after a block, and the block's events
+    (:func:`apply_block`); the model averages the qualified tallies, if
+    any. Raises BlockRejected if it may not append."""
     chain = append_block(replica.chain, block, signer, replica.ledger.blacklist)
-    ledger, events = apply_block(replica.ledger, block, workers)
+    ledger, events = apply_block(replica.ledger, block)
     good = [t for t in block.tallies if rewards_mod.qualified(t.positives, t.negatives)]
     g = fedavg([(t.update, float(t.tx.train_size)) for t in good]) if good else replica.g
     return Replica(chain, ledger, g), events
 
 
-def replay(
-    genesis: Replica,
-    blocks: Sequence[Block],
-    workers_by_round: Mapping[int, Sequence[DeviceId]],
-    signer: Signer,
-) -> Replica:
-    """genesis extended by each block in turn, with its round's sorted workers."""
+def replay(genesis: Replica, blocks: Sequence[Block], signer: Signer) -> Replica:
+    """genesis extended by each block in turn: the blocks alone make the
+    ledger and the model."""
     replica = genesis
     for block in blocks:
-        replica, _ = extend(replica, block, workers_by_round[block.round], signer)
+        replica, _ = extend(replica, block, signer)
     return replica
 
 
@@ -783,7 +779,7 @@ class Simulation(_World):
             key = (id(st.replica), block.content_hash)
             if key not in settled:
                 try:
-                    settled[key] = extend(st.replica, block, plan.workers, self.signer)
+                    settled[key] = extend(st.replica, block, self.signer)
                 except BlockRejected as exc:
                     settled[key] = exc
             if isinstance(settled[key], BlockRejected):
@@ -836,14 +832,10 @@ class Simulation(_World):
     def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
         """All rounds; then each distinct replica must equal its chain's replay."""
         super().run(progress)
-        workers = {
-            m.round: sorted(d for d, r in m.roles.items() if r is Role.WORKER)
-            for m in self.metrics
-        }
         for replica in {id(st.replica): st.replica for st in self.state.values()}.values():
             blocks = replica.chain.blocks[1:]
             try:
-                same = replay(self.genesis, blocks, workers, self.signer) == replica
+                same = replay(self.genesis, blocks, self.signer) == replica
             except BlockRejected:
                 same = False
             if not same:

@@ -7,7 +7,6 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from .protocol import Block, DeviceId, GENESIS_MINER, VoteTally
 
@@ -68,12 +67,13 @@ def validator_reward(n_verified_votes: int, unit: int) -> int:
 class StakeLedger:
     """Per-device accumulated rewards, flag streaks and the blacklist.
 
-    Stake only ever grows. The flag streak counts consecutive *worker-serving*
-    rounds in which the device was flagged; rounds spent as validator or
-    miner neither extend nor reset it, since a device submits no model in
-    those rounds and so can demonstrate neither malice nor legitimacy.
-    Reaching ``kick_r`` puts the device on the blacklist, which freezes its
-    stake and excludes it from all further participation.
+    Stake only ever grows. The flag streak counts the device's consecutive
+    flagged tallies: a tally that pays nothing extends it and one that pays
+    resets it. A block without the device's tally neither extends nor
+    resets it, since a validator, a miner or a worker whose update was not
+    tallied shows neither malice nor legitimacy. Reaching ``kick_r`` puts
+    the device on the blacklist, which freezes its stake and excludes it
+    from all further participation.
     """
 
     unit_reward: int = 1
@@ -98,19 +98,17 @@ class StakeLedger:
 
 
 def apply_block(
-    ledger: StakeLedger,
-    block: Block,
-    workers: Sequence[DeviceId],
+    ledger: StakeLedger, block: Block
 ) -> tuple[StakeLedger, tuple[tuple[DeviceId, str], ...]]:
     """Process one legitimate block: credit rewards, update flags, blacklist.
 
     Worker rewards are recomputed from the epochs and shard size embedded in
     each tally's transaction; a self-reported expected reward that disagrees
     is treated as dishonest reporting (reward denied, worker flagged), as is
-    an unqualified tally. Of the round's sorted ``workers``, those not
-    flagged have their streak reset. Returns the new ledger and the block's
-    (device, event) pairs: the flagged workers, the streak resets and the
-    newly blacklisted devices, in that order, the first and last by id.
+    an unqualified tally. Every other tallied worker has its streak reset.
+    Returns the new ledger and the block's (device, event) pairs: the
+    flagged workers, the streak resets and the newly blacklisted devices,
+    in that order, each by id.
     """
     new = ledger.clone()
     unit = new.unit_reward
@@ -131,7 +129,7 @@ def apply_block(
     for device in flagged:
         new.flag_streak[device] = new.streak_of(device) + 1
     newly_blacklisted = {d for d in flagged if new.streak_of(d) >= new.kick_r} - new.blacklist
-    reset = [d for d in workers if d not in flagged]
+    reset = sorted({t.worker for t in block.tallies} - flagged)
     events = [(d, EVENT_FLAGGED) for d in sorted(flagged)]
     events += [(d, EVENT_STREAK_RESET) for d in reset if new.streak_of(d) > 0]
     events += [(d, EVENT_BLACKLISTED) for d in sorted(newly_blacklisted)]

@@ -288,13 +288,13 @@ def test_criterion_8_blacklisting_timing():
         round_no += 1
         votes = (0, 3) if flagged else (3, 0)
         block = _block([_tally(target, *votes)], round_no)
-        return outcome(*apply_block(ledger, block, [target]))
+        return outcome(*apply_block(ledger, block))
 
     def bystander_round(ledger):
         nonlocal round_no
         round_no += 1
         block = _block([_tally(bytes([2]) * 16, 3, 0)], round_no)
-        return outcome(*apply_block(ledger, block, []))
+        return outcome(*apply_block(ledger, block))
 
     # Five flagged worker rounds with a validator round wedged in: streak
     # survives the non-worker round and stays below the threshold.

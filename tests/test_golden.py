@@ -261,6 +261,26 @@ def test_replica_edited_in_place_fails_replay():
         sim.run(tamper)
 
 
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"vanilla"}))
+def test_chain_dump_alone_rebuilds_the_ledger(name, tmp_path):
+    # The blocks of chain.jsonl, extended from genesis, give the last
+    # round's stake.csv and all of events.csv: no other input is needed.
+    cfg = CASES[name]
+    out = run_simulation(cfg, out_dir=tmp_path).out_dir
+    chain = protocol.chain_from_jsonl((out / "chain.jsonl").read_text())
+    sim = Simulation(cfg)
+    replica, events = sim.genesis, []
+    for block in chain.blocks[1:]:
+        replica, block_events = orchestrator.extend(replica, block, sim.signer)
+        events += [f"{block.round},{d.hex()},{e}" for d, e in block_events]
+    rows = [line.split(",") for line in (out / "stake.csv").read_text().splitlines()[1:]]
+    last = max(int(row[0]) for row in rows)
+    stakes = {d: int(stake) for r, d, stake, _ in rows if int(r) == last}
+    assert len(stakes) == cfg.n_devices
+    assert stakes == {d: replica.ledger.stake_of(bytes.fromhex(d)) for d in stakes}
+    assert events and events == (out / "events.csv").read_text().splitlines()[1:]
+
+
 @pytest.fixture(scope="module")
 def golden_chain(tmp_path_factory) -> protocol.Blockchain:
     """pos_stub's chain, read back from its dump, which holds its digest."""

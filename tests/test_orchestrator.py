@@ -847,6 +847,36 @@ class TestRound:
         ref = sorted(sim.state)[0]
         assert all(sim.state[ref].replica.ledger.streak_of(d) == 0 for d in resets)
 
+    def test_untallied_flagged_worker_keeps_its_streak(self, monkeypatch):
+        # Round 1 flags every worker. In round 2 one of them serves as a
+        # worker again but sends a forged signature, so no block tallies its
+        # update: its streak must neither grow nor reset, or withholding an
+        # update would clear a flag.
+        import vbfl.orchestrator as orchestrator
+
+        sim = Simulation(tiny_cfg(rounds=2, vh=-1.5, signature_scheme="hmac"))
+        flagged = {d for d, e in sim.run_round().events if e == "FLAGGED"}
+        assert len(flagged) == 12
+        sim.config = dataclasses.replace(sim.config, vh=1.0)
+        forged = []
+        sign = orchestrator.sign_worker_tx
+
+        def corrupting_sign(tx, signer, *args):
+            tx = sign(tx, signer, *args)
+            if not forged and tx.worker in flagged:
+                forged.append(tx.worker)
+                tx = dataclasses.replace(tx, signature=bytes(b ^ 1 for b in tx.signature))
+            return tx
+
+        monkeypatch.setattr(orchestrator, "sign_worker_tx", corrupting_sign)
+        m2 = sim.run_round()
+        (bad,) = forged
+        assert m2.roles[bad] is Role.WORKER
+        assert bad not in {t.worker for t in m2.legitimate_block.tallies}
+        assert any(e == "STREAK_RESET" for _, e in m2.events)
+        assert (bad, "STREAK_RESET") not in m2.events
+        assert {st.replica.ledger.streak_of(bad) for st in sim.state.values()} == {1}
+
     def test_blacklisted_devices_absent_from_later_blocks(self):
         # After a device is blacklisted, no later block may carry it as a
         # voter, a tally subject or the miner.

@@ -126,7 +126,7 @@ class TestApplyBlock:
             [tally(1, 2, 1), tally(2, 0, 3)],
             validator_rwds={dev(5): 4, dev(6): 4, dev(7): 4},
         )
-        ledger, events = apply_block(self.ledger(), block, [dev(1), dev(2)])
+        ledger, events = apply_block(self.ledger(), block)
         assert ledger.stake_of(dev(1)) == 750
         assert ledger.stake_of(dev(2)) == 0
         assert events == ((dev(2), EVENT_FLAGGED),)
@@ -137,7 +137,7 @@ class TestApplyBlock:
     def test_reward_recomputed_not_trusted(self):
         # An inflated self-report is denied and treated as a flag.
         block = make_block([tally(3, 3, 0, expected=10**6)])
-        ledger, events = apply_block(self.ledger(), block, [dev(3)])
+        ledger, events = apply_block(self.ledger(), block)
         assert ledger.stake_of(dev(3)) == 0
         assert events == ((dev(3), EVENT_FLAGGED),)
 
@@ -145,7 +145,7 @@ class TestApplyBlock:
         ledger = self.ledger()
         for round_no in range(1, 7):
             block = make_block([tally(4, 0, 3)], round=round_no, miner_rwd=0)
-            ledger, events = apply_block(ledger, block, [dev(4)])
+            ledger, events = apply_block(ledger, block)
             assert devices(events, EVENT_FLAGGED) == {dev(4)}
             if round_no < 6:
                 assert not devices(events, EVENT_BLACKLISTED), (
@@ -158,38 +158,39 @@ class TestApplyBlock:
     def test_non_worker_round_leaves_streak_unchanged(self):
         ledger = self.ledger(flag_streak={dev(4): 3})
         block = make_block([tally(1, 2, 0)], miner_rwd=0)
-        ledger, events = apply_block(ledger, block, [dev(1)])
+        ledger, events = apply_block(ledger, block)
         assert ledger.streak_of(dev(4)) == 3
         assert events == ()
 
     def test_positive_worker_round_resets_streak(self):
         ledger = self.ledger(flag_streak={dev(4): 5})
         block = make_block([tally(4, 3, 0)], miner_rwd=0)
-        ledger, events = apply_block(ledger, block, [dev(4)])
+        ledger, events = apply_block(ledger, block)
         assert events == ((dev(4), EVENT_STREAK_RESET),)
         assert ledger.streak_of(dev(4)) == 0
 
-    def test_zero_vote_worker_unrewarded_but_resets(self):
+    def test_untallied_worker_keeps_streak(self):
         # A worker whose transaction reached no validator has no tally: it
-        # earns nothing and, being unflagged, clears its streak.
-        ledger = self.ledger(flag_streak={dev(4): 2})
+        # earns nothing, gets no event and keeps its streak, so withholding
+        # an update cannot clear a flag.
+        ledger = self.ledger(flag_streak={dev(1): 1, dev(4): 2})
         block = make_block([tally(1, 2, 0)], miner_rwd=0)
-        ledger, events = apply_block(ledger, block, [dev(1), dev(4)])
+        ledger, events = apply_block(ledger, block)
         assert ledger.stake_of(dev(4)) == 0
-        assert ledger.streak_of(dev(4)) == 0
-        assert events == ((dev(4), EVENT_STREAK_RESET),)
+        assert ledger.streak_of(dev(4)) == 2
+        assert events == ((dev(1), EVENT_STREAK_RESET),)
 
     def test_blacklisted_stake_frozen(self):
         ledger = self.ledger(stake={dev(4): 100}, blacklist=frozenset([dev(4)]))
         block = make_block([tally(4, 3, 0)], miner_rwd=0)
-        ledger, _ = apply_block(ledger, block, [dev(4)])
+        ledger, _ = apply_block(ledger, block)
         assert ledger.stake_of(dev(4)) == 100
 
     def test_earnings_decomposition(self):
         block = make_block(
             [tally(1, 2, 1)], miner=9, miner_rwd=60, validator_rwds={dev(5): 24}
         )
-        ledger, _ = apply_block(self.ledger(), block, [dev(1)])
+        ledger, _ = apply_block(self.ledger(), block)
         # One device per role, so each stake is that role's reward.
         assert ledger.stake_of(dev(1)) == 750
         assert ledger.stake_of(dev(5)) == 24
@@ -197,8 +198,8 @@ class TestApplyBlock:
         assert set(ledger.stake) == {dev(1), dev(5), dev(9)}
 
     def test_events_in_order(self):
-        # Flags by id, then resets in the round's worker order, then
-        # blacklistings by id; a worker without a streak resets nothing.
+        # Flags, then streak resets, then blacklistings, each by id; a
+        # tallied worker without a streak resets nothing.
         ledger = StakeLedger(kick_r=2, flag_streak={
             dev(2): 1, dev(3): 4, dev(5): 1, dev(6): 1, dev(7): 1,
         })
@@ -208,7 +209,7 @@ class TestApplyBlock:
             miner_rwd=0,
         )
         workers = [dev(n) for n in (1, 2, 3, 5, 6, 7)]
-        ledger, events = apply_block(ledger, block, workers)
+        ledger, events = apply_block(ledger, block)
         assert events == (
             (dev(2), EVENT_FLAGGED), (dev(5), EVENT_FLAGGED), (dev(7), EVENT_FLAGGED),
             (dev(3), EVENT_STREAK_RESET), (dev(6), EVENT_STREAK_RESET),
@@ -219,7 +220,7 @@ class TestApplyBlock:
     def test_input_ledger_unmodified(self):
         before = self.ledger(stake={dev(1): 5})
         block = make_block([tally(1, 1, 0)], miner_rwd=0)
-        apply_block(before, block, [dev(1)])
+        apply_block(before, block)
         assert before.stake_of(dev(1)) == 5
 
 
@@ -251,7 +252,7 @@ def test_stake_monotone_and_conserved(votes, miner_rwd, blacklisted):
     block = make_block(tallies, miner_rwd=miner_rwd, validator_rwds={dev(40): 7})
     blacklist = frozenset(map(dev, blacklisted))
     start = StakeLedger(unit_reward=1, kick_r=6, stake={dev(1): 3}, blacklist=blacklist)
-    after, _ = apply_block(start, block, sorted(map(dev, seen)))
+    after, _ = apply_block(start, block)
     for d in set(start.stake) | set(after.stake):
         assert after.stake_of(d) >= start.stake_of(d)
     increase = sum(after.stake.values()) - sum(start.stake.values())

@@ -27,8 +27,8 @@ def patch_stakes(monkeypatch, edit):
     block) changes the stakes of the ledger it returns."""
     apply = orchestrator.apply_block
 
-    def edited(ledger, block, workers):
-        after, events = apply(ledger, block, workers)
+    def edited(ledger, block):
+        after, events = apply(ledger, block)
         edit(ledger, after, block)
         return after, events
 
