@@ -9,7 +9,9 @@ every line of its chain dump is canonical JSON.
 
 Every case but ``pos_ragged`` gives each device a 12-row shard;
 ``pos_ragged`` mixes 12- and 13-row shards, so its workers train in two
-groups of equal shard length. The ``network`` case ends with its devices on
+groups of equal shard length. Every test set has 120 rows but
+``pos_screen``'s, whose 1,024 rows ``learning.evaluate`` screens in
+float32. The ``network`` case ends with its devices on
 several replicas after rejected appends, so its digests also guard the key
 under which a round settles each (replica, block) pair once.
 """
@@ -29,6 +31,7 @@ import numpy as np
 import pytest
 from conftest import CHOICES, leaf, write_idx
 
+import vbfl.learning as learning
 import vbfl.orchestrator as orchestrator
 import vbfl.protocol as protocol
 from vbfl.config import (
@@ -106,6 +109,14 @@ CASES = {
         malicious_behaviors=(BEHAVIOR_WORKER_NOISE, BEHAVIOR_VALIDATOR_FLIP),
         sharding="label_skew",
     ),
+    # A 1,024-row shared test set: evaluate screens it in float32.
+    "pos_screen": _tiny(
+        arch="mlp", mlp_hidden=6,
+        dataset=DatasetConfig(
+            dim=8, classes=4, train_per_class=60, test_per_class=256,
+            spread=0.5, feature_scale=1.0,
+        ),
+    ),
 }
 
 GOLDEN = {
@@ -136,6 +147,13 @@ GOLDEN = {
         "rounds.csv": "5ec49359f3de4233398d6242f12c32a14ffc17f1a94ac254ce89d6c8ba4efb4c",
         "stake.csv": "05b021706cd3c3150ef71e20e225ddb98b6996c5b0bc6d87f8544c2e479706c9",
         "vad.csv": "ec2fb5e4fad0118e20782d12bfda06a02a0f245544f911ce0dc1c96dcade570d",
+    },
+    "pos_screen": {
+        "chain.jsonl": "5158cf24d0c15598bcb79e6eb496a57b9531e95d8fe87a4e7a2553e70ad7d9ec",
+        "events.csv": "1d320a8b7f42e00135bfeffbcd81232d9451f2c7356fbe50216c228c56947eec",
+        "rounds.csv": "9de361a3512d933b4a1499acc98692c94a72e209c898370fe95dc4f1105eb564",
+        "stake.csv": "391fc30d92830cf895f11f570aaaf9a72dcb1904e957bbaabeacf1cae71daac2",
+        "vad.csv": "d4e0bb8eaab5f4814d4a3df1cbd3b8f030ce65cab9a4830ed8efa4051cead594",
     },
     "pos_stub": {
         "chain.jsonl": "c18d0afc6354ef851cfab0dbbbd63276d9bbdc6c9ecb44079b4e921b3dc9dd20",
@@ -184,8 +202,26 @@ def test_digests_independent_of_hash_seed():
     assert _digests(CASES["pos_stub"], hash_seed="7") == GOLDEN["pos_stub"]
 
 
-def test_digests_independent_of_blas_threads():
-    assert _digests(CASES["pos_stub"], blas_threads="2") == GOLDEN["pos_stub"]
+@pytest.mark.parametrize("name", ["pos_stub", "pos_screen"])
+def test_digests_independent_of_blas_threads(name):
+    # A two-thread sgemm rounds the screen's float32 logits differently;
+    # the accuracies, and so every digest, must not move.
+    assert _digests(CASES[name], blas_threads="2") == GOLDEN[name]
+
+
+def test_screen_case_runs_the_screen(monkeypatch):
+    # pos_screen's digests guard the float32 screen only if its test set is
+    # screened and the screen decides it, not the float64 pass alone.
+    results = []
+    screen = learning._screen
+
+    def recording(*args):
+        results.append(screen(*args))
+        return results[-1]
+
+    monkeypatch.setattr(learning, "_screen", recording)
+    Simulation(CASES["pos_screen"]).run()
+    assert any(correct is not None for correct in results)
 
 
 def test_network_case_splits_replicas(monkeypatch):

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,10 +43,14 @@ class TestArch:
     def test_param_count_mlp(self):
         assert param_count(mlp_arch(8, 6, 3)) == 8 * 6 + 6 + 6 * 3 + 3
 
-    @pytest.mark.parametrize("bad", ["softmax", "conv:3-3", "mlp:4-5", "softmax:0-2", "x"])
-    def test_bad_arch_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("softmax", "malformed"), ("conv:3-3", "unknown"), ("mlp:4-5", "unknown"),
+         ("softmax:0-2", "unknown"), ("x", "malformed")],
+    )
+    def test_bad_arch_rejected(self, bad, message):
         for _ in range(2):  # a failed parse is not cached
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{message} architecture id: {bad!r}$"):
                 parse_arch(bad)
 
 
@@ -66,19 +71,42 @@ class TestArch:
 
 class TestModelParams:
     def test_length_checked(self):
-        with pytest.raises(ValueError):
+        named = "^parameter vector has 7 entries, softmax:2-2 needs 6$"
+        with pytest.raises(ValueError, match=named):
             ModelParams(np.zeros(7), softmax_arch(2, 2))
 
     def test_nan_rejected(self):
         values = np.zeros(param_count(softmax_arch(2, 2)))
         values[0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^parameter vector contains NaN/Inf$"):
             ModelParams(values, softmax_arch(2, 2))
+
+    def test_equal_only_to_the_same_architecture_and_values(self):
+        p = init_global_model(softmax_arch(3, 2), 0)
+        assert p == ModelParams(p.values.copy(), p.arch_id)
+        assert p != init_global_model(softmax_arch(3, 2), 1)
+        assert p != p.arch_id  # another type: ModelParams.__eq__ declines
 
     def test_immutable(self):
         p = init_global_model(softmax_arch(3, 2), 0)
         with pytest.raises(ValueError):
             p.values[0] = 1.0
+
+
+class TestDataShard:
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (np.zeros(3), [0, 1, 2], "features must be a 2-D array"),
+            (np.zeros((3, 2)), [0, 1], "features and labels disagree in length"),
+            (np.zeros((0, 2)), [], "shard is empty"),
+            (np.zeros((2, 2)), [0, -1], "labels must be non-negative"),
+        ],
+        ids=["not-2d", "lengths", "empty", "negative-label"],
+    )
+    def test_bad_arrays_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DataShard(x, y)
 
 
 class TestInit:
@@ -177,7 +205,7 @@ class TestLocalTrain:
     def test_batch_larger_than_shard_rejected(self, two_class_shards):
         train, _ = two_class_shards
         start = init_global_model(softmax_arch(4, 2), 7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^batch_size exceeds shard size$"):
             local_train(start, train, TrainSpec(1, 0.1, len(train) + 1), rng(0))
 
     def test_reads_only_its_own_shard(self, two_class_shards, shard_reads):
@@ -320,24 +348,31 @@ class TestLocalTrainMany:
 
     def test_one_epoch_count_per_device(self):
         starts, shards = self.devices([softmax_arch(4, 3)] * 2, sizes=(12, 12))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need one start, shard and epoch count"):
             local_train_many(starts, shards, self.SPEC, [rng(0), rng(1)], [2])
 
-    @pytest.mark.parametrize("bad", ["feature_dim", "label_range", "batch_over_rows"])
-    def test_one_bad_member_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("feature_dim", "shard feature dimension does not match the model"),
+            ("label_range", "shard labels exceed the model's class count"),
+            ("batch_over_rows", "batch_size exceeds shard size"),
+        ],
+    )
+    def test_one_bad_member_rejected(self, bad, message):
         starts, shards = self.devices([softmax_arch(4, 3)] * 3, sizes=(12, 13, 12))
         shards[1] = {
             "feature_dim": DataShard(np.zeros((13, 5)), np.zeros(13, dtype=int)),
             "label_range": DataShard(np.zeros((13, 4)), np.full(13, 3)),
             "batch_over_rows": DataShard(np.zeros((4, 4)), np.zeros(4, dtype=int)),
         }[bad]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             local_train_many(starts, shards, self.SPEC, [rng(i) for i in range(3)])
 
     def test_shared_rng_rejected(self):
         starts, shards = self.devices([softmax_arch(4, 3)] * 2, sizes=(12, 12))
         shared = rng(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct rng per device$"):
             local_train_many(starts, shards, self.SPEC, [shared, shared])
 
     @settings(max_examples=60, deadline=None)
@@ -466,6 +501,154 @@ class TestEvaluate:
         assert [a.tobytes() for a in (*test.arrays(), params.values)] == before
 
 
+    def test_feature_dimension_checked(self):
+        params = init_global_model(softmax_arch(4, 2), 0)
+        with pytest.raises(ValueError, match="^test feature dimension does not match the model$"):
+            evaluate(params, DataShard(np.zeros((3, 5)), [0, 1, 0]))
+
+
+def plain_accuracy(params: ModelParams, test: DataShard) -> float:
+    """The float64 forward pass that defines evaluate's accuracy, layer by
+    layer: argmax(relu(x @ W1 + b1) @ W2 + b2), ties to the lowest class."""
+    x, y = test.arrays()
+    a, at = x, 0
+    dims = parse_arch(params.arch_id)[1]
+    for layer, (rows, cols) in enumerate(zip(dims[:-1], dims[1:])):
+        w = params.values[at : at + rows * cols].reshape(rows, cols)
+        b = params.values[at + rows * cols : at + rows * cols + cols]
+        at += rows * cols + cols
+        a = (np.maximum(a, 0.0) if layer else a) @ w + b
+    return np.count_nonzero(a.argmax(axis=1) == y) / len(y)
+
+
+def screened_case(arch, rows, scale, tie, seed):
+    """A model of ``arch`` with N(0, scale^2) parameters and a test set of
+    SCREEN_MIN_ROWS + rows rows. ``tie`` makes output classes 0 and 1
+    ``tie * scale`` apart per weight: 0.0 an exact tie, 1e-9 one that float32
+    cannot resolve and float64 can. ``tie="row"`` makes them tie on the first
+    row alone, up to float64 rounding, with label 0: whether the float64
+    pass picks class 0 there depends on how its sums are ordered."""
+    r = rng(seed)
+    dims = parse_arch(arch)[1]
+    vec = r.normal(size=param_count(arch)) * scale
+    n = learning.SCREEN_MIN_ROWS + rows
+    x = r.normal(size=(n, dims[0])) + r.normal(size=dims[0])
+    y = r.integers(0, dims[-1], n)
+    h, k = dims[-2], dims[-1]
+    w = vec[len(vec) - h * k - k : len(vec) - k].reshape(h, k)
+    b = vec[len(vec) - k :]
+    if tie == "row":
+        a, d = x[0], dims[0]
+        if len(dims) == 3:  # the first row's hidden layer
+            a = np.maximum(a @ vec[: d * h].reshape(d, h) + vec[d * h : d * h + h], 0.0)
+        b[1] = b[0] + a @ (w[:, 0] - w[:, 1])
+        y[0] = 0
+    elif tie is not None:
+        w[:, 1] = w[:, 0] + tie * scale * r.normal(size=h)
+        b[1] = b[0] + tie * scale * r.normal()
+    return ModelParams(vec, arch), DataShard(x, y)
+
+
+class TestScreen:
+    """evaluate's float32 screen, on test sets of SCREEN_MIN_ROWS rows or more."""
+
+    def test_matches_the_float64_pass(self, monkeypatch):
+        # Whichever way evaluate decides, it returns the plain float64
+        # pass's accuracy: the screen alone, a float64 recheck of the rows
+        # the screen cannot certify (near ties), or the whole float64 pass
+        # (exact ties, such as the all-zero model, and magnitudes float32
+        # cannot hold). Each way runs for some draw. Weights near 1e-40 and
+        # 1e-43 underflow in float32; near 1e30 an MLP's logits overflow it.
+        paths, rechecked = Counter(), []
+        screen, forward = learning._screen, learning._forward
+
+        def watched_forward(layers, x):
+            rechecked.append(len(x))
+            return forward(layers, x)
+
+        def watched_screen(*args):
+            rechecked.clear()
+            correct = screen(*args)
+            paths["full" if correct is None else "recheck" if rechecked else "screen"] += 1
+            return correct
+
+        monkeypatch.setattr(learning, "_forward", watched_forward)
+        monkeypatch.setattr(learning, "_screen", watched_screen)
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(
+            st.booleans(),
+            st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(2, 5)),
+            st.integers(0, 40),
+            st.sampled_from([1.0, 1e-3, 1e3, 1e-40, 1e-43, 1e30, 0.0]),
+            st.sampled_from([None, 0.0, 1e-15, 1e-9, 1e-6, "row"]),
+            st.integers(0, 2**16),
+        )
+        def check(mlp, dims, rows, scale, tie, seed):
+            d, h, k = dims
+            arch = mlp_arch(d, h, k) if mlp else softmax_arch(d, k)
+            params, test = screened_case(arch, rows, scale, tie, seed)
+            assert evaluate(params, test) == plain_accuracy(params, test)
+
+        check()
+        assert set(paths) == {"screen", "recheck", "full"}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        st.booleans(), st.integers(2, 16), st.integers(1, 6), st.integers(2, 5),
+        st.integers(0, 2**16),
+    )
+    def test_a_tie_on_one_row_matches_the_float64_pass(self, mlp, d, h, k, seed):
+        # The recheck computes the few rows the screen leaves on their own,
+        # and BLAS may sum a lone row in another order than the whole test
+        # set (a matrix-vector product), so a float64 tie can come out the
+        # other way. Only a recheck that keeps its own rounding bound leaves
+        # such a row to the full pass and agrees with it.
+        arch = mlp_arch(d, h, k) if mlp else softmax_arch(d, k)
+        params, test = screened_case(arch, 0, 1.0, "row", seed)
+        assert evaluate(params, test) == plain_accuracy(params, test)
+
+    def test_small_test_sets_take_the_float64_pass_alone(self, monkeypatch):
+        params, test = screened_case(mlp_arch(4, 3, 3), 0, 1.0, None, 0)
+        x, y = test.arrays()
+        small = DataShard(x[: learning.SCREEN_MIN_ROWS - 1], y[: learning.SCREEN_MIN_ROWS - 1])
+        monkeypatch.setattr(learning, "_screen", None)  # calling it would raise
+        assert evaluate(params, small) == plain_accuracy(params, small)
+
+    def test_screen_arrays_built_once_per_test_set(self):
+        params, test = screened_case(mlp_arch(4, 3, 3), 5, 1.0, None, 1)
+        x, y = test.arrays()
+        first = evaluate(params, test)
+        cached = test.screen_arrays()
+        x32, norms, largest, labels, top_label = cached
+        assert x32.dtype == np.float32 and x32.flags.c_contiguous
+        assert np.array_equal(x32, x.T.astype(np.float32))
+        np.testing.assert_allclose(norms, np.linalg.norm(x, axis=1), rtol=1e-15)
+        assert largest == norms.max() and top_label == y.max()
+        assert np.array_equal(labels, y * len(y) + np.arange(len(y)))
+        assert evaluate(params, test) == first
+        assert test.screen_arrays() is cached
+
+    @pytest.mark.parametrize(
+        "case", ["label beyond the classes", "infinite feature", "NaN feature", "huge weight"]
+    )
+    def test_what_the_screen_cannot_bound_takes_the_float64_pass(self, case):
+        params, test = screened_case(softmax_arch(4, 3), 0, 1.0, None, 2)
+        x, y = test.arrays()
+        x, y, values = x.copy(), y.copy(), params.values.copy()
+        if case == "label beyond the classes":
+            y[0] = 3  # never right
+        elif case == "huge weight":
+            values[0] = 1e37  # below float32's range, but its products are not
+        else:
+            x[0, 0] = np.inf if case == "infinite feature" else np.nan
+        params, test = ModelParams(values, params.arch_id), DataShard(x, y)
+        layers = learning._unpack(params.values, params.arch_id)
+        assert learning._screen(params, layers, test) is None
+        with np.errstate(invalid="ignore"):  # inf * 0 in the float64 pass
+            assert evaluate(params, test) == plain_accuracy(params, test)
+
+
 class TestFedavg:
     def arch(self):
         return softmax_arch(2, 2)
@@ -486,13 +669,18 @@ class TestFedavg:
         np.testing.assert_allclose(got.values, np.full(6, 3.0))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fedavg needs at least one update$"):
             fedavg([])
 
     def test_mixed_arch_rejected(self):
         other = ModelParams(np.zeros(param_count(softmax_arch(3, 2))), softmax_arch(3, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^updates mix architectures$"):
             fedavg([(self.mk(0), 1.0), (other, 1.0)])
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan")])
+    def test_non_positive_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="^weights must be positive$"):
+            fedavg([(self.mk(0), 1.0), (self.mk(2), weight)])
 
     @given(st.permutations(list(range(5))))
     @settings(max_examples=30, deadline=None)
@@ -538,5 +726,5 @@ class TestNoise:
 
     def test_zero_variance_rejected(self):
         p = init_global_model(softmax_arch(5, 3), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^variance must be > 0$"):
             inject_gaussian_noise(p, 0.0, rng(0))
