@@ -10,7 +10,7 @@ subprocesses are not traced. Use it to re-check which branches and
 self-checks no test reaches; it needs no coverage package.
 
 Tracing slows the suite down about 1.5 times: on a 2-vCPU box with one
-BLAS thread, tier-1 took 75 s under it against 48-50 s without.
+BLAS thread, tier-1 took 78 s under it against 50-55 s without.
 
 Usage:
     PYTHONPATH=src python3 scripts/line_trace.py [PYTEST_ARGS...]

@@ -44,8 +44,9 @@ layer's |W|. A row is decided when exactly one class lies within
 that forces the float64 argmax to that class. The float64 recheck of the
 other rows decides within 8·(ε64·S_r + τ64), twice what two float64
 passes that sum in different orders need. A row still undecided (an exact
-or near tie) sends the whole test set to the float64 pass, and so does a
-magnitude at which float32 could overflow.
+or near tie) sends the whole test set to the float64 pass, and so do a
+float32 pass that decides no row (a recheck of every row would cost that
+pass) and a magnitude at which float32 could overflow.
 """
 
 from __future__ import annotations
@@ -403,8 +404,8 @@ def _forward(layers: list[np.ndarray], x: np.ndarray) -> np.ndarray:
 def _screen(params: ModelParams, layers: list[np.ndarray], test: DataShard) -> int | None:
     """How many rows the float64 forward pass classifies correctly, or None
     when the whole test set must take that pass (see the module docstring):
-    a row left undecided, a label that is not a class of the model, or a
-    magnitude at which float32 could overflow."""
+    a row left undecided, no row decided in float32, a label that is not a
+    class of the model, or a magnitude at which float32 could overflow."""
     x32, norms, xi, labels, top_label = test.screen_arrays()
     dims = parse_arch(params.arch_id)[1]
     omega = float(np.abs(params.values).max())
@@ -427,6 +428,8 @@ def _screen(params: ModelParams, layers: list[np.ndarray], test: DataShard) -> i
     rel = 4 * (eps32 + eps64)
     slack = norms * (rel * alpha) + (rel * beta + 4 * (tau32 + tau64))
     decided, correct = _decide(z, slack, labels)
+    if not decided.any():
+        return None
     rest = np.flatnonzero(~decided)
     if rest.size:
         x, y = test.arrays()

@@ -8,8 +8,8 @@ maps a config to its driver.
 One communication round of :class:`Simulation` runs these phases in order,
 each handing the next its data explicitly:
 
-1. roles and association: role assignment among non-blacklisted devices,
-   worker->validator and validator->miner links;
+1. roles and association: the workers, validators and miners drawn among
+   non-blacklisted devices, worker->validator and validator->miner links;
 2. train: one stacked training call for the workers' local training (noise
    injection for malicious workers) and every validator's one-epoch
    reference model (never noised), signed worker transactions, gossip among
@@ -40,7 +40,6 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -99,12 +98,6 @@ ROUNDS_CSV_FIELDS = ("round", "consensus", "winner", "winner_malicious", "forked
 STAKE_CSV_FIELDS = ("round", "device", "stake", "is_malicious")
 EVENTS_CSV_FIELDS = ("round", "device", "event")
 VAD_CSV_FIELDS = ("round", "validator", "worker", "vad", "vote", "worker_malicious")
-
-
-class Role(Enum):
-    WORKER = "w"
-    VALIDATOR = "v"
-    MINER = "m"
 
 
 # --- devices and sharding ---------------------------------------------------
@@ -169,8 +162,9 @@ def assign_roles(
     config: SimConfig,
     rng: np.random.Generator,
     excluded: frozenset[DeviceId] = frozenset(),
-) -> dict[DeviceId, Role]:
-    """Per-round role map; blacklisted devices receive no role.
+) -> tuple[list[DeviceId], list[DeviceId], list[DeviceId]]:
+    """The round's workers, validators and miners, each sorted by id;
+    blacklisted devices receive no role.
 
     A uniform shuffle filled worker-first. When exclusions leave fewer
     devices than the configured counts, the deficit shrinks the worker
@@ -187,17 +181,9 @@ def assign_roles(
         deficit -= cut
     if counts != [config.n_workers, config.n_validators, config.n_miners]:
         logger.warning("round %d: role counts shrank to %s after blacklisting", round_no, counts)
-    perm = rng.permutation(len(active))
-    roles: dict[DeviceId, Role] = {}
-    for pos, idx in enumerate(perm):
-        if pos < counts[0]:
-            role = Role.WORKER
-        elif pos < counts[0] + counts[1]:
-            role = Role.VALIDATOR
-        else:
-            role = Role.MINER
-        roles[active[idx]] = role
-    return roles
+    order = [active[i] for i in rng.permutation(len(active))]
+    w, v = counts[0], counts[0] + counts[1]
+    return sorted(order[:w]), sorted(order[w:v]), sorted(order[v:])
 
 
 def associate(
@@ -227,7 +213,6 @@ class RoundMetrics:
     """
 
     round: int
-    consensus: str
     global_accuracy: float
     winner: DeviceId | None = None
     winner_malicious: bool = False
@@ -237,7 +222,6 @@ class RoundMetrics:
     stakes: dict[DeviceId, int] = field(default_factory=dict)
     votes: VoteTable | None = None
     events: tuple[tuple[DeviceId, str], ...] = ()
-    roles: dict[DeviceId, Role] = field(default_factory=dict)
     legitimate_block: Block | None = None
 
 
@@ -287,7 +271,6 @@ class _Plan:
     """Who does what in one round, fixed before any message moves."""
 
     round: int
-    roles: dict[DeviceId, Role]
     workers: list[DeviceId]
     validators: list[DeviceId]
     miners: list[DeviceId]
@@ -295,13 +278,10 @@ class _Plan:
     v2m: dict[DeviceId, DeviceId]
 
     def miner_of(self, d: DeviceId) -> DeviceId:
-        """The miner whose block d's partition adopts."""
-        role = self.roles[d]
-        if role is Role.MINER:
-            return d
-        if role is Role.VALIDATOR:
-            return self.v2m[d]
-        return self.v2m[self.w2v[d]]
+        """The miner whose block d's partition adopts: a worker's validator's
+        miner, a validator's miner, or a miner itself."""
+        v = self.w2v.get(d, d)
+        return self.v2m.get(v, v)
 
 
 def _build_task(config: SimConfig) -> Task:
@@ -406,7 +386,6 @@ class _World:
         """This round's metrics, with g's accuracy on the full test set."""
         metrics = RoundMetrics(
             round=self.round_no,
-            consensus=self.config.consensus.upper(),
             global_accuracy=evaluate(g, self.full_test),
             **observed,
         )
@@ -546,7 +525,6 @@ class Simulation(_World):
             forked=len({b.content_hash for b in choice.values()}) > 1,
             votes=votes,
             events=events,
-            roles=plan.roles,
             legitimate_block=legit_ref,
         )
         self._check_round_invariants(metrics, prev_ref_ledger, actives)
@@ -565,16 +543,13 @@ class Simulation(_World):
     def _plan(self, j: int, blacklist: frozenset[DeviceId]) -> _Plan | None:
         """Roles and association; None when no validator or miner is left."""
         cfg = self.config
-        roles = assign_roles(
+        workers, validators, miners = assign_roles(
             j, list(self.state), cfg, substream(cfg.master_seed, "roles", j), excluded=blacklist
-        )
-        workers, validators, miners = (
-            sorted(d for d, r in roles.items() if r is role) for role in Role
         )
         if not validators or not miners:
             return None
         w2v, v2m = associate(workers, validators, miners, substream(cfg.master_seed, "assoc", j))
-        return _Plan(j, roles, workers, validators, miners, w2v, v2m)
+        return _Plan(j, workers, validators, miners, w2v, v2m)
 
     def _train(self, plan: _Plan, net_rng: np.random.Generator):
         """Workers train, distort if malicious, sign and send to their
@@ -857,7 +832,7 @@ class VanillaRun(_World):
         jobs = [(d.id, self.g, self.shards[d.id][0]) for d in self.devices]
         updates, _ = self._local_updates(jobs, j)
         self.g = fedavg([(u, float(len(train))) for u, (_, _, train) in zip(updates, jobs)])
-        return self._record(self.g, roles={d.id: Role.WORKER for d in self.devices})
+        return self._record(self.g)
 
 
 # --- output files -------------------------------------------------------------
@@ -881,9 +856,9 @@ def _write_csv(path, header: Sequence[str], lines) -> None:
         fh.writelines(lines)
 
 
-def write_rounds_csv(metrics: Sequence[RoundMetrics], path) -> None:
+def write_rounds_csv(metrics: Sequence[RoundMetrics], consensus: str, path) -> None:
     _write_csv(path, ROUNDS_CSV_FIELDS, (
-        f"{m.round},{m.consensus},{m.winner.hex() if m.winner else ''},"
+        f"{m.round},{consensus},{m.winner.hex() if m.winner else ''},"
         f"{int(m.winner_malicious)},{int(m.forked)},{float(m.global_accuracy)!r}\r\n"
         for m in metrics
     ))
@@ -964,7 +939,7 @@ def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path
     """Emit rounds/stake/vad/events CSVs, the chain dump and the manifest.
     A plain-FL run has no chain, so it removes an earlier run's dump."""
     out_dir = _make_out_dir(out_dir)
-    write_rounds_csv(result.metrics, out_dir / "rounds.csv")
+    write_rounds_csv(result.metrics, result.config.consensus.upper(), out_dir / "rounds.csv")
     write_stake_csv(result.metrics, frozenset(result.driver.malicious_ids), out_dir / "stake.csv")
     write_events_csv(result.metrics, out_dir / "events.csv")
     write_vad_csv(result.driver.vote_tables, out_dir / "vad.csv")

@@ -242,3 +242,20 @@ def record_messages(sim: Simulation) -> dict[int, RoundMessages]:
 
     sim._gossip = recording
     return rounds
+
+
+def record_plans(sim: Simulation) -> dict:
+    """Wrap sim._plan; the returned dict fills with each round's plan (its
+    workers, validators, miners and associations), by round number. A round
+    skipped before or at planning has no entry."""
+    plans: dict = {}
+    plan = sim._plan
+
+    def recording(j, blacklist):
+        planned = plan(j, blacklist)
+        if planned is not None:
+            plans[j] = planned
+        return planned
+
+    sim._plan = recording
+    return plans

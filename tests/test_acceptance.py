@@ -16,7 +16,7 @@ from conftest import record_messages
 
 from vbfl.consensus import aggregate_votes
 from vbfl.learning import ModelParams, softmax_arch
-from vbfl.orchestrator import Role, RunResult, Simulation, run_simulation
+from vbfl.orchestrator import RunResult, Simulation, run_simulation
 from vbfl.presets import apply_overrides, get_preset
 from vbfl.protocol import Vote, VoteTally, WorkerTransaction, ZERO_HASH, Block
 from vbfl.rewards import (
@@ -138,14 +138,15 @@ def test_criterion_5_stake_plateau(calibrated_vh):
     details = []
     for seed in SEEDS:
         result, _ = run("VBFL_POS_3_20_VHCAL", seed, vh=calibrated_vh)
-        # A device holds one role per round, so a worker's stake change in a
-        # round is its worker reward.
+        # A device holds one role per round, so the stake change of a worker
+        # whose update the round tallied is its worker reward.
         late_gains = []
         prev: dict[bytes, int] = {}
         for m in result.metrics:
+            workers = set(m.votes.workers) if m.votes else set()
             for d in sorted(result.driver.malicious_ids):
                 gain = m.stakes[d] - prev.get(d, 0)
-                if m.round > 20 and m.roles.get(d) is Role.WORKER and gain:
+                if m.round > 20 and d in workers and gain:
                     late_gains.append((m.round, d.hex()[:8], gain))
             prev = m.stakes
         assert late_gains == [], f"seed {seed}: malicious worker rewards after round 20"

@@ -608,6 +608,21 @@ class TestScreen:
         params, test = screened_case(arch, 0, 1.0, "row", seed)
         assert evaluate(params, test) == plain_accuracy(params, test)
 
+    def test_a_tie_on_every_row_takes_one_float64_pass(self, monkeypatch):
+        # The all-zero model ties on every row, so the float32 pass decides
+        # none; a float64 recheck of every row would only precede the full
+        # pass it ends in.
+        params, test = screened_case(mlp_arch(8, 6, 4), 0, 0.0, None, 3)
+        passes, forward = [], learning._forward
+
+        def counted(layers, x):
+            passes.append(len(x))
+            return forward(layers, x)
+
+        monkeypatch.setattr(learning, "_forward", counted)
+        assert evaluate(params, test) == plain_accuracy(params, test)
+        assert passes == [len(test)] == [1024]
+
     def test_small_test_sets_take_the_float64_pass_alone(self, monkeypatch):
         params, test = screened_case(mlp_arch(4, 3, 3), 0, 1.0, None, 0)
         x, y = test.arrays()

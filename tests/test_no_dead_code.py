@@ -23,12 +23,17 @@ crosses a module boundary gets a public name.
 Each name a package module imports must be loaded in that module, but for
 ``__init__.py``, whose imports are re-exports, ``from __future__`` imports
 and the names listed in ``UNUSED_IMPORT_ALLOWED``.
+
+Each entry of those three lists must exempt something: an entry whose
+check finds the same without it is stale, and is named.
 """
 
 import ast
 import io
 import tokenize
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_DIRS = ("src", "scripts", "perfbench")
@@ -108,7 +113,7 @@ def overridden(classes: dict[str, ast.ClassDef]) -> set[int]:
     return out
 
 
-def unread_parameters(root: Path) -> list[str]:
+def unread_parameters(root: Path, allowed=UNREAD_ALLOWED) -> list[str]:
     """Parameters of package functions (methods and nested functions too)
     that the function body never reads, but for an overridden method."""
     trees = {
@@ -133,7 +138,7 @@ def unread_parameters(root: Path) -> list[str]:
             unread += [
                 f"{path.relative_to(root)}:{fn.lineno} {fn.name}({p.arg})"
                 for p in params
-                if p is not None and p.arg not in read and (fn.name, p.arg) not in UNREAD_ALLOWED
+                if p is not None and p.arg not in read and (fn.name, p.arg) not in allowed
             ]
     return sorted(unread)
 
@@ -143,12 +148,9 @@ def unread_parameters(root: Path) -> list[str]:
 UNLOADED_ALLOWED = {
     # perfbench/measure.py builds RunResult positionally.
     ("RunResult", "out_dir"),
-    # The config dataclasses: config._rules walks their fields by
-    # annotation, and _build_task reads the dataset fields through fields().
-    ("TrainSpec", "*"),
-    ("DatasetConfig", "*"),
-    ("NetworkConfig", "*"),
-    ("SimConfig", "*"),
+    # _build_task passes these dataset fields to make_blobs_task through fields().
+    ("DatasetConfig", "spread"),
+    ("DatasetConfig", "feature_scale"),
 }
 
 
@@ -187,7 +189,7 @@ def loaded_attributes(tree: ast.Module) -> set[str]:
     }
 
 
-def unloaded_attributes(root: Path) -> list[str]:
+def unloaded_attributes(root: Path, allowed=UNLOADED_ALLOWED) -> list[str]:
     loads = set().union(*(
         loaded_attributes(ast.parse(path.read_text()))
         for top in PROGRAM_DIRS
@@ -196,12 +198,12 @@ def unloaded_attributes(root: Path) -> list[str]:
     unloaded = []
     for path in sorted((root / "src" / "vbfl").glob("*.py")):
         for cls in ast.parse(path.read_text()).body:
-            if not isinstance(cls, ast.ClassDef) or (cls.name, "*") in UNLOADED_ALLOWED:
+            if not isinstance(cls, ast.ClassDef) or (cls.name, "*") in allowed:
                 continue
             unloaded += [
                 f"{path.relative_to(root)}:{line} {cls.name}.{name}"
                 for name, line in stored_attributes(cls).items()
-                if name not in loads and (cls.name, name) not in UNLOADED_ALLOWED
+                if name not in loads and (cls.name, name) not in allowed
             ]
     return unloaded
 
@@ -232,7 +234,7 @@ UNUSED_IMPORT_ALLOWED = {
 }
 
 
-def unused_imports(root: Path) -> list[str]:
+def unused_imports(root: Path, allowed=UNUSED_IMPORT_ALLOWED) -> list[str]:
     """Names a package module (``__init__.py`` aside) imports and never loads."""
     unused = []
     for path in sorted((root / "src" / "vbfl").glob("*.py")):
@@ -250,9 +252,23 @@ def unused_imports(root: Path) -> list[str]:
                     f"{path.relative_to(root)}:{node.lineno} {name}"
                     for alias in node.names
                     for name in [alias.asname or alias.name.split(".")[0]]
-                    if name not in loaded and (path.stem, name) not in UNUSED_IMPORT_ALLOWED
+                    if name not in loaded and (path.stem, name) not in allowed
                 ]
     return unused
+
+
+def stale_entries(check, root: Path, allowed: set) -> list:
+    """The entries of allowed that exempt nothing: check(root) finds the
+    same without each of them."""
+    found = check(root, allowed)
+    return sorted(entry for entry in allowed if check(root, allowed - {entry}) == found)
+
+
+ALLOWLISTS = {
+    "UNREAD_ALLOWED": (unread_parameters, UNREAD_ALLOWED),
+    "UNLOADED_ALLOWED": (unloaded_attributes, UNLOADED_ALLOWED),
+    "UNUSED_IMPORT_ALLOWED": (unused_imports, UNUSED_IMPORT_ALLOWED),
+}
 
 
 def test_every_definition_is_named_by_the_program():
@@ -273,6 +289,12 @@ def test_no_module_imports_a_private_name():
 
 def test_every_import_is_used():
     assert unused_imports(ROOT) == []
+
+
+@pytest.mark.parametrize("allowlist", sorted(ALLOWLISTS))
+def test_every_allowlist_entry_exempts_something(allowlist):
+    check, allowed = ALLOWLISTS[allowlist]
+    assert stale_entries(check, ROOT, allowed) == []
 
 
 def test_the_check_sees_an_unnamed_definition(tmp_path):
@@ -368,4 +390,24 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "src/vbfl/m.py:4 os",
         "src/vbfl/m.py:6 Mapping",
         "src/vbfl/m.py:7 other",
+    ]
+
+
+def test_the_check_names_a_stale_allowlist_entry(tmp_path):
+    package = tmp_path / "src" / "vbfl"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        "class Shard:\n"
+        "    size: int\n"
+        "    label: str\n\n\n"
+        "class Config:\n"
+        "    seed: int\n\n\n"
+        "def read(shard, config):\n"
+        "    return shard.size + config.seed\n"
+    )
+    # Shard.label needs its entry; nothing needs the other two.
+    allowed = {("Shard", "label"), ("Shard", "size"), ("Config", "*")}
+    assert unloaded_attributes(tmp_path, allowed) == []
+    assert stale_entries(unloaded_attributes, tmp_path, allowed) == [
+        ("Config", "*"), ("Shard", "size"),
     ]

@@ -14,8 +14,10 @@ from conftest import (
     leaf,
     mistyped,
     record_messages,
+    record_plans,
     vad_rows,
     with_leaves,
+    write_idx,
 )
 
 from vbfl.config import (
@@ -27,7 +29,7 @@ from vbfl.config import (
     SimConfig,
     TrainSpec,
 )
-from vbfl.datasets import make_blobs_task
+from vbfl.datasets import load_idx_task, make_blobs_task, read_idx
 from vbfl.errors import ConfigError, InvariantViolation
 from vbfl.learning import ModelParams, evaluate, fedavg, local_train
 from vbfl.orchestrator import (
@@ -35,7 +37,6 @@ from vbfl.orchestrator import (
     ROUNDS_CSV_FIELDS,
     STAKE_CSV_FIELDS,
     VAD_CSV_FIELDS,
-    Role,
     RunResult,
     Simulation,
     VanillaRun,
@@ -350,6 +351,51 @@ class TestConfig:
             SimConfig.from_dict(json.loads(json.dumps(data)))
 
 
+def load_six_images_with_five_labels(root):
+    """load_idx_task on 12 training and 6 test images of 4 x 4 pixels, with
+    12 training labels and 5 test labels."""
+    arrays = [
+        np.zeros((12, 4, 4), ">u1"), np.zeros(12, ">u1"),
+        np.zeros((6, 4, 4), ">u1"), np.zeros(5, ">u1"),
+    ]
+    for k, arr in enumerate(arrays):
+        write_idx(root / str(k), arr, 0x08)
+    return load_idx_task(*(root / str(k) for k in range(4)))
+
+
+def read_dtype_code_7(root):
+    write_idx(root / "labels-idx1-ubyte", np.zeros(3, ">u1"), 0x07)
+    return read_idx(root / "labels-idx1-ubyte")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda tmp: tiny_cfg(malicious=(3, 20)), ConfigError,
+         r"malicious: device numbers must lie in [0, n_devices)"),
+        (lambda tmp: tiny_cfg(malicious=(3, 5, 3)), ConfigError,
+         "malicious: device numbers must be distinct"),
+        (lambda tmp: tiny_cfg(dataset=DatasetConfig(kind="idx")), ConfigError,
+         "dataset.idx_dir: required when dataset.kind is 'idx'"),
+        (lambda tmp: make_blobs_task(
+            dim=2, classes=2, train_per_class=0, test_per_class=2, spread=0.3,
+            feature_scale=1.0, seed=0,
+        ), ValueError, "need at least one example per class and split"),
+        (read_dtype_code_7, ValueError, "labels-idx1-ubyte: unknown IDX dtype code 0x07"),
+        (load_six_images_with_five_labels, ValueError, "image and label counts disagree"),
+        (lambda tmp: Simulation(tiny_cfg(dataset=DatasetConfig(kind="idx", idx_dir=str(tmp)))),
+         ConfigError, "dataset.idx_dir: missing train-images-idx3-ubyte[.gz] under "),
+    ],
+    ids=[
+        "malicious-out-of-range", "malicious-repeated", "idx-without-dir",
+        "blobs-zero-rows", "idx-dtype", "idx-counts-disagree", "idx-file-missing",
+    ],
+)
+def test_input_check_raises_its_named_error(tmp_path, build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build(tmp_path)
+
+
 class TestDevices:
     def test_stable_and_sorted(self):
         a = make_devices(20)
@@ -443,30 +489,64 @@ class TestSharding:
             shard_dataset(task, self.ids(5), substream(0, "shard"))
 
 
+def roles_by_position(device_ids, counts, rng, excluded=frozenset()):
+    """A reference for assign_roles, written as a per-position fill: the
+    device at position pos of the shuffle works while pos < counts[0], then
+    validates while pos < counts[0] + counts[1], then mines. Returns the
+    three lists, each sorted by id."""
+    active = [d for d in sorted(device_ids) if d not in excluded]
+    roles = ([], [], [])
+    for pos, idx in enumerate(rng.permutation(len(active))):
+        slot = 0 if pos < counts[0] else 1 if pos < counts[0] + counts[1] else 2
+        roles[slot].append(active[idx])
+    return tuple(sorted(devices) for devices in roles)
+
+
 class TestRoles:
     def test_counts_respected(self):
         cfg = tiny_cfg()
         ids = [d.id for d in make_devices(20)]
         roles = assign_roles(1, ids, cfg, substream(0, "roles", 1))
-        counts = {r: sum(1 for v in roles.values() if v is r) for r in Role}
-        assert counts == {Role.WORKER: 12, Role.VALIDATOR: 5, Role.MINER: 3}
+        assert [len(devices) for devices in roles] == [12, 5, 3]
+        assert sorted(d for devices in roles for d in devices) == sorted(ids)
 
     def test_rotation_actually_rotates(self):
         cfg = tiny_cfg()
         ids = [d.id for d in make_devices(20)]
-        maps = [
+        plans = [
             assign_roles(j, ids, cfg, substream(0, "roles", j)) for j in range(1, 101)
         ]
-        assert any(maps[0] != m for m in maps[1:])
+        assert any(plans[0] != p for p in plans[1:])
 
     def test_blacklisted_excluded_and_workers_shrink_first(self):
         cfg = tiny_cfg()
         ids = [d.id for d in make_devices(20)]
         excluded = frozenset(sorted(ids)[:2])
         roles = assign_roles(1, ids, cfg, substream(0, "roles", 1), excluded=excluded)
-        assert not excluded & set(roles)
-        counts = {r: sum(1 for v in roles.values() if v is r) for r in Role}
-        assert counts == {Role.WORKER: 10, Role.VALIDATOR: 5, Role.MINER: 3}
+        assert not excluded & {d for devices in roles for d in devices}
+        assert [len(devices) for devices in roles] == [10, 5, 3]
+
+    @pytest.mark.parametrize("excluded", [0, 2])
+    def test_lists_equal_the_per_position_fill(self, excluded):
+        # 2 excluded devices shrink the workers from 12 to 10.
+        cfg = tiny_cfg()
+        ids = [d.id for d in make_devices(20)]
+        out = frozenset(sorted(ids)[:excluded])
+        counts = (12 - excluded, 5, 3)
+        for j in range(1, 101):
+            got = assign_roles(j, ids, cfg, substream(0, "roles", j), excluded=out)
+            assert got == roles_by_position(ids, counts, substream(0, "roles", j), out)
+
+    def test_miner_of_is_the_partitions_miner(self):
+        sim = Simulation(tiny_cfg(rounds=1))
+        plan = sim._plan(1, frozenset())
+        assert len(plan.workers) == 12 and len(set(plan.w2v.values())) > 1
+        for w in plan.workers:
+            assert plan.miner_of(w) == plan.v2m[plan.w2v[w]]
+        for v in plan.validators:
+            assert plan.miner_of(v) == plan.v2m[v]
+        for m in plan.miners:
+            assert plan.miner_of(m) == m
 
 
 class TestAssociate:
@@ -535,7 +615,7 @@ class TestRound:
         # each distinct update once; one evaluation per validator's
         # reference, plus the global accuracy; one average for the block
         # all replicas adopt.
-        validators = sum(r == Role.VALIDATOR for r in m.roles.values())
+        validators = len(m.votes.validators)
         updates = len({id(tx.update) for tx in log[1].worker_txs})
         test_sets = 1 if validator_test == "full" else validators
         assert calls["evaluate"] == updates * test_sets + validators + 1
@@ -581,16 +661,15 @@ class TestRound:
         monkeypatch.setattr(orchestrator, "local_train_many", training)
         monkeypatch.setattr(learning, "local_train_many", training)
         sim = Simulation(tiny_cfg(rounds=1))
-        log = record_messages(sim)
-        m = sim.run_round()
+        log, plans = record_messages(sim), record_plans(sim)
+        sim.run_round()
         # One stacked call holding exactly the round's workers, in worker
         # order, for the configured epochs; then the validators' references,
         # for one epoch each.
-        workers = [tx.worker for tx in log[1].worker_txs]
-        validators = sorted(d for d, r in m.roles.items() if r == Role.VALIDATOR)
+        workers, validators = plans[1].workers, plans[1].validators
         epochs = [TINY_TRAIN.epochs] * len(workers) + [1] * len(validators)
         assert trained == [(workers + validators, epochs)]
-        assert sorted(workers) == sorted(d for d, r in m.roles.items() if r == Role.WORKER)
+        assert [tx.worker for tx in log[1].worker_txs] == workers
 
     def test_round_aggregates_and_encodes_once(self, monkeypatch):
         import vbfl.consensus as consensus
@@ -618,7 +697,7 @@ class TestRound:
         # when it signs and again when the block is appended (votes and the
         # tally section reuse the signed bytes), plus g0 for the genesis
         # block, however many validators vote and miners build candidates.
-        workers = sum(r == Role.WORKER for r in m.roles.values())
+        workers = len(m.votes.workers)
         assert aggregated["aggregate_votes"] == len(sections) == 1
         assert 0 < encoded["encode_model_params"] <= 3 * workers
         # Under the golden network case's jitter, miners adopt different
@@ -657,7 +736,7 @@ class TestRound:
 
         sim._validate = validating
         m = sim.run_round()
-        workers = sum(r == Role.WORKER for r in m.roles.values())
+        workers = len(m.votes.workers)
         votes = m.votes.negative.size
         assert len(signed) == votes > 0
         assert max(signed) < 256
@@ -681,7 +760,7 @@ class TestRound:
         cfg = tiny_cfg(rounds=1, malicious=tuple(range(20)), validator_test="shard")
         sim = Simulation(cfg)
         m = sim.run_round()
-        validators = sorted(d for d, r in m.roles.items() if r == Role.VALIDATOR)
+        validators = list(m.votes.validators)
         assert sorted(references) == validators
         for v in validators:
             assert sim._behaves(v, BEHAVIOR_WORKER_NOISE)
@@ -724,7 +803,6 @@ class TestRound:
         sim = Simulation(tiny_cfg(rounds=1))
         m = sim.run_round()
         assert m.round == 1
-        assert m.consensus == "POS"
         assert 0.0 <= m.global_accuracy <= 1.0
         assert m.winner is not None and not m.winner_malicious
         assert not m.forked and not m.skipped
@@ -733,11 +811,12 @@ class TestRound:
 
     def test_miner_never_reads_its_train_shard(self, shard_reads):
         sim = Simulation(tiny_cfg(rounds=1))
+        plans = record_plans(sim)
         shard_reads.clear()
-        m = sim.run_round()
-        for d, role in m.roles.items():
+        sim.run_round()
+        for d in sim.state:
             accesses = shard_reads[id(sim.state[d].train)]
-            if role is Role.MINER:
+            if d in plans[1].miners:
                 assert accesses == 0
             else:
                 assert accesses > 0
@@ -749,9 +828,10 @@ class TestRound:
         noisy = Simulation(tiny_cfg(rounds=1, malicious=(17, 18, 19)))
         for d in clean.state:
             assert np.array_equal(clean.state[d].train._x, noisy.state[d].train._x)
-        mc = clean.run_round()
-        mn = noisy.run_round()
-        assert mc.roles == mn.roles
+        plans_clean, plans_noisy = record_plans(clean), record_plans(noisy)
+        clean.run_round()
+        noisy.run_round()
+        assert plans_clean == plans_noisy
 
     def test_malicious_update_differs_everywhere(self, monkeypatch):
         import vbfl.orchestrator as orchestrator
@@ -785,9 +865,7 @@ class TestRound:
         )
         mh = honest.run_round()
         mf = flipped.run_round()
-        flipped_validators = {
-            d for d, r in mf.roles.items() if r is Role.VALIDATOR
-        } & flipped.malicious_ids
+        flipped_validators = set(mf.votes.validators) & flipped.malicious_ids
         if not flipped_validators:
             pytest.skip("no malicious device drew the validator role this round")
         # A flipping validator sends the inverse of each honest vote; its
@@ -814,12 +892,12 @@ class TestRound:
             assert st.replica.chain.verify_links()
             assert len(st.replica.chain) == 4
 
-    def test_pow_round_runs(self):
+    def test_pow_round_runs(self, tmp_path):
         cfg = tiny_cfg(rounds=2, consensus="pow", pow_difficulty=1)
-        sim = Simulation(cfg)
-        for m in sim.run():
-            assert m.consensus == "POW"
-            assert m.winner is not None
+        result = run_simulation(cfg, out_dir=tmp_path)
+        assert all(m.winner is not None for m in result.metrics)
+        rows = (result.out_dir / "rounds.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["1", "POW"], ["2", "POW"]]
 
     def test_forked_round_under_zero_wait(self):
         cfg = tiny_cfg(
@@ -841,7 +919,7 @@ class TestRound:
         sim.config = dataclasses.replace(sim.config, vh=1.0)
         m2 = sim.run_round()
         resets = {d for d, e in m2.events if e == "STREAK_RESET"}
-        workers_again = flagged & {d for d, r in m2.roles.items() if r is Role.WORKER}
+        workers_again = flagged & set(m2.votes.workers)
         assert workers_again, "no flagged device drew the worker role again"
         assert resets == workers_again
         ref = sorted(sim.state)[0]
@@ -869,9 +947,10 @@ class TestRound:
             return tx
 
         monkeypatch.setattr(orchestrator, "sign_worker_tx", corrupting_sign)
+        plans = record_plans(sim)
         m2 = sim.run_round()
         (bad,) = forged
-        assert m2.roles[bad] is Role.WORKER
+        assert bad in plans[2].workers
         assert bad not in {t.worker for t in m2.legitimate_block.tallies}
         assert any(e == "STREAK_RESET" for _, e in m2.events)
         assert (bad, "STREAK_RESET") not in m2.events
@@ -930,10 +1009,10 @@ class TestRound:
         monkeypatch.setattr(orchestrator, "sign_worker_tx", corrupting_sign)
         monkeypatch.setattr(orchestrator, "verify_worker_tx", counting_verify)
         sim = Simulation(tiny_cfg(rounds=1, signature_scheme="hmac"))
-        log = record_messages(sim)
+        log, plans = record_messages(sim), record_plans(sim)
         m = sim.run_round()
         (bad,) = forged
-        validators = {d for d, r in m.roles.items() if r is Role.VALIDATOR}
+        validators = set(plans[1].validators)
         assert verified[bad] == 1
         assert all(bad not in {tx.worker for tx in txs} for txs in log[1].by_validator.values())
         assert bad not in {t.worker for t in m.legitimate_block.tallies}
@@ -973,8 +1052,9 @@ class TestRound:
         assert (kicked, event) == (worker, "BLACKLISTED")
         ref = min(set(sim.state) - {worker})
         before = sim.state[ref].replica
+        plans = record_plans(sim)
         m2 = sim.run_round()
-        assert Role.WORKER not in m2.roles.values() and len(m2.roles) == 2
+        assert (len(plans[2].workers), len(plans[2].validators), len(plans[2].miners)) == (0, 1, 1)
         after = sim.state[ref].replica
         block = m2.legitimate_block
         assert not m2.skipped and after.chain.blocks == before.chain.blocks + (block,)
@@ -1072,7 +1152,6 @@ class TestVanilla:
         run = VanillaRun(tiny_cfg(rounds=1, consensus="vfl"))
         m = run.run_round()
         assert averaged == [20]
-        assert m.consensus == "VFL"
         assert m.winner is None
 
     def test_everyone_trains_in_one_call(self, monkeypatch):
@@ -1159,8 +1238,10 @@ class TestOutputs:
         sim = VanillaRun(tiny_cfg(rounds=2, consensus="vfl"))
         return RunResult(sim.config, sim.run(), sim, None)
 
-    @pytest.mark.parametrize("run", ["protocol_run_ending_skipped", "plain_fl_run"])
-    def test_csvs_equal_csv_writer_output(self, tmp_path, run):
+    @pytest.mark.parametrize(
+        "run, consensus", [("protocol_run_ending_skipped", "POS"), ("plain_fl_run", "VFL")]
+    )
+    def test_csvs_equal_csv_writer_output(self, tmp_path, run, consensus):
         # Each CSV writer formats its lines itself; its bytes are what
         # csv.writer's default dialect writes for the same rows.
         result = getattr(self, run)()
@@ -1168,7 +1249,7 @@ class TestOutputs:
         metrics, malicious = result.metrics, frozenset(result.driver.malicious_ids)
         expected = {
             "rounds.csv": csv_writer_bytes(ROUNDS_CSV_FIELDS, [
-                (m.round, m.consensus, m.winner.hex() if m.winner else "",
+                (m.round, consensus, m.winner.hex() if m.winner else "",
                  int(m.winner_malicious), int(m.forked), float(m.global_accuracy))
                 for m in metrics
             ]),

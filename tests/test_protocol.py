@@ -14,7 +14,7 @@ from conftest import TINY_DATASET
 
 from vbfl.config import BEHAVIOR_VALIDATOR_FLIP, SimConfig, TrainSpec
 from vbfl.learning import ModelParams, mlp_arch, param_count, softmax_arch
-from vbfl.orchestrator import Role, Simulation, assign_roles, make_devices
+from vbfl.orchestrator import Simulation, assign_roles, make_devices
 from vbfl.protocol import (
     BlacklistedMinerError,
     Block,
@@ -387,8 +387,8 @@ def vote_round(scheme: str) -> Simulation:
         vh=0.0, signature_scheme=scheme, malicious_behaviors=(BEHAVIOR_VALIDATOR_FLIP,),
     )
     ids = [d.id for d in make_devices(cfg.n_devices)]
-    roles = assign_roles(1, ids, cfg, substream(cfg.master_seed, "roles", 1))
-    flipper = next(k for k, d in enumerate(ids) if roles[d] is Role.VALIDATOR)
+    _, validators, _ = assign_roles(1, ids, cfg, substream(cfg.master_seed, "roles", 1))
+    flipper = ids.index(validators[0])
     return Simulation(replace(cfg, malicious=(flipper,)))
 
 
