@@ -22,17 +22,10 @@ from pathlib import Path
 
 from vbfl.cli import print_summary, write_calibration
 from vbfl.orchestrator import run_simulation
-from vbfl.presets import apply_overrides, get_preset
+from vbfl.presets import PRESETS, apply_overrides, get_preset
 
-SETUPS = (
-    "VFL_0_20",
-    "VFL_3_20",
-    "VBFL_POS_0_20_VH1",
-    "VBFL_POS_3_20_VHCAL",
-    "VBFL_POS_3_20_VHCAL_MV",
-    "VBFL_POW_3_20_VHCAL_D1",
-    "VBFL_POW_3_20_VHCAL_D2",
-)
+# Every preset but the calibration run, in the presets' order.
+SETUPS = tuple(n for n in PRESETS if n != "CALIBRATE_VH")
 
 
 def main(argv=None) -> int:

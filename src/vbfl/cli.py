@@ -101,11 +101,11 @@ def _default_out_dir(name: str, seed: int) -> Path:
 
 
 def _round_line(m: RoundMetrics) -> str:
-    winner = m.winner.hex()[:8] if m.winner else "-"
+    winner = m.legitimate_block.miner.hex()[:8] if m.legitimate_block else "-"
     return (
         f"round {m.round:3d}  acc={m.global_accuracy:.4f}  winner={winner:<8}  "
         f"malicious={int(m.winner_malicious)}  forked={int(m.forked)}"
-        + ("  [skipped: " + m.skip_reason + "]" if m.skipped else "")
+        + ("  [skipped: " + m.skip_reason + "]" if m.skip_reason else "")
     )
 
 

@@ -55,7 +55,8 @@ class TrainSpec:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Task description: synthetic blobs by default, IDX files for fidelity.
+    """Task description: synthetic blobs by default, or for fidelity the IDX
+    files under ``idx_dir`` when it is set.
 
     The default geometry (wide clusters in 128 dimensions, modest feature
     scale) is deliberately fragile to additive parameter noise: one round of
@@ -63,7 +64,6 @@ class DatasetConfig:
     makes the poisoning experiments meaningful at desk scale.
     """
 
-    kind: Literal["blobs", "idx"] = "blobs"
     dim: Annotated[int, Bound(1)] = 128
     classes: Annotated[int, Bound(2)] = 10
     train_per_class: Annotated[int, Bound(1)] = 300
@@ -133,7 +133,7 @@ class SimConfig:
 
     def validate(self) -> None:
         """The rules that span several fields: role counts, malicious device
-        numbers, rows per device and the IDX directory."""
+        numbers and, for a blob task, rows per device."""
         counts = (self.n_workers, self.n_validators, self.n_miners)
         if sum(counts) != self.n_devices:
             raise ConfigError(f"role_counts: {counts} must sum to n_devices={self.n_devices}")
@@ -142,10 +142,8 @@ class SimConfig:
         if len(set(self.malicious)) != len(self.malicious):
             raise ConfigError("malicious: device numbers must be distinct")
         ds = self.dataset
-        if ds.kind == "blobs":
+        if ds.idx_dir is None:
             check_rows(self, ds.classes * ds.train_per_class, ds.classes * ds.test_per_class)
-        elif not ds.idx_dir:
-            raise ConfigError("dataset.idx_dir: required when dataset.kind is 'idx'")
 
     def to_dict(self) -> dict:
         return _to_dict(self)

@@ -26,8 +26,8 @@ each handing the next its data explicitly:
 5. select: the legitimate block by stake rank or mining race; each distinct
    adopted block is then hashed and signed once;
 6. settle: chain append, reward/flag bookkeeping and the new global model,
-   once per distinct (replica, block) pair, shared by its devices;
-7. metrics: the round's observables and the invariant checks.
+   once per distinct (replica, block) pair; its devices move to the result;
+7. metrics: read from the reporting replica, and the invariant checks.
 
 Everything is driven by named substreams of the master seed, so runs are
 bit-reproducible and changing one noise source never shifts another. The
@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -205,7 +205,7 @@ def associate(
 
 @dataclass
 class RoundMetrics:
-    """What one round produced, as seen by the lowest-id active replica.
+    """What one round produced, as the reporting device's replica holds it.
 
     The CSVs take subsets of this. The round's block is the record of its
     traffic: every tallied worker transaction with its votes, and the duty
@@ -214,12 +214,10 @@ class RoundMetrics:
 
     round: int
     global_accuracy: float
-    winner: DeviceId | None = None
     winner_malicious: bool = False
     forked: bool = False
-    skipped: bool = False
     skip_reason: str = ""
-    stakes: dict[DeviceId, int] = field(default_factory=dict)
+    ledger: StakeLedger | None = None
     votes: VoteTable | None = None
     events: tuple[tuple[DeviceId, str], ...] = ()
     legitimate_block: Block | None = None
@@ -227,12 +225,13 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class Replica:
-    """A chain with the ledger and global model it means (see :func:`replay`).
-    Devices on the same tip share one; nothing edits it in place."""
+    """A chain with its ledger, global model and tip block's events (see
+    :func:`replay`). Devices on one tip share one; nothing edits it in place."""
 
     chain: Blockchain
     ledger: StakeLedger
     g: ModelParams
+    events: tuple[tuple[DeviceId, str], ...] = ()
 
 
 @dataclass
@@ -244,17 +243,15 @@ class DeviceState:
     replica: Replica
 
 
-def extend(
-    replica: Replica, block: Block, signer: Signer
-) -> tuple[Replica, tuple[tuple[DeviceId, str], ...]]:
-    """The replica after a block, and the block's events
+def extend(replica: Replica, block: Block, signer: Signer) -> Replica:
+    """The replica after a block, with the block's events
     (:func:`apply_block`); the model averages the qualified tallies, if
     any. Raises BlockRejected if it may not append."""
     chain = append_block(replica.chain, block, signer, replica.ledger.blacklist)
     ledger, events = apply_block(replica.ledger, block)
     good = [t for t in block.tallies if rewards_mod.qualified(t.positives, t.negatives)]
     g = fedavg([(t.update, float(t.tx.train_size)) for t in good]) if good else replica.g
-    return Replica(chain, ledger, g), events
+    return Replica(chain, ledger, g, events)
 
 
 def replay(genesis: Replica, blocks: Sequence[Block], signer: Signer) -> Replica:
@@ -262,7 +259,7 @@ def replay(genesis: Replica, blocks: Sequence[Block], signer: Signer) -> Replica
     ledger and the model."""
     replica = genesis
     for block in blocks:
-        replica, _ = extend(replica, block, signer)
+        replica = extend(replica, block, signer)
     return replica
 
 
@@ -286,7 +283,7 @@ class _Plan:
 
 def _build_task(config: SimConfig) -> Task:
     ds = config.dataset
-    if ds.kind == "idx":
+    if ds.idx_dir is not None:
         root = Path(ds.idx_dir)
 
         def find(stem: str) -> Path:
@@ -305,8 +302,7 @@ def _build_task(config: SimConfig) -> Task:
         except (ValueError, OSError, EOFError) as exc:  # malformed, unreadable, bad gzip
             raise ConfigError(f"dataset.idx_dir: {exc}") from None
     params = {f.name: getattr(ds, f.name) for f in fields(ds)}
-    for key in ("kind", "idx_dir"):
-        del params[key]
+    del params["idx_dir"]
     return make_blobs_task(seed=derive_seed(config.master_seed, "shard", "task"), **params)
 
 
@@ -517,28 +513,30 @@ class Simulation(_World):
             return self._skip(j, ref, "no eligible legitimate block")
 
         prev_ref_ledger = self.state[ref].replica.ledger
-        events, legit_ref = self._settle(plan, choice, actives, ref)
-        metrics = self._report(
-            ref,
-            winner=legit_ref.miner if legit_ref else None,
-            winner_malicious=bool(legit_ref and legit_ref.miner in self.malicious_ids),
-            forked=len({b.content_hash for b in choice.values()}) > 1,
-            votes=votes,
-            events=events,
-            legitimate_block=legit_ref,
-        )
+        self._settle(plan, choice, actives)
+        forked = len({b.content_hash for b in choice.values()}) > 1
+        metrics = self._report(ref, forked=forked, votes=votes)
         self._check_round_invariants(metrics, prev_ref_ledger, actives)
         return metrics
 
     def _skip(self, j: int, ref: DeviceId, reason: str) -> RoundMetrics:
         logger.warning("round %d skipped: %s", j, reason)
-        return self._report(ref, skipped=True, skip_reason=reason)
+        return self._report(ref, skip_reason=reason)
 
     def _report(self, ref: DeviceId, **observed) -> RoundMetrics:
-        """This round's metrics, read from the reporting device ref's replica."""
+        """This round's metrics, read from the reporting device ref's replica:
+        only a later round's block appends, so a tip of this round was adopted now."""
         replica = self.state[ref].replica
-        stakes = {d: replica.ledger.stake_of(d) for d in self.state}
-        return self._record(replica.g, stakes=stakes, **observed)
+        tip = replica.chain.blocks[-1]
+        block = tip if tip.round == self.round_no else None
+        return self._record(
+            replica.g,
+            ledger=replica.ledger,
+            legitimate_block=block,
+            events=replica.events if block else (),
+            winner_malicious=bool(block and block.miner in self.malicious_ids),
+            **observed,
+        )
 
     def _plan(self, j: int, blacklist: frozenset[DeviceId]) -> _Plan | None:
         """Roles and association; None when no validator or miner is left."""
@@ -736,16 +734,12 @@ class Simulation(_World):
         plan: _Plan,
         choice: dict[DeviceId, Block],
         actives: Sequence[DeviceId],
-        ref: DeviceId,
-    ) -> tuple[tuple[tuple[DeviceId, str], ...], Block | None]:
+    ) -> None:
         """Every active device adopts its partition's block. Each distinct
         (replica, block) pair is settled once, a rejection included, and its
-        devices move to the result. Returns the reference device's events and block.
-        """
+        devices move to the result."""
         # Keys are looked up only for replicas that predate the loop: ids cannot clash.
-        settled: dict[tuple[int, bytes], tuple[Replica, tuple] | BlockRejected] = {}
-        events: tuple[tuple[DeviceId, str], ...] = ()
-        legit_ref: Block | None = None
+        settled: dict[tuple[int, bytes], Replica | BlockRejected] = {}
         for d in actives:
             st = self.state[d]
             block = choice.get(plan.miner_of(d))
@@ -762,10 +756,7 @@ class Simulation(_World):
                     "round %d: device %s rejected block: %s", plan.round, d.hex()[:8], settled[key]
                 )
                 continue
-            st.replica, block_events = settled[key]
-            if d == ref:
-                events, legit_ref = block_events, block
-        return events, legit_ref
+            st.replica = settled[key]
 
     def _seen_block_hashes_add(self, block: Block):
         if block.content_hash in self._seen_block_hashes:
@@ -778,12 +769,11 @@ class Simulation(_World):
         prev_ref_ledger: StakeLedger,
         actives: Sequence[DeviceId],
     ):
-        ref_ledger = self.state[actives[0]].replica.ledger
         # Stake never decreases, and this round's total increase matches the
         # block's qualified rewards exactly.
         increase = 0
         for d in self.state:
-            delta = ref_ledger.stake_of(d) - prev_ref_ledger.stake_of(d)
+            delta = metrics.ledger.stake_of(d) - prev_ref_ledger.stake_of(d)
             if delta < 0:
                 raise InvariantViolation(f"stake of {d.hex()[:8]} decreased")
             increase += delta
@@ -858,18 +848,16 @@ def _write_csv(path, header: Sequence[str], lines) -> None:
 
 def write_rounds_csv(metrics: Sequence[RoundMetrics], consensus: str, path) -> None:
     _write_csv(path, ROUNDS_CSV_FIELDS, (
-        f"{m.round},{consensus},{m.winner.hex() if m.winner else ''},"
+        f"{m.round},{consensus},{m.legitimate_block.miner.hex() if m.legitimate_block else ''},"
         f"{int(m.winner_malicious)},{int(m.forked)},{float(m.global_accuracy)!r}\r\n"
         for m in metrics
     ))
 
 
-def write_stake_csv(
-    metrics: Sequence[RoundMetrics], malicious_ids: frozenset[DeviceId], path
-) -> None:
+def write_stake_csv(metrics: Sequence[RoundMetrics], driver: _World, path) -> None:
     _write_csv(path, STAKE_CSV_FIELDS, (
-        f"{m.round},{d.hex()},{m.stakes[d]},{int(d in malicious_ids)}\r\n"
-        for m in metrics for d in sorted(m.stakes)
+        f"{m.round},{d.id.hex()},{m.ledger.stake_of(d.id)},{int(d.id in driver.malicious_ids)}\r\n"
+        for m in metrics if m.ledger for d in driver.devices
     ))
 
 
@@ -907,15 +895,14 @@ def code_fingerprint() -> str:
     return h.hexdigest()
 
 
-def write_manifest(config: SimConfig, out_dir: Path, preset: str | None = None) -> None:
-    devices = make_devices(config.n_devices)
+def write_manifest(driver: _World, out_dir: Path, preset: str | None = None) -> None:
     manifest = {
         "preset": preset,
-        "config": config.to_dict(),
+        "config": driver.config.to_dict(),
         "hash_algo": HASH_NAME,
         "code_sha256": code_fingerprint(),
-        "device_ids": [d.id.hex() for d in devices],
-        "malicious_ids": [devices[i].id.hex() for i in sorted(config.malicious)],
+        "device_ids": [d.id.hex() for d in driver.devices],
+        "malicious_ids": [driver.devices[i].id.hex() for i in sorted(driver.config.malicious)],
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
@@ -940,7 +927,7 @@ def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path
     A plain-FL run has no chain, so it removes an earlier run's dump."""
     out_dir = _make_out_dir(out_dir)
     write_rounds_csv(result.metrics, result.config.consensus.upper(), out_dir / "rounds.csv")
-    write_stake_csv(result.metrics, frozenset(result.driver.malicious_ids), out_dir / "stake.csv")
+    write_stake_csv(result.metrics, result.driver, out_dir / "stake.csv")
     write_events_csv(result.metrics, out_dir / "events.csv")
     write_vad_csv(result.driver.vote_tables, out_dir / "vad.csv")
     if isinstance(result.driver, Simulation):
@@ -949,7 +936,7 @@ def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path
             chain_to_jsonl(result.driver.state[ref].replica.chain, out)
     else:
         (out_dir / "chain.jsonl").unlink(missing_ok=True)
-    write_manifest(result.config, out_dir, preset)
+    write_manifest(result.driver, out_dir, preset)
     return out_dir
 
 

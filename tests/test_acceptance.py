@@ -145,10 +145,10 @@ def test_criterion_5_stake_plateau(calibrated_vh):
         for m in result.metrics:
             workers = set(m.votes.workers) if m.votes else set()
             for d in sorted(result.driver.malicious_ids):
-                gain = m.stakes[d] - prev.get(d, 0)
+                gain = m.ledger.stake_of(d) - prev.get(d, 0)
                 if m.round > 20 and d in workers and gain:
                     late_gains.append((m.round, d.hex()[:8], gain))
-            prev = m.stakes
+            prev = m.ledger.stake
         assert late_gains == [], f"seed {seed}: malicious worker rewards after round 20"
         details.append(f"seed {seed}: 0 late worker rewards")
     report("criterion 5 (stake plateau)", "; ".join(details))
@@ -162,7 +162,7 @@ def _oracle_round_rewards(metrics, msgs, unit: int) -> dict[bytes, dict[str, int
         out.setdefault(device, {"worker": 0, "validator": 0, "miner": 0})
         out[device][source] += amount
 
-    if metrics.skipped or metrics.legitimate_block is None:
+    if metrics.legitimate_block is None:
         return out
     winner = metrics.legitimate_block.miner
     winner_votes = msgs.by_miner[winner]
@@ -198,7 +198,8 @@ def test_criterion_6_reward_oracle(calibrated_vh):
         prev: dict[bytes, int] = {}
         for m in result.metrics:
             want = _oracle_round_rewards(m, log.get(m.round), result.config.unit_reward)
-            for device, stake in m.stakes.items():
+            for device in result.driver.state:
+                stake = m.ledger.stake_of(device)
                 expected = sum(want.get(device, {}).values())
                 assert stake - prev.get(device, 0) == expected, (
                     f"seed {seed} round {m.round} device {device.hex()[:8]}: "
@@ -210,7 +211,7 @@ def test_criterion_6_reward_oracle(calibrated_vh):
                     d: r["validator"] for d, r in want.items() if r["validator"]
                 }
                 assert block.miner_reward == want[block.miner]["miner"]
-            prev = m.stakes
+            prev = m.ledger.stake
             rounds_checked += 1
     report("criterion 6 (reward oracle)", f"{rounds_checked} rounds, exact match")
 
@@ -221,7 +222,7 @@ def test_criterion_7_vote_aggregation_oracle(calibrated_vh):
         result, _ = run("VBFL_POS_3_20_VHCAL", seed, vh=calibrated_vh)
         log = messages("VBFL_POS_3_20_VHCAL", seed, vh=calibrated_vh)
         for m in result.metrics:
-            if m.skipped or m.legitimate_block is None:
+            if m.legitimate_block is None:
                 continue
             txs = log[m.round].worker_txs
             for miner, votes in log[m.round].by_miner.items():

@@ -317,7 +317,7 @@ class TestRun:
             "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte",
         ):
             (idx_dir / (stem + suffix)).write_bytes(data)
-        cfg = write_tiny_config(tmp_path, dataset={"kind": "idx", "idx_dir": str(idx_dir)})
+        cfg = write_tiny_config(tmp_path, dataset={"idx_dir": str(idx_dir)})
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: dataset.idx_dir: ") and len(err.splitlines()) == 1

@@ -263,7 +263,7 @@ def test_benign_round_seals_only_its_block(monkeypatch):
     # miners adopt is ever hashed and signed.
     seals = count_seals(monkeypatch)
     metrics = Simulation(CASES["pos_stub"]).run()
-    decided = [m.round for m in metrics if not m.skipped]
+    decided = [m.round for m in metrics if not m.skip_reason]
     assert decided
     assert seals == Counter(decided)
 
@@ -307,8 +307,8 @@ def test_chain_dump_alone_rebuilds_the_ledger(name, tmp_path):
     sim = Simulation(cfg)
     replica, events = sim.genesis, []
     for block in chain.blocks[1:]:
-        replica, block_events = orchestrator.extend(replica, block, sim.signer)
-        events += [f"{block.round},{d.hex()},{e}" for d, e in block_events]
+        replica = orchestrator.extend(replica, block, sim.signer)
+        events += [f"{block.round},{d.hex()},{e}" for d, e in replica.events]
     rows = [line.split(",") for line in (out / "stake.csv").read_text().splitlines()[1:]]
     last = max(int(row[0]) for row in rows)
     stakes = {d: int(stake) for r, d, stake, _ in rows if int(r) == last}
@@ -347,7 +347,7 @@ def test_tampered_golden_chain_fails_its_link_check(golden_chain, tamper):
 
 
 def _idx_case(idx_dir, **kw) -> SimConfig:
-    return _tiny(rounds=2, dataset=DatasetConfig(kind="idx", idx_dir=str(idx_dir)), **kw)
+    return _tiny(rounds=2, dataset=DatasetConfig(idx_dir=str(idx_dir)), **kw)
 
 
 def test_every_choice_runs():

@@ -111,7 +111,6 @@ NON_DEFAULT = {
     "network.delay": 0.5,
     "network.jitter": 0.25,
     "network.propagated_block_wait": 1.5,
-    "dataset.kind": "idx",
     "dataset.dim": 16,
     "dataset.classes": 3,
     "dataset.train_per_class": 50,
@@ -170,6 +169,7 @@ class TestConfig:
             ({"hash_rates": []}, "hash_rates"),
             ({"dataset": {"seed": 5}}, "dataset.seed"),
             ({"dataset": {"informative_dims": 4}}, "dataset.informative_dims"),
+            ({"dataset": {"kind": "idx"}}, "dataset.kind"),
         ):
             with pytest.raises(ConfigError, match=f"^{key}: unknown key"):
                 SimConfig.from_dict(data)
@@ -337,7 +337,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             with_leaves(tiny_cfg(), {key: bad})
         built = {name: bad}
-        if section:  # a section built with the bad value, e.g. DatasetConfig(kind=...)
+        if section:  # a section built with the bad value
             built = {section: type(getattr(SimConfig(), section))(**built)}
         with pytest.raises(ConfigError, match=match):
             SimConfig(**built)
@@ -375,20 +375,18 @@ def read_dtype_code_7(root):
          r"malicious: device numbers must lie in [0, n_devices)"),
         (lambda tmp: tiny_cfg(malicious=(3, 5, 3)), ConfigError,
          "malicious: device numbers must be distinct"),
-        (lambda tmp: tiny_cfg(dataset=DatasetConfig(kind="idx")), ConfigError,
-         "dataset.idx_dir: required when dataset.kind is 'idx'"),
         (lambda tmp: make_blobs_task(
             dim=2, classes=2, train_per_class=0, test_per_class=2, spread=0.3,
             feature_scale=1.0, seed=0,
         ), ValueError, "need at least one example per class and split"),
         (read_dtype_code_7, ValueError, "labels-idx1-ubyte: unknown IDX dtype code 0x07"),
         (load_six_images_with_five_labels, ValueError, "image and label counts disagree"),
-        (lambda tmp: Simulation(tiny_cfg(dataset=DatasetConfig(kind="idx", idx_dir=str(tmp)))),
+        (lambda tmp: Simulation(tiny_cfg(dataset=DatasetConfig(idx_dir=str(tmp)))),
          ConfigError, "dataset.idx_dir: missing train-images-idx3-ubyte[.gz] under "),
     ],
     ids=[
-        "malicious-out-of-range", "malicious-repeated", "idx-without-dir",
-        "blobs-zero-rows", "idx-dtype", "idx-counts-disagree", "idx-file-missing",
+        "malicious-out-of-range", "malicious-repeated", "blobs-zero-rows",
+        "idx-dtype", "idx-counts-disagree", "idx-file-missing",
     ],
 )
 def test_input_check_raises_its_named_error(tmp_path, build, error, message):
@@ -799,15 +797,17 @@ class TestRound:
         assert sim.state[ref].replica.g == before
         assert len(m.events) >= 12  # every worker flagged
 
-    def test_round_metrics_fields(self):
+    def test_round_metrics_fields(self, tmp_path):
         sim = Simulation(tiny_cfg(rounds=1))
         m = sim.run_round()
         assert m.round == 1
         assert 0.0 <= m.global_accuracy <= 1.0
-        assert m.winner is not None and not m.winner_malicious
-        assert not m.forked and not m.skipped
-        assert set(m.stakes) == set(sim.state)
+        assert m.legitimate_block is not None and not m.winner_malicious
+        assert not m.forked and not m.skip_reason
         assert m.votes.vad.shape == (5, 12)
+        out = write_outputs(RunResult(sim.config, sim.metrics, sim, None), tmp_path)
+        rows = [row.split(",")[:2] for row in (out / "stake.csv").read_text().splitlines()[1:]]
+        assert rows == [["1", d.hex()] for d in sorted(sim.state)]
 
     def test_miner_never_reads_its_train_shard(self, shard_reads):
         sim = Simulation(tiny_cfg(rounds=1))
@@ -895,7 +895,7 @@ class TestRound:
     def test_pow_round_runs(self, tmp_path):
         cfg = tiny_cfg(rounds=2, consensus="pow", pow_difficulty=1)
         result = run_simulation(cfg, out_dir=tmp_path)
-        assert all(m.winner is not None for m in result.metrics)
+        assert all(m.legitimate_block is not None for m in result.metrics)
         rows = (result.out_dir / "rounds.csv").read_text().splitlines()[1:]
         assert [row.split(",")[:2] for row in rows] == [["1", "POW"], ["2", "POW"]]
 
@@ -1036,7 +1036,7 @@ class TestRound:
         ref = sorted(sim.state)[2]
         before = sim.state[ref].replica.g
         m = sim.run_round()
-        assert m.skipped
+        assert m.skip_reason
         assert sim.state[ref].replica.g == before
 
     def test_round_without_workers_appends_an_empty_block(self, tmp_path):
@@ -1057,11 +1057,11 @@ class TestRound:
         assert (len(plans[2].workers), len(plans[2].validators), len(plans[2].miners)) == (0, 1, 1)
         after = sim.state[ref].replica
         block = m2.legitimate_block
-        assert not m2.skipped and after.chain.blocks == before.chain.blocks + (block,)
+        assert not m2.skip_reason and after.chain.blocks == before.chain.blocks + (block,)
         assert (block.round, block.tallies, block.miner_reward) == (2, (), 0)
         assert block.validator_rewards == ()
         assert after.g == before.g
-        assert after.ledger.stake == before.ledger.stake and m2.stakes == m1.stakes
+        assert after.ledger.stake == before.ledger.stake == m2.ledger.stake == m1.ledger.stake
         assert m2.events == ()
         out = write_outputs(RunResult(sim.config, sim.metrics, sim, None), tmp_path)
         rounds = [row.split(",")[0] for row in (out / "vad.csv").read_text().splitlines()[1:]]
@@ -1076,7 +1076,7 @@ class TestRound:
         for st in sim.state.values():
             st.replica.ledger.blacklist = frozenset(sim.state)
         m = sim.run_round()
-        assert m.skipped and m.skip_reason == "all devices blacklisted"
+        assert m.skip_reason == "all devices blacklisted"
         assert m.votes is None and sim.vote_tables == []
         out = write_outputs(RunResult(sim.config, sim.metrics, sim, None), tmp_path)
         dumped = chain_from_jsonl((out / "chain.jsonl").read_text())
@@ -1152,7 +1152,7 @@ class TestVanilla:
         run = VanillaRun(tiny_cfg(rounds=1, consensus="vfl"))
         m = run.run_round()
         assert averaged == [20]
-        assert m.winner is None
+        assert m.legitimate_block is None
 
     def test_everyone_trains_in_one_call(self, monkeypatch):
         import vbfl.orchestrator as orchestrator
@@ -1229,7 +1229,7 @@ class TestOutputs:
             sim.run_round()
         for st in sim.state.values():
             st.replica.ledger.blacklist = frozenset(sim.state)
-        assert sim.run_round().skipped
+        assert sim.run_round().skip_reason
         assert {event for m in sim.metrics for _, event in m.events} >= {"FLAGGED", "BLACKLISTED"}
         return RunResult(cfg, sim.metrics, sim, None)
 
@@ -1247,15 +1247,16 @@ class TestOutputs:
         result = getattr(self, run)()
         out = write_outputs(result, tmp_path)
         metrics, malicious = result.metrics, frozenset(result.driver.malicious_ids)
+        devices = sorted(d.id for d in result.driver.devices)
         expected = {
             "rounds.csv": csv_writer_bytes(ROUNDS_CSV_FIELDS, [
-                (m.round, consensus, m.winner.hex() if m.winner else "",
+                (m.round, consensus, m.legitimate_block.miner.hex() if m.legitimate_block else "",
                  int(m.winner_malicious), int(m.forked), float(m.global_accuracy))
                 for m in metrics
             ]),
             "stake.csv": csv_writer_bytes(STAKE_CSV_FIELDS, [
-                (m.round, d.hex(), m.stakes[d], int(d in malicious))
-                for m in metrics for d in sorted(m.stakes)
+                (m.round, d.hex(), m.ledger.stake_of(d), int(d in malicious))
+                for m in metrics if m.ledger for d in devices
             ]),
             "events.csv": csv_writer_bytes(EVENTS_CSV_FIELDS, [
                 (m.round, d.hex(), event) for m in metrics for d, event in m.events
