@@ -45,6 +45,7 @@ from vbfl.config import (
 from vbfl.errors import ConfigError, InvariantViolation
 from vbfl.orchestrator import Simulation, run_simulation
 from vbfl.protocol import BlockRejected
+from vbfl.rewards import apply_block
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -295,6 +296,44 @@ def test_replica_edited_in_place_fails_replay():
 
     with pytest.raises(InvariantViolation, match="!= replay"):
         sim.run(tamper)
+
+
+def test_replica_with_other_tip_events_fails_replay():
+    # The replay check compares each replica's tip events, not only its
+    # chain, ledger and model.
+    sim = Simulation(CASES["pos_stub"])
+    ref = sorted(sim.state)[0]
+
+    def tamper(metrics):
+        if metrics.round == sim.config.rounds:
+            st = sim.state[ref]
+            st.replica = dataclasses.replace(st.replica, events=(*st.replica.events, (ref, "x")))
+
+    with pytest.raises(InvariantViolation, match="!= replay"):
+        sim.run(tamper)
+
+
+def test_network_case_reports_only_what_its_reporting_replica_adopted():
+    # A round reports a block, and that block's events, exactly when the
+    # reporting replica's chain grew by it. The network case has rounds in
+    # which it rejected every block while its tip still holds events.
+    sim = Simulation(CASES["network"])
+    missed = 0
+    for _ in range(sim.config.rounds):
+        ref = sim._roster()[2]
+        before = sim.state[ref].replica
+        m = sim.run_round()
+        after = sim.state[ref].replica
+        assert m.ledger is after.ledger
+        if len(after.chain) > len(before.chain):
+            block = after.chain.blocks[-1]
+            assert m.legitimate_block is block
+            assert m.events == apply_block(before.ledger, block)[1]
+        else:
+            assert after is before
+            assert m.legitimate_block is None and m.events == ()
+            missed += bool(after.events)
+    assert missed
 
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - {"vanilla"}))

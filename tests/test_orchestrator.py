@@ -174,6 +174,14 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"^{key}: unknown key"):
                 SimConfig.from_dict(data)
 
+    def test_idx_dir_lifts_the_blob_row_check(self):
+        # The blob geometry bounds only the blob task; an IDX task's rows are
+        # checked once its files are read.
+        few = DatasetConfig(dim=8, classes=2, train_per_class=5)
+        with pytest.raises(ConfigError, match="^dataset: 10 training rows for 20 devices"):
+            tiny_cfg(dataset=few).validate()
+        tiny_cfg(dataset=dataclasses.replace(few, idx_dir="data/mnist")).validate()
+
     def test_pow_difficulty_beyond_digest_named(self):
         tiny_cfg(pow_difficulty=64).validate()
         with pytest.raises(ConfigError, match="^pow_difficulty: "):
@@ -1217,6 +1225,18 @@ class TestOutputs:
         # stake/vad/events exist as header-only files
         assert (out / "stake.csv").read_text().splitlines() == [
             "round,device,stake,is_malicious"
+        ]
+
+    def test_stake_csv_keeps_zero_stakes(self, tmp_path):
+        # Every device has a row each round, those the ledger holds no
+        # stake for among them.
+        result = run_simulation(tiny_cfg(rounds=1), out_dir=tmp_path)
+        ledger = result.metrics[0].ledger
+        ids = sorted(result.driver.state)
+        assert not set(ids) <= set(ledger.stake)
+        rows = [row.split(",") for row in (tmp_path / "stake.csv").read_text().splitlines()[1:]]
+        assert [(d, int(stake)) for _, d, stake, _ in rows] == [
+            (d.hex(), ledger.stake_of(d)) for d in ids
         ]
 
     @staticmethod
