@@ -132,8 +132,8 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        """The rules that span several fields: role counts, malicious device
-        numbers and, for a blob task, rows per device."""
+        """The rules beyond each leaf's annotation: role counts, malicious
+        numbers, a non-empty ``idx_dir`` and a blob task's rows per device."""
         counts = (self.n_workers, self.n_validators, self.n_miners)
         if sum(counts) != self.n_devices:
             raise ConfigError(f"role_counts: {counts} must sum to n_devices={self.n_devices}")
@@ -142,6 +142,8 @@ class SimConfig:
         if len(set(self.malicious)) != len(self.malicious):
             raise ConfigError("malicious: device numbers must be distinct")
         ds = self.dataset
+        if ds.idx_dir == "":
+            raise ConfigError("dataset.idx_dir: must not be empty")
         if ds.idx_dir is None:
             check_rows(self, ds.classes * ds.train_per_class, ds.classes * ds.test_per_class)
 

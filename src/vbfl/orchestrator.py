@@ -207,9 +207,9 @@ def associate(
 class RoundMetrics:
     """What one round produced, as the reporting device's replica holds it.
 
-    The CSVs take subsets of this. The round's block is the record of its
-    traffic: every tallied worker transaction with its votes, and the duty
-    rewards. The messages themselves live only in the round's inboxes.
+    The round's block is the record of its traffic: its tallies with their
+    votes, and the duty rewards. ``ledger`` is the replica's own, shared with
+    any later round that adopts no block, so nothing may edit it.
     """
 
     round: int
@@ -301,8 +301,7 @@ def _build_task(config: SimConfig) -> Task:
             )
         except (ValueError, OSError, EOFError) as exc:  # malformed, unreadable, bad gzip
             raise ConfigError(f"dataset.idx_dir: {exc}") from None
-    params = {f.name: getattr(ds, f.name) for f in fields(ds)}
-    del params["idx_dir"]
+    params = {f.name: getattr(ds, f.name) for f in fields(ds) if f.name != "idx_dir"}
     return make_blobs_task(seed=derive_seed(config.master_seed, "shard", "task"), **params)
 
 
@@ -798,9 +797,8 @@ class Simulation(_World):
         """All rounds; then each distinct replica must equal its chain's replay."""
         super().run(progress)
         for replica in {id(st.replica): st.replica for st in self.state.values()}.values():
-            blocks = replica.chain.blocks[1:]
             try:
-                same = replay(self.genesis, blocks, self.signer) == replica
+                same = replay(self.genesis, replica.chain.blocks[1:], self.signer) == replica
             except BlockRejected:
                 same = False
             if not same:

@@ -391,10 +391,12 @@ def read_dtype_code_7(root):
         (load_six_images_with_five_labels, ValueError, "image and label counts disagree"),
         (lambda tmp: Simulation(tiny_cfg(dataset=DatasetConfig(idx_dir=str(tmp)))),
          ConfigError, "dataset.idx_dir: missing train-images-idx3-ubyte[.gz] under "),
+        (lambda tmp: tiny_cfg(dataset=DatasetConfig(idx_dir="")), ConfigError,
+         "dataset.idx_dir: must not be empty"),
     ],
     ids=[
         "malicious-out-of-range", "malicious-repeated", "blobs-zero-rows",
-        "idx-dtype", "idx-counts-disagree", "idx-file-missing",
+        "idx-dtype", "idx-counts-disagree", "idx-file-missing", "idx-dir-empty",
     ],
 )
 def test_input_check_raises_its_named_error(tmp_path, build, error, message):
