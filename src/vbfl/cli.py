@@ -126,10 +126,9 @@ def write_calibration(tables: list[VoteTable], out_dir) -> dict:
 def _cmd_run(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("preset: give exactly one of --preset or --config")
-    needs_calibration = args.preset is not None and get_preset(args.preset).requires_vh
-    vh = _resolve_vh(args, allow_cwd_lookup=needs_calibration)
-    if args.preset is not None:
-        preset = get_preset(args.preset)
+    preset = None if args.preset is None else get_preset(args.preset)
+    vh = _resolve_vh(args, allow_cwd_lookup=preset is not None and preset.requires_vh)
+    if preset is not None:
         if preset.requires_vh and vh is None:
             raise ConfigError(
                 f"vh: preset {preset.name} needs a calibrated threshold; run "

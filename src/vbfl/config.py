@@ -260,7 +260,7 @@ def _from_dict(cls, data: Mapping, section: str = ""):
         hint, _, bound = rules[key]
         if is_dataclass(hint):
             value = _from_dict(hint, value, prefix + key)
-        elif bound and bound.unlimited and value in ("unlimited", None):
+        elif bound and bound.unlimited and value == "unlimited":
             value = math.inf
         elif isinstance(value, list):
             value = tuple(value)

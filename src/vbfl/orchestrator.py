@@ -27,7 +27,7 @@ each handing the next its data explicitly:
    adopted block is then hashed and signed once;
 6. settle: chain append, reward/flag bookkeeping and the new global model,
    once per distinct (replica, block) pair; its devices move to the result;
-7. metrics: read from the reporting replica, and the invariant checks.
+7. metrics: the reporting replica is the round's record; the invariant checks.
 
 Everything is driven by named substreams of the master seed, so runs are
 bit-reproducible and changing one noise source never shifts another. The
@@ -205,22 +205,25 @@ def associate(
 
 @dataclass
 class RoundMetrics:
-    """What one round produced, as the reporting device's replica holds it.
-
-    The round's block is the record of its traffic: its tallies with their
-    votes, and the duty rewards. ``ledger`` is the replica's own, shared with
-    any later round that adopts no block, so nothing may edit it.
-    """
+    """What one round produced. ``replica`` is the reporting device's replica
+    after it, None under plain FL, and is shared with later rounds and the
+    devices on its tip, so nothing may edit it. The round's block is the
+    record of its traffic: its tallies with their votes, and the duty rewards."""
 
     round: int
     global_accuracy: float
     winner_malicious: bool = False
     forked: bool = False
     skip_reason: str = ""
-    ledger: StakeLedger | None = None
+    replica: Replica | None = None
     votes: VoteTable | None = None
-    events: tuple[tuple[DeviceId, str], ...] = ()
-    legitimate_block: Block | None = None
+
+    @property
+    def legitimate_block(self) -> Block | None:
+        """The replica's tip when it is of this round, else None: only a later
+        round's block appends, so an older tip means none was adopted."""
+        tip = self.replica.chain.blocks[-1] if self.replica else None
+        return tip if tip and tip.round == self.round else None
 
 
 @dataclass(frozen=True)
@@ -426,7 +429,7 @@ class Simulation(_World):
         """The devices every still-participating replica has blacklisted,
         the other (active) devices in id order, and the reporting device:
         the first active one, or the lowest id when none is. The reporting
-        device's replica gives the round metrics and the chain dump.
+        device's replica is the round's record.
 
         Blacklisted devices stop adopting blocks, so their replicas go
         stale and must not weigh in; iterate to the fixed point.
@@ -523,19 +526,12 @@ class Simulation(_World):
         return self._report(ref, skip_reason=reason)
 
     def _report(self, ref: DeviceId, **observed) -> RoundMetrics:
-        """This round's metrics, read from the reporting device ref's replica:
-        only a later round's block appends, so a tip of this round was adopted now."""
+        """This round's metrics: the reporting device ref's replica."""
         replica = self.state[ref].replica
-        tip = replica.chain.blocks[-1]
-        block = tip if tip.round == self.round_no else None
-        return self._record(
-            replica.g,
-            ledger=replica.ledger,
-            legitimate_block=block,
-            events=replica.events if block else (),
-            winner_malicious=bool(block and block.miner in self.malicious_ids),
-            **observed,
-        )
+        metrics = self._record(replica.g, replica=replica, **observed)
+        block = metrics.legitimate_block
+        metrics.winner_malicious = bool(block and block.miner in self.malicious_ids)
+        return metrics
 
     def _plan(self, j: int, blacklist: frozenset[DeviceId]) -> _Plan | None:
         """Roles and association; None when no validator or miner is left."""
@@ -772,7 +768,7 @@ class Simulation(_World):
         # block's qualified rewards exactly.
         increase = 0
         for d in self.state:
-            delta = metrics.ledger.stake_of(d) - prev_ref_ledger.stake_of(d)
+            delta = metrics.replica.ledger.stake_of(d) - prev_ref_ledger.stake_of(d)
             if delta < 0:
                 raise InvariantViolation(f"stake of {d.hex()[:8]} decreased")
             increase += delta
@@ -854,14 +850,16 @@ def write_rounds_csv(metrics: Sequence[RoundMetrics], consensus: str, path) -> N
 
 def write_stake_csv(metrics: Sequence[RoundMetrics], driver: _World, path) -> None:
     _write_csv(path, STAKE_CSV_FIELDS, (
-        f"{m.round},{d.id.hex()},{m.ledger.stake_of(d.id)},{int(d.id in driver.malicious_ids)}\r\n"
-        for m in metrics if m.ledger for d in driver.devices
+        f"{m.round},{d.id.hex()},{m.replica.ledger.stake_of(d.id)},"
+        f"{int(d.id in driver.malicious_ids)}\r\n"
+        for m in metrics if m.replica for d in driver.devices
     ))
 
 
 def write_events_csv(metrics: Sequence[RoundMetrics], path) -> None:
     _write_csv(path, EVENTS_CSV_FIELDS, (
-        f"{m.round},{device.hex()},{event}\r\n" for m in metrics for device, event in m.events
+        f"{m.round},{device.hex()},{event}\r\n"
+        for m in metrics if m.legitimate_block for device, event in m.replica.events
     ))
 
 
@@ -921,17 +919,18 @@ def _make_out_dir(out_dir) -> Path:
 
 
 def write_outputs(result: RunResult, out_dir, preset: str | None = None) -> Path:
-    """Emit rounds/stake/vad/events CSVs, the chain dump and the manifest.
-    A plain-FL run has no chain, so it removes an earlier run's dump."""
+    """Emit rounds/stake/vad/events CSVs, the last reported replica's chain
+    and the manifest. A plain-FL run has no chain, so it removes an earlier
+    run's dump; a protocol run of no round dumps genesis alone."""
     out_dir = _make_out_dir(out_dir)
     write_rounds_csv(result.metrics, result.config.consensus.upper(), out_dir / "rounds.csv")
     write_stake_csv(result.metrics, result.driver, out_dir / "stake.csv")
     write_events_csv(result.metrics, out_dir / "events.csv")
     write_vad_csv(result.driver.vote_tables, out_dir / "vad.csv")
     if isinstance(result.driver, Simulation):
-        _, _, ref = result.driver._roster()
+        last = result.metrics[-1].replica if result.metrics else result.driver.genesis
         with open(out_dir / "chain.jsonl", "w", encoding="utf-8") as out:
-            chain_to_jsonl(result.driver.state[ref].replica.chain, out)
+            chain_to_jsonl(last.chain, out)
     else:
         (out_dir / "chain.jsonl").unlink(missing_ok=True)
     write_manifest(result.driver, out_dir, preset)

@@ -40,6 +40,12 @@ def csv_writer_bytes(header, rows) -> bytes:
     return out.getvalue().encode()
 
 
+def round_events(m) -> tuple:
+    """The events of the block a round adopted: its replica's tip events
+    when the tip is the round's block, none otherwise."""
+    return m.replica.events if m.legitimate_block else ()
+
+
 def vad_rows(tables) -> list[tuple]:
     """vad.csv's rows, one per vote, each vad a float for csv.writer to format."""
     return [

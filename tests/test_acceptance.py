@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_messages
+from conftest import record_messages, round_events
 
 from vbfl.consensus import aggregate_votes
 from vbfl.learning import ModelParams, softmax_arch
@@ -145,10 +145,10 @@ def test_criterion_5_stake_plateau(calibrated_vh):
         for m in result.metrics:
             workers = set(m.votes.workers) if m.votes else set()
             for d in sorted(result.driver.malicious_ids):
-                gain = m.ledger.stake_of(d) - prev.get(d, 0)
+                gain = m.replica.ledger.stake_of(d) - prev.get(d, 0)
                 if m.round > 20 and d in workers and gain:
                     late_gains.append((m.round, d.hex()[:8], gain))
-            prev = m.ledger.stake
+            prev = m.replica.ledger.stake
         assert late_gains == [], f"seed {seed}: malicious worker rewards after round 20"
         details.append(f"seed {seed}: 0 late worker rewards")
     report("criterion 5 (stake plateau)", "; ".join(details))
@@ -199,7 +199,7 @@ def test_criterion_6_reward_oracle(calibrated_vh):
         for m in result.metrics:
             want = _oracle_round_rewards(m, log.get(m.round), result.config.unit_reward)
             for device in result.driver.state:
-                stake = m.ledger.stake_of(device)
+                stake = m.replica.ledger.stake_of(device)
                 expected = sum(want.get(device, {}).values())
                 assert stake - prev.get(device, 0) == expected, (
                     f"seed {seed} round {m.round} device {device.hex()[:8]}: "
@@ -211,7 +211,7 @@ def test_criterion_6_reward_oracle(calibrated_vh):
                     d: r["validator"] for d, r in want.items() if r["validator"]
                 }
                 assert block.miner_reward == want[block.miner]["miner"]
-            prev = m.ledger.stake
+            prev = m.replica.ledger.stake
             rounds_checked += 1
     report("criterion 6 (reward oracle)", f"{rounds_checked} rounds, exact match")
 
@@ -329,7 +329,7 @@ def test_criterion_8_end_to_end_flag_counts(calibrated_vh):
     # Corroboration on a live run: each malicious device collects exactly
     # six FLAGGED events before its BLACKLISTED event.
     result, _ = run("VBFL_POS_3_20_VHCAL", SEEDS[0], vh=calibrated_vh)
-    events = [(m.round, d, e) for m in result.metrics for d, e in m.events]
+    events = [(m.round, d, e) for m in result.metrics for d, e in round_events(m)]
     for device in result.driver.malicious_ids:
         mine = [(r, e) for r, d, e in events if d == device]
         kicked = [r for r, e in mine if e == "BLACKLISTED"]

@@ -324,14 +324,14 @@ def test_network_case_reports_only_what_its_reporting_replica_adopted():
         before = sim.state[ref].replica
         m = sim.run_round()
         after = sim.state[ref].replica
-        assert m.ledger is after.ledger
+        assert m.replica is after
         if len(after.chain) > len(before.chain):
             block = after.chain.blocks[-1]
             assert m.legitimate_block is block
-            assert m.events == apply_block(before.ledger, block)[1]
+            assert after.events == apply_block(before.ledger, block)[1]
         else:
             assert after is before
-            assert m.legitimate_block is None and m.events == ()
+            assert m.legitimate_block is None
             missed += bool(after.events)
     assert missed
 
@@ -354,6 +354,32 @@ def test_chain_dump_alone_rebuilds_the_ledger(name, tmp_path):
     assert len(stakes) == cfg.n_devices
     assert stakes == {d: replica.ledger.stake_of(bytes.fromhex(d)) for d in stakes}
     assert events and events == (out / "events.csv").read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [CASES["network"], _tiny(malicious=(0, 1, 2, 3))],
+    ids=["network", "first_device_blacklisted"],
+)
+def test_chain_dump_is_the_last_records_chain(cfg, tmp_path):
+    # chain.jsonl and rounds.csv describe one replica, the one the last round
+    # reported: the network case ends on several replicas, and once the
+    # lowest-id device is blacklisted its replica goes stale.
+    result = run_simulation(cfg, out_dir=tmp_path)
+    last = result.metrics[-1]
+    assert len({id(st.replica) for st in result.driver.state.values()}) > 1
+    chain = protocol.chain_from_jsonl((tmp_path / "chain.jsonl").read_text())
+    assert chain == last.replica.chain
+    assert last.legitimate_block == chain.blocks[-1]
+    winner = (tmp_path / "rounds.csv").read_text().splitlines()[-1].split(",")[2]
+    assert winner == chain.blocks[-1].miner.hex()
+
+
+def test_protocol_run_of_no_round_dumps_genesis(tmp_path):
+    result = run_simulation(dataclasses.replace(CASES["pos_stub"], rounds=0), out_dir=tmp_path)
+    assert result.metrics == []
+    chain = protocol.chain_from_jsonl((tmp_path / "chain.jsonl").read_text())
+    assert chain == result.driver.genesis.chain and len(chain) == 1
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from conftest import (
     mistyped,
     record_messages,
     record_plans,
+    round_events,
     vad_rows,
     with_leaves,
     write_idx,
@@ -281,8 +282,12 @@ class TestConfig:
                 lambda: SimConfig.from_dict({"train": {"epochs": "5"}}),
                 "train.epochs: expected int, got '5'",
             ),
+            (
+                lambda: SimConfig.from_dict({"network": {"propagated_block_wait": None}}),
+                "network.propagated_block_wait: expected float, got None",
+            ),
         ],
-        ids=["rounds", "vh", "master_seed", "train.epochs"],
+        ids=["rounds", "vh", "master_seed", "train.epochs", "null wait"],
     )
     def test_mistyped_found_configs(self, build, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -805,7 +810,7 @@ class TestRound:
         m = sim.run_round()
         assert qualified_workers(m) == ()
         assert sim.state[ref].replica.g == before
-        assert len(m.events) >= 12  # every worker flagged
+        assert len(round_events(m)) >= 12  # every worker flagged
 
     def test_round_metrics_fields(self, tmp_path):
         sim = Simulation(tiny_cfg(rounds=1))
@@ -924,11 +929,11 @@ class TestRound:
         # their streak the next time they serve as workers.
         sim = Simulation(tiny_cfg(rounds=2, vh=-1.5))
         m1 = sim.run_round()
-        flagged = {d for d, e in m1.events if e == "FLAGGED"}
+        flagged = {d for d, e in round_events(m1) if e == "FLAGGED"}
         assert len(flagged) == 12
         sim.config = dataclasses.replace(sim.config, vh=1.0)
         m2 = sim.run_round()
-        resets = {d for d, e in m2.events if e == "STREAK_RESET"}
+        resets = {d for d, e in round_events(m2) if e == "STREAK_RESET"}
         workers_again = flagged & set(m2.votes.workers)
         assert workers_again, "no flagged device drew the worker role again"
         assert resets == workers_again
@@ -943,7 +948,7 @@ class TestRound:
         import vbfl.orchestrator as orchestrator
 
         sim = Simulation(tiny_cfg(rounds=2, vh=-1.5, signature_scheme="hmac"))
-        flagged = {d for d, e in sim.run_round().events if e == "FLAGGED"}
+        flagged = {d for d, e in round_events(sim.run_round()) if e == "FLAGGED"}
         assert len(flagged) == 12
         sim.config = dataclasses.replace(sim.config, vh=1.0)
         forged = []
@@ -962,8 +967,8 @@ class TestRound:
         (bad,) = forged
         assert bad in plans[2].workers
         assert bad not in {t.worker for t in m2.legitimate_block.tallies}
-        assert any(e == "STREAK_RESET" for _, e in m2.events)
-        assert (bad, "STREAK_RESET") not in m2.events
+        assert any(e == "STREAK_RESET" for _, e in round_events(m2))
+        assert (bad, "STREAK_RESET") not in round_events(m2)
         assert {st.replica.ledger.streak_of(bad) for st in sim.state.values()} == {1}
 
     def test_blacklisted_devices_absent_from_later_blocks(self):
@@ -974,7 +979,7 @@ class TestRound:
         metrics = sim.run()
         kicked_at = {}
         for m in metrics:
-            for device, event in m.events:
+            for device, event in round_events(m):
                 if event == "BLACKLISTED":
                     kicked_at[device] = m.round
         assert kicked_at, "no device was blacklisted in the scenario"
@@ -1058,7 +1063,7 @@ class TestRound:
         )
         sim = Simulation(cfg)
         m1 = sim.run_round()
-        (worker, _), (kicked, event) = m1.events
+        (worker, _), (kicked, event) = round_events(m1)
         assert (kicked, event) == (worker, "BLACKLISTED")
         ref = min(set(sim.state) - {worker})
         before = sim.state[ref].replica
@@ -1071,8 +1076,9 @@ class TestRound:
         assert (block.round, block.tallies, block.miner_reward) == (2, (), 0)
         assert block.validator_rewards == ()
         assert after.g == before.g
-        assert after.ledger.stake == before.ledger.stake == m2.ledger.stake == m1.ledger.stake
-        assert m2.events == ()
+        assert m2.replica is after
+        assert after.ledger.stake == before.ledger.stake == m1.replica.ledger.stake
+        assert round_events(m2) == ()
         out = write_outputs(RunResult(sim.config, sim.metrics, sim, None), tmp_path)
         rounds = [row.split(",")[0] for row in (out / "vad.csv").read_text().splitlines()[1:]]
         assert rounds == ["1"]
@@ -1137,14 +1143,15 @@ def test_driver_rejects_the_other_drivers_config(driver, consensus):
 
 @pytest.mark.parametrize("runner", [Simulation, VanillaRun])
 def test_metrics_hold_no_message_copies(runner):
-    # The round's block is its record: no update may stay reachable from
-    # the metrics except through legitimate_block.
+    # The round's block is its record: the only parameter vectors a record
+    # reaches are its replica's global model and the updates its chain tallies.
     metrics = runner(tiny_cfg(rounds=2, consensus="vfl" if runner is VanillaRun else "pos")).run()
     assert len(metrics) == 2
     for m in metrics:
-        for f in dataclasses.fields(m):
-            if f.name != "legitimate_block":
-                assert not _reachable_params(getattr(m, f.name)), f.name
+        kept = []
+        if m.replica:
+            kept = [m.replica.g, *(t.update for b in m.replica.chain.blocks for t in b.tallies)]
+        assert {id(p) for p in _reachable_params(m)} <= {id(p) for p in kept}
 
 
 class TestVanilla:
@@ -1233,7 +1240,7 @@ class TestOutputs:
         # Every device has a row each round, those the ledger holds no
         # stake for among them.
         result = run_simulation(tiny_cfg(rounds=1), out_dir=tmp_path)
-        ledger = result.metrics[0].ledger
+        ledger = result.metrics[0].replica.ledger
         ids = sorted(result.driver.state)
         assert not set(ids) <= set(ledger.stake)
         rows = [row.split(",") for row in (tmp_path / "stake.csv").read_text().splitlines()[1:]]
@@ -1252,7 +1259,8 @@ class TestOutputs:
         for st in sim.state.values():
             st.replica.ledger.blacklist = frozenset(sim.state)
         assert sim.run_round().skip_reason
-        assert {event for m in sim.metrics for _, event in m.events} >= {"FLAGGED", "BLACKLISTED"}
+        events = {event for m in sim.metrics for _, event in round_events(m)}
+        assert events >= {"FLAGGED", "BLACKLISTED"}
         return RunResult(cfg, sim.metrics, sim, None)
 
     @staticmethod
@@ -1277,11 +1285,11 @@ class TestOutputs:
                 for m in metrics
             ]),
             "stake.csv": csv_writer_bytes(STAKE_CSV_FIELDS, [
-                (m.round, d.hex(), m.ledger.stake_of(d), int(d in malicious))
-                for m in metrics if m.ledger for d in devices
+                (m.round, d.hex(), m.replica.ledger.stake_of(d), int(d in malicious))
+                for m in metrics if m.replica for d in devices
             ]),
             "events.csv": csv_writer_bytes(EVENTS_CSV_FIELDS, [
-                (m.round, d.hex(), event) for m in metrics for d, event in m.events
+                (m.round, d.hex(), event) for m in metrics for d, event in round_events(m)
             ]),
             "vad.csv": csv_writer_bytes(VAD_CSV_FIELDS, vad_rows(result.driver.vote_tables)),
         }

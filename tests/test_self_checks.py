@@ -93,7 +93,7 @@ def test_replay_whose_append_rejects(monkeypatch, tiny_config):
 def test_round_without_an_eligible_block_is_skipped(monkeypatch, tiny_config):
     sim = Simulation(tiny_config)
     first = sim.run_round()
-    stakes = dict(first.ledger.stake)
+    stakes = dict(first.replica.ledger.stake)
     replicas = {d: st.replica for d, st in sim.state.items()}
 
     def none_eligible(blocks, ledger):
@@ -104,4 +104,4 @@ def test_round_without_an_eligible_block_is_skipped(monkeypatch, tiny_config):
     assert second.skip_reason == "no eligible legitimate block"
     assert second.legitimate_block is None
     assert all(sim.state[d].replica is r for d, r in replicas.items())
-    assert second.ledger.stake == stakes
+    assert second.replica.ledger.stake == stakes
