@@ -9,8 +9,8 @@ digest runs, the CLI and perfbench subprocess tests) is listed too, since
 subprocesses are not traced. Use it to re-check which branches and
 self-checks no test reaches; it needs no coverage package.
 
-Tracing slows the suite down about 1.4 times: on a 2-vCPU box with one
-BLAS thread, tier-1 took 78 s under it against 50-59 s without.
+Tracing slows the suite down 1.4 to 1.7 times: on a 2-vCPU box with one
+BLAS thread, tier-1 took 78-106 s under it against 50-68 s without.
 
 Usage:
     PYTHONPATH=src python3 scripts/line_trace.py [PYTEST_ARGS...]

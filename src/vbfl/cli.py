@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from collections import defaultdict
@@ -68,36 +69,30 @@ def _load_config_file(path: Path) -> SimConfig:
 
 
 def _read_vh_file(path: Path) -> float:
-    """suggested_vh from a calibration file: a JSON number, as in a config."""
+    """suggested_vh from a calibration file: a finite JSON number."""
+    if not path.exists():
+        raise ConfigError(f"vh-file: file not found: {path}")
     try:
-        value = json.loads(path.read_text())["suggested_vh"]
+        # An integer too large for a float parses as inf, not OverflowError.
+        value = json.loads(path.read_text(), parse_int=float)["suggested_vh"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"vh-file: cannot read suggested_vh from {path}: {exc}") from None
-    if not fits(value, float):
-        raise ConfigError(f"vh-file: suggested_vh in {path} must be a number, got {value!r}")
-    return float(value)
+    if not (fits(value, float) and math.isfinite(value)):
+        raise ConfigError(
+            f"vh-file: suggested_vh in {path} must be a finite number, got {value!r}"
+        )
+    return value
 
 
-def _resolve_vh(args, allow_cwd_lookup: bool) -> float | None:
-    """Explicit --vh/--vh-file always win; the implicit vh_calibration.json
-    in the working directory only feeds presets that need calibration."""
+def _resolve_vh(args) -> float | None:
+    """The threshold --vh gives, else the one in --vh-file, else None."""
     if args.vh is not None:
         return args.vh
-    if args.vh_file is not None:
-        if not args.vh_file.exists():
-            raise ConfigError(f"vh-file: file not found: {args.vh_file}")
-        return _read_vh_file(args.vh_file)
-    if allow_cwd_lookup:
-        implicit = Path.cwd() / CALIBRATION_FILE
-        if implicit.exists():
-            return _read_vh_file(implicit)
-    return None
+    return None if args.vh_file is None else _read_vh_file(args.vh_file)
 
 
 def _default_out_dir(name: str, seed: int) -> Path:
-    root = os.environ.get(OUT_DIR_ENV)
-    base = Path(root) if root else Path.cwd() / "runs"
-    return base / f"{name.lower()}-seed{seed}"
+    return Path(os.environ.get(OUT_DIR_ENV) or "runs") / f"{name.lower()}-seed{seed}"
 
 
 def _round_line(m: RoundMetrics) -> str:
@@ -127,13 +122,12 @@ def _cmd_run(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("preset: give exactly one of --preset or --config")
     preset = None if args.preset is None else get_preset(args.preset)
-    vh = _resolve_vh(args, allow_cwd_lookup=preset is not None and preset.requires_vh)
+    vh = _resolve_vh(args)
     if preset is not None:
         if preset.requires_vh and vh is None:
             raise ConfigError(
                 f"vh: preset {preset.name} needs a calibrated threshold; run "
-                f"CALIBRATE_VH first and pass --vh or --vh-file (or put "
-                f"{CALIBRATION_FILE} in the working directory)"
+                f"CALIBRATE_VH first and pass --vh or --vh-file"
             )
         base, name = preset.config, preset.name
     else:

@@ -1,8 +1,9 @@
 """Built-in learning tasks: synthetic Gaussian blobs and IDX image files.
 
 The blob task is the default for simulations and tests: deterministic,
-dependency-free and fast. The IDX reader accepts the classic big-endian
-image/label format (MNIST-compatible), plain or gzipped, for fidelity runs.
+dependency-free and fast. For fidelity runs the IDX reader takes MNIST's
+format, plain or gzipped: unsigned bytes, with rank-3 images and rank-1
+labels.
 """
 
 from __future__ import annotations
@@ -13,16 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-_IDX_DTYPES = {
-    0x08: np.dtype(">u1"),
-    0x09: np.dtype(">i1"),
-    0x0B: np.dtype(">i2"),
-    0x0C: np.dtype(">i4"),
-    0x0D: np.dtype(">f4"),
-    0x0E: np.dtype(">f8"),
-}
-
 
 @dataclass(frozen=True)
 class Task:
@@ -84,7 +75,7 @@ def make_blobs_task(
 
 
 def read_idx(path) -> np.ndarray:
-    """Parse one IDX file (gzipped or plain) into a numpy array."""
+    """Parse one unsigned-byte IDX file (gzipped or plain) into an array."""
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "rb") as fh:
@@ -94,18 +85,11 @@ def read_idx(path) -> np.ndarray:
     zero, dtype_code, ndim = struct.unpack(">HBB", data[:4])
     if zero != 0:
         raise ValueError(f"{path}: bad IDX magic (leading bytes not zero)")
-    if dtype_code not in _IDX_DTYPES:
-        raise ValueError(f"{path}: unknown IDX dtype code 0x{dtype_code:02x}")
+    if dtype_code != 0x08:
+        raise ValueError(f"{path}: IDX dtype code 0x{dtype_code:02x} is not 0x08 (unsigned byte)")
     header_end = 4 + 4 * ndim
     dims = struct.unpack(f">{ndim}I", data[4:header_end])
-    dtype = _IDX_DTYPES[dtype_code]
-    payload = len(data) - header_end
-    if payload % dtype.itemsize:
-        raise ValueError(
-            f"{path}: payload of {payload} bytes is not a whole number of "
-            f"{dtype.itemsize}-byte items"
-        )
-    arr = np.frombuffer(data, dtype=dtype, offset=header_end)
+    arr = np.frombuffer(data, dtype=np.uint8, offset=header_end)
     expected = int(np.prod(dims)) if dims else 0
     if arr.size != expected:
         raise ValueError(f"{path}: payload size {arr.size} != header size {expected}")
@@ -113,20 +97,21 @@ def read_idx(path) -> np.ndarray:
 
 
 def load_idx_task(train_images, train_labels, test_images, test_labels) -> Task:
-    """Build a Task from four IDX files; pixels flatten and scale to [0, 1]."""
+    """Build a Task from four IDX files: rank-3 images, whose pixels flatten
+    and scale to [0, 1], and rank-1 labels."""
+
+    def read(path, rank: int) -> np.ndarray:
+        raw = read_idx(path)
+        if raw.ndim != rank:
+            raise ValueError(f"{path}: rank {raw.ndim}, not {rank}")
+        return raw
 
     def images(path) -> np.ndarray:
-        raw = read_idx(path)
+        raw = read(path, 3)
         return raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
 
-    def labels(path) -> np.ndarray:
-        raw = read_idx(path).reshape(-1)
-        if not np.all(np.isfinite(raw) & (raw >= 0) & (raw == np.trunc(raw))):
-            raise ValueError(f"{path}: labels must be non-negative integers")
-        return raw.astype(np.int64)
-
-    train_x, train_y = images(train_images), labels(train_labels)
-    test_x, test_y = images(test_images), labels(test_labels)
+    train_x, train_y = images(train_images), read(train_labels, 1).astype(np.int64)
+    test_x, test_y = images(test_images), read(test_labels, 1).astype(np.int64)
     if train_x.shape[0] != train_y.shape[0] or test_x.shape[0] != test_y.shape[0]:
         raise ValueError("image and label counts disagree")
     classes = int(max(train_y.max(), test_y.max())) + 1

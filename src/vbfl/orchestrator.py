@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import zlib
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -157,7 +158,7 @@ def shard_dataset(
 
 
 def assign_roles(
-    round_no: int,
+    j: int,
     device_ids: Sequence[DeviceId],
     config: SimConfig,
     rng: np.random.Generator,
@@ -180,7 +181,7 @@ def assign_roles(
         counts[slot] -= cut
         deficit -= cut
     if counts != [config.n_workers, config.n_validators, config.n_miners]:
-        logger.warning("round %d: role counts shrank to %s after blacklisting", round_no, counts)
+        logger.warning("round %d: role counts shrank to %s after blacklisting", j, counts)
     order = [active[i] for i in rng.permutation(len(active))]
     w, v = counts[0], counts[0] + counts[1]
     return sorted(order[:w]), sorted(order[w:v]), sorted(order[v:])
@@ -302,7 +303,7 @@ def _build_task(config: SimConfig) -> Task:
                 find("t10k-images-idx3-ubyte"),
                 find("t10k-labels-idx1-ubyte"),
             )
-        except (ValueError, OSError, EOFError) as exc:  # malformed, unreadable, bad gzip
+        except (ValueError, OSError, EOFError, zlib.error) as exc:  # malformed, unreadable, bad gz
             raise ConfigError(f"dataset.idx_dir: {exc}") from None
     params = {f.name: getattr(ds, f.name) for f in fields(ds) if f.name != "idx_dir"}
     return make_blobs_task(seed=derive_seed(config.master_seed, "shard", "task"), **params)
@@ -345,7 +346,6 @@ class _World:
             self.full_test = self.shards[self.devices[0].id][1]
         else:
             self.full_test = DataShard(task.test_x, task.test_y)
-        self.round_no = 0
         self.metrics: list[RoundMetrics] = []
 
     def _behaves(self, device: DeviceId, behavior: str) -> bool:
@@ -357,7 +357,7 @@ class _World:
     def _local_updates(
         self,
         jobs: Sequence[tuple[DeviceId, ModelParams, DataShard]],
-        round_no: int,
+        j: int,
         references: Sequence[tuple[DeviceId, ModelParams, DataShard]] = (),
     ) -> tuple[list[ModelParams], list[ModelParams]]:
         """The update each (device, start, shard) job sends: its trained
@@ -370,20 +370,20 @@ class _World:
             [g for _, g, _ in both],
             [train for _, _, train in both],
             cfg.train,
-            [substream(cfg.master_seed, "batches", d, round_no) for d, _, _ in both],
+            [substream(cfg.master_seed, "batches", d, j) for d, _, _ in both],
             [cfg.train.epochs] * len(jobs) + [1] * len(references),
         )
         updates = trained[: len(jobs)]
         for k, (d, _, _) in enumerate(jobs):
             if self._behaves(d, BEHAVIOR_WORKER_NOISE):
-                noise = substream(cfg.master_seed, "noise", d, round_no)
+                noise = substream(cfg.master_seed, "noise", d, j)
                 updates[k] = inject_gaussian_noise(updates[k], cfg.noise_variance, noise)
         return updates, trained[len(jobs) :]
 
     def _record(self, g: ModelParams, **observed) -> RoundMetrics:
         """This round's metrics, with g's accuracy on the full test set."""
         metrics = RoundMetrics(
-            round=self.round_no,
+            round=len(self.metrics) + 1,
             global_accuracy=evaluate(g, self.full_test),
             **observed,
         )
@@ -491,7 +491,7 @@ class Simulation(_World):
 
     def run_round(self) -> RoundMetrics:
         cfg = self.config
-        j = self.round_no = self.round_no + 1
+        j = len(self.metrics) + 1
         blacklist, actives, ref = self._roster()
         if not actives:
             return self._skip(j, ref, "all devices blacklisted")
@@ -812,7 +812,7 @@ class VanillaRun(_World):
         self.g = self.g0
 
     def run_round(self) -> RoundMetrics:
-        j = self.round_no = self.round_no + 1
+        j = len(self.metrics) + 1
         jobs = [(d.id, self.g, self.shards[d.id][0]) for d in self.devices]
         updates, _ = self._local_updates(jobs, j)
         self.g = fedavg([(u, float(len(train))) for u, (_, _, train) in zip(updates, jobs)])

@@ -230,20 +230,21 @@ def record_messages(sim: Simulation) -> dict[int, RoundMessages]:
 
     def recording(inbox, key, verify, peers, net_rng):
         messages, ready = gossip(inbox, key, verify, peers, net_rng)
-        if sim.round_no in rounds:
+        j = len(sim.metrics) + 1  # the round running
+        if j in rounds:
             worker_of = {payload_hash(b): tx.worker for tx, b in received}
             votes = []
             for msg, row in messages:
                 round_no, validator, digest, _, vote = decode_vote_row(row)
-                assert (round_no, validator) == (sim.round_no, msg.validator)
+                assert (round_no, validator) == (j, msg.validator)
                 assert worker_of[digest] == received[msg.column][0].worker
                 votes.append(RecordedVote(validator, worker_of[digest], vote))
-            rounds[sim.round_no].by_miner = {p: tuple(votes) for p in peers}
+            rounds[j].by_miner = {p: tuple(votes) for p in peers}
         else:
             received[:] = messages
             kept = tuple(msg for msg, _ in messages)
             sent = sorted((msg for p in peers for msg, _, _ in inbox[p]), key=lambda tx: tx.worker)
-            rounds[sim.round_no] = RoundMessages(tuple(sent), {p: kept for p in peers})
+            rounds[j] = RoundMessages(tuple(sent), {p: kept for p in peers})
         return messages, ready
 
     sim._gossip = recording

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_idx
 
 from vbfl import cli
 from vbfl.errors import InvariantViolation
@@ -156,9 +158,14 @@ class TestRun:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("vh", [True, "0.05", None])
+    @pytest.mark.parametrize("vh", [
+        True, "0.05", None, math.nan, math.inf, -math.inf,
+        pytest.param(10**400, id="int-beyond-float"),
+    ])
     def test_vh_file_not_a_number_exits_one(self, tmp_path, capsys, vh):
-        # As in a config, a threshold is a JSON number: true would run as 1.0.
+        # As in a config, a threshold is a finite JSON number: true would run
+        # as 1.0, and NaN, Infinity (which json writes) or an integer beyond
+        # float range is no threshold.
         vh_file = tmp_path / "vh_calibration.json"
         vh_file.write_text(json.dumps({"suggested_vh": vh}))
         code = run_cli(
@@ -167,7 +174,7 @@ class TestRun:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: vh-file: ") and "must be a number" in err
+        assert err.startswith("error: vh-file: ") and "must be a finite number" in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_vh_file_exits_one(self, tmp_path, capsys):
@@ -189,14 +196,21 @@ class TestRun:
         assert err.startswith(f"error: vh-file: cannot read suggested_vh from {path}: ")
         assert not (tmp_path / "o").exists()
 
-    def test_cwd_calibration_file_found(self, tmp_path, monkeypatch):
+    def test_cwd_calibration_file_is_not_read(self, tmp_path, monkeypatch, capsys):
+        # The threshold comes from --vh or --vh-file alone, never from a
+        # calibration file that happens to lie in the working directory.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "vh_calibration.json").write_text(json.dumps({"suggested_vh": 0.04}))
         code = run_cli(
             "run", "--preset", "VBFL_POS_3_20_VHCAL", "--rounds", 1, "--seed", 1,
             "--out", tmp_path / "o", "--quiet",
         )
-        assert code == 0
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: vh: preset VBFL_POS_3_20_VHCAL needs a calibrated threshold; "
+            "run CALIBRATE_VH first and pass --vh or --vh-file\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_cwd_calibration_does_not_leak_into_other_presets(self, tmp_path, monkeypatch):
         # A stray calibration file must not override the all-Positive
@@ -302,11 +316,15 @@ class TestRun:
         "suffix, data",
         [
             ("", b"\x00\x00"), ("", b"\x00\x00\x08\x03"), (".gz", b"not gzip"),
-            # 200 one-pixel images and labels, one label -1 (signed bytes) or 0.5 (floats)
+            # a gzip header, then a deflate block of the invalid type 3
+            pytest.param(".gz", b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff",
+                         id="corrupt-deflate"),
+            # 200 one-pixel images and labels, one label -1 (signed bytes) or
+            # 0.5 (floats): only unsigned bytes read, so the dtype code fails
             pytest.param("", IDX_200 % 0x09 + bytes([255] + [0, 1] * 99 + [1]),
-                         id="negative-label"),
+                         id="signed-byte-dtype"),
             pytest.param("", IDX_200 % 0x0D + np.array([0.5] + [0, 1] * 99 + [1], ">f4").tobytes(),
-                         id="fractional-label"),
+                         id="float-dtype"),
         ],
     )
     def test_malformed_idx_file_exits_one(self, tmp_path, capsys, suffix, data):
@@ -321,6 +339,29 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: dataset.idx_dir: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("swapped, rank, want", [
+        ("train-images-idx3-ubyte", 1, 3), ("t10k-labels-idx1-ubyte", 3, 1),
+    ], ids=["labels-as-images", "images-as-labels"])
+    def test_idx_file_of_wrong_rank_exits_one(self, tmp_path, capsys, swapped, rank, want):
+        # 240 training and 120 test rows of 2 x 2 pixels, one file of each
+        # split replaced by the other kind of file of that split.
+        idx_dir = tmp_path / "idx"
+        idx_dir.mkdir()
+        for split, rows in (("train", 240), ("t10k", 120)):
+            images = np.arange(rows * 4, dtype=">u1").reshape(rows, 2, 2)
+            labels = np.arange(rows, dtype=">u1") % 4
+            for kind, arr in (("images-idx3", images), ("labels-idx1", labels)):
+                stem = f"{split}-{kind}-ubyte"
+                if stem == swapped:
+                    arr = images if arr is labels else labels
+                write_idx(idx_dir / stem, arr, 0x08)
+        cfg = write_tiny_config(tmp_path, dataset={"idx_dir": str(idx_dir)})
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
+        assert capsys.readouterr().err == (
+            f"error: dataset.idx_dir: {idx_dir / swapped}: rank {rank}, not {want}\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("preset", ["VFL_3_20", "VBFL_POS_0_20_VH1"])
     def test_manifest_config_reproduces_run(self, tmp_path, preset):

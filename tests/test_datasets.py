@@ -1,4 +1,4 @@
-import struct
+import re
 
 import numpy as np
 import pytest
@@ -94,11 +94,15 @@ class TestIdx:
         with pytest.raises(ValueError, match="size"):
             read_idx(path)
 
-    def test_ragged_payload_names_file(self, tmp_path):
-        # An >i2 label file with 81 payload bytes: 40.5 items.
+    @pytest.mark.parametrize("code, dtype", [
+        (0x09, ">i1"), (0x0B, ">i2"), (0x0C, ">i4"), (0x0D, ">f4"), (0x0E, ">f8"),
+    ], ids=["0x09", "0x0b", "0x0c", "0x0d", "0x0e"])
+    def test_other_dtype_names_file_and_code(self, tmp_path, code, dtype):
+        # A well-formed label file of another IDX dtype: only unsigned bytes read.
         path = tmp_path / "labels-idx1-ubyte"
-        path.write_bytes(struct.pack(">HBBI", 0, 0x0B, 1, 40) + b"\x00" * 81)
-        with pytest.raises(ValueError, match="labels-idx1-ubyte: payload of 81 bytes"):
+        write_idx(path, np.arange(40, dtype=dtype), code)
+        message = f"{path}: IDX dtype code 0x{code:02x} is not 0x08 (unsigned byte)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_idx(path)
 
     def test_load_task(self, tmp_path):

@@ -381,6 +381,15 @@ def read_dtype_code_7(root):
     return read_idx(root / "labels-idx1-ubyte")
 
 
+def simulate_on_label_files(root):
+    """A Simulation whose idx_dir holds a label file under each of the four
+    names, so the training images file has rank 1."""
+    for split in ("train", "t10k"):
+        for kind in ("images-idx3", "labels-idx1"):
+            write_idx(root / f"{split}-{kind}-ubyte", np.arange(240, dtype=">u1") % 4, 0x08)
+    return Simulation(tiny_cfg(dataset=DatasetConfig(idx_dir=str(root))))
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -392,7 +401,10 @@ def read_dtype_code_7(root):
             dim=2, classes=2, train_per_class=0, test_per_class=2, spread=0.3,
             feature_scale=1.0, seed=0,
         ), ValueError, "need at least one example per class and split"),
-        (read_dtype_code_7, ValueError, "labels-idx1-ubyte: unknown IDX dtype code 0x07"),
+        (read_dtype_code_7, ValueError,
+         "labels-idx1-ubyte: IDX dtype code 0x07 is not 0x08 (unsigned byte)"),
+        (simulate_on_label_files, ConfigError,
+         "dataset.idx_dir: {tmp}/train-images-idx3-ubyte: rank 1, not 3"),
         (load_six_images_with_five_labels, ValueError, "image and label counts disagree"),
         (lambda tmp: Simulation(tiny_cfg(dataset=DatasetConfig(idx_dir=str(tmp)))),
          ConfigError, "dataset.idx_dir: missing train-images-idx3-ubyte[.gz] under "),
@@ -401,11 +413,11 @@ def read_dtype_code_7(root):
     ],
     ids=[
         "malicious-out-of-range", "malicious-repeated", "blobs-zero-rows",
-        "idx-dtype", "idx-counts-disagree", "idx-file-missing", "idx-dir-empty",
+        "idx-dtype", "idx-rank", "idx-counts-disagree", "idx-file-missing", "idx-dir-empty",
     ],
 )
 def test_input_check_raises_its_named_error(tmp_path, build, error, message):
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(error, match=re.escape(message.format(tmp=tmp_path))):
         build(tmp_path)
 
 
