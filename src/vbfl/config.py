@@ -68,8 +68,8 @@ class DatasetConfig:
     classes: Annotated[int, Bound(2)] = 10
     train_per_class: Annotated[int, Bound(1)] = 300
     test_per_class: Annotated[int, Bound(1)] = 200
-    spread: float = 4.0
-    feature_scale: float = 0.5
+    spread: Annotated[float, Bound(0)] = 4.0
+    feature_scale: Annotated[float, _POSITIVE] = 0.5
     idx_dir: str | None = None
 
 

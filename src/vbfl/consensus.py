@@ -50,7 +50,7 @@ def build_candidate(
     miner: DeviceId,
     tallies: Sequence[VoteTally],
     miner_reward: int,
-    validator_rewards: dict[DeviceId, int],
+    validator_rewards: Sequence[tuple[DeviceId, int]],
     prev_hash: bytes,
     round: int,
 ) -> Block:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,8 +79,11 @@ def read_idx(path) -> np.ndarray:
     """Parse one unsigned-byte IDX file (gzipped or plain) into an array."""
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with opener(path, "rb") as fh:
+            data = fh.read()
+    except (OSError, EOFError, zlib.error) as exc:  # unreadable, not gzip, bad deflate
+        raise ValueError(f"{path}: {exc}") from None
     if len(data) < 4 or len(data) < 4 + 4 * data[3]:  # data[3] is the rank
         raise ValueError(f"{path}: truncated IDX header")
     zero, dtype_code, ndim = struct.unpack(">HBB", data[:4])
@@ -96,22 +100,29 @@ def read_idx(path) -> np.ndarray:
     return arr.reshape(dims)
 
 
-def load_idx_task(train_images, train_labels, test_images, test_labels) -> Task:
-    """Build a Task from four IDX files: rank-3 images, whose pixels flatten
-    and scale to [0, 1], and rank-1 labels."""
+def load_idx_task(root) -> Task:
+    """Build a Task from the four MNIST-named IDX files under ``root``, each
+    plain or gzipped: rank-3 images, whose pixels flatten and scale to
+    [0, 1], and rank-1 labels."""
+    root = Path(root)
 
-    def read(path, rank: int) -> np.ndarray:
+    def read(stem: str, rank: int) -> np.ndarray:
+        path = next((p for p in (root / stem, root / (stem + ".gz")) if p.exists()), None)
+        if path is None:
+            raise ValueError(f"missing {stem}[.gz] under {root}")
         raw = read_idx(path)
         if raw.ndim != rank:
             raise ValueError(f"{path}: rank {raw.ndim}, not {rank}")
         return raw
 
-    def images(path) -> np.ndarray:
-        raw = read(path, 3)
+    def images(stem: str) -> np.ndarray:
+        raw = read(stem, 3)
         return raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
 
-    train_x, train_y = images(train_images), read(train_labels, 1).astype(np.int64)
-    test_x, test_y = images(test_images), read(test_labels, 1).astype(np.int64)
+    train_x = images("train-images-idx3-ubyte")
+    train_y = read("train-labels-idx1-ubyte", 1).astype(np.int64)
+    test_x = images("t10k-images-idx3-ubyte")
+    test_y = read("t10k-labels-idx1-ubyte", 1).astype(np.int64)
     if train_x.shape[0] != train_y.shape[0] or test_x.shape[0] != test_y.shape[0]:
         raise ValueError("image and label counts disagree")
     classes = int(max(train_y.max(), test_y.max())) + 1

@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import zlib
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -56,6 +55,7 @@ from .errors import ConfigError, InvariantViolation
 from .learning import (
     DataShard,
     ModelParams,
+    TrainingDiverged,
     evaluate,
     fedavg,
     init_global_model,
@@ -288,22 +288,9 @@ class _Plan:
 def _build_task(config: SimConfig) -> Task:
     ds = config.dataset
     if ds.idx_dir is not None:
-        root = Path(ds.idx_dir)
-
-        def find(stem: str) -> Path:
-            for candidate in (root / stem, root / (stem + ".gz")):
-                if candidate.exists():
-                    return candidate
-            raise ConfigError(f"dataset.idx_dir: missing {stem}[.gz] under {root}")
-
         try:
-            return load_idx_task(
-                find("train-images-idx3-ubyte"),
-                find("train-labels-idx1-ubyte"),
-                find("t10k-images-idx3-ubyte"),
-                find("t10k-labels-idx1-ubyte"),
-            )
-        except (ValueError, OSError, EOFError, zlib.error) as exc:  # malformed, unreadable, bad gz
+            return load_idx_task(ds.idx_dir)
+        except ValueError as exc:  # missing, unreadable or malformed
             raise ConfigError(f"dataset.idx_dir: {exc}") from None
     params = {f.name: getattr(ds, f.name) for f in fields(ds) if f.name != "idx_dir"}
     return make_blobs_task(seed=derive_seed(config.master_seed, "shard", "task"), **params)
@@ -363,16 +350,20 @@ class _World:
         """The update each (device, start, shard) job sends: its trained
         model, noise-distorted when the device is a malicious worker; and the
         model one epoch makes for each reference (device, start, shard),
-        never distorted. All train in one ``local_train_many`` call."""
+        never distorted. All train in one ``local_train_many`` call; a
+        diverged one raises ConfigError, named ``train``, for round j."""
         cfg = self.config
         both = [*jobs, *references]
-        trained = local_train_many(
-            [g for _, g, _ in both],
-            [train for _, _, train in both],
-            cfg.train,
-            [substream(cfg.master_seed, "batches", d, j) for d, _, _ in both],
-            [cfg.train.epochs] * len(jobs) + [1] * len(references),
-        )
+        try:
+            trained = local_train_many(
+                [g for _, g, _ in both],
+                [train for _, _, train in both],
+                cfg.train,
+                [substream(cfg.master_seed, "batches", d, j) for d, _, _ in both],
+                [cfg.train.epochs] * len(jobs) + [1] * len(references),
+            )
+        except TrainingDiverged as exc:
+            raise ConfigError(f"train: round {j}: {exc}") from None
         updates = trained[: len(jobs)]
         for k, (d, _, _) in enumerate(jobs):
             if self._behaves(d, BEHAVIOR_WORKER_NOISE):
@@ -657,10 +648,10 @@ class Simulation(_World):
         signed[cells] = protocol_mod.signed_votes([payload for _, payload in votes])
         txs = [tx for tx, _ in received]
         tallies = consensus_mod.aggregate_votes(txs, validators, kept, signed)
-        validator_rewards = {
-            v: rewards_mod.validator_reward(n, unit)
+        validator_rewards = tuple(
+            (v, rewards_mod.validator_reward(n, unit))
             for v, n in zip(validators, kept.sum(axis=1).tolist()) if n
-        }
+        )
         tx_bytes = {id(tx): b for tx, b in received}
         section = protocol_mod.encode_tallies(tallies, [tx_bytes[id(t.tx)] for t in tallies])
         miner_reward = rewards_mod.miner_reward(len(votes), unit)

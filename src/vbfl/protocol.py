@@ -142,10 +142,7 @@ class Block:
         object.__setattr__(
             self, "tallies", tuple(sorted(self.tallies, key=lambda t: t.worker))
         )
-        rewards = self.validator_rewards
-        if isinstance(rewards, Mapping):
-            rewards = rewards.items()
-        object.__setattr__(self, "validator_rewards", tuple(sorted(rewards)))
+        object.__setattr__(self, "validator_rewards", tuple(sorted(self.validator_rewards)))
         workers = [t.worker for t in self.tallies]
         if len(set(workers)) != len(workers):
             raise ValueError("tallies must be keyed by distinct workers")
@@ -439,13 +436,12 @@ def seal_block(block: Block, signer: Signer, tally_section: bytes | None = None)
 def verify_block(block: Block, signer: Signer) -> bool:
     if compute_content_hash(block) != block.content_hash:
         return False
-    if block.miner == GENESIS_MINER:
-        return True
     return signer.verify(block.content_hash, block.signature, block.miner)
 
 
 def make_genesis(initial_model: ModelParams) -> Block:
-    """Synthetic round-0 block committing to the initial global model."""
+    """Synthetic round-0 block committing to the initial global model. It
+    is unsigned, so a chain starts from it and never appends it."""
     block = Block(
         round=0,
         miner=GENESIS_MINER,

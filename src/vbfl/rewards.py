@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .protocol import Block, DeviceId, GENESIS_MINER, VoteTally
+from .protocol import Block, DeviceId, VoteTally
 
 
 EVENT_FLAGGED = "FLAGGED"
@@ -30,24 +30,14 @@ def training_reward(epochs: int, train_size: int, unit: int) -> int:
     return epochs * train_size * unit
 
 
-def worker_reward(
-    epochs: int, train_size: int, positives: int, negatives: int, unit: int
-) -> int:
-    """The :func:`training_reward`, gated by the vote tally: 0 unless
-    :func:`qualified`."""
-    if min(positives, negatives) < 0:
-        raise ValueError("vote counts must be non-negative")
-    due = training_reward(epochs, train_size, unit)
-    return due if qualified(positives, negatives) else 0
-
-
 def tally_reward(tally: VoteTally, unit: int) -> int:
-    """What a tally pays its worker: the :func:`worker_reward` of its
-    transaction's epochs and shard size and its votes, when the worker's
-    self-reported expected reward equals that; 0 otherwise."""
+    """What a tally pays its worker: the :func:`training_reward` of its
+    transaction's epochs and shard size, when the tally is :func:`qualified`
+    and the worker's self-reported expected reward equals that; 0
+    otherwise."""
     tx = tally.tx
-    due = worker_reward(tx.epochs, tx.train_size, tally.positives, tally.negatives, unit)
-    return due if tx.expected_reward == due else 0
+    due = training_reward(tx.epochs, tx.train_size, unit)
+    return due if qualified(tally.positives, tally.negatives) and tx.expected_reward == due else 0
 
 
 def miner_reward(n_verified_vtx: int, unit: int) -> int:
@@ -123,8 +113,7 @@ def apply_block(
 
     for validator, reward in block.validator_rewards:
         new._credit(validator, reward)
-    if block.miner != GENESIS_MINER:
-        new._credit(block.miner, block.miner_reward)
+    new._credit(block.miner, block.miner_reward)
 
     for device in flagged:
         new.flag_streak[device] = new.streak_of(device) + 1
@@ -148,6 +137,6 @@ def block_reward_total(
     """
     total = sum(tally_reward(t, unit) for t in block.tallies if t.worker not in blacklist)
     total += sum(r for v, r in block.validator_rewards if v not in blacklist)
-    if block.miner != GENESIS_MINER and block.miner not in blacklist:
+    if block.miner not in blacklist:
         total += block.miner_reward
     return total

@@ -24,8 +24,6 @@ from vbfl.rewards import (
     EVENT_FLAGGED,
     StakeLedger,
     apply_block,
-    miner_reward,
-    worker_reward,
 )
 from vbfl.validation import suggest_threshold
 
@@ -155,7 +153,8 @@ def test_criterion_5_stake_plateau(calibrated_vh):
 
 
 def _oracle_round_rewards(metrics, msgs, unit: int) -> dict[bytes, dict[str, int]]:
-    """Recompute every device's round rewards from the round's raw messages."""
+    """Recompute every device's round rewards from the round's raw messages,
+    calling no reward function of the code under test."""
     out: dict[bytes, dict[str, int]] = {}
 
     def credit(device, source, amount):
@@ -176,9 +175,8 @@ def _oracle_round_rewards(metrics, msgs, unit: int) -> dict[bytes, dict[str, int
             continue  # zero-vote workers stay unrewarded
         positives = sum(1 for v in tallied if v is Vote.POSITIVE)
         negatives = len(tallied) - positives
-        due = worker_reward(tx.epochs, tx.train_size, positives, negatives, unit)
-        honest = tx.expected_reward == tx.epochs * tx.train_size * unit
-        if due and honest:
+        due = tx.epochs * tx.train_size * unit
+        if positives >= negatives and tx.expected_reward == due:
             credit(tx.worker, "worker", due)
     # Validators: one unit per verified transaction plus one per vote cast.
     for validator, txs in msgs.by_validator.items():
@@ -186,7 +184,7 @@ def _oracle_round_rewards(metrics, msgs, unit: int) -> dict[bytes, dict[str, int
         assert n_votes <= len(txs), "a validator voted on a transaction it did not verify"
         credit(validator, "validator", (len(txs) + n_votes) * unit)
     # The winning miner: one unit per verified vote.
-    credit(winner, "miner", miner_reward(len(winner_votes), unit))
+    credit(winner, "miner", len(winner_votes) * unit)
     return out
 
 
@@ -267,7 +265,7 @@ def _tally(worker: bytes, pos: int, neg: int) -> VoteTally:
 def _block(tallies, round_no: int) -> Block:
     return Block(
         round=round_no, miner=bytes([40]) * 16, prev_hash=ZERO_HASH,
-        tallies=tuple(tallies), miner_reward=0, validator_rewards={},
+        tallies=tuple(tallies), miner_reward=0, validator_rewards=(),
     )
 
 

@@ -312,6 +312,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: train.batch_size: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("changes, round_no", [
+        ({"dataset": {**TINY_CONFIG["dataset"], "feature_scale": 1e300}}, 1),
+        ({"dataset": {**TINY_CONFIG["dataset"], "spread": 1e300}}, 1),
+        ({"arch": "mlp", "train": {**TINY_CONFIG["train"], "learning_rate": 1e300}}, 1),
+        ({"arch": "mlp", "train": {**TINY_CONFIG["train"], "learning_rate": 1e60}}, 2),
+    ], ids=["feature_scale", "spread", "learning_rate", "learning_rate-round-2"])
+    def test_diverged_training_exits_one(self, tmp_path, capsys, changes, round_no):
+        cfg = write_tiny_config(tmp_path, **changes)
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
+        assert capsys.readouterr().err == f"error: train: round {round_no}: loss diverged to nan\n"
+
     @pytest.mark.parametrize(
         "suffix, data",
         [
@@ -338,7 +349,9 @@ class TestRun:
         cfg = write_tiny_config(tmp_path, dataset={"idx_dir": str(idx_dir)})
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: dataset.idx_dir: ") and len(err.splitlines()) == 1
+        # The first file read is named, whichever check fails.
+        first = idx_dir / f"train-images-idx3-ubyte{suffix}"
+        assert err.startswith(f"error: dataset.idx_dir: {first}: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("swapped, rank, want", [
         ("train-images-idx3-ubyte", 1, 3), ("t10k-labels-idx1-ubyte", 3, 1),

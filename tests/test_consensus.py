@@ -139,7 +139,7 @@ class TestBuildCandidate:
         tallies = tally_votes([(5, 1, Vote.POSITIVE), (6, 1, Vote.NEGATIVE)])
         kwargs = dict(
             tallies=tallies, miner_reward=2,
-            validator_rewards={dev(5): 2, dev(6): 2},
+            validator_rewards=((dev(5), 2), (dev(6), 2)),
             prev_hash=ZERO_HASH, round=1,
         )
         a = seal_block(build_candidate(miner=dev(8), **kwargs), signer)
@@ -152,7 +152,7 @@ class TestBuildCandidate:
         signer = make_signer()
         block = build_candidate(
             miner=dev(8), tallies=tally_votes([(5, 1, Vote.POSITIVE)]),
-            miner_reward=1, validator_rewards={dev(5): 2},
+            miner_reward=1, validator_rewards=((dev(5), 2),),
             prev_hash=ZERO_HASH, round=1,
         )
         assert verify_block(seal_block(block, signer), signer)
@@ -161,7 +161,7 @@ class TestBuildCandidate:
         signer = make_signer()
         chain = Blockchain((make_genesis(update()),))
         block = build_candidate(
-            miner=dev(8), tallies=(), miner_reward=0, validator_rewards={},
+            miner=dev(8), tallies=(), miner_reward=0, validator_rewards=(),
             prev_hash=chain.tip_hash, round=1,
         )
         assert (block.content_hash, block.signature) == (b"", b"")
@@ -179,7 +179,7 @@ class TestBuildCandidate:
 def mk_block(miner, round=1) -> Block:
     """An unsealed candidate; selection never reads a hash or a signature."""
     return build_candidate(
-        miner=dev(miner), tallies=(), miner_reward=0, validator_rewards={},
+        miner=dev(miner), tallies=(), miner_reward=0, validator_rewards=(),
         prev_hash=ZERO_HASH, round=round,
     )
 

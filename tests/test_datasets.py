@@ -105,25 +105,32 @@ class TestIdx:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_idx(path)
 
+    @pytest.mark.parametrize("data, cause", [
+        (b"not gzip", "Not a gzipped file (b'no')"),
+        # a gzip header, then a deflate block of the invalid type 3
+        (b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff",
+         "Error -3 while decompressing data: invalid block type"),
+    ], ids=["not-gzip", "corrupt-deflate"])
+    def test_unreadable_gzip_names_file(self, tmp_path, data, cause):
+        path = tmp_path / "labels-idx1-ubyte.gz"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {cause}')}$"):
+            read_idx(path)
+
     def test_load_task(self, tmp_path):
         rng = np.random.default_rng(0)
         tri = rng.integers(0, 256, size=(12, 4, 4)).astype(">u1")
         trl = rng.integers(0, 5, size=12).astype(">u1")
         tei = rng.integers(0, 256, size=(6, 4, 4)).astype(">u1")
         tel = rng.integers(0, 5, size=6).astype(">u1")
-        paths = {}
-        for name, arr, code in (
-            ("train-images", tri, 0x08),
-            ("train-labels", trl, 0x08),
-            ("test-images", tei, 0x08),
-            ("test-labels", tel, 0x08),
+        for stem, arr in (
+            ("train-images-idx3-ubyte", tri),
+            ("train-labels-idx1-ubyte", trl),
+            ("t10k-images-idx3-ubyte", tei),
+            ("t10k-labels-idx1-ubyte", tel),
         ):
-            paths[name] = tmp_path / name
-            write_idx(paths[name], arr, code)
-        task = load_idx_task(
-            paths["train-images"], paths["train-labels"],
-            paths["test-images"], paths["test-labels"],
-        )
+            write_idx(tmp_path / stem, arr, 0x08)
+        task = load_idx_task(tmp_path)
         assert isinstance(task, Task)
         assert task.train_x.shape == (12, 16)
         assert task.train_x.max() <= 1.0

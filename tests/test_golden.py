@@ -382,6 +382,29 @@ def test_protocol_run_of_no_round_dumps_genesis(tmp_path):
     assert chain == result.driver.genesis.chain and len(chain) == 1
 
 
+@pytest.mark.parametrize("name", ["pos_stub", "pow_race"])
+def test_unit_reward_scales_every_stake_and_nothing_else(name, tmp_path):
+    # Every reward is a multiple of the unit, so at unit 2 each stake
+    # doubles; stake selection keeps its order, so no other output moves.
+    outs = [
+        run_simulation(
+            dataclasses.replace(CASES[name], unit_reward=unit), out_dir=tmp_path / str(unit)
+        ).out_dir
+        for unit in (1, 2)
+    ]
+    for file in ("rounds.csv", "events.csv"):
+        assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes(), file
+    assert len((outs[0] / "events.csv").read_text().splitlines()) > 1
+    one, two = (
+        [line.split(",") for line in (out / "stake.csv").read_text().splitlines()]
+        for out in outs
+    )
+    assert one[0] == two[0] and len(one) == len(two) > 1
+    for a, b in zip(one[1:], two[1:]):
+        assert (b[:2], b[3:], int(b[2])) == (a[:2], a[3:], 2 * int(a[2]))
+    assert any(int(row[2]) for row in one[1:])
+
+
 @pytest.fixture(scope="module")
 def golden_chain(tmp_path_factory) -> protocol.Blockchain:
     """pos_stub's chain, read back from its dump, which holds its digest."""
@@ -431,7 +454,7 @@ def test_every_choice_runs():
 def test_idx_dataset_runs(tmp_path):
     # 240 training rows give each of 20 devices a 12-row shard; 12 test rows
     # serve every device under validator_test="full" but not one each
-    # under "shard". One file is gzipped, so find() falls back to ".gz".
+    # under "shard". One file is gzipped, so load_idx_task falls back to ".gz".
     rng = np.random.default_rng(0)
     idx_dir = tmp_path / "idx"
     idx_dir.mkdir()

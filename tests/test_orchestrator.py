@@ -367,13 +367,14 @@ class TestConfig:
 def load_six_images_with_five_labels(root):
     """load_idx_task on 12 training and 6 test images of 4 x 4 pixels, with
     12 training labels and 5 test labels."""
-    arrays = [
-        np.zeros((12, 4, 4), ">u1"), np.zeros(12, ">u1"),
-        np.zeros((6, 4, 4), ">u1"), np.zeros(5, ">u1"),
-    ]
-    for k, arr in enumerate(arrays):
-        write_idx(root / str(k), arr, 0x08)
-    return load_idx_task(*(root / str(k) for k in range(4)))
+    for stem, arr in (
+        ("train-images-idx3-ubyte", np.zeros((12, 4, 4), ">u1")),
+        ("train-labels-idx1-ubyte", np.zeros(12, ">u1")),
+        ("t10k-images-idx3-ubyte", np.zeros((6, 4, 4), ">u1")),
+        ("t10k-labels-idx1-ubyte", np.zeros(5, ">u1")),
+    ):
+        write_idx(root / stem, arr, 0x08)
+    return load_idx_task(root)
 
 
 def read_dtype_code_7(root):
@@ -410,10 +411,15 @@ def simulate_on_label_files(root):
          ConfigError, "dataset.idx_dir: missing train-images-idx3-ubyte[.gz] under "),
         (lambda tmp: tiny_cfg(dataset=DatasetConfig(idx_dir="")), ConfigError,
          "dataset.idx_dir: must not be empty"),
+        (lambda tmp: tiny_cfg(dataset=DatasetConfig(spread=-1e308)), ConfigError,
+         "dataset.spread: must be >= 0"),
+        (lambda tmp: tiny_cfg(dataset=DatasetConfig(feature_scale=0.0)), ConfigError,
+         "dataset.feature_scale: must be > 0"),
     ],
     ids=[
         "malicious-out-of-range", "malicious-repeated", "blobs-zero-rows",
         "idx-dtype", "idx-rank", "idx-counts-disagree", "idx-file-missing", "idx-dir-empty",
+        "spread-negative", "feature-scale-zero",
     ],
 )
 def test_input_check_raises_its_named_error(tmp_path, build, error, message):

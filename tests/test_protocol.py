@@ -14,7 +14,7 @@ from conftest import TINY_DATASET
 
 from vbfl.config import BEHAVIOR_VALIDATOR_FLIP, SimConfig, TrainSpec
 from vbfl.learning import ModelParams, mlp_arch, param_count, softmax_arch
-from vbfl.orchestrator import Simulation, assign_roles, make_devices
+from vbfl.orchestrator import Replica, Simulation, assign_roles, extend, make_devices
 from vbfl.protocol import (
     BlacklistedMinerError,
     Block,
@@ -48,6 +48,7 @@ from vbfl.protocol import (
     verify_worker_tx,
     worker_tx_signing_bytes,
 )
+from vbfl.rewards import StakeLedger, apply_block
 from vbfl.rng import substream
 
 ARCH = softmax_arch(2, 2)
@@ -118,7 +119,7 @@ def block(miner=9, round=1, prev=ZERO_HASH) -> Block:
         prev_hash=prev,
         tallies=(tally(1), tally(2, pos=0, neg=3)),
         miner_reward=60,
-        validator_rewards={dev(5): 24, dev(6): 24},
+        validator_rewards=((dev(5), 24), (dev(6), 24)),
     )
 
 
@@ -300,7 +301,7 @@ PREIMAGE_CHANGES = [
     ("block", ("miner",), lambda b: replace(b, miner=dev(8))),
     ("block", ("prev_hash",), lambda b: replace(b, prev_hash=b"\x11" * 32)),
     ("block", ("miner_reward",), lambda b: replace(b, miner_reward=b.miner_reward + 1)),
-    ("block", ("validator_rewards",), lambda b: replace(b, validator_rewards={dev(5): 25})),
+    ("block", ("validator_rewards",), lambda b: replace(b, validator_rewards=((dev(5), 25),))),
     ("block", ("model_hash",), lambda b: replace(b, model_hash=b"\x22" * 32)),
     ("block", ("tallies.positives", "tallies.negatives"), on_tally(flip_one_vote)),
     ("block", ("tallies.voters",), on_tally(swap_voter)),
@@ -520,7 +521,7 @@ class TestBlocks:
                 prev_hash=ZERO_HASH,
                 tallies=(tally(1), tally(1)),
                 miner_reward=0,
-                validator_rewards={},
+                validator_rewards=(),
             )
 
     def test_tally_count_mismatch_rejected(self):
@@ -567,11 +568,28 @@ class TestChain:
 
     def test_bad_signature_rejected(self):
         signer = make_signer(HmacSigner)
-        chain = append_block(Blockchain(), make_genesis(params()), signer)
+        chain = Blockchain((make_genesis(params()),))
         candidate = seal_block(block(round=1, prev=chain.tip_hash), signer)
         forged = dataclasses.replace(candidate, signature=b"\x00" * 32)
         with pytest.raises(BlockSignatureError):
             append_block(chain, forged, signer)
+
+    def test_unsigned_block_of_the_genesis_miner_rejected(self):
+        # Genesis starts a chain and is never appended, so its zero miner id
+        # earns no exemption: a hashed, unsigned round-1 block that claims
+        # it is refused, and the reward it would pay is never credited.
+        signer = make_signer(HmacSigner)
+        genesis = Replica(Blockchain((make_genesis(params()),)), StakeLedger(), params())
+        forged = replace(
+            block(round=1, prev=genesis.chain.tip_hash), miner=GENESIS_MINER, miner_reward=10**6
+        )
+        forged = replace(forged, content_hash=compute_content_hash(forged))
+        assert forged.signature == b""
+        with pytest.raises(BlockSignatureError):
+            append_block(genesis.chain, forged, signer)
+        with pytest.raises(BlockSignatureError):
+            extend(genesis, forged, signer)
+        assert apply_block(genesis.ledger, forged)[0].stake_of(GENESIS_MINER) == 10**6
 
     def test_non_advancing_round_rejected(self):
         signer = make_signer()
@@ -689,7 +707,7 @@ _BLOCKS = st.builds(
     prev_hash=_HASHES,
     tallies=st.lists(_tallies(), max_size=3, unique_by=lambda t: t.worker).map(tuple),
     miner_reward=_U64,
-    validator_rewards=st.dictionaries(_IDS, _U64, max_size=3),
+    validator_rewards=st.dictionaries(_IDS, _U64, max_size=3).map(lambda d: tuple(d.items())),
     model_hash=_HASHES,
     content_hash=_HASHES,
     signature=st.binary(max_size=32),

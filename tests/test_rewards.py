@@ -14,9 +14,9 @@ from vbfl.rewards import (
     block_reward_total,
     miner_reward,
     qualified,
+    tally_reward,
     training_reward,
     validator_reward,
-    worker_reward,
 )
 
 ARCH = softmax_arch(2, 2)
@@ -52,14 +52,14 @@ def devices(events, kind) -> frozenset:
     return frozenset(d for d, e in events if e == kind)
 
 
-def make_block(tallies, miner=9, miner_rwd=60, validator_rwds=None, round=1) -> Block:
+def make_block(tallies, miner=9, miner_rwd=60, validator_rwds=(), round=1) -> Block:
     return Block(
         round=round,
         miner=dev(miner),
         prev_hash=ZERO_HASH,
         tallies=tuple(tallies),
         miner_reward=miner_rwd,
-        validator_rewards=validator_rwds or {},
+        validator_rewards=validator_rwds,
     )
 
 
@@ -87,22 +87,28 @@ class TestValidatorReward:
         assert validator_reward(n, unit) == want
 
 
-class TestWorkerReward:
+class TestTallyReward:
     def test_qualified(self):
-        assert worker_reward(5, 3000, 2, 1, 1) == 15000
+        assert tally_reward(tally(1, 2, 1, epochs=5, train_size=3000), 1) == 15000
 
     def test_voted_down(self):
         # The two-worker walkthrough: 0 Positive, 3 Negative earns nothing.
-        assert worker_reward(5, 3000, 0, 3, 1) == 0
+        assert tally_reward(tally(1, 0, 3, epochs=5, train_size=3000), 1) == 0
 
     def test_tie_counts_as_qualified(self):
-        assert worker_reward(5, 3000, 2, 2, 1) == 15000
+        assert tally_reward(tally(1, 2, 2, epochs=5, train_size=3000), 1) == 15000
+
+    def test_misreported_expected_reward_pays_nothing(self):
+        assert tally_reward(tally(1, 2, 1, epochs=5, train_size=3000, expected=14999), 1) == 0
+        # The expected reward is reported at the run's unit.
+        assert tally_reward(tally(1, 2, 1, epochs=5, train_size=3000), 2) == 0
+        assert tally_reward(tally(1, 2, 1, epochs=5, train_size=3000, expected=30000), 2) == 30000
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            worker_reward(0, 10, 1, 0, 1)
-        with pytest.raises(ValueError):
-            worker_reward(1, 10, -1, 0, 1)
+            tally_reward(tally(1, 1, 0, epochs=0, train_size=10), 1)
+        with pytest.raises(ValueError):  # no tally holds a negative count
+            VoteTally(wtx(1, train_size=10), -1, 1, frozenset())
 
 
 class TestMinerReward:
@@ -124,7 +130,7 @@ class TestApplyBlock:
         # (0 Positive, 3 Negative), earns nothing and picks up a flag.
         block = make_block(
             [tally(1, 2, 1), tally(2, 0, 3)],
-            validator_rwds={dev(5): 4, dev(6): 4, dev(7): 4},
+            validator_rwds=((dev(5), 4), (dev(6), 4), (dev(7), 4)),
         )
         ledger, events = apply_block(self.ledger(), block)
         assert ledger.stake_of(dev(1)) == 750
@@ -188,7 +194,7 @@ class TestApplyBlock:
 
     def test_earnings_decomposition(self):
         block = make_block(
-            [tally(1, 2, 1)], miner=9, miner_rwd=60, validator_rwds={dev(5): 24}
+            [tally(1, 2, 1)], miner=9, miner_rwd=60, validator_rwds=((dev(5), 24),)
         )
         ledger, _ = apply_block(self.ledger(), block)
         # One device per role, so each stake is that role's reward.
@@ -249,7 +255,7 @@ def test_stake_monotone_and_conserved(votes, miner_rwd, blacklisted):
             continue
         seen.add(worker)
         tallies.append(tally(worker, pos, neg))
-    block = make_block(tallies, miner_rwd=miner_rwd, validator_rwds={dev(40): 7})
+    block = make_block(tallies, miner_rwd=miner_rwd, validator_rwds=((dev(40), 7),))
     blacklist = frozenset(map(dev, blacklisted))
     start = StakeLedger(unit_reward=1, kick_r=6, stake={dev(1): 3}, blacklist=blacklist)
     after, _ = apply_block(start, block)

@@ -172,7 +172,8 @@ class TestVadLog:
     def test_csv_shape(self, tmp_path):
         path = tmp_path / "vad.csv"
         write_vad_csv(self.tables(), path)
-        rows = list(csv.DictReader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert rows[0]["vote"] == "N" and rows[1]["vote"] == "P"
         assert rows[0]["worker_malicious"] == "1" and rows[3]["worker_malicious"] == "0"
