@@ -1,7 +1,7 @@
 """Command-line front end: run experiments, compare finished runs.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 when a runtime
-invariant check fails.
+Exit codes: 0 on success, 1 on configuration or usage errors, 2 when a
+runtime invariant check fails.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="master seed")
     run_p.add_argument("--vh", type=float, help="validator threshold")
     run_p.add_argument("--vh-file", type=Path, help="calibration file with suggested_vh")
-    run_p.add_argument("--consensus", choices=("pos", "pow"))
-    run_p.add_argument("--pow-difficulty", type=int)
     run_p.add_argument("--malicious", type=int, help="number of malicious devices")
     run_p.add_argument(
         "--out",
@@ -133,13 +131,7 @@ def _cmd_run(args) -> int:
     else:
         base, name = _load_config_file(args.config), args.config.stem
     config = apply_overrides(
-        base,
-        rounds=args.rounds,
-        seed=args.seed,
-        vh=vh,
-        consensus=args.consensus,
-        pow_difficulty=args.pow_difficulty,
-        malicious=args.malicious,
+        base, rounds=args.rounds, seed=args.seed, vh=vh, malicious=args.malicious
     )
     out_dir = args.out or _default_out_dir(name, config.master_seed)
     progress = None if args.quiet else lambda m: print(_round_line(m))
@@ -221,7 +213,10 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or --help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         if args.command == "run":
             return _cmd_run(args)

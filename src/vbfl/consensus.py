@@ -75,13 +75,11 @@ def pos_select(blocks: Sequence[Block], ledger: StakeLedger) -> Block:
     Blocks from miners the selecting device has blacklisted are never
     chosen. Raises NoEligibleBlock when nothing remains.
     """
-    if len(blocks) == 0:
-        raise NoEligibleBlock("no candidate blocks to select from")
-    if len({b.round for b in blocks}) != 1:
+    if len({b.round for b in blocks}) > 1:
         raise ValueError("candidate blocks span multiple rounds")
     eligible = [b for b in blocks if b.miner not in ledger.blacklist]
     if not eligible:
-        raise NoEligibleBlock("all candidate blocks came from blacklisted miners")
+        raise NoEligibleBlock("no candidate block from a miner that is not blacklisted")
     return min(eligible, key=lambda b: (-ledger.stake_of(b.miner), b.miner))
 
 

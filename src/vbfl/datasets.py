@@ -1,9 +1,10 @@
 """Built-in learning tasks: synthetic Gaussian blobs and IDX image files.
 
 The blob task is the default for simulations and tests: deterministic,
-dependency-free and fast. For fidelity runs the IDX reader takes MNIST's
-format, plain or gzipped: unsigned bytes, with rank-3 images and rank-1
-labels.
+dependency-free and fast. It takes its geometry from a
+``config.DatasetConfig``, whose annotations are the geometry's only rules.
+For fidelity runs the IDX reader takes MNIST's format, plain or gzipped:
+unsigned bytes, with rank-3 images and rank-1 labels.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .config import DatasetConfig, check_fields
+
 
 @dataclass(frozen=True)
 class Task:
@@ -39,39 +43,29 @@ class Task:
         return self.train_x.shape[0]
 
 
-def make_blobs_task(
-    *,
-    dim: int,
-    classes: int,
-    train_per_class: int,
-    test_per_class: int,
-    spread: float,
-    feature_scale: float,
-    seed: int,
-) -> Task:
-    """K isotropic Gaussian clusters with standard-normal means.
+def make_blobs_task(ds: DatasetConfig, seed: int) -> Task:
+    """K isotropic Gaussian clusters with standard-normal means, shaped by
+    the dataset section ``ds`` (its ``idx_dir`` is not read).
 
     ``spread`` is the within-cluster standard deviation; ``feature_scale``
     rescales all features uniformly. Rows are shuffled so contiguous slices
-    are class-balanced in expectation. The defaults live in one place,
-    ``config.DatasetConfig``.
+    are class-balanced in expectation. A section that breaks a
+    ``DatasetConfig`` rule raises ``ConfigError`` naming its ``dataset.`` key.
     """
-    if dim < 1 or classes < 2:
-        raise ValueError("need dim >= 1 and classes >= 2")
-    if train_per_class < 1 or test_per_class < 1:
-        raise ValueError("need at least one example per class and split")
+    check_fields(ds, "dataset.")
+    classes, dim = ds.classes, ds.dim
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.0, size=(classes, dim))
 
     def split(per_class: int) -> tuple[np.ndarray, np.ndarray]:
         y = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-        x = means[y] + spread * rng.normal(0.0, 1.0, size=(y.size, dim))
-        x *= feature_scale
+        x = means[y] + ds.spread * rng.normal(0.0, 1.0, size=(y.size, dim))
+        x *= ds.feature_scale
         order = rng.permutation(y.size)
         return x[order], y[order]
 
-    train_x, train_y = split(train_per_class)
-    test_x, test_y = split(test_per_class)
+    train_x, train_y = split(ds.train_per_class)
+    test_x, test_y = split(ds.test_per_class)
     return Task(train_x, train_y, test_x, test_y, classes)
 
 

@@ -393,11 +393,12 @@ def evaluate(params: ModelParams, test: DataShard) -> float:
 def _forward(layers: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """The float64 forward pass: (rows, classes) logits of the rows x."""
     a = x
-    for k in range(0, len(layers), 2):
-        if k:
-            np.maximum(a, 0.0, out=a)  # ReLU on the hidden layer, in place
-        a = a @ layers[k]
-        a += layers[k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge weights: inf/NaN logits
+        for k in range(0, len(layers), 2):
+            if k:
+                np.maximum(a, 0.0, out=a)  # ReLU on the hidden layer, in place
+            a = a @ layers[k]
+            a += layers[k + 1]
     return a
 
 

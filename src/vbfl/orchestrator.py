@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -128,19 +128,17 @@ def shard_dataset(
     device_ids: Sequence[DeviceId],
     rng: np.random.Generator,
     sharding: str = "iid",
-    validator_test: str = "full",
+    shared_test: DataShard | None = None,
 ) -> dict[DeviceId, tuple[DataShard, DataShard]]:
-    """Disjoint equal train shards; test is shared in full by default.
+    """Disjoint equal train shards, and ``shared_test`` as the test shard
+    every device holds, or disjoint equal test shards when it is None.
 
     Uneven division hands the remainder one example each to the lowest
     device ids. ``label_skew`` deals label-sorted contiguous chunks instead
-    of a random split. A shared test set is one read-only shard object that
-    every device holds.
+    of a random split.
     """
     ids = sorted(device_ids)
     n = len(ids)
-    if task.train_size < n:
-        raise ValueError("dataset smaller than the number of devices")
     if sharding == "iid":
         order = rng.permutation(task.train_size)
     else:
@@ -150,10 +148,10 @@ def shard_dataset(
         return [DataShard(x[r], y[r]) for r in np.array_split(rows, n)]
 
     train = split(task.train_x, task.train_y, order)
-    if validator_test == "shard":
+    if shared_test is None:
         test = split(task.test_x, task.test_y, rng.permutation(task.test_x.shape[0]))
     else:
-        test = [DataShard(task.test_x, task.test_y)] * n
+        test = [shared_test] * n
     return dict(zip(ids, zip(train, test)))
 
 
@@ -194,8 +192,6 @@ def associate(
     rng: np.random.Generator,
 ) -> tuple[dict[DeviceId, DeviceId], dict[DeviceId, DeviceId]]:
     """Uniform worker->validator and validator->miner associations."""
-    if not validators or not miners:
-        raise ValueError("cannot associate without validators and miners")
     w2v = {w: validators[int(rng.integers(len(validators)))] for w in sorted(workers)}
     v2m = {v: miners[int(rng.integers(len(miners)))] for v in sorted(validators)}
     return w2v, v2m
@@ -292,8 +288,7 @@ def _build_task(config: SimConfig) -> Task:
             return load_idx_task(ds.idx_dir)
         except ValueError as exc:  # missing, unreadable or malformed
             raise ConfigError(f"dataset.idx_dir: {exc}") from None
-    params = {f.name: getattr(ds, f.name) for f in fields(ds) if f.name != "idx_dir"}
-    return make_blobs_task(seed=derive_seed(config.master_seed, "shard", "task"), **params)
+    return make_blobs_task(ds, derive_seed(config.master_seed, "shard", "task"))
 
 
 def _make_signer(config: SimConfig, devices: Sequence[Device]) -> Signer:
@@ -307,8 +302,8 @@ class _World:
     """What both drivers build from a config: devices, data shards and g0.
 
     ``full_test`` is the whole test set, read for the global accuracy. Under
-    ``validator_test="full"`` it is the one test shard every device holds,
-    so the test set is held once.
+    ``validator_test="full"`` it is also the one test shard every device
+    holds, so the test set is held once.
     """
 
     def __init__(self, config: SimConfig):
@@ -320,19 +315,16 @@ class _World:
             arch_id = mlp_arch(task.dim, config.mlp_hidden, task.num_classes)
         else:
             arch_id = softmax_arch(task.dim, task.num_classes)
+        self.full_test = DataShard(task.test_x, task.test_y)
         self.shards = shard_dataset(
             task,
             [d.id for d in self.devices],
             substream(config.master_seed, "shard"),
             sharding=config.sharding,
-            validator_test=config.validator_test,
+            shared_test=self.full_test if config.validator_test == "full" else None,
         )
         self.g0 = init_global_model(arch_id, derive_seed(config.master_seed, "init"))
         self.malicious_ids = frozenset(self.devices[i].id for i in config.malicious)
-        if config.validator_test == "full":
-            self.full_test = self.shards[self.devices[0].id][1]
-        else:
-            self.full_test = DataShard(task.test_x, task.test_y)
         self.metrics: list[RoundMetrics] = []
 
     def _behaves(self, device: DeviceId, behavior: str) -> bool:

@@ -85,8 +85,6 @@ def apply_overrides(
     rounds: int | None = None,
     seed: int | None = None,
     vh: float | None = None,
-    consensus: str | None = None,
-    pow_difficulty: int | None = None,
     malicious: int | None = None,
 ) -> SimConfig:
     """A preset's or a config file's config plus command-line overrides, in
@@ -95,8 +93,6 @@ def apply_overrides(
         "rounds": rounds,
         "master_seed": seed,
         "vh": vh,
-        "consensus": consensus,
-        "pow_difficulty": pow_difficulty,
         "malicious": None if malicious is None else _malicious_tail(config, malicious),
     }
     return replace(config, **{k: v for k, v in changes.items() if v is not None})

@@ -76,13 +76,10 @@ def tiny_config(tiny_dataset) -> SimConfig:
 @pytest.fixture
 def two_class_task():
     return make_blobs_task(
-        dim=4,
-        classes=2,
-        train_per_class=30,
-        test_per_class=30,
-        spread=0.5,
-        feature_scale=1.0,
-        seed=42,
+        DatasetConfig(
+            dim=4, classes=2, train_per_class=30, test_per_class=30, spread=0.5, feature_scale=1.0
+        ),
+        42,
     )
 
 

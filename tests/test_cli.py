@@ -110,6 +110,19 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: config: cannot read {path} as JSON: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, error", [
+        (("--consensus", "pos"), "vbfl: error: unrecognized arguments: --consensus pos"),
+        (("--rounds", "x"), "vbfl run: error: argument --rounds: invalid int value: 'x'"),
+    ], ids=["removed-flag", "mistyped-value"])
+    def test_usage_error_exits_one(self, capsys, argv, error):
+        # 2 is kept for invariant violations, so argparse's own exit code is not passed on.
+        assert run_cli("run", "--preset", "VFL_0_20", *argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == error
+
+    def test_help_exits_zero(self, capsys):
+        assert run_cli("run", "--help") == 0
+        assert "--malicious" in capsys.readouterr().out
+
     def test_preset_and_config_mutually_exclusive(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
         assert run_cli("run", "--preset", "VFL_0_20", "--config", cfg) == 1
@@ -317,11 +330,24 @@ class TestRun:
         ({"dataset": {**TINY_CONFIG["dataset"], "spread": 1e300}}, 1),
         ({"arch": "mlp", "train": {**TINY_CONFIG["train"], "learning_rate": 1e300}}, 1),
         ({"arch": "mlp", "train": {**TINY_CONFIG["train"], "learning_rate": 1e60}}, 2),
-    ], ids=["feature_scale", "spread", "learning_rate", "learning_rate-round-2"])
+        # Huge but finite weights: the evaluation before the loss check must not warn.
+        ({"arch": "mlp", "train": {**TINY_CONFIG["train"], "learning_rate": 1e80}}, 2),
+        ({"arch": "mlp", "train": {**TINY_CONFIG["train"], "learning_rate": 1e100}}, 2),
+    ], ids=["feature_scale", "spread", "learning_rate", "learning_rate-round-2",
+            "learning_rate-1e80", "learning_rate-1e100"])
     def test_diverged_training_exits_one(self, tmp_path, capsys, changes, round_no):
         cfg = write_tiny_config(tmp_path, **changes)
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
         assert capsys.readouterr().err == f"error: train: round {round_no}: loss diverged to nan\n"
+
+    def test_huge_finite_weights_evaluate_quietly(self, tmp_path, capsys):
+        # Weights this large overflow the float64 forward pass to inf and NaN
+        # logits, yet stay finite, so the run completes without a warning.
+        cfg = write_tiny_config(
+            tmp_path, arch="mlp", train={**TINY_CONFIG["train"], "learning_rate": 1e40}
+        )
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "suffix, data",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbfl import learning
-from vbfl.config import TrainSpec
+from vbfl.config import DatasetConfig, TrainSpec
 from vbfl.errors import ConfigError
 from vbfl.learning import (
     DataShard,
@@ -458,8 +458,11 @@ class TestEvaluate:
         from vbfl.datasets import make_blobs_task
 
         t = make_blobs_task(
-            dim=6, classes=10, train_per_class=5, test_per_class=17, spread=0.3,
-            feature_scale=0.5, seed=3,
+            DatasetConfig(
+                dim=6, classes=10, train_per_class=5, test_per_class=17, spread=0.3,
+                feature_scale=0.5,
+            ),
+            3,
         )
         test = DataShard(t.test_x, t.test_y)
         zero = ModelParams(np.zeros(param_count(softmax_arch(6, 10))), softmax_arch(6, 10))

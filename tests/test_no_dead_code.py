@@ -148,9 +148,6 @@ def unread_parameters(root: Path, allowed=UNREAD_ALLOWED) -> list[str]:
 UNLOADED_ALLOWED = {
     # perfbench/measure.py builds RunResult positionally.
     ("RunResult", "out_dir"),
-    # _build_task passes these dataset fields to make_blobs_task through fields().
-    ("DatasetConfig", "spread"),
-    ("DatasetConfig", "feature_scale"),
 }
 
 

@@ -32,7 +32,7 @@ from vbfl.config import (
 )
 from vbfl.datasets import load_idx_task, make_blobs_task, read_idx
 from vbfl.errors import ConfigError, InvariantViolation
-from vbfl.learning import ModelParams, evaluate, fedavg, local_train
+from vbfl.learning import DataShard, ModelParams, evaluate, fedavg, local_train
 from vbfl.orchestrator import (
     EVENTS_CSV_FIELDS,
     ROUNDS_CSV_FIELDS,
@@ -399,9 +399,12 @@ def simulate_on_label_files(root):
         (lambda tmp: tiny_cfg(malicious=(3, 5, 3)), ConfigError,
          "malicious: device numbers must be distinct"),
         (lambda tmp: make_blobs_task(
-            dim=2, classes=2, train_per_class=0, test_per_class=2, spread=0.3,
-            feature_scale=1.0, seed=0,
-        ), ValueError, "need at least one example per class and split"),
+            DatasetConfig(
+                dim=2, classes=2, train_per_class=0, test_per_class=2, spread=0.3,
+                feature_scale=1.0,
+            ),
+            0,
+        ), ConfigError, "dataset.train_per_class: must be >= 1"),
         (read_dtype_code_7, ValueError,
          "labels-idx1-ubyte: IDX dtype code 0x07 is not 0x08 (unsigned byte)"),
         (simulate_on_label_files, ConfigError,
@@ -440,8 +443,11 @@ class TestDevices:
 class TestSharding:
     def task(self, train_total=40):
         return make_blobs_task(
-            dim=4, classes=4, train_per_class=train_total // 4, test_per_class=5, spread=0.3,
-            feature_scale=0.5, seed=3,
+            DatasetConfig(
+                dim=4, classes=4, train_per_class=train_total // 4, test_per_class=5, spread=0.3,
+                feature_scale=0.5,
+            ),
+            3,
         )
 
     def ids(self, n):
@@ -475,13 +481,12 @@ class TestSharding:
 
     def test_full_test_set_shared_by_default(self):
         task = self.task()
-        shards = shard_dataset(task, self.ids(8), substream(0, "shard"))
-        for _, test in shards.values():
-            assert len(test) == task.test_x.shape[0]
+        full = DataShard(task.test_x, task.test_y)
+        shards = shard_dataset(task, self.ids(8), substream(0, "shard"), shared_test=full)
         # One read-only shard object that every device holds.
         tests = [test for _, test in shards.values()]
-        assert len({id(t) for t in tests}) == 1
-        x, _ = tests[0].arrays()
+        assert {id(t) for t in tests} == {id(full)}
+        x, _ = full.arrays()
         assert not x.flags.writeable
         assert np.array_equal(x, task.test_x)
         # Both drivers read the global accuracy from that same object.
@@ -499,9 +504,7 @@ class TestSharding:
 
     def test_disjoint_test_shards_option(self):
         task = self.task()
-        shards = shard_dataset(
-            task, self.ids(8), substream(0, "shard"), validator_test="shard"
-        )
+        shards = shard_dataset(task, self.ids(8), substream(0, "shard"))
         total = sum(len(test) for _, test in shards.values())
         assert total == task.test_x.shape[0]
 
@@ -512,12 +515,9 @@ class TestSharding:
         assert len(np.unique(first._y)) == 1
 
     def test_too_few_examples(self):
-        task = make_blobs_task(
-            dim=2, classes=2, train_per_class=2, test_per_class=2, spread=0.3,
-            feature_scale=0.5, seed=0,
-        )
-        with pytest.raises(ValueError, match="smaller"):
-            shard_dataset(task, self.ids(5), substream(0, "shard"))
+        # Four training rows cannot fill five shards.
+        with pytest.raises(ValueError, match="shard is empty"):
+            shard_dataset(self.task(4), self.ids(5), substream(0, "shard"))
 
 
 def roles_by_position(device_ids, counts, rng, excluded=frozenset()):
@@ -598,11 +598,6 @@ class TestAssociate:
         a = associate(ids[:5], ids[5:7], ids[7:], substream(4, "assoc", 2))
         b = associate(ids[:5], ids[5:7], ids[7:], substream(4, "assoc", 2))
         assert a == b
-
-    def test_empty_validators_error(self):
-        ids = [d.id for d in make_devices(4)]
-        with pytest.raises(ValueError):
-            associate(ids[:3], [], ids[3:], substream(0, "assoc", 1))
 
 
 class TestRound:
