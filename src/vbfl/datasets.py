@@ -1,5 +1,9 @@
 """Built-in learning tasks: synthetic Gaussian blobs and IDX image files.
 
+A task is its training pool and its test set, each a read-only
+``learning.DataShard``, and its number of classes; the drivers split the
+pool, and the test set too when each validator holds its own slice.
+
 The blob task is the default for simulations and tests: deterministic,
 dependency-free and fast. It takes its geometry from a
 ``config.DatasetConfig``, whose annotations are the geometry's only rules.
@@ -18,29 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from .config import DatasetConfig, check_fields
+from .learning import DataShard
 
 
 @dataclass(frozen=True)
 class Task:
-    """A complete classification task: a training pool plus a test set."""
+    """A complete classification task: a training pool, a test set and the
+    number of classes."""
 
-    train_x: np.ndarray
-    train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        for arr in (self.train_x, self.train_y, self.test_x, self.test_y):
-            arr.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.train_x.shape[1]
-
-    @property
-    def train_size(self) -> int:
-        return self.train_x.shape[0]
+    train: DataShard
+    test: DataShard
+    classes: int
 
 
 def make_blobs_task(ds: DatasetConfig, seed: int) -> Task:
@@ -57,16 +49,13 @@ def make_blobs_task(ds: DatasetConfig, seed: int) -> Task:
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.0, size=(classes, dim))
 
-    def split(per_class: int) -> tuple[np.ndarray, np.ndarray]:
+    def split(per_class: int) -> DataShard:
         y = np.repeat(np.arange(classes, dtype=np.int64), per_class)
         x = means[y] + ds.spread * rng.normal(0.0, 1.0, size=(y.size, dim))
         x *= ds.feature_scale
-        order = rng.permutation(y.size)
-        return x[order], y[order]
+        return DataShard(x, y, rng.permutation(y.size))
 
-    train_x, train_y = split(ds.train_per_class)
-    test_x, test_y = split(ds.test_per_class)
-    return Task(train_x, train_y, test_x, test_y, classes)
+    return Task(split(ds.train_per_class), split(ds.test_per_class), classes)
 
 
 def read_idx(path) -> np.ndarray:
@@ -111,13 +100,9 @@ def load_idx_task(root) -> Task:
 
     def images(stem: str) -> np.ndarray:
         raw = read(stem, 3)
-        return raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
+        return raw.reshape(raw.shape[0], -1) / 255.0
 
-    train_x = images("train-images-idx3-ubyte")
-    train_y = read("train-labels-idx1-ubyte", 1).astype(np.int64)
-    test_x = images("t10k-images-idx3-ubyte")
-    test_y = read("t10k-labels-idx1-ubyte", 1).astype(np.int64)
-    if train_x.shape[0] != train_y.shape[0] or test_x.shape[0] != test_y.shape[0]:
-        raise ValueError("image and label counts disagree")
-    classes = int(max(train_y.max(), test_y.max())) + 1
-    return Task(train_x, train_y, test_x, test_y, classes)
+    train = DataShard(images("train-images-idx3-ubyte"), read("train-labels-idx1-ubyte", 1))
+    test = DataShard(images("t10k-images-idx3-ubyte"), read("t10k-labels-idx1-ubyte", 1))
+    classes = max(int(shard.arrays()[1].max()) for shard in (train, test)) + 1
+    return Task(train, test, classes)

@@ -29,9 +29,12 @@ gemm on the same operand layout, and every other operation is elementwise
 or reduces along the same axis in the same order as for one device.
 
 ``evaluate`` returns the accuracy of the float64 forward pass, argmax ties
-going to the lowest class. An accuracy depends only on each row's argmax,
-so on a test set of at least ``SCREEN_MIN_ROWS`` rows a float32 pass
-decides the rows it can certify and float64 decides the rest. The bound:
+going to the lowest class and a row with a non-finite logit counting as
+wrong; only the whole float64 pass can meet such a row, since the screen
+and its recheck run below magnitudes that could overflow. An accuracy
+depends only on each row's argmax, so on a test set of at least
+``SCREEN_MIN_ROWS`` rows a float32 pass decides the rows it can certify
+and float64 decides the rest. The bound:
 a pass with unit roundoff u gets each logit of row r within ε·S_r + τ of
 its exact value. S_r is the logit with every term made positive,
 ``(|x_r| @ |W1| + |b1|) @ |W2| + |b2|`` for the MLP and ``|x_r| @ |W| +
@@ -150,20 +153,25 @@ class ModelParams:
 
 
 class DataShard:
-    """Read-only feature/label arrays: one device's private shard, or the
-    whole test set, which every device shares by default. :meth:`arrays`
-    is the one read of the arrays themselves; :meth:`screen_arrays` holds
-    the float32 copy that evaluate screens large test sets with."""
+    """Read-only feature/label arrays of equal length: a task's training
+    pool or test set (``datasets.Task``), or one device's slice of either.
+    Every device holds the task's test set itself by default.
+    :meth:`arrays` is the one read of the arrays themselves;
+    :meth:`screen_arrays` holds the float32 copy that evaluate screens
+    large test sets with."""
 
     __slots__ = ("_x", "_y", "_screen")
 
-    def __init__(self, x, y):
-        x = np.array(x, dtype=np.float64)
-        y = np.array(y, dtype=np.int64).reshape(-1)
+    def __init__(self, x, y, rows: np.ndarray | None = None):
+        """A shard of copies of x and y, or of only their rows ``rows`` (an
+        index array), in that order: one gather, not an index and a copy."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64).reshape(-1)
         if x.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if x.shape[0] != y.shape[0]:
             raise ValueError("features and labels disagree in length")
+        x, y = (x.copy(), y.copy()) if rows is None else (x.take(rows, 0), y.take(rows))
         if x.shape[0] == 0:
             raise ValueError("shard is empty")
         if np.any(y < 0):
@@ -374,11 +382,12 @@ def evaluate(params: ModelParams, test: DataShard) -> float:
     """Fraction of test examples whose argmax prediction matches the label.
 
     The accuracy is always that of the float64 forward pass, argmax ties
-    resolving to the lowest class index. A test set of at least
-    ``SCREEN_MIN_ROWS`` rows is first screened in float32, which decides
-    only the rows whose float64 argmax its rounding bound certifies (see
-    the module docstring); float64 decides every other row. Pure: repeated
-    calls on the same inputs return the same value.
+    resolving to the lowest class index; a row with a non-finite logit
+    counts as wrong. A test set of at least ``SCREEN_MIN_ROWS`` rows is
+    first screened in float32, which decides only the rows whose float64
+    argmax its rounding bound certifies (see the module docstring);
+    float64 decides every other row. Pure: repeated calls on the same
+    inputs return the same value.
     """
     x, y = test.arrays()
     if test.dim != arch_input_dim(params.arch_id):
@@ -386,7 +395,8 @@ def evaluate(params: ModelParams, test: DataShard) -> float:
     layers = _unpack(params.values, params.arch_id)
     correct = _screen(params, layers, test) if len(y) >= SCREEN_MIN_ROWS else None
     if correct is None:
-        correct = np.count_nonzero(_forward(layers, x).argmax(axis=1) == y)
+        z = _forward(layers, x)
+        correct = np.count_nonzero(np.isfinite(z).all(axis=1) & (z.argmax(axis=1) == y))
     return correct / len(y)
 
 

@@ -104,23 +104,14 @@ VAD_CSV_FIELDS = ("round", "validator", "worker", "vad", "vote", "worker_malicio
 # --- devices and sharding ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Device:
-    """A participant: its public id and signing secret."""
-
-    id: DeviceId
-    secret: bytes
-
-
-def make_devices(n: int) -> list[Device]:
-    """n devices with stable hash-derived identities, sorted by id."""
-    raw = []
+def make_devices(n: int) -> dict[DeviceId, bytes]:
+    """n devices' stable hash-derived identities, each mapped to its
+    signing secret, in id order."""
+    keys = {}
     for i in range(n):
-        secret = hashlib.sha256(b"vbfl/device-secret/" + str(i).encode()).digest()
         dev_id = hashlib.sha256(b"vbfl/device-identity/" + str(i).encode()).digest()[:16]
-        raw.append((dev_id, secret))
-    raw.sort()
-    return [Device(dev_id, secret) for dev_id, secret in raw]
+        keys[dev_id] = hashlib.sha256(b"vbfl/device-secret/" + str(i).encode()).digest()
+    return dict(sorted(keys.items()))
 
 
 def shard_dataset(
@@ -128,10 +119,11 @@ def shard_dataset(
     device_ids: Sequence[DeviceId],
     rng: np.random.Generator,
     sharding: str = "iid",
-    shared_test: DataShard | None = None,
+    validator_test: str = "full",
 ) -> dict[DeviceId, tuple[DataShard, DataShard]]:
-    """Disjoint equal train shards, and ``shared_test`` as the test shard
-    every device holds, or disjoint equal test shards when it is None.
+    """Disjoint equal train shards of ``task.train``, and as each device's
+    test shard ``task.test`` itself (``validator_test="full"``) or a
+    disjoint equal slice of it (``"shard"``).
 
     Uneven division hands the remainder one example each to the lowest
     device ids. ``label_skew`` deals label-sorted contiguous chunks instead
@@ -140,18 +132,19 @@ def shard_dataset(
     ids = sorted(device_ids)
     n = len(ids)
     if sharding == "iid":
-        order = rng.permutation(task.train_size)
+        order = rng.permutation(len(task.train))
     else:
-        order = np.argsort(task.train_y, kind="stable")
+        order = np.argsort(task.train.arrays()[1], kind="stable")
 
-    def split(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> list[DataShard]:
-        return [DataShard(x[r], y[r]) for r in np.array_split(rows, n)]
+    def split(shard: DataShard, rows: np.ndarray) -> list[DataShard]:
+        x, y = shard.arrays()
+        return [DataShard(x, y, r) for r in np.array_split(rows, n)]
 
-    train = split(task.train_x, task.train_y, order)
-    if shared_test is None:
-        test = split(task.test_x, task.test_y, rng.permutation(task.test_x.shape[0]))
+    train = split(task.train, order)
+    if validator_test == "full":
+        test = [task.test] * n
     else:
-        test = [shared_test] * n
+        test = split(task.test, rng.permutation(len(task.test)))
     return dict(zip(ids, zip(train, test)))
 
 
@@ -291,40 +284,42 @@ def _build_task(config: SimConfig) -> Task:
     return make_blobs_task(ds, derive_seed(config.master_seed, "shard", "task"))
 
 
-def _make_signer(config: SimConfig, devices: Sequence[Device]) -> Signer:
+def _make_signer(config: SimConfig) -> Signer:
+    """The config's signer with every device's secret registered: the one
+    place a run keeps them."""
     signer = HmacSigner() if config.signature_scheme == "hmac" else StubSigner()
-    for dev in devices:
-        signer.register(dev.id, dev.secret)
+    for dev_id, secret in make_devices(config.n_devices).items():
+        signer.register(dev_id, secret)
     return signer
 
 
 class _World:
-    """What both drivers build from a config: devices, data shards and g0.
+    """What both drivers build from a config: device ids, data shards and g0.
 
-    ``full_test`` is the whole test set, read for the global accuracy. Under
-    ``validator_test="full"`` it is also the one test shard every device
-    holds, so the test set is held once.
+    ``full_test`` is the task's test set, read for the global accuracy.
+    Under ``validator_test="full"`` it is also the one test shard every
+    device holds, so the test set is held once.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
-        self.devices = make_devices(config.n_devices)
+        self.devices = list(make_devices(config.n_devices))
         task = _build_task(config)
-        check_rows(config, task.train_size, task.test_x.shape[0])
+        check_rows(config, len(task.train), len(task.test))
         if config.arch == "mlp":
-            arch_id = mlp_arch(task.dim, config.mlp_hidden, task.num_classes)
+            arch_id = mlp_arch(task.train.dim, config.mlp_hidden, task.classes)
         else:
-            arch_id = softmax_arch(task.dim, task.num_classes)
-        self.full_test = DataShard(task.test_x, task.test_y)
+            arch_id = softmax_arch(task.train.dim, task.classes)
+        self.full_test = task.test
         self.shards = shard_dataset(
             task,
-            [d.id for d in self.devices],
+            self.devices,
             substream(config.master_seed, "shard"),
             sharding=config.sharding,
-            shared_test=self.full_test if config.validator_test == "full" else None,
+            validator_test=config.validator_test,
         )
         self.g0 = init_global_model(arch_id, derive_seed(config.master_seed, "init"))
-        self.malicious_ids = frozenset(self.devices[i].id for i in config.malicious)
+        self.malicious_ids = frozenset(self.devices[i] for i in config.malicious)
         self.metrics: list[RoundMetrics] = []
 
     def _behaves(self, device: DeviceId, behavior: str) -> bool:
@@ -398,11 +393,11 @@ class Simulation(_World):
         if config.consensus == "vfl":
             raise ConfigError("consensus: 'vfl' names plain FL, not the protocol")
         super().__init__(config)
-        self.signer = _make_signer(config, self.devices)
+        self.signer = _make_signer(config)
         ledger = StakeLedger(unit_reward=config.unit_reward, kick_r=config.kick_r)
         self.genesis = Replica(Blockchain((make_genesis(self.g0),)), ledger, self.g0)
         self.state: dict[DeviceId, DeviceState] = {
-            dev.id: DeviceState(*self.shards[dev.id], self.genesis) for dev in self.devices
+            d: DeviceState(*self.shards[d], self.genesis) for d in self.devices
         }
         self._seen_block_hashes = {self.genesis.chain.tip_hash}
 
@@ -424,8 +419,8 @@ class Simulation(_World):
             if agreed == out:
                 break
             out = agreed
-        actives = [d.id for d in self.devices if d.id not in out]
-        return out, actives, (actives or [self.devices[0].id])[0]
+        actives = [d for d in self.devices if d not in out]
+        return out, actives, (actives or self.devices)[0]
 
     def _gossip(
         self,
@@ -796,7 +791,7 @@ class VanillaRun(_World):
 
     def run_round(self) -> RoundMetrics:
         j = len(self.metrics) + 1
-        jobs = [(d.id, self.g, self.shards[d.id][0]) for d in self.devices]
+        jobs = [(d, self.g, self.shards[d][0]) for d in self.devices]
         updates, _ = self._local_updates(jobs, j)
         self.g = fedavg([(u, float(len(train))) for u, (_, _, train) in zip(updates, jobs)])
         return self._record(self.g)
@@ -833,8 +828,8 @@ def write_rounds_csv(metrics: Sequence[RoundMetrics], consensus: str, path) -> N
 
 def write_stake_csv(metrics: Sequence[RoundMetrics], driver: _World, path) -> None:
     _write_csv(path, STAKE_CSV_FIELDS, (
-        f"{m.round},{d.id.hex()},{m.replica.ledger.stake_of(d.id)},"
-        f"{int(d.id in driver.malicious_ids)}\r\n"
+        f"{m.round},{d.hex()},{m.replica.ledger.stake_of(d)},"
+        f"{int(d in driver.malicious_ids)}\r\n"
         for m in metrics if m.replica for d in driver.devices
     ))
 
@@ -880,8 +875,8 @@ def write_manifest(driver: _World, out_dir: Path, preset: str | None = None) -> 
         "config": driver.config.to_dict(),
         "hash_algo": HASH_NAME,
         "code_sha256": code_fingerprint(),
-        "device_ids": [d.id.hex() for d in driver.devices],
-        "malicious_ids": [driver.devices[i].id.hex() for i in sorted(driver.config.malicious)],
+        "device_ids": [d.hex() for d in driver.devices],
+        "malicious_ids": [driver.devices[i].hex() for i in sorted(driver.config.malicious)],
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"

@@ -84,12 +84,6 @@ def two_class_task():
 
 
 @pytest.fixture
-def two_class_shards(two_class_task):
-    t = two_class_task
-    return DataShard(t.train_x, t.train_y), DataShard(t.test_x, t.test_y)
-
-
-@pytest.fixture
 def shard_reads(monkeypatch) -> Counter:
     """The number of ``arrays()`` reads of each DataShard, keyed by the
     shard's id, from the moment the fixture is requested."""

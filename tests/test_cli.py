@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -343,11 +344,17 @@ class TestRun:
     def test_huge_finite_weights_evaluate_quietly(self, tmp_path, capsys):
         # Weights this large overflow the float64 forward pass to inf and NaN
         # logits, yet stay finite, so the run completes without a warning.
+        # A row with a non-finite logit counts as wrong: round 1's model still
+        # has finite logits, and in round 2 no row has, so it scores 0.0 (its
+        # argmax alone, which picks the first NaN, would read 0.2417).
         cfg = write_tiny_config(
             tmp_path, arch="mlp", train={**TINY_CONFIG["train"], "learning_rate": 1e40}
         )
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 0
         assert capsys.readouterr().err == ""
+        with (tmp_path / "o" / "rounds.csv").open() as fh:
+            accuracy = [float(row["global_accuracy"]) for row in csv.DictReader(fh)]
+        assert accuracy == [pytest.approx(0.0083, abs=1e-4), 0.0]
 
     @pytest.mark.parametrize(
         "suffix, data",

@@ -20,24 +20,25 @@ def blobs(seed=0, **geometry):
 class TestBlobs:
     def test_shapes_and_label_range(self):
         t = blobs(dim=6, classes=3, train_per_class=10, test_per_class=4)
-        assert t.train_x.shape == (30, 6)
-        assert t.test_x.shape == (12, 6)
-        assert set(np.unique(t.train_y)) == {0, 1, 2}
-        assert t.num_classes == 3
+        assert t.train.arrays()[0].shape == (30, 6)
+        assert t.test.arrays()[0].shape == (12, 6)
+        assert set(np.unique(t.train.arrays()[1])) == {0, 1, 2}
+        assert t.classes == 3
 
     def test_deterministic(self):
         a = blobs(seed=5)
         b = blobs(seed=5)
-        assert np.array_equal(a.train_x, b.train_x)
-        assert np.array_equal(a.test_y, b.test_y)
+        assert np.array_equal(a.train.arrays()[0], b.train.arrays()[0])
+        assert np.array_equal(a.test.arrays()[1], b.test.arrays()[1])
 
     def test_seed_matters(self):
-        assert not np.array_equal(blobs(seed=1).train_x, blobs(seed=2).train_x)
+        a, b = blobs(seed=1), blobs(seed=2)
+        assert not np.array_equal(a.train.arrays()[0], b.train.arrays()[0])
 
     def test_feature_scale(self):
         small = blobs(seed=3, train_per_class=50, test_per_class=5, feature_scale=0.5)
         big = blobs(seed=3, train_per_class=50, test_per_class=5, feature_scale=2.0)
-        np.testing.assert_allclose(big.train_x, small.train_x * 4.0)
+        np.testing.assert_allclose(big.train.arrays()[0], small.train.arrays()[0] * 4.0)
 
     @pytest.mark.parametrize("field, value, why", [
         ("dim", 0, "must be >= 1"),
@@ -53,8 +54,10 @@ class TestBlobs:
 
     def test_arrays_locked(self):
         t = blobs(dim=3, train_per_class=4, test_per_class=2)
-        with pytest.raises(ValueError):
-            t.train_x[0, 0] = 5.0
+        for shard in (t.train, t.test):
+            for a in shard.arrays():
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 5
 
 
 class TestIdx:
@@ -132,6 +135,10 @@ class TestIdx:
             write_idx(tmp_path / stem, arr, 0x08)
         task = load_idx_task(tmp_path)
         assert isinstance(task, Task)
-        assert task.train_x.shape == (12, 16)
-        assert task.train_x.max() <= 1.0
-        assert task.num_classes == int(max(trl.max(), tel.max())) + 1
+        x, y = task.train.arrays()
+        assert x.shape == (12, 16)
+        assert x.max() <= 1.0
+        np.testing.assert_array_equal(x, tri.reshape(12, 16) / 255.0)
+        np.testing.assert_array_equal(y, trl)
+        assert len(task.test) == 6
+        assert task.classes == int(max(trl.max(), tel.max())) + 1

@@ -103,7 +103,7 @@ _message = st.tuples(
 def test_gossip_matches_naive_reference(messages, forged, n_peers, delay, jitter, seed):
     sim = _sim()
     sim.config = dataclasses.replace(sim.config, network=NetworkConfig(delay, jitter))
-    ids = [d.id for d in sim.devices]
+    ids = sim.devices
     peers, senders = ids[:n_peers], ids[N_PEERS:N_PEERS + N_SENDERS]
     inbox = {p: [] for p in peers}
     sent = []
@@ -143,7 +143,7 @@ def test_gossip_matches_naive_reference(messages, forged, n_peers, delay, jitter
 @pytest.mark.parametrize("receivers", [(0, 0), (0, 1)], ids=["one-peer", "two-peers"])
 def test_a_key_sent_twice_is_an_invariant_violation(receivers):
     sim = _sim()
-    ids = [d.id for d in sim.devices]
+    ids = sim.devices
     peers = ids[:2]
     inbox = {p: [] for p in peers}
     for variant, peer in enumerate(receivers):

@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 
@@ -108,6 +109,15 @@ class TestDataShard:
         with pytest.raises(ValueError, match=f"^{message}$"):
             DataShard(x, y)
 
+    def test_rows_are_gathered_into_arrays_of_its_own(self):
+        x, y = rng(2).normal(size=(6, 3)), np.arange(6)
+        rows = np.array([4, 0, 5])
+        for shard, want in ((DataShard(x, y), np.arange(6)), (DataShard(x, y, rows), rows)):
+            got_x, got_y = shard.arrays()
+            assert np.array_equal(got_x, x[want]) and np.array_equal(got_y, want)
+            assert not got_x.flags.writeable and not got_y.flags.writeable
+            assert not np.shares_memory(got_x, x) and not np.shares_memory(got_y, y)
+
 
 class TestInit:
     def test_deterministic(self):
@@ -148,8 +158,8 @@ class TestLocalTrain:
         want = np.concatenate([want_w.ravel(), want_b])
         np.testing.assert_allclose(got.values, want, rtol=1e-12)
 
-    def test_blob_fixture_accuracies(self, two_class_shards):
-        train, test = two_class_shards
+    def test_blob_fixture_accuracies(self, two_class_task):
+        train, test = two_class_task.train, two_class_task.test
         start = init_global_model(softmax_arch(4, 2), 7)
         assert evaluate(start, test) == pytest.approx(BLOB_UNTRAINED_ACC, abs=1e-12)
         trained = local_train(start, train, TrainSpec(5, 0.01, 10), rng(123))
@@ -157,23 +167,23 @@ class TestLocalTrain:
         assert got == pytest.approx(BLOB_TRAINED_ACC, abs=1e-12)
         assert got > BLOB_UNTRAINED_ACC
 
-    def test_deterministic_across_identical_streams(self, two_class_shards):
-        train, _ = two_class_shards
+    def test_deterministic_across_identical_streams(self, two_class_task):
+        train = two_class_task.train
         start = init_global_model(softmax_arch(4, 2), 7)
         spec = TrainSpec(3, 0.05, 10)
         a = local_train(start, train, spec, rng(5))
         b = local_train(start, train, spec, rng(5))
         assert np.array_equal(a.values, b.values)
 
-    def test_input_unmodified(self, two_class_shards):
-        train, _ = two_class_shards
+    def test_input_unmodified(self, two_class_task):
+        train = two_class_task.train
         start = init_global_model(softmax_arch(4, 2), 7)
         before = start.values.copy()
         local_train(start, train, TrainSpec(2, 0.1, 10), rng(1))
         assert np.array_equal(start.values, before)
 
-    def test_mlp_trains(self, two_class_shards):
-        train, test = two_class_shards
+    def test_mlp_trains(self, two_class_task):
+        train, test = two_class_task.train, two_class_task.test
         start = init_global_model(mlp_arch(4, 8, 2), 7)
         trained = local_train(start, train, TrainSpec(5, 0.1, 10), rng(2))
         assert evaluate(trained, test) > evaluate(start, test)
@@ -196,20 +206,20 @@ class TestLocalTrain:
         with pytest.raises(TrainingDiverged, match="^parameters diverged"):
             local_train(start, shard, TrainSpec(1, 1e308, 2), rng(0))
 
-    def test_epochs_must_be_positive(self, two_class_shards):
-        train, _ = two_class_shards
+    def test_epochs_must_be_positive(self, two_class_task):
+        train = two_class_task.train
         start = init_global_model(softmax_arch(4, 2), 7)
         with pytest.raises(ConfigError, match=r"^train\.epochs: must be >= 1"):
             local_train(start, train, TrainSpec(0, 0.1, 1), rng(0))
 
-    def test_batch_larger_than_shard_rejected(self, two_class_shards):
-        train, _ = two_class_shards
+    def test_batch_larger_than_shard_rejected(self, two_class_task):
+        train = two_class_task.train
         start = init_global_model(softmax_arch(4, 2), 7)
         with pytest.raises(ValueError, match="^batch_size exceeds shard size$"):
             local_train(start, train, TrainSpec(1, 0.1, len(train) + 1), rng(0))
 
-    def test_reads_only_its_own_shard(self, two_class_shards, shard_reads):
-        train, test = two_class_shards
+    def test_reads_only_its_own_shard(self, two_class_task, shard_reads):
+        train, test = two_class_task.train, two_class_task.test
         other = DataShard(np.zeros((3, 4)), np.zeros(3, dtype=int))
         start = init_global_model(softmax_arch(4, 2), 7)
         local_train(start, train, TrainSpec(1, 0.1, 10), rng(0))
@@ -464,13 +474,12 @@ class TestEvaluate:
             ),
             3,
         )
-        test = DataShard(t.test_x, t.test_y)
         zero = ModelParams(np.zeros(param_count(softmax_arch(6, 10))), softmax_arch(6, 10))
-        want = float(np.mean(t.test_y == 0))
-        assert evaluate(zero, test) == want
+        want = float(np.mean(t.test.arrays()[1] == 0))
+        assert evaluate(zero, t.test) == want
 
-    def test_pure(self, two_class_shards):
-        _, test = two_class_shards
+    def test_pure(self, two_class_task):
+        test = two_class_task.test
         p = init_global_model(softmax_arch(4, 2), 7)
         assert evaluate(p, test) == evaluate(p, test)
 
@@ -504,6 +513,37 @@ class TestEvaluate:
         assert [a.tobytes() for a in (*test.arrays(), params.values)] == before
 
 
+    @pytest.mark.parametrize("repeat", [1, None], ids=["small", "screen-sized"])
+    def test_a_row_with_a_non_finite_logit_counts_as_wrong(self, repeat):
+        # Weights of 1e308 overflow a row's logits to inf, or to NaN where inf
+        # meets -inf, wherever its first two features are not 0. Such a row is
+        # wrong whatever its argmax; rows with finite logits count as usual.
+        # A screen-sized test set takes the same float64 pass: the screen
+        # cannot bound these weights.
+        w = [[1e308, -1e308, 0.0], [-1e308, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        rows = [
+            ((2.0, 0.0, 0.0), 0),  # (inf, -inf, 0): argmax is the label
+            ((2.0, 2.0, 0.0), 0),  # (NaN, -inf, 0): argmax is the NaN's class
+            ((-2.0, 0.0, 5.0), 1),  # (-inf, inf, 5): argmax is the label
+            ((1e-300, 0.0, 0.0), 0),  # (1e8, -1e8, 0): right
+            ((0.0, 0.0, 1.0), 2),  # (0, 0, 1): right
+            ((0.0, 0.0, -1.0), 2),  # (0, 0, -1): the tie goes to class 0, wrong
+        ]
+        n = repeat or -(-learning.SCREEN_MIN_ROWS // len(rows))
+        x = np.array([r for r, _ in rows] * n)
+        y = np.array([label for _, label in rows] * n)
+        params = ModelParams(np.concatenate([np.ravel(w), np.zeros(3)]), softmax_arch(3, 3))
+
+        def right(features, label) -> bool:
+            logits = [sum(f * w[i][c] for i, f in enumerate(features)) for c in range(3)]
+            if not all(map(math.isfinite, logits)):
+                return False
+            return max(range(3), key=logits.__getitem__) == label
+
+        want = sum(right(features, label) for features, label in zip(x.tolist(), y.tolist()))
+        assert want == 2 * n
+        assert evaluate(params, DataShard(x, y)) == want / len(y)
+
     def test_feature_dimension_checked(self):
         params = init_global_model(softmax_arch(4, 2), 0)
         with pytest.raises(ValueError, match="^test feature dimension does not match the model$"):
@@ -512,7 +552,8 @@ class TestEvaluate:
 
 def plain_accuracy(params: ModelParams, test: DataShard) -> float:
     """The float64 forward pass that defines evaluate's accuracy, layer by
-    layer: argmax(relu(x @ W1 + b1) @ W2 + b2), ties to the lowest class."""
+    layer: argmax(relu(x @ W1 + b1) @ W2 + b2), ties to the lowest class and
+    a row with a non-finite logit wrong."""
     x, y = test.arrays()
     a, at = x, 0
     dims = parse_arch(params.arch_id)[1]
@@ -521,7 +562,7 @@ def plain_accuracy(params: ModelParams, test: DataShard) -> float:
         b = params.values[at + rows * cols : at + rows * cols + cols]
         at += rows * cols + cols
         a = (np.maximum(a, 0.0) if layer else a) @ w + b
-    return np.count_nonzero(a.argmax(axis=1) == y) / len(y)
+    return np.count_nonzero(np.isfinite(a).all(axis=1) & (a.argmax(axis=1) == y)) / len(y)
 
 
 def screened_case(arch, rows, scale, tie, seed):

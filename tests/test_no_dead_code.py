@@ -91,7 +91,7 @@ def unnamed_definitions(root: Path) -> list[str]:
 # Parameters a function may leave unread, with the reason.
 UNREAD_ALLOWED = {
     # perfbench/tracer.py::_note_vote reads it from the call's arguments;
-    # ROADMAP item 1 deletes it with that benchmark change.
+    # ROADMAP item 14 deletes it with that benchmark change.
     ("validate_by_voting", "update"),
 }
 
@@ -146,7 +146,8 @@ def unread_parameters(root: Path, allowed=UNREAD_ALLOWED) -> list[str]:
 # Attributes a package class may store that the program never loads by
 # name, with the reason; "*" stands for every field of the class.
 UNLOADED_ALLOWED = {
-    # perfbench/measure.py builds RunResult positionally.
+    # perfbench/measure.py builds RunResult positionally; ROADMAP item 1b
+    # deletes the field with that benchmark change.
     ("RunResult", "out_dir"),
 }
 
@@ -225,7 +226,7 @@ def private_imports(root: Path) -> list[str]:
 # (module, name) imports a module may leave unloaded, with the reason.
 UNUSED_IMPORT_ALLOWED = {
     # perfbench/tracer.py wraps these names of the orchestrator module;
-    # ROADMAP item 1a retires them with that benchmark change.
+    # ROADMAP item 14 retires them with that benchmark change.
     ("orchestrator", "local_train"),
     ("orchestrator", "pretrain_one_epoch"),
 }

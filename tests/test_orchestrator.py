@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import hmac
 import json
 import math
 import re
@@ -32,7 +34,7 @@ from vbfl.config import (
 )
 from vbfl.datasets import load_idx_task, make_blobs_task, read_idx
 from vbfl.errors import ConfigError, InvariantViolation
-from vbfl.learning import DataShard, ModelParams, evaluate, fedavg, local_train
+from vbfl.learning import ModelParams, evaluate, fedavg, local_train
 from vbfl.orchestrator import (
     EVENTS_CSV_FIELDS,
     ROUNDS_CSV_FIELDS,
@@ -409,7 +411,7 @@ def simulate_on_label_files(root):
          "labels-idx1-ubyte: IDX dtype code 0x07 is not 0x08 (unsigned byte)"),
         (simulate_on_label_files, ConfigError,
          "dataset.idx_dir: {tmp}/train-images-idx3-ubyte: rank 1, not 3"),
-        (load_six_images_with_five_labels, ValueError, "image and label counts disagree"),
+        (load_six_images_with_five_labels, ValueError, "features and labels disagree in length"),
         (lambda tmp: Simulation(tiny_cfg(dataset=DatasetConfig(idx_dir=str(tmp)))),
          ConfigError, "dataset.idx_dir: missing train-images-idx3-ubyte[.gz] under "),
         (lambda tmp: tiny_cfg(dataset=DatasetConfig(idx_dir="")), ConfigError,
@@ -435,9 +437,28 @@ class TestDevices:
         a = make_devices(20)
         b = make_devices(20)
         assert a == b
-        ids = [d.id for d in a]
+        ids = list(a)
         assert ids == sorted(ids)
-        assert len(set(ids)) == 20
+        assert len(ids) == 20
+        assert len(set(a.values())) == 20
+
+    @pytest.mark.parametrize("scheme, sign", [
+        ("stub", lambda secret, payload: hashlib.sha256(secret + payload).digest()),
+        ("hmac", lambda secret, payload: hmac.new(secret, payload, hashlib.sha256).digest()),
+    ])
+    def test_run_signer_holds_each_devices_secret(self, scheme, sign):
+        # The run's devices are the map's ids, and its signer signs with
+        # each one's secret; under HMAC the signature verifies for that
+        # device and no other.
+        sim = Simulation(tiny_cfg(rounds=1, signature_scheme=scheme))
+        keys = make_devices(sim.config.n_devices)
+        assert sim.devices == list(keys)
+        for d, other in zip(sim.devices, sim.devices[1:] + sim.devices[:1]):
+            sig = sign(keys[d], b"payload")
+            assert sim.signer.sign(b"payload", d) == sig
+            assert sim.signer.verify(b"payload", sig, d)
+            if scheme == "hmac":
+                assert not sim.signer.verify(b"payload", sig, other)
 
 
 class TestSharding:
@@ -451,7 +472,7 @@ class TestSharding:
         )
 
     def ids(self, n):
-        return [d.id for d in make_devices(n)]
+        return list(make_devices(n))
 
     def test_partition_disjoint_and_complete(self):
         task = self.task(40)
@@ -459,7 +480,8 @@ class TestSharding:
         rows = np.vstack([train._x for train, _ in shards.values()])
         assert rows.shape[0] == 40
         # disjointness + completeness: every training row appears exactly once
-        want = np.sort(task.train_x.view([("", task.train_x.dtype)] * 4), axis=0)
+        x, _ = task.train.arrays()
+        want = np.sort(x.view([("", x.dtype)] * 4), axis=0)
         got = np.sort(rows.view([("", rows.dtype)] * 4), axis=0)
         assert np.array_equal(want, got)
 
@@ -479,23 +501,35 @@ class TestSharding:
         for d in a:
             assert np.array_equal(a[d][0]._x, b[d][0]._x)
 
-    def test_full_test_set_shared_by_default(self):
+    def test_full_test_set_shared_by_default(self, monkeypatch):
         task = self.task()
-        full = DataShard(task.test_x, task.test_y)
-        shards = shard_dataset(task, self.ids(8), substream(0, "shard"), shared_test=full)
-        # One read-only shard object that every device holds.
-        tests = [test for _, test in shards.values()]
-        assert {id(t) for t in tests} == {id(full)}
-        x, _ = full.arrays()
+        shards = shard_dataset(task, self.ids(8), substream(0, "shard"))
+        # The task's read-only test shard is the one object every device holds.
+        assert {id(test) for _, test in shards.values()} == {id(task.test)}
+        x, _ = task.test.arrays()
         assert not x.flags.writeable
-        assert np.array_equal(x, task.test_x)
-        # Both drivers read the global accuracy from that same object.
+        # Both drivers read the global accuracy from that same object, the
+        # test shard of the task they built.
+        import vbfl.orchestrator as orchestrator
+
+        built = []
+        build = orchestrator._build_task
+
+        def recorded(config):
+            built.append(build(config))
+            return built[-1]
+
+        monkeypatch.setattr(orchestrator, "_build_task", recorded)
         sim = Simulation(tiny_cfg(rounds=1))
+        assert sim.full_test is built[-1].test
         assert {id(st.test) for st in sim.state.values()} == {id(sim.full_test)}
         run = VanillaRun(tiny_cfg(rounds=1, consensus="vfl"))
+        assert run.full_test is built[-1].test
         assert {id(test) for _, test in run.shards.values()} == {id(run.full_test)}
-        # Disjoint test shards leave one full copy for the global accuracy.
+        # Disjoint test shards leave the task's test shard, whole, for the
+        # global accuracy.
         sharded = Simulation(tiny_cfg(rounds=1, validator_test="shard"))
+        assert sharded.full_test is built[-1].test
         x, _ = sharded.full_test.arrays()
         assert all(
             not np.shares_memory(x, st.test.arrays()[0]) for st in sharded.state.values()
@@ -504,9 +538,10 @@ class TestSharding:
 
     def test_disjoint_test_shards_option(self):
         task = self.task()
-        shards = shard_dataset(task, self.ids(8), substream(0, "shard"))
-        total = sum(len(test) for _, test in shards.values())
-        assert total == task.test_x.shape[0]
+        shards = shard_dataset(task, self.ids(8), substream(0, "shard"), validator_test="shard")
+        tests = [test for _, test in shards.values()]
+        assert sum(len(test) for test in tests) == len(task.test)
+        assert all(test is not task.test for test in tests)
 
     def test_label_skew_sorts_labels(self):
         task = self.task(40)
@@ -536,14 +571,14 @@ def roles_by_position(device_ids, counts, rng, excluded=frozenset()):
 class TestRoles:
     def test_counts_respected(self):
         cfg = tiny_cfg()
-        ids = [d.id for d in make_devices(20)]
+        ids = list(make_devices(20))
         roles = assign_roles(1, ids, cfg, substream(0, "roles", 1))
         assert [len(devices) for devices in roles] == [12, 5, 3]
         assert sorted(d for devices in roles for d in devices) == sorted(ids)
 
     def test_rotation_actually_rotates(self):
         cfg = tiny_cfg()
-        ids = [d.id for d in make_devices(20)]
+        ids = list(make_devices(20))
         plans = [
             assign_roles(j, ids, cfg, substream(0, "roles", j)) for j in range(1, 101)
         ]
@@ -551,7 +586,7 @@ class TestRoles:
 
     def test_blacklisted_excluded_and_workers_shrink_first(self):
         cfg = tiny_cfg()
-        ids = [d.id for d in make_devices(20)]
+        ids = list(make_devices(20))
         excluded = frozenset(sorted(ids)[:2])
         roles = assign_roles(1, ids, cfg, substream(0, "roles", 1), excluded=excluded)
         assert not excluded & {d for devices in roles for d in devices}
@@ -561,7 +596,7 @@ class TestRoles:
     def test_lists_equal_the_per_position_fill(self, excluded):
         # 2 excluded devices shrink the workers from 12 to 10.
         cfg = tiny_cfg()
-        ids = [d.id for d in make_devices(20)]
+        ids = list(make_devices(20))
         out = frozenset(sorted(ids)[:excluded])
         counts = (12 - excluded, 5, 3)
         for j in range(1, 101):
@@ -582,19 +617,19 @@ class TestRoles:
 
 class TestAssociate:
     def test_every_worker_mapped(self):
-        ids = [d.id for d in make_devices(20)]
+        ids = list(make_devices(20))
         w, v, m = ids[:12], ids[12:17], ids[17:]
         w2v, v2m = associate(w, v, m, substream(0, "assoc", 1))
         assert set(w2v) == set(w) and set(w2v.values()) <= set(v)
         assert set(v2m) == set(v) and set(v2m.values()) <= set(m)
 
     def test_single_validator_degenerate(self):
-        ids = [d.id for d in make_devices(5)]
+        ids = list(make_devices(5))
         w2v, _ = associate(ids[:3], ids[3:4], ids[4:], substream(0, "assoc", 1))
         assert set(w2v.values()) == {ids[3]}
 
     def test_deterministic(self):
-        ids = [d.id for d in make_devices(9)]
+        ids = list(make_devices(9))
         a = associate(ids[:5], ids[5:7], ids[7:], substream(4, "assoc", 2))
         b = associate(ids[:5], ids[5:7], ids[7:], substream(4, "assoc", 2))
         assert a == b
@@ -1198,7 +1233,7 @@ class TestVanilla:
         monkeypatch.setattr(orchestrator, "local_train_many", training)
         run = VanillaRun(tiny_cfg(rounds=1, consensus="vfl"))
         run.run_round()
-        assert trained == [[d.id for d in run.devices]]
+        assert trained == [run.devices]
 
     def test_deterministic(self):
         a = run_simulation(tiny_cfg(rounds=2, consensus="vfl"))
@@ -1290,7 +1325,7 @@ class TestOutputs:
         result = getattr(self, run)()
         out = write_outputs(result, tmp_path)
         metrics, malicious = result.metrics, frozenset(result.driver.malicious_ids)
-        devices = sorted(d.id for d in result.driver.devices)
+        devices = sorted(result.driver.devices)
         expected = {
             "rounds.csv": csv_writer_bytes(ROUNDS_CSV_FIELDS, [
                 (m.round, consensus, m.legitimate_block.miner.hex() if m.legitimate_block else "",

@@ -82,4 +82,4 @@ def test_traced_round_writes_untraced_outputs(tmp_path, driver_cls, consensus):
         # Not checked: validation.pretrain.{calls,s} read 0, because the
         # tracer wraps orchestrator.pretrain_one_epoch and the round trains
         # its references in the workers' local_train_many call (ROADMAP
-        # item 1).
+        # item 14).

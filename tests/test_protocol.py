@@ -387,7 +387,7 @@ def vote_round(scheme: str) -> Simulation:
         train=TrainSpec(epochs=2, learning_rate=0.05, batch_size=10),
         vh=0.0, signature_scheme=scheme, malicious_behaviors=(BEHAVIOR_VALIDATOR_FLIP,),
     )
-    ids = [d.id for d in make_devices(cfg.n_devices)]
+    ids = list(make_devices(cfg.n_devices))
     _, validators, _ = assign_roles(1, ids, cfg, substream(cfg.master_seed, "roles", 1))
     flipper = ids.index(validators[0])
     return Simulation(replace(cfg, malicious=(flipper,)))

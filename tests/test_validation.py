@@ -31,8 +31,8 @@ def rng(seed=0):
 
 
 @pytest.fixture
-def vstate(two_class_shards):
-    _, test = two_class_shards
+def vstate(two_class_task):
+    test = two_class_task.test
     return ValidatorState(threshold=0.08, test=test, pretrain_acc=np.array([0.5]))
 
 
@@ -42,17 +42,17 @@ def global_model():
 
 
 class TestPretrain:
-    def test_deterministic(self, two_class_shards, global_model):
-        train, _ = two_class_shards
+    def test_deterministic(self, two_class_task, global_model):
+        train = two_class_task.train
         spec = TrainSpec(5, 0.05, 10)
         a = pretrain_one_epoch(global_model, train, spec, rng(3))
         b = pretrain_one_epoch(global_model, train, spec, rng(3))
         assert a == b
 
-    def test_single_epoch_used(self, two_class_shards, global_model):
+    def test_single_epoch_used(self, two_class_task, global_model):
         # The reference comes from exactly one epoch regardless of the
         # round's worker epoch count.
-        train, _ = two_class_shards
+        train = two_class_task.train
         got = pretrain_one_epoch(global_model, train, TrainSpec(5, 0.05, 10), rng(3))
         assert got == local_train(global_model, train, TrainSpec(1, 0.05, 10), rng(3))
         assert got != local_train(global_model, train, TrainSpec(5, 0.05, 10), rng(3))
@@ -61,11 +61,9 @@ class TestPretrain:
         # Three validators with shards of two lengths and two start models,
         # their references trained for one epoch in one stacked call: each
         # reference equals its own one-validator pretraining.
-        t = two_class_task
+        x, y = two_class_task.train.arrays()
         cuts = [(0, 20), (20, 40), (40, 57)]
-        trains = [
-            DataShard(t.train_x[a:b], t.train_y[a:b]) for a, b in cuts
-        ]
+        trains = [DataShard(x[a:b], y[a:b]) for a, b in cuts]
         starts = [global_model, init_global_model(softmax_arch(4, 2), 8), global_model]
         spec = TrainSpec(5, 0.05, 10)
         got = local_train_many(starts, trains, spec, [rng(k) for k in range(3)], [1, 1, 1])
@@ -89,8 +87,8 @@ class TestVoteRule:
         assert not negative
         assert vad <= 1.0
 
-    def test_large_gap_votes_negative(self, vstate, global_model, two_class_shards):
-        train, test = two_class_shards
+    def test_large_gap_votes_negative(self, vstate, global_model, two_class_task):
+        train, test = two_class_task.train, two_class_task.test
         trained = local_train(global_model, train, TrainSpec(5, 0.05, 10), rng(0))
         good_acc = evaluate(trained, test)
         assert good_acc > 0.9
@@ -100,8 +98,8 @@ class TestVoteRule:
         assert vad > 0.08
         assert negative
 
-    def test_small_gap_votes_positive(self, vstate, global_model, two_class_shards):
-        train, test = two_class_shards
+    def test_small_gap_votes_positive(self, vstate, global_model, two_class_task):
+        train, test = two_class_task.train, two_class_task.test
         trained = local_train(global_model, train, TrainSpec(5, 0.05, 10), rng(0))
         state = self.mk_state(vstate, evaluate(trained, test) + 0.02, 0.08)
         (negative,), (vad,) = validate_by_voting(trained, state, evaluate(trained, test))
