@@ -70,13 +70,12 @@ def build_candidate(
 
 
 def pos_select(blocks: Sequence[Block], ledger: StakeLedger) -> Block:
-    """The block whose miner holds the most stake; ties go to the lowest id.
+    """The block whose miner holds the most stake among one round's
+    candidates; ties go to the lowest id.
 
     Blocks from miners the selecting device has blacklisted are never
     chosen. Raises NoEligibleBlock when nothing remains.
     """
-    if len({b.round for b in blocks}) > 1:
-        raise ValueError("candidate blocks span multiple rounds")
     eligible = [b for b in blocks if b.miner not in ledger.blacklist]
     if not eligible:
         raise NoEligibleBlock("no candidate block from a miner that is not blacklisted")
@@ -90,13 +89,11 @@ def pow_race(
 ) -> tuple[DeviceId, dict[DeviceId, float]]:
     """Simulated mining race; returns the winner and every miner's time.
 
-    ``difficulty`` counts leading zero nibbles. Times are drawn in
-    ascending miner-id order so the draw is independent of caller
-    ordering. Difficulty 0 is a free target: everyone solves at time zero
-    and the lowest id wins.
+    ``difficulty`` counts leading zero nibbles, 0 to 64 (the bound on
+    ``SimConfig.pow_difficulty``). Times are drawn in ascending miner-id
+    order so the draw is independent of caller ordering. Difficulty 0 is a
+    free target: everyone solves at time zero and the lowest id wins.
     """
-    if difficulty < 0 or difficulty > 64:
-        raise ValueError("difficulty must be within the hash's nibble count")
     ordered = sorted(miners)
     if difficulty == 0:
         times = {m: 0.0 for m in ordered}

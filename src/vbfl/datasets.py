@@ -8,7 +8,8 @@ The blob task is the default for simulations and tests: deterministic,
 dependency-free and fast. It takes its geometry from a
 ``config.DatasetConfig``, whose annotations are the geometry's only rules.
 For fidelity runs the IDX reader takes MNIST's format, plain or gzipped:
-unsigned bytes, with rank-3 images and rank-1 labels.
+unsigned bytes, rank-3 images of at least one pixel and as many rank-1
+labels; a malformed file fails with a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -86,23 +87,29 @@ def read_idx(path) -> np.ndarray:
 def load_idx_task(root) -> Task:
     """Build a Task from the four MNIST-named IDX files under ``root``, each
     plain or gzipped: rank-3 images, whose pixels flatten and scale to
-    [0, 1], and rank-1 labels."""
+    [0, 1], and rank-1 labels. An error names its file, or both files of a
+    split whose counts disagree."""
     root = Path(root)
 
-    def read(stem: str, rank: int) -> np.ndarray:
+    def read(stem: str, rank: int) -> tuple[Path, np.ndarray]:
         path = next((p for p in (root / stem, root / (stem + ".gz")) if p.exists()), None)
         if path is None:
             raise ValueError(f"missing {stem}[.gz] under {root}")
         raw = read_idx(path)
         if raw.ndim != rank:
             raise ValueError(f"{path}: rank {raw.ndim}, not {rank}")
-        return raw
+        return path, raw
 
-    def images(stem: str) -> np.ndarray:
-        raw = read(stem, 3)
-        return raw.reshape(raw.shape[0], -1) / 255.0
+    def split(prefix: str) -> DataShard:
+        x_path, x = read(f"{prefix}-images-idx3-ubyte", 3)
+        if 0 in x.shape:
+            raise ValueError(f"{x_path}: shape {x.shape} holds no pixels")
+        y_path, y = read(f"{prefix}-labels-idx1-ubyte", 1)
+        try:
+            return DataShard(x.reshape(len(x), -1) / 255.0, y)
+        except ValueError as exc:
+            raise ValueError(f"{x_path} and {y_path}: {exc}") from None
 
-    train = DataShard(images("train-images-idx3-ubyte"), read("train-labels-idx1-ubyte", 1))
-    test = DataShard(images("t10k-images-idx3-ubyte"), read("t10k-labels-idx1-ubyte", 1))
+    train, test = split("train"), split("t10k")
     classes = max(int(shard.arrays()[1].max()) for shard in (train, test)) + 1
     return Task(train, test, classes)

@@ -150,32 +150,23 @@ def shard_dataset(
 
 def assign_roles(
     j: int,
-    device_ids: Sequence[DeviceId],
+    actives: Sequence[DeviceId],
     config: SimConfig,
     rng: np.random.Generator,
-    excluded: frozenset[DeviceId] = frozenset(),
 ) -> tuple[list[DeviceId], list[DeviceId], list[DeviceId]]:
-    """The round's workers, validators and miners, each sorted by id;
-    blacklisted devices receive no role.
-
-    A uniform shuffle filled worker-first. When exclusions leave fewer
-    devices than the configured counts, the deficit shrinks the worker
-    count first, then validators, then miners.
-    """
-    active = [d for d in sorted(device_ids) if d not in excluded]
-    counts = [config.n_workers, config.n_validators, config.n_miners]
-    deficit = sum(counts) - len(active)
-    for slot in range(3):  # shrink worker-first
-        if deficit <= 0:
-            break
-        cut = min(counts[slot], deficit)
-        counts[slot] -= cut
-        deficit -= cut
+    """Round j's workers, validators and miners among the active devices
+    ``actives`` (in id order), each sorted by id: a uniform shuffle, filled
+    worker-first. Workers get what validators and miners leave, at most
+    ``n_workers``; validators get what miners leave, at most
+    ``n_validators``; miners get the rest."""
+    n = len(actives)
+    w = max(0, min(config.n_workers, n - config.n_validators - config.n_miners))
+    v = max(0, min(config.n_validators, n - config.n_miners))
+    counts = [w, v, n - w - v]
     if counts != [config.n_workers, config.n_validators, config.n_miners]:
         logger.warning("round %d: role counts shrank to %s after blacklisting", j, counts)
-    order = [active[i] for i in rng.permutation(len(active))]
-    w, v = counts[0], counts[0] + counts[1]
-    return sorted(order[:w]), sorted(order[w:v]), sorted(order[v:])
+    order = [actives[i] for i in rng.permutation(n)]
+    return sorted(order[:w]), sorted(order[w : w + v]), sorted(order[w + v :])
 
 
 def associate(
@@ -403,11 +394,11 @@ class Simulation(_World):
 
     # -- helpers ------------------------------------------------------------
 
-    def _roster(self) -> tuple[frozenset[DeviceId], list[DeviceId], DeviceId]:
-        """The devices every still-participating replica has blacklisted,
-        the other (active) devices in id order, and the reporting device:
-        the first active one, or the lowest id when none is. The reporting
-        device's replica is the round's record.
+    def _roster(self) -> tuple[list[DeviceId], DeviceId]:
+        """The active devices, in id order: those that not every
+        still-participating replica has blacklisted. And the reporting
+        device: the first active one, or the lowest id when none is. The
+        reporting device's replica is the round's record.
 
         Blacklisted devices stop adopting blocks, so their replicas go
         stale and must not weigh in; iterate to the fixed point.
@@ -420,7 +411,7 @@ class Simulation(_World):
                 break
             out = agreed
         actives = [d for d in self.devices if d not in out]
-        return out, actives, (actives or self.devices)[0]
+        return actives, (actives or self.devices)[0]
 
     def _gossip(
         self,
@@ -470,10 +461,10 @@ class Simulation(_World):
     def run_round(self) -> RoundMetrics:
         cfg = self.config
         j = len(self.metrics) + 1
-        blacklist, actives, ref = self._roster()
+        actives, ref = self._roster()
         if not actives:
             return self._skip(j, ref, "all devices blacklisted")
-        plan = self._plan(j, blacklist)
+        plan = self._plan(j, actives)
         if plan is None:
             return self._skip(j, ref, "no validators or miners available")
         net_rng = substream(cfg.master_seed, "net", j)
@@ -511,11 +502,12 @@ class Simulation(_World):
         metrics.winner_malicious = bool(block and block.miner in self.malicious_ids)
         return metrics
 
-    def _plan(self, j: int, blacklist: frozenset[DeviceId]) -> _Plan | None:
-        """Roles and association; None when no validator or miner is left."""
+    def _plan(self, j: int, actives: Sequence[DeviceId]) -> _Plan | None:
+        """Round j's roles among the active devices, and the associations;
+        None when no validator or miner is left."""
         cfg = self.config
         workers, validators, miners = assign_roles(
-            j, list(self.state), cfg, substream(cfg.master_seed, "roles", j), excluded=blacklist
+            j, actives, cfg, substream(cfg.master_seed, "roles", j)
         )
         if not validators or not miners:
             return None
@@ -761,6 +753,7 @@ class Simulation(_World):
         if not self.config.network.is_benign:
             return
         # Benign network: every active device is on one tip, so on one replica.
+        # Keyed by id(), not tip hash: an equal but unshared replica must count.
         replicas = len({id(self.state[d].replica) for d in actives})
         if replicas != 1:
             raise InvariantViolation(f"round {metrics.round}: {replicas} replicas among actives")
@@ -770,6 +763,7 @@ class Simulation(_World):
     def run(self, progress: Callable[[RoundMetrics], None] | None = None) -> list[RoundMetrics]:
         """All rounds; then each distinct replica must equal its chain's replay."""
         super().run(progress)
+        # Keyed by id(), not tip hash: two replicas on one tip may differ; each must replay.
         for replica in {id(st.replica): st.replica for st in self.state.values()}.values():
             try:
                 same = replay(self.genesis, replica.chain.blocks[1:], self.signer) == replica

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vbfl.datasets import make_blobs_task
 from vbfl.config import DatasetConfig, SimConfig, TrainSpec
@@ -20,6 +21,10 @@ from vbfl.learning import DataShard
 from vbfl.orchestrator import Simulation
 from vbfl.protocol import DeviceId, Vote, WorkerTransaction, payload_hash
 
+# Property tests draw the same examples on every run, with no example
+# database and no per-example deadline.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 TINY_DATASET = DatasetConfig(
     dim=8,
@@ -102,10 +107,15 @@ def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def write_idx(path, arr: np.ndarray, dtype_code: int, compress=False):
+def idx_bytes(arr: np.ndarray, dtype_code: int) -> bytes:
+    """arr as an IDX file under the given dtype code."""
     header = struct.pack(">HBB", 0, dtype_code, arr.ndim)
     header += struct.pack(f">{arr.ndim}I", *arr.shape)
-    payload = header + arr.tobytes()
+    return header + arr.tobytes()
+
+
+def write_idx(path, arr: np.ndarray, dtype_code: int, compress=False):
+    payload = idx_bytes(arr, dtype_code)
     if compress:
         path.write_bytes(gzip.compress(payload))
     else:
@@ -249,8 +259,8 @@ def record_plans(sim: Simulation) -> dict:
     plans: dict = {}
     plan = sim._plan
 
-    def recording(j, blacklist):
-        planned = plan(j, blacklist)
+    def recording(j, actives):
+        planned = plan(j, actives)
         if planned is not None:
             plans[j] = planned
         return planned

@@ -394,7 +394,7 @@ def test_criterion_10_consensus_safety(calibrated_vh):
         # Per-round chain equality is enforced by the runtime invariant
         # check (the run would have failed); verify the end state too.
         sim = result.driver
-        _, actives, _ = sim._roster()
+        actives, _ = sim._roster()
         replicas = {id(sim.state[d].replica): sim.state[d].replica for d in actives}
         assert len(replicas) == 1, f"seed {seed}: active devices on {len(replicas)} replicas"
         (replica,) = replicas.values()

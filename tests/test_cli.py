@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import write_idx
+from conftest import idx_bytes, write_idx
 
 from vbfl import cli
 from vbfl.errors import InvariantViolation
@@ -369,22 +369,28 @@ class TestRun:
                          id="signed-byte-dtype"),
             pytest.param("", IDX_200 % 0x0D + np.array([0.5] + [0, 1] * 99 + [1], ">f4").tobytes(),
                          id="float-dtype"),
+            # 10 images of 4 x 4 pixels for the 12 labels; no images; no pixels
+            pytest.param("", idx_bytes(np.zeros((10, 4, 4), ">u1"), 0x08), id="counts-disagree"),
+            pytest.param("", idx_bytes(np.zeros((0, 4, 4), ">u1"), 0x08), id="no-images"),
+            pytest.param("", idx_bytes(np.zeros((12, 0, 4), ">u1"), 0x08), id="no-pixels"),
         ],
     )
     def test_malformed_idx_file_exits_one(self, tmp_path, capsys, suffix, data):
+        # Each split's images hold data, and its labels are 12 zeros.
         idx_dir = tmp_path / "idx"
         idx_dir.mkdir()
-        for stem in (
-            "train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-            "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte",
-        ):
-            (idx_dir / (stem + suffix)).write_bytes(data)
+        for split in ("train", "t10k"):
+            (idx_dir / f"{split}-images-idx3-ubyte{suffix}").write_bytes(data)
+            write_idx(idx_dir / f"{split}-labels-idx1-ubyte", np.zeros(12, ">u1"), 0x08)
         cfg = write_tiny_config(tmp_path, dataset={"idx_dir": str(idx_dir)})
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 1
         err = capsys.readouterr().err
-        # The first file read is named, whichever check fails.
-        first = idx_dir / f"train-images-idx3-ubyte{suffix}"
-        assert err.startswith(f"error: dataset.idx_dir: {first}: ") and len(err.splitlines()) == 1
+        # The first file read is named, whichever check fails, and with it
+        # its labels when their counts disagree: one line, no traceback.
+        first = re.escape(str(idx_dir / f"train-images-idx3-ubyte{suffix}"))
+        labels = re.escape(str(idx_dir / "train-labels-idx1-ubyte"))
+        assert re.fullmatch(rf"error: dataset\.idx_dir: {first}( and {labels})?: .+\n", err)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("swapped, rank, want", [
         ("train-images-idx3-ubyte", 1, 3), ("t10k-labels-idx1-ubyte", 3, 1),

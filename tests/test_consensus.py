@@ -103,7 +103,7 @@ class TestAggregate:
         txs = [wtx(w) for w in (1, 2, 3)]
         assert aggregate_votes(txs, [dev(5), dev(6)], nothing_kept, signed) == ()
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         st.dictionaries(
             st.tuples(st.integers(20, 26), st.integers(1, 6)), st.booleans(), max_size=30
@@ -176,11 +176,11 @@ class TestBuildCandidate:
         assert verify_block(block, signer)
 
 
-def mk_block(miner, round=1) -> Block:
+def mk_block(miner) -> Block:
     """An unsealed candidate; selection never reads a hash or a signature."""
     return build_candidate(
         miner=dev(miner), tallies=(), miner_reward=0, validator_rewards=(),
-        prev_hash=ZERO_HASH, round=round,
+        prev_hash=ZERO_HASH, round=1,
     )
 
 
@@ -214,11 +214,7 @@ class TestPosSelect:
         with pytest.raises(NoEligibleBlock):
             pos_select([mk_block(8)], ledger)
 
-    def test_mixed_rounds_rejected(self):
-        with pytest.raises(ValueError):
-            pos_select([mk_block(8, round=1), mk_block(9, round=2)], StakeLedger())
-
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         st.dictionaries(st.integers(8, 12), st.integers(0, 10**6), min_size=1),
         st.integers(1, 10**6),
@@ -231,7 +227,7 @@ class TestPosSelect:
         )
         assert base.miner == scaled.miner
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         st.dictionaries(st.integers(8, 12), st.integers(0, 3), min_size=1).flatmap(
             lambda stakes: st.tuples(st.just(stakes), st.permutations(sorted(stakes)))
@@ -295,11 +291,6 @@ class TestPowRace:
         expected = n / 3
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 13.816, counts
-
-    def test_bad_params(self):
-        for difficulty in (-1, 65):
-            with pytest.raises(ValueError):
-                pow_race(difficulty, [dev(8)], np.random.default_rng(0))
 
 
 class TestCollectBlocks:

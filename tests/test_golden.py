@@ -320,7 +320,7 @@ def test_network_case_reports_only_what_its_reporting_replica_adopted():
     sim = Simulation(CASES["network"])
     missed = 0
     for _ in range(sim.config.rounds):
-        ref = sim._roster()[2]
+        ref = sim._roster()[1]
         before = sim.state[ref].replica
         m = sim.run_round()
         after = sim.state[ref].replica

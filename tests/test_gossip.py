@@ -91,7 +91,7 @@ _message = st.tuples(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     messages=st.lists(_message, max_size=N_SENDERS, unique_by=lambda m: m[0]),
     forged=st.integers(0, N_SENDERS - 1),

@@ -385,7 +385,7 @@ class TestLocalTrainMany:
         with pytest.raises(ValueError, match="distinct rng per device$"):
             local_train_many(starts, shards, self.SPEC, [shared, shared])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         st.integers(1, 4).flatmap(
             lambda batch: st.tuples(
@@ -619,7 +619,7 @@ class TestScreen:
         monkeypatch.setattr(learning, "_forward", watched_forward)
         monkeypatch.setattr(learning, "_screen", watched_screen)
 
-        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=150)
         @given(
             st.booleans(),
             st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(2, 5)),
@@ -637,7 +637,7 @@ class TestScreen:
         check()
         assert set(paths) == {"screen", "recheck", "full"}
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120)
     @given(
         st.booleans(), st.integers(2, 16), st.integers(1, 6), st.integers(2, 5),
         st.integers(0, 2**16),
@@ -742,7 +742,7 @@ class TestFedavg:
             fedavg([(self.mk(0), 1.0), (self.mk(2), weight)])
 
     @given(st.permutations(list(range(5))))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_permutation_invariant(self, order):
         gens = np.random.default_rng(8)
         updates = [
@@ -754,7 +754,7 @@ class TestFedavg:
         np.testing.assert_allclose(shuffled, base, rtol=1e-9)
 
     @given(st.integers(min_value=1, max_value=12))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_n_copies_fixpoint(self, n):
         p = ModelParams(np.random.default_rng(4).normal(size=6), self.arch())
         got = fedavg([(p, 1.0)] * n)

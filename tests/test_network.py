@@ -12,7 +12,7 @@ _shape = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     delay=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
     jitter=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),

@@ -379,6 +379,22 @@ def load_six_images_with_five_labels(root):
     return load_idx_task(root)
 
 
+def simulate_on_train_images(shape):
+    """A builder of a Simulation whose idx_dir holds training images of the
+    given shape (all pixels zero), as many training labels, and a valid
+    test split."""
+
+    def build(root):
+        for split, images in (
+            ("train", np.zeros(shape, ">u1")), ("t10k", np.zeros((6, 4, 4), ">u1")),
+        ):
+            write_idx(root / f"{split}-images-idx3-ubyte", images, 0x08)
+            write_idx(root / f"{split}-labels-idx1-ubyte", np.zeros(len(images), ">u1"), 0x08)
+        return Simulation(tiny_cfg(dataset=DatasetConfig(idx_dir=str(root))))
+
+    return build
+
+
 def read_dtype_code_7(root):
     write_idx(root / "labels-idx1-ubyte", np.zeros(3, ">u1"), 0x07)
     return read_idx(root / "labels-idx1-ubyte")
@@ -411,7 +427,13 @@ def simulate_on_label_files(root):
          "labels-idx1-ubyte: IDX dtype code 0x07 is not 0x08 (unsigned byte)"),
         (simulate_on_label_files, ConfigError,
          "dataset.idx_dir: {tmp}/train-images-idx3-ubyte: rank 1, not 3"),
-        (load_six_images_with_five_labels, ValueError, "features and labels disagree in length"),
+        (load_six_images_with_five_labels, ValueError,
+         "{tmp}/t10k-images-idx3-ubyte and {tmp}/t10k-labels-idx1-ubyte: "
+         "features and labels disagree in length"),
+        (simulate_on_train_images((0, 4, 4)), ConfigError,
+         "dataset.idx_dir: {tmp}/train-images-idx3-ubyte: shape (0, 4, 4) holds no pixels"),
+        (simulate_on_train_images((12, 0, 4)), ConfigError,
+         "dataset.idx_dir: {tmp}/train-images-idx3-ubyte: shape (12, 0, 4) holds no pixels"),
         (lambda tmp: Simulation(tiny_cfg(dataset=DatasetConfig(idx_dir=str(tmp)))),
          ConfigError, "dataset.idx_dir: missing train-images-idx3-ubyte[.gz] under "),
         (lambda tmp: tiny_cfg(dataset=DatasetConfig(idx_dir="")), ConfigError,
@@ -423,7 +445,8 @@ def simulate_on_label_files(root):
     ],
     ids=[
         "malicious-out-of-range", "malicious-repeated", "blobs-zero-rows",
-        "idx-dtype", "idx-rank", "idx-counts-disagree", "idx-file-missing", "idx-dir-empty",
+        "idx-dtype", "idx-rank", "idx-counts-disagree", "idx-no-images", "idx-no-pixels",
+        "idx-file-missing", "idx-dir-empty",
         "spread-negative", "feature-scale-zero",
     ],
 )
@@ -555,17 +578,25 @@ class TestSharding:
             shard_dataset(self.task(4), self.ids(5), substream(0, "shard"))
 
 
-def roles_by_position(device_ids, counts, rng, excluded=frozenset()):
+def roles_by_position(actives, counts, rng):
     """A reference for assign_roles, written as a per-position fill: the
-    device at position pos of the shuffle works while pos < counts[0], then
-    validates while pos < counts[0] + counts[1], then mines. Returns the
-    three lists, each sorted by id."""
-    active = [d for d in sorted(device_ids) if d not in excluded]
+    active device at position pos of the shuffle works while pos <
+    counts[0], then validates while pos < counts[0] + counts[1], then mines.
+    Returns the three lists, each sorted by id."""
     roles = ([], [], [])
-    for pos, idx in enumerate(rng.permutation(len(active))):
+    for pos, idx in enumerate(rng.permutation(len(actives))):
         slot = 0 if pos < counts[0] else 1 if pos < counts[0] + counts[1] else 2
-        roles[slot].append(active[idx])
+        roles[slot].append(actives[idx])
     return tuple(sorted(devices) for devices in roles)
+
+
+# The role counts left when this many of tiny_cfg's 20 devices (12 workers,
+# 5 validators, 3 miners) are excluded: workers shrink first, then
+# validators, then miners.
+ROLE_COUNTS_AFTER = {
+    0: (12, 5, 3), 2: (10, 5, 3), 11: (1, 5, 3), 12: (0, 5, 3), 13: (0, 4, 3),
+    17: (0, 0, 3), 18: (0, 0, 2), 20: (0, 0, 0),
+}
 
 
 class TestRoles:
@@ -586,26 +617,26 @@ class TestRoles:
 
     def test_blacklisted_excluded_and_workers_shrink_first(self):
         cfg = tiny_cfg()
-        ids = list(make_devices(20))
-        excluded = frozenset(sorted(ids)[:2])
-        roles = assign_roles(1, ids, cfg, substream(0, "roles", 1), excluded=excluded)
-        assert not excluded & {d for devices in roles for d in devices}
+        actives = list(make_devices(20))[2:]
+        roles = assign_roles(1, actives, cfg, substream(0, "roles", 1))
+        assert sorted(d for devices in roles for d in devices) == actives
         assert [len(devices) for devices in roles] == [10, 5, 3]
 
-    @pytest.mark.parametrize("excluded", [0, 2])
-    def test_lists_equal_the_per_position_fill(self, excluded):
-        # 2 excluded devices shrink the workers from 12 to 10.
+    @pytest.mark.parametrize("excluded", sorted(ROLE_COUNTS_AFTER))
+    def test_lists_equal_the_per_position_fill(self, caplog, excluded):
         cfg = tiny_cfg()
-        ids = list(make_devices(20))
-        out = frozenset(sorted(ids)[:excluded])
-        counts = (12 - excluded, 5, 3)
+        actives = list(make_devices(20))[excluded:]
+        counts = ROLE_COUNTS_AFTER[excluded]
         for j in range(1, 101):
-            got = assign_roles(j, ids, cfg, substream(0, "roles", j), excluded=out)
-            assert got == roles_by_position(ids, counts, substream(0, "roles", j), out)
+            got = assign_roles(j, actives, cfg, substream(0, "roles", j))
+            assert tuple(map(len, got)) == counts
+            assert got == roles_by_position(actives, counts, substream(0, "roles", j))
+        shrank = f"round 1: role counts shrank to {list(counts)} after blacklisting"
+        assert (shrank in caplog.messages) == (counts != (12, 5, 3))
 
     def test_miner_of_is_the_partitions_miner(self):
         sim = Simulation(tiny_cfg(rounds=1))
-        plan = sim._plan(1, frozenset())
+        plan = sim._plan(1, sim.devices)
         assert len(plan.workers) == 12 and len(set(plan.w2v.values())) > 1
         for w in plan.workers:
             assert plan.miner_of(w) == plan.v2m[plan.w2v[w]]

@@ -354,7 +354,7 @@ class TestCodec:
         with pytest.raises(CodecError, match="^negative integer"):
             worker_tx_signing_bytes(dataclasses.replace(wtx(), expected_reward=-1))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st_wtx())
     def test_structural_equality_is_byte_equality(self, tx):
         clone = dataclasses.replace(tx)
@@ -714,7 +714,7 @@ _BLOCKS = st.builds(
 )
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(blocks=st.lists(_BLOCKS, max_size=3))
 def test_dump_equals_json_dumps_of_each_block(blocks):
     assert dump(Blockchain(tuple(blocks))) == "".join(reference_line(b) for b in blocks)
@@ -791,7 +791,7 @@ _JSON_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_mutated_dump_line_rejected_or_checkable(data):
     # One field of one line replaced by any JSON value: the load names the

@@ -230,7 +230,7 @@ class TestApplyBlock:
         assert before.stake_of(dev(1)) == 5
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(
         st.tuples(
